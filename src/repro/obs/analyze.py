@@ -393,9 +393,9 @@ def analyze_journal(
         "reclaimed": event_counts.get("lease-reclaimed", 0),
     }
 
-    # Implementation outcomes, deduped by (impl, index): a degraded
-    # fleet re-announces its completed jobs as `preresolved` records and
-    # the last announcement wins.
+    # Implementation outcomes, deduped by (impl, index): the checker
+    # announces each verdict once, but the last announcement wins should
+    # a journal carry one twice.
     final: Dict[Tuple[object, object], dict] = {}
     for record in records:
         if record.get("event") == "impl-checked":

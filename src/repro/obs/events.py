@@ -171,12 +171,14 @@ class EventJournal:
 
 _ACTIVE: Optional[EventJournal] = None
 
-#: When a run ledger is open, the checker installs its commit function
-#: here.  :func:`emit_impl_checked` is the single choke point every
-#: backend (serial loop, local supervisor, fleet coordinator) crosses
-#: when a verdict is decided, so tapping it here gives the write-ahead
-#: ledger complete coverage without touching any emission site — and it
-#: works even when no ``--events`` journal is installed.
+#: The checker installs its per-verdict callback here (commit to the run
+#: ledger, store fresh verdicts in the result cache).
+#: :func:`emit_impl_checked` is the single choke point every verdict
+#: crosses when it is decided — settled up front by the checker or
+#: produced by an executor (serial loop, local supervisor, fleet
+#: coordinator) — so tapping it here gives complete coverage without
+#: touching any emission site, even when no ``--events`` journal is
+#: installed.
 _VERDICT_SINK: Optional[Callable[..., None]] = None
 
 
@@ -210,14 +212,20 @@ def emit_impl_checked(
     record shape is identical whether the verdict came from the serial
     loop, the local supervisor, or the fleet coordinator. ``code``
     carries the OL9xx diagnostic code when the verdict has one, tying
-    OL901/OL902 outcomes to their journal records. Consumers must dedupe
-    by ``(impl, index)``: a degraded fleet re-announces its completed
-    jobs through the local supervisor as ``preresolved`` records.
+    OL901/OL902 outcomes to their journal records. ``cache_hit``,
+    ``discharged`` and ``preresolved`` (a run-ledger replay) mark the
+    verdicts the checker settled before proving; the verdict sink gets
+    the same flags.
     """
     sink = _VERDICT_SINK
     if sink is not None:
         try:
-            sink(verdict, preresolved=preresolved)
+            sink(
+                verdict,
+                cache_hit=cache_hit,
+                discharged=discharged,
+                preresolved=preresolved,
+            )
         except Exception:
             pass  # a broken ledger must never fail a check
     active = _ACTIVE
@@ -259,8 +267,8 @@ def verdict_sink(sink: Optional[Callable[..., None]]) -> Iterator[None]:
     """Install ``sink`` as the process-wide verdict tap for the duration.
 
     ``verdict_sink(None)`` is a no-op passthrough. The checker wraps its
-    backend dispatch in this so the run ledger sees every decided
-    verdict without any backend knowing the ledger exists.
+    check pipeline in this so the run ledger and the result cache see
+    every decided verdict without any executor knowing they exist.
     """
     global _VERDICT_SINK
     if sink is None:

@@ -12,10 +12,9 @@ seconds so logs stay readable.  Rendering is rate-limited and the
 listener does nothing but integer bookkeeping otherwise, so it is safe
 to leave attached on large fleet runs.
 
-Jobs are deduplicated by ``(impl, index)``: a degraded fleet run hands
-its finished jobs to the local supervisor as preresolved work, which
-re-announces them — the renderer (and anyone else consuming journals)
-must count each implementation once.
+Jobs are deduplicated by ``(impl, index)``: the checker announces each
+verdict once, but the renderer (like anyone else consuming journals)
+counts each implementation once regardless.
 """
 
 from __future__ import annotations

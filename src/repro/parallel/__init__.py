@@ -45,86 +45,55 @@ cache_url=...)``, ``check_program*`` with the same keywords, and the CLI
 serve``, ``oolong-check cache serve``).
 """
 
-from repro.parallel.cache import (
-    CACHEABLE_STATUSES,
-    ResultCache,
-    atomic_write_text,
-    cache_key,
-    code_version,
-    validate_entry,
-)
-from repro.parallel.cacheserver import (
-    CacheServer,
-    CacheUnavailable,
-    RemoteCache,
-    serve_cache_forever,
-)
-from repro.parallel.fleet import (
-    FleetCoordinator,
-    FleetOptions,
-    FleetOutcome,
-    FleetUnavailable,
-    fleet_worker_main,
-    run_fleet_checks,
-    serve_workers_forever,
-)
-from repro.parallel.jobs import (
-    Job,
-    backoff_delay,
-    build_jobs,
-    jitter_fraction,
-)
-from repro.parallel.supervisor import (
-    ParallelOptions,
-    ParallelOutcome,
-    WorkerSupervisor,
-    run_parallel_checks,
-)
-from repro.parallel.transport import (
-    ConnectionClosed,
-    FrameError,
-    FramedSocket,
-    FramePolicy,
-    ReadTimeout,
-    TransportError,
-    parse_address,
-)
-from repro.parallel.worker import KILL_EXIT_CODE, JobRequest, JobResult
+import importlib
 
-__all__ = [
-    "CACHEABLE_STATUSES",
-    "CacheServer",
-    "CacheUnavailable",
-    "ConnectionClosed",
-    "FleetCoordinator",
-    "FleetOptions",
-    "FleetOutcome",
-    "FleetUnavailable",
-    "FrameError",
-    "FramePolicy",
-    "FramedSocket",
-    "Job",
-    "JobRequest",
-    "JobResult",
-    "KILL_EXIT_CODE",
-    "ParallelOptions",
-    "ParallelOutcome",
-    "ReadTimeout",
-    "RemoteCache",
-    "ResultCache",
-    "TransportError",
-    "WorkerSupervisor",
-    "atomic_write_text",
-    "backoff_delay",
-    "build_jobs",
-    "cache_key",
-    "code_version",
-    "fleet_worker_main",
-    "jitter_fraction",
-    "parse_address",
-    "run_fleet_checks",
-    "run_parallel_checks",
-    "serve_cache_forever",
-    "serve_workers_forever",
-    "validate_entry",
-]
+#: Each public name and the submodule that defines it. Submodules load
+#: on first access (PEP 562), so the serial checker's job book
+#: (``repro.parallel.jobs``) does not pull in multiprocessing, sockets
+#: and the HTTP server.
+_EXPORTS = {
+    "CACHEABLE_STATUSES": "cache",
+    "ResultCache": "cache",
+    "atomic_write_text": "cache",
+    "cache_key": "cache",
+    "code_version": "cache",
+    "validate_entry": "cache",
+    "CacheServer": "cacheserver",
+    "CacheUnavailable": "cacheserver",
+    "RemoteCache": "cacheserver",
+    "serve_cache_forever": "cacheserver",
+    "FleetCoordinator": "fleet",
+    "FleetOptions": "fleet",
+    "FleetOutcome": "fleet",
+    "FleetUnavailable": "fleet",
+    "fleet_worker_main": "fleet",
+    "run_fleet_checks": "fleet",
+    "serve_workers_forever": "fleet",
+    "Job": "jobs",
+    "backoff_delay": "jobs",
+    "build_jobs": "jobs",
+    "jitter_fraction": "jobs",
+    "ParallelOptions": "supervisor",
+    "ParallelOutcome": "supervisor",
+    "WorkerSupervisor": "supervisor",
+    "run_parallel_checks": "supervisor",
+    "ConnectionClosed": "transport",
+    "FrameError": "transport",
+    "FramedSocket": "transport",
+    "FramePolicy": "transport",
+    "ReadTimeout": "transport",
+    "TransportError": "transport",
+    "parse_address": "transport",
+    "KILL_EXIT_CODE": "worker",
+    "JobRequest": "worker",
+    "JobResult": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -43,9 +43,10 @@ from repro.oolong.pretty import pretty_decl
 from repro.prover.core import Limits
 
 
-def _event_key(key: str) -> str:
+def event_key(key: str) -> str:
     """The truncated key journal records carry (full keys are 64 hex)."""
     return key[:16]
+
 
 if TYPE_CHECKING:
     from repro.oolong.program import Scope
@@ -119,7 +120,9 @@ def cache_key(
     return hasher.hexdigest()
 
 
-def _checksum(payload: dict) -> str:
+def checksum(payload: dict) -> str:
+    """SHA-256 of ``payload``'s canonical JSON (cache entries, ledger
+    records)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -137,7 +140,7 @@ def validate_entry(entry, key: str) -> Tuple[Optional[dict], Optional[str]]:
     payload = entry.get("payload") if isinstance(entry, dict) else None
     if not isinstance(payload, dict):
         return None, "malformed entry: no payload object"
-    if entry.get("checksum") != _checksum(payload):
+    if entry.get("checksum") != checksum(payload):
         return None, "checksum mismatch (corrupted entry)"
     if payload.get("code_version") != code_version():
         return None, (
@@ -178,18 +181,34 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def verdict_to_payload(verdict: "ImplVerdict") -> Optional[dict]:
-    """The cacheable projection of a verdict, or None if not cacheable."""
-    if verdict.status.value not in CACHEABLE_STATUSES:
-        return None
+def encode_verdict(verdict: "ImplVerdict") -> dict:
+    """The JSON projection of a verdict of **any** status.
+
+    The one verdict codec: cache entries and run-ledger records both
+    hold this dict, and :func:`payload_to_verdict` inverts it. A verdict
+    with an error :class:`~repro.analysis.diagnostics.Diagnostic` also
+    carries it under ``"error"``, so transient outcomes (timeouts,
+    quarantines) round-trip too — a resumed run reports the interrupted
+    run verbatim.
+    """
     failed = verdict.failed_obligation
-    return {
+    payload = {
         "status": verdict.status.value,
         "stats": verdict.stats.to_dict(),
         "failed_obligation": (
             _obligation_to_dict(failed) if failed is not None else None
         ),
     }
+    if verdict.error is not None:
+        payload["error"] = verdict.error.to_dict()
+    return payload
+
+
+def verdict_to_payload(verdict: "ImplVerdict") -> Optional[dict]:
+    """The cacheable projection of a verdict, or None if not cacheable."""
+    if verdict.status.value not in CACHEABLE_STATUSES:
+        return None
+    return encode_verdict(verdict)
 
 
 def _obligation_to_dict(obligation) -> dict:
@@ -262,13 +281,16 @@ def _stats_from_dict(data: dict):
 
 
 def payload_to_verdict(payload: dict, impl: ImplDecl, index: int):
-    """Rehydrate a cached payload into an :class:`ImplVerdict`."""
+    """Rehydrate an :func:`encode_verdict` payload (a cache entry's or a
+    ledger record's) into an :class:`ImplVerdict`."""
+    from repro.analysis.diagnostics import diagnostic_from_dict
     from repro.vcgen.checker import ImplStatus, ImplVerdict
 
     status = next(
         s for s in ImplStatus if s.value == payload["status"]
     )
     failed = payload.get("failed_obligation")
+    error = payload.get("error")
     return ImplVerdict(
         impl=impl,
         index=index,
@@ -277,6 +299,7 @@ def payload_to_verdict(payload: dict, impl: ImplDecl, index: int):
         failed_obligation=(
             _obligation_from_dict(failed) if failed is not None else None
         ),
+        error=diagnostic_from_dict(error) if error is not None else None,
     )
 
 
@@ -322,7 +345,7 @@ class ResultCache:
         if entry is None:
             if error is None:
                 self.misses += 1
-                obs_events.emit("cache-miss", key=_event_key(key))
+                obs_events.emit("cache-miss", key=event_key(key))
             else:
                 self._reject(key, error)
             return None
@@ -337,7 +360,7 @@ class ResultCache:
             size = os.path.getsize(path)
         except OSError:
             size = None
-        obs_events.emit("cache-hit", key=_event_key(key), bytes=size)
+        obs_events.emit("cache-hit", key=event_key(key), bytes=size)
         try:
             os.utime(path)  # refresh recency so LRU eviction spares it
         except OSError:
@@ -364,7 +387,7 @@ class ResultCache:
         self.misses += 1
         self.rejections.append((key, reason))
         obs_events.emit(
-            "cache-reject", key=_event_key(key), reason=reason, code="OL903"
+            "cache-reject", key=event_key(key), reason=reason, code="OL903"
         )
 
     # ------------------------------------------------------------------
@@ -386,7 +409,7 @@ class ResultCache:
             "index": index,
             "verdict": verdict_payload,
         }
-        entry = {"checksum": _checksum(payload), "payload": payload}
+        entry = {"checksum": checksum(payload), "payload": payload}
         try:
             fd, temp_path = tempfile.mkstemp(
                 prefix=f".{key[:16]}-", suffix=".tmp", dir=self.directory
@@ -405,13 +428,13 @@ class ResultCache:
             self.rejections.append((key, f"cache write failed: {error}"))
             obs_events.emit(
                 "cache-reject",
-                key=_event_key(key),
+                key=event_key(key),
                 reason=f"cache write failed: {error}",
                 code="OL903",
             )
             return False
         self.stores += 1
-        obs_events.emit("cache-store", key=_event_key(key))
+        obs_events.emit("cache-store", key=event_key(key))
         if self.max_bytes is not None:
             self._evict_to_budget()
         return True
@@ -450,7 +473,7 @@ class ResultCache:
             self.evictions += 1
             obs_events.emit(
                 "cache-evict",
-                key=_event_key(os.path.basename(path)[: -len(".json")]),
+                key=event_key(os.path.basename(path)[: -len(".json")]),
                 bytes=size,
             )
 

@@ -43,8 +43,8 @@ from repro.obs.httpd import TelemetryHTTPServer
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.cache import (
     ResultCache,
-    _event_key,
     code_version,
+    event_key,
     validate_entry,
 )
 from repro.parallel.transport import (
@@ -273,7 +273,7 @@ class CacheServer:
                     self.metrics.inc("cacheserver.rejects")
                     obs_events.emit(
                         "cache-reject",
-                        key=_event_key(key),
+                        key=event_key(key),
                         reason=reason or "rejected",
                         code="OL903",
                     )
@@ -291,11 +291,11 @@ class CacheServer:
                         pass
                     self.cache.evictions += 1
                     self.metrics.inc("cacheserver.evictions")
-                    obs_events.emit("cache-evict", key=_event_key(key))
+                    obs_events.emit("cache-evict", key=event_key(key))
                     return ("miss", None)
                 self.cache.hits += 1
                 self.metrics.inc("cacheserver.hits")
-                obs_events.emit("cache-hit", key=_event_key(key))
+                obs_events.emit("cache-hit", key=event_key(key))
                 try:
                     os.utime(self.cache._path(key))
                 except OSError:
@@ -303,7 +303,7 @@ class CacheServer:
                 return ("entry", entry)
             self.cache.misses += 1
             self.metrics.inc("cacheserver.misses")
-            obs_events.emit("cache-miss", key=_event_key(key))
+            obs_events.emit("cache-miss", key=event_key(key))
             return ("miss", error)
 
     def status(self) -> dict:
@@ -481,7 +481,7 @@ class RemoteCache:
         reply = self._request(("get", key))
         if not (isinstance(reply, tuple) and reply):
             self.misses += 1
-            obs_events.emit("cache-miss", key=_event_key(key), backend="remote")
+            obs_events.emit("cache-miss", key=event_key(key), backend="remote")
             return None
         if reply[0] == "miss":
             reason = reply[1] if len(reply) > 1 else None
@@ -490,19 +490,19 @@ class RemoteCache:
                 self.rejections.append((key, f"server-side: {reason}"))
                 obs_events.emit(
                     "cache-reject",
-                    key=_event_key(key),
+                    key=event_key(key),
                     reason=f"server-side: {reason}",
                     code="OL903",
                     backend="remote",
                 )
             else:
                 obs_events.emit(
-                    "cache-miss", key=_event_key(key), backend="remote"
+                    "cache-miss", key=event_key(key), backend="remote"
                 )
             return None
         if reply[0] != "entry" or len(reply) != 2:
             self.misses += 1
-            obs_events.emit("cache-miss", key=_event_key(key), backend="remote")
+            obs_events.emit("cache-miss", key=event_key(key), backend="remote")
             return None
         verdict, reason = validate_entry(reply[1], key)
         if verdict is None:
@@ -510,7 +510,7 @@ class RemoteCache:
             self.rejections.append((key, reason or "entry rejected"))
             obs_events.emit(
                 "cache-reject",
-                key=_event_key(key),
+                key=event_key(key),
                 reason=reason or "entry rejected",
                 code="OL903",
                 backend="remote",
@@ -522,7 +522,7 @@ class RemoteCache:
         except (TypeError, ValueError):
             size = None
         obs_events.emit(
-            "cache-hit", key=_event_key(key), backend="remote", bytes=size
+            "cache-hit", key=event_key(key), backend="remote", bytes=size
         )
         return verdict
 
@@ -531,7 +531,7 @@ class RemoteCache:
         if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "ok" and reply[1]:
             self.stores += 1
             obs_events.emit(
-                "cache-store", key=_event_key(key), impl=impl, backend="remote"
+                "cache-store", key=event_key(key), impl=impl, backend="remote"
             )
             return True
         return False

@@ -44,13 +44,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.cache import (
-    cache_key,
-    payload_to_verdict,
-    verdict_to_payload,
-)
 from repro.parallel.jobs import (
     Job,
+    apply_result,
     backoff_delay,
     build_jobs,
     deadline_verdict,
@@ -218,7 +214,6 @@ class FleetOutcome:
     summary: Dict[str, int] = field(default_factory=dict)
     #: Why the fleet collapsed mid-run, or None on a clean finish.
     degraded: Optional[str] = None
-    cache: Optional[object] = None
 
 
 class FleetCoordinator:
@@ -231,22 +226,21 @@ class FleetCoordinator:
         *,
         options: FleetOptions,
         explain: bool = False,
-        cache=None,
         scope_deadline: Optional[float] = None,
-        preresolved: Optional[Dict[Tuple[str, int], object]] = None,
+        book: Optional[List[Job]] = None,
     ):
         self.scope = scope
         self.options = options
         self.explain = explain
-        self.cache = cache if not explain else None
         self.scope_deadline = scope_deadline
-        self.preresolved = dict(preresolved or {})
         self.job_limits = (
             replace(limits, scope_time_budget=None, scope_deadline=None)
             if limits is not None
             else None
         )
-        self.jobs = build_jobs(scope)
+        #: The job book; jobs already done when the run starts are left
+        #: as they are.
+        self.jobs = book if book is not None else build_jobs(scope)
         self.members: Dict[int, _Member] = {}
         self.leases: Dict[int, _Lease] = {}
         self._next_lease_id = 0
@@ -264,7 +258,6 @@ class FleetCoordinator:
         self._churn_faults = supervisor_fault_hits("worker-churn")
         self._kill_faults = supervisor_fault_hits("worker-kill")
         self._hang_faults = supervisor_fault_hits("worker-hang")
-        self._corrupt_faults = supervisor_fault_hits("cache-corrupt")
         self.counters: Dict[str, int] = {
             "fleet.registrations": 0,
             "fleet.deregistrations": 0,
@@ -289,8 +282,8 @@ class FleetCoordinator:
         """Bind, spawn local workers, and wait for the first registration.
 
         Raises :class:`FleetUnavailable` if no worker ever arrives — the
-        caller degrades to the local supervisor *before* any cache read
-        or lease, so nothing is half-done.
+        caller degrades to the local supervisor *before* any lease, so
+        nothing is half-done.
         """
         try:
             self._listener = serve(self.options.address)
@@ -484,65 +477,11 @@ class FleetCoordinator:
             return outcome
 
     def _run_inner(self, tracer, parent_span) -> FleetOutcome:
-        self._apply_preresolved(tracer, parent_span)
-        self._serve_from_cache(tracer, parent_span)
         pending = [job for job in self.jobs if not job.done]
         degraded = None
         if pending:
             degraded = self._schedule(pending, tracer, parent_span)
-        return FleetOutcome(
-            jobs=self.jobs, degraded=degraded, cache=self.cache
-        )
-
-    def _apply_preresolved(self, tracer, parent_span) -> None:
-        for job in self.jobs:
-            verdict = self.preresolved.get((job.proc_name, job.impl_index))
-            if verdict is None:
-                continue
-            job.verdict = verdict
-            obs_events.emit_impl_checked(verdict, preresolved=True)
-            if tracer is not None:
-                now = time.perf_counter()
-                tracer.record(
-                    job.impl.name,
-                    "implementation",
-                    now,
-                    now,
-                    parent=parent_span,
-                    args={
-                        "discharged": True,
-                        "status": job.verdict.status.name.lower(),
-                    },
-                )
-
-    def _serve_from_cache(self, tracer, parent_span) -> None:
-        if self.cache is None:
-            return
-        for job in self.jobs:
-            if job.done:
-                continue
-            job.key = cache_key(
-                self.scope, job.impl, job.impl_index, self.job_limits
-            )
-            payload = self.cache.load(job.key)
-            if payload is None:
-                continue
-            job.verdict = payload_to_verdict(payload, job.impl, job.impl_index)
-            job.cache_hit = True
-            obs_events.emit_impl_checked(job.verdict, cache_hit=True)
-            if tracer is not None:
-                now = time.perf_counter()
-                tracer.record(
-                    job.impl.name,
-                    "implementation",
-                    now,
-                    now,
-                    parent=parent_span,
-                    args={
-                        "cache_hit": True,
-                        "status": job.verdict.status.name.lower(),
-                    },
-                )
+        return FleetOutcome(jobs=self.jobs, degraded=degraded)
 
     def _schedule(self, pending: List[Job], tracer, parent_span):
         """Lease jobs to stealing workers until the book closes.
@@ -771,33 +710,7 @@ class FleetCoordinator:
             self._member_gone(member, "churned after first result")
 
     def _finish_job(self, lease: _Lease, job: Job, result: JobResult, trace_ctx) -> None:
-        from repro.analysis.diagnostics import Diagnostic
-        from repro.prover.core import ProverStats
-        from repro.vcgen.checker import ImplStatus, ImplVerdict
-
-        if result.failure is not None:
-            job.verdict = ImplVerdict(
-                impl=job.impl,
-                index=job.impl_index,
-                status=ImplStatus.INTERNAL_ERROR,
-                stats=ProverStats(),
-                error=Diagnostic(
-                    code="OL900",
-                    message=(
-                        "worker job failed internally: "
-                        + result.failure.strip().splitlines()[-1]
-                    ),
-                    impl=job.impl.name,
-                ),
-            )
-        else:
-            verdict = result.verdict
-            # Re-anchor the pickled copy on the coordinator's own AST
-            # object so report identities match the serial driver's.
-            verdict.impl = job.impl
-            job.verdict = verdict
-            job.explain_crash = result.explain_crash
-            self._store_in_cache(job)
+        apply_result(job, result)
         tracer, parent_span = trace_ctx if trace_ctx else (None, None)
         if tracer is not None:
             job_span = tracer.record(
@@ -809,7 +722,6 @@ class FleetCoordinator:
                 args={
                     "worker": lease.worker.name,
                     "attempt": result.attempt,
-                    "cache_hit": False,
                     "status": job.verdict.status.name.lower(),
                 },
             )
@@ -827,26 +739,6 @@ class FleetCoordinator:
             attempt=result.attempt,
             lease=lease.lease_id,
         )
-
-    def _store_in_cache(self, job: Job) -> None:
-        if self.cache is None or job.key is None:
-            return
-        payload = verdict_to_payload(job.verdict)
-        if payload is None:
-            return
-        stored = self.cache.store(
-            job.key, payload, impl=job.impl.name, index=job.impl_index
-        )
-        if stored and job.job_id in self._corrupt_faults:
-            directory = getattr(self.cache, "directory", "")
-            path = os.path.join(directory, f"{job.key}.json")
-            try:
-                with open(path, "r+") as handle:
-                    handle.seek(max(os.path.getsize(path) // 2, 1))
-                    handle.write("\x00GARBAGE\x00")
-                record_supervisor_fault("cache-corrupt", job.job_id, "corrupt")
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # Leases, membership, deadlines
@@ -1502,25 +1394,25 @@ def run_fleet_checks(
     *,
     options: FleetOptions,
     explain: bool = False,
-    cache=None,
     scope_deadline: Optional[float] = None,
-    preresolved: Optional[Dict[Tuple[str, int], object]] = None,
+    book: Optional[List[Job]] = None,
 ) -> FleetOutcome:
-    """Assemble a fleet, run the job book through it, return the jobs.
+    """Assemble a fleet, run the job book's open jobs through it, return
+    the jobs.
 
     Raises :class:`FleetUnavailable` if the fleet never assembles (the
     caller then degrades to the local supervisor with ``OL904``); a
     mid-run collapse instead returns an outcome with ``degraded`` set
-    and the unfinished jobs verdict-less.
+    and the unfinished jobs still open, for the caller to run on the
+    local supervisor.
     """
     coordinator = FleetCoordinator(
         scope,
         limits,
         options=options,
         explain=explain,
-        cache=cache,
         scope_deadline=scope_deadline,
-        preresolved=preresolved,
+        book=book,
     )
     coordinator.start()
     return coordinator.run()

@@ -11,21 +11,24 @@ holds the pieces they share, so the two backends cannot drift apart:
 * :class:`Job` — the per-implementation bookkeeping record (attempt
   counter, backoff eligibility, death history, final verdict);
 * :func:`build_jobs` — jobs in the serial driver's iteration order (the
-  declaration order every backend's merged report must follow);
+  declaration order every backend's merged report must follow). The
+  checker builds this *job book* once, settles what it can before any
+  proving, and hands the same book to whichever executor runs the rest;
 * :func:`backoff_delay` — exponential backoff **with deterministic
   jitter**: pure-exponential delays make simultaneously-orphaned jobs
   retry in lockstep (a thundering herd against whatever killed their
   workers); the jitter is derived from a hash of a caller-supplied token
   so runs stay reproducible while distinct jobs spread out;
-* the verdict builders for the shared failure outcomes: quarantine,
-  hard timeout, and scope-deadline cancellation.
+* the verdict builders for the shared failure outcomes: worker failure,
+  quarantine, hard timeout, and scope-deadline cancellation, plus
+  :func:`apply_result`, which files a worker's result on its job.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.oolong.ast import ImplDecl
@@ -50,15 +53,27 @@ class Job:
     # Filled when the job completes:
     verdict: Optional[object] = None
     explain_crash: Optional[Diagnostic] = None
-    cache_hit: bool = False
+    #: How the checker settled the job before any executor ran it —
+    #: ``"discharged"``, ``"preresolved"`` (a run-ledger replay) or
+    #: ``"cache_hit"``, the ``impl-checked`` flag it is announced with —
+    #: or None for a verdict an executor produced.
+    source: Optional[str] = None
 
     @property
     def done(self) -> bool:
         return self.verdict is not None
 
 
-def build_jobs(scope: Scope) -> List[Job]:
-    """The proof jobs in the serial driver's iteration order."""
+def build_jobs(
+    scope: Scope,
+    preresolved: Optional[Dict[Tuple[str, int], object]] = None,
+) -> List[Job]:
+    """The proof jobs in the serial driver's iteration order.
+
+    Jobs named in ``preresolved`` (keyed ``(proc_name, index)``) start
+    out done with that verdict; executors leave them alone.
+    """
+    preresolved = preresolved or {}
     jobs: List[Job] = []
     for proc_name, impls in scope.impls.items():
         for index, impl in enumerate(impls):
@@ -68,6 +83,7 @@ def build_jobs(scope: Scope) -> List[Job]:
                     proc_name=proc_name,
                     impl_index=index,
                     impl=impl,
+                    verdict=preresolved.get((proc_name, index)),
                 )
             )
     return jobs
@@ -99,6 +115,44 @@ def backoff_delay(
     if jitter <= 0:
         return delay
     return delay * (1.0 + jitter * jitter_fraction(f"{token}:{attempt}"))
+
+
+def apply_result(job: Job, result) -> None:
+    """File a worker's :class:`~repro.parallel.worker.JobResult` on ``job``.
+
+    A job that raised outside the worker's verdict isolation becomes an
+    ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the pickled verdict
+    is re-anchored on the parent's own AST object so report identities
+    match the serial driver's exactly.
+    """
+    if result.failure is not None:
+        job.verdict = failure_verdict(job, result.failure)
+        return
+    verdict = result.verdict
+    verdict.impl = job.impl
+    job.verdict = verdict
+    job.explain_crash = result.explain_crash
+
+
+def failure_verdict(job: Job, failure: str) -> object:
+    """The ``INTERNAL_ERROR``/``OL900`` verdict for a job that failed
+    inside the worker (``failure`` is the worker-side traceback)."""
+    from repro.vcgen.checker import ImplStatus, ImplVerdict
+
+    return ImplVerdict(
+        impl=job.impl,
+        index=job.impl_index,
+        status=ImplStatus.INTERNAL_ERROR,
+        stats=ProverStats(),
+        error=Diagnostic(
+            code="OL900",
+            message=(
+                "worker job failed internally: "
+                + failure.strip().splitlines()[-1]
+            ),
+            impl=job.impl.name,
+        ),
+    )
 
 
 def quarantine_verdict(job: Job) -> object:

@@ -21,18 +21,17 @@ crash the ledger holds exactly the verdicts the run had decided
   re-checked;
 * validated verdicts — **all** statuses, including the transient ones
   the cache refuses (timeouts, quarantines), with their error
-  diagnostics round-tripped — are preloaded as *preresolved* jobs, the
-  same mechanism OL904 fleet degradation uses, so serial, ``-j``, and
-  ``--fleet`` resumes all report them without re-proving;
+  diagnostics round-tripped through the cache's verdict codec
+  (:func:`repro.parallel.cache.encode_verdict`) — are preloaded, and the
+  checker settles those jobs before any executor runs, so serial,
+  ``-j``, and ``--fleet`` resumes all report them without re-proving;
 * damage is contained, not fatal: a torn final line, a checksum-failing
   record, or a duplicated record is counted and skipped (surfaced as an
   ``OL905`` warning on stderr), and only a header-level mismatch
   (format or code version skew) discards the whole ledger.
 
-Commits are deduplicated by key on the write side too — a degraded
-fleet re-announces its completed jobs through the local supervisor, and
-a resumed run re-announces its preloaded verdicts; neither may grow the
-ledger.
+Commits are deduplicated by key on the write side too — a resumed run
+re-announces its preloaded verdicts, and they must not grow the ledger.
 
 The coordinator chaos stages (:data:`repro.testing.faults.COORDINATOR_STAGES`)
 are interpreted here and in the checker's merge loop: ``kill-coordinator``
@@ -48,16 +47,14 @@ import json
 import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.diagnostics import diagnostic_from_dict
 from repro.obs import events as obs_events
 from repro.parallel.cache import (
-    _checksum,
-    _event_key,
-    _obligation_from_dict,
-    _obligation_to_dict,
-    _stats_from_dict,
     cache_key,
+    checksum,
     code_version,
+    encode_verdict,
+    event_key,
+    payload_to_verdict,
 )
 from repro.parallel.jobs import build_jobs
 from repro.testing.faults import record_supervisor_fault, supervisor_fault_hits
@@ -82,46 +79,6 @@ PREVIOUS_NAME = "ledger.prev.jsonl"
 #: The exit code of a chaos-killed coordinator (128 + SIGKILL), shared
 #: with the tests so they can tell "chaos fired" from a real crash.
 CHAOS_EXIT_CODE = 137
-
-
-def verdict_to_ledger(verdict: "ImplVerdict") -> dict:
-    """The ledger projection of a verdict — **every** status.
-
-    Unlike :func:`repro.parallel.cache.verdict_to_payload` this covers
-    transient outcomes too (timeouts, quarantines, internal errors) and
-    carries the error :class:`~repro.analysis.diagnostics.Diagnostic`:
-    a resumed run must reproduce the interrupted run's report verbatim,
-    not re-litigate it.
-    """
-    failed = verdict.failed_obligation
-    error = verdict.error
-    return {
-        "status": verdict.status.value,
-        "stats": verdict.stats.to_dict(),
-        "failed_obligation": (
-            _obligation_to_dict(failed) if failed is not None else None
-        ),
-        "error": error.to_dict() if error is not None else None,
-    }
-
-
-def ledger_to_verdict(payload: dict, impl, index: int) -> "ImplVerdict":
-    """Rehydrate a :func:`verdict_to_ledger` payload."""
-    from repro.vcgen.checker import ImplStatus, ImplVerdict
-
-    status = next(s for s in ImplStatus if s.value == payload["status"])
-    failed = payload.get("failed_obligation")
-    error = payload.get("error")
-    return ImplVerdict(
-        impl=impl,
-        index=index,
-        status=status,
-        stats=_stats_from_dict(payload.get("stats", {})),
-        failed_obligation=(
-            _obligation_from_dict(failed) if failed is not None else None
-        ),
-        error=diagnostic_from_dict(error) if error is not None else None,
-    )
 
 
 class RunLedger:
@@ -229,7 +186,7 @@ class RunLedger:
             self.skipped += 1
             self._warn(self.path, "malformed verdict-committed record")
             return
-        if record.get("checksum") != _checksum(payload):
+        if record.get("checksum") != checksum(payload):
             self.skipped += 1
             self._warn(
                 self.path,
@@ -252,7 +209,7 @@ class RunLedger:
             return
         proc_name, index, impl = self._by_key[key]
         try:
-            verdict = ledger_to_verdict(payload, impl, index)
+            verdict = payload_to_verdict(payload, impl, index)
         except Exception as error:
             self.skipped += 1
             self._warn(
@@ -301,13 +258,12 @@ class RunLedger:
     # Committing
     # ------------------------------------------------------------------
 
-    def commit(self, verdict: "ImplVerdict", *, preresolved: bool = False) -> None:
+    def commit(self, verdict: "ImplVerdict") -> None:
         """Durably append one decided verdict (write + flush + fsync).
 
-        Idempotent per key: re-announced verdicts (fleet degradation,
-        resume preloads) are suppressed, so the ledger carries one
-        record per implementation no matter how many times a backend
-        reports it.
+        Idempotent per key: re-announced verdicts (resume preloads) are
+        suppressed, so the ledger carries one record per implementation
+        no matter how many times it is reported.
         """
         key = self.keys.get((verdict.impl.name, verdict.index))
         if key is None:
@@ -315,14 +271,14 @@ class RunLedger:
         if key in self.committed:
             self.deduped += 1
             return
-        payload = verdict_to_ledger(verdict)
+        payload = encode_verdict(verdict)
         record = {
             "record": "verdict-committed",
             "key": key,
             "impl": verdict.impl.name,
             "index": verdict.index,
             "verdict": payload,
-            "checksum": _checksum(payload),
+            "checksum": checksum(payload),
         }
         ordinal = self._commit_ordinal
         self._commit_ordinal += 1
@@ -337,7 +293,7 @@ class RunLedger:
             impl=verdict.impl.name,
             index=verdict.index,
             status=verdict.status.value,
-            key=_event_key(key),
+            key=event_key(key),
         )
         torn = supervisor_fault_hits("truncate-ledger-tail").get(ordinal)
         if torn is not None:

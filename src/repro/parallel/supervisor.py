@@ -24,9 +24,14 @@ rendered report is independent of scheduling, worker count, and
 completion order; ``CheckReport.to_dict`` is byte-identical to a serial
 run modulo wall-clock fields.
 
+The supervisor is a pure executor: it runs the jobs of the book it is
+given that are still open. Deciding jobs up front (static discharge,
+ledger replay, cache hits) and storing fresh verdicts in the result
+cache are the checker's business (:mod:`repro.vcgen.checker`).
+
 Observability: under an installed tracer the supervisor emits one
 ``supervisor`` pipeline span, one implementation span per job carrying
-``worker``/``attempt``/``cache_hit`` args, and grafts each worker's own
+``worker``/``attempt``/``status`` args, and grafts each worker's own
 span tree (vcgen/prove stage spans with their per-VC children)
 underneath, so ``--trace``/``--profile`` cover parallel runs end to end.
 """
@@ -40,17 +45,11 @@ from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.cache import (
-    ResultCache,
-    cache_key,
-    payload_to_verdict,
-    verdict_to_payload,
-)
 from repro.parallel.jobs import (
     Job as _Job,
+    apply_result,
     backoff_delay,
     build_jobs,
     deadline_verdict,
@@ -63,7 +62,7 @@ from repro.parallel.worker import (
     JobResult,
     worker_main,
 )
-from repro.prover.core import Limits, ProverStats
+from repro.prover.core import Limits
 from repro.testing.faults import (
     record_supervisor_fault,
     supervisor_fault_hits,
@@ -175,7 +174,6 @@ class ParallelOutcome:
     #: Jobs in declaration order, each carrying its verdict (always
     #: present on return) and optional advisory explain-crash.
     jobs: List[_Job]
-    cache: Optional[ResultCache] = None
 
 
 class WorkerSupervisor:
@@ -188,27 +186,21 @@ class WorkerSupervisor:
         *,
         options: ParallelOptions,
         explain: bool = False,
-        cache: Optional[ResultCache] = None,
         scope_deadline: Optional[float] = None,
-        preresolved: Optional[Dict[Tuple[str, int], object]] = None,
+        book: Optional[List[_Job]] = None,
     ):
         self.scope = scope
         self.options = options
         self.explain = explain
-        # Explain runs bypass the cache: explanations are not cached, so
-        # a hit would silently drop the blame report the caller asked for.
-        self.cache = cache if not explain else None
         self.scope_deadline = scope_deadline
-        #: Verdicts decided before scheduling (static discharge): the
-        #: matching jobs are marked done up front — no worker, no cache
-        #: read or write, deadline-independent.
-        self.preresolved = dict(preresolved or {})
         self.job_limits = (
             replace(limits, scope_time_budget=None, scope_deadline=None)
             if limits is not None
             else None
         )
-        self.jobs = build_jobs(scope)
+        #: The job book; jobs already done when the run starts are left
+        #: as they are.
+        self.jobs = book if book is not None else build_jobs(scope)
         self.workers: List[_WorkerHandle] = []
         self._context = multiprocessing.get_context(
             options.resolved_start_method()
@@ -216,7 +208,6 @@ class WorkerSupervisor:
         self._next_worker_id = 0
         self._kill_faults = supervisor_fault_hits("worker-kill")
         self._hang_faults = supervisor_fault_hits("worker-hang")
-        self._corrupt_faults = supervisor_fault_hits("cache-corrupt")
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -236,72 +227,12 @@ class WorkerSupervisor:
                 tracer.current_index() if tracer is not None else None
             )
             try:
-                self._apply_preresolved(tracer, parent_span)
-                self._serve_from_cache(tracer, parent_span)
                 pending = [job for job in self.jobs if not job.done]
                 if pending:
                     self._supervise(pending, tracer, parent_span)
             finally:
                 self._shutdown_workers()
-        return ParallelOutcome(jobs=self.jobs, cache=self.cache)
-
-    # ------------------------------------------------------------------
-    # Cache pre-pass
-    # ------------------------------------------------------------------
-
-    def _apply_preresolved(self, tracer, parent_span) -> None:
-        for job in self.jobs:
-            verdict = self.preresolved.get((job.proc_name, job.impl_index))
-            if verdict is None:
-                continue
-            job.verdict = verdict
-            obs_events.emit_impl_checked(verdict, preresolved=True)
-            if tracer is not None:
-                now = time.perf_counter()
-                tracer.record(
-                    job.impl.name,
-                    "implementation",
-                    now,
-                    now,
-                    parent=parent_span,
-                    args={
-                        "discharged": True,
-                        "status": job.verdict.status.name.lower(),
-                    },
-                )
-
-    def _serve_from_cache(self, tracer, parent_span) -> None:
-        if self.cache is None:
-            return
-        for job in self.jobs:
-            if job.done:
-                # Preresolved (statically discharged) jobs never touch
-                # the cache — in either direction.
-                continue
-            job.key = cache_key(
-                self.scope, job.impl, job.impl_index, self.job_limits
-            )
-            payload = self.cache.load(job.key)
-            if payload is None:
-                continue
-            job.verdict = payload_to_verdict(
-                payload, job.impl, job.impl_index
-            )
-            job.cache_hit = True
-            obs_events.emit_impl_checked(job.verdict, cache_hit=True)
-            if tracer is not None:
-                now = time.perf_counter()
-                tracer.record(
-                    job.impl.name,
-                    "implementation",
-                    now,
-                    now,
-                    parent=parent_span,
-                    args={
-                        "cache_hit": True,
-                        "status": job.verdict.status.name.lower(),
-                    },
-                )
+        return ParallelOutcome(jobs=self.jobs)
 
     # ------------------------------------------------------------------
     # The supervision loop
@@ -460,31 +391,7 @@ class WorkerSupervisor:
         self._finish_job(worker, job, result, tracer, parent_span)
 
     def _finish_job(self, worker, job, result, tracer, parent_span) -> None:
-        from repro.vcgen.checker import ImplStatus, ImplVerdict
-
-        if result.failure is not None:
-            job.verdict = ImplVerdict(
-                impl=job.impl,
-                index=job.impl_index,
-                status=ImplStatus.INTERNAL_ERROR,
-                stats=ProverStats(),
-                error=Diagnostic(
-                    code="OL900",
-                    message=(
-                        "worker job failed internally: "
-                        + result.failure.strip().splitlines()[-1]
-                    ),
-                    impl=job.impl.name,
-                ),
-            )
-        else:
-            verdict = result.verdict
-            # Re-anchor the pickled copy on the parent's own AST object
-            # so report identities match the serial driver's exactly.
-            verdict.impl = job.impl
-            job.verdict = verdict
-            job.explain_crash = result.explain_crash
-            self._store_in_cache(job)
+        apply_result(job, result)
         if tracer is not None:
             job_span = tracer.record(
                 job.impl.name,
@@ -498,7 +405,6 @@ class WorkerSupervisor:
                 args={
                     "worker": worker.worker_id,
                     "attempt": result.attempt,
-                    "cache_hit": False,
                     "status": job.verdict.status.name.lower(),
                 },
             )
@@ -513,29 +419,6 @@ class WorkerSupervisor:
         )
         worker.job = None
         worker.job_deadline = None
-
-    def _store_in_cache(self, job: _Job) -> None:
-        if self.cache is None or job.key is None:
-            return
-        payload = verdict_to_payload(job.verdict)
-        if payload is None:
-            return
-        stored = self.cache.store(
-            job.key, payload, impl=job.impl.name, index=job.impl_index
-        )
-        if stored and job.job_id in self._corrupt_faults:
-            self._corrupt_entry(job.key)
-            record_supervisor_fault("cache-corrupt", job.job_id, "corrupt")
-
-    def _corrupt_entry(self, key: str) -> None:
-        """Deliberately damage a just-written entry (fault injection)."""
-        path = os.path.join(self.cache.directory, f"{key}.json")
-        try:
-            with open(path, "r+") as handle:
-                handle.seek(max(os.path.getsize(path) // 2, 1))
-                handle.write("\x00GARBAGE\x00")
-        except OSError:
-            pass
 
     def _worker_died(self, worker, queue: List[_Job], reason: str) -> None:
         job = worker.job
@@ -689,18 +572,22 @@ def run_parallel_checks(
     *,
     options: ParallelOptions,
     explain: bool = False,
-    cache: Optional[ResultCache] = None,
     scope_deadline: Optional[float] = None,
     preresolved: Optional[Dict[Tuple[str, int], object]] = None,
+    book: Optional[List[_Job]] = None,
 ) -> ParallelOutcome:
-    """Convenience wrapper: build a supervisor, run it, return the jobs."""
+    """Convenience wrapper: build a supervisor, run it, return the jobs.
+
+    ``book`` is the job book to run (default: one job per implementation
+    of ``scope``, with those named in ``preresolved`` already done); only
+    its open jobs reach a worker.
+    """
     supervisor = WorkerSupervisor(
         scope,
         limits,
         options=options,
         explain=explain,
-        cache=cache,
         scope_deadline=scope_deadline,
-        preresolved=preresolved,
+        book=book if book is not None else build_jobs(scope, preresolved),
     )
     return supervisor.run()

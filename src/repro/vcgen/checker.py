@@ -6,6 +6,12 @@
 2. the syntactic pivot-uniqueness restriction;
 3. per-implementation VC generation and mechanical proof.
 
+Step 3 is one decide → execute → merge pipeline (``_check_impls``) for
+every backend: verdicts that need no prover (static discharge, a
+run-ledger replay, a cache hit — in that precedence) are settled first,
+only the open jobs reach an executor (inline, ``-j`` supervisor, or
+fleet), and one declaration-order loop builds the report.
+
 Owner exclusion needs no separate pass: it is embedded in every call's
 verification condition and assumed on entry via ``Init``.
 
@@ -24,6 +30,7 @@ user errors (``WellFormednessError``) still raise.
 from __future__ import annotations
 
 import enum
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -356,11 +363,11 @@ def check_scope(
     before the run can complete, so a SIGKILL'd coordinator loses no
     committed work. ``resume=True`` replays a previous ledger in the
     same directory: records validated against the current scope's
-    content keys are preloaded as preresolved verdicts (the mechanism
-    OL904 degradation uses) and only the remainder is re-checked — the
-    resumed report is byte-identical to an uninterrupted run. Damaged
-    ledgers degrade (OL905), never crash; the ledger is disabled under
-    ``explain=True`` like the result cache.
+    content keys settle their implementations before any proving (after
+    static discharge, ahead of the result cache) and only the remainder
+    is re-checked — the resumed report is byte-identical to an
+    uninterrupted run. Damaged ledgers degrade (OL905), never crash; the
+    ledger is disabled under ``explain=True`` like the result cache.
 
     ``static_discharge="on"`` runs the interprocedural effect analyzer
     (:mod:`repro.analysis.effects`) ahead of vcgen: implementations whose
@@ -639,7 +646,6 @@ def _check_scope_traced(
             cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
 
     ledger = None
-    resumed: dict = {}
     if run_dir is not None and not explain:
         # The ledger shares the cache's explain bypass: explanations are
         # never persisted, so a replayed verdict would silently drop the
@@ -668,54 +674,22 @@ def _check_scope_traced(
                         f"run ledger discarded ({ledger.discarded})"
                     )
                 )
-            resumed = dict(ledger.preloaded)
 
-    with obs_events.verdict_sink(ledger.commit if ledger is not None else None):
-        if fleet is not None:
-            _check_impls_fleet(
-                scope,
-                limits,
-                deadline,
-                report,
-                fleet=fleet,
-                cache=cache,
-                job_timeout=job_timeout,
-                max_retries=max_retries,
-                explain=explain,
-                discharge=discharge,
-                check_discharge=check_discharge,
-                resumed=resumed,
-                ledger=ledger,
-            )
-        elif parallel is not None:
-            _check_impls_parallel(
-                scope,
-                limits,
-                deadline,
-                report,
-                parallel=parallel,
-                cache=cache,
-                job_timeout=job_timeout,
-                max_retries=max_retries,
-                explain=explain,
-                discharge=discharge,
-                check_discharge=check_discharge,
-                resumed=resumed,
-                ledger=ledger,
-            )
-        else:
-            _check_impls_serial(
-                scope,
-                limits,
-                deadline,
-                report,
-                cache=cache,
-                explain=explain,
-                discharge=discharge,
-                check_discharge=check_discharge,
-                resumed=resumed,
-                ledger=ledger,
-            )
+    _check_impls(
+        scope,
+        limits,
+        deadline,
+        report,
+        parallel=parallel,
+        fleet=fleet,
+        cache=cache,
+        ledger=ledger,
+        job_timeout=job_timeout,
+        max_retries=max_retries,
+        explain=explain,
+        discharge=discharge,
+        check_discharge=check_discharge,
+    )
     if ledger is not None:
         report.ledger_summary = ledger.summary()
         report.ledger_summary["warnings"] = [
@@ -739,22 +713,26 @@ def _check_scope_traced(
     return report
 
 
-def _record_verdict_metrics(
-    verdict: ImplVerdict, *, cache_hit: bool, discharged: bool = False
-) -> None:
+#: The counter each up-front settlement feeds instead of the prover
+#: stats: cached and replayed stats describe work a *previous* run did,
+#: and a discharged verdict had no prover run at all.
+_SETTLED_COUNTERS = {
+    "discharged": "checker.discharged",
+    "preresolved": "checker.resumed",
+    "cache_hit": "checker.cache_hits",
+}
+
+
+def _record_verdict_metrics(verdict: ImplVerdict, source: Optional[str]) -> None:
     from repro import obs
 
     registry = obs.metrics()
     if registry is None:
         return
-    if cache_hit:
-        # The cached stats describe work a *previous* run did; record
-        # only the hit, not phantom prover effort.
-        registry.inc("checker.cache_hits")
-    elif discharged:
-        registry.inc("checker.discharged")
-    else:
+    if source is None:
         registry.record_prover_stats(verdict.stats)
+    else:
+        registry.inc(_SETTLED_COUNTERS[source])
     registry.inc("checker.impls")
     registry.inc(f"checker.status.{verdict.status.name.lower()}")
 
@@ -864,323 +842,261 @@ def _compare_discharge(
     )
 
 
-def _check_impls_serial(
+def _check_impls(
     scope: Scope,
     limits: Optional[Limits],
     deadline: Optional[float],
     report: CheckReport,
     *,
+    parallel: Optional[int],
+    fleet,
     cache,
-    explain: bool,
-    discharge=None,
-    check_discharge: bool = False,
-    resumed: Optional[dict] = None,
-    ledger=None,
-) -> None:
-    if cache is not None:
-        from repro.parallel.cache import (
-            cache_key,
-            payload_to_verdict,
-            verdict_to_payload,
-        )
-
-    for impls in scope.impls.values():
-        for index, impl in enumerate(impls):
-            entry = _discharge_entry(discharge, impl, index)
-            if resumed and (impl.name, index) in resumed:
-                # Replayed from the run ledger: no prover, no cache
-                # traffic — like a cache hit, served even past the
-                # scope deadline (the work was already paid for).
-                verdict = resumed[(impl.name, index)]
-                if entry is not None:
-                    if check_discharge:
-                        _compare_discharge(report, discharge, entry, verdict)
-                    else:
-                        _emit_discharge_findings(report, discharge, entry)
-                _record_verdict_metrics(verdict, cache_hit=False)
-                obs_events.emit_impl_checked(verdict, preresolved=True)
-                report.verdicts.append(verdict)
-                if ledger is not None:
-                    ledger.merge_chaos_point()
-                continue
-            if entry is not None and not check_discharge:
-                # Statically discharged: no prover, no cache traffic
-                # (cached verdicts must always mean "the prover said
-                # so"), and — like a cache hit — served even past the
-                # scope deadline.
-                verdict = _discharged_verdict(impl, index, entry)
-                _emit_discharge_findings(report, discharge, entry)
-                _record_verdict_metrics(
-                    verdict, cache_hit=False, discharged=True
-                )
-                obs_events.emit_impl_checked(verdict, discharged=True)
-                report.verdicts.append(verdict)
-                if ledger is not None:
-                    ledger.merge_chaos_point()
-                continue
-            key = None
-            if cache is not None:
-                key = cache_key(scope, impl, index, limits)
-                payload = cache.load(key)
-                if payload is not None:
-                    verdict = payload_to_verdict(payload, impl, index)
-                    if entry is not None:
-                        _compare_discharge(report, discharge, entry, verdict)
-                    _record_verdict_metrics(verdict, cache_hit=True)
-                    obs_events.emit_impl_checked(verdict, cache_hit=True)
-                    report.verdicts.append(verdict)
-                    if ledger is not None:
-                        ledger.merge_chaos_point()
-                    continue
-            verdict, explain_crash = _check_impl(
-                scope, impl, index, limits, deadline, explain
-            )
-            if key is not None:
-                payload = verdict_to_payload(verdict)
-                if payload is not None:
-                    cache.store(key, payload, impl=impl.name, index=index)
-            if explain_crash is not None:
-                report.diagnostics.append(explain_crash)
-            if entry is not None:
-                _compare_discharge(report, discharge, entry, verdict)
-            _record_verdict_metrics(verdict, cache_hit=False)
-            obs_events.emit_impl_checked(verdict)
-            report.verdicts.append(verdict)
-            if ledger is not None:
-                ledger.merge_chaos_point()
-
-
-def _check_impls_parallel(
-    scope: Scope,
-    limits: Optional[Limits],
-    deadline: Optional[float],
-    report: CheckReport,
-    *,
-    parallel: int,
-    cache,
+    ledger,
     job_timeout: Optional[float],
     max_retries: int,
     explain: bool,
-    discharge=None,
-    check_discharge: bool = False,
-    resumed: Optional[dict] = None,
-    ledger=None,
-) -> None:
-    from repro.parallel.supervisor import ParallelOptions, run_parallel_checks
-
-    preresolved = {}
-    if discharge is not None and not check_discharge:
-        for impls in scope.impls.values():
-            for index, impl in enumerate(impls):
-                entry = _discharge_entry(discharge, impl, index)
-                if entry is not None:
-                    preresolved[(impl.name, index)] = _discharged_verdict(
-                        impl, index, entry
-                    )
-    discharged_keys = frozenset(preresolved)
-    for key, verdict in (resumed or {}).items():
-        # Ledger replays preresolve like discharge does, but stay out of
-        # discharged_keys so discharge findings/metrics stay truthful.
-        preresolved.setdefault(key, verdict)
-
-    options = ParallelOptions(
-        jobs=max(1, int(parallel)),
-        job_timeout=job_timeout,
-        max_retries=max_retries,
-    )
-    outcome = run_parallel_checks(
-        scope,
-        limits,
-        options=options,
-        explain=explain,
-        cache=cache,
-        scope_deadline=deadline,
-        preresolved=preresolved,
-    )
-    _merge_outcome_jobs(
-        report,
-        outcome.jobs,
-        discharge,
-        check_discharge,
-        discharged_keys=discharged_keys,
-        ledger=ledger,
-    )
-
-
-def _merge_outcome_jobs(
-    report: CheckReport,
-    jobs,
     discharge,
     check_discharge: bool,
-    *,
-    discharged_keys: frozenset,
-    extra_cache_hits: frozenset = frozenset(),
-    ledger=None,
 ) -> None:
-    """Merge a backend's completed jobs in job (declaration) order.
+    """The one check pipeline behind every backend: decide, execute,
+    merge.
 
-    Shared by the local supervisor and fleet paths so both report the
-    same diagnostics and metrics for the same jobs. ``discharged_keys``
-    names the jobs whose verdicts came from static discharge (as opposed
-    to other preresolution, e.g. a degraded fleet's completed jobs);
-    ``extra_cache_hits`` marks jobs served from cache by an earlier,
-    abandoned backend run.
+    Modular soundness makes each implementation's verdict independent
+    of the others, so a verdict can be settled before any proving:
+
+    1. **Decide** — build the job book once and settle what needs no
+       prover, in one fixed precedence: static discharge, then ledger
+       replay, then cache hit.
+    2. **Execute** — run only the still-open jobs on one executor: an
+       inline loop (serial), the ``-j`` supervisor, or the fleet (whose
+       OL904 degradation hands what it left open to the supervisor).
+    3. **Merge** — one declaration-order loop reports every verdict with
+       its discharge findings and metrics.
+
+    Every decided verdict crosses :func:`obs_events.emit_impl_checked`,
+    whose tap commits it to the run ledger and stores fresh ones in the
+    result cache as they arrive.
     """
-    for job in jobs:
+    from repro.parallel.jobs import build_jobs
+
+    book = build_jobs(scope)
+    with obs_events.verdict_sink(_verdict_tap(book, cache, ledger)):
+        _decide(
+            scope,
+            limits,
+            book,
+            cache=cache,
+            resumed=ledger.preloaded if ledger is not None else {},
+            discharge=discharge if not check_discharge else None,
+        )
+        if not all(job.done for job in book):
+            _execute(
+                scope,
+                limits,
+                deadline,
+                report,
+                book,
+                parallel=parallel,
+                fleet=fleet,
+                job_timeout=job_timeout,
+                max_retries=max_retries,
+                explain=explain,
+            )
+    for job in book:
         if job.explain_crash is not None:
             report.diagnostics.append(job.explain_crash)
-        key = (job.verdict.impl.name, job.verdict.index)
-        entry = _discharge_entry(discharge, job.verdict.impl, job.verdict.index)
+        entry = _discharge_entry(discharge, job.impl, job.impl_index)
         if entry is not None:
-            if key in discharged_keys:
+            # Outside --check-discharge every job with an entry was
+            # settled by it in the decide step.
+            if job.source == "discharged":
                 _emit_discharge_findings(report, discharge, entry)
-            elif check_discharge:
+            else:
                 _compare_discharge(report, discharge, entry, job.verdict)
-        _record_verdict_metrics(
-            job.verdict,
-            cache_hit=job.cache_hit or key in extra_cache_hits,
-            discharged=key in discharged_keys,
-        )
+        _record_verdict_metrics(job.verdict, job.source)
         report.verdicts.append(job.verdict)
         if ledger is not None:
             ledger.merge_chaos_point()
 
 
-def _check_impls_fleet(
+def _decide(scope: Scope, limits, book, *, cache, resumed, discharge) -> None:
+    """Settle every job that needs no prover, marking how on
+    ``job.source`` (the ``impl-checked`` flag it is announced with).
+
+    Settled verdicts are served even past the scope deadline: the work
+    was already paid for. ``discharge`` is None under
+    ``--check-discharge``, where every implementation still reaches the
+    prover.
+    """
+    from repro import obs
+
+    if cache is not None:
+        from repro.parallel.cache import cache_key, payload_to_verdict
+
+    tracer = obs.current()
+    for job in book:
+        slot = (job.proc_name, job.impl_index)
+        entry = _discharge_entry(discharge, job.impl, job.impl_index)
+        if entry is not None:
+            job.verdict = _discharged_verdict(job.impl, job.impl_index, entry)
+            job.source = "discharged"
+        elif slot in resumed:
+            job.verdict = resumed[slot]
+            job.source = "preresolved"
+        elif cache is not None:
+            job.key = cache_key(scope, job.impl, job.impl_index, limits)
+            payload = cache.load(job.key)
+            if payload is None:
+                continue
+            job.verdict = payload_to_verdict(payload, job.impl, job.impl_index)
+            job.source = "cache_hit"
+        else:
+            continue
+        obs_events.emit_impl_checked(job.verdict, **{job.source: True})
+        if tracer is not None:
+            now = time.perf_counter()
+            tracer.record(
+                job.impl.name,
+                obs.CAT_IMPL,
+                now,
+                now,
+                parent=tracer.current_index(),
+                args={
+                    job.source: True,
+                    "status": job.verdict.status.name.lower(),
+                },
+            )
+
+
+def _execute(
     scope: Scope,
     limits: Optional[Limits],
     deadline: Optional[float],
     report: CheckReport,
+    book,
     *,
+    parallel: Optional[int],
     fleet,
-    cache,
     job_timeout: Optional[float],
     max_retries: int,
     explain: bool,
-    discharge=None,
-    check_discharge: bool = False,
-    resumed: Optional[dict] = None,
-    ledger=None,
 ) -> None:
-    """The distributed path: lease jobs to a socket fleet, degrade local.
+    """Run the book's open jobs on the executor the caller asked for.
 
-    Degradation is total-order safe: whatever the fleet *did* finish is
-    carried into the local supervisor as preresolved verdicts, so no job
-    is ever proved twice or lost, and the merged report is identical to
-    what any other backend would have produced.
+    A fleet that cannot be assembled, or collapses mid-run, degrades
+    with ``OL904``: whatever it finished stays done, and the local
+    supervisor runs the rest — no job is proved twice or lost.
     """
-    from repro.parallel.fleet import (
-        FleetOptions,
-        FleetUnavailable,
-        run_fleet_checks,
-    )
-    from repro.parallel.supervisor import ParallelOptions, run_parallel_checks
-
-    preresolved = {}
-    if discharge is not None and not check_discharge:
-        for impls in scope.impls.values():
-            for index, impl in enumerate(impls):
-                entry = _discharge_entry(discharge, impl, index)
-                if entry is not None:
-                    preresolved[(impl.name, index)] = _discharged_verdict(
-                        impl, index, entry
-                    )
-    discharged_keys = frozenset(preresolved)
-    for key, verdict in (resumed or {}).items():
-        preresolved.setdefault(key, verdict)
-
-    options = FleetOptions.from_spec(
-        fleet, job_timeout=job_timeout, max_retries=max_retries
-    )
-    outcome = None
-    try:
-        outcome = run_fleet_checks(
-            scope,
-            limits,
-            options=options,
-            explain=explain,
-            cache=cache,
-            scope_deadline=deadline,
-            preresolved=preresolved,
+    if fleet is not None:
+        from repro.parallel.fleet import (
+            FleetOptions,
+            FleetUnavailable,
+            run_fleet_checks,
         )
-    except FleetUnavailable as exc:
-        report.diagnostics.append(
-            _fleet_degraded_diagnostic(f"fleet unavailable ({exc})")
-        )
-        report.fleet_summary = {"degraded": str(exc)}
 
-    if outcome is not None:
-        report.fleet_summary = dict(outcome.summary)
-        if outcome.degraded is None:
-            _merge_outcome_jobs(
-                report,
-                outcome.jobs,
-                discharge,
-                check_discharge,
-                discharged_keys=discharged_keys,
-                ledger=ledger,
+        options = FleetOptions.from_spec(
+            fleet, job_timeout=job_timeout, max_retries=max_retries
+        )
+        try:
+            outcome = run_fleet_checks(
+                scope,
+                limits,
+                options=options,
+                explain=explain,
+                scope_deadline=deadline,
+                book=book,
             )
-            return
-        report.diagnostics.append(
-            _fleet_degraded_diagnostic(outcome.degraded)
+        except FleetUnavailable as exc:
+            report.fleet_summary = {"degraded": str(exc)}
+            detail = f"fleet unavailable ({exc})"
+        else:
+            report.fleet_summary = dict(outcome.summary)
+            if outcome.degraded is None:
+                return
+            report.fleet_summary["degraded"] = detail = outcome.degraded
+        report.diagnostics.append(_fleet_degraded_diagnostic(detail))
+        parallel = options.workers or 2
+        for job in book:
+            if not job.done:
+                # The supervisor grants each job its own retry budget,
+                # whatever the fleet's leases already spent.
+                job.attempts, job.death_reasons, job.eligible_at = 0, [], 0.0
+
+    if parallel is not None:
+        from repro.parallel.supervisor import (
+            ParallelOptions,
+            run_parallel_checks,
         )
-        report.fleet_summary["degraded"] = outcome.degraded
-        # Carry everything the fleet completed into the local rerun as
-        # preresolved verdicts; remember which of those were cache hits
-        # so the metrics stay truthful.
-        extra_hits = set()
-        for job in outcome.jobs:
-            if job.done:
-                key = (job.proc_name, job.impl_index)
-                preresolved[key] = job.verdict
-                if job.cache_hit:
-                    extra_hits.add(key)
-        local = run_parallel_checks(
+
+        run_parallel_checks(
             scope,
             limits,
             options=ParallelOptions(
-                jobs=max(options.workers, 1) if options.workers else 2,
+                jobs=max(1, int(parallel)),
                 job_timeout=job_timeout,
                 max_retries=max_retries,
             ),
             explain=explain,
-            cache=cache,
             scope_deadline=deadline,
-            preresolved=preresolved,
-        )
-        _merge_outcome_jobs(
-            report,
-            local.jobs,
-            discharge,
-            check_discharge,
-            discharged_keys=discharged_keys,
-            extra_cache_hits=frozenset(extra_hits),
-            ledger=ledger,
+            book=book,
         )
         return
 
-    # Fleet never assembled: run everything on the local supervisor.
-    local = run_parallel_checks(
-        scope,
-        limits,
-        options=ParallelOptions(
-            jobs=max(options.workers, 1) if options.workers else 2,
-            job_timeout=job_timeout,
-            max_retries=max_retries,
-        ),
-        explain=explain,
-        cache=cache,
-        scope_deadline=deadline,
-        preresolved=preresolved,
-    )
-    _merge_outcome_jobs(
-        report,
-        local.jobs,
-        discharge,
-        check_discharge,
-        discharged_keys=discharged_keys,
-        ledger=ledger,
-    )
+    for job in book:
+        if not job.done:
+            job.verdict, job.explain_crash = _check_impl(
+                scope, job.impl, job.impl_index, limits, deadline, explain
+            )
+            obs_events.emit_impl_checked(job.verdict)
+
+
+def _verdict_tap(book, cache, ledger):
+    """The per-verdict callback for :func:`obs_events.verdict_sink`.
+
+    Commits every decided verdict to the run ledger, and stores fresh
+    ones — neither settled up front nor transient — in the result cache.
+    Cached verdicts must always mean "the prover said so", so discharged
+    verdicts never reach the cache. The ``cache-corrupt`` fault point
+    lives here: it damages the entry just published for its job index.
+    """
+    if cache is None and ledger is None:
+        return None
+    from repro.parallel.cache import verdict_to_payload
+    from repro.testing.faults import supervisor_fault_hits
+
+    jobs = {(job.proc_name, job.impl_index): job for job in book}
+    corrupt = supervisor_fault_hits("cache-corrupt")
+
+    def tap(verdict, *, cache_hit=False, discharged=False, preresolved=False):
+        if ledger is not None:
+            ledger.commit(verdict)
+        if cache is None or cache_hit or discharged or preresolved:
+            return
+        job = jobs[(verdict.impl.name, verdict.index)]
+        payload = verdict_to_payload(verdict)
+        if payload is None or job.key is None:
+            return
+        stored = cache.store(
+            job.key, payload, impl=job.proc_name, index=job.impl_index
+        )
+        if stored and job.job_id in corrupt:
+            _corrupt_cache_entry(cache, job)
+
+    return tap
+
+
+def _corrupt_cache_entry(cache, job) -> None:
+    """Deliberately damage a just-written entry (fault injection)."""
+    from repro.testing.faults import record_supervisor_fault
+
+    path = os.path.join(cache.directory, f"{job.key}.json")
+    try:
+        with open(path, "r+") as handle:
+            handle.seek(max(os.path.getsize(path) // 2, 1))
+            handle.write("\x00GARBAGE\x00")
+    except OSError:
+        return  # e.g. a remote cache: no local file to damage
+    record_supervisor_fault("cache-corrupt", job.job_id, "corrupt")
 
 
 def _cache_rejection_diagnostics(cache) -> List[Diagnostic]:

@@ -27,15 +27,17 @@ from repro.obs import EventJournal, journaling
 from repro.obs.events import read_journal
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
-from repro.parallel.cache import _stats_from_dict
+from repro.parallel.cache import (
+    _stats_from_dict,
+    encode_verdict,
+    payload_to_verdict,
+)
 from repro.parallel.cacheserver import CacheServer, RemoteCache
 from repro.parallel.ledger import (
     CHAOS_EXIT_CODE,
     LEDGER_NAME,
     PREVIOUS_NAME,
     RunLedger,
-    ledger_to_verdict,
-    verdict_to_ledger,
 )
 from repro.prover.core import Limits
 from repro.testing.chaos import (
@@ -100,7 +102,7 @@ class TestChaosSpec:
 
 
 # ---------------------------------------------------------------------------
-# Verdict round-trip through the ledger record format
+# Verdict round-trip through the shared verdict codec (ledger + cache)
 # ---------------------------------------------------------------------------
 
 
@@ -109,8 +111,8 @@ class TestVerdictRoundTrip:
         scope = _scope()
         report = check_scope(scope, LIMITS)
         for verdict in report.verdicts:
-            payload = json.loads(json.dumps(verdict_to_ledger(verdict)))
-            back = ledger_to_verdict(payload, verdict.impl, verdict.index)
+            payload = json.loads(json.dumps(encode_verdict(verdict)))
+            back = payload_to_verdict(payload, verdict.impl, verdict.index)
             assert back.status is verdict.status
             assert back.stats.to_dict() == verdict.stats.to_dict()
             assert (back.failed_obligation is None) == (
@@ -133,8 +135,8 @@ class TestVerdictRoundTrip:
                 impl="job0",
             ),
         )
-        payload = json.loads(json.dumps(verdict_to_ledger(verdict)))
-        back = ledger_to_verdict(payload, impl, 0)
+        payload = json.loads(json.dumps(encode_verdict(verdict)))
+        back = payload_to_verdict(payload, impl, 0)
         assert back.status is ImplStatus.INTERNAL_ERROR
         assert back.error is not None
         assert back.error.code == "OL902"

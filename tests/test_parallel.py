@@ -34,11 +34,7 @@ from repro.api import check_program_resilient
 from repro.corpus.generators import generate_impl_farm
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
-from repro.parallel import (
-    ParallelOptions,
-    ResultCache,
-    run_parallel_checks,
-)
+from repro.parallel import ParallelOptions, run_parallel_checks
 from repro.prover.core import Limits
 from repro.testing.faults import (
     SUPERVISOR_STAGES,
@@ -202,30 +198,47 @@ class TestScopeBudget:
 
 
 class TestFaultMatrix:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_supervised_faults_never_change_verdicts(self, seed, tmp_path):
+    """Seeded supervisor fault plans, driven through ``check_scope`` with
+    a result cache: the cold run absorbs worker kills and hangs, and the
+    warm rerun rejects (``OL903``) and recomputes every entry the
+    ``cache-corrupt`` fault damaged — verdicts never change."""
+
+    def _assert_faults_never_change_verdicts(self, seed, tmp_path, **backend):
         scope = _farm_scope()
         serial = check_scope(scope, LIMITS)
         plan = FaultPlan.fuzz(seed, stages=SUPERVISOR_STAGES, max_hit=2)
-        cache_dir = tmp_path / f"cache-{seed}"
-        with inject(plan):
-            outcome = run_parallel_checks(
-                scope,
-                LIMITS,
-                options=FAST,
-                cache=ResultCache(str(cache_dir)),
+        cache_dir = str(tmp_path / f"cache-{seed}")
+        with inject(plan) as injector:
+            cold = check_scope(
+                scope, LIMITS, cache_dir=cache_dir, max_retries=4, **backend
             )
-        assert len(outcome.jobs) == len(serial.verdicts)
-        for job, baseline in zip(outcome.jobs, serial.verdicts):
-            assert job.verdict is not None
-            detail = (
-                f"job {job.job_id} ({job.impl.name}): "
-                f"{job.verdict.status} != {baseline.status}; "
-                f"attempts={job.attempts} deaths={job.death_reasons} "
-                f"error={job.verdict.error}"
-            )
-            assert job.verdict.status is baseline.status, detail
-            assert job.verdict.impl is baseline.impl
+        warm = check_scope(scope, LIMITS, cache_dir=cache_dir, **backend)
+        for report in (cold, warm):
+            assert len(report.verdicts) == len(serial.verdicts)
+            for verdict, baseline in zip(report.verdicts, serial.verdicts):
+                detail = (
+                    f"{plan.describe()}: {verdict.describe()} != "
+                    f"{baseline.describe()}"
+                )
+                assert verdict.status is baseline.status, detail
+                assert verdict.impl is baseline.impl
+        corrupted = {
+            hit for stage, hit, _ in injector.fired if stage == "cache-corrupt"
+        }
+        assert warm.cache_summary["rejections"] == len(corrupted)
+        assert warm.cache_summary["hits"] == len(serial.verdicts) - len(
+            corrupted
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_supervised_faults_never_change_verdicts(self, seed, tmp_path):
+        self._assert_faults_never_change_verdicts(seed, tmp_path, parallel=2)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_serial_cache_faults_never_change_verdicts(self, seed, tmp_path):
+        # Worker faults have no worker to hit serially; the cache-corrupt
+        # fault point lives in the checker's shared cache store.
+        self._assert_faults_never_change_verdicts(seed, tmp_path)
 
 
 def _processes_mentioning(needle: str):

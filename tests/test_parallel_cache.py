@@ -18,9 +18,9 @@ from repro.oolong.program import Scope
 from repro.parallel.cache import (
     CACHEABLE_STATUSES,
     ResultCache,
-    _checksum,
     atomic_write_text,
     cache_key,
+    checksum,
     code_version,
     payload_to_verdict,
     validate_entry,
@@ -176,7 +176,7 @@ class TestEntries:
         path = tmp_path / f"{key}.json"
         entry = json.loads(path.read_text())
         entry["payload"]["code_version"] = "0.0.0+cache0"
-        entry["checksum"] = _checksum(entry["payload"])
+        entry["checksum"] = checksum(entry["payload"])
         path.write_text(json.dumps(entry))
         assert cache.load(key) is None
         assert any(
@@ -240,7 +240,7 @@ class TestValidateEntry:
     def test_uncacheable_status_rejected(self, tmp_path):
         entry, key, _ = self._entry(tmp_path)
         entry["payload"]["verdict"]["status"] = "timed out"
-        entry["checksum"] = _checksum(entry["payload"])
+        entry["checksum"] = checksum(entry["payload"])
         verdict, reason = validate_entry(entry, key)
         assert verdict is None
         assert "bad verdict" in reason
