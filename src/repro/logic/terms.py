@@ -23,12 +23,47 @@ E-matching triggers) and :class:`Exists`.
 A *trigger* is a tuple of term patterns (a multi-pattern); a quantifier may
 carry several alternative triggers. The prover auto-derives triggers when
 none are given.
+
+Every node computes its structural hash at most once (see
+:func:`_hash_once`): the prover probes sets and dicts keyed by deep
+formulas many times over, and a frozen dataclass would otherwise re-hash
+the whole tree on each probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
+
+
+def _hash_once(cls):
+    """Cache the dataclass-generated hash of ``cls`` on each instance.
+
+    Values, ``==``, ``repr`` and the dataclass fields are unchanged; the
+    hash is stored in the instance ``__dict__`` on first use. Pickling
+    (and so ``copy``/``deepcopy``) drops it: ``str`` hashes differ from
+    process to process, so a hash carried to another process would be
+    wrong there.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = structural(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -40,6 +75,7 @@ class Term:
     """Base class for logic terms."""
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Var(Term):
     """A variable occurrence, referenced by name."""
@@ -50,6 +86,7 @@ class Var(Term):
         return self.name
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Const(Term):
     """An uninterpreted constant symbol."""
@@ -60,6 +97,7 @@ class Const(Term):
         return self.name
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IntLit(Term):
     """An integer literal; two distinct literals are provably unequal."""
@@ -70,6 +108,7 @@ class IntLit(Term):
         return str(self.value)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class App(Term):
     """An application ``fn(args...)``."""
@@ -105,18 +144,21 @@ class Formula:
     """Base class for logic formulas."""
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TrueF(Formula):
     def __str__(self) -> str:
         return "true"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FalseF(Formula):
     def __str__(self) -> str:
         return "false"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Eq(Formula):
     """Equality between two terms."""
@@ -128,6 +170,7 @@ class Eq(Formula):
         return f"({self.left} = {self.right})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pred(Formula):
     """A predicate application ``name(args...)``."""
@@ -140,6 +183,7 @@ class Pred(Formula):
         return f"{self.name}({rendered})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
@@ -148,6 +192,7 @@ class Not(Formula):
         return f"!{self.body}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(Formula):
     conjuncts: Tuple[Formula, ...]
@@ -156,6 +201,7 @@ class And(Formula):
         return "(" + " & ".join(str(c) for c in self.conjuncts) + ")"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(Formula):
     disjuncts: Tuple[Formula, ...]
@@ -164,6 +210,7 @@ class Or(Formula):
         return "(" + " | ".join(str(d) for d in self.disjuncts) + ")"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Implies(Formula):
     antecedent: Formula
@@ -173,6 +220,7 @@ class Implies(Formula):
         return f"({self.antecedent} ==> {self.consequent})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
@@ -186,6 +234,7 @@ class Iff(Formula):
 MultiPattern = Tuple[Term, ...]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Forall(Formula):
     """Universal quantification with optional E-matching triggers.
@@ -206,6 +255,7 @@ class Forall(Formula):
         return f"(forall {' '.join(self.vars)} :: {self.body})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Exists(Formula):
     vars: Tuple[str, ...]

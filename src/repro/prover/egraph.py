@@ -6,6 +6,12 @@ classes; a signature table drives congruence propagation; class member
 lists support E-matching; disequalities and integer constant values are
 tracked for consistency.
 
+Disequalities are indexed per class, as in Simplify: each root keeps the
+nodes its class is asserted unequal to, and a union appends the absorbed
+root's list to the survivor's. ``are_diseq`` then scans one class's list
+and the post-merge conflict check looks only at the roots absorbed since
+the previous check, instead of every asserted disequality.
+
 Boolean structure is encoded by two distinguished nodes ``TRUE`` and
 ``FALSE`` (asserted distinct): a predicate atom holds iff its node is
 merged with ``TRUE``.
@@ -63,8 +69,13 @@ class EGraph:
         # Head-symbol index for E-matching: fn -> app node ids.
         self._head_index: Dict[str, List[int]] = {}
 
-        # Asserted disequalities (node id pairs).
+        # Asserted disequalities (node id pairs), kept for countermodels.
         self._diseqs: List[Tuple[int, int]] = []
+        # Per root: the nodes its class is asserted unequal to (the other
+        # side of every disequality with a member in the class).
+        self._diseq_of: List[List[int]] = []
+        # Roots absorbed by unions since the last _check_diseqs.
+        self._absorbed: List[int] = []
 
         # Interpreted app nodes pending constant folding.
         self._interpreted: List[int] = []
@@ -159,6 +170,7 @@ class EGraph:
         self._members.append([node])
         self._uses.append([])
         self._int_value.append(None)
+        self._diseq_of.append([])
         return node
 
     # ------------------------------------------------------------------
@@ -181,9 +193,12 @@ class EGraph:
         va, vb = self._int_value[ra], self._int_value[rb]
         if va is not None and vb is not None and va != vb:
             return True
-        for x, y in self._diseqs:
-            rx, ry = self.find(x), self.find(y)
-            if (rx, ry) == (ra, rb) or (rx, ry) == (rb, ra):
+        others, target = self._diseq_of[ra], rb
+        if len(self._diseq_of[rb]) < len(others):
+            others, target = self._diseq_of[rb], ra
+        find = self.find
+        for other in others:
+            if find(other) == target:
                 return True
         return False
 
@@ -204,12 +219,15 @@ class EGraph:
     def assert_diseq(self, a: int, b: int) -> bool:
         if self._conflict:
             return False
-        if self.find(a) == self.find(b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
             self._set_conflict()
             return False
         self.version += 1
         self._diseqs.append((a, b))
-        self._trail.append(("diseq", len(self._diseqs) - 1))
+        self._diseq_of[ra].append(b)
+        self._diseq_of[rb].append(a)
+        self._trail.append(("diseq", ra, rb))
         return True
 
     def truth(self, node: int) -> Optional[bool]:
@@ -257,11 +275,13 @@ class EGraph:
             surviving_members = list(self._members[rx])
             self._trail.append(
                 ("union", rx, ry, self._size[rx], self._int_value[rx],
-                 len(self._members[rx]))
+                 len(self._members[rx]), len(self._diseq_of[rx]))
             )
             self._parent[ry] = rx
             self._size[rx] += self._size[ry]
             self._members[rx].extend(absorbed_members)
+            self._diseq_of[rx].extend(self._diseq_of[ry])
+            self._absorbed.append(ry)
             if vx is None and vy is not None:
                 self._int_value[rx] = vy
             # Re-signature the parents of every member of BOTH classes
@@ -285,10 +305,20 @@ class EGraph:
                         self._sig[signature] = parent
 
     def _check_diseqs(self) -> None:
-        for x, y in self._diseqs:
-            if self.find(x) == self.find(y):
-                self._set_conflict()
-                return
+        """Flag a conflict if a union joined two disequal classes.
+
+        Any such union absorbed a root whose list names a node of the
+        other class, so checking the absorbed roots' lists against their
+        current root covers every disequality.
+        """
+        absorbed, self._absorbed = self._absorbed, []
+        find = self.find
+        for ry in absorbed:
+            root = find(ry)
+            for other in self._diseq_of[ry]:
+                if find(other) == root:
+                    self._set_conflict()
+                    return
 
     def _fold_interpreted(self) -> None:
         """Constant-fold interpreted applications to a fixpoint."""
@@ -326,15 +356,19 @@ class EGraph:
     def pop(self, mark: int) -> None:
         """Undo all mutations recorded after ``mark``."""
         self.version += 1
+        # Every API call checks its own unions before returning (or ends
+        # in conflict), so nothing absorbed before ``mark`` is pending.
+        self._absorbed.clear()
         while len(self._trail) > mark:
             entry = self._trail.pop()
             tag = entry[0]
             if tag == "union":
-                _, rx, ry, old_size, old_value, old_members = entry
+                _, rx, ry, old_size, old_value, old_members, old_diseqs = entry
                 self._parent[ry] = ry
                 self._size[rx] = old_size
                 self._int_value[rx] = old_value
                 del self._members[rx][old_members:]
+                del self._diseq_of[rx][old_diseqs:]
             elif tag == "sig":
                 _, key, old = entry
                 if old is None:
@@ -342,7 +376,10 @@ class EGraph:
                 else:
                     self._sig[key] = old
             elif tag == "diseq":
-                del self._diseqs[entry[1] :]
+                _, ra, rb = entry
+                self._diseqs.pop()
+                self._diseq_of[ra].pop()
+                self._diseq_of[rb].pop()
             elif tag == "conflict":
                 self._conflict = False
             else:  # pragma: no cover - defensive

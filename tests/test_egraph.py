@@ -1,7 +1,16 @@
 """Unit tests for the E-graph (congruence closure, trail, folding)."""
 
+import random
+
+import pytest
+
 from repro.logic.terms import App, Const, IntLit
 from repro.prover.egraph import EGraph
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the seeded oracle test below still runs
+    given = None
 
 a, b, c, d = Const("a"), Const("b"), Const("c"), Const("d")
 
@@ -213,3 +222,172 @@ class TestIntrospection:
         eg = EGraph()
         node = eg.intern(f(a, g(b)))
         assert eg.term_of(node) == f(a, g(b))
+
+
+class TestDisequalityIndex:
+    """The per-root disequality lists, their undo, and the merge check."""
+
+    def test_pop_diseq_asserted_after_unions(self):
+        eg = EGraph()
+        na, nb, nc, nd = (eg.intern(t) for t in (a, b, c, d))
+        eg.assert_eq(na, nb)
+        base = eg.diseq_pairs()
+        mark = eg.push()
+        assert eg.assert_diseq(nb, nc)
+        assert eg.assert_eq(nc, nd)  # absorbs one side of the diseq
+        assert eg.are_diseq(na, nd) and eg.are_diseq(nd, na)
+        eg.pop(mark)
+        assert eg.diseq_pairs() == base
+        assert not eg.are_diseq(na, nc) and not eg.are_diseq(na, nd)
+        assert eg.assert_eq(na, nc) and not eg.in_conflict
+
+    def test_pop_union_restores_survivor_list(self):
+        eg = EGraph()
+        na, nb, nc = eg.intern(a), eg.intern(b), eg.intern(c)
+        eg.assert_diseq(na, nc)
+        mark = eg.push()
+        eg.assert_eq(na, nb)
+        assert eg.are_diseq(nb, nc)
+        eg.pop(mark)
+        assert not eg.are_diseq(nb, nc)
+        assert eg.are_diseq(na, nc)
+        assert eg.assert_eq(nb, nc) and not eg.in_conflict
+
+    def test_conflict_only_through_congruence_chain(self):
+        eg = EGraph()
+        left, right = eg.intern(g(f(a), c)), eg.intern(g(f(b), d))
+        assert eg.assert_diseq(left, right)
+        assert eg.assert_eq(eg.intern(c), eg.intern(d))
+        assert eg.assert_eq(eg.intern(a), eg.intern(c))
+        assert not eg.in_conflict
+        # b = d closes the chain a = c = d = b, so f(a) = f(b) and then
+        # g(f(a), c) = g(f(b), d) by congruence: the asserted classes join.
+        assert not eg.assert_eq(eg.intern(b), eg.intern(d))
+        assert eg.in_conflict
+
+    def test_folding_merges_disequal_integer_classes(self):
+        eg = EGraph()
+        x, y = eg.intern(Const("x")), eg.intern(Const("y"))
+        total = eg.intern(App("+", (a, b)))
+        assert eg.assert_diseq(x, y)
+        assert eg.assert_eq(x, eg.intern(IntLit(2)))
+        assert eg.assert_eq(y, total)
+        assert eg.assert_eq(eg.intern(a), eg.intern(IntLit(1)))
+        # Folding a + b to 2 joins y's class with x's.
+        assert not eg.assert_eq(eg.intern(b), eg.intern(IntLit(1)))
+        assert eg.in_conflict
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known incompleteness: a node interned while the graph is "
+        "in conflict is never merged with its congruent peer, and the "
+        "missed merge outlives the pop (see ROADMAP)",
+    )
+    def test_intern_during_conflict_keeps_congruence_after_pop(self):
+        eg = EGraph()
+        eg.assert_eq(eg.intern(a), eg.intern(b))
+        fb = eg.intern(f(b))
+        mark = eg.push()
+        eg.assert_diseq(eg.intern(c), eg.intern(d))
+        eg.assert_eq(eg.intern(c), eg.intern(d))
+        assert eg.in_conflict
+        fa = eg.intern(f(a))
+        eg.pop(mark)
+        assert eg.are_equal(fa, fb)
+
+
+class _ScanEGraph(EGraph):
+    """Oracle: the same E-graph, but disequality reasoning scans every
+    asserted pair (as the E-graph did before its per-root index)."""
+
+    def are_diseq(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        va, vb = self.int_value_of(ra), self.int_value_of(rb)
+        if va is not None and vb is not None and va != vb:
+            return True
+        return any(
+            {self.find(x), self.find(y)} == {ra, rb}
+            for x, y in self.diseq_pairs()
+        )
+
+    def _check_diseqs(self):
+        if any(self.find(x) == self.find(y) for x, y in self.diseq_pairs()):
+            self._set_conflict()
+
+
+_LEAVES = [a, b, c, d, IntLit(0), IntLit(1), IntLit(2), Const("@true"), Const("@false")]
+_HEADS = [("f", 1), ("g", 2), ("+", 2), ("<", 2)]
+_OPS = ("intern", "eq", "diseq", "push", "pop")
+
+
+def _random_term(rng, depth=2):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(_LEAVES)
+    fn, arity = rng.choice(_HEADS)
+    return App(fn, tuple(_random_term(rng, depth - 1) for _ in range(arity)))
+
+
+def _random_ops(rng, length):
+    ops = []
+    for _ in range(length):
+        kind = rng.choice(_OPS)
+        ops.append((kind, _random_term(rng), rng.randrange(64), rng.randrange(64)))
+    return ops
+
+
+def _run_against_oracle(ops):
+    """Apply ``ops`` to an EGraph and the scanning oracle in lockstep."""
+    graphs = (EGraph(), _ScanEGraph())
+    marks = []
+    nodes = [graphs[0].TRUE, graphs[0].FALSE]
+    for kind, term, i, j in ops:
+        if kind == "intern":
+            results = {eg.intern(term) for eg in graphs}
+            assert len(results) == 1
+            nodes.append(results.pop())
+        elif kind in ("eq", "diseq"):
+            x, y = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            method = "assert_eq" if kind == "eq" else "assert_diseq"
+            assert len({getattr(eg, method)(x, y) for eg in graphs}) == 1
+        elif kind == "push":
+            marks.append(tuple(eg.push() for eg in graphs))
+        elif marks:
+            for eg, mark in zip(graphs, marks.pop()):
+                eg.pop(mark)
+        real, oracle = graphs
+        assert real.in_conflict == oracle.in_conflict
+        assert real.diseq_pairs() == oracle.diseq_pairs()
+        universe = range(real.node_count)
+        for n in universe:
+            assert real.truth(n) == oracle.truth(n)
+            for m in universe:
+                assert real.are_equal(n, m) == oracle.are_equal(n, m)
+                assert real.are_diseq(n, m) == oracle.are_diseq(n, m)
+
+
+class TestScanOracle:
+    def test_seeded_sequences_match_oracle(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            _run_against_oracle(_random_ops(rng, rng.randrange(5, 40)))
+
+    if given is not None:
+        _terms = st.recursive(
+            st.sampled_from(_LEAVES),
+            lambda kids: st.builds(
+                lambda head, args: App(head[0], tuple(args[: head[1]])),
+                st.sampled_from(_HEADS),
+                st.lists(kids, min_size=2, max_size=2),
+            ),
+            max_leaves=6,
+        )
+        _op = st.tuples(
+            st.sampled_from(_OPS), _terms, st.integers(0, 63), st.integers(0, 63)
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.lists(_op, max_size=40))
+        def test_hypothesis_sequences_match_oracle(self, ops):
+            _run_against_oracle(ops)

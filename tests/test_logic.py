@@ -1,7 +1,15 @@
 """Unit tests for the logic layer: substitution, NNF, skolemization."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.logic import (
     And,
     App,
@@ -196,3 +204,74 @@ class TestSkolemize:
         assert fresh.fresh("sk") == "sk!1"
         assert fresh.fresh("sk") == "sk!2"
         assert fresh.fresh("other") == "other!1"
+
+
+class TestHashCache:
+    """Each node hashes once; the cached hash never leaves the process."""
+
+    BUILD = (
+        "from repro.logic.terms import App, Const, Eq, Forall, IntLit, Not, Var\n"
+        "def build():\n"
+        "    sel = App('sel', (Var('x'), Const('f')))\n"
+        "    body = Not(Eq(sel, App('g', (IntLit(3), App('h', (Var('x'),))))))\n"
+        "    return Forall(('x',), body, triggers=((sel,),), name='q')\n"
+    )
+
+    def _run(self, seed, code, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", self.BUILD + code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip()
+
+    def test_pickled_hash_not_carried_across_processes(self, tmp_path):
+        written = self._run(
+            1,
+            "import pickle\n"
+            "t = build()\n"
+            "hash(t); hash(t.body.body.left)\n"
+            "pickle.dump(t, open('t.pickle', 'wb'))\n"
+            "print(hash(t))\n",
+            tmp_path,
+        )
+        loaded = self._run(
+            2,
+            "import pickle\n"
+            "t = pickle.load(open('t.pickle', 'rb'))\n"
+            "r = build()\n"
+            "assert t == r and hash(t) == hash(r)\n"
+            "assert t in {r} and {r: 1}[t] == 1\n"
+            "inner = t.body.body.left\n"
+            "assert hash(inner) == hash(r.body.body.left)\n"
+            "assert inner in {r.body.body.left}\n"
+            "print(hash(t))\n",
+            tmp_path,
+        )
+        assert written != loaded  # the seeds really differ
+
+    def test_pickle_payload_ignores_the_cache(self):
+        samples = [
+            x, a, IntLit(4), App("f", (a, x)), TrueF(), FalseF(), Eq(a, x), P,
+            Not(P), And((P, Q)), Or((P, Q)), Implies(P, Q), Iff(P, Q),
+            Forall(("x",), P, triggers=((x,),), name="q"), Exists(("y",), Q),
+        ]
+        for sample in samples:
+            fresh = pickle.dumps(sample)
+            hash(sample)
+            assert pickle.dumps(sample) == fresh, sample
+
+    def test_deepcopy_and_replace(self):
+        fx = App("f", (x,))
+        q = Forall(("x",), Eq(fx, a), triggers=((fx,),), name="q")
+        hash(q)
+        clone = copy.deepcopy(q)
+        assert clone == q and hash(clone) == hash(q) and clone in {q}
+        renamed = dataclasses.replace(q, name="other", triggers=())
+        assert renamed == q and hash(renamed) == hash(q)
+        assert repr(renamed) != repr(q)
+        changed = dataclasses.replace(q, body=Eq(fx, b))
+        assert changed != q and changed not in {q}
+        assert repr(clone) == repr(q)
