@@ -258,41 +258,57 @@ class TestSizeBound:
             for v in report.verdicts
         ]
 
+    def _largest_entry(self, directory, entries):
+        """Bytes on disk of the largest of ``entries`` once stored: the
+        budgets below are counted in entries, not fixed byte sizes, since
+        an entry's size follows the verdict payload."""
+        cache = ResultCache(str(directory))
+        for index, (key, payload) in enumerate(entries):
+            cache.store(key, payload, impl="farm", index=index)
+        return max(os.path.getsize(directory / f"{key}.json") for key, _ in entries)
+
     def test_store_evicts_oldest_beyond_budget(self, tmp_path):
         entries = self._farm_entries()
-        # Budget for roughly one entry: every store beyond the first
-        # must evict, oldest first.
-        cache = ResultCache(str(tmp_path), max_bytes=2048)
+        # Budget for one entry: every store beyond the first must evict,
+        # oldest first.
+        budget = self._largest_entry(tmp_path / "probe", entries)
+        cache = ResultCache(str(tmp_path / "bounded"), max_bytes=budget)
         for index, (key, payload) in enumerate(entries):
             assert cache.store(key, payload, impl="farm", index=index)
-            path = tmp_path / f"{key}.json"
+            path = tmp_path / "bounded" / f"{key}.json"
             os.utime(path, (index, index))  # deterministic recency order
             cache._evict_to_budget()
         assert cache.evictions >= 1
-        survivors = [n for n in os.listdir(tmp_path) if n.endswith(".json")]
+        survivors = [
+            n for n in os.listdir(tmp_path / "bounded") if n.endswith(".json")
+        ]
         # The newest entry always survives; eviction consumed the oldest
         # first, so whatever fits beyond it is a suffix of the store order.
         assert f"{entries[-1][0]}.json" in survivors
         assert f"{entries[0][0]}.json" not in survivors
         assert len(survivors) < len(entries)
         summary = cache.summary()
-        assert summary["max_bytes"] == 2048
+        assert summary["max_bytes"] == budget
         assert summary["evictions"] == cache.evictions
 
     def test_hits_refresh_recency(self, tmp_path):
         entries = self._farm_entries(3)
-        cache = ResultCache(str(tmp_path))
+        # Budget for two entries: the third store evicts exactly one.
+        budget = 2 * self._largest_entry(tmp_path / "probe", entries)
+        directory = tmp_path / "bounded"
+        cache = ResultCache(str(directory))
         for index, (key, payload) in enumerate(entries[:2]):
             cache.store(key, payload, impl="farm", index=index)
-            os.utime(tmp_path / f"{key}.json", (index, index))
+            os.utime(directory / f"{key}.json", (index, index))
         # A hit on the oldest entry touches its file, so the later
         # bounded store evicts the *other* one.
         assert cache.load(entries[0][0]) is not None
-        bounded = ResultCache(str(tmp_path), max_bytes=2048)
+        bounded = ResultCache(str(directory), max_bytes=budget)
         bounded.store(entries[2][0], entries[2][1], impl="farm", index=2)
-        names = set(os.listdir(tmp_path))
+        names = set(os.listdir(directory))
         assert f"{entries[0][0]}.json" in names
         assert f"{entries[1][0]}.json" not in names
+        assert f"{entries[2][0]}.json" in names
 
     def test_summary_json_is_never_evicted(self, tmp_path):
         entries = self._farm_entries(2)
