@@ -42,6 +42,7 @@ from repro.logic.terms import (
     Pred,
     Term,
     TrueF,
+    Var,
 )
 from repro.prover.countermodel import Countermodel, capture_countermodel
 from repro.prover.egraph import EGraph
@@ -126,7 +127,9 @@ class ProverStats:
     #: work, including backtracked branches).
     merges: int = 0
     #: Trigger match bindings enumerated by E-matching (before the
-    #: relevancy filter prunes them down to ``instantiations``).
+    #: relevancy filter prunes them down to ``instantiations``). A round
+    #: stops matching at its first refuted candidate, so bindings it would
+    #: have enumerated after that are not counted.
     matches: int = 0
     #: ``matches`` attributed per quantifier name (raw E-matching volume;
     #: compare with ``per_quantifier`` to see the relevancy filter's cut).
@@ -213,10 +216,9 @@ class Solver:
         #: ``(set, key)`` additions to the two sets above, undone by
         #: ``_split`` when it leaves a branch.
         self._branch_trail: List[Tuple[Set[Tuple], Tuple]] = []
+        #: Instances built for admitted candidates, by key.
         self._instance_cache: Dict[Tuple, Formula] = {}
         self._deadline: Optional[float] = None
-        self._cache_version: int = -1
-        self._eval_cache: Dict[int, Tuple] = {}
         #: Explain mode: journal proof steps and keep the refuting branch.
         #: The default (off) path pays only ``is not None`` checks.
         self.explain = explain
@@ -411,32 +413,43 @@ class Solver:
             return value
         return None  # quantifiers and anything else: unknown
 
-    # Passive evaluation: like _eval, but never interns terms. Terms not
-    # present in the E-graph evaluate to "unknown". Formula evaluations are
-    # memoized by object identity, invalidated whenever the E-graph changes
-    # (its version counter bumps); term lookups go through the E-graph's
-    # term index.
+    # Candidate evaluation: like _eval, but on a quantifier body under a
+    # binding of its variables to nodes, without building the instance and
+    # without interning. Each term resolves to the node ``EGraph.lookup``
+    # would give its instance: a variable to its bound node, a constant
+    # through the term index, an application through ``EGraph.app_node``
+    # on its arguments' nodes. Terms not in the E-graph are "unknown".
 
-    def _eval_passive(self, formula: Formula) -> Optional[bool]:
-        if self._cache_version != self.egraph.version:
-            self._cache_version = self.egraph.version
-            self._eval_cache.clear()
-        key = id(formula)
-        hit = self._eval_cache.get(key)
-        if hit is not None and hit[0] is formula:
-            return hit[1]
-        value = self._eval_passive_raw(formula)
-        self._eval_cache[key] = (formula, value)
-        return value
+    def _bound_width(self, body: Formula, binding: Dict[str, int]) -> int:
+        """Number of top-level disjuncts of ``body`` under ``binding`` that
+        are not currently refuted.
 
-    def _eval_passive_raw(self, formula: Formula) -> Optional[bool]:
-        if isinstance(formula, TrueF):
-            return True
-        if isinstance(formula, FalseF):
-            return False
+        The relevancy measure for candidate instances: −1 means the
+        instance already holds (redundant), 0 that it conflicts, 1 that it
+        unit-propagates, k that asserting it parks a k-way case split.
+        """
+        if isinstance(body, Or):
+            width = 0
+            for disjunct in body.disjuncts:
+                inner = self._bound_width(disjunct, binding)
+                if inner < 0:
+                    return -1
+                width += inner
+            return width
+        value = self._bound_value(body, binding)
+        if value is None:
+            return 1
+        return -1 if value else 0
+
+    def _bound_value(
+        self, formula: Formula, binding: Dict[str, int]
+    ) -> Optional[bool]:
+        if isinstance(formula, Pred):
+            node = self._bound_app(formula.name, formula.args, binding)
+            return None if node is None else self.egraph.truth(node)
         if isinstance(formula, Eq):
-            left = self.egraph.lookup(formula.left)
-            right = self.egraph.lookup(formula.right)
+            left = self._bound_node(formula.left, binding)
+            right = self._bound_node(formula.right, binding)
             if left is None or right is None:
                 return None
             if self.egraph.are_equal(left, right):
@@ -444,16 +457,13 @@ class Solver:
             if self.egraph.are_diseq(left, right):
                 return False
             return None
-        if isinstance(formula, Pred):
-            node = self.egraph.lookup_app(formula.name, formula.args)
-            return None if node is None else self.egraph.truth(node)
         if isinstance(formula, Not):
-            inner = self._eval_passive(formula.body)
+            inner = self._bound_value(formula.body, binding)
             return None if inner is None else not inner
         if isinstance(formula, And):
             value = True
             for conjunct in formula.conjuncts:
-                inner = self._eval_passive(conjunct)
+                inner = self._bound_value(conjunct, binding)
                 if inner is False:
                     return False
                 if inner is None:
@@ -462,29 +472,35 @@ class Solver:
         if isinstance(formula, Or):
             value = False
             for disjunct in formula.disjuncts:
-                inner = self._eval_passive(disjunct)
+                inner = self._bound_value(disjunct, binding)
                 if inner is True:
                     return True
                 if inner is None:
                     value = None
             return value
-        return None
+        if isinstance(formula, TrueF):
+            return True
+        if isinstance(formula, FalseF):
+            return False
+        return None  # quantifiers: unknown
 
-    def _instance_width(self, formula: Formula) -> int:
-        """Number of top-level disjuncts not currently refuted.
+    def _bound_node(self, term: Term, binding: Dict[str, int]) -> Optional[int]:
+        if isinstance(term, Var):
+            return binding[term.name]
+        if isinstance(term, App):
+            return self._bound_app(term.fn, term.args, binding)
+        return self.egraph.lookup(term)
 
-        The relevancy measure for candidate instances: 0 means the instance
-        conflicts, 1 means it unit-propagates, k means asserting it parks a
-        k-way case split.
-        """
-        value = self._eval_passive(formula)
-        if value is True:
-            return -1  # redundant, skip entirely
-        if value is False:
-            return 0
-        if isinstance(formula, Or):
-            return sum(max(self._instance_width(d), 0) for d in formula.disjuncts)
-        return 1
+    def _bound_app(
+        self, fn: str, args: Tuple[Term, ...], binding: Dict[str, int]
+    ) -> Optional[int]:
+        child_ids = []
+        for arg in args:
+            child = self._bound_node(arg, binding)
+            if child is None:
+                return None
+            child_ids.append(child)
+        return self.egraph.app_node(fn, tuple(child_ids))
 
     def _simplify_disjunction(self, formula: Or):
         remaining: List[Formula] = []
@@ -682,13 +698,16 @@ class Solver:
     def _instantiate_round(self, state: _State, width_limit: Optional[int] = None):
         """Match every pooled quantifier; assert relevant new instances.
 
-        Candidates are gathered first, filtered by *width* (see
-        ``Limits.max_instance_width``), and asserted narrowest-first so that
-        conflicts and unit propagations land before case splits. Too-wide
-        candidates are not marked seen — they are reconsidered on later
-        rounds, when more of their disjuncts may have been refuted.
-        Redundant ones (already true) are remembered for the branch and
-        not evaluated again.
+        Each binding is evaluated on its nodes (``_bound_width``) and kept
+        as a candidate if its *width* is within the limit (see
+        ``Limits.max_instance_width``); instances are built only for the
+        candidates ``_admit`` asserts, narrowest first, so that conflicts
+        and unit propagations land before case splits. The first refuted
+        (width 0) candidate ends the round at once: it would sort first
+        and close the branch. Too-wide candidates are not marked seen —
+        they are reconsidered on later rounds, when more of their
+        disjuncts may have been refuted. Redundant ones (already true) are
+        remembered for the branch and not evaluated again.
 
         Returns the number of asserted instances, or "conflict"/"resource".
         """
@@ -722,32 +741,39 @@ class Solver:
                     )
                     if key in self._seen or key in self._redundant:
                         continue
-                    instance = self._instance_cache.get(key)
-                    if instance is None:
-                        mapping = {
-                            v: self.egraph.term_of(node)
-                            for v, node in binding.items()
-                        }
-                        instance = subst_formula(quantifier.body, mapping)
-                        self._instance_cache[key] = instance
-                    width = self._instance_width(instance)
+                    width = self._bound_width(quantifier.body, binding)
                     if width < 0:
                         self._remember(self._redundant, key)
                         continue
                     if width > effective_limit:
                         continue
-                    candidates.append(
-                        (width, len(candidates), key, quantifier, instance, effective_limit)
-                    )
+                    candidate = (width, len(candidates), key, binding, effective_limit)
+                    if width == 0:
+                        # It sorts first, nothing asserted before it can
+                        # change its width, and asserting it closes the
+                        # branch: the rest of the round cannot matter. (A
+                        # node orphaned by a popped branch can keep the
+                        # branch open; the round then ends with this one
+                        # instance, and the search goes on.)
+                        return self._admit([candidate], state)
+                    candidates.append(candidate)
         candidates.sort(key=lambda c: (c[0], c[1]))
+        return self._admit(candidates, state)
+
+    def _admit(self, candidates, state: _State):
+        """Assert the instances of ``candidates`` in order, re-checking
+        each against the assertions made before it.
+
+        Returns the number of asserted instances, or "conflict"/"resource".
+        """
         added = 0
-        for _, _, key, quantifier, instance, effective_limit in candidates:
+        for _, _, key, binding, effective_limit in candidates:
             if self._out_of_time():
                 return "resource"
             if key in self._seen:
                 continue
-            # Re-check relevance: earlier assertions may have settled it.
-            width = self._instance_width(instance)
+            quantifier = key[0]
+            width = self._bound_width(quantifier.body, binding)
             if width < 0:
                 self._remember(self._redundant, key)
                 continue
@@ -762,11 +788,15 @@ class Solver:
             if self.stats.instantiations > self.limits.max_instances:
                 return "resource"
             added += 1
+            witnesses = {
+                v: self.egraph.term_of(node)
+                for v, node in zip(quantifier.vars, key[1])
+            }
+            instance = self._instance_cache.get(key)
+            if instance is None:
+                instance = subst_formula(quantifier.body, witnesses)
+                self._instance_cache[key] = instance
             if self._journal is not None:
-                witnesses = {
-                    v: self.egraph.term_of(node)
-                    for v, node in zip(quantifier.vars, key[1])
-                }
                 self._journal.append(
                     ProofStep(
                         STEP_INSTANCE,
