@@ -22,6 +22,7 @@ Four layers:
 """
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -179,17 +180,34 @@ class TestSupervision:
 
 
 class TestScopeBudget:
+    BUDGET = 0.25
+
+    def _farm_outlasting(self, serial_seconds, fields=12):
+        """A farm whose serial check takes at least about
+        ``serial_seconds``, sized from a measured serial check (best of
+        two) of a 4-impl farm of the same shape, so the work keeps up
+        with prover speedups instead of assuming a fixed time per impl."""
+        probe = _farm_scope(4, fields)
+        per_impl = float("inf")
+        for _ in range(2):
+            start = time.monotonic()
+            check_scope(probe, LIMITS)
+            per_impl = min(per_impl, (time.monotonic() - start) / 4)
+        impls = min(200, max(8, math.ceil(serial_seconds / per_impl)))
+        return _farm_scope(impls, fields)
+
     def test_budget_expiry_cancels_promptly(self):
-        # ~1s of serial proof work, but only a 0.25s scope budget: the
-        # supervisor must kill in-flight workers and cancel the queue
-        # within a poll interval or two, not run the farm to completion.
-        scope = _farm_scope(8, 12)
-        limits = Limits(time_budget=60.0, scope_time_budget=0.25)
+        # Ten budgets' worth of serial proof work, so even two workers
+        # need several budgets: the supervisor must kill in-flight workers
+        # and cancel the queue within a poll interval or two, not run the
+        # farm to completion.
+        scope = self._farm_outlasting(10 * self.BUDGET)
+        limits = Limits(time_budget=60.0, scope_time_budget=self.BUDGET)
         start = time.monotonic()
         report = check_scope(scope, limits, parallel=2)
         elapsed = time.monotonic() - start
-        assert elapsed < 0.25 + 0.6, f"overshoot: {elapsed:.2f}s"
-        assert len(report.verdicts) == 8
+        assert elapsed < self.BUDGET + 0.6, f"overshoot: {elapsed:.2f}s"
+        assert len(report.verdicts) == sum(map(len, scope.impls.values()))
         statuses = {v.status for v in report.verdicts}
         assert ImplStatus.TIMED_OUT in statuses
         for verdict in report.verdicts:
