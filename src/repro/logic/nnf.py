@@ -16,7 +16,7 @@ introducing skolem constants/functions over the enclosing universals.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.logic.subst import subst_formula
 from repro.logic.terms import (
@@ -49,8 +49,13 @@ def _is_marker(formula: Formula) -> bool:
 class FreshNames:
     """A deterministic fresh-name supply, one counter per prefix."""
 
-    def __init__(self):
-        self._counters: Dict[str, int] = {}
+    def __init__(self, counters: Optional[Dict[str, int]] = None):
+        self._counters: Dict[str, int] = dict(counters or {})
+
+    def counters(self) -> Dict[str, int]:
+        """A copy of the per-prefix counts (a supply built from it goes on
+        where this one stands)."""
+        return dict(self._counters)
 
     def fresh(self, prefix: str) -> str:
         count = self._counters.get(prefix, 0) + 1

@@ -33,8 +33,18 @@ class Scope:
         self._procs: Dict[str, ProcDecl] = {}
         self._impls: Dict[str, List[ImplDecl]] = {}
         self._enclosing_cache: Dict[str, FrozenSet[str]] = {}
+        #: vcgen's background predicate UBP ∧ BP_D for this scope, with the
+        #: prover state it prepares, made on the scope's first VC
+        #: (:func:`repro.vcgen.vc.scope_background_of`). Process-local:
+        #: never pickled with the scope.
+        self.vc_background = None
         for decl in self._decls:
             self._register(decl)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["vc_background"] = None
+        return state
 
     def _register(self, decl: Decl) -> None:
         if isinstance(decl, GroupDecl):

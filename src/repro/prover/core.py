@@ -194,15 +194,76 @@ class _State:
         return _State(list(self.disjunctions), list(self.quants), self.rounds)
 
 
-class Solver:
-    """A refutation-based solver for closed first-order formulas."""
+@dataclass(frozen=True)
+class _Prepared:
+    """A solver's state at the boundary after a :class:`Background`'s last
+    fact. Published once and never changed: a solver that resumes from it
+    copies the E-graph and the lists it goes on to change."""
 
-    def __init__(self, limits: Optional[Limits] = None, *, explain: bool = False):
+    egraph: EGraph
+    disjunctions: Tuple[Or, ...]
+    quants: Tuple[_QuantRecord, ...]
+    #: The asserted background facts, NNF-converted and skolemized (for
+    #: the journal) …
+    facts: Tuple[Formula, ...]
+    #: … whether the last of them closed the refutation …
+    closed: bool
+    #: … and the ``FreshNames`` counters their skolemization left.
+    names: Tuple[Tuple[str, int], ...]
+    #: ``ProverStats`` counters at the boundary.
+    added: int
+    conflicts: int
+    unmatchable: int
+
+
+class Background:
+    """Closed hypotheses shared by many checks: a scope's UBP ∧ BP_D.
+
+    The first :class:`Solver` given a background asserts its formulas as
+    its leading facts and, at the boundary after the last one, stores the
+    state they built here. Later solvers start from a copy of that state
+    and assert only their own facts; verdicts, statistics and proof logs
+    are those of asserting everything from scratch. A deadline or an
+    exception before the boundary stores nothing.
+
+    The state is process-local: its owner keeps it out of pickles.
+    """
+
+    def __init__(self, formulas: List[Formula]):
+        self.formulas: Tuple[Formula, ...] = tuple(formulas)
+        self._prepared: Optional[_Prepared] = None
+
+
+class Solver:
+    """A refutation-based solver for closed first-order formulas.
+
+    With a ``background``, the solver's leading facts are the background's
+    formulas: the first solver asserts them and prepares the background,
+    the later ones resume from it (see :class:`Background`).
+    """
+
+    def __init__(
+        self,
+        limits: Optional[Limits] = None,
+        *,
+        explain: bool = False,
+        background: Optional[Background] = None,
+    ):
         self.limits = limits or Limits()
-        self.egraph = EGraph()
+        #: With a ``background``: the prepared state this solver resumes
+        #: from, once there is one …
+        self._resumed = background._prepared if background is not None else None
+        self.egraph = (
+            EGraph() if self._resumed is None else self._resumed.egraph.copy()
+        )
         self.stats = ProverStats()
         self._fresh = FreshNames()
         self._facts: List[Formula] = []
+        #: … else the background this solver prepares, the number of its
+        #: facts (0: nothing to prepare) and the name counters they left.
+        self._background = background
+        self._boundary = 0
+        self._background_names: Tuple[Tuple[str, int], ...] = ()
         #: Instance keys asserted in the current branch …
         self._seen: Set[Tuple] = set()
         #: … and candidates whose instance already holds there (width −1).
@@ -224,6 +285,20 @@ class Solver:
         self.explain = explain
         self._journal: Optional[List[ProofStep]] = [] if explain else None
         self._countermodel: Optional[Countermodel] = None
+        prepared = self._resumed
+        if prepared is not None:
+            self._fresh = FreshNames(dict(prepared.names))
+            self._facts = list(prepared.facts)
+            self.stats.facts = prepared.added
+            self.stats.conflicts = prepared.conflicts
+            self.stats.unmatchable_quantifiers = prepared.unmatchable
+        elif background is not None:
+            for formula in background.formulas:
+                self.add(formula)
+            self._boundary = len(self._facts)
+            # Asserting NNF, skolemized facts draws no names, so these are
+            # the counters at the boundary too.
+            self._background_names = tuple(self._fresh.counters().items())
 
     # ------------------------------------------------------------------
     # Loading formulas
@@ -264,20 +339,24 @@ class Solver:
             )
         state = _State()
         verdict: Optional[Verdict] = None
-        for fact in self._facts:
-            if self._out_of_time():
-                self._record_sat_markers()
-                verdict = Verdict.RESOURCE_OUT
-                break
+        prepared = self._resumed
+        if prepared is None:
+            verdict = self._assert_facts(state, 0)
+        else:
+            # The journal prefix is the one asserting the background
+            # would have written.
             if self._journal is not None:
-                self._journal.append(ProofStep(STEP_FACT, formula=fact))
-            if not self._assert(fact, state):
+                for fact in prepared.facts:
+                    self._journal.append(ProofStep(STEP_FACT, formula=fact))
+            if prepared.closed:
                 if self._journal is not None:
                     self._journal.append(
                         ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)
                     )
                 verdict = Verdict.UNSAT
-                break
+            else:
+                state = _State(list(prepared.disjunctions), list(prepared.quants))
+                verdict = self._assert_facts(state, len(prepared.facts))
         if verdict is None:
             verdict = self._search(state, 0)
         self.stats.elapsed = time.monotonic() - start
@@ -288,6 +367,42 @@ class Solver:
         if verdict is Verdict.SAT:
             result.countermodel = self._countermodel
         return result
+
+    def _assert_facts(self, state: _State, first: int) -> Optional[Verdict]:
+        """Assert the facts from index ``first`` on; a verdict if that
+        decides the check. Passing the background's boundary prepares it."""
+        for index in range(first, len(self._facts)):
+            if self._out_of_time():
+                self._record_sat_markers()
+                return Verdict.RESOURCE_OUT
+            fact = self._facts[index]
+            if self._journal is not None:
+                self._journal.append(ProofStep(STEP_FACT, formula=fact))
+            if not self._assert(fact, state):
+                if self._journal is not None:
+                    self._journal.append(
+                        ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)
+                    )
+                if index < self._boundary:
+                    self._prepare(state, index + 1, closed=True)
+                return Verdict.UNSAT
+            if index + 1 == self._boundary:
+                self._prepare(state, index + 1, closed=False)
+        return None
+
+    def _prepare(self, state: _State, asserted: int, closed: bool) -> None:
+        """Store the state after the background's facts on the background."""
+        self._background._prepared = _Prepared(
+            egraph=self.egraph.copy(),
+            disjunctions=tuple(state.disjunctions),
+            quants=tuple(state.quants),
+            facts=tuple(self._facts[:asserted]),
+            closed=closed,
+            names=self._background_names,
+            added=self._boundary,
+            conflicts=self.stats.conflicts,
+            unmatchable=self.stats.unmatchable_quantifiers,
+        )
 
     # ------------------------------------------------------------------
     # Assertion of NNF formulas
@@ -820,6 +935,7 @@ def prove_valid(
     limits: Optional[Limits] = None,
     *,
     explain: bool = False,
+    background: Optional[Background] = None,
 ) -> ProverResult:
     """Prove ``(and axioms) ==> goal`` by refutation.
 
@@ -828,9 +944,11 @@ def prove_valid(
     ``RESOURCE_OUT`` means the instantiation/time budget was exhausted.
     With ``explain``, the result additionally carries a replayable
     :class:`~repro.prover.prooflog.ProofLog` (``UNSAT``) or a
-    :class:`~repro.prover.countermodel.Countermodel` (``SAT``).
+    :class:`~repro.prover.countermodel.Countermodel` (``SAT``). A
+    ``background``'s formulas come first among the axioms, asserted once
+    per background (see :class:`Background`).
     """
-    solver = Solver(limits, explain=explain)
+    solver = Solver(limits, explain=explain, background=background)
     for axiom in axioms:
         solver.add(axiom)
     solver.add_negated_goal(goal)

@@ -100,6 +100,39 @@ class EGraph:
         ok = self.assert_diseq(self.TRUE, self.FALSE)
         assert ok
 
+    def copy(self) -> "EGraph":
+        """An independent E-graph in the same state, with the same node ids.
+
+        Terms, child tuples, signatures and trail entries are immutable and
+        shared; every mutable list and dict is copied, so neither graph's
+        later interns, merges, disequalities or pops show in the other.
+        (``copy.deepcopy`` would also copy every term, and lose the hashes
+        the terms cache.)
+        """
+        clone = object.__new__(EGraph)
+        clone._term = list(self._term)
+        clone._head = list(self._head)
+        clone._children = list(self._children)
+        clone._parent = list(self._parent)
+        clone._size = list(self._size)
+        clone._members = [list(members) for members in self._members]
+        clone._uses = [list(uses) for uses in self._uses]
+        clone._int_value = list(self._int_value)
+        clone._node_of = dict(self._node_of)
+        clone._memo = dict(self._memo)
+        clone._sig = dict(self._sig)
+        clone._head_index = {fn: list(nodes) for fn, nodes in self._head_index.items()}
+        clone._diseqs = list(self._diseqs)
+        clone._diseq_of = [list(others) for others in self._diseq_of]
+        clone._absorbed = list(self._absorbed)
+        clone._interpreted = list(self._interpreted)
+        clone._trail = list(self._trail)
+        clone._conflict = self._conflict
+        clone.merges = self.merges
+        clone.TRUE = self.TRUE
+        clone.FALSE = self.FALSE
+        return clone
+
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------

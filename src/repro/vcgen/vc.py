@@ -34,7 +34,7 @@ from repro.oolong.ast import (
     VarCmd,
 )
 from repro.oolong.program import Scope
-from repro.prover.core import Limits, ProverResult, prove_valid
+from repro.prover.core import Background, Limits, ProverResult, prove_valid
 from repro.vcgen.background import scope_background, universal_background
 from repro.vcgen.translate import TranslationContext, own_excl_formula
 from repro.vcgen.vocab import alive, entry_store
@@ -172,15 +172,34 @@ def _marker_traversal_order(goal: Formula) -> List[int]:
     return order
 
 
+def scope_background_of(scope: Scope) -> Background:
+    """``UBP & BP_D``: the hypotheses of formula (1) that depend only on
+    the scope, built on the scope's first VC and kept on the scope, so
+    the prover asserts them once per scope and process."""
+    background = scope.vc_background
+    if background is None:
+        background = Background(universal_background() + scope_background(scope))
+        scope.vc_background = background
+    return background
+
+
 @dataclass
 class VCBundle:
-    """A ready-to-prove verification condition for one implementation."""
+    """A ready-to-prove verification condition for one implementation.
+
+    ``hypotheses`` lists every hypothesis of formula (1). The leading
+    ``len(background.formulas)`` of them are the scope's background
+    ``UBP & BP_D``, shared by every VC of the scope; the rest (sort facts
+    and ``Init(m)``) are this implementation's own. :meth:`prove` asserts
+    only the latter, on top of the scope's prepared background.
+    """
 
     impl: ImplDecl
     proc: ProcDecl
     hypotheses: List[Formula]
     goal: Formula
     obligations: List[ObligationInfo] = field(default_factory=list)
+    background: Optional[Background] = None
 
     def prove(
         self, limits: Optional[Limits] = None, *, explain: bool = False
@@ -201,13 +220,16 @@ class VCBundle:
                     hypotheses=len(self.hypotheses),
                     obligations=len(self.obligations),
                 ) as sp:
+                    shared = self.background
+                    own = self.hypotheses[len(shared.formulas) if shared else 0:]
                     result = fault_point(
                         "prove",
                         prove_valid(
-                            self.hypotheses,
+                            own,
                             self.goal,
                             limits,
                             explain=explain,
+                            background=shared,
                         ),
                     )
                     sp.set(
@@ -296,9 +318,9 @@ def _build_vc_timed(
     # paper's Section 3 dilemma *assumes* the alias-confinement facts on
     # entry while no longer enforcing them at call sites — which is exactly
     # what makes it modularly unsound.
+    background = scope_background_of(scope)
     hypotheses = (
-        universal_background()
-        + scope_background(scope)
+        list(background.formulas)
         + _sort_facts(impl)
         + [init_formula(scope, proc, fresh)]
     )
@@ -310,6 +332,7 @@ def _build_vc_timed(
         hypotheses=hypotheses,
         goal=goal,
         obligations=list(wctx.obligations),
+        background=background,
     )
     if obs.active():
         # VC size telemetry — the node walk is not free, so it only runs

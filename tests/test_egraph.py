@@ -391,3 +391,93 @@ class TestScanOracle:
         @given(st.lists(_op, max_size=40))
         def test_hypothesis_sequences_match_oracle(self, ops):
             _run_against_oracle(ops)
+
+
+class _Driver:
+    """An E-graph driven by ``tests.test_bound_width`` ops (its ``check``
+    ops are skipped), with the node list and push marks the ops refer
+    to."""
+
+    def __init__(self, egraph=None, nodes=None, marks=None):
+        self.egraph = egraph or EGraph()
+        self.nodes = nodes or [self.egraph.TRUE, self.egraph.FALSE]
+        self.marks = marks or []
+
+    def copy(self):
+        return _Driver(self.egraph.copy(), list(self.nodes), list(self.marks))
+
+    def step(self, op):
+        egraph, nodes, kind = self.egraph, self.nodes, op[0]
+        if kind == "intern":
+            nodes.append(egraph.intern(op[1]))
+        elif kind in ("eq", "diseq"):
+            x, y = nodes[op[1] % len(nodes)], nodes[op[2] % len(nodes)]
+            if kind == "eq":
+                egraph.assert_eq(x, y)
+            else:
+                egraph.assert_diseq(x, y)
+        elif kind == "push":
+            self.marks.append(egraph.push())
+        elif kind == "pop" and self.marks:
+            egraph.pop(self.marks.pop())
+
+    def observe(self):
+        eg = self.egraph
+        universe = range(eg.node_count)
+        return (
+            eg.node_count,
+            eg.merges,
+            eg.in_conflict,
+            [eg.find(n) for n in universe],
+            [eg.truth(n) for n in universe],
+            [eg.are_diseq(n, m) for n in universe for m in universe],
+        )
+
+
+class TestCopy:
+    def test_copy_sets_every_attribute(self):
+        eg = EGraph()
+        eg.assert_eq(eg.intern(f(a, IntLit(1))), eg.intern(g(b)))
+        eg.assert_diseq(eg.intern(c), eg.intern(d))
+        eg.push()
+        clone = eg.copy()
+        # Every field __init__ sets, so a new one cannot be missed …
+        assert vars(clone).keys() == vars(eg).keys()
+        for name, value in vars(eg).items():
+            copied = getattr(clone, name)
+            assert copied == value, name
+            # … and no mutable container, nor a list inside one, shared.
+            if isinstance(value, (list, dict)):
+                assert copied is not value, name
+                inner = value.values() if isinstance(value, dict) else value
+                inner_copied = (
+                    copied.values() if isinstance(copied, dict) else copied
+                )
+                for item, item_copied in zip(inner, inner_copied):
+                    if isinstance(item, (list, dict)):
+                        assert item_copied is not item, name
+
+    def test_copies_evolve_independently(self):
+        from tests.test_bound_width import _random_ops as _bound_width_ops
+
+        for seed in range(80):
+            rng = random.Random(seed)
+            prefix = _bound_width_ops(rng, rng.randrange(5, 40))
+            ours = _bound_width_ops(rng, rng.randrange(5, 30))
+            theirs = _bound_width_ops(rng, rng.randrange(5, 30))
+            original = _Driver()
+            for op in prefix:
+                original.step(op)
+            clone = original.copy()
+            assert clone.observe() == original.observe()
+            # Interleaved, so a shared structure would leak both ways.
+            for index in range(max(len(ours), len(theirs))):
+                if index < len(ours):
+                    original.step(ours[index])
+                if index < len(theirs):
+                    clone.step(theirs[index])
+            for driver, ops in ((original, ours), (clone, theirs)):
+                alone = _Driver()
+                for op in prefix + ops:
+                    alone.step(op)
+                assert driver.observe() == alone.observe(), seed
