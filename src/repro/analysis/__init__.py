@@ -8,6 +8,9 @@ The subsystem layers:
 * :mod:`repro.analysis.dataflow` — a generic forward fixpoint engine;
 * :mod:`repro.analysis.escape` — flow-sensitive pivot escape analysis;
 * :mod:`repro.analysis.modifies` — modifies-list inference;
+* :mod:`repro.analysis.facts` — the per-scope cache of the facts lint
+  and static discharge share (inclusion lattice, call graph, CFGs,
+  access-path fixpoints);
 * :mod:`repro.analysis.callgraph` — call graph + recursion detection;
 * :mod:`repro.analysis.lints` — unused declarations, unreachable code;
 * :mod:`repro.analysis.engine` — the ``lint_scope`` driver.

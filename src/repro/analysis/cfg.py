@@ -83,6 +83,7 @@ class CFG:
         self.blocks: Dict[int, BasicBlock] = {b.bid: b for b in blocks}
         self.entry = entry
         self.exit = exit
+        self._rpo: Optional[Tuple[int, ...]] = None
 
     def block(self, bid: int) -> BasicBlock:
         return self.blocks[bid]
@@ -99,7 +100,13 @@ class CFG:
 
     def reverse_postorder(self) -> List[int]:
         """Blocks in reverse postorder from the entry (topological: the
-        graph is a DAG, so every predecessor precedes its successors)."""
+        graph is a DAG, so every predecessor precedes its successors).
+        Computed once: a CFG is not changed after it is built."""
+        if self._rpo is None:
+            self._rpo = self._compute_reverse_postorder()
+        return list(self._rpo)
+
+    def _compute_reverse_postorder(self) -> Tuple[int, ...]:
         seen = set()
         order: List[int] = []
 
@@ -115,7 +122,7 @@ class CFG:
         for bid in self.blocks:
             if bid not in seen:
                 order.insert(0, bid)
-        return list(reversed(order))
+        return tuple(reversed(order))
 
 
 class _Builder:
