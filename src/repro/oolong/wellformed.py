@@ -106,32 +106,36 @@ def _check_field(scope: Scope, decl: FieldDecl) -> None:
                 )
 
 
+_WHITE, _GRAY, _BLACK = 0, 1, 2
+
+
 def _check_group_acyclicity(scope: Scope) -> None:
     """Reject cycles among group ``in`` clauses via three-color DFS."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in scope.groups}
-
-    def visit(name: str, trail: List[str]) -> None:
-        color[name] = GRAY
-        trail.append(name)
-        decl = scope.group(name)
-        assert decl is not None
-        for parent in decl.in_groups:
-            if parent not in color:
-                continue  # undeclared parent is reported elsewhere
-            if color[parent] == GRAY:
-                cycle = " -> ".join(trail + [parent])
-                raise WellFormednessError(
-                    f"cyclic group inclusion: {cycle}", decl.position
-                )
-            if color[parent] == WHITE:
-                visit(parent, trail)
-        trail.pop()
-        color[name] = BLACK
-
+    color = {name: _WHITE for name in scope.groups}
     for name in list(color):
-        if color[name] == WHITE:
-            visit(name, [])
+        if color[name] == _WHITE:
+            _visit_group(scope, color, name, [])
+
+
+def _visit_group(scope: Scope, color, name: str, trail: List[str]) -> None:
+    # A module-level function, not a closure over ``scope``: a recursive
+    # closure would keep the scope in a reference cycle after the check.
+    color[name] = _GRAY
+    trail.append(name)
+    decl = scope.group(name)
+    assert decl is not None
+    for parent in decl.in_groups:
+        if parent not in color:
+            continue  # undeclared parent is reported elsewhere
+        if color[parent] == _GRAY:
+            cycle = " -> ".join(trail + [parent])
+            raise WellFormednessError(
+                f"cyclic group inclusion: {cycle}", decl.position
+            )
+        if color[parent] == _WHITE:
+            _visit_group(scope, color, parent, trail)
+    trail.pop()
+    color[name] = _BLACK
 
 
 def _check_proc(scope: Scope, decl: ProcDecl) -> None:

@@ -798,7 +798,7 @@ def _emit_discharge_findings(report: CheckReport, discharge, entry) -> None:
     if entry.outcome is not Outcome.STATIC_VIOLATION:
         return
     report.diagnostics.append(
-        violation_diagnostic(discharge.lattice.scope, entry, entry.blame)
+        violation_diagnostic(discharge.scope, entry, entry.blame)
     )
 
 
