@@ -17,6 +17,12 @@ The committed regression keys are a ratio and a fraction, not absolute
 seconds, so a loaded CI runner slows numerator and denominator together
 instead of failing the gate.
 
+Two absolute heads ride along, with no guard: ``farm300_lint_ms`` and
+``farm300_discharge_ms``, the best-of-3 milliseconds of ``lint_scope``
+and ``discharge_scope`` on a 300-impl × 8-field farm, each timed on a
+fresh ``Scope`` (a scope keeps the static facts it derives, so a second
+run over the same scope object would be warm).
+
 Run as a script (``python benchmarks/bench_static.py``) it re-measures
 and rewrites ``BENCH_static.json`` at the repo root.
 """
@@ -32,6 +38,8 @@ if __package__ in (None, ""):  # script mode
     )
 
 from benchmarks.conftest import print_row
+from repro.analysis.effects import discharge_scope
+from repro.analysis.engine import lint_scope
 from repro.corpus.generators import generate_impl_farm
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
@@ -47,6 +55,10 @@ BENCH_JSON = os.path.join(
 #: discharge speedup is measured, not timer noise.
 FARM_IMPLS = 8
 FARM_FIELDS = 12
+
+#: Shape of the farm the absolute static-path heads are timed on.
+STATIC_FARM_IMPLS = 300
+STATIC_FARM_FIELDS = 8
 
 
 def _farm_scope():
@@ -106,6 +118,27 @@ def measure_static(limits, repeats=2):
     }
 
 
+def measure_static_path(repeats=3):
+    """Best-of-``repeats`` ms of lint and of discharge on the 300-impl
+    farm, each on a fresh, well-formed scope (parsing is not timed)."""
+    source = generate_impl_farm(STATIC_FARM_IMPLS, STATIC_FARM_FIELDS)
+    row = {}
+    for key, run in (
+        ("farm300_lint_ms", lint_scope),
+        ("farm300_discharge_ms", discharge_scope),
+    ):
+        best = None
+        for _ in range(repeats):
+            scope = Scope.from_source(source)
+            check_well_formed(scope)
+            start = time.perf_counter()
+            run(scope)
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+        row[key] = round(best * 1000, 1)
+    return row
+
+
 def measure_for_regression():
     """Entry point for ``benchmarks/check_regression.py``."""
     return measure_static(Limits(time_budget=120.0))
@@ -132,11 +165,14 @@ def test_zero_disagreements_and_identical_verdicts(limits):
 
 def main():
     row = measure_static(Limits(time_budget=120.0), repeats=3)
+    row.update(measure_static_path())
     payload = {
         "benchmark": "static",
         "unit": (
             "seconds and ratios vs the full proving run on an "
-            f"{FARM_IMPLS}-impl farm"
+            f"{FARM_IMPLS}-impl farm; farm300_*_ms: milliseconds of "
+            f"lint_scope / discharge_scope on a {STATIC_FARM_IMPLS}-impl "
+            f"x {STATIC_FARM_FIELDS}-field farm, best of 3"
         ),
         "guard": (
             "discharge_rate >= 0.5; discharged_over_full_ratio < 0.5; "
