@@ -49,9 +49,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "static_identity.json")
 
 
-def _plant():
-    """The benchmark's mutant planter, loaded from its file (the bench
-    directory is not a package)."""
+def e2ebench_inputs():
+    """The end-to-end benchmark's input module, loaded from its file (the
+    bench directory is not a package)."""
     path = os.path.join(ROOT, "e2ebench", "inputs.py")
     name = "_e2ebench_inputs"
     module = sys.modules.get(name)
@@ -60,7 +60,12 @@ def _plant():
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module  # dataclasses look their module up
         spec.loader.exec_module(module)
-    return module.plant
+    return module
+
+
+def _plant():
+    """The benchmark's mutant planter."""
+    return e2ebench_inputs().plant
 
 
 def corpus():
