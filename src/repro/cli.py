@@ -386,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="keep a crash-safe run ledger in DIR (created if missing): "
         "every finished verdict is committed to an fsync'd append-only "
-        "JSONL file before the run moves on, so a run killed mid-flight "
+        "JSONL file before the run can report it — verdicts settled "
+        "without proving (static discharge, cache hits) in one fsync "
+        "before proving starts, each proved verdict in its own — so a "
+        "run killed mid-flight "
         "(SIGKILL, OOM, power loss) can be resumed with --resume. A "
         "damaged or out-of-date ledger is rotated aside with an OL905 "
         "warning — it never fails the run",

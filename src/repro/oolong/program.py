@@ -43,6 +43,11 @@ class Scope:
         #: made on first use (:mod:`repro.analysis.facts`).
         #: Process-local: never pickled with the scope.
         self.analysis_facts = None
+        #: The SHA-256 state after hashing the scope interface, which every
+        #: result-cache key starts from, made on the first key
+        #: (:func:`repro.parallel.cache.cache_key`). Process-local: never
+        #: pickled with the scope (hash states do not pickle).
+        self.interface_digest = None
         for decl in self._decls:
             self._register(decl)
         self._attribute_names: Tuple[str, ...] = tuple(
@@ -55,6 +60,7 @@ class Scope:
         state = dict(self.__dict__)
         state["vc_background"] = None
         state["analysis_facts"] = None
+        state["interface_digest"] = None
         return state
 
     def _register(self, decl: Decl) -> None:

@@ -29,6 +29,7 @@ full blame reports and proof logs.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -74,27 +75,33 @@ def code_version() -> str:
     return f"{__version__}+cache{CACHE_FORMAT}+discharge{DISCHARGE_VERSION}"
 
 
-def _limits_fingerprint(limits: Optional[Limits]) -> str:
-    """The limit fields that can change a per-implementation verdict.
+#: The limit fields that can change a per-implementation verdict.
+#: Batch-level settings (``scope_time_budget``/``scope_deadline``) are
+#: excluded on purpose: they decide *whether* a job runs, not what its
+#: verdict is once it does.
+_VERDICT_LIMIT_FIELDS = (
+    "time_budget",
+    "max_instances",
+    "max_rounds",
+    "max_depth",
+    "max_branches",
+    "max_matches_per_round",
+    "max_instance_width",
+    "escalation_bonus",
+)
 
-    Batch-level settings (``scope_time_budget``/``scope_deadline``) are
-    excluded on purpose: they decide *whether* a job runs, not what its
-    verdict is once it does.
-    """
+
+def _limits_fingerprint(limits: Optional[Limits]) -> str:
+    """The canonical JSON of ``limits``' :data:`_VERDICT_LIMIT_FIELDS`."""
     effective = limits if limits is not None else Limits()
-    return json.dumps(
-        {
-            "time_budget": effective.time_budget,
-            "max_instances": effective.max_instances,
-            "max_rounds": effective.max_rounds,
-            "max_depth": effective.max_depth,
-            "max_branches": effective.max_branches,
-            "max_matches_per_round": effective.max_matches_per_round,
-            "max_instance_width": effective.max_instance_width,
-            "escalation_bonus": effective.escalation_bonus,
-        },
-        sort_keys=True,
+    return _fingerprint_of(
+        tuple(getattr(effective, name) for name in _VERDICT_LIMIT_FIELDS)
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _fingerprint_of(values: tuple) -> str:
+    return json.dumps(dict(zip(_VERDICT_LIMIT_FIELDS, values)), sort_keys=True)
 
 
 def cache_key(
@@ -106,18 +113,33 @@ def cache_key(
     order — the background predicate is built from them in that order),
     the pretty-printed implementation body, its index among same-name
     implementations, the verdict-relevant limits, and the code version.
+
+    The interface is hashed once per scope (:func:`_interface_digest`);
+    each key copies that state and hashes only its own implementation,
+    so keying every implementation of a scope is linear in its size.
     """
-    hasher = hashlib.sha256()
-    for decl in scope.decls:
-        if not isinstance(decl, ImplDecl):
-            hasher.update(pretty_decl(decl).encode())
-            hasher.update(b"\x00")
-    hasher.update(b"\x01")
+    hasher = _interface_digest(scope).copy()
     hasher.update(pretty_decl(impl).encode())
     hasher.update(f"\x02{index}\x02".encode())
     hasher.update(_limits_fingerprint(limits).encode())
     hasher.update(f"\x03{code_version()}".encode())
     return hasher.hexdigest()
+
+
+def _interface_digest(scope: "Scope"):
+    """The SHA-256 state after the scope interface and its ``\\x01``
+    separator, memoized on :attr:`Scope.interface_digest`. Callers must
+    ``copy()`` it before hashing more."""
+    digest = scope.interface_digest
+    if digest is None:
+        digest = hashlib.sha256()
+        for decl in scope.decls:
+            if not isinstance(decl, ImplDecl):
+                digest.update(pretty_decl(decl).encode())
+                digest.update(b"\x00")
+        digest.update(b"\x01")
+        scope.interface_digest = digest
+    return digest
 
 
 def checksum(payload: dict) -> str:

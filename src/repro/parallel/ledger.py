@@ -11,6 +11,18 @@ report: the line is written, flushed, and ``fsync``'d, so after any
 crash the ledger holds exactly the verdicts the run had decided
 (modulo at most one torn final line, which the reader skips).
 
+The sync is batched for the verdicts settled before any proving
+(static discharge, cache hits — :meth:`RunLedger.settled_batch`): each
+record is written and flushed as it is committed, and the whole batch
+is ``fsync``'d once when the checker's decide step returns, before any
+executor starts and so long before any report merge. Every verdict the
+prover decides is still ``fsync``'d on its own commit. A warm re-check
+of N cached implementations thus costs two ``fsync``s (the run header
+and the batch) instead of N + 1. A SIGKILL inside the batch loses
+nothing already flushed (the kernel holds it); a power loss there can
+lose only records of settled verdicts, which a rerun settles again from
+discharge or the cache.
+
 ``oolong check --run-dir DIR --resume`` then replays the ledger:
 
 * every record is keyed by the same content hash the result cache uses
@@ -45,6 +57,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs import events as obs_events
@@ -100,6 +113,8 @@ class RunLedger:
         # The same content keys the result cache uses: recomputing them
         # against the *current* scope is the interface-hash validation —
         # any record whose key no longer exists is stale by definition.
+        # (The interface is hashed once per scope; the checker hands
+        # these keys to the cache instead of computing them again.)
         self.keys: Dict[Tuple[str, int], str] = {}
         self._by_key: Dict[str, Tuple[str, int, object]] = {}
         for job in build_jobs(scope):
@@ -130,6 +145,8 @@ class RunLedger:
             self.rotated = True
 
         self._handle = open(self.path, "a", encoding="utf-8")
+        self._batching = False
+        self._unsynced = False
         self._commit_ordinal = 0
         self._merge_ordinal = 0
         self._append(
@@ -258,8 +275,27 @@ class RunLedger:
     # Committing
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def settled_batch(self):
+        """Make the commits inside the block durable with one ``fsync``.
+
+        Each record is still written and flushed as it is committed; the
+        block's end syncs them all at once (if there were any). The
+        checker wraps its decide step in it: verdicts settled without a
+        prover (discharge, cache hits) become durable together, before
+        any proving starts and so before any report can show them.
+        """
+        self._batching = True
+        try:
+            yield
+        finally:
+            self._batching = False
+            if self._unsynced:
+                self._sync()
+
     def commit(self, verdict: "ImplVerdict") -> None:
-        """Durably append one decided verdict (write + flush + fsync).
+        """Durably append one decided verdict (write + flush + fsync,
+        the fsync deferred to the end of a :meth:`settled_batch`).
 
         Idempotent per key: re-announced verdicts (resume preloads) are
         suppressed, so the ledger carries one record per implementation
@@ -308,7 +344,14 @@ class RunLedger:
         line = json.dumps(record, sort_keys=True) + "\n"
         self._handle.write(line * times)
         self._handle.flush()
+        if self._batching:
+            self._unsynced = True
+        else:
+            self._sync()
+
+    def _sync(self) -> None:
         os.fsync(self._handle.fileno())
+        self._unsynced = False
 
     def _truncate_tail(self) -> None:
         """Chop the last record mid-line (simulated torn write)."""
@@ -316,7 +359,7 @@ class RunLedger:
         size = self._handle.tell()
         self._handle.truncate(max(0, size - 20))
         self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._sync()
 
     def merge_chaos_point(self) -> None:
         """The ``kill-during-merge`` injection point.

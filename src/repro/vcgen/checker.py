@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -360,8 +361,11 @@ def check_scope(
 
     ``run_dir`` makes the run crash-safe: every decided verdict is
     fsync'd to a write-ahead ledger (:mod:`repro.parallel.ledger`)
-    before the run can complete, so a SIGKILL'd coordinator loses no
-    committed work. ``resume=True`` replays a previous ledger in the
+    before the run can report it, so a SIGKILL'd coordinator loses no
+    committed work. The verdicts settled without proving (discharge,
+    cache hits) become durable together, in one fsync before any
+    proving starts; each proved verdict is fsync'd on its own commit.
+    ``resume=True`` replays a previous ledger in the
     same directory: records validated against the current scope's
     content keys settle their implementations before any proving (after
     static discharge, ahead of the result cache) and only the remainder
@@ -880,15 +884,21 @@ def _check_impls(
     from repro.parallel.jobs import build_jobs
 
     book = build_jobs(scope)
+    if ledger is not None:
+        # The ledger keyed every job when it opened; the cache reads
+        # the same keys rather than hashing each implementation again.
+        for job in book:
+            job.key = ledger.keys[(job.proc_name, job.impl_index)]
     with obs_events.verdict_sink(_verdict_tap(book, cache, ledger)):
-        _decide(
-            scope,
-            limits,
-            book,
-            cache=cache,
-            resumed=ledger.preloaded if ledger is not None else {},
-            discharge=discharge if not check_discharge else None,
-        )
+        with ledger.settled_batch() if ledger is not None else nullcontext():
+            _decide(
+                scope,
+                limits,
+                book,
+                cache=cache,
+                resumed=ledger.preloaded if ledger is not None else {},
+                discharge=discharge if not check_discharge else None,
+            )
         if not all(job.done for job in book):
             _execute(
                 scope,
@@ -944,7 +954,8 @@ def _decide(scope: Scope, limits, book, *, cache, resumed, discharge) -> None:
             job.verdict = resumed[slot]
             job.source = "preresolved"
         elif cache is not None:
-            job.key = cache_key(scope, job.impl, job.impl_index, limits)
+            if job.key is None:
+                job.key = cache_key(scope, job.impl, job.impl_index, limits)
             payload = cache.load(job.key)
             if payload is None:
                 continue
