@@ -2,7 +2,7 @@
 
 The workload is an *impl farm* (:func:`generate_impl_farm`): one scope,
 many independent implementations of comparable proof cost — exactly the
-shape scope monotonicity makes parallelizable. Three claims:
+shape scope monotonicity makes parallelizable. Four claims:
 
 * ``parallel=1`` pays for the supervisor (fork, pipes, heartbeat,
   scheduling loop) on top of the same serial proof work; that premium
@@ -14,11 +14,16 @@ shape scope monotonicity makes parallelizable. Three claims:
 * a **cache-warm** rerun (same sources, same limits, populated
   ``--cache-dir``) must be at least **5x** faster than the serial run —
   in practice it's orders of magnitude, since every verdict is served
-  from disk.
+  from disk;
+* a warm re-check with a cache *and* a run ledger must scale linearly
+  in the number of implementations: tripling a 4-field farm from 100 to
+  300 impls must cost **under 4.5x** (a key or ledger step that redoes
+  per-scope work for every implementation drives it towards 9x).
 
-All committed regression keys are *ratios* against the same-process
-serial baseline, so a loaded CI runner slows numerator and denominator
-together instead of failing the gate.
+All committed regression keys are *ratios* against a same-process
+baseline (the serial run; for the re-check, the 100-impl farm), so a
+loaded CI runner slows numerator and denominator together instead of
+failing the gate.
 
 Run as a script (``python benchmarks/bench_parallel.py``) it re-measures
 and rewrites ``BENCH_parallel.json`` at the repo root.
@@ -54,6 +59,12 @@ BENCH_JSON = os.path.join(
 #: ratio rather than drowned in timer noise.
 FARM_IMPLS = 8
 FARM_FIELDS = 12
+
+#: The warm re-check farms: every verdict is served from the cache and
+#: committed to the run ledger, so the settle-before-proving path is
+#: all that runs.
+RECHECK_SIZES = (100, 300)
+RECHECK_FIELDS = 4
 
 
 def _cores():
@@ -118,9 +129,39 @@ def measure_parallel(limits, repeats=2):
     }
 
 
+def measure_warm_recheck(limits, repeats=3):
+    """Best-of-``repeats`` warm re-checks (``cache_dir`` + ``run_dir``)
+    of a fresh :class:`Scope` per :data:`RECHECK_SIZES` farm."""
+    row = {}
+    for impls in RECHECK_SIZES:
+        source = generate_impl_farm(impls, RECHECK_FIELDS)
+        work = tempfile.mkdtemp(prefix="oolong-bench-recheck-")
+        options = {
+            "cache_dir": os.path.join(work, "cache"),
+            "run_dir": os.path.join(work, "run"),
+        }
+        try:
+            check_scope(Scope.from_source(source), limits, **options)
+            best = None
+            for _ in range(repeats):
+                scope = Scope.from_source(source)
+                start = time.perf_counter()
+                report = check_scope(scope, limits, **options)
+                elapsed = time.perf_counter() - start
+                assert report.cache_summary["hits"] == impls
+                best = elapsed if best is None else min(best, elapsed)
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
+        row[f"warm_recheck{impls}_seconds"] = round(best, 4)
+    small, large = (row[f"warm_recheck{n}_seconds"] for n in RECHECK_SIZES)
+    row["warm_recheck_300_over_100_ratio"] = round(large / small, 4)
+    return row
+
+
 def measure_for_regression():
     """Entry point for ``benchmarks/check_regression.py``."""
-    return measure_parallel(Limits(time_budget=120.0))
+    limits = Limits(time_budget=120.0)
+    return {**measure_parallel(limits), **measure_warm_recheck(limits)}
 
 
 def test_parallel1_overhead_under_5_percent(limits):
@@ -149,22 +190,37 @@ def test_cache_warm_rerun_at_least_5x(limits):
     assert row["warm_over_serial_ratio"] < 0.2
 
 
+def test_warm_recheck_scales_linearly(limits):
+    """Tripling the implementations of a warm re-check costs < 4.5x."""
+    row = measure_warm_recheck(limits)
+    print_row("PAR-RECHECK", **row)
+    assert row["warm_recheck_300_over_100_ratio"] < 4.5
+
+
 def main():
-    row = measure_parallel(Limits(time_budget=120.0), repeats=3)
+    limits = Limits(time_budget=120.0)
+    row = {
+        **measure_parallel(limits, repeats=3),
+        **measure_warm_recheck(limits),
+    }
     payload = {
         "benchmark": "parallel",
         "unit": (
             "seconds and ratios vs the serial driver on an "
-            f"{FARM_IMPLS}-impl farm"
+            f"{FARM_IMPLS}-impl farm; warm re-checks of "
+            f"{RECHECK_SIZES[0]}- and {RECHECK_SIZES[1]}-impl "
+            f"{RECHECK_FIELDS}-field farms"
         ),
         "guard": (
             "parallel1_over_serial_ratio < 1.05; warm_over_serial_ratio "
-            "< 0.2; parallel4 < serial when cores >= 2"
+            "< 0.2; parallel4 < serial when cores >= 2; "
+            "warm_recheck_300_over_100_ratio < 4.5"
         ),
         "regression_keys": [
             "parallel1_over_serial_ratio",
             "parallel4_over_serial_ratio",
             "warm_over_serial_ratio",
+            "warm_recheck_300_over_100_ratio",
         ],
         "entries": [row],
     }
