@@ -45,7 +45,7 @@ from repro.oolong.ast import (
     UnOp,
     VarCmd,
 )
-from repro.oolong.lexer import Lexer, tokenize
+from repro.oolong.lexer import tokenize
 from repro.oolong.parser import Parser, parse_command, parse_expression, parse_program_text
 from repro.oolong.pretty import pretty_cmd, pretty_decl, pretty_expr, pretty_program
 from repro.oolong.program import Scope
@@ -70,7 +70,6 @@ __all__ = [
     "Id",
     "ImplDecl",
     "IntConst",
-    "Lexer",
     "MapsClause",
     "NullConst",
     "Parser",

@@ -29,9 +29,20 @@ Grammar (Figures 0 and 1 of the paper, plus ``if``/``skip`` sugar)::
     Postfix   ::= Primary ('.' Id)*
     Primary   ::= 'null' | 'true' | 'false' | Int | Id | '(' Expr ')'
 
+The five binary levels ``Or`` … ``Mul`` are parsed by one
+precedence-climbing loop (:meth:`Parser._parse_binary`) that builds the
+same left-associative trees; it applies a comparison only to an operand
+no operator at or below comparison power has built yet, which is the
+``Cmp ::= Add (op Add)?`` rule.
+
 The ``if`` form is desugared exactly as the paper prescribes::
 
     if B then C else D end  =  (assume !B ; D) [] (assume B ; C)
+
+The parser walks a :class:`~repro.oolong.lexer.TokenStream` by index,
+reading its parallel ``kinds`` and ``values`` lists; it never builds a
+token object, and it builds a source position only for the AST nodes
+and errors that store one.
 
 Error handling comes in two modes. The default is fail-fast: the first
 grammar violation raises :class:`repro.errors.ParseError`. With
@@ -48,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.errors import LexError, ParseError
+from repro.errors import LexError, ParseError, SourcePosition
 from repro.oolong.ast import (
     Assert,
     Assign,
@@ -76,18 +87,27 @@ from repro.oolong.ast import (
     UnOp,
     VarCmd,
 )
-from repro.oolong.lexer import tokenize
-from repro.oolong.tokens import Token, TokenKind
+from repro.oolong.lexer import TokenStream, tokenize
+from repro.oolong.tokens import TokenKind
 from repro.testing.faults import fault_point
 
-_COMPARISONS = {
-    TokenKind.EQ: "=",
-    TokenKind.NE: "!=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
+#: Binary operators by token kind: the operator and its binding power.
+#: Higher binds tighter; every level is left-associative except the
+#: comparisons, which do not associate at all.
+_BINARY = {
+    TokenKind.OR: ("||", 1),
+    TokenKind.AND: ("&&", 2),
+    TokenKind.EQ: ("=", 3),
+    TokenKind.NE: ("!=", 3),
+    TokenKind.LT: ("<", 3),
+    TokenKind.LE: ("<=", 3),
+    TokenKind.GT: (">", 3),
+    TokenKind.GE: (">=", 3),
+    TokenKind.PLUS: ("+", 4),
+    TokenKind.MINUS: ("-", 4),
+    TokenKind.STAR: ("*", 5),
 }
+_COMPARISON = 3
 
 
 #: Keywords that can only start a declaration — panic-mode sync points.
@@ -97,13 +117,7 @@ _DECL_STARTS = frozenset(
 
 #: Tokens that end the current command context during command-level sync.
 _CMD_BOUNDARIES = frozenset(
-    (
-        TokenKind.SEMI,
-        TokenKind.RBRACE,
-        TokenKind.END,
-        TokenKind.BOX,
-        TokenKind.EOF,
-    )
+    (TokenKind.SEMI, TokenKind.RBRACE, TokenKind.END, TokenKind.BOX, TokenKind.EOF)
 )
 
 #: Recovery stops recording past this many errors per source (cascade cap).
@@ -118,45 +132,50 @@ class Parser:
     instead of raising. Fail-fast (the default) raises on first error.
     """
 
-    def __init__(self, tokens: List[Token], *, recover: bool = False):
-        self._tokens = tokens
+    def __init__(self, tokens: TokenStream, *, recover: bool = False):
+        self._kinds = tokens.kinds
+        self._values = tokens.values
+        #: The source position of a token, by index.
+        self._at = tokens.position
         self._index = 0
         self._recover = recover
         #: Errors collected in recovery mode, in source order of detection.
         self.errors: List[ParseError] = []
 
     # -- token plumbing ----------------------------------------------------
+    # No production steps past a token it has not checked to be other
+    # than the final EOF, so the index never runs off the stream.
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.kind is not TokenKind.EOF:
-            self._index += 1
-        return token
+    def _step(self) -> SourcePosition:
+        """Step past the current (checked, non-EOF) token; its position."""
+        index = self._index
+        self._index = index + 1
+        return self._at(index)
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._kinds[self._index] is kind
 
     def _match(self, kind: TokenKind) -> bool:
-        if self._check(kind):
-            self._advance()
+        if self._kinds[self._index] is kind:
+            self._index += 1
             return True
         return False
 
-    def _expect(self, kind: TokenKind, context: str) -> Token:
-        token = self._peek()
-        if token.kind is not kind:
-            raise ParseError(
-                f"expected {kind.value!r} {context}, found {token.kind.value!r}",
-                token.position,
-            )
-        return self._advance()
+    def _unexpected(self, expected: str) -> ParseError:
+        found = self._kinds[self._index].value
+        return ParseError(f"{expected}, found {found!r}", self._at(self._index))
+
+    def _expect(self, kind: TokenKind, context: str) -> None:
+        if self._kinds[self._index] is not kind:
+            raise self._unexpected(f"expected {kind.value!r} {context}")
+        self._index += 1
 
     def _ident(self, context: str) -> str:
-        return self._expect(TokenKind.IDENT, context).value
+        index = self._index
+        if self._kinds[index] is not TokenKind.IDENT:
+            raise self._unexpected(f"expected {TokenKind.IDENT.value!r} {context}")
+        self._index = index + 1
+        return self._values[index]
 
     def _ident_list(self, context: str) -> Tuple[str, ...]:
         names = [self._ident(context)]
@@ -177,26 +196,28 @@ class Parser:
         one token is discarded before scanning, so the driver loop always
         terminates.
         """
-        if self._index == start_index and not self._check(TokenKind.EOF):
-            self._advance()
+        kinds = self._kinds
+        if self._index == start_index and kinds[self._index] is not TokenKind.EOF:
+            self._index += 1
         depth = 0
-        while not self._check(TokenKind.EOF):
-            kind = self._peek().kind
+        while kinds[self._index] is not TokenKind.EOF:
+            kind = kinds[self._index]
             if kind is TokenKind.LBRACE:
                 depth += 1
             elif kind is TokenKind.RBRACE:
                 depth = max(depth - 1, 0)
             elif kind in _DECL_STARTS and depth == 0:
                 return
-            self._advance()
+            self._index += 1
 
     def _synchronize_cmd(self) -> None:
         """Skip tokens up to (not including) the next command boundary."""
+        kinds = self._kinds
         while True:
-            kind = self._peek().kind
+            kind = kinds[self._index]
             if kind in _CMD_BOUNDARIES or kind in _DECL_STARTS:
                 return
-            self._advance()
+            self._index += 1
 
     # -- declarations ------------------------------------------------------
 
@@ -220,21 +241,19 @@ class Parser:
         return tuple(decls)
 
     def parse_decl(self) -> Decl:
-        token = self._peek()
-        if token.kind is TokenKind.GROUP:
+        kind = self._kinds[self._index]
+        if kind is TokenKind.GROUP:
             return self._parse_group()
-        if token.kind is TokenKind.FIELD:
+        if kind is TokenKind.FIELD:
             return self._parse_field()
-        if token.kind is TokenKind.PROC:
+        if kind is TokenKind.PROC:
             return self._parse_proc()
-        if token.kind is TokenKind.IMPL:
+        if kind is TokenKind.IMPL:
             return self._parse_impl()
-        raise ParseError(
-            f"expected a declaration, found {token.kind.value!r}", token.position
-        )
+        raise self._unexpected("expected a declaration")
 
     def _parse_group(self) -> GroupDecl:
-        position = self._advance().position
+        position = self._step()
         name = self._ident("after 'group'")
         in_groups: Tuple[str, ...] = ()
         if self._match(TokenKind.IN):
@@ -242,7 +261,7 @@ class Parser:
         return GroupDecl(name, in_groups, position)
 
     def _parse_field(self) -> FieldDecl:
-        position = self._advance().position
+        position = self._step()
         name = self._ident("after 'field'")
         in_groups: Tuple[str, ...] = ()
         if self._match(TokenKind.IN):
@@ -264,7 +283,7 @@ class Parser:
         return params
 
     def _parse_proc(self) -> ProcDecl:
-        position = self._advance().position
+        position = self._step()
         name = self._ident("after 'proc'")
         params = self._parse_params()
         modifies: List[Designator] = []
@@ -295,7 +314,7 @@ class Parser:
         return Designator(root, tuple(selectors[:-1]), selectors[-1])
 
     def _parse_impl(self) -> ImplDecl:
-        position = self._advance().position
+        position = self._step()
         name = self._ident("after 'impl'")
         params = self._parse_params()
         self._expect(TokenKind.LBRACE, "before implementation body")
@@ -333,37 +352,38 @@ class Parser:
             return Skip()
 
     def _parse_atom_cmd(self) -> Cmd:
-        token = self._peek()
-        if token.kind is TokenKind.ASSERT:
-            self._advance()
-            return Assert(self.parse_expr(), token.position)
-        if token.kind is TokenKind.ASSUME:
-            self._advance()
-            return Assume(self.parse_expr(), token.position)
-        if token.kind is TokenKind.VAR:
-            self._advance()
+        index = self._index
+        kind = self._kinds[index]
+        if kind is TokenKind.ASSERT:
+            position = self._step()
+            return Assert(self.parse_expr(), position)
+        if kind is TokenKind.ASSUME:
+            position = self._step()
+            return Assume(self.parse_expr(), position)
+        if kind is TokenKind.VAR:
+            position = self._step()
             name = self._ident("after 'var'")
             self._expect(TokenKind.IN, "after local variable name")
             body = self.parse_cmd()
             self._expect(TokenKind.END, "after 'var' body")
-            return VarCmd(name, body, token.position)
-        if token.kind is TokenKind.SKIP:
-            self._advance()
+            return VarCmd(name, body, position)
+        if kind is TokenKind.SKIP:
+            self._index += 1
             return Skip()
-        if token.kind is TokenKind.IF:
-            return self._parse_if(token)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        if kind is TokenKind.IF:
+            return self._parse_if()
+        if kind is TokenKind.LPAREN:
+            self._index += 1
             cmd = self.parse_cmd()
             self._expect(TokenKind.RPAREN, "after parenthesized command")
             return cmd
-        if token.kind is TokenKind.IDENT and self._peek(1).kind is TokenKind.LPAREN:
-            return self._parse_call(token)
-        return self._parse_assignment(token)
+        if kind is TokenKind.IDENT and self._kinds[index + 1] is TokenKind.LPAREN:
+            return self._parse_call()
+        return self._parse_assignment()
 
-    def _parse_if(self, token: Token) -> Cmd:
+    def _parse_if(self) -> Cmd:
         """Desugar ``if B then C else D end`` per the paper's encoding."""
-        self._advance()
+        position = self._step()
         condition = self.parse_expr()
         self._expect(TokenKind.THEN, "in if command")
         then_cmd = self.parse_cmd()
@@ -372,11 +392,12 @@ class Parser:
         self._expect(TokenKind.END, "after if command")
         negated = UnOp("!", condition)
         return Choice(
-            Seq(Assume(negated, token.position), else_cmd),
-            Seq(Assume(condition, token.position), then_cmd),
+            Seq(Assume(negated, position), else_cmd),
+            Seq(Assume(condition, position), then_cmd),
         )
 
-    def _parse_call(self, token: Token) -> Cmd:
+    def _parse_call(self) -> Cmd:
+        position = self._at(self._index)
         proc = self._ident("at call")
         self._expect(TokenKind.LPAREN, "after procedure name")
         args: List[Expr] = []
@@ -385,111 +406,97 @@ class Parser:
             while self._match(TokenKind.COMMA):
                 args.append(self.parse_expr())
         self._expect(TokenKind.RPAREN, "after call arguments")
-        return Call(proc, tuple(args), token.position)
+        return Call(proc, tuple(args), position)
 
-    def _parse_assignment(self, token: Token) -> Cmd:
+    def _parse_assignment(self) -> Cmd:
+        start = self._index
         target = self.parse_expr()
         if not isinstance(target, (Id, FieldAccess)):
             raise ParseError(
                 "assignment target must be a variable or a field designator",
-                token.position,
+                self._at(start),
             )
         self._expect(TokenKind.ASSIGN, "in assignment")
-        if self._check(TokenKind.NEW):
-            self._advance()
+        if self._match(TokenKind.NEW):
             self._expect(TokenKind.LPAREN, "after 'new'")
             self._expect(TokenKind.RPAREN, "after 'new('")
-            return AssignNew(target, token.position)
+            return AssignNew(target, self._at(start))
         rhs = self.parse_expr()
-        return Assign(target, rhs, token.position)
+        return Assign(target, rhs, self._at(start))
 
     # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_or()
+        return self._parse_binary(1)
 
-    def _parse_or(self) -> Expr:
-        expr = self._parse_and()
-        while self._match(TokenKind.OR):
-            expr = BinOp("||", expr, self._parse_and())
-        return expr
+    def _parse_binary(self, min_power: int) -> Expr:
+        """Precedence climbing over ``||``, ``&&``, comparisons, ``+ -``
+        and ``*``: take operators of at least ``min_power``, each with a
+        right operand of strictly higher power (left associativity).
 
-    def _parse_and(self) -> Expr:
-        expr = self._parse_cmp()
-        while self._match(TokenKind.AND):
-            expr = BinOp("&&", expr, self._parse_cmp())
-        return expr
-
-    def _parse_cmp(self) -> Expr:
-        expr = self._parse_add()
-        kind = self._peek().kind
-        if kind in _COMPARISONS:
-            self._advance()
-            expr = BinOp(_COMPARISONS[kind], expr, self._parse_add())
-        return expr
-
-    def _parse_add(self) -> Expr:
-        expr = self._parse_mul()
-        while True:
-            if self._match(TokenKind.PLUS):
-                expr = BinOp("+", expr, self._parse_mul())
-            elif self._match(TokenKind.MINUS):
-                expr = BinOp("-", expr, self._parse_mul())
-            else:
-                return expr
-
-    def _parse_mul(self) -> Expr:
+        ``Cmp ::= Add (op Add)?`` allows one comparison per operand: a
+        comparison applies only to an expression that no operator at or
+        below comparison power has built yet in this loop, so ``a < b <
+        c`` stops before the second ``<`` while ``a < b && c < d`` reads
+        as two comparisons.
+        """
+        kinds = self._kinds
         expr = self._parse_unary()
-        while self._match(TokenKind.STAR):
-            expr = BinOp("*", expr, self._parse_unary())
-        return expr
+        compared = False
+        while True:
+            entry = _BINARY.get(kinds[self._index])
+            if entry is None:
+                return expr
+            op, power = entry
+            if power < min_power or (compared and power == _COMPARISON):
+                return expr
+            self._index += 1
+            expr = BinOp(op, expr, self._parse_binary(power + 1))
+            compared = compared or power <= _COMPARISON
 
     def _parse_unary(self) -> Expr:
-        if self._match(TokenKind.NOT):
+        """``Unary ::= ('!'|'-') Unary | Primary ('.' Id)*``."""
+        kind = self._kinds[self._index]
+        if kind is TokenKind.NOT:
+            self._index += 1
             return UnOp("!", self._parse_unary())
-        if self._match(TokenKind.MINUS):
+        if kind is TokenKind.MINUS:
+            self._index += 1
             return UnOp("-", self._parse_unary())
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
-        while self._check(TokenKind.DOT):
-            dot = self._advance()
+        while self._kinds[self._index] is TokenKind.DOT:
+            dot = self._index
+            self._index = dot + 1
             attr = self._ident("after '.'")
-            expr = FieldAccess(expr, attr, dot.position)
+            expr = FieldAccess(expr, attr, self._at(dot))
         return expr
 
     def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.kind is TokenKind.NULL:
-            self._advance()
-            return NullConst()
-        if token.kind is TokenKind.TRUE:
-            self._advance()
-            return BoolConst(True)
-        if token.kind is TokenKind.FALSE:
-            self._advance()
-            return BoolConst(False)
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return IntConst(int(token.value))
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            return Id(token.value, token.position)
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        index = self._index
+        kind = self._kinds[index]
+        if kind is TokenKind.LPAREN:
+            self._index = index + 1
             expr = self.parse_expr()
             self._expect(TokenKind.RPAREN, "after parenthesized expression")
             return expr
-        raise ParseError(
-            f"expected an expression, found {token.kind.value!r}", token.position
-        )
+        if kind is TokenKind.IDENT:
+            expr = Id(self._values[index], self._at(index))
+        elif kind is TokenKind.INT:
+            expr = IntConst(int(self._values[index]))
+        elif kind is TokenKind.NULL:
+            expr = NullConst()
+        elif kind is TokenKind.TRUE or kind is TokenKind.FALSE:
+            expr = BoolConst(kind is TokenKind.TRUE)
+        else:
+            raise self._unexpected("expected an expression")
+        self._index = index + 1
+        return expr
 
     def expect_eof(self) -> None:
-        token = self._peek()
-        if token.kind is not TokenKind.EOF:
+        kind = self._kinds[self._index]
+        if kind is not TokenKind.EOF:
             raise ParseError(
-                f"unexpected trailing input: {token.kind.value!r}", token.position
+                f"unexpected trailing input: {kind.value!r}", self._at(self._index)
             )
 
 

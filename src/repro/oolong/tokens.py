@@ -73,28 +73,9 @@ class TokenKind(enum.Enum):
 
 #: Reserved words, mapped to their token kinds.
 KEYWORDS = {
-    "group": TokenKind.GROUP,
-    "field": TokenKind.FIELD,
-    "proc": TokenKind.PROC,
-    "impl": TokenKind.IMPL,
-    "in": TokenKind.IN,
-    "maps": TokenKind.MAPS,
-    "into": TokenKind.INTO,
-    "modifies": TokenKind.MODIFIES,
-    "requires": TokenKind.REQUIRES,
-    "ensures": TokenKind.ENSURES,
-    "assert": TokenKind.ASSERT,
-    "assume": TokenKind.ASSUME,
-    "var": TokenKind.VAR,
-    "end": TokenKind.END,
-    "new": TokenKind.NEW,
-    "if": TokenKind.IF,
-    "then": TokenKind.THEN,
-    "else": TokenKind.ELSE,
-    "skip": TokenKind.SKIP,
-    "null": TokenKind.NULL,
-    "true": TokenKind.TRUE,
-    "false": TokenKind.FALSE,
+    kind.value: kind
+    for kind in TokenKind
+    if kind.value.isalpha() and kind not in (TokenKind.IDENT, TokenKind.INT)
 }
 
 
