@@ -85,6 +85,13 @@ class TestExitCodes:
         assert main([path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_decimal_digit_is_a_syntax_error(self, write_source, capsys):
+        path = write_source("digit.oolong", "proc p(t)\nimpl p(t) { t.f := ² }\n")
+        assert main([path]) == 2
+        err = capsys.readouterr().err
+        assert "error[OL001] unexpected character '²'" in err
+        assert "internal error" not in err
+
     def test_ill_formed_exits_two(self, write_source, capsys):
         path = write_source("illformed.oolong", "field f in missing")
         assert main([path]) == 2

@@ -139,6 +139,48 @@ class TestCommentsAndPositions:
             tokenize("a @ b")
 
 
+class TestNonAsciiCharacters:
+    def test_non_ascii_letters_make_identifiers(self):
+        assert values("é x² aⅧ") == ["é", "x²", "aⅧ"]
+
+    def test_any_decimal_digit_makes_a_numeral(self):
+        tokens = tokenize("٣ 1٣")
+        assert [(t.kind, t.value) for t in tokens[:-1]] == [
+            (TokenKind.INT, "٣"),
+            (TokenKind.INT, "1٣"),
+        ]
+        assert [int(t.value) for t in tokens[:-1]] == [3, 13]
+
+    @pytest.mark.parametrize(
+        "source, column",
+        [("²", 1), ("1²", 2), ("a := ²", 6), ("²x", 1), ("Ⅷ", 1), ("12Ⅷ", 3)],
+    )
+    def test_non_decimal_numerics_are_unexpected(self, source, column):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(source)
+        char = "²" if "²" in source else "Ⅷ"
+        assert excinfo.value.message == f"unexpected character {char!r}"
+        assert excinfo.value.position.column == column
+
+    def test_numeral_then_letter_is_a_malformed_identifier(self):
+        with pytest.raises(LexError) as excinfo:
+            tokenize("x := 7é")
+        assert excinfo.value.message == "identifier may not start with a digit"
+        assert excinfo.value.position.column == 6
+
+
+class TestTokenStream:
+    def test_indexing_slicing_and_iteration_agree(self):
+        tokens = tokenize("group g\r\n\tfield f in g", "f.oolong")
+        assert len(tokens) == 7
+        assert list(tokens) == tokens[:] == [tokens[i] for i in range(7)]
+        assert tokens[-1].kind is TokenKind.EOF
+        assert [str(t.position) for t in tokens[2:4]] == [
+            "f.oolong:2:2",
+            "f.oolong:2:8",
+        ]
+
+
 class TestRealisticSources:
     def test_stack_module_header(self):
         source = "proc push(st, o) modifies st.contents"

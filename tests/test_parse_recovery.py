@@ -112,6 +112,21 @@ impl b(t) { assert }
         assert diag.code == "OL001"
         assert diag.position.line == 2
 
+    @pytest.mark.parametrize("rhs, column", [("²", 20), ("1²", 21)])
+    def test_non_decimal_digit_is_an_ol001(self, rhs, column):
+        source = f"proc p(t)\nimpl p(t) {{ t.f := {rhs} }}\n"
+        outcome = parse_program_recovering(source, "x.oolong")
+        (diag,) = outcome.diagnostics()
+        assert diag.code == "OL001"
+        assert diag.message == "unexpected character '²'"
+        assert (diag.position.line, diag.position.column) == (2, column)
+
+    def test_non_decimal_digit_does_not_escape_the_resilient_parse(self):
+        from repro.api import parse_program_resilient
+
+        _, diagnostics = parse_program_resilient("proc p(t)\nimpl p(t) { t.f := ² }")
+        assert [d.code for d in diagnostics] == ["OL001"]
+
     def test_diagnostics_are_rendered_through_the_engine(self):
         from repro.analysis.diagnostics import render_text
 
