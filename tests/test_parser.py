@@ -1,5 +1,7 @@
 """Unit tests for the oolong parser, including round-trips via the printer."""
 
+import random
+
 import pytest
 
 from repro.errors import ParseError
@@ -270,3 +272,71 @@ class TestRoundTrips:
     def test_expression_round_trip(self, source):
         expr = parse_expression(source)
         assert parse_expression(pretty_expr(expr)) == expr
+
+
+_NAMES = ("a", "b", "t", "x", "_v", "é")
+_BINARY_OPS = ("||", "&&", "=", "!=", "<", "<=", ">", ">=", "+", "-", "*")
+
+
+def random_expr(rng, depth=4):
+    """A random expression tree over every operator and primary."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        return rng.choice(
+            (
+                lambda: Id(rng.choice(_NAMES)),
+                lambda: IntConst(rng.randrange(100)),
+                lambda: BoolConst(rng.random() < 0.5),
+                NullConst,
+            )
+        )()
+    if roll < 0.4:
+        return UnOp(rng.choice("!-"), random_expr(rng, depth - 1))
+    if roll < 0.5:
+        return FieldAccess(random_expr(rng, depth - 1), rng.choice(("f", "g")))
+    return BinOp(
+        rng.choice(_BINARY_OPS), random_expr(rng, depth - 1), random_expr(rng, depth - 1)
+    )
+
+
+def random_cmd(rng, depth=3):
+    """A random command tree over every command form."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        target = Id(rng.choice(_NAMES))
+        for _ in range(rng.randrange(3)):
+            target = FieldAccess(target, rng.choice(("f", "g")))
+        return rng.choice(
+            (
+                lambda: Assert(random_expr(rng, 2)),
+                lambda: Assume(random_expr(rng, 2)),
+                Skip,
+                lambda: Assign(target, random_expr(rng, 2)),
+                lambda: AssignNew(target),
+                lambda: Call(
+                    "p", tuple(random_expr(rng, 2) for _ in range(rng.randrange(3)))
+                ),
+            )
+        )()
+    if roll < 0.6:
+        return VarCmd(rng.choice(_NAMES), random_cmd(rng, depth - 1))
+    connective = Seq if roll < 0.8 else Choice
+    return connective(random_cmd(rng, depth - 1), random_cmd(rng, depth - 1))
+
+
+class TestRandomRoundTrips:
+    """``parse(pretty(tree)) == tree`` on seeded random trees: the
+    printer's minimal parentheses pin the parser's precedence and
+    associativity, and one comparison per ``Cmp`` operand."""
+
+    def test_expressions(self):
+        rng = random.Random(7)
+        for _ in range(10000):
+            expr = random_expr(rng)
+            assert parse_expression(pretty_expr(expr)) == expr, pretty_expr(expr)
+
+    def test_commands(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            cmd = random_cmd(rng)
+            assert parse_command(pretty_cmd(cmd)) == cmd, pretty_cmd(cmd)
