@@ -17,11 +17,16 @@ The committed regression keys are a ratio and a fraction, not absolute
 seconds, so a loaded CI runner slows numerator and denominator together
 instead of failing the gate.
 
-Two absolute heads ride along, with no guard: ``farm300_lint_ms`` and
-``farm300_discharge_ms``, the best-of-3 milliseconds of ``lint_scope``
-and ``discharge_scope`` on a 300-impl × 8-field farm, each timed on a
-fresh ``Scope`` (a scope keeps the static facts it derives, so a second
-run over the same scope object would be warm).
+Absolute heads ride along on a 300-impl × 8-field farm, best of 3:
+``farm300_lint_ms`` and ``farm300_discharge_ms``, the milliseconds of
+``lint_scope`` and ``discharge_scope``, each timed on a fresh ``Scope``
+(a scope keeps the static facts it derives, so a second run over the
+same scope object would be warm), and ``farm300_lex_ms`` and
+``farm300_parse_ms``, the milliseconds of ``tokenize`` and of a
+``Parser`` over those tokens. One guard and regression key ties the
+front end to the rest of the static path:
+``farm300_frontend_over_lint_ratio``, (lex + parse) / lint, must stay
+**under 1.5**.
 
 Run as a script (``python benchmarks/bench_static.py``) it re-measures
 and rewrites ``BENCH_static.json`` at the repo root.
@@ -41,6 +46,8 @@ from benchmarks.conftest import print_row
 from repro.analysis.effects import discharge_scope
 from repro.analysis.engine import lint_scope
 from repro.corpus.generators import generate_impl_farm
+from repro.oolong.lexer import tokenize
+from repro.oolong.parser import Parser
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits
@@ -118,11 +125,25 @@ def measure_static(limits, repeats=2):
     }
 
 
+def _parse(tokens):
+    parser = Parser(tokens)
+    decls = parser.parse_program()
+    parser.expect_eof()
+    return decls
+
+
 def measure_static_path(repeats=3):
-    """Best-of-``repeats`` ms of lint and of discharge on the 300-impl
-    farm, each on a fresh, well-formed scope (parsing is not timed)."""
+    """Best-of-``repeats`` ms of lex, parse, lint and discharge on the
+    300-impl farm; lint and discharge each on a fresh, well-formed scope
+    (their parsing is not timed)."""
     source = generate_impl_farm(STATIC_FARM_IMPLS, STATIC_FARM_FIELDS)
-    row = {}
+    tokens = tokenize(source)
+    lex_seconds, _ = _best_seconds(lambda: tokenize(source), repeats)
+    parse_seconds, _ = _best_seconds(lambda: _parse(tokens), repeats)
+    row = {
+        "farm300_lex_ms": round(lex_seconds * 1000, 1),
+        "farm300_parse_ms": round(parse_seconds * 1000, 1),
+    }
     for key, run in (
         ("farm300_lint_ms", lint_scope),
         ("farm300_discharge_ms", discharge_scope),
@@ -136,12 +157,18 @@ def measure_static_path(repeats=3):
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         row[key] = round(best * 1000, 1)
+    row["farm300_frontend_over_lint_ratio"] = round(
+        (row["farm300_lex_ms"] + row["farm300_parse_ms"]) / row["farm300_lint_ms"],
+        3,
+    )
     return row
 
 
 def measure_for_regression():
     """Entry point for ``benchmarks/check_regression.py``."""
-    return measure_static(Limits(time_budget=120.0))
+    row = measure_static(Limits(time_budget=120.0))
+    row.update(measure_static_path())
+    return row
 
 
 def test_farm_discharges_at_least_half(limits):
@@ -163,6 +190,12 @@ def test_zero_disagreements_and_identical_verdicts(limits):
     assert row["verdicts_identical"]
 
 
+def test_front_end_costs_less_than_lint():
+    row = measure_static_path()
+    print_row("STATIC-FRONTEND", **row)
+    assert row["farm300_frontend_over_lint_ratio"] < 1.5
+
+
 def main():
     row = measure_static(Limits(time_budget=120.0), repeats=3)
     row.update(measure_static_path())
@@ -172,15 +205,20 @@ def main():
             "seconds and ratios vs the full proving run on an "
             f"{FARM_IMPLS}-impl farm; farm300_*_ms: milliseconds of "
             f"lint_scope / discharge_scope on a {STATIC_FARM_IMPLS}-impl "
-            f"x {STATIC_FARM_FIELDS}-field farm, best of 3"
+            f"x {STATIC_FARM_FIELDS}-field farm, best of 3; farm300_lex_ms / "
+            "farm300_parse_ms: milliseconds of tokenize / Parser on that "
+            "farm, best of 3; farm300_frontend_over_lint_ratio: (lex + "
+            "parse) / lint"
         ),
         "guard": (
             "discharge_rate >= 0.5; discharged_over_full_ratio < 0.5; "
-            "disagreements == 0; verdicts identical with discharge on/off"
+            "disagreements == 0; verdicts identical with discharge on/off; "
+            "farm300_frontend_over_lint_ratio < 1.5"
         ),
         "regression_keys": [
             "discharged_over_full_ratio",
             "undischarged_fraction",
+            "farm300_frontend_over_lint_ratio",
         ],
         "entries": [row],
     }
