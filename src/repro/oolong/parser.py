@@ -117,7 +117,13 @@ _DECL_STARTS = frozenset(
 
 #: Tokens that end the current command context during command-level sync.
 _CMD_BOUNDARIES = frozenset(
-    (TokenKind.SEMI, TokenKind.RBRACE, TokenKind.END, TokenKind.BOX, TokenKind.EOF)
+    (
+        TokenKind.SEMI,
+        TokenKind.RBRACE,
+        TokenKind.END,
+        TokenKind.BOX,
+        TokenKind.EOF,
+    )
 )
 
 #: Recovery stops recording past this many errors per source (cascade cap).

@@ -9,7 +9,8 @@ from repro.errors import SourcePosition
 
 
 class TokenKind(enum.Enum):
-    """Every lexical class in oolong's concrete syntax."""
+    """Every lexical class in oolong's concrete syntax. The value of a
+    keyword or operator kind is its text, which the scanner relies on."""
 
     # Literals and names.
     IDENT = "identifier"
@@ -69,14 +70,6 @@ class TokenKind(enum.Enum):
     NOT = "!"
 
     EOF = "end of input"
-
-
-#: Reserved words, mapped to their token kinds.
-KEYWORDS = {
-    kind.value: kind
-    for kind in TokenKind
-    if kind.value.isalpha() and kind not in (TokenKind.IDENT, TokenKind.INT)
-}
 
 
 @dataclass(frozen=True)
