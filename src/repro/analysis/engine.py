@@ -8,8 +8,9 @@ one CFG and access-path fixpoint per implementation from the scope's
 analysis cache (:mod:`repro.analysis.facts`), which static discharge
 then reuses. Measured by per-layer self time on 100-300-impl farms and
 150/250-link call chains with static discharge on, where the prover is
-bypassed (2-core x86, Python 3.11): lint is ~22% of a check, static
-discharge ~17%, lex+parse ~55% and the prover ~2%.
+bypassed (2-core x86, Python 3.11): lint is ~35% of a check, static
+discharge ~26%, the parser ~20%, the lexer ~8%, well-formedness ~6%
+and the prover ~3%.
 
 Pass inventory:
 

@@ -4,29 +4,29 @@ The paper's modular-soundness result (scope monotonicity) makes every
 per-implementation verdict independent of the others; this package
 exploits that independence for throughput *and* robustness:
 
-* :mod:`repro.parallel.supervisor` — a :class:`WorkerSupervisor` that
-  schedules proof jobs onto process-isolated workers with hard per-job
-  timeouts (SIGKILL, not a cooperative poll), worker-death detection
-  (exit code, killing signal, lost heartbeat) with exponential-backoff
-  retries, quarantine after ``max_retries`` (``OL902``), prompt
-  scope-budget cancellation, and a deterministic declaration-order
-  merge;
+* :mod:`repro.parallel.jobs` — the job book and the one job policy
+  both executors follow: one :class:`Job` per implementation, the queue
+  with deterministic jittered backoff, each attempt's injected fault
+  and hard deadline, and every outcome with its journal records — a
+  filed result, retry or quarantine (``OL902``), hard timeout and
+  scope-budget cancellation (``OL901``) — so every executor fails
+  identically;
+* :mod:`repro.parallel.supervisor` — the ``-j`` transport: a
+  :class:`WorkerSupervisor` running jobs on process-isolated pipe
+  workers, detecting deaths (exit code, killing signal, lost heartbeat)
+  and hard-timeout overruns (SIGKILL, not a cooperative poll), with a
+  deterministic declaration-order merge;
 * :mod:`repro.parallel.worker` — the long-lived worker process: one
   duplex pipe, a heartbeat thread, and the same per-implementation
   crash isolation the serial driver uses;
-* :mod:`repro.parallel.jobs` — the transport-neutral job book shared by
-  the local supervisor and the fleet coordinator: one :class:`Job` per
-  implementation, deterministic jittered backoff, and the exact
-  ``OL901``/``OL902`` verdict constructors, so every scheduler fails
-  identically;
 * :mod:`repro.parallel.transport` — length-prefixed, checksummed socket
   framing with read deadlines; a damaged frame is rejected (and the
   stream resynchronised) rather than trusted;
-* :mod:`repro.parallel.fleet` — the distributed scheduler: a socket
+* :mod:`repro.parallel.fleet` — the distributed transport: a socket
   coordinator handing out *renewable leases* to a fleet of local and/or
-  remote workers via work stealing; expired leases are reclaimed and
-  reassigned with backoff, and an unreachable or collapsed fleet
-  degrades to the local supervisor with ``OL904`` — never a failed run;
+  remote workers via work stealing; expired leases go back to the job
+  policy, and an unreachable or collapsed fleet degrades to the local
+  supervisor with ``OL904`` — never a failed run;
 * :mod:`repro.parallel.cache` — a crash-safe incremental result cache:
   verdicts keyed by a content hash of (implementation source, scope
   interface, limits, code version), published with atomic

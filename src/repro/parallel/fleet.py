@@ -17,13 +17,17 @@ topology over the framed socket transport (:mod:`repro.parallel.transport`):
 Soundness under an unreliable fleet rests on **leases**: every
 assignment carries a deadline the worker must keep renewing (its
 heartbeat). A worker that dies, partitions, or just goes quiet lets its
-lease expire; the coordinator reclaims the job and reassigns it with
-exponential backoff + deterministic jitter, and after ``max_retries``
-reclaims the job is quarantined as ``OL902`` with exactly the local
-supervisor's wording. Verdicts are merged in job order, so a fleet
-report is byte-identical to a serial one modulo timing/worker fields —
-regardless of worker count, membership churn, or which frames the
-network ate.
+lease expire and the coordinator reclaims the job. This module is
+transport only — sockets, leases, membership, local respawn and the
+``fleet.*`` counters. What a reclaimed lease, a hard-timeout overrun or
+an expired scope budget means for the job is decided by the job policy
+the local supervisor follows too (:class:`repro.parallel.jobs.JobPolicy`),
+so retries, ``OL902`` quarantine and both ``OL901`` outcomes read the
+same on either backend. A lease frame that never reached its worker is
+requeued without charging an attempt. Verdicts are merged in job order,
+so a fleet report is byte-identical to a serial one modulo
+timing/worker fields — regardless of worker count, membership churn, or
+which frames the network ate.
 
 Degradation, not failure: if the fleet cannot be assembled
 (:class:`FleetUnavailable`) or collapses mid-run, the checker falls back
@@ -44,15 +48,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.jobs import (
-    Job,
-    apply_result,
-    backoff_delay,
-    build_jobs,
-    deadline_verdict,
-    hard_timeout_verdict,
-    quarantine_verdict,
-)
+from repro.parallel.jobs import Job, JobPolicy, build_jobs, mp_context
 from repro.obs.httpd import TelemetryHTTPServer
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.transport import (
@@ -70,7 +66,12 @@ from repro.parallel.transport import (
     parse_address,
     serve,
 )
-from repro.parallel.worker import JobRequest, JobResult, run_job
+from repro.parallel.worker import (
+    JobRequest,
+    JobResult,
+    detach_from_parent,
+    run_job,
+)
 from repro.prover.core import Limits
 from repro.testing.faults import (
     record_supervisor_fault,
@@ -120,12 +121,6 @@ class FleetOptions:
     respawn_budget: int = 8
     #: ``multiprocessing`` start method for local workers.
     start_method: Optional[str] = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
     @classmethod
     def from_spec(
@@ -232,21 +227,17 @@ class FleetCoordinator:
         self.scope = scope
         self.options = options
         self.explain = explain
-        self.scope_deadline = scope_deadline
-        self.job_limits = (
-            replace(limits, scope_time_budget=None, scope_deadline=None)
-            if limits is not None
-            else None
-        )
         #: The job book; jobs already done when the run starts are left
         #: as they are.
         self.jobs = book if book is not None else build_jobs(scope)
+        self.policy = JobPolicy(
+            self.jobs, limits, options, scope_deadline, explain
+        )
         self.members: Dict[int, _Member] = {}
         self.leases: Dict[int, _Lease] = {}
         self._next_lease_id = 0
         self._next_ordinal = 0
         self._events: "queue.Queue" = queue.Queue()
-        self._queue: List[Job] = []
         self._ordinal_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
@@ -256,8 +247,6 @@ class FleetCoordinator:
         self._policy = FramePolicy()
         self._partition_faults = supervisor_fault_hits("partition-worker")
         self._churn_faults = supervisor_fault_hits("worker-churn")
-        self._kill_faults = supervisor_fault_hits("worker-kill")
-        self._hang_faults = supervisor_fault_hits("worker-hang")
         self.counters: Dict[str, int] = {
             "fleet.registrations": 0,
             "fleet.deregistrations": 0,
@@ -320,7 +309,7 @@ class FleetCoordinator:
                 event = self._events.get(timeout=min(remaining, 0.1))
             except queue.Empty:
                 continue
-            self._handle_event(event, [])
+            self._handle_event(event)
 
     @property
     def bound_address(self) -> Tuple[str, int]:
@@ -328,9 +317,7 @@ class FleetCoordinator:
         return self._listener.getsockname()[:2]
 
     def _spawn_local_workers(self, count: int) -> None:
-        context = multiprocessing.get_context(
-            self.options.resolved_start_method()
-        )
+        context = mp_context(self.options.start_method)
         address = self.bound_address
         for _ in range(count):
             process = context.Process(
@@ -424,7 +411,7 @@ class FleetCoordinator:
             "welcome",
             member.name,
             self.scope,
-            self.job_limits,
+            self.policy.job_limits,
             self.explain,
         )
         if not member.send(welcome):
@@ -455,46 +442,33 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
 
     def run(self) -> FleetOutcome:
-        from repro import obs
-
-        with obs.span(
-            "fleet",
-            obs.CAT_PIPELINE,
-            jobs=len(self.jobs),
-            workers=self.options.workers or len(self.members),
-        ):
-            tracer = obs.current()
-            parent_span = tracer.current_index() if tracer is not None else None
+        workers = self.options.workers or len(self.members)
+        with self.policy.traced("fleet", workers=workers) as tracer:
             try:
-                outcome = self._run_inner(tracer, parent_span)
+                degraded = self._schedule() if self.policy.queue else None
             finally:
                 self.shutdown()
             if tracer is not None:
                 for name, value in self.counters.items():
                     if value:
                         tracer.metrics.inc(name, value)
-            outcome.summary = dict(self.counters)
-            return outcome
+        return FleetOutcome(
+            jobs=self.jobs, summary=dict(self.counters), degraded=degraded
+        )
 
-    def _run_inner(self, tracer, parent_span) -> FleetOutcome:
-        pending = [job for job in self.jobs if not job.done]
-        degraded = None
-        if pending:
-            degraded = self._schedule(pending, tracer, parent_span)
-        return FleetOutcome(jobs=self.jobs, degraded=degraded)
-
-    def _schedule(self, pending: List[Job], tracer, parent_span):
+    def _schedule(self) -> Optional[str]:
         """Lease jobs to stealing workers until the book closes.
 
         Returns None on a clean finish, or a degradation reason when the
         fleet collapsed with jobs still open.
         """
-        self._queue: List[Job] = list(pending)
         stalled_since: Optional[float] = None
         while self._open_jobs():
             now = time.monotonic()
-            if self.scope_deadline is not None and now >= self.scope_deadline:
-                self._cancel_everything()
+            if self.policy.expired(now):
+                inflight = [lease.job for lease in self.leases.values()]
+                self.leases.clear()
+                self.policy.cancel(inflight)
                 return None
             self._police_leases(now)
             self._reap_local_workers()
@@ -510,34 +484,28 @@ class FleetCoordinator:
                     )
             else:
                 stalled_since = None
+            deadlines = [
+                deadline
+                for lease in self.leases.values()
+                for deadline in (lease.lease_deadline, lease.job_deadline)
+            ]
             try:
-                event = self._events.get(timeout=self._tick(now))
+                event = self._events.get(
+                    timeout=self.policy.wait_hint(now, deadlines)
+                )
             except queue.Empty:
                 continue
-            self._handle_event(event, (tracer, parent_span))
+            self._handle_event(event)
         return None
 
     def _open_jobs(self) -> bool:
         return any(not job.done for job in self.jobs)
 
-    def _tick(self, now: float) -> float:
-        timeout = self.options.poll_interval
-        if self.scope_deadline is not None:
-            timeout = min(timeout, max(self.scope_deadline - now, 0.0))
-        for lease in self.leases.values():
-            timeout = min(timeout, max(lease.lease_deadline - now, 0.0))
-            if lease.job_deadline is not None:
-                timeout = min(timeout, max(lease.job_deadline - now, 0.0))
-        for job in getattr(self, "_queue", ()):
-            if job.eligible_at > now:
-                timeout = min(timeout, job.eligible_at - now)
-        return max(timeout, 0.001)
-
     # ------------------------------------------------------------------
     # Event handling
     # ------------------------------------------------------------------
 
-    def _handle_event(self, event, trace_ctx) -> None:
+    def _handle_event(self, event) -> None:
         kind = event[0]
         if kind == "register":
             member = event[1]
@@ -578,12 +546,12 @@ class FleetCoordinator:
                 member.partitioned = False  # one-shot per plan hit
                 self._member_gone(member, "partitioned mid-job")
                 return
-            self._handle_message(member, message, trace_ctx)
+            self._handle_message(member, message)
 
     def _member_holds_lease(self, member: _Member) -> bool:
         return any(l.worker is member for l in self.leases.values())
 
-    def _handle_message(self, member: _Member, message, trace_ctx) -> None:
+    def _handle_message(self, member: _Member, message) -> None:
         if not isinstance(message, tuple) or not message:
             return
         kind = message[0]
@@ -615,7 +583,7 @@ class FleetCoordinator:
                     worker=member.name,
                 )
         elif kind == "result" and len(message) == 3:
-            self._handle_result(member, message[1], message[2], trace_ctx)
+            self._handle_result(member, message[1], message[2])
         elif kind == "bye":
             self._member_gone(member, "worker said goodbye")
 
@@ -623,42 +591,13 @@ class FleetCoordinator:
         if not member.alive:
             return
         now = time.monotonic()
-        job = self._next_eligible(now)
+        job = self.policy.next_eligible(now)
         if job is None:
-            delay = self.options.poll_interval
-            for queued in self._queue:
-                if queued.eligible_at > now:
-                    delay = min(delay, queued.eligible_at - now)
-            member.send(("nowork", max(delay, 0.01)))
+            member.send(("nowork", max(self.policy.wait_hint(now), 0.01)))
             return
-        inject = None
-        if job.attempts == 0:
-            if job.job_id in self._kill_faults:
-                inject = "kill"
-                record_supervisor_fault("worker-kill", job.job_id, "raise")
-            elif job.job_id in self._hang_faults:
-                inject = "hang"
-                record_supervisor_fault("worker-hang", job.job_id, "raise")
+        request, job_deadline = self.policy.begin_attempt(job, now)
         lease_id = self._next_lease_id
         self._next_lease_id += 1
-        request = JobRequest(
-            job_id=job.job_id,
-            proc_name=job.proc_name,
-            impl_index=job.impl_index,
-            attempt=job.attempts,
-            limits=None,  # the worker got job_limits in its welcome
-            explain=self.explain,
-            inject=inject,
-        )
-        job_deadline = None
-        if self.options.job_timeout is not None:
-            job_deadline = now + self.options.job_timeout
-        if self.scope_deadline is not None:
-            job_deadline = (
-                self.scope_deadline
-                if job_deadline is None
-                else min(job_deadline, self.scope_deadline)
-            )
         lease = _Lease(
             lease_id=lease_id,
             job=job,
@@ -671,7 +610,7 @@ class FleetCoordinator:
             # The lease frame was dropped (fault) or the wire is dead.
             # The job was never delivered: requeue it immediately, and
             # let the lease machinery catch the member if it is gone.
-            self._queue.append(job)
+            self.policy.queue.append(job)
             return
         self.leases[lease_id] = lease
         self.counters["fleet.leases"] += 1
@@ -685,21 +624,21 @@ class FleetCoordinator:
             attempt=job.attempts,
         )
 
-    def _next_eligible(self, now: float) -> Optional[Job]:
-        for index, job in enumerate(self._queue):
-            if job.eligible_at <= now and not job.done:
-                return self._queue.pop(index)
-        return None
-
     def _handle_result(
-        self, member: _Member, lease_id: int, result: JobResult, trace_ctx
+        self, member: _Member, lease_id: int, result: JobResult
     ) -> None:
         lease = self.leases.pop(lease_id, None)
         if lease is None or lease.job.done:
             self.counters["fleet.stale_results"] += 1
             return
-        job = lease.job
-        self._finish_job(lease, job, result, trace_ctx)
+        self.policy.file_result(
+            lease.job,
+            result,
+            worker=lease.worker.name,
+            started=lease.started,
+            offset=lease.worker.clock_offset,
+            lease=lease_id,
+        )
         member.jobs_completed += 1
         if member.churn_after_result:
             member.churn_after_result = False
@@ -708,37 +647,6 @@ class FleetCoordinator:
             obs_events.emit("worker-churn", worker=member.name)
             member.send(("shutdown",))
             self._member_gone(member, "churned after first result")
-
-    def _finish_job(self, lease: _Lease, job: Job, result: JobResult, trace_ctx) -> None:
-        apply_result(job, result)
-        tracer, parent_span = trace_ctx if trace_ctx else (None, None)
-        if tracer is not None:
-            job_span = tracer.record(
-                job.impl.name,
-                "implementation",
-                lease.started,
-                time.perf_counter(),
-                parent=parent_span,
-                args={
-                    "worker": lease.worker.name,
-                    "attempt": result.attempt,
-                    "status": job.verdict.status.name.lower(),
-                },
-            )
-            if result.spans:
-                tracer.absorb(
-                    result.spans,
-                    parent=job_span,
-                    offset=lease.worker.clock_offset,
-                )
-            if result.metrics:
-                tracer.metrics.merge_dict(result.metrics)
-        obs_events.emit_impl_checked(
-            job.verdict,
-            worker=lease.worker.name,
-            attempt=result.attempt,
-            lease=lease.lease_id,
-        )
 
     # ------------------------------------------------------------------
     # Leases, membership, deadlines
@@ -779,28 +687,9 @@ class FleetCoordinator:
 
     def _hard_timeout(self, lease: _Lease) -> None:
         self.leases.pop(lease.lease_id, None)
-        job = lease.job
-        budget = self.options.job_timeout
-        detail = (
-            f"hard job timeout ({budget:.3g}s) exceeded"
-            if budget is not None
-            else "scope time budget exhausted"
+        self.policy.hard_timeout(
+            lease.job, lease.worker.name, lease=lease.lease_id
         )
-        job.verdict = hard_timeout_verdict(
-            job,
-            f"{detail} while this implementation was being "
-            f"checked; worker {lease.worker.name} killed",
-        )
-        obs_events.emit(
-            "job-hard-timeout",
-            job=job.job_id,
-            impl=job.impl.name,
-            index=job.impl_index,
-            lease=lease.lease_id,
-            worker=lease.worker.name,
-            code="OL901",
-        )
-        obs_events.emit_impl_checked(job.verdict)
         # The worker may be wedged on this job; sever it so a fresh one
         # (respawned locally, or an external rejoin) takes its place.
         self._member_gone(lease.worker, "killed after hard timeout")
@@ -816,39 +705,10 @@ class FleetCoordinator:
             worker=lease.worker.name,
             reason=reason,
         )
-        job.attempts += 1
-        job.death_reasons.append(reason)
-        if job.attempts > self.options.max_retries:
+        if self.policy.retry_or_quarantine(job, reason):
+            self.counters["fleet.requeues"] += 1
+        else:
             self.counters["fleet.quarantines"] += 1
-            job.verdict = quarantine_verdict(job)
-            obs_events.emit(
-                "job-quarantined",
-                job=job.job_id,
-                impl=job.impl.name,
-                index=job.impl_index,
-                attempt=job.attempts,
-                code="OL902",
-            )
-            obs_events.emit_impl_checked(job.verdict)
-            return
-        backoff = backoff_delay(
-            self.options.backoff_base,
-            job.attempts,
-            jitter=self.options.backoff_jitter,
-            token=f"job{job.job_id}",
-        )
-        job.eligible_at = time.monotonic() + backoff
-        self.counters["fleet.requeues"] += 1
-        self._queue.append(job)
-        obs_events.emit(
-            "job-retry",
-            job=job.job_id,
-            impl=job.impl.name,
-            index=job.impl_index,
-            attempt=job.attempts,
-            backoff=round(backoff, 6),
-            reason=reason,
-        )
 
     def _member_gone(self, member: _Member, reason: str) -> None:
         if self.members.pop(member.ordinal, None) is not None:
@@ -890,32 +750,6 @@ class FleetCoordinator:
             self.counters["fleet.respawns"] += spawn
             obs_events.emit("worker-respawn", count=spawn)
             self._spawn_local_workers(spawn)
-
-    def _cancel_everything(self) -> None:
-        for lease in list(self.leases.values()):
-            if not lease.job.done:
-                lease.job.verdict = deadline_verdict(lease.job, before=False)
-                obs_events.emit(
-                    "job-deadline",
-                    job=lease.job.job_id,
-                    impl=lease.job.impl.name,
-                    index=lease.job.impl_index,
-                    code="OL901",
-                )
-                obs_events.emit_impl_checked(lease.job.verdict)
-        self.leases.clear()
-        for job in self.jobs:
-            if not job.done:
-                job.verdict = deadline_verdict(job, before=True)
-                obs_events.emit(
-                    "job-deadline",
-                    job=job.job_id,
-                    impl=job.impl.name,
-                    index=job.impl_index,
-                    code="OL901",
-                )
-                obs_events.emit_impl_checked(job.verdict)
-        self._queue = []
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -974,18 +808,9 @@ def fleet_worker_main(
     """
     import signal
 
-    from repro.obs import events as events_module
-    from repro.obs import tracer as tracer_module
-    from repro.testing import faults as faults_module
-
-    # A forked child inherits the parent's ambient tracer, event journal
-    # and fault plan; all are coordinator-side concerns here (fleet
-    # faults are interpreted at the coordinator, frame faults on its
-    # policy, and the journal records the coordinator's view).
-    tracer_module._ACTIVE = None
-    events_module._ACTIVE = None
-    events_module._VERDICT_SINK = None
-    faults_module._ACTIVE = None
+    # Fleet faults are interpreted at the coordinator, frame faults on
+    # its transport policy.
+    detach_from_parent()
 
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group; the *parent* coordinates shutdown (drain or terminate), so
@@ -1174,11 +999,7 @@ class WorkerPool:
         self.jobs = jobs
         self.token = token
         self.started = time.time()
-        self._context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+        self._context = mp_context()
         # Unsigned long, lock-protected: workers increment it after each
         # successfully delivered result (see ``_worker_session``).
         self._jobs_served = self._context.Value("L", 0)

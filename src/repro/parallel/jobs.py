@@ -1,12 +1,11 @@
-"""The shared job/lease protocol of the parallel and fleet backends.
+"""The job book and the one job policy of the parallel and fleet backends.
 
-Both the single-machine :class:`~repro.parallel.supervisor.WorkerSupervisor`
-and the socket :class:`~repro.parallel.fleet.FleetCoordinator` schedule the
-same unit of work — one per-implementation proof obligation — and enforce
-the same failure policy on it: retries with exponential backoff after a
-worker death, quarantine (``OL902``) after the retry budget is exhausted,
-and the hard-timeout / scope-deadline vocabulary (``OL901``). This module
-holds the pieces they share, so the two backends cannot drift apart:
+The single-machine :class:`~repro.parallel.supervisor.WorkerSupervisor`
+and the socket :class:`~repro.parallel.fleet.FleetCoordinator` run the
+same unit of work — one per-implementation proof obligation — under the
+same rules. This module owns those rules; each executor keeps only its
+transport (fork/pipe workers and heartbeats, or sockets, leases and
+membership) and calls in here for every lifecycle decision:
 
 * :class:`Job` — the per-implementation bookkeeping record (attempt
   counter, backoff eligibility, death history, final verdict);
@@ -19,21 +18,35 @@ holds the pieces they share, so the two backends cannot drift apart:
   retry in lockstep (a thundering herd against whatever killed their
   workers); the jitter is derived from a hash of a caller-supplied token
   so runs stay reproducible while distinct jobs spread out;
-* the verdict builders for the shared failure outcomes: worker failure,
-  quarantine, hard timeout, and scope-deadline cancellation, plus
-  :func:`apply_result`, which files a worker's result on its job.
+* :class:`JobPolicy` — the queue of open jobs and the loop's wait hint,
+  the injected fault and hard deadline of each attempt, and the four
+  outcomes with their journal records: a filed result, a retry or
+  ``OL902`` quarantine after a worker death, an ``OL901`` hard timeout,
+  and ``OL901`` scope-deadline cancellation in the serial driver's
+  wording.
+
+Importing this module loads neither ``multiprocessing`` nor a transport:
+the serial checker builds its job book from here.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.obs import events as obs_events
 from repro.oolong.ast import ImplDecl
 from repro.oolong.program import Scope
-from repro.prover.core import ProverStats
+from repro.parallel.worker import JobRequest
+from repro.prover.core import Limits, ProverStats
+from repro.testing.faults import (
+    record_supervisor_fault,
+    supervisor_fault_hits,
+)
 
 
 @dataclass
@@ -117,95 +130,313 @@ def backoff_delay(
     return delay * (1.0 + jitter * jitter_fraction(f"{token}:{attempt}"))
 
 
-def apply_result(job: Job, result) -> None:
-    """File a worker's :class:`~repro.parallel.worker.JobResult` on ``job``.
+class JobPolicy:
+    """The job lifecycle both executors follow, over one job book.
 
-    A job that raised outside the worker's verdict isolation becomes an
-    ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the pickled verdict
-    is re-anchored on the parent's own AST object so report identities
-    match the serial driver's exactly.
+    ``options`` is the executor's :class:`ParallelOptions` or
+    :class:`FleetOptions`; the policy reads the fields they share
+    (``job_timeout``, ``max_retries``, ``backoff_base``,
+    ``backoff_jitter``, ``poll_interval``). The jobs still open when the
+    policy is made form its :attr:`queue`. The executor sets
+    :attr:`tracer` and :attr:`parent_span` by opening its pipeline span
+    through :meth:`traced`.
     """
-    if result.failure is not None:
-        job.verdict = failure_verdict(job, result.failure)
-        return
-    verdict = result.verdict
-    verdict.impl = job.impl
-    job.verdict = verdict
-    job.explain_crash = result.explain_crash
 
+    def __init__(
+        self,
+        jobs: List[Job],
+        limits: Optional[Limits],
+        options,
+        scope_deadline: Optional[float],
+        explain: bool = False,
+    ):
+        self.jobs = jobs
+        self.options = options
+        self.scope_deadline = scope_deadline
+        self.explain = explain
+        #: What each attempt runs under: the scope budget is the
+        #: policy's to enforce (by cancellation), never a worker's.
+        self.job_limits = (
+            replace(limits, scope_time_budget=None, scope_deadline=None)
+            if limits is not None
+            else None
+        )
+        self.queue: List[Job] = [job for job in jobs if not job.done]
+        self._faults = [
+            (stage, action, supervisor_fault_hits(stage))
+            for stage, action in (
+                ("worker-kill", "kill"),
+                ("worker-hang", "hang"),
+            )
+        ]
+        self.tracer = None
+        self.parent_span: Optional[int] = None
 
-def failure_verdict(job: Job, failure: str) -> object:
-    """The ``INTERNAL_ERROR``/``OL900`` verdict for a job that failed
-    inside the worker (``failure`` is the worker-side traceback)."""
-    from repro.vcgen.checker import ImplStatus, ImplVerdict
+    @contextmanager
+    def traced(self, name: str, workers: int) -> Iterator:
+        """Open the executor's pipeline span; job spans nest under it."""
+        from repro import obs
 
-    return ImplVerdict(
-        impl=job.impl,
-        index=job.impl_index,
-        status=ImplStatus.INTERNAL_ERROR,
-        stats=ProverStats(),
-        error=Diagnostic(
-            code="OL900",
-            message=(
-                "worker job failed internally: "
-                + failure.strip().splitlines()[-1]
-            ),
+        with obs.span(
+            name, obs.CAT_PIPELINE, jobs=len(self.jobs), workers=workers
+        ):
+            self.tracer = obs.current()
+            if self.tracer is not None:
+                self.parent_span = self.tracer.current_index()
+            yield self.tracer
+
+    # ------------------------------------------------------------------
+    # Queue and timing
+    # ------------------------------------------------------------------
+
+    def expired(self, now: float) -> bool:
+        """Whether the scope budget has run out."""
+        return self.scope_deadline is not None and now >= self.scope_deadline
+
+    def next_eligible(self, now: float) -> Optional[Job]:
+        """Pop the first queued job whose retry backoff has elapsed."""
+        for index, job in enumerate(self.queue):
+            if job.eligible_at <= now and not job.done:
+                return self.queue.pop(index)
+        return None
+
+    def wait_hint(
+        self, now: float, deadlines: Iterable[Optional[float]] = ()
+    ) -> float:
+        """How long the executor may block before something falls due.
+
+        At most one poll interval, and no later than the scope deadline,
+        the end of a queued job's backoff, or any of ``deadlines`` (the
+        executor's attempt and lease deadlines).
+        """
+        due = [d for d in deadlines if d is not None]
+        due += [job.eligible_at for job in self.queue if job.eligible_at > now]
+        if self.scope_deadline is not None:
+            due.append(self.scope_deadline)
+        timeout = min([self.options.poll_interval] + [d - now for d in due])
+        return max(timeout, 0.001)
+
+    # ------------------------------------------------------------------
+    # Attempts
+    # ------------------------------------------------------------------
+
+    def begin_attempt(
+        self, job: Job, now: float
+    ) -> Tuple[JobRequest, Optional[float]]:
+        """The request for ``job``'s next attempt, and its hard deadline.
+
+        A first attempt carries the fault the active plan puts on its
+        job index (``worker-kill`` before ``worker-hang``), so fault
+        placement never depends on which worker takes the job. The
+        deadline is ``now + job_timeout`` only: scope-budget expiry is
+        handled by :meth:`cancel`.
+        """
+        inject = None
+        if job.attempts == 0:
+            for stage, action, hits in self._faults:
+                if job.job_id in hits:
+                    inject = action
+                    record_supervisor_fault(stage, job.job_id, "raise")
+                    break
+        request = JobRequest(
+            job_id=job.job_id,
+            proc_name=job.proc_name,
+            impl_index=job.impl_index,
+            attempt=job.attempts,
+            limits=self.job_limits,
+            explain=self.explain,
+            inject=inject,
+        )
+        timeout = self.options.job_timeout
+        return request, (None if timeout is None else now + timeout)
+
+    # ------------------------------------------------------------------
+    # Outcomes
+    # ------------------------------------------------------------------
+
+    def file_result(
+        self,
+        job: Job,
+        result,
+        *,
+        worker,
+        started: float,
+        offset: float = 0.0,
+        **fields,
+    ) -> None:
+        """File a worker's :class:`~repro.parallel.worker.JobResult`.
+
+        A job that raised outside the worker's verdict isolation becomes
+        an ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the pickled
+        verdict is re-anchored on the parent's own AST object so report
+        identities match the serial driver's exactly. Under a tracer the
+        job gets an ``implementation`` span from ``started`` (monotonic
+        time; on the platforms workers run on ``time.monotonic`` and
+        ``perf_counter`` share CLOCK_MONOTONIC), with the worker's own
+        spans grafted beneath it, shifted by ``offset`` into this
+        clock, and its metrics merged. ``fields`` (a fleet ``lease``)
+        ride on the ``impl-checked`` record.
+        """
+        if result.failure is not None:
+            job.verdict = _verdict(
+                job,
+                "INTERNAL_ERROR",
+                Diagnostic(
+                    code="OL900",
+                    message="worker job failed internally: "
+                    + result.failure.strip().splitlines()[-1],
+                    impl=job.impl.name,
+                ),
+            )
+        else:
+            job.verdict = result.verdict
+            job.verdict.impl = job.impl
+            job.explain_crash = result.explain_crash
+        tracer = self.tracer
+        if tracer is not None:
+            job_span = tracer.record(
+                job.impl.name,
+                "implementation",
+                started,
+                time.perf_counter(),
+                parent=self.parent_span,
+                args={
+                    "worker": worker,
+                    "attempt": result.attempt,
+                    "status": job.verdict.status.name.lower(),
+                },
+            )
+            if result.spans:
+                tracer.absorb(result.spans, parent=job_span, offset=offset)
+            if result.metrics:
+                tracer.metrics.merge_dict(result.metrics)
+        obs_events.emit_impl_checked(
+            job.verdict, worker=str(worker), attempt=result.attempt, **fields
+        )
+
+    def retry_or_quarantine(self, job: Job, reason: str) -> bool:
+        """Charge a lost attempt to ``job``; True if it was requeued.
+
+        The job goes back on the queue after a jittered exponential
+        backoff, or — with its retries spent — is quarantined as
+        ``INTERNAL_ERROR``/``OL902``, naming every death.
+        """
+        job.attempts += 1
+        job.death_reasons.append(reason)
+        if job.attempts > self.options.max_retries:
+            job.verdict = _verdict(
+                job,
+                "INTERNAL_ERROR",
+                Diagnostic(
+                    code="OL902",
+                    message=f"worker died {job.attempts} time(s) running "
+                    f"this implementation ({'; '.join(job.death_reasons)}); "
+                    "job quarantined",
+                    impl=job.impl.name,
+                ),
+            )
+            self._emit(
+                job, "job-quarantined", attempt=job.attempts, code="OL902"
+            )
+            return False
+        backoff = backoff_delay(
+            self.options.backoff_base,
+            job.attempts,
+            jitter=self.options.backoff_jitter,
+            token=f"job{job.job_id}",
+        )
+        job.eligible_at = time.monotonic() + backoff
+        self.queue.append(job)
+        obs_events.emit(
+            "job-retry",
+            job=job.job_id,
             impl=job.impl.name,
-        ),
-    )
+            index=job.impl_index,
+            attempt=job.attempts,
+            backoff=round(backoff, 6),
+            reason=reason,
+        )
+        return True
 
-
-def quarantine_verdict(job: Job) -> object:
-    """The ``INTERNAL_ERROR``/``OL902`` verdict for an exhausted job."""
-    from repro.vcgen.checker import ImplStatus, ImplVerdict
-
-    history = "; ".join(job.death_reasons)
-    return ImplVerdict(
-        impl=job.impl,
-        index=job.impl_index,
-        status=ImplStatus.INTERNAL_ERROR,
-        stats=ProverStats(),
-        error=Diagnostic(
-            code="OL902",
-            message=(
-                f"worker died {job.attempts} time(s) running this "
-                f"implementation ({history}); job quarantined"
+    def hard_timeout(self, job: Job, worker, **fields) -> None:
+        """``job`` overran its attempt deadline and ``worker`` was killed:
+        ``TIMED_OUT``/``OL901``. ``fields`` (a fleet ``lease``) ride on
+        the ``job-hard-timeout`` record."""
+        if job.done:
+            return
+        job.verdict = _verdict(
+            job,
+            "TIMED_OUT",
+            Diagnostic(
+                code="OL901",
+                message=f"hard job timeout ({self.options.job_timeout:.3g}s)"
+                " exceeded while this implementation was being checked; "
+                f"worker {worker} killed",
+                impl=job.impl.name,
             ),
-            impl=job.impl.name,
-        ),
-    )
-
-
-def hard_timeout_verdict(job: Job, detail: str) -> object:
-    """The ``TIMED_OUT``/``OL901`` verdict for a hard-timeout overrun."""
-    from repro.vcgen.checker import ImplStatus, ImplVerdict
-
-    return ImplVerdict(
-        impl=job.impl,
-        index=job.impl_index,
-        status=ImplStatus.TIMED_OUT,
-        stats=ProverStats(),
-        error=Diagnostic(
+        )
+        self._emit(
+            job,
+            "job-hard-timeout",
+            **fields,
+            worker=str(worker),
             code="OL901",
-            message=detail,
+        )
+
+    def cancel(self, inflight: Iterable[Job]) -> None:
+        """The scope budget ran out: fail every open job.
+
+        Matches the serial driver's vocabulary: the ``inflight`` jobs
+        (the executor has already stopped their workers) report the
+        mid-check ``OL901``, every other open job the before-check one.
+        """
+        from repro.vcgen.checker import _deadline_diagnostic
+
+        for before, jobs in ((False, list(inflight)), (True, self.jobs)):
+            for job in jobs:
+                if job.done:
+                    continue
+                job.verdict = _verdict(
+                    job,
+                    "TIMED_OUT",
+                    _deadline_diagnostic(job.impl, before=before),
+                )
+                self._emit(job, "job-deadline", code="OL901")
+        self.queue.clear()
+
+    def _emit(self, job: Job, event: str, **fields) -> None:
+        """A lifecycle record for ``job``, then its ``impl-checked``."""
+        obs_events.emit(
+            event,
+            job=job.job_id,
             impl=job.impl.name,
-        ),
-    )
+            index=job.impl_index,
+            **fields,
+        )
+        obs_events.emit_impl_checked(job.verdict)
 
 
-def deadline_verdict(job: Job, *, before: bool) -> object:
-    """The scope-budget cancellation verdict, matching the serial driver's
-    before/mid-check ``OL901`` vocabulary exactly."""
-    from repro.vcgen.checker import (
-        ImplStatus,
-        ImplVerdict,
-        _deadline_diagnostic,
-    )
+def _verdict(job: Job, status: str, error: Diagnostic) -> object:
+    """A verdict the policy decides for ``job`` without a prover: the
+    ``ImplStatus`` named ``status``, with diagnostic ``error``."""
+    from repro.vcgen.checker import ImplStatus, ImplVerdict
 
     return ImplVerdict(
         impl=job.impl,
         index=job.impl_index,
-        status=ImplStatus.TIMED_OUT,
+        status=ImplStatus[status],
         stats=ProverStats(),
-        error=_deadline_diagnostic(job.impl, before=before),
+        error=error,
     )
+
+
+def mp_context(start_method: Optional[str] = None):
+    """The ``multiprocessing`` context workers start in: ``start_method``
+    if given, else ``fork`` where available (fast, shares the parsed
+    scope), else ``spawn``."""
+    import multiprocessing
+
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else "spawn"
+    return multiprocessing.get_context(start_method)

@@ -1,22 +1,24 @@
-"""The supervised multi-process checking backend.
+"""The supervised multi-process checking backend: the ``-j`` transport.
 
 ``check_scope(parallel=N)`` hands the per-implementation proof jobs to a
-:class:`WorkerSupervisor`, which schedules them onto a pool of
-process-isolated workers (:mod:`repro.parallel.worker`) and enforces the
-guarantees the cooperative serial driver cannot:
+:class:`WorkerSupervisor`, which runs them on a pool of process-isolated
+workers (:mod:`repro.parallel.worker`), each a forked child on one end of
+a duplex pipe with a heartbeat stamped into shared memory. This module
+is transport only. It spawns and reaps workers, ships requests and
+receives results, and detects what the cooperative serial driver cannot:
 
-* **hard wall-clock timeout per job** — a runaway quantifier loop that
-  never reaches a cooperative poll point is SIGKILLed and recorded as
-  ``TIMED_OUT`` with an ``OL901`` diagnostic; the rest of the batch is
-  untouched;
-* **worker-death detection and retry** — a nonzero exit, a killing
-  signal, or a lost heartbeat triggers a retry with exponential backoff
-  on a fresh worker, up to ``max_retries`` attempts; after exhaustion
-  the job is quarantined as ``INTERNAL_ERROR`` with an ``OL902``
-  diagnostic, so one poisonous VC can never sink the scope;
-* **prompt scope-budget enforcement** — when ``Limits.scope_time_budget``
-  expires, queued jobs are cancelled and in-flight workers killed within
-  one poll interval, instead of waiting for each worker to notice.
+* a **dead worker** — a nonzero exit, a killing signal, a closed pipe or
+  a stale heartbeat (a frozen interpreter);
+* an **attempt past its hard deadline** — a runaway quantifier loop that
+  never reaches a cooperative poll point is SIGKILLed;
+* an **expired scope budget** — every worker is killed within one poll
+  interval, instead of waiting for each to notice.
+
+What follows from each is the job policy's decision
+(:class:`repro.parallel.jobs.JobPolicy`), shared with the fleet: retry
+with backoff or quarantine as ``OL902``, ``TIMED_OUT``/``OL901``, or
+cancellation in the serial driver's ``OL901`` wording. A job that was
+never accepted because its worker died first counts as a death.
 
 Determinism: results are merged in *job order* (declaration order of the
 implementations — the exact order the serial driver uses), so the
@@ -38,35 +40,21 @@ underneath, so ``--trace``/``--profile`` cover parallel runs end to end.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.jobs import (
-    Job as _Job,
-    apply_result,
-    backoff_delay,
-    build_jobs,
-    deadline_verdict,
-    hard_timeout_verdict,
-    quarantine_verdict,
-)
+from repro.parallel.jobs import Job as _Job, JobPolicy, build_jobs, mp_context
 from repro.parallel.worker import (
     HEARTBEAT_INTERVAL,
-    JobRequest,
     JobResult,
     worker_main,
 )
 from repro.prover.core import Limits
-from repro.testing.faults import (
-    record_supervisor_fault,
-    supervisor_fault_hits,
-)
 
 
 @dataclass(frozen=True)
@@ -98,12 +86,6 @@ class ParallelOptions:
     #: ``multiprocessing`` start method; default prefers ``fork`` (fast,
     #: shares the parsed scope) and falls back to ``spawn``.
     start_method: Optional[str] = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
 
 class _WorkerHandle:
@@ -177,7 +159,7 @@ class ParallelOutcome:
 
 
 class WorkerSupervisor:
-    """Schedules proof jobs onto supervised workers and merges results."""
+    """Runs proof jobs on supervised pipe workers under the job policy."""
 
     def __init__(
         self,
@@ -191,45 +173,25 @@ class WorkerSupervisor:
     ):
         self.scope = scope
         self.options = options
-        self.explain = explain
-        self.scope_deadline = scope_deadline
-        self.job_limits = (
-            replace(limits, scope_time_budget=None, scope_deadline=None)
-            if limits is not None
-            else None
-        )
         #: The job book; jobs already done when the run starts are left
         #: as they are.
         self.jobs = book if book is not None else build_jobs(scope)
-        self.workers: List[_WorkerHandle] = []
-        self._context = multiprocessing.get_context(
-            options.resolved_start_method()
+        self.policy = JobPolicy(
+            self.jobs, limits, options, scope_deadline, explain
         )
+        self.workers: List[_WorkerHandle] = []
+        self._context = mp_context(options.start_method)
         self._next_worker_id = 0
-        self._kill_faults = supervisor_fault_hits("worker-kill")
-        self._hang_faults = supervisor_fault_hits("worker-hang")
 
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
 
     def run(self) -> ParallelOutcome:
-        from repro import obs
-
-        with obs.span(
-            "supervisor",
-            obs.CAT_PIPELINE,
-            jobs=len(self.jobs),
-            workers=self.options.jobs,
-        ):
-            tracer = obs.current()
-            parent_span = (
-                tracer.current_index() if tracer is not None else None
-            )
+        with self.policy.traced("supervisor", workers=self.options.jobs):
             try:
-                pending = [job for job in self.jobs if not job.done]
-                if pending:
-                    self._supervise(pending, tracer, parent_span)
+                if self.policy.queue:
+                    self._supervise()
             finally:
                 self._shutdown_workers()
         return ParallelOutcome(jobs=self.jobs)
@@ -238,17 +200,16 @@ class WorkerSupervisor:
     # The supervision loop
     # ------------------------------------------------------------------
 
-    def _supervise(self, pending: List[_Job], tracer, parent_span) -> None:
-        queue: List[_Job] = list(pending)
-        inflight = 0
-        options = self.options
-        while queue or inflight:
+    def _supervise(self) -> None:
+        policy = self.policy
+        queue = policy.queue
+        while True:
             now = time.monotonic()
-            if self.scope_deadline is not None and now >= self.scope_deadline:
-                self._cancel_everything(queue)
+            if policy.expired(now):
+                self._cancel_everything()
                 return
+            self._police(now)
             self._ensure_workers(len(queue))
-            inflight = sum(1 for w in self.workers if not w.idle)
 
             # Assign eligible jobs to idle workers.
             for worker in self.workers:
@@ -256,45 +217,25 @@ class WorkerSupervisor:
                     break
                 if not worker.idle or not worker.alive():
                     continue
-                job = self._next_eligible(queue, now)
+                job = policy.next_eligible(now)
                 if job is None:
                     break
-                self._assign(worker, job, now, queue)
-                inflight += 1
+                self._assign(worker, job, now)
 
-            if not queue and inflight == 0:
+            busy = [w for w in self.workers if not w.idle]
+            if not queue and not busy:
                 return
 
-            timeout = self._wait_timeout(queue, now)
             ready = connection_wait(
                 [w.conn for w in self.workers if not w.conn.closed],
-                timeout=timeout,
+                timeout=policy.wait_hint(now, (w.job_deadline for w in busy)),
             )
             for conn in ready:
                 worker = next(
                     (w for w in self.workers if w.conn is conn), None
                 )
-                if worker is None:
-                    continue
-                self._drain(worker, queue, tracer, parent_span)
-
-            self._police(queue, tracer, parent_span)
-            inflight = sum(1 for w in self.workers if not w.idle)
-
-    def _next_eligible(self, queue: List[_Job], now: float) -> Optional[_Job]:
-        for index, job in enumerate(queue):
-            if job.eligible_at <= now:
-                return queue.pop(index)
-        return None
-
-    def _wait_timeout(self, queue: List[_Job], now: float) -> float:
-        timeout = self.options.poll_interval
-        if self.scope_deadline is not None:
-            timeout = min(timeout, max(0.0, self.scope_deadline - now))
-        for job in queue:
-            if job.eligible_at > now:
-                timeout = min(timeout, job.eligible_at - now)
-        return max(timeout, 0.001)
+                if worker is not None:
+                    self._drain(worker)
 
     def _ensure_workers(self, queued: int) -> None:
         self.workers = [w for w in self.workers if not w.conn.closed]
@@ -314,37 +255,17 @@ class WorkerSupervisor:
                 pid=handle.process.pid,
             )
 
-    def _assign(
-        self, worker: _WorkerHandle, job: _Job, now: float, queue: List[_Job]
-    ) -> None:
-        inject = None
-        if job.attempts == 0:
-            if job.job_id in self._kill_faults:
-                inject = "kill"
-                record_supervisor_fault("worker-kill", job.job_id, "raise")
-            elif job.job_id in self._hang_faults:
-                inject = "hang"
-                record_supervisor_fault("worker-hang", job.job_id, "raise")
-        request = JobRequest(
-            job_id=job.job_id,
-            proc_name=job.proc_name,
-            impl_index=job.impl_index,
-            attempt=job.attempts,
-            limits=self.job_limits,
-            explain=self.explain,
-            inject=inject,
-        )
+    def _assign(self, worker: _WorkerHandle, job: _Job, now: float) -> None:
+        request, deadline = self.policy.begin_attempt(job, now)
+        worker.job = job
+        worker.job_started = now
         try:
             worker.conn.send(request)
         except (OSError, ValueError, BrokenPipeError):
             # The worker died between spawn and first send; treat like a
             # mid-job death so the retry accounting stays uniform.
-            worker.job = job
-            worker.job_started = now
-            self._worker_died(worker, queue, "died before accepting the job")
+            self._worker_died(worker, "died before accepting the job")
             return
-        worker.job = job
-        worker.job_started = now
         obs_events.emit(
             "job-assigned",
             job=job.job_id,
@@ -353,32 +274,21 @@ class WorkerSupervisor:
             impl=job.impl.name,
             index=job.impl_index,
         )
-        deadline = None
-        if self.options.job_timeout is not None:
-            deadline = now + self.options.job_timeout
-        if self.scope_deadline is not None:
-            deadline = (
-                self.scope_deadline
-                if deadline is None
-                else min(deadline, self.scope_deadline)
-            )
         worker.job_deadline = deadline
         worker.heartbeat.value = time.monotonic()
 
     # ------------------------------------------------------------------
-    # Result, death, and timeout handling
+    # Results, deaths, and timeouts
     # ------------------------------------------------------------------
 
-    def _drain(self, worker, queue, tracer, parent_span) -> None:
+    def _drain(self, worker: _WorkerHandle) -> None:
         try:
             result: JobResult = worker.conn.recv()
         except (EOFError, OSError):
             if worker.job is not None:
                 exit_code = worker.process.exitcode
                 self._worker_died(
-                    worker,
-                    queue,
-                    f"connection lost (exit code {exit_code})",
+                    worker, f"connection lost (exit code {exit_code})"
                 )
             else:
                 # An idle worker died; just reap it. Replacements are
@@ -388,39 +298,13 @@ class WorkerSupervisor:
         job = worker.job
         if job is None or result.job_id != job.job_id:
             return  # stale result from a superseded attempt
-        self._finish_job(worker, job, result, tracer, parent_span)
-
-    def _finish_job(self, worker, job, result, tracer, parent_span) -> None:
-        apply_result(job, result)
-        if tracer is not None:
-            job_span = tracer.record(
-                job.impl.name,
-                "implementation",
-                # The supervisor measures in time.monotonic(); spans use
-                # perf_counter. On the platforms workers run on both are
-                # CLOCK_MONOTONIC, so the domains coincide.
-                worker.job_started,
-                time.perf_counter(),
-                parent=parent_span,
-                args={
-                    "worker": worker.worker_id,
-                    "attempt": result.attempt,
-                    "status": job.verdict.status.name.lower(),
-                },
-            )
-            if result.spans:
-                tracer.absorb(result.spans, parent=job_span)
-            if result.metrics:
-                tracer.metrics.merge_dict(result.metrics)
-        obs_events.emit_impl_checked(
-            job.verdict,
-            worker=str(worker.worker_id),
-            attempt=result.attempt,
+        self.policy.file_result(
+            job, result, worker=worker.worker_id, started=worker.job_started
         )
         worker.job = None
         worker.job_deadline = None
 
-    def _worker_died(self, worker, queue: List[_Job], reason: str) -> None:
+    def _worker_died(self, worker: _WorkerHandle, reason: str) -> None:
         job = worker.job
         worker.job = None
         worker.kill()
@@ -430,56 +314,18 @@ class WorkerSupervisor:
             reason=reason,
             job=job.job_id if job is not None else None,
         )
-        if job is None or job.done:
-            return
-        job.attempts += 1
-        job.death_reasons.append(reason)
-        if job.attempts > self.options.max_retries:
-            self._quarantine(job)
-            return
-        backoff = backoff_delay(
-            self.options.backoff_base,
-            job.attempts,
-            jitter=self.options.backoff_jitter,
-            token=f"job{job.job_id}",
-        )
-        job.eligible_at = time.monotonic() + backoff
-        queue.append(job)
-        obs_events.emit(
-            "job-retry",
-            job=job.job_id,
-            impl=job.impl.name,
-            index=job.impl_index,
-            attempt=job.attempts,
-            backoff=round(backoff, 6),
-            reason=reason,
-        )
+        if job is not None and not job.done:
+            self.policy.retry_or_quarantine(job, reason)
 
-    def _quarantine(self, job: _Job) -> None:
-        job.verdict = quarantine_verdict(job)
-        obs_events.emit(
-            "job-quarantined",
-            job=job.job_id,
-            impl=job.impl.name,
-            index=job.impl_index,
-            attempt=job.attempts,
-            code="OL902",
-        )
-        obs_events.emit_impl_checked(job.verdict)
-
-    def _police(self, queue, tracer, parent_span) -> None:
+    def _police(self, now: float) -> None:
         """Detect deaths, lost heartbeats, and hard-timeout overruns."""
-        now = time.monotonic()
         for worker in list(self.workers):
-            if worker.conn.closed:
-                continue
-            if worker.idle:
+            if worker.conn.closed or worker.idle:
                 continue
             if not worker.alive():
                 exit_code = worker.process.exitcode
                 self._worker_died(
                     worker,
-                    queue,
                     f"exit code {exit_code}"
                     if (exit_code or 0) >= 0
                     else f"killed by signal {-exit_code}",
@@ -490,70 +336,27 @@ class WorkerSupervisor:
                 self.options.heartbeat_timeout, 4 * HEARTBEAT_INTERVAL
             ):
                 self._worker_died(
-                    worker,
-                    queue,
-                    f"lost heartbeat ({stale:.2f}s stale)",
+                    worker, f"lost heartbeat ({stale:.2f}s stale)"
                 )
                 continue
             if worker.job_deadline is not None and now >= worker.job_deadline:
-                self._hard_timeout(worker)
-
-    def _hard_timeout(self, worker) -> None:
-        job = worker.job
-        worker.job = None
-        worker.kill()
-        if job is None or job.done:
-            return
-        budget = self.options.job_timeout
-        detail = (
-            f"hard job timeout ({budget:.3g}s) exceeded"
-            if budget is not None
-            else "scope time budget exhausted"
-        )
-        job.verdict = hard_timeout_verdict(
-            job,
-            f"{detail} while this implementation was being "
-            f"checked; worker {worker.worker_id} killed",
-        )
-        obs_events.emit(
-            "job-hard-timeout",
-            job=job.job_id,
-            impl=job.impl.name,
-            index=job.impl_index,
-            worker=str(worker.worker_id),
-            code="OL901",
-        )
-        obs_events.emit_impl_checked(job.verdict)
+                job = worker.job
+                worker.job = None
+                worker.kill()
+                self.policy.hard_timeout(job, worker.worker_id)
 
     # ------------------------------------------------------------------
     # Scope-budget cancellation and shutdown
     # ------------------------------------------------------------------
 
-    def _cancel_everything(self, queue: List[_Job]) -> None:
-        """The scope budget expired: kill in-flight work, fail the rest.
-
-        Matches the serial driver's vocabulary: implementations that
-        were running report the mid-check ``OL901``, queued ones the
-        before-check variant.
-        """
+    def _cancel_everything(self) -> None:
+        """The scope budget expired: kill every worker, then let the
+        policy fail the jobs they were running and the queue."""
+        inflight = [w.job for w in self.workers if w.job is not None]
         for worker in self.workers:
-            job = worker.job
             worker.job = None
             worker.kill()
-            if job is not None and not job.done:
-                job.verdict = deadline_verdict(job, before=False)
-                obs_events.emit(
-                    "job-deadline", job=job.job_id, code="OL901"
-                )
-                obs_events.emit_impl_checked(job.verdict)
-        for job in queue:
-            if not job.done:
-                job.verdict = deadline_verdict(job, before=True)
-                obs_events.emit(
-                    "job-deadline", job=job.job_id, code="OL901"
-                )
-                obs_events.emit_impl_checked(job.verdict)
-        queue.clear()
+        self.policy.cancel(inflight)
 
     def _shutdown_workers(self) -> None:
         for worker in self.workers:

@@ -16,7 +16,8 @@ job slow → enforce the job timeout) from one that is *gone* (heartbeat
 stale → treat as worker death and retry the job elsewhere).
 
 Injected faults (``worker-kill``/``worker-hang``) arrive as part of the
-job request — decided by the supervisor from the active
+job request — decided by the parent's job policy
+(:class:`repro.parallel.jobs.JobPolicy`) from the active
 :class:`repro.testing.faults.FaultPlan`, so fault placement is keyed by
 deterministic job index, never by which worker happened to pick the job
 up. ``kill`` exits the process hard (``os._exit``, modelling SIGKILL by
@@ -98,6 +99,24 @@ def _beat(heartbeat, stop_event: threading.Event, supervisor_pid: int) -> None:
         stop_event.wait(HEARTBEAT_INTERVAL)
 
 
+def detach_from_parent() -> None:
+    """Drop the tracer, event journal, verdict sink and fault plan a
+    forked worker inherits.
+
+    All are parent-side concerns: spans ship home with each result,
+    worker faults are interpreted by the parent's job policy, and the
+    journal records the parent's view of the run.
+    """
+    from repro.obs import events as events_module
+    from repro.obs import tracer as tracer_module
+    from repro.testing import faults as faults_module
+
+    tracer_module._ACTIVE = None
+    events_module._ACTIVE = None
+    events_module._VERDICT_SINK = None
+    faults_module._ACTIVE = None
+
+
 def worker_main(
     conn, heartbeat, scope, worker_id: int, supervisor_pid: Optional[int] = None
 ) -> None:
@@ -111,19 +130,7 @@ def worker_main(
     time, so the orphan watchdog works even if the supervisor dies
     before this process first runs.
     """
-    # A forked child inherits the parent's ambient tracer, event journal
-    # and fault plan; all are parent-side concerns (spans are shipped
-    # explicitly, supervisor faults are interpreted in the parent, and
-    # the journal records the supervisor's view), so drop them.
-    from repro.obs import events as events_module
-    from repro.obs import tracer as tracer_module
-    from repro.testing import faults as faults_module
-
-    tracer_module._ACTIVE = None
-    events_module._ACTIVE = None
-    events_module._VERDICT_SINK = None
-    faults_module._ACTIVE = None
-
+    detach_from_parent()
     stop_event = threading.Event()
     beat_thread = threading.Thread(
         target=_beat,
