@@ -8,7 +8,7 @@ reproduce, for every scope below:
   message, position, notes), and the inferred modifies lists;
 * every implementation's ``discharge_scope`` outcome, per-obligation
   decisions, blame and blame notes, in both discharge modes, plus the
-  effect summaries and the scope's interface hash.
+  effect summaries.
 
 The corpus is every ``examples/**/*.oolong`` file, the paper's programs,
 one scope per generator, and a 100-impl farm and a 150-link call chain
@@ -28,11 +28,7 @@ import json
 import os
 import sys
 
-from repro.analysis.effects import (
-    discharge_scope,
-    scope_interface_hash,
-    violation_diagnostic,
-)
+from repro.analysis.effects import discharge_scope, violation_diagnostic
 from repro.analysis.engine import lint_scope
 from repro.corpus.generators import (
     generate_benign_copies,
@@ -133,7 +129,7 @@ def static_record(filename, source):
     """Lint and discharge results of one scope, as plain JSON data."""
     scope = Scope.from_source(source, filename)
     lint = lint_scope(scope)
-    record = {
+    return {
         "lint": [d.to_dict() for d in lint.diagnostics],
         "inferred_modifies": {
             name: list(designators)
@@ -142,11 +138,6 @@ def static_record(filename, source):
         "discharge": _discharge_record(scope, "on"),
         "discharge_strict": _discharge_record(scope, "strict"),
     }
-    try:
-        record["interface_hash"] = scope_interface_hash(scope)
-    except Exception as exc:
-        record["interface_hash"] = f"{type(exc).__name__}: {exc}"
-    return record
 
 
 def collect():
