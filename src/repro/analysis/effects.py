@@ -34,8 +34,7 @@ On top of the per-obligation classification the module computes
 SCC-condensed **interprocedural effect summaries** (each procedure's
 transitive, downward-closed write effect, a fixpoint over
 :meth:`~repro.analysis.callgraph.CallGraph.sccs` that is sound for self
-and mutual recursion) and a per-declaration **interface hash** for
-future incremental checking. Summaries degrade to *opaque* — and strict
+and mutual recursion). Summaries degrade to *opaque* — and strict
 mode then refuses to discharge — whenever a write cannot be named: a
 callee without implementations, an unknown actual, or an access path
 beyond the widening cap.
@@ -44,7 +43,6 @@ beyond the widening cap.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -70,7 +68,6 @@ from repro.oolong.ast import (
     Skip,
     VarCmd,
 )
-from repro.oolong.pretty import pretty_decl
 from repro.oolong.program import Scope
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.diagnostics import Diagnostic, Note
@@ -638,61 +635,6 @@ def compute_summaries(
             if not graph.is_recursive(component):
                 break  # no member reads its own summary: one pass is final
     return summaries
-
-
-# ---------------------------------------------------------------------------
-# Interface hashes (for incremental checking)
-# ---------------------------------------------------------------------------
-
-
-def interface_hashes(
-    scope: Scope, summaries: Optional[Dict[str, EffectSummary]] = None
-) -> Dict[str, str]:
-    """A stable per-declaration digest of everything a *caller* can
-    observe: the pretty-printed declaration, its place in the inclusion
-    relation, and (for procedures) the computed effect summary. Two
-    scopes agreeing on a declaration's hash can reuse verdicts that only
-    depend on that declaration's interface."""
-    if summaries is None:
-        summaries = compute_summaries(scope)
-    lattice = scope_lattice(scope)
-    hashes: Dict[str, str] = {}
-
-    def digest(*parts: str) -> str:
-        payload = "\x00".join(parts).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-    for name, decl in scope.groups.items():
-        hashes[name] = digest(
-            "group", pretty_decl(decl), *sorted(lattice.downward(name))
-        )
-    for name, decl in scope.fields.items():
-        reps = [f"{g}->{m}" for g, m in sorted(scope.rep_pairs(name))]
-        hashes[name] = digest(
-            "field",
-            pretty_decl(decl),
-            *(sorted(scope.enclosing_groups(name)) + reps),
-        )
-    for name, decl in scope.procs.items():
-        summary = summaries.get(name, EffectSummary(opaque=True))
-        hashes[name] = digest(
-            "proc",
-            pretty_decl(decl),
-            "opaque" if summary.opaque else "exact",
-            *summary.render(),
-        )
-    return hashes
-
-
-def scope_interface_hash(
-    scope: Scope, summaries: Optional[Dict[str, EffectSummary]] = None
-) -> str:
-    """One digest for the whole scope's interface."""
-    hashes = interface_hashes(scope, summaries)
-    payload = "\x00".join(
-        f"{name}={value}" for name, value in sorted(hashes.items())
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

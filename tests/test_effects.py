@@ -13,9 +13,7 @@ Covers the static-discharge PR's analysis layer:
 * cyclic rep inclusions (``field next maps g into g``) terminate and
   agree with the runtime inclusion monitor;
 * SCC condensation order, self/mutual recursion, and missing (opaque)
-  implementations in the summary fixpoint;
-* per-declaration interface hashes: stable across recomputation,
-  sensitive to interface changes.
+  implementations in the summary fixpoint.
 """
 
 import glob
@@ -29,8 +27,6 @@ from repro.analysis.effects import (
     compute_summaries,
     discharge_scope,
     enumerate_obligations,
-    interface_hashes,
-    scope_interface_hash,
 )
 from repro.analysis.inclusion import InclusionLattice
 from repro.analysis.modifies import covers
@@ -388,40 +384,3 @@ class TestSummaries:
         scope = Scope.from_source(OPAQUE_CALLEE)
         result = discharge_scope(scope, mode="strict")
         assert result.outcome_of("driver", 0) is not Outcome.STATIC_VALID
-
-
-# ----------------------------------------------------------------------
-# Interface hashes
-# ----------------------------------------------------------------------
-
-
-class TestInterfaceHashes:
-    SOURCE = """
-group g
-field f in g
-proc bump(o) modifies o.g
-impl bump(o) {
-  assume o != null ;
-  o.f := 1
-}
-"""
-
-    def test_stable_across_recomputation(self):
-        scope = desugar_contracts(Scope.from_source(self.SOURCE))
-        graph = CallGraph(scope)
-        first = interface_hashes(scope, compute_summaries(scope, graph))
-        second = interface_hashes(scope, compute_summaries(scope, graph))
-        assert first == second
-        assert scope_interface_hash(scope) == scope_interface_hash(scope)
-
-    def test_sensitive_to_interface_change(self):
-        base = desugar_contracts(Scope.from_source(self.SOURCE))
-        widened = desugar_contracts(
-            Scope.from_source(self.SOURCE.replace("field f in g", "field f"))
-        )
-        h1 = interface_hashes(base, compute_summaries(base, CallGraph(base)))
-        h2 = interface_hashes(
-            widened, compute_summaries(widened, CallGraph(widened))
-        )
-        assert h1["f"] != h2["f"]
-        assert scope_interface_hash(base) != scope_interface_hash(widened)
