@@ -1,12 +1,13 @@
 """Interprocedural effect summaries and static frame-obligation discharge.
 
-The prover's front door. Before any VC is generated, this pass walks
-every implementation and classifies each of its proof obligations — the
-same five obligation sites :mod:`repro.vcgen.wlp` registers, enumerated
-in the same order with the same descriptions — by pure lattice reasoning
-over the scope's inclusion relation (:class:`~repro.analysis.inclusion.
-InclusionLattice`) and the access-path dataflow of
-:mod:`repro.analysis.modifies`:
+The prover's front door. Before any VC is generated, this pass
+classifies each proof obligation of every implementation — the entries
+of its site list (:attr:`repro.analysis.facts.ImplFacts.sites`), which
+carry the obligations :mod:`repro.vcgen.wlp` registers, in the same
+order with the same descriptions — by pure lattice reasoning over the
+scope's inclusion relation (:class:`~repro.analysis.inclusion.
+InclusionLattice`) and the objects each site writes through, from the
+access-path dataflow of :mod:`repro.analysis.modifies`:
 
 * ``STATIC_VALID`` — every value the written object may denote is either
   definitely fresh (``¬alive($0)`` holds) or an entry access path whose
@@ -34,10 +35,12 @@ On top of the per-obligation classification the module computes
 SCC-condensed **interprocedural effect summaries** (each procedure's
 transitive, downward-closed write effect, a fixpoint over
 :meth:`~repro.analysis.callgraph.CallGraph.sccs` that is sound for self
-and mutual recursion). Summaries degrade to *opaque* — and strict
-mode then refuses to discharge — whenever a write cannot be named: a
-callee without implementations, an unknown actual, or an access path
-beyond the widening cap.
+and mutual recursion), from the same write sites. Summaries degrade to
+*opaque* — and strict mode then refuses to discharge — whenever a write
+cannot be named: a callee without implementations, an unknown actual,
+or an access path beyond the widening cap. Only strict mode reads them,
+so they are computed on first read of
+:attr:`DischargeResult.summaries`.
 """
 
 from __future__ import annotations
@@ -46,17 +49,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import VerificationError
 from repro.oolong.ast import (
-    Assert,
     Assign,
     AssignNew,
     Assume,
     BinOp,
     BoolConst,
     Call,
-    Choice,
-    Cmd,
     Designator,
     Expr,
     FieldAccess,
@@ -64,15 +63,13 @@ from repro.oolong.ast import (
     ImplDecl,
     NullConst,
     ProcDecl,
-    Seq,
-    Skip,
-    VarCmd,
 )
 from repro.oolong.program import Scope
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.diagnostics import Diagnostic, Note
 from repro.analysis.facts import (
     ImplFacts,
+    Site,
     impl_facts,
     scope_call_graph,
     scope_lattice,
@@ -97,149 +94,6 @@ class Outcome(enum.Enum):
     STATIC_VALID = "static-valid"
     STATIC_VIOLATION = "static-violation"
     UNKNOWN = "unknown"
-
-
-# ---------------------------------------------------------------------------
-# Obligation enumeration (the static mirror of wlp registration)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Site:
-    """One obligation plus the AST context needed to classify it."""
-
-    info: ObligationInfo
-    node: Cmd
-    #: For call obligations: the callee declaration …
-    callee: Optional[ProcDecl] = None
-    #: … and the modifies-list entry being licensed (call-licence only).
-    designator: Optional[Designator] = None
-
-
-def _obligation_sites(
-    scope: Scope, proc: ProcDecl, impl: ImplDecl
-) -> List[_Site]:
-    """Enumerate ``impl``'s obligations in wlp registration order.
-
-    Must mirror :func:`repro.vcgen.wlp.wlp` exactly — same order, same
-    kinds, same description strings — because ``--check-discharge``
-    compares classifications against prover verdicts obligation by
-    obligation. wlp registers while building the formula backwards, so a
-    ``Seq`` registers its *second* command's obligations first.
-    """
-    sites: List[_Site] = []
-    self_modifies = tuple(str(d) for d in proc.modifies)
-
-    def add(kind: str, description: str, node: Cmd, **details) -> _Site:
-        info = ObligationInfo(len(sites), kind, description, **details)
-        site = _Site(info=info, node=node)
-        sites.append(site)
-        return site
-
-    def emit(cmd: Cmd) -> None:
-        """Register the obligations of one atomic command."""
-        if isinstance(cmd, (Assume, Skip)):
-            return
-        if isinstance(cmd, Assert):
-            where = f"assert {cmd.condition}" + (
-                f" at {cmd.position}" if cmd.position else ""
-            )
-            add(
-                "assert",
-                where,
-                cmd,
-                position=cmd.position,
-                target=str(cmd.condition),
-            )
-            return
-        if isinstance(cmd, Assign):
-            if isinstance(cmd.target, FieldAccess):
-                add(
-                    "write-licence",
-                    f"write to {cmd.target}"
-                    + (f" at {cmd.position}" if cmd.position else ""),
-                    cmd,
-                    position=cmd.position,
-                    target=str(cmd.target),
-                    attr=cmd.target.attr,
-                    modifies=self_modifies,
-                )
-            return
-        if isinstance(cmd, AssignNew):
-            if isinstance(cmd.target, FieldAccess):
-                add(
-                    "write-licence",
-                    f"allocation into {cmd.target}"
-                    + (f" at {cmd.position}" if cmd.position else ""),
-                    cmd,
-                    position=cmd.position,
-                    target=str(cmd.target),
-                    attr=cmd.target.attr,
-                    modifies=self_modifies,
-                )
-            return
-        if isinstance(cmd, Call):
-            callee = scope.proc(cmd.proc)
-            if callee is None:
-                raise VerificationError(
-                    f"call to undeclared procedure {cmd.proc!r}"
-                )
-            where = f"call {cmd.proc}" + (
-                f" at {cmd.position}" if cmd.position else ""
-            )
-            for designator in callee.modifies:
-                site = add(
-                    "call-licence",
-                    f"{where}: callee may modify {designator}",
-                    cmd,
-                    position=cmd.position,
-                    target=str(designator),
-                    attr=designator.attr,
-                    modifies=self_modifies,
-                    callee=cmd.proc,
-                )
-                site.callee = callee
-                site.designator = designator
-            if callee.modifies:
-                for index, arg in enumerate(cmd.args):
-                    site = add(
-                        "owner-exclusion",
-                        f"{where}: argument #{index + 1} ({arg})",
-                        cmd,
-                        position=cmd.position,
-                        target=str(arg),
-                        modifies=tuple(str(d) for d in callee.modifies),
-                        callee=cmd.proc,
-                        arg_index=index + 1,
-                    )
-                    site.callee = callee
-            return
-        raise VerificationError(f"cannot enumerate obligations for {cmd!r}")
-
-    # Depth-first with an explicit stack, children pushed in reverse of
-    # wlp's order: a Seq's second command first, a Choice's left arm
-    # first. (A self-recursive closure would keep the scope in a
-    # reference cycle after the call.)
-    stack = [impl.body]
-    while stack:
-        cmd = stack.pop()
-        if isinstance(cmd, VarCmd):
-            stack.append(cmd.body)
-        elif isinstance(cmd, Seq):
-            stack.extend((cmd.first, cmd.second))
-        elif isinstance(cmd, Choice):
-            stack.extend((cmd.right, cmd.left))
-        else:
-            emit(cmd)
-    return sites
-
-
-def enumerate_obligations(
-    scope: Scope, proc: ProcDecl, impl: ImplDecl
-) -> List[ObligationInfo]:
-    """The obligations wlp would register for ``impl``, without building
-    a single formula."""
-    return [site.info for site in _obligation_sites(scope, proc, impl)]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +279,6 @@ def _discharge_impl(
     impl: ImplDecl,
     index: int,
 ) -> ImplDischarge:
-    sites = _obligation_sites(scope, proc, impl)
     facts = impl_facts(scope, impl)
     unstable = _unstable_fields(scope, lattice, facts)
     refutation_safe = _only_trivial_assumes(facts) and not _reassigns_formal(
@@ -434,14 +287,12 @@ def _discharge_impl(
     has_pivots = bool(scope.all_rep_triples())
     frame = tuple(proc.modifies)
 
-    decisions: List[ObligationDecision] = []
-    for site in sites:
-        decisions.append(
-            _classify_site(
-                site, facts, lattice, frame, unstable,
-                refutation_safe, has_pivots,
-            )
+    decisions = [
+        _classify_site(
+            site, lattice, frame, unstable, refutation_safe, has_pivots
         )
+        for site in facts.sites
+    ]
 
     blame = next(
         (d for d in decisions if d.outcome is Outcome.STATIC_VIOLATION), None
@@ -462,8 +313,7 @@ def _discharge_impl(
 
 
 def _classify_site(
-    site: _Site,
-    facts: ImplFacts,
+    site: Site,
     lattice: InclusionLattice,
     frame: Tuple[Designator, ...],
     unstable: FrozenSet[str],
@@ -471,10 +321,9 @@ def _classify_site(
     has_pivots: bool,
 ) -> ObligationDecision:
     info = site.info
-    node = site.node
     if info.kind == "assert":
-        assert isinstance(node, Assert)
-        if isinstance(node.condition, BoolConst) and node.condition.value:
+        condition = site.node.condition
+        if isinstance(condition, BoolConst) and condition.value:
             return ObligationDecision(info, Outcome.STATIC_VALID, frame=frame)
         return ObligationDecision(
             info, Outcome.UNKNOWN, frame=frame, reason="non-trivial assert"
@@ -487,45 +336,21 @@ def _classify_site(
         return ObligationDecision(
             info, Outcome.UNKNOWN, frame=frame, reason="scope has pivots"
         )
-    state = facts.state_at(node)
-    if state is None:
+    if site.state is None:
         return ObligationDecision(
             info, Outcome.UNKNOWN, frame=frame, reason="no dataflow state"
         )
-    if info.kind == "write-licence":
-        assert isinstance(node, (Assign, AssignNew))
-        assert isinstance(node.target, FieldAccess)
-        values = eval_expr(node.target.obj, state)
-        outcome, required, reason = _classify_mod(
-            values, node.target.attr, frame, lattice, unstable,
-            refutation_safe,
+    if site.values is None:
+        return ObligationDecision(
+            info, Outcome.UNKNOWN, frame=frame, reason="unbound root"
         )
-        return ObligationDecision(info, outcome, required, frame, reason)
-    if info.kind == "call-licence":
-        assert isinstance(node, Call)
-        callee = site.callee
-        designator = site.designator
-        actuals = dict(zip(callee.params, node.args))
-        actual = actuals.get(designator.root)
-        if actual is None:
-            return ObligationDecision(
-                info, Outcome.UNKNOWN, frame=frame, reason="unbound root"
-            )
-        # The licence is on the *owner* the callee's designator denotes:
-        # the actual extended by the designator's pivot path, evaluated
-        # at the call site.
-        owner: Expr = actual
-        for field_name in designator.path:
-            owner = FieldAccess(owner, field_name)
-        values = eval_expr(owner, state)
-        outcome, required, reason = _classify_mod(
-            values, designator.attr, frame, lattice, unstable,
-            refutation_safe,
-        )
-        return ObligationDecision(info, outcome, required, frame, reason)
-    return ObligationDecision(
-        info, Outcome.UNKNOWN, frame=frame, reason=f"kind {info.kind!r}"
+    # A write or call licence: mod(X·A, w, $0) over the objects X the
+    # site writes through (for a call, the owner the callee's designator
+    # denotes at the call site).
+    outcome, required, reason = _classify_mod(
+        site.values, info.attr, frame, lattice, unstable, refutation_safe
     )
+    return ObligationDecision(info, outcome, required, frame, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +395,20 @@ def _impl_effect(
             return
         writes.add(Designator(value.root, path, attr))
 
+    for site in facts.sites:
+        if site.info.kind != "write-licence":
+            continue
+        if site.state is None:
+            opaque = True
+            continue
+        for value in site.values:
+            record(value, (), site.info.attr)
+    # A call writes what its callee's summary says, not what its declared
+    # frame (the call licences) says, and a call whose callee modifies
+    # nothing has no site: calls come from the command walk.
     for cmd in facts.commands:
-        state = facts.state_at(cmd)
-        if isinstance(cmd, (Assign, AssignNew)) and isinstance(
-            cmd.target, FieldAccess
-        ):
-            if state is None:
-                opaque = True
-                continue
-            for value in eval_expr(cmd.target.obj, state):
-                record(value, (), cmd.target.attr)
-        elif isinstance(cmd, Call):
+        if isinstance(cmd, Call):
+            state = facts.state_at(cmd)
             callee = scope.proc(cmd.proc)
             summary = summaries.get(cmd.proc)
             if callee is None or summary is None or state is None:
@@ -649,9 +477,19 @@ class DischargeResult:
     mode: str
     scope: Scope
     impls: Dict[Tuple[str, int], ImplDischarge]
-    summaries: Dict[str, EffectSummary]
     lattice: InclusionLattice
     diagnostics: List[Diagnostic] = field(default_factory=list)
+    _summaries: Optional[Dict[str, EffectSummary]] = field(
+        default=None, repr=False
+    )
+
+    @property
+    def summaries(self) -> Dict[str, EffectSummary]:
+        """Every procedure's effect summary, computed on first read (only
+        strict mode needs them to decide)."""
+        if self._summaries is None:
+            self._summaries = compute_summaries(self.scope)
+        return self._summaries
 
     def outcome_of(self, proc_name: str, index: int) -> Outcome:
         entry = self.impls.get((proc_name, index))
@@ -764,10 +602,7 @@ def discharge_scope(scope: Scope, mode: str = "on") -> DischargeResult:
     if mode not in ("on", "strict"):
         raise ValueError(f"unknown discharge mode {mode!r}")
     lattice = scope_lattice(scope)
-    summaries = compute_summaries(scope, scope_call_graph(scope))
-    result = DischargeResult(
-        mode=mode, scope=scope, impls={}, summaries=summaries, lattice=lattice
-    )
+    result = DischargeResult(mode=mode, scope=scope, impls={}, lattice=lattice)
     for proc_name, impls in scope.impls.items():
         proc = scope.proc(proc_name)
         for index, impl in enumerate(impls):
@@ -791,7 +626,7 @@ def discharge_scope(scope: Scope, mode: str = "on") -> DischargeResult:
                     )
             if mode == "strict" and entry.outcome is Outcome.STATIC_VALID:
                 reason = _strict_block_reason(
-                    scope, lattice, summaries, proc, impl
+                    lattice, result.summaries, proc
                 )
                 if reason is not None:
                     entry.outcome = Outcome.UNKNOWN
@@ -813,11 +648,9 @@ def discharge_scope(scope: Scope, mode: str = "on") -> DischargeResult:
 
 
 def _strict_block_reason(
-    scope: Scope,
     lattice: InclusionLattice,
     summaries: Dict[str, EffectSummary],
     proc: ProcDecl,
-    impl: ImplDecl,
 ) -> Optional[str]:
     """Strict mode: a discharged implementation must also have an exact
     effect summary contained in its declared frame."""

@@ -9,9 +9,18 @@ and access paths are fixed by its body. So lint
 
 * per scope, one :class:`~repro.analysis.inclusion.InclusionLattice`
   and one :class:`~repro.analysis.callgraph.CallGraph`;
-* per implementation, one command walk, one CFG and one access-path
-  fixpoint (:class:`ImplFacts`), keyed by the implementation object the
-  scope holds.
+* per implementation, one command walk, one CFG, one access-path
+  fixpoint and one list of obligation sites (:class:`ImplFacts`), keyed
+  by the implementation object the scope holds.
+
+The site list is the checker's one enumeration of where side effects
+are checked: every obligation wlp registers (the Figure 2 write licence,
+Figure 3's call licence and owner exclusion, and asserts), in wlp's
+registration order, each with the access-path state before it and the
+abstract objects it writes through. Lint's OL301/OL302, static
+discharge's classification, ``--check-discharge``'s obligation-by-
+obligation comparison and the effect summaries all read it; each keeps
+its own predicate over it.
 
 The cache lives on the scope (``Scope.analysis_facts``), like the
 prover's prepared background: it is filled lazily, is process-local,
@@ -22,12 +31,28 @@ are the ways in.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
-from repro.oolong.ast import Choice, Cmd, ImplDecl, Seq, VarCmd
+from repro.errors import VerificationError
+from repro.oolong.ast import (
+    Assign,
+    AssignNew,
+    Call,
+    Choice,
+    Cmd,
+    Expr,
+    FieldAccess,
+    ImplDecl,
+    ProcDecl,
+    Seq,
+    VarCmd,
+)
 from repro.oolong.program import Scope
 from repro.analysis.cfg import CFG, Statement, build_cfg
 from repro.analysis.dataflow import run_forward, statement_states
+
+if TYPE_CHECKING:
+    from repro.vcgen.wlp import ObligationInfo
 
 
 def _walk_commands(cmd: Cmd, out: list) -> None:
@@ -42,17 +67,40 @@ def _walk_commands(cmd: Cmd, out: list) -> None:
         _walk_commands(cmd.body, out)
 
 
-class ImplFacts:
-    """One implementation's command walk, CFG and access-path fixpoint,
-    each built on first use."""
+class Site(NamedTuple):
+    """One proof obligation at the command that raises it."""
 
-    def __init__(self, impl: ImplDecl):
+    node: Cmd
+    info: "ObligationInfo"
+    #: The joined access-path state before ``node``; None where the
+    #: dataflow does not reach it.
+    state: object
+    #: The abstract objects the site writes through: the target's object
+    #: for a write licence, the owner of the callee's designator (the
+    #: actual extended by the designator's path) for a call licence.
+    #: None when the designator's root is bound to no argument; empty for
+    #: other kinds and where ``state`` is None.
+    values: Optional[FrozenSet[object]]
+
+
+class ImplFacts:
+    """One implementation's command walk, CFG, access-path fixpoint and
+    obligation sites, each built on first use.
+
+    ``procs`` is the scope's procedure table, which the sites read the
+    frames of (the table, not the scope, so the facts hold no reference
+    back to the scope).
+    """
+
+    def __init__(self, impl: ImplDecl, procs: Dict[str, ProcDecl]):
         self.impl = impl
+        self._procs = procs
         self._commands: Optional[Tuple[Cmd, ...]] = None
         self._cfg: Optional[CFG] = None
         self._analysis = None
         self._path_states = None
         self._node_states = None
+        self._sites: Optional[Tuple[Site, ...]] = None
 
     @property
     def commands(self) -> Tuple[Cmd, ...]:
@@ -113,13 +161,90 @@ class ImplFacts:
             self._node_states = states
         return self._node_states.get(id(node))
 
+    @property
+    def sites(self) -> Tuple[Site, ...]:
+        """Every obligation of the body in wlp's registration order (see
+        :func:`repro.vcgen.wlp.command_obligations`)."""
+        if self._sites is None:
+            self._sites = self._build_sites()
+        return self._sites
+
+    def _build_sites(self) -> Tuple[Site, ...]:
+        from repro.vcgen.wlp import command_obligations
+
+        proc = self._procs.get(self.impl.name)
+        frame = tuple(str(d) for d in proc.modifies) if proc else ()
+        sites: list = []
+        # wlp builds backwards, so a Seq registers its second command
+        # first and a Choice its left arm first. Walk depth-first with an
+        # explicit stack, children pushed in reverse of that order.
+        stack = [self.impl.body]
+        while stack:
+            cmd = stack.pop()
+            if isinstance(cmd, VarCmd):
+                stack.append(cmd.body)
+                continue
+            if isinstance(cmd, Seq):
+                stack.extend((cmd.first, cmd.second))
+                continue
+            if isinstance(cmd, Choice):
+                stack.extend((cmd.right, cmd.left))
+                continue
+            callee = None
+            if isinstance(cmd, Call):
+                callee = self._procs.get(cmd.proc)
+                if callee is None:
+                    raise VerificationError(
+                        f"call to undeclared procedure {cmd.proc!r}"
+                    )
+            infos = command_obligations(cmd, len(sites), frame, callee)
+            if not infos:
+                continue
+            state = self.state_at(cmd)
+            if isinstance(cmd, Call):
+                actuals = dict(zip(callee.params, cmd.args))
+                written = [
+                    _owner_values(actuals.get(d.root), d.path, state)
+                    for d in callee.modifies
+                ]
+            elif isinstance(cmd, (Assign, AssignNew)):
+                written = [_owner_values(cmd.target.obj, (), state)]
+            else:
+                written = []
+            for index, info in enumerate(infos):
+                values = written[index] if index < len(written) else _NO_VALUES
+                sites.append(Site(cmd, info, state, values))
+        return tuple(sites)
+
+
+_NO_VALUES: FrozenSet[object] = frozenset()
+
+
+def _owner_values(
+    actual: Optional[Expr], path: Tuple[str, ...], state
+) -> Optional[FrozenSet[object]]:
+    """The abstract objects ``actual.path`` may denote in ``state``; each
+    step of the path applies the must-fresh check of ``eval_expr``."""
+    from repro.analysis.modifies import eval_expr
+
+    if actual is None:
+        return None
+    if state is None:
+        return _NO_VALUES
+    owner = actual
+    for field_name in path:
+        owner = FieldAccess(owner, field_name)
+    return eval_expr(owner, state)
+
 
 class ScopeFacts:
     """The analysis cache of one scope. Nothing in it refers back to the
     scope, so the scope and its cache form no reference cycle and are
     freed together the moment the scope is dropped."""
 
-    def __init__(self):
+    def __init__(self, procs: Dict[str, ProcDecl]):
+        #: The scope's procedure table, which :class:`ImplFacts` reads.
+        self.procs = procs
         self.lattice = None
         self.call_graph = None
         #: ``id(impl)`` -> facts; each entry holds ``impl`` itself, so the
@@ -130,7 +255,7 @@ class ScopeFacts:
 def _cache(scope: Scope) -> ScopeFacts:
     facts = scope.analysis_facts
     if facts is None:
-        facts = ScopeFacts()
+        facts = ScopeFacts(scope.procs)
         scope.analysis_facts = facts
     return facts
 
@@ -158,9 +283,9 @@ def scope_call_graph(scope: Scope):
 
 def impl_facts(scope: Scope, impl: ImplDecl) -> ImplFacts:
     """The one :class:`ImplFacts` of ``impl`` in ``scope``."""
-    impls = _cache(scope).impls
-    facts = impls.get(id(impl))
+    cache = _cache(scope)
+    facts = cache.impls.get(id(impl))
     if facts is None or facts.impl is not impl:
-        facts = ImplFacts(impl)
-        impls[id(impl)] = facts
+        facts = ImplFacts(impl, cache.procs)
+        cache.impls[id(impl)] = facts
     return facts

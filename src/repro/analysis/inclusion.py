@@ -9,7 +9,7 @@ lattice once per scope and is the checker's only decision procedure for
 that relation: the scope's analysis cache (:mod:`repro.analysis.facts`)
 holds one lattice that modifies inference (``OL301``/``OL302``, and
 :func:`repro.analysis.modifies.covers`, a one-line call into it), the
-discharge pass (:mod:`repro.analysis.effects`) and the interface hashes
+discharge pass and the effect summaries (:mod:`repro.analysis.effects`)
 all query. Subsumption queries take near-constant time, and static
 ``inc`` reachability is enumerated without touching a store.
 

@@ -15,6 +15,14 @@ CFG. The state has two components:
   needs no licence. Must-facts join by intersection and are killed
   conservatively by any write that could redirect the path and by calls.
 
+The requirements are read off the implementation's obligation-site list
+(:attr:`repro.analysis.facts.ImplFacts.sites`), which evaluates every
+write target, and every callee designator's owner (the actual extended
+by the designator's path, each step checked against the must-fresh
+set), in these states once for lint and static discharge alike. Each
+access path a written object may be named by is one requirement; fresh
+and unknown objects need none.
+
 The inferred requirements are compared against the declared modifies list
 using the paper's licence semantics — local inclusions (``group ≽ attr``)
 plus rep inclusions through pivot fields (``g —p→ x``), decided by the
@@ -32,10 +40,10 @@ kinds of diagnostics come out:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import SourcePosition
-from repro.oolong.ast import Call, Designator, Expr, FieldAccess, Id, ImplDecl
+from repro.oolong.ast import Designator, Expr, FieldAccess, Id, ImplDecl
 from repro.oolong.program import Scope
 from repro.analysis.cfg import ASSIGN, ASSIGN_NEW, CALL, VAR_ENTER, VAR_EXIT, Statement
 from repro.analysis.dataflow import ForwardAnalysis
@@ -184,54 +192,6 @@ class AccessPathAnalysis(ForwardAnalysis):
     def _kill_field(fresh: FrozenSet[PathVal], field_name: str) -> FrozenSet[PathVal]:
         return frozenset(p for p in fresh if field_name not in p.path)
 
-    # -- requirement extraction ---------------------------------------------
-
-    def requirements_of(
-        self, scope: Scope, stmt: Statement, state: PointsToState
-    ) -> List[Requirement]:
-        """The licences ``stmt`` demands, given the current points-to state."""
-        node = stmt.node
-        requirements: List[Requirement] = []
-        if stmt.kind in (ASSIGN, ASSIGN_NEW) and isinstance(
-            node.target, FieldAccess
-        ):
-            for value in eval_expr(node.target.obj, state):
-                if isinstance(value, PathVal):
-                    requirements.append(
-                        Requirement(
-                            Designator(value.root, value.path, node.target.attr),
-                            reason=f"write to {node.target}",
-                            position=node.position,
-                        )
-                    )
-        elif stmt.kind == CALL:
-            assert isinstance(node, Call)
-            proc = scope.proc(node.proc)
-            if proc is None:
-                return requirements
-            actuals = dict(zip(proc.params, node.args))
-            for designator in proc.modifies:
-                actual = actuals.get(designator.root)
-                if actual is None:
-                    continue
-                for value in eval_expr(actual, state):
-                    if isinstance(value, PathVal):
-                        requirements.append(
-                            Requirement(
-                                Designator(
-                                    value.root,
-                                    value.path + designator.path,
-                                    designator.attr,
-                                ),
-                                reason=(
-                                    f"call to {node.proc} (modifies "
-                                    f"{designator})"
-                                ),
-                                position=node.position,
-                            )
-                        )
-        return requirements
-
 
 # ---------------------------------------------------------------------------
 # Licence coverage (the static mirror of semantics.inclusion)
@@ -260,14 +220,25 @@ class ModifiesInference:
     diagnostics: List[Diagnostic]
 
 
-def impl_requirements(scope: Scope, impl: ImplDecl) -> List[Requirement]:
-    """All licences ``impl`` needs, via the access-path dataflow (the
-    scope's one fixpoint of ``impl``, read in reverse postorder)."""
-    facts = impl_facts(scope, impl)
-    requirements: List[Requirement] = []
-    for stmt, state in facts.path_states:
-        requirements.extend(facts.analysis.requirements_of(scope, stmt, state))
-    return requirements
+def _requirements(scope: Scope, impl: ImplDecl) -> Iterator[Requirement]:
+    """The licences ``impl``'s write and call sites need: one per access
+    path the written object may be named by. Writes into fresh objects,
+    and through values the analysis cannot name, need none."""
+    for site in impl_facts(scope, impl).sites:
+        info = site.info
+        if info.kind == "write-licence":
+            reason = f"write to {info.target}"
+        elif info.kind == "call-licence":
+            reason = f"call to {info.callee} (modifies {info.target})"
+        else:
+            continue
+        for value in site.values or ():
+            if isinstance(value, PathVal):
+                yield Requirement(
+                    Designator(value.root, value.path, info.attr),
+                    reason,
+                    info.position,
+                )
 
 
 def infer_modifies(scope: Scope) -> ModifiesInference:
@@ -283,7 +254,7 @@ def infer_modifies(scope: Scope) -> ModifiesInference:
             continue  # undeclared; well-formedness reports it
         collected: List[Requirement] = []
         for impl in impls:
-            impl_reqs = impl_requirements(scope, impl)
+            impl_reqs = list(_requirements(scope, impl))
             collected.extend(impl_reqs)
             for requirement in impl_reqs:
                 if not lattice.covered_by_frame(

@@ -25,11 +25,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VerificationError
 from repro.logic.terms import (
+    OBLIGATION_MARKER,
+    And,
     App,
     Eq,
     Forall,
     Formula,
     Implies,
+    IntLit,
+    Pred,
     Term,
     TrueF,
     Var,
@@ -76,9 +80,6 @@ from repro.vcgen.vocab import (
     succ,
     upd,
 )
-
-
-from repro.logic.terms import OBLIGATION_MARKER
 
 
 @dataclass(frozen=True)
@@ -159,27 +160,110 @@ class WlpContext:
     def self_env(self) -> Dict[str, Term]:
         return {p: self.ctx.env[p] for p in self.proc.params}
 
-    def obligation(
-        self, kind: str, description: str, formula: Formula, **details
-    ) -> Formula:
-        """Tag ``formula`` as a numbered proof obligation.
-
-        ``details`` are the structured :class:`ObligationInfo` fields
-        (``position``, ``target``, ``attr``, ``modifies``, ``callee``,
-        ``arg_index``) consumed by the explanation layer.
-        """
-        from repro.logic.terms import IntLit, Pred
-
-        from repro.logic.terms import And
-
-        ident = len(self.obligations)
-        self.obligations.append(
-            ObligationInfo(ident, kind, description, **details)
+    def register(
+        self, cmd: Cmd, callee: Optional[ProcDecl] = None
+    ) -> List[ObligationInfo]:
+        """Register the obligations of the atomic command ``cmd``."""
+        infos = command_obligations(
+            cmd,
+            len(self.obligations),
+            tuple(str(d) for d in self.self_modifies),
+            callee,
+            self.owner_exclusion,
         )
-        marker = Pred(OBLIGATION_MARKER, (IntLit(ident),))
-        # A raw And, not conj(): folding must not absorb the marker when
-        # the obligation is literally false (e.g. `assert false`).
-        return And((marker, formula))
+        self.obligations.extend(infos)
+        return infos
+
+
+def command_obligations(
+    cmd: Cmd,
+    ident: int,
+    modifies: Tuple[str, ...],
+    callee: Optional[ProcDecl] = None,
+    owner_exclusion: bool = True,
+) -> List[ObligationInfo]:
+    """The obligations wlp registers for the atomic command ``cmd``, in
+    registration order and numbered from ``ident``.
+
+    ``modifies`` is the checked procedure's declared frame as source text
+    and ``callee`` the procedure a :class:`Call` invokes. This is the one
+    place an obligation's kind, description and details are made: wlp
+    tags its formulas with them, and the static analyses' site list
+    (:attr:`repro.analysis.facts.ImplFacts.sites`) carries the same
+    records.
+    """
+    if isinstance(cmd, (Assign, AssignNew)):
+        if not isinstance(cmd.target, FieldAccess):
+            return []
+        verb = "write to" if isinstance(cmd, Assign) else "allocation into"
+        return [
+            ObligationInfo(
+                ident,
+                "write-licence",
+                f"{verb} {cmd.target}{_at(cmd)}",
+                position=cmd.position,
+                target=str(cmd.target),
+                attr=cmd.target.attr,
+                modifies=modifies,
+            )
+        ]
+    if isinstance(cmd, Assert):
+        return [
+            ObligationInfo(
+                ident,
+                "assert",
+                f"assert {cmd.condition}{_at(cmd)}",
+                position=cmd.position,
+                target=str(cmd.condition),
+            )
+        ]
+    if not isinstance(cmd, Call):
+        return []
+    # Figure 3: a licence for every location the callee may modify, then
+    # owner exclusion for every actual (vacuous when the callee's
+    # modifies list is empty).
+    where = f"call {cmd.proc}{_at(cmd)}"
+    infos = [
+        ObligationInfo(
+            ident + index,
+            "call-licence",
+            f"{where}: callee may modify {designator}",
+            position=cmd.position,
+            target=str(designator),
+            attr=designator.attr,
+            modifies=modifies,
+            callee=cmd.proc,
+        )
+        for index, designator in enumerate(callee.modifies)
+    ]
+    if owner_exclusion and callee.modifies:
+        callee_modifies = tuple(str(d) for d in callee.modifies)
+        for index, arg in enumerate(cmd.args):
+            infos.append(
+                ObligationInfo(
+                    ident + len(infos),
+                    "owner-exclusion",
+                    f"{where}: argument #{index + 1} ({arg})",
+                    position=cmd.position,
+                    target=str(arg),
+                    modifies=callee_modifies,
+                    callee=cmd.proc,
+                    arg_index=index + 1,
+                )
+            )
+    return infos
+
+
+def _at(cmd: Cmd) -> str:
+    return f" at {cmd.position}" if cmd.position else ""
+
+
+def _tag(info: ObligationInfo, formula: Formula) -> Formula:
+    """Tag ``formula`` as the numbered proof obligation ``info``."""
+    marker = Pred(OBLIGATION_MARKER, (IntLit(info.ident),))
+    # A raw And, not conj(): folding must not absorb the marker when the
+    # obligation is literally false (e.g. `assert false`).
+    return And((marker, formula))
 
 
 def wlp(cmd: Cmd, post: Formula, wctx: WlpContext) -> Formula:
@@ -191,16 +275,8 @@ def wlp(cmd: Cmd, post: Formula, wctx: WlpContext) -> Formula:
     """
     store = store_var()
     if isinstance(cmd, Assert):
-        where = f"assert {cmd.condition}" + (
-            f" at {cmd.position}" if cmd.position else ""
-        )
-        tagged = wctx.obligation(
-            "assert",
-            where,
-            tr_formula(cmd.condition, store, wctx.ctx),
-            position=cmd.position,
-            target=str(cmd.condition),
-        )
+        (info,) = wctx.register(cmd)
+        tagged = _tag(info, tr_formula(cmd.condition, store, wctx.ctx))
         core = conj((tagged, post))
         return _guard((cmd.condition,), core, wctx)
     if isinstance(cmd, Assume):
@@ -252,14 +328,10 @@ def _wlp_assign(cmd: Assign, post: Formula, wctx: WlpContext) -> Formula:
     assert isinstance(cmd.target, FieldAccess)
     obj = tr_term(cmd.target.obj, store, wctx.ctx)
     attr = attr_const(cmd.target.attr)
-    licence = wctx.obligation(
-        "write-licence",
-        f"write to {cmd.target}" + (f" at {cmd.position}" if cmd.position else ""),
+    (info,) = wctx.register(cmd)
+    licence = _tag(
+        info,
         mod_formula(obj, attr, wctx.self_modifies, wctx.self_env, wctx.entry_store),
-        position=cmd.position,
-        target=str(cmd.target),
-        attr=cmd.target.attr,
-        modifies=tuple(str(d) for d in wctx.self_modifies),
     )
     updated = subst_formula(post, {"$": upd(store, obj, attr, rhs)})
     # Guard on the whole target: writing t.f dereferences t.
@@ -277,15 +349,10 @@ def _wlp_assign_new(cmd: AssignNew, post: Formula, wctx: WlpContext) -> Formula:
     assert isinstance(cmd.target, FieldAccess)
     obj = tr_term(cmd.target.obj, store, wctx.ctx)
     attr = attr_const(cmd.target.attr)
-    licence = wctx.obligation(
-        "write-licence",
-        f"allocation into {cmd.target}"
-        + (f" at {cmd.position}" if cmd.position else ""),
+    (info,) = wctx.register(cmd)
+    licence = _tag(
+        info,
         mod_formula(obj, attr, wctx.self_modifies, wctx.self_env, wctx.entry_store),
-        position=cmd.position,
-        target=str(cmd.target),
-        attr=cmd.target.attr,
-        modifies=tuple(str(d) for d in wctx.self_modifies),
     )
     updated = subst_formula(
         post, {"$": upd(succ(store), obj, attr, new(store))}
@@ -301,51 +368,30 @@ def _wlp_call(cmd: Call, post: Formula, wctx: WlpContext) -> Formula:
         raise VerificationError(f"call to undeclared procedure {cmd.proc!r}")
     actuals = [tr_term(arg, store, wctx.ctx) for arg in cmd.args]
     callee_env: Dict[str, Term] = dict(zip(callee.params, actuals))
-    conjuncts: List[Formula] = []
 
     # 1. Everything the callee may touch, the caller must be allowed to
     #    touch: mod(tr(E)·f, w, $0) for each E.f in ws.
-    where = f"call {cmd.proc}" + (f" at {cmd.position}" if cmd.position else "")
-    for designator in callee.modifies:
-        owner = tr_designator_prefix(designator, callee_env, store)
-        conjuncts.append(
-            wctx.obligation(
-                "call-licence",
-                f"{where}: callee may modify {designator}",
-                mod_formula(
-                    owner,
-                    attr_const(designator.attr),
-                    wctx.self_modifies,
-                    wctx.self_env,
-                    wctx.entry_store,
-                ),
-                position=cmd.position,
-                target=str(designator),
-                attr=designator.attr,
-                modifies=tuple(str(d) for d in wctx.self_modifies),
-                callee=cmd.proc,
-            )
+    formulas: List[Formula] = [
+        mod_formula(
+            tr_designator_prefix(designator, callee_env, store),
+            attr_const(designator.attr),
+            wctx.self_modifies,
+            wctx.self_env,
+            wctx.entry_store,
         )
-
+        for designator in callee.modifies
+    ]
     # 2. Owner exclusion for every actual parameter, in the current store.
     if wctx.owner_exclusion:
-        for index, actual in enumerate(actuals):
+        for actual in actuals:
             own = own_excl_formula(
                 actual, callee.modifies, callee_env, store, wctx.ctx.fresh
             )
             if not isinstance(own, TrueF):
-                conjuncts.append(
-                    wctx.obligation(
-                        "owner-exclusion",
-                        f"{where}: argument #{index + 1} ({cmd.args[index]})",
-                        own,
-                        position=cmd.position,
-                        target=str(cmd.args[index]),
-                        modifies=tuple(str(d) for d in callee.modifies),
-                        callee=cmd.proc,
-                        arg_index=index + 1,
-                    )
-                )
+                formulas.append(own)
+    infos = wctx.register(cmd, callee)
+    assert len(infos) == len(formulas)
+    conjuncts = [_tag(info, formula) for info, formula in zip(infos, formulas)]
 
     # 3. The frame: allocation grows monotonically and every surviving
     #    location is unchanged or covered by the callee's modifies list.

@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG
+from repro.analysis import effects
 from repro.analysis.effects import discharge_scope
 from repro.analysis.engine import lint_scope
 from repro.analysis.facts import (
@@ -76,6 +77,8 @@ def test_each_fact_is_derived_once_per_check(monkeypatch, impls):
     transfers = _count_calls(monkeypatch, AccessPathAnalysis, "transfer")
     graphs = _count_calls(monkeypatch, CallGraph, "__init__")
     lattices = _count_calls(monkeypatch, InclusionLattice, "__init__")
+    site_lists = _count_calls(monkeypatch, ImplFacts, "_build_sites")
+    summaries = _count_calls(monkeypatch, effects, "compute_summaries")
 
     report = check_program(source, static_discharge="on")
 
@@ -93,6 +96,24 @@ def test_each_fact_is_derived_once_per_check(monkeypatch, impls):
     assert len(transfers) == 2 * statements
     assert len(graphs) == 1
     assert len(lattices) == 1
+    # Lint and discharge read one site list per implementation, and
+    # nothing in "on" mode reads the effect summaries.
+    assert len(site_lists) == impls
+    assert summaries == []
+
+
+@pytest.mark.parametrize("impls", [10, 100])
+def test_strict_discharge_computes_summaries_once(monkeypatch, impls):
+    source = generate_impl_farm(impls, 4)
+    site_lists = _count_calls(monkeypatch, ImplFacts, "_build_sites")
+    summaries = _count_calls(monkeypatch, effects, "compute_summaries")
+
+    report = check_program(source, static_discharge="strict")
+
+    assert report.ok
+    assert report.discharge_summary["impls"]["static-valid"] == impls
+    assert len(summaries) == 1
+    assert len(site_lists) == impls
 
 
 class _NoWalk(tuple):
@@ -184,7 +205,7 @@ def test_state_at_joins_a_node_reused_in_two_places():
             Seq(Assign(Id("x"), FieldAccess(Id("t"), "b")), write),
         ),
     )
-    facts = ImplFacts(ImplDecl("p", ("t",), body))
+    facts = ImplFacts(ImplDecl("p", ("t",), body), {})
     state = facts.state_at(write)
     assert state.locals_map()["x"] == frozenset(
         {PathVal("t", ("a",)), PathVal("t", ("b",))}

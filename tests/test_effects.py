@@ -3,10 +3,10 @@ and ``repro.analysis.inclusion``).
 
 Covers the static-discharge PR's analysis layer:
 
-* the obligation enumerator is a faithful mirror of wlp — same
-  obligations, same order, same descriptions — on every example and on
-  the generator corpora (the soundness cornerstone: a misaligned index
-  would discharge the wrong obligation);
+* the obligation-site list the static analyses share registers the
+  same obligations as wlp — same order, same descriptions — on every
+  example and on the generator corpora (the soundness cornerstone: a
+  misaligned index would discharge the wrong obligation);
 * the precomputed inclusion lattice — the only ``covers`` decision
   procedure in the checker — decides ``covers`` exactly like the
   scanning procedure it replaced, kept here as the reference oracle;
@@ -26,8 +26,8 @@ from repro.analysis.effects import (
     Outcome,
     compute_summaries,
     discharge_scope,
-    enumerate_obligations,
 )
+from repro.analysis.facts import impl_facts
 from repro.analysis.inclusion import InclusionLattice
 from repro.analysis.modifies import covers
 from repro.corpus.generators import (
@@ -63,26 +63,25 @@ CORPUS = example_sources() + [
 
 
 # ----------------------------------------------------------------------
-# Obligation enumeration mirrors wlp
+# The site list's obligations mirror wlp
 # ----------------------------------------------------------------------
 
 
 class TestObligationMirror:
     @pytest.mark.parametrize("name,source", CORPUS)
     def test_same_obligations_same_order(self, name, source):
-        """For every implementation, the static enumerator must produce
-        the exact ObligationInfo sequence vcgen registers — idents,
-        kinds, descriptions, positions, everything."""
+        """For every implementation, the site list must carry the exact
+        ObligationInfo sequence vcgen registers — idents, kinds,
+        descriptions, positions, everything."""
         scope = desugar_contracts(Scope.from_source(source))
         checked = 0
         for impls in scope.impls.values():
             for impl in impls:
-                proc = scope.proc(impl.name)
                 bundle = vc_for_impl(scope, impl)
-                assert (
-                    enumerate_obligations(scope, proc, impl)
-                    == bundle.obligations
-                ), f"obligation mismatch for {impl.name} in {name}"
+                sites = impl_facts(scope, impl).sites
+                assert [site.info for site in sites] == bundle.obligations, (
+                    f"obligation mismatch for {impl.name} in {name}"
+                )
                 checked += 1
         assert checked, f"{name} has no implementations"
 

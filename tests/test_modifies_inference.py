@@ -1,10 +1,8 @@
 """Tests for modifies-list inference and licence coverage."""
 
-from repro.analysis.modifies import (
-    covers,
-    impl_requirements,
-    infer_modifies,
-)
+from repro.analysis.effects import Outcome, discharge_scope
+from repro.analysis.facts import impl_facts
+from repro.analysis.modifies import PathVal, covers, infer_modifies
 from repro.corpus.programs import (
     LINKED_LIST,
     RATIONAL,
@@ -12,6 +10,7 @@ from repro.corpus.programs import (
     SECTION5_FIRST,
     STACK_VECTOR,
 )
+from repro.api import check_program
 from repro.oolong.ast import Designator
 from repro.oolong.program import Scope
 
@@ -83,6 +82,26 @@ class TestMissingLicence:
         result = inference(source)
         assert result.diagnostics == []
 
+    def test_call_through_fresh_owner_needs_no_licence(self):
+        # q's licence s.a.b lands on the object in t.a, which p has just
+        # allocated: the prover verifies p and discharge finds it valid,
+        # so lint must not ask for t.a.b either.
+        source = """
+        group g
+        field a in g
+        field b
+        proc q(s) modifies s.a.b
+        proc p(t) modifies t.a
+        impl p(t) { assume t != null ; t.a := new() ; q(t) }
+        """
+        assert inference(source).diagnostics == []
+        report = check_program(source)
+        assert report.ok and [v.status.name for v in report.verdicts] == [
+            "VERIFIED"
+        ]
+        scope = Scope.from_source(source)
+        assert discharge_scope(scope).outcome_of("p", 0) is Outcome.STATIC_VALID
+
     def test_call_kills_freshness(self):
         source = """
         field c
@@ -142,11 +161,14 @@ class TestCovers:
     def test_requirements_extracted_per_impl(self):
         scope = self.scope()
         (impl,) = scope.impls_of("push")
-        reqs = impl_requirements(scope, impl)
-        required = {str_designator(r.designator) for r in reqs}
+        required = {
+            ".".join([value.root, *value.path, site.info.attr])
+            for site in impl_facts(scope, impl).sites
+            for value in site.values or ()
+            if isinstance(value, PathVal)
+        }
         assert required == {"s.vec", "s.vec.elems"}
-        assert all(r.position is not None for r in reqs)
-
-
-def str_designator(d):
-    return ".".join([d.root, *d.path, d.attr])
+        assert all(
+            site.info.position is not None
+            for site in impl_facts(scope, impl).sites
+        )
