@@ -71,11 +71,12 @@ from repro.analysis.facts import (
     ImplFacts,
     Site,
     impl_facts,
+    owner_values,
     scope_call_graph,
     scope_lattice,
 )
 from repro.analysis.inclusion import InclusionLattice
-from repro.analysis.modifies import FRESH, PathVal, eval_expr
+from repro.analysis.modifies import FRESH, PathVal
 from repro.vcgen.wlp import ObligationInfo
 
 #: Version of the discharge pass; folded into the parallel result-cache
@@ -382,18 +383,23 @@ def _impl_effect(
     writes = set()
     opaque = False
 
-    def record(value, path_suffix: Tuple[str, ...], attr: str) -> None:
+    def record(values, attr: str) -> None:
         nonlocal opaque
-        if value is FRESH:
-            return  # writes inside fresh objects are invisible at entry
-        if not isinstance(value, PathVal):
-            opaque = True
+        if values is None:
+            opaque = True  # the designator's root is bound to no argument
             return
-        path = value.path + path_suffix
-        if len(path) > MAX_SUMMARY_PATH:
-            opaque = True  # widen instead of diverging on recursion
-            return
-        writes.add(Designator(value.root, path, attr))
+        for value in values:
+            if value is FRESH:
+                continue  # writes inside fresh objects are invisible at entry
+            if (
+                isinstance(value, PathVal)
+                and len(value.path) <= MAX_SUMMARY_PATH
+            ):
+                writes.add(Designator(value.root, value.path, attr))
+            else:
+                # An object the analysis cannot name, or a path widened
+                # instead of diverging on recursion.
+                opaque = True
 
     for site in facts.sites:
         if site.info.kind != "write-licence":
@@ -401,11 +407,12 @@ def _impl_effect(
         if site.state is None:
             opaque = True
             continue
-        for value in site.values:
-            record(value, (), site.info.attr)
+        record(site.values, site.info.attr)
     # A call writes what its callee's summary says, not what its declared
     # frame (the call licences) says, and a call whose callee modifies
-    # nothing has no site: calls come from the command walk.
+    # nothing has no site: calls come from the command walk. Each write
+    # lands on the owner the summary's designator denotes at the call,
+    # evaluated as the call sites evaluate the declared ones.
     for cmd in facts.commands:
         if isinstance(cmd, Call):
             state = facts.state_at(cmd)
@@ -418,12 +425,12 @@ def _impl_effect(
                 opaque = True
             actuals = dict(zip(callee.params, cmd.args))
             for designator in summary.writes:
-                actual = actuals.get(designator.root)
-                if actual is None:
-                    opaque = True
-                    continue
-                for value in eval_expr(actual, state):
-                    record(value, designator.path, designator.attr)
+                record(
+                    owner_values(
+                        actuals.get(designator.root), designator.path, state
+                    ),
+                    designator.attr,
+                )
     return EffectSummary(frozenset(writes), opaque)
 
 

@@ -204,11 +204,11 @@ class ImplFacts:
             if isinstance(cmd, Call):
                 actuals = dict(zip(callee.params, cmd.args))
                 written = [
-                    _owner_values(actuals.get(d.root), d.path, state)
+                    owner_values(actuals.get(d.root), d.path, state)
                     for d in callee.modifies
                 ]
             elif isinstance(cmd, (Assign, AssignNew)):
-                written = [_owner_values(cmd.target.obj, (), state)]
+                written = [owner_values(cmd.target.obj, (), state)]
             else:
                 written = []
             for index, info in enumerate(infos):
@@ -220,7 +220,7 @@ class ImplFacts:
 _NO_VALUES: FrozenSet[object] = frozenset()
 
 
-def _owner_values(
+def owner_values(
     actual: Optional[Expr], path: Tuple[str, ...], state
 ) -> Optional[FrozenSet[object]]:
     """The abstract objects ``actual.path`` may denote in ``state``; each

@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.effects import (
+    EffectSummary,
     Outcome,
     compute_summaries,
     discharge_scope,
@@ -345,6 +346,20 @@ impl driver(o) {
 """
 
 
+FRESH_CARRIER = """
+group g
+field a
+field b
+proc q(s) modifies s.a.b
+impl q(s) { assume s != null ; assume s.a != null ; s.a.b := 1 }
+proc p(t) modifies t.a
+impl p(t) {
+  assume t != null ;
+  var n in n := new() ; n.a := t ; q(n) end
+}
+"""
+
+
 class TestSummaries:
     def test_self_recursion_reaches_fixpoint(self):
         scope = desugar_contracts(Scope.from_source(RECURSIVE))
@@ -371,6 +386,17 @@ class TestSummaries:
                     Outcome.STATIC_VALID,
                     Outcome.UNKNOWN,
                 ), (name, index, entry.reason)
+
+    def test_call_through_a_fresh_carrier_is_opaque(self):
+        """n is fresh, but n.a holds t: q's write to s.a.b lands on t.b,
+        which the prover refuses p. The summary cannot name that object,
+        so it must not claim p writes nothing."""
+        scope = Scope.from_source(FRESH_CARRIER)
+        summaries = compute_summaries(scope, CallGraph(scope))
+        assert summaries["q"] == EffectSummary(
+            frozenset({Designator("s", ("a",), "b")})
+        )
+        assert summaries["p"].opaque
 
     def test_missing_impl_is_opaque(self):
         scope = desugar_contracts(Scope.from_source(OPAQUE_CALLEE))
