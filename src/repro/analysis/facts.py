@@ -50,6 +50,7 @@ from repro.oolong.ast import (
 from repro.oolong.program import Scope
 from repro.analysis.cfg import CFG, Statement, build_cfg
 from repro.analysis.dataflow import run_forward, statement_states
+from repro.analysis.modifies import AccessPathAnalysis, eval_expr
 
 if TYPE_CHECKING:
     from repro.vcgen.wlp import ObligationInfo
@@ -123,8 +124,6 @@ class ImplFacts:
         """The :class:`~repro.analysis.modifies.AccessPathAnalysis` whose
         fixpoint :attr:`path_states` replays."""
         if self._analysis is None:
-            from repro.analysis.modifies import AccessPathAnalysis
-
             self._analysis = AccessPathAnalysis(self.impl)
         return self._analysis
 
@@ -225,8 +224,6 @@ def owner_values(
 ) -> Optional[FrozenSet[object]]:
     """The abstract objects ``actual.path`` may denote in ``state``; each
     step of the path applies the must-fresh check of ``eval_expr``."""
-    from repro.analysis.modifies import eval_expr
-
     if actual is None:
         return None
     if state is None:

@@ -48,7 +48,6 @@ from repro.oolong.program import Scope
 from repro.analysis.cfg import ASSIGN, ASSIGN_NEW, CALL, VAR_ENTER, VAR_EXIT, Statement
 from repro.analysis.dataflow import ForwardAnalysis
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.facts import impl_facts, scope_lattice
 
 
 class _Fresh:
@@ -202,6 +201,8 @@ def covers(scope: Scope, declared: Designator, required: Designator) -> bool:
     """Does the licence ``declared`` imply the licence ``required``?
     Decided by the scope's inclusion lattice
     (:meth:`~repro.analysis.inclusion.InclusionLattice.covers`)."""
+    from repro.analysis.facts import scope_lattice
+
     return scope_lattice(scope).covers(declared, required)
 
 
@@ -220,11 +221,12 @@ class ModifiesInference:
     diagnostics: List[Diagnostic]
 
 
-def _requirements(scope: Scope, impl: ImplDecl) -> Iterator[Requirement]:
-    """The licences ``impl``'s write and call sites need: one per access
-    path the written object may be named by. Writes into fresh objects,
-    and through values the analysis cannot name, need none."""
-    for site in impl_facts(scope, impl).sites:
+def _requirements(facts) -> Iterator[Requirement]:
+    """The licences an implementation's write and call sites need (``facts``
+    is its :class:`~repro.analysis.facts.ImplFacts`): one per access path
+    the written object may be named by. Writes into fresh objects, and
+    through values the analysis cannot name, need none."""
+    for site in facts.sites:
         info = site.info
         if info.kind == "write-licence":
             reason = f"write to {info.target}"
@@ -243,6 +245,8 @@ def _requirements(scope: Scope, impl: ImplDecl) -> Iterator[Requirement]:
 
 def infer_modifies(scope: Scope) -> ModifiesInference:
     """Infer least modifies lists and diff them against the declarations."""
+    from repro.analysis.facts import impl_facts, scope_lattice
+
     lattice = scope_lattice(scope)
     diagnostics: List[Diagnostic] = []
     inferred: Dict[str, Tuple[str, ...]] = {}
@@ -254,7 +258,7 @@ def infer_modifies(scope: Scope) -> ModifiesInference:
             continue  # undeclared; well-formedness reports it
         collected: List[Requirement] = []
         for impl in impls:
-            impl_reqs = list(_requirements(scope, impl))
+            impl_reqs = list(_requirements(impl_facts(scope, impl)))
             collected.extend(impl_reqs)
             for requirement in impl_reqs:
                 if not lattice.covered_by_frame(

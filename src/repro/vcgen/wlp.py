@@ -196,13 +196,14 @@ def command_obligations(
         if not isinstance(cmd.target, FieldAccess):
             return []
         verb = "write to" if isinstance(cmd, Assign) else "allocation into"
+        target = str(cmd.target)
         return [
             ObligationInfo(
                 ident,
                 "write-licence",
-                f"{verb} {cmd.target}{_at(cmd)}",
+                f"{verb} {target}{_at(cmd)}",
                 position=cmd.position,
-                target=str(cmd.target),
+                target=target,
                 attr=cmd.target.attr,
                 modifies=modifies,
             )
