@@ -107,17 +107,21 @@ class CFG:
         return list(self._rpo)
 
     def _compute_reverse_postorder(self) -> Tuple[int, ...]:
-        seen = set()
+        # Depth-first with an explicit stack of (block, successors left),
+        # so a long chain of blocks costs no recursion.
+        seen = {self.entry}
         order: List[int] = []
-
-        def visit(bid: int) -> None:
-            seen.add(bid)
-            for succ in self.blocks[bid].succs:
+        stack = [(self.entry, iter(self.blocks[self.entry].succs))]
+        while stack:
+            bid, succs = stack[-1]
+            for succ in succs:
                 if succ not in seen:
-                    visit(succ)
-            order.append(bid)
-
-        visit(self.entry)
+                    seen.add(succ)
+                    stack.append((succ, iter(self.blocks[succ].succs)))
+                    break
+            else:
+                stack.pop()
+                order.append(bid)
         # Unreached blocks cannot exist by construction, but stay safe.
         for bid in self.blocks:
             if bid not in seen:
@@ -142,8 +146,9 @@ class _Builder:
         """Lower ``cmd`` starting in ``current``; return the block where
         control continues afterwards."""
         if isinstance(cmd, Seq):
-            after_first = self.lower(cmd.first, current)
-            return self.lower(cmd.second, after_first)
+            for part in cmd.cmds:
+                current = self.lower(part, current)
+            return current
         if isinstance(cmd, Choice):
             left_entry = self.new_block()
             right_entry = self.new_block()

@@ -46,6 +46,7 @@ from repro.oolong.ast import (
     ProcDecl,
     Seq,
     VarCmd,
+    walk_commands,
 )
 from repro.oolong.program import Scope
 from repro.analysis.cfg import CFG, Statement, build_cfg
@@ -54,18 +55,6 @@ from repro.analysis.modifies import AccessPathAnalysis, eval_expr
 
 if TYPE_CHECKING:
     from repro.vcgen.wlp import ObligationInfo
-
-
-def _walk_commands(cmd: Cmd, out: list) -> None:
-    out.append(cmd)
-    if isinstance(cmd, Seq):
-        _walk_commands(cmd.first, out)
-        _walk_commands(cmd.second, out)
-    elif isinstance(cmd, Choice):
-        _walk_commands(cmd.left, out)
-        _walk_commands(cmd.right, out)
-    elif isinstance(cmd, VarCmd):
-        _walk_commands(cmd.body, out)
 
 
 class Site(NamedTuple):
@@ -106,11 +95,9 @@ class ImplFacts:
     @property
     def commands(self) -> Tuple[Cmd, ...]:
         """Every command of the body, composite ones included, in
-        pre-order (a ``Seq``'s first command before its second)."""
+        pre-order (see :func:`~repro.oolong.ast.walk_commands`)."""
         if self._commands is None:
-            out: list = []
-            _walk_commands(self.impl.body, out)
-            self._commands = tuple(out)
+            self._commands = tuple(walk_commands(self.impl.body))
         return self._commands
 
     @property
@@ -174,8 +161,8 @@ class ImplFacts:
         proc = self._procs.get(self.impl.name)
         frame = tuple(str(d) for d in proc.modifies) if proc else ()
         sites: list = []
-        # wlp builds backwards, so a Seq registers its second command
-        # first and a Choice its left arm first. Walk depth-first with an
+        # wlp builds backwards, so a Seq registers its last command first
+        # and a Choice its left arm first. Walk depth-first with an
         # explicit stack, children pushed in reverse of that order.
         stack = [self.impl.body]
         while stack:
@@ -184,7 +171,7 @@ class ImplFacts:
                 stack.append(cmd.body)
                 continue
             if isinstance(cmd, Seq):
-                stack.extend((cmd.first, cmd.second))
+                stack.extend(cmd.cmds)
                 continue
             if isinstance(cmd, Choice):
                 stack.extend((cmd.right, cmd.left))

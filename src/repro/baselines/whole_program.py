@@ -12,19 +12,9 @@ than data-group reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, Set
 
-from repro.errors import VerificationError
-from repro.oolong.ast import (
-    Assign,
-    AssignNew,
-    Call,
-    Choice,
-    Cmd,
-    FieldAccess,
-    Seq,
-    VarCmd,
-)
+from repro.oolong.ast import Assign, AssignNew, Call, FieldAccess, walk_commands
 from repro.oolong.program import Scope
 
 
@@ -42,22 +32,6 @@ class EffectTable:
     def whole_program(self) -> bool:
         """True iff every called procedure had an implementation."""
         return not self.missing_impls
-
-
-def _direct_writes(cmd: Cmd, writes: Set[str], calls: Set[str]) -> None:
-    if isinstance(cmd, (Assign, AssignNew)):
-        if isinstance(cmd.target, FieldAccess):
-            writes.add(cmd.target.attr)
-    elif isinstance(cmd, Seq):
-        _direct_writes(cmd.first, writes, calls)
-        _direct_writes(cmd.second, writes, calls)
-    elif isinstance(cmd, Choice):
-        _direct_writes(cmd.left, writes, calls)
-        _direct_writes(cmd.right, writes, calls)
-    elif isinstance(cmd, VarCmd):
-        _direct_writes(cmd.body, writes, calls)
-    elif isinstance(cmd, Call):
-        calls.add(cmd.proc)
 
 
 def infer_effects(scope: Scope) -> EffectTable:
@@ -79,7 +53,12 @@ def infer_effects(scope: Scope) -> EffectTable:
             missing.add(proc_name)
             writes = set(all_fields)
         for impl in impls:
-            _direct_writes(impl.body, writes, calls)
+            for cmd in walk_commands(impl.body):
+                if isinstance(cmd, (Assign, AssignNew)):
+                    if isinstance(cmd.target, FieldAccess):
+                        writes.add(cmd.target.attr)
+                elif isinstance(cmd, Call):
+                    calls.add(cmd.proc)
         direct[proc_name] = writes
         callees[proc_name] = calls
 

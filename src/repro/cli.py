@@ -620,6 +620,8 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
         # the checker instead.
         for warning in report.ledger_summary.get("warnings", ()):
             print(f"warning: OL905: {warning}", file=sys.stderr)
+    if args.stats and report.discharge_summary is not None:
+        print(_discharge_line(report.discharge_summary), file=sys.stderr)
     if args.format == "json":
         from repro.analysis.diagnostics import render_json
 
@@ -641,6 +643,22 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
         report.diagnostics, args.fail_on
     )
     return 1 if failed else 0
+
+
+def _discharge_line(summary: dict) -> str:
+    """``--stats``: the static discharge tallies, kept out of the report."""
+    tallies = (("obligations", summary["obligations"]), ("impls", summary["impls"]))
+    parts = [
+        f"{name} {tally['static-valid']} discharged, "
+        f"{tally['static-violation']} refuted, {tally['unknown']} deferred"
+        for name, tally in tallies
+    ]
+    if summary.get("checked"):
+        parts.append(
+            f"{summary.get('agreements', 0)} agreements, "
+            f"{summary.get('disagreements', 0)} disagreements"
+        )
+    return f"discharge ({summary['mode']}): " + "; ".join(parts)
 
 
 def _fleet_spec(args):

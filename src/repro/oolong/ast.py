@@ -9,7 +9,7 @@ compare equal to parsed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from repro.errors import SourcePosition
 
@@ -177,10 +177,14 @@ class AssignNew(Cmd):
 
 @dataclass(frozen=True)
 class Seq(Cmd):
-    """``C ; D`` — sequential composition."""
+    """``C1 ; ... ; Cn`` — sequential composition, n >= 2, one flat node.
 
-    first: Cmd
-    second: Cmd
+    ``cmds[0]`` is never a ``Seq`` (:func:`sequence` splices it in, so
+    ``(a ; b) ; c`` is ``a ; b ; c``); a later ``Seq`` is a parenthesized
+    ``a ; (b ; c)``.
+    """
+
+    cmds: Tuple[Cmd, ...]
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,31 @@ class Call(Cmd):
 @dataclass(frozen=True)
 class Skip(Cmd):
     """``skip`` — parsing sugar for ``assume true``."""
+
+
+def sequence(cmds: Sequence[Cmd]) -> Cmd:
+    """``cmds[0] ; cmds[1] ; ...``, a leading ``Seq`` spliced in."""
+    if len(cmds) == 1:
+        return cmds[0]
+    if isinstance(cmds[0], Seq):
+        return Seq(cmds[0].cmds + tuple(cmds[1:]))
+    return Seq(tuple(cmds))
+
+
+def walk_commands(cmd: Cmd) -> Iterator[Cmd]:
+    """Every command of ``cmd``, composite ones included, in pre-order
+    (parts left to right), without recursion."""
+    stack = [cmd]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Seq):
+            stack.extend(reversed(node.cmds))
+        elif isinstance(node, Choice):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, VarCmd):
+            stack.append(node.body)
 
 
 # ---------------------------------------------------------------------------

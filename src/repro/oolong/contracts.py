@@ -26,8 +26,6 @@ from typing import Dict, List
 
 from repro.oolong.ast import (
     Assert,
-    Assign,
-    AssignNew,
     Assume,
     BinOp,
     BoolConst,
@@ -43,9 +41,9 @@ from repro.oolong.ast import (
     NullConst,
     ProcDecl,
     Seq,
-    Skip,
     UnOp,
     VarCmd,
+    sequence,
 )
 from repro.oolong.program import Scope
 
@@ -67,17 +65,10 @@ def subst_expr(expr: Expr, mapping: Dict[str, Expr]) -> Expr:
     raise TypeError(f"not an oolong expression: {expr!r}")
 
 
-def _seq(commands: List[Cmd]) -> Cmd:
-    result = commands[0]
-    for command in commands[1:]:
-        result = Seq(result, command)
-    return result
-
-
 def _rewrite_cmd(cmd: Cmd, scope: Scope) -> Cmd:
     """Wrap every call with the caller-side contract commands."""
     if isinstance(cmd, Seq):
-        return Seq(_rewrite_cmd(cmd.first, scope), _rewrite_cmd(cmd.second, scope))
+        return sequence([_rewrite_cmd(part, scope) for part in cmd.cmds])
     if isinstance(cmd, Choice):
         return Choice(_rewrite_cmd(cmd.left, scope), _rewrite_cmd(cmd.right, scope))
     if isinstance(cmd, VarCmd):
@@ -93,7 +84,7 @@ def _rewrite_cmd(cmd: Cmd, scope: Scope) -> Cmd:
         parts.append(cmd)
         for condition in proc.ensures:
             parts.append(Assume(subst_expr(condition, mapping), cmd.position))
-        return _seq(parts)
+        return sequence(parts)
     return cmd
 
 
@@ -105,7 +96,7 @@ def _rewrite_impl(impl: ImplDecl, proc: ProcDecl, scope: Scope) -> ImplDecl:
     parts.append(body)
     for condition in proc.ensures:
         parts.append(Assert(condition, impl.position))
-    return ImplDecl(impl.name, impl.params, _seq(parts), impl.position)
+    return ImplDecl(impl.name, impl.params, sequence(parts), impl.position)
 
 
 def desugar_contracts(scope: Scope) -> Scope:

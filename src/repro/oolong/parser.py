@@ -86,6 +86,7 @@ from repro.oolong.ast import (
     Skip,
     UnOp,
     VarCmd,
+    sequence,
 )
 from repro.oolong.lexer import TokenStream, tokenize
 from repro.oolong.tokens import TokenKind
@@ -338,10 +339,10 @@ class Parser:
         return cmd
 
     def _parse_seq(self) -> Cmd:
-        cmd = self._parse_atom_recovering()
+        cmds = [self._parse_atom_recovering()]
         while self._match(TokenKind.SEMI):
-            cmd = Seq(cmd, self._parse_atom_recovering())
-        return cmd
+            cmds.append(self._parse_atom_recovering())
+        return sequence(cmds)
 
     def _parse_atom_recovering(self) -> Cmd:
         """One atomic command; in recovery mode a failed atom becomes a
@@ -398,8 +399,8 @@ class Parser:
         self._expect(TokenKind.END, "after if command")
         negated = UnOp("!", condition)
         return Choice(
-            Seq(Assume(negated, position), else_cmd),
-            Seq(Assume(condition, position), then_cmd),
+            Seq((Assume(negated, position), else_cmd)),
+            Seq((Assume(condition, position), then_cmd)),
         )
 
     def _parse_call(self) -> Cmd:

@@ -102,14 +102,16 @@ def pretty_cmd(cmd: Cmd, indent: int = 0) -> str:
     if isinstance(cmd, AssignNew):
         return f"{pad}{pretty_expr(cmd.target)} := new()"
     if isinstance(cmd, Seq):
-        first = pretty_cmd(cmd.first, indent)
-        # `;` parses left-associatively; parenthesize a right-nested Seq so
-        # the round trip preserves the tree shape.
-        if isinstance(cmd.second, Seq):
-            inner = pretty_cmd(cmd.second, indent + 1)
-            return f"{first} ;\n{pad}(\n{inner}\n{pad})"
-        second = pretty_cmd(cmd.second, indent)
-        return f"{first} ;\n{second}"
+        # A leading sequence is spliced in when parsed; parenthesize a
+        # nested Seq at any later position so the round trip keeps it.
+        parts = [pretty_cmd(cmd.cmds[0], indent)]
+        for part in cmd.cmds[1:]:
+            if isinstance(part, Seq):
+                inner = pretty_cmd(part, indent + 1)
+                parts.append(f"{pad}(\n{inner}\n{pad})")
+            else:
+                parts.append(pretty_cmd(part, indent))
+        return " ;\n".join(parts)
     if isinstance(cmd, Choice):
         left = pretty_cmd(cmd.left, indent + 1)
         right = pretty_cmd(cmd.right, indent + 1)

@@ -247,8 +247,8 @@ def _check_cmd(
         _check_expr(scope, cmd.target, bound, impl)
         _check_assign_target(cmd.target, formals, impl, cmd.position)
     elif isinstance(cmd, Seq):
-        _check_cmd(scope, cmd.first, bound, formals, impl)
-        _check_cmd(scope, cmd.second, bound, formals, impl)
+        for part in cmd.cmds:
+            _check_cmd(scope, part, bound, formals, impl)
     elif isinstance(cmd, Choice):
         _check_cmd(scope, cmd.left, bound, formals, impl)
         _check_cmd(scope, cmd.right, bound, formals, impl)

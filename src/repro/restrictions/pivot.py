@@ -29,16 +29,13 @@ from repro.oolong.ast import (
     Assign,
     AssignNew,
     BinOp,
-    Choice,
-    Cmd,
     Expr,
     FieldAccess,
     Id,
     ImplDecl,
     OBJECT_RETURNING_OPS,
-    Seq,
     UnOp,
-    VarCmd,
+    walk_commands,
 )
 from repro.oolong.program import Scope
 
@@ -110,30 +107,16 @@ def enforce_pivot_uniqueness(scope: Scope) -> None:
 def check_impl(scope: Scope, impl: ImplDecl) -> List[PivotViolation]:
     """Check a single implementation."""
     violations: List[PivotViolation] = []
-    _walk(scope, impl, impl.body, set(impl.params), violations)
+    formals = set(impl.params)
+    for cmd in walk_commands(impl.body):
+        if isinstance(cmd, Assign):
+            _check_assign(scope, impl, cmd, formals, violations)
+        elif isinstance(cmd, AssignNew):
+            _check_target_is_not_formal(
+                impl, cmd.target, formals, cmd.position, violations
+            )
+        # assert/assume/skip/call never violate pivot uniqueness.
     return violations
-
-
-def _walk(
-    scope: Scope,
-    impl: ImplDecl,
-    cmd: Cmd,
-    formals: Set[str],
-    out: List[PivotViolation],
-) -> None:
-    if isinstance(cmd, Seq):
-        _walk(scope, impl, cmd.first, formals, out)
-        _walk(scope, impl, cmd.second, formals, out)
-    elif isinstance(cmd, Choice):
-        _walk(scope, impl, cmd.left, formals, out)
-        _walk(scope, impl, cmd.right, formals, out)
-    elif isinstance(cmd, VarCmd):
-        _walk(scope, impl, cmd.body, formals, out)
-    elif isinstance(cmd, Assign):
-        _check_assign(scope, impl, cmd, formals, out)
-    elif isinstance(cmd, AssignNew):
-        _check_target_is_not_formal(impl, cmd.target, formals, cmd.position, out)
-    # assert/assume/skip/call never violate pivot uniqueness.
 
 
 def _check_assign(

@@ -20,8 +20,7 @@ The monitors give the paper's static claims an operational ground truth:
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InterpError
@@ -35,11 +34,9 @@ from repro.oolong.ast import (
     Call,
     Choice,
     Cmd,
-    Designator,
     Expr,
     FieldAccess,
     Id,
-    ImplDecl,
     IntConst,
     NullConst,
     ProcDecl,
@@ -221,11 +218,7 @@ class Interpreter:
             elif isinstance(cmd, VarCmd):
                 yield from self._exec_var(cmd, state, depth)
             elif isinstance(cmd, Seq):
-                for first in self._exec(cmd.first, state, depth):
-                    if isinstance(first, Outcome):
-                        yield first
-                    else:
-                        yield from self._exec(cmd.second, first, depth)
+                yield from self._exec_seq(cmd.cmds, state, depth)
             elif isinstance(cmd, Choice):
                 left = state.fork().noting("choice:left")
                 right = state.fork().noting("choice:right")
@@ -241,6 +234,21 @@ class Interpreter:
                 raise InterpError(f"cannot execute {cmd!r}")
         except _Stop as stop:
             yield stop.outcome
+
+    def _exec_seq(self, cmds, state: _State, depth: int) -> Iterator:
+        """Run ``cmds`` on every path, depth-first, with an explicit stack
+        of (index of the next command, results) instead of one nested
+        generator per statement."""
+        stack = [(1, self._exec(cmds[0], state, depth))]
+        while stack:
+            index, results = stack[-1]
+            result = next(results, None)
+            if result is None:
+                stack.pop()
+            elif isinstance(result, Outcome) or index == len(cmds):
+                yield result
+            else:
+                stack.append((index + 1, self._exec(cmds[index], result, depth)))
 
     def _exec_var(self, cmd: VarCmd, state: _State, depth: int) -> Iterator:
         for candidate in self.config.var_candidates:

@@ -25,13 +25,11 @@ from repro.oolong.ast import (
     Assume,
     BinOp,
     Call,
-    Choice,
     ImplDecl,
     IntConst,
     ProcDecl,
-    Seq,
     UnOp,
-    VarCmd,
+    walk_commands,
 )
 from repro.oolong.program import Scope
 from repro.prover.core import Background, Limits, ProverResult, prove_valid
@@ -68,7 +66,7 @@ def _literals_in(impl: ImplDecl) -> List[int]:
         elif isinstance(node, UnOp):
             expr(node.operand)
 
-    def cmd(node) -> None:
+    for node in walk_commands(impl.body):
         if isinstance(node, (Assert, Assume)):
             expr(node.condition)
         elif isinstance(node, Assign):
@@ -76,19 +74,9 @@ def _literals_in(impl: ImplDecl) -> List[int]:
             expr(node.rhs)
         elif isinstance(node, AssignNew):
             expr(node.target)
-        elif isinstance(node, Seq):
-            cmd(node.first)
-            cmd(node.second)
-        elif isinstance(node, Choice):
-            cmd(node.left)
-            cmd(node.right)
-        elif isinstance(node, VarCmd):
-            cmd(node.body)
         elif isinstance(node, Call):
             for arg in node.args:
                 expr(arg)
-
-    cmd(impl.body)
     return sorted(set(found))
 
 

@@ -69,7 +69,6 @@ from repro.vcgen.translate import (
     welldef_premises,
 )
 from repro.vcgen.vocab import (
-    ALIVE,
     SEL,
     alive,
     alive_t,
@@ -295,7 +294,9 @@ def wlp(cmd: Cmd, post: Formula, wctx: WlpContext) -> Formula:
             wctx.ctx.env[cmd.name] = saved
         return Forall((cmd.name,), body)
     if isinstance(cmd, Seq):
-        return wlp(cmd.first, wlp(cmd.second, post, wctx), wctx)
+        for part in reversed(cmd.cmds):
+            post = wlp(part, post, wctx)
+        return post
     if isinstance(cmd, Choice):
         return conj((wlp(cmd.left, post, wctx), wlp(cmd.right, post, wctx)))
     if isinstance(cmd, Assign):

@@ -102,6 +102,24 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "instances=" in out and "branches=" in out
 
+    def test_stats_flag_prints_discharge_tallies_to_stderr(
+        self, write_source, capsys
+    ):
+        path = write_source("good.oolong", RATIONAL)
+        args = [path, "--check-discharge", "--format", "json", "--time-budget", "60"]
+        assert main(args) == 0
+        plain = capsys.readouterr()
+        assert main(args + ["--stats"]) == 0
+        stats = capsys.readouterr()
+        assert plain.err == ""
+        assert stats.err == (
+            "discharge (on): obligations 2 discharged, 0 refuted, 0 deferred; "
+            "impls 1 discharged, 0 refuted, 0 deferred; "
+            "1 agreements, 0 disagreements\n"
+        )
+        # The tallies stay out of the report itself.
+        assert sorted(json.loads(stats.out)) == sorted(json.loads(plain.out))
+
     def test_multiple_files_concatenate(self, write_source, capsys):
         a = write_source("a.oolong", "group value\nproc normalize(r) modifies r.value")
         b = write_source(

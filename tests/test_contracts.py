@@ -6,6 +6,7 @@ from repro.api import check_program, parse_program
 from repro.errors import WellFormednessError
 from repro.oolong.ast import (
     Assert,
+    Assign,
     Assume,
     BinOp,
     Call,
@@ -98,21 +99,22 @@ class TestDesugaring:
         (impl,) = scope.impls_of("p")
         # assume t != null ; (body) ; assert t.f = 1
         assert isinstance(impl.body, Seq)
-        first = impl.body.first
-        assert isinstance(first, Seq) and isinstance(first.first, Assume)
-        assert isinstance(impl.body.second, Assert)
+        pre, body, post = impl.body.cmds
+        assert isinstance(pre, Assume) and isinstance(post, Assert)
+        assert isinstance(body, Assign)
 
     def test_call_sites_gain_assert_and_assume_with_actuals(self):
         scope = desugar_contracts(Scope.from_source(self.SOURCE))
         (impl,) = scope.impls_of("caller")
-        # ((assert u != null ; p(u)) ; assume u.f = 1) ; assert u.f = 1
-        call_part = impl.body.first
-        pre = call_part.first.first
+        # assert u != null ; p(u) ; assume u.f = 1 ; assert u.f = 1: the
+        # rewritten call leads the body, so it is spliced in.
+        pre, call, post, check = impl.body.cmds
         assert isinstance(pre, Assert)
         assert pre.condition == parse_expression("u != null")
-        post = call_part.second
+        assert isinstance(call, Call)
         assert isinstance(post, Assume)
         assert post.condition == parse_expression("u.f = 1")
+        assert isinstance(check, Assert)
 
     def test_contracts_removed_from_procs(self):
         scope = desugar_contracts(Scope.from_source(self.SOURCE))

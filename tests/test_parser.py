@@ -28,6 +28,7 @@ from repro.oolong.ast import (
     Skip,
     UnOp,
     VarCmd,
+    sequence,
 )
 from repro.oolong.parser import parse_command, parse_expression, parse_program_text
 from repro.oolong.pretty import pretty_cmd, pretty_expr, pretty_program
@@ -142,16 +143,22 @@ class TestCommands:
         )
 
     def test_seq_is_left_associative(self):
+        # One flat node; a leading parenthesized sequence is spliced in,
+        # a later one keeps its parentheses.
         cmd = parse_command("skip ; skip ; skip")
-        assert cmd == Seq(Seq(Skip(), Skip()), Skip())
+        assert cmd == Seq((Skip(), Skip(), Skip()))
+        assert parse_command("(skip ; skip) ; skip") == cmd
+        assert parse_command("skip ; (skip ; skip)") == Seq(
+            (Skip(), Seq((Skip(), Skip())))
+        )
 
     def test_choice_binds_looser_than_seq(self):
         cmd = parse_command("skip ; skip [] skip")
-        assert cmd == Choice(Seq(Skip(), Skip()), Skip())
+        assert cmd == Choice(Seq((Skip(), Skip())), Skip())
 
     def test_parenthesized_command(self):
         cmd = parse_command("skip ; (skip [] skip)")
-        assert cmd == Seq(Skip(), Choice(Skip(), Skip()))
+        assert cmd == Seq((Skip(), Choice(Skip(), Skip())))
 
     def test_call_no_args(self):
         assert parse_command("q()") == Call("q", ())
@@ -167,8 +174,8 @@ class TestCommands:
     def test_if_desugars_to_paper_encoding(self):
         cmd = parse_command("if b then x := 1 else x := 2 end")
         expected = Choice(
-            Seq(Assume(UnOp("!", Id("b"))), Assign(Id("x"), IntConst(2))),
-            Seq(Assume(Id("b")), Assign(Id("x"), IntConst(1))),
+            Seq((Assume(UnOp("!", Id("b"))), Assign(Id("x"), IntConst(2)))),
+            Seq((Assume(Id("b")), Assign(Id("x"), IntConst(1)))),
         )
         assert cmd == expected
 
@@ -320,8 +327,11 @@ def random_cmd(rng, depth=3):
         )()
     if roll < 0.6:
         return VarCmd(rng.choice(_NAMES), random_cmd(rng, depth - 1))
-    connective = Seq if roll < 0.8 else Choice
-    return connective(random_cmd(rng, depth - 1), random_cmd(rng, depth - 1))
+    if roll < 0.8:
+        return sequence(
+            [random_cmd(rng, depth - 1) for _ in range(rng.randrange(2, 5))]
+        )
+    return Choice(random_cmd(rng, depth - 1), random_cmd(rng, depth - 1))
 
 
 class TestRandomRoundTrips:

@@ -37,10 +37,10 @@ from repro.oolong.ast import (
     Id,
     IntConst,
     NullConst,
-    Seq,
     Skip,
     UnOp,
     VarCmd,
+    sequence,
 )
 from repro.oolong.parser import parse_command, parse_expression, parse_program_text
 from repro.oolong.pretty import pretty_cmd, pretty_expr, pretty_program
@@ -100,7 +100,7 @@ def commands(depth=3):
     sub = commands(depth - 1)
     return st.one_of(
         base,
-        st.builds(Seq, sub, sub),
+        st.lists(sub, min_size=2, max_size=4).map(sequence),
         st.builds(Choice, sub, sub),
         st.builds(VarCmd, names, sub),
     )
