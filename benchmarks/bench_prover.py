@@ -10,7 +10,9 @@ Unlike the other bench heads, the committed keys are **absolute**
 milliseconds (best of the runs), not ratios: a prover speedup shrinks
 the denominator of every ratio key, and only an absolute key shows it.
 The guard checks the search itself: each farm verifies with exactly one
-instance per field.
+instance per field. The row also records each farm's E-matching volume
+(``farm<N>_matches``), so a change that keeps the search unchanged shows
+the same counts.
 
 Run as a script (``python benchmarks/bench_prover.py``) it re-measures
 and rewrites ``BENCH_prover.json`` at the repo root.
@@ -59,6 +61,7 @@ def measure_prover(limits, repeats=1):
         (verdict,) = report.verdicts
         row[f"farm{fields}_status"] = verdict.status.value
         row[f"farm{fields}_instantiations"] = verdict.stats.instantiations
+        row[f"farm{fields}_matches"] = verdict.stats.matches
         row[f"farm{fields}_ms"] = round(best * 1000, 1)
     return row
 

@@ -9,7 +9,12 @@ Simplify prover the paper used. Architecture, mirroring Simplify's:
   boolean atoms (merged with distinguished TRUE/FALSE nodes), and constant
   folding of integer operations.
 * :mod:`repro.prover.matching` — E-matching of quantifier trigger patterns
-  against the E-graph, modulo the current equalities.
+  against the E-graph, modulo the current equalities. Each multi-pattern
+  is compiled into a generated Python function (nested loops over
+  candidates and class members, pattern variables in local slots), and
+  so is each quantifier body's candidate width (:mod:`repro.prover.core`);
+  the code is shared by shape, with ground constants as parameters, in a
+  process-wide cache of fixed size.
 * :mod:`repro.prover.triggers` — automatic trigger inference for
   quantifiers that do not carry hand-written patterns.
 * :mod:`repro.prover.core` — the refutation engine: a tableau/DPLL-style

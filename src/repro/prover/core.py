@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.logic.nnf import FreshNames, negate, skolemize, to_nnf
 from repro.logic.subst import formula_free_vars, subst_formula
@@ -42,11 +42,10 @@ from repro.logic.terms import (
     Pred,
     Term,
     TrueF,
-    Var,
 )
 from repro.prover.countermodel import Countermodel, capture_countermodel
 from repro.prover.egraph import EGraph
-from repro.prover.matching import match_multipattern
+from repro.prover.matching import Emitter, compile_trigger, compiled, term_shape
 from repro.prover.prooflog import (
     CLOSE_CLAUSE,
     CLOSE_KERNEL,
@@ -80,6 +79,9 @@ class Limits:
     max_rounds: int = 40
     max_depth: int = 400
     max_branches: int = 200000
+    #: Matches taken from one multi-pattern in one round (the count
+    #: starts again for every multi-pattern of every quantifier), so a
+    #: round can see many times this many in all.
     max_matches_per_round: int = 5000
     #: Wall-clock budget for one ``check`` call — i.e. per implementation
     #: when driven by ``check_scope``. Enforced cooperatively: between
@@ -178,6 +180,225 @@ class ProverResult:
 class _QuantRecord:
     formula: Forall
     triggers: Tuple[Tuple[Term, ...], ...]
+    #: Built the first time the record is matched: a ``(matcher,
+    #: parameters)`` pair per multi-pattern …
+    matchers: Optional[Tuple[Tuple[Callable, Tuple[Term, ...]], ...]] = field(
+        default=None, compare=False, repr=False
+    )
+    #: … and the body's ``(width function, parameters)``.
+    width: Optional[Tuple[Callable, Tuple[Term, ...]]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def compile(self) -> None:
+        variables = self.formula.vars
+        self.width = compile_width(self.formula)
+        self.matchers = tuple(
+            compile_trigger(multipattern, variables) for multipattern in self.triggers
+        )
+
+    def __getstate__(self):
+        # Generated functions do not pickle; a copy compiles again.
+        return {"formula": self.formula, "triggers": self.triggers}
+
+
+def compile_width(quantifier: Forall) -> Tuple[Callable, Tuple[Term, ...]]:
+    """The candidate width of ``quantifier``'s body, compiled, and its
+    parameters: ``width(egraph, parameters, nodes)`` with ``nodes`` bound
+    to the quantifier's variables in order.
+
+    The width is the number of top-level disjuncts of the instance that
+    are not currently refuted, the relevancy measure for candidate
+    instances: −1 means the instance already holds (redundant), 0 that
+    it conflicts, 1 that it unit-propagates, k that asserting it parks a
+    k-way case split. It is read off the nodes without building the
+    instance and without interning: each term resolves to the node
+    ``EGraph.lookup`` would give its instance — a variable to its node, a
+    constant through the term index, an application through the
+    hash-consing memo, else by congruence through the signature table —
+    and a term not in the E-graph is unknown. Quantified subformulas are
+    unknown.
+    """
+    slots = {name: index for index, name in enumerate(quantifier.vars)}
+    constants: Dict[Term, int] = {}
+    shape = _formula_shape(quantifier.body, slots, constants)
+    if len(slots) != len(quantifier.vars):
+        raise ValueError(f"body has free variables: {quantifier}")
+    key = ("width", len(slots), len(constants), shape)
+    return compiled(key, lambda: _WidthWriter(key).source()), tuple(constants)
+
+
+def _formula_shape(formula: Formula, slots, constants) -> tuple:
+    if isinstance(formula, Or):
+        return ("or", tuple(_formula_shape(d, slots, constants) for d in formula.disjuncts))
+    if isinstance(formula, And):
+        return ("and", tuple(_formula_shape(c, slots, constants) for c in formula.conjuncts))
+    if isinstance(formula, Not):
+        return ("not", _formula_shape(formula.body, slots, constants))
+    if isinstance(formula, Eq):
+        return (
+            "eq",
+            term_shape(formula.left, slots, constants),
+            term_shape(formula.right, slots, constants),
+        )
+    if isinstance(formula, Pred):
+        args = tuple(term_shape(arg, slots, constants) for arg in formula.args)
+        return ("pred", formula.name, args)
+    if isinstance(formula, TrueF):
+        return ("true",)
+    if isinstance(formula, FalseF):
+        return ("false",)
+    return ("unknown",)
+
+
+def _tuple_text(items) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+class _WidthWriter:
+    """Writes the straight-line width function of one body shape.
+
+    Each term and subformula is computed once, into a local, the first
+    time a top-level disjunct needs it; three-valued truth is ``True``,
+    ``False`` or ``None`` (unknown). The function returns at the first
+    disjunct that already holds.
+    """
+
+    def __init__(self, key):
+        _, self.nvars, self.nconstants, self.body = key
+        self.out = Emitter()
+        self.terms: Dict[tuple, Tuple[str, bool]] = {}
+        self.values: Dict[tuple, str] = {}
+        self.counter = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.counter += 1
+        return f"{prefix}{self.counter}"
+
+    def source(self) -> Tuple[str, str]:
+        out = self.out
+        out.lines.append("def width(eg, params, nodes):")
+        if self.nvars:
+            out.line("".join(f"n{slot}, " for slot in range(self.nvars)) + "= nodes")
+        if self.nconstants:
+            out.line("".join(f"c{index}, " for index in range(self.nconstants)) + "= params")
+        for text in (
+            "find = eg.find",
+            "memo = eg._memo.get",
+            "sig = eg._sig.get",
+            "node_of = eg._node_of.get",
+            "truth = eg.truth",
+            "diseq = eg.are_diseq",
+            "w = 0",
+        ):
+            out.line(text)
+        for disjunct in _disjuncts(self.body):
+            value = self.value(disjunct)
+            if value == "True":
+                out.line("return -1")
+                return out.text(), "width"
+            if value == "None":
+                out.line("w += 1")
+            elif value != "False":
+                out.line(f"if {value} is None: w += 1")
+                out.line(f"elif {value}: return -1")
+        out.line("return w")
+        return out.text(), "width"
+
+    def term(self, shape) -> Tuple[str, bool]:
+        """The local holding ``shape``'s node, and whether it can be None."""
+        known = self.terms.get(shape)
+        if known is not None:
+            return known
+        out = self.out
+        if shape[0] == "var":
+            known = (f"n{shape[1]}", False)
+        elif shape[0] == "const":
+            name = f"k{shape[1]}"
+            out.line(f"{name} = node_of(c{shape[1]})")
+            known = (name, True)
+        else:
+            known = (self.application(shape[1], shape[2]), True)
+        self.terms[shape] = known
+        return known
+
+    def application(self, fn: str, args) -> str:
+        children = [self.term(arg) for arg in args]
+        name = self.fresh("t")
+        out = self.out
+        unknown = [child for child, can_be_none in children if can_be_none]
+        if unknown:
+            out.line(f"if {' or '.join(f'{c} is None' for c in unknown)}:")
+            out.line(f"    {name} = None")
+            out.line("else:")
+            out.depth += 1
+        nodes = _tuple_text(child for child, _ in children)
+        roots = _tuple_text(f"find({child})" for child, _ in children)
+        out.line(f"{name} = memo(({fn!r}, {nodes}))")
+        out.line(f"if {name} is None: {name} = sig(({fn!r}, {roots}))")
+        if unknown:
+            out.depth -= 1
+        return name
+
+    def value(self, shape) -> str:
+        """The local (or literal) holding ``shape``'s three-valued truth."""
+        known = self.values.get(shape)
+        if known is not None:
+            return known
+        kind = shape[0]
+        out = self.out
+        if kind in ("true", "false", "unknown"):
+            return {"true": "True", "false": "False", "unknown": "None"}[kind]
+        name = self.fresh("v")
+        if kind == "pred":
+            node, _ = self.term(("app", shape[1], shape[2]))
+            out.line(f"{name} = None if {node} is None else truth({node})")
+        elif kind == "eq":
+            left, left_none = self.term(shape[1])
+            right, right_none = self.term(shape[2])
+            unknown = [n for n, can_be_none in ((left, left_none), (right, right_none)) if can_be_none]
+            test = "if"
+            if unknown:
+                out.line(f"if {' or '.join(f'{n} is None' for n in unknown)}: {name} = None")
+                test = "elif"
+            out.line(f"{test} find({left}) == find({right}): {name} = True")
+            out.line(f"elif diseq({left}, {right}): {name} = False")
+            out.line(f"else: {name} = None")
+        elif kind == "not":
+            inner = self.value(shape[1])
+            if inner in ("True", "False"):
+                return "False" if inner == "True" else "True"
+            if inner == "None":
+                return "None"
+            out.line(f"{name} = None if {inner} is None else not {inner}")
+        else:
+            parts = [self.value(part) for part in shape[1]]
+            decisive, neutral = ("False", "True") if kind == "and" else ("True", "False")
+            if decisive in parts:
+                return decisive
+            pending = [part for part in parts if part not in (neutral, "None")]
+            if not pending:
+                return "None" if "None" in parts else neutral
+            decides = " or ".join(f"{part} is {decisive}" for part in pending)
+            if "None" in parts:
+                otherwise = "None"
+            else:
+                unknown = " or ".join(f"{part} is None" for part in pending)
+                otherwise = f"(None if {unknown} else {neutral})"
+            out.line(f"{name} = {decisive} if {decides} else {otherwise}")
+        self.values[shape] = name
+        return name
+
+
+def _disjuncts(shape):
+    """The top-level disjuncts of a body shape, nested disjunctions
+    flattened."""
+    if shape[0] != "or":
+        return [shape]
+    found = []
+    for part in shape[1]:
+        found.extend(_disjuncts(part))
+    return found
 
 
 class _State:
@@ -528,95 +749,6 @@ class Solver:
             return value
         return None  # quantifiers and anything else: unknown
 
-    # Candidate evaluation: like _eval, but on a quantifier body under a
-    # binding of its variables to nodes, without building the instance and
-    # without interning. Each term resolves to the node ``EGraph.lookup``
-    # would give its instance: a variable to its bound node, a constant
-    # through the term index, an application through ``EGraph.app_node``
-    # on its arguments' nodes. Terms not in the E-graph are "unknown".
-
-    def _bound_width(self, body: Formula, binding: Dict[str, int]) -> int:
-        """Number of top-level disjuncts of ``body`` under ``binding`` that
-        are not currently refuted.
-
-        The relevancy measure for candidate instances: −1 means the
-        instance already holds (redundant), 0 that it conflicts, 1 that it
-        unit-propagates, k that asserting it parks a k-way case split.
-        """
-        if isinstance(body, Or):
-            width = 0
-            for disjunct in body.disjuncts:
-                inner = self._bound_width(disjunct, binding)
-                if inner < 0:
-                    return -1
-                width += inner
-            return width
-        value = self._bound_value(body, binding)
-        if value is None:
-            return 1
-        return -1 if value else 0
-
-    def _bound_value(
-        self, formula: Formula, binding: Dict[str, int]
-    ) -> Optional[bool]:
-        if isinstance(formula, Pred):
-            node = self._bound_app(formula.name, formula.args, binding)
-            return None if node is None else self.egraph.truth(node)
-        if isinstance(formula, Eq):
-            left = self._bound_node(formula.left, binding)
-            right = self._bound_node(formula.right, binding)
-            if left is None or right is None:
-                return None
-            if self.egraph.are_equal(left, right):
-                return True
-            if self.egraph.are_diseq(left, right):
-                return False
-            return None
-        if isinstance(formula, Not):
-            inner = self._bound_value(formula.body, binding)
-            return None if inner is None else not inner
-        if isinstance(formula, And):
-            value = True
-            for conjunct in formula.conjuncts:
-                inner = self._bound_value(conjunct, binding)
-                if inner is False:
-                    return False
-                if inner is None:
-                    value = None
-            return value
-        if isinstance(formula, Or):
-            value = False
-            for disjunct in formula.disjuncts:
-                inner = self._bound_value(disjunct, binding)
-                if inner is True:
-                    return True
-                if inner is None:
-                    value = None
-            return value
-        if isinstance(formula, TrueF):
-            return True
-        if isinstance(formula, FalseF):
-            return False
-        return None  # quantifiers: unknown
-
-    def _bound_node(self, term: Term, binding: Dict[str, int]) -> Optional[int]:
-        if isinstance(term, Var):
-            return binding[term.name]
-        if isinstance(term, App):
-            return self._bound_app(term.fn, term.args, binding)
-        return self.egraph.lookup(term)
-
-    def _bound_app(
-        self, fn: str, args: Tuple[Term, ...], binding: Dict[str, int]
-    ) -> Optional[int]:
-        child_ids = []
-        for arg in args:
-            child = self._bound_node(arg, binding)
-            if child is None:
-                return None
-            child_ids.append(child)
-        return self.egraph.app_node(fn, tuple(child_ids))
-
     def _simplify_disjunction(self, formula: Or):
         remaining: List[Formula] = []
         for disjunct in formula.disjuncts:
@@ -810,11 +942,16 @@ class Solver:
     # Instantiation
     # ------------------------------------------------------------------
 
+    def _width_of(self, record: _QuantRecord) -> Tuple[Callable, Tuple[Term, ...]]:
+        """The compiled width function of ``record``'s body and its
+        parameters (see :func:`compile_width`)."""
+        return record.width
+
     def _instantiate_round(self, state: _State, width_limit: Optional[int] = None):
         """Match every pooled quantifier; assert relevant new instances.
 
-        Each binding is evaluated on its nodes (``_bound_width``) and kept
-        as a candidate if its *width* is within the limit (see
+        Each match is evaluated on its nodes (:func:`compile_width`) and
+        kept as a candidate if its *width* is within the limit (see
         ``Limits.max_instance_width``); instances are built only for the
         candidates ``_admit`` asserts, narrowest first, so that conflicts
         and unit propagations land before case splits. The first refuted
@@ -828,41 +965,40 @@ class Solver:
         """
         if width_limit is None:
             width_limit = self.limits.max_instance_width
+        egraph = self.egraph
+        seen, redundant = self._seen, self._redundant
+        max_matches = self.limits.max_matches_per_round
         candidates = []
         for record in list(state.quants):
+            if record.matchers is None:
+                record.compile()
             quantifier = record.formula
-            variables = set(quantifier.vars)
             effective_limit = width_limit
             if quantifier.width_cap is not None:
                 effective_limit = min(width_limit, quantifier.width_cap)
-            for multipattern in record.triggers:
+            width_of, width_parameters = self._width_of(record)
+            for matcher, parameters in record.matchers:
                 matches = 0
-                for binding in match_multipattern(
-                    self.egraph,
-                    multipattern,
-                    stats=self.stats,
-                    name=quantifier.name or "<anonymous>",
-                ):
-                    if self._out_of_time():
-                        return "resource"
+                outcome = None
+                for nodes in matcher(egraph, parameters):
                     matches += 1
-                    if matches > self.limits.max_matches_per_round:
+                    if self._out_of_time():
+                        outcome = "resource"
                         break
-                    if binding.keys() != variables:
+                    if matches > max_matches:
+                        break
+                    if nodes is None:
                         continue  # trigger did not bind every variable
-                    key = (
-                        quantifier,
-                        tuple(binding[v] for v in quantifier.vars),
-                    )
-                    if key in self._seen or key in self._redundant:
+                    key = (quantifier, nodes)
+                    if key in seen or key in redundant:
                         continue
-                    width = self._bound_width(quantifier.body, binding)
+                    width = width_of(egraph, width_parameters, nodes)
                     if width < 0:
-                        self._remember(self._redundant, key)
+                        self._remember(redundant, key)
                         continue
                     if width > effective_limit:
                         continue
-                    candidate = (width, len(candidates), key, binding, effective_limit)
+                    candidate = (width, len(candidates), key, record, effective_limit)
                     if width == 0:
                         # It sorts first, nothing asserted before it can
                         # change its width, and asserting it closes the
@@ -870,10 +1006,23 @@ class Solver:
                         # node orphaned by a popped branch can keep the
                         # branch open; the round then ends with this one
                         # instance, and the search goes on.)
-                        return self._admit([candidate], state)
+                        outcome = [candidate]
+                        break
                     candidates.append(candidate)
+                if matches:
+                    self._count_matches(quantifier, matches)
+                if outcome == "resource":
+                    return outcome
+                if outcome is not None:
+                    return self._admit(outcome, state)
         candidates.sort(key=lambda c: (c[0], c[1]))
         return self._admit(candidates, state)
+
+    def _count_matches(self, quantifier: Forall, matches: int) -> None:
+        self.stats.matches += matches
+        name = quantifier.name or "<anonymous>"
+        by_name = self.stats.matches_by_quantifier
+        by_name[name] = by_name.get(name, 0) + matches
 
     def _admit(self, candidates, state: _State):
         """Assert the instances of ``candidates`` in order, re-checking
@@ -882,13 +1031,14 @@ class Solver:
         Returns the number of asserted instances, or "conflict"/"resource".
         """
         added = 0
-        for _, _, key, binding, effective_limit in candidates:
+        for _, _, key, record, effective_limit in candidates:
             if self._out_of_time():
                 return "resource"
             if key in self._seen:
                 continue
-            quantifier = key[0]
-            width = self._bound_width(quantifier.body, binding)
+            quantifier, nodes = key
+            width_of, width_parameters = self._width_of(record)
+            width = width_of(self.egraph, width_parameters, nodes)
             if width < 0:
                 self._remember(self._redundant, key)
                 continue
@@ -904,8 +1054,7 @@ class Solver:
                 return "resource"
             added += 1
             witnesses = {
-                v: self.egraph.term_of(node)
-                for v, node in zip(quantifier.vars, key[1])
+                v: self.egraph.term_of(node) for v, node in zip(quantifier.vars, nodes)
             }
             instance = self._instance_cache.get(key)
             if instance is None:

@@ -1,10 +1,12 @@
 """Candidate evaluation on bindings agrees with evaluating built instances.
 
-The solver's relevancy filter measures a candidate instance's *width*
-(``Solver._bound_width``) on the quantifier body and the binding's nodes,
-without substituting the body. ``reference_width`` is the evaluator it
-replaced: it builds the instance with ``subst_formula`` and looks every
-term of it up in the E-graph. The two must agree in every E-graph state —
+The solver's relevancy filter measures a candidate instance's *width* on
+the quantifier body and the match's nodes, without substituting the body,
+through a function compiled for the body's shape
+(:func:`repro.prover.core.compile_width`). ``reference_width`` is the
+evaluator it replaced: it builds the instance with ``subst_formula`` and
+looks every term of it up in the E-graph. The two must agree in every
+E-graph state —
 random interns, merges, disequalities and push/pop, including nodes
 created in a popped branch that lost their merges — and on every candidate
 the solver meets on the examples, the paper's programs and generated
@@ -44,9 +46,8 @@ from repro.logic.terms import (
     TrueF,
     Var,
 )
-from repro.prover.core import Limits, Solver
+from repro.prover.core import Limits, Solver, compile_width
 from repro.prover.egraph import EGraph
-from repro.prover.matching import match_multipattern
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -124,12 +125,18 @@ def instance_of(egraph, body, binding):
     return subst_formula(body, {v: egraph.term_of(n) for v, n in binding.items()})
 
 
+def compiled_width(egraph, body, binding):
+    """The compiled width of ``body`` with its variables bound to the
+    nodes of ``binding``."""
+    variables = tuple(binding)
+    width, parameters = compile_width(Forall(variables, body))
+    return width(egraph, parameters, tuple(binding[v] for v in variables))
+
+
 def assert_agrees(egraph, body, binding):
-    solver = Solver()
-    solver.egraph = egraph
     nodes = egraph.node_count
     want = reference_width(egraph, instance_of(egraph, body, binding))
-    got = solver._bound_width(body, binding)
+    got = compiled_width(egraph, body, binding)
     assert got == want, (body, binding)
     assert egraph.node_count == nodes
     return got
@@ -295,19 +302,29 @@ class TestOracle:
 
 
 class CrossCheckedSolver(Solver):
-    """A solver that evaluates every candidate both ways."""
+    """A solver that evaluates every candidate both ways: its compiled
+    width functions also run the reference on the built instance."""
 
     #: Candidates compared by every ``CrossCheckedSolver`` since the last reset.
     compared = 0
 
-    def _bound_width(self, body, binding):
-        nodes = self.egraph.node_count
-        got = super()._bound_width(body, binding)
-        want = reference_width(self.egraph, instance_of(self.egraph, body, binding))
-        assert got == want, (body, binding)
-        assert self.egraph.node_count == nodes
-        CrossCheckedSolver.compared += 1
-        return got
+    def _width_of(self, record):
+        width, parameters = super()._width_of(record)
+        quantifier = record.formula
+
+        def checked(egraph, parameters, nodes):
+            count = egraph.node_count
+            got = width(egraph, parameters, nodes)
+            binding = dict(zip(quantifier.vars, nodes))
+            want = reference_width(
+                egraph, instance_of(egraph, quantifier.body, binding)
+            )
+            assert got == want, (quantifier.body, binding)
+            assert egraph.node_count == count
+            CrossCheckedSolver.compared += 1
+            return got
+
+        return checked, parameters
 
 
 def _corpus():
@@ -357,38 +374,38 @@ class WholeRoundSolver(Solver):
             width_limit = self.limits.max_instance_width
         candidates = []
         for record in list(state.quants):
+            if record.matchers is None:
+                record.compile()
             quantifier = record.formula
-            variables = set(quantifier.vars)
             effective_limit = width_limit
             if quantifier.width_cap is not None:
                 effective_limit = min(width_limit, quantifier.width_cap)
-            for multipattern in record.triggers:
+            width_of, width_parameters = self._width_of(record)
+            for matcher, parameters in record.matchers:
                 matches = 0
-                for binding in match_multipattern(
-                    self.egraph,
-                    multipattern,
-                    stats=self.stats,
-                    name=quantifier.name or "<anonymous>",
-                ):
-                    if self._out_of_time():
-                        return "resource"
+                for nodes in matcher(self.egraph, parameters):
                     matches += 1
+                    if self._out_of_time():
+                        self._count_matches(quantifier, matches)
+                        return "resource"
                     if matches > self.limits.max_matches_per_round:
                         break
-                    if binding.keys() != variables:
+                    if nodes is None:
                         continue
-                    key = (quantifier, tuple(binding[v] for v in quantifier.vars))
+                    key = (quantifier, nodes)
                     if key in self._seen or key in self._redundant:
                         continue
-                    width = self._bound_width(quantifier.body, binding)
+                    width = width_of(self.egraph, width_parameters, nodes)
                     if width < 0:
                         self._remember(self._redundant, key)
                         continue
                     if width > effective_limit:
                         continue
                     candidates.append(
-                        (width, len(candidates), key, binding, effective_limit)
+                        (width, len(candidates), key, record, effective_limit)
                     )
+                if matches:
+                    self._count_matches(quantifier, matches)
         candidates.sort(key=lambda c: (c[0], c[1]))
         return self._admit(candidates, state)
 
