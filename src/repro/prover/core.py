@@ -229,10 +229,15 @@ def compile_width(quantifier: Forall) -> Tuple[Callable, Tuple[Term, ...]]:
 
 
 def _formula_shape(formula: Formula, slots, constants) -> tuple:
-    if isinstance(formula, Or):
-        return ("or", tuple(_formula_shape(d, slots, constants) for d in formula.disjuncts))
-    if isinstance(formula, And):
-        return ("and", tuple(_formula_shape(c, slots, constants) for c in formula.conjuncts))
+    """``formula`` as a nested tuple, its terms as in
+    :func:`~repro.prover.matching.term_shape`; a quantified (or any other)
+    subformula is ``("unknown",)``."""
+    if isinstance(formula, (Or, And)):
+        parts = formula.disjuncts if isinstance(formula, Or) else formula.conjuncts
+        return (
+            "or" if isinstance(formula, Or) else "and",
+            tuple(_formula_shape(part, slots, constants) for part in parts),
+        )
     if isinstance(formula, Not):
         return ("not", _formula_shape(formula.body, slots, constants))
     if isinstance(formula, Eq):
@@ -266,7 +271,17 @@ class _WidthWriter:
 
     def __init__(self, key):
         _, self.nvars, self.nconstants, self.body = key
-        self.out = Emitter()
+        self.out = Emitter(
+            "def width(eg, params, nodes):",
+            (
+                ("find", "eg.find"),
+                ("memo", "eg._memo.get"),
+                ("sig", "eg._sig.get"),
+                ("node_of", "eg._node_of.get"),
+                ("truth", "eg.truth"),
+                ("diseq", "eg.are_diseq"),
+            ),
+        )
         self.terms: Dict[tuple, Tuple[str, bool]] = {}
         self.values: Dict[tuple, str] = {}
         self.counter = 0
@@ -277,21 +292,12 @@ class _WidthWriter:
 
     def source(self) -> Tuple[str, str]:
         out = self.out
-        out.lines.append("def width(eg, params, nodes):")
         if self.nvars:
             out.line("".join(f"n{slot}, " for slot in range(self.nvars)) + "= nodes")
         if self.nconstants:
-            out.line("".join(f"c{index}, " for index in range(self.nconstants)) + "= params")
-        for text in (
-            "find = eg.find",
-            "memo = eg._memo.get",
-            "sig = eg._sig.get",
-            "node_of = eg._node_of.get",
-            "truth = eg.truth",
-            "diseq = eg.are_diseq",
-            "w = 0",
-        ):
-            out.line(text)
+            names = "".join(f"c{index}, " for index in range(self.nconstants))
+            out.line(f"{names}= params")
+        out.line("w = 0")
         for disjunct in _disjuncts(self.body):
             value = self.value(disjunct)
             if value == "True":
@@ -354,12 +360,12 @@ class _WidthWriter:
             node, _ = self.term(("app", shape[1], shape[2]))
             out.line(f"{name} = None if {node} is None else truth({node})")
         elif kind == "eq":
-            left, left_none = self.term(shape[1])
-            right, right_none = self.term(shape[2])
-            unknown = [n for n, can_be_none in ((left, left_none), (right, right_none)) if can_be_none]
+            sides = (self.term(shape[1]), self.term(shape[2]))
+            (left, _), (right, _) = sides
+            unknown = " or ".join(f"{n} is None" for n, maybe in sides if maybe)
             test = "if"
             if unknown:
-                out.line(f"if {' or '.join(f'{n} is None' for n in unknown)}: {name} = None")
+                out.line(f"if {unknown}: {name} = None")
                 test = "elif"
             out.line(f"{test} find({left}) == find({right}): {name} = True")
             out.line(f"elif diseq({left}, {right}): {name} = False")
@@ -373,7 +379,7 @@ class _WidthWriter:
             out.line(f"{name} = None if {inner} is None else not {inner}")
         else:
             parts = [self.value(part) for part in shape[1]]
-            decisive, neutral = ("False", "True") if kind == "and" else ("True", "False")
+            decisive, neutral = ("True", "False") if kind == "or" else ("False", "True")
             if decisive in parts:
                 return decisive
             pending = [part for part in parts if part not in (neutral, "None")]
@@ -979,12 +985,12 @@ class Solver:
             width_of, width_parameters = self._width_of(record)
             for matcher, parameters in record.matchers:
                 matches = 0
-                outcome = None
+                closing = None
                 for nodes in matcher(egraph, parameters):
                     matches += 1
                     if self._out_of_time():
-                        outcome = "resource"
-                        break
+                        self._count_matches(quantifier, matches)
+                        return "resource"
                     if matches > max_matches:
                         break
                     if nodes is None:
@@ -1006,19 +1012,19 @@ class Solver:
                         # node orphaned by a popped branch can keep the
                         # branch open; the round then ends with this one
                         # instance, and the search goes on.)
-                        outcome = [candidate]
+                        closing = candidate
                         break
                     candidates.append(candidate)
                 if matches:
                     self._count_matches(quantifier, matches)
-                if outcome == "resource":
-                    return outcome
-                if outcome is not None:
-                    return self._admit(outcome, state)
+                if closing is not None:
+                    return self._admit([closing], state)
         candidates.sort(key=lambda c: (c[0], c[1]))
         return self._admit(candidates, state)
 
     def _count_matches(self, quantifier: Forall, matches: int) -> None:
+        """Add one multi-pattern's matches to ``stats.matches`` and to its
+        quantifier's ``stats.matches_by_quantifier``."""
         self.stats.matches += matches
         name = quantifier.name or "<anonymous>"
         by_name = self.stats.matches_by_quantifier

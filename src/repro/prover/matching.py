@@ -25,13 +25,12 @@ the most recent shapes process-wide; the solver's candidate width
 
 from __future__ import annotations
 
+import re
 import threading
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.logic.terms import App, Const, IntLit, Term, Var
 from repro.prover.egraph import EGraph
-
-Binding = Dict[str, int]
 
 #: Compiled functions kept by :func:`compiled`, at most.
 CACHE_BOUND = 512
@@ -64,15 +63,16 @@ def compiled(key: tuple, source: Callable[[], Tuple[str, str]]) -> Callable:
     return function
 
 
-def cache_size() -> int:
-    """How many compiled shapes the process-wide cache holds."""
-    return len(_cache)
-
-
 class Emitter:
-    """Lines of generated Python at a current indentation."""
+    """The lines of one generated function at a current indentation.
 
-    def __init__(self):
+    ``handles`` are ``(name, expression)`` pairs bound at the top of the
+    function, each only if the body uses the name.
+    """
+
+    def __init__(self, header: str, handles: Sequence[Tuple[str, str]]):
+        self.header = header
+        self.handles = handles
         self.lines: List[str] = []
         self.depth = 1
 
@@ -80,7 +80,13 @@ class Emitter:
         self.lines.append("    " * self.depth + text)
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        body = "\n".join(self.lines)
+        used = [
+            f"    {name} = {expression}"
+            for name, expression in self.handles
+            if re.search(rf"\b{name}\b", body)
+        ]
+        return "\n".join([self.header] + used + self.lines) + "\n"
 
 
 def term_shape(term: Term, slots: Dict[str, int], constants: Dict[Term, int]):
@@ -129,27 +135,6 @@ def compile_trigger(
     return matcher, tuple(constants)
 
 
-def match_multipattern(egraph: EGraph, patterns: Sequence[Term]) -> Iterator[Binding]:
-    """All bindings matching every pattern of the multi-pattern, as
-    variable-name dicts (the compiled matcher with its variables in
-    first-occurrence order)."""
-    variables: Dict[str, None] = {}
-    for pattern in patterns:
-        _collect_vars(pattern, variables)
-    names = tuple(variables)
-    matcher, parameters = compile_trigger(patterns, names)
-    for nodes in matcher(egraph, parameters):
-        yield dict(zip(names, nodes))
-
-
-def _collect_vars(term: Term, found: Dict[str, None]) -> None:
-    if isinstance(term, Var):
-        found.setdefault(term.name)
-    elif isinstance(term, App):
-        for arg in term.args:
-            _collect_vars(arg, found)
-
-
 def _join(egraph: EGraph, fn: str, arity: int, keys) -> Sequence[int]:
     """The application nodes with head ``fn`` that can match, by ascending
     id: through the parent lists of the ``(position, node)`` key with the
@@ -171,14 +156,14 @@ def _join(egraph: EGraph, fn: str, arity: int, keys) -> Sequence[int]:
 # Code generation
 # ----------------------------------------------------------------------
 
-_PRELUDE = (
-    "find = eg.find",
-    "children = eg._children",
-    "heads = eg._head",
-    "members = eg._members",
-    "node_of = eg._node_of",
-    "intern = eg.intern",
-    "head_index = eg._head_index",
+_HANDLES = (
+    ("find", "eg.find"),
+    ("children", "eg._children"),
+    ("heads", "eg._head"),
+    ("members", "eg._members"),
+    ("node_of", "eg._node_of"),
+    ("intern", "eg.intern"),
+    ("head_index", "eg._head_index"),
 )
 
 
@@ -221,15 +206,12 @@ class _MatcherWriter:
         return f"{prefix}{self.counter}"
 
     def begin(self, name: str, arguments: Sequence[str]) -> Emitter:
-        out = Emitter()
-        out.lines.append(f"def {name}({', '.join(arguments)}):")
+        # Each function interns a constant on its first check (``k<i>``).
+        lazy = tuple((f"k{index}", "None") for index in range(self.nconstants))
+        out = Emitter(f"def {name}({', '.join(arguments)}):", _HANDLES + lazy)
         if self.nconstants:
-            names = [f"c{index}" for index in range(self.nconstants)]
-            out.line(f"{', '.join(names)}, = params")
-            lazy = " = ".join(f"k{index}" for index in range(self.nconstants))
-            out.line(f"{lazy} = None")
-        for text in _PRELUDE:
-            out.line(text)
+            names = "".join(f"c{index}, " for index in range(self.nconstants))
+            out.line(f"{names}= params")
         return out
 
     def finish(self, out: Emitter) -> None:

@@ -21,14 +21,9 @@ import repro.prover.matching as matching
 from repro.logic.terms import And, App, Const, Eq, Forall, Not, Or, Pred, Var
 from repro.prover.core import Limits, Solver, Verdict, _QuantRecord, compile_width
 from repro.prover.egraph import EGraph
-from repro.prover.matching import (
-    CACHE_BOUND,
-    cache_size,
-    compile_trigger,
-    match_multipattern,
-)
+from repro.prover.matching import CACHE_BOUND, compile_trigger
 from tests.test_bound_width import compiled_width, instance_of, reference_width
-from tests.test_matching import _assert_lockstep, _both
+from tests.test_matching import _assert_lockstep, _both, match_multipattern
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -217,8 +212,8 @@ class TestDeepTriggers:
 def test_cache_stays_at_its_bound():
     for index in range(CACHE_BOUND + 40):
         compile_trigger((App(f"distinct{index}", (X,)),), ("X",))
-        assert cache_size() <= CACHE_BOUND
-    assert cache_size() == CACHE_BOUND
+        assert len(matching._cache) <= CACHE_BOUND
+    assert len(matching._cache) == CACHE_BOUND
     # The newest shapes are kept: compiling one again finds it.
     newest = matching._cache.get(
         ("match", 1, 1, (("app", f"distinct{CACHE_BOUND + 39}", (("var", 0),)),))

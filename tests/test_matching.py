@@ -17,7 +17,7 @@ from repro.logic.terms import (
     Var,
 )
 from repro.prover.egraph import EGraph
-from repro.prover.matching import match_multipattern
+from repro.prover.matching import compile_trigger, term_shape
 from repro.prover.triggers import infer_triggers
 
 try:
@@ -35,6 +35,17 @@ def f(*args):
 
 def g(*args):
     return App("g", args)
+
+
+def match_multipattern(egraph, patterns):
+    """The compiled matcher's matches of ``patterns``, as dicts from
+    variable names to nodes (its variables in first-occurrence order)."""
+    slots = {}
+    for pattern in patterns:
+        term_shape(pattern, slots, {})
+    matcher, parameters = compile_trigger(patterns, tuple(slots))
+    for nodes in matcher(egraph, parameters):
+        yield dict(zip(slots, nodes))
 
 
 def bindings_of(egraph, *patterns):
