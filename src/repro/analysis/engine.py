@@ -1,16 +1,18 @@
 """The lint driver: run every static pass and collect diagnostics.
 
-``lint_scope`` is the single entry point the checker, the CLI, and the
-API use. It is deliberately cheap — pure AST/CFG walks, no prover — so it
-can run as a pre-filter in front of verification on every ``check_scope``
-call. The passes read one inclusion lattice and call graph per scope and
-one CFG and access-path fixpoint per implementation from the scope's
-analysis cache (:mod:`repro.analysis.facts`), which static discharge
-then reuses. Measured by per-layer self time on 100-300-impl farms and
-150/250-link call chains with static discharge on, where the prover is
-bypassed (2-core x86, Python 3.11): lint is ~35% of a check, static
-discharge ~26%, the parser ~20%, the lexer ~8%, well-formedness ~6%
-and the prover ~3%.
+``lint_scope`` is the entry point the lint CLI and the API use: it
+decides well-formedness, then runs the passes. ``check_scope`` decides
+well-formedness itself and runs the passes through ``lint_well_formed``.
+Linting is deliberately cheap — pure AST/CFG walks, no prover — so it
+can run as a pre-filter in front of verification on every
+``check_scope`` call. The passes read one inclusion lattice and call
+graph per scope and one CFG and access-path fixpoint per implementation
+from the scope's analysis cache (:mod:`repro.analysis.facts`), which
+static discharge then reuses. Measured by per-layer self time on
+100-300-impl farms and 150/250-link call chains with static discharge
+on, where the prover is bypassed (2-core x86, Python 3.11): lint is
+~35% of a check, static discharge ~26%, the parser ~20%, the lexer ~8%,
+well-formedness ~6% and the prover ~3%.
 
 Pass inventory:
 
@@ -77,22 +79,39 @@ def lint_scope(
     include_inference: bool = True,
     include_lints: bool = True,
 ) -> LintResult:
-    """Run the static-analysis passes over ``scope``.
+    """Decide ``scope``'s well-formedness, then run the static passes.
 
-    A scope that is not well-formed short-circuits to a single ``OL100``
-    diagnostic: the other passes assume resolvable names.
+    This is the standalone linter's gate: a scope that is not
+    well-formed short-circuits to a single ``OL100`` diagnostic, since
+    the other passes assume resolvable names. ``check_scope`` decides
+    well-formedness itself and calls :func:`lint_well_formed` directly.
     """
+    try:
+        check_well_formed(scope)
+    except WellFormednessError as error:
+        return LintResult(diagnostics=[diagnostic_from_error(error)])
+    return lint_well_formed(
+        scope,
+        include_restrictions=include_restrictions,
+        include_flow=include_flow,
+        include_inference=include_inference,
+        include_lints=include_lints,
+    )
+
+
+def lint_well_formed(
+    scope: Scope,
+    *,
+    include_restrictions: bool = True,
+    include_flow: bool = True,
+    include_inference: bool = True,
+    include_lints: bool = True,
+) -> LintResult:
+    """Run the static passes over a scope already known to be well-formed."""
     from repro.obs import span
     from repro.testing.faults import fault_point
 
     with span("lint") as sp:
-        try:
-            check_well_formed(scope)
-        except WellFormednessError as error:
-            return fault_point(
-                "lint", LintResult(diagnostics=[diagnostic_from_error(error)])
-            )
-
         result = LintResult()
         if include_restrictions:
             from repro.restrictions.pivot import check_pivot_uniqueness

@@ -7,9 +7,10 @@ from typing import List, Optional, Tuple
 from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
+    diagnostic_from_error,
     internal_error_diagnostic,
 )
-from repro.analysis.engine import LintResult, lint_scope
+from repro.analysis.engine import LintResult, lint_program, lint_scope
 from repro.errors import ReproError
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
@@ -34,6 +35,10 @@ __all__ = [
 
 def parse_program(source: str, *, recover: bool = False) -> Scope:
     """Parse an oolong program text into a well-formed scope.
+
+    This function decides well-formedness for its caller (an ill-formed
+    scope raises :class:`WellFormednessError`); :func:`check_program`
+    does not call it, since ``check_scope`` decides it once per check.
 
     Fail-fast by default: the first syntax error raises. With
     ``recover=True`` the parser recovers at declaration/command
@@ -65,7 +70,6 @@ def parse_program_resilient(
     ``OL001``/``OL002`` diagnostics, well-formedness failures of the
     surviving declarations as ``OL100``.
     """
-    from repro.analysis.diagnostics import diagnostic_from_error
     from repro.errors import WellFormednessError
 
     scope, diagnostics = Scope.from_sources_recovering([(filename, source)])
@@ -116,6 +120,9 @@ def check_program(
 ) -> CheckReport:
     """Parse, validate, and verify an oolong program text.
 
+    An ill-formed scope raises :class:`WellFormednessError` from
+    ``check_scope``, which decides well-formedness once per check.
+
     ``tracer``, when given, is a :class:`repro.obs.Tracer` installed for
     the duration of the call: the run's spans (stage boundaries,
     per-implementation, per-VC) and prover metrics land on it, ready for
@@ -147,7 +154,7 @@ def check_program(
     """
     with _maybe_tracing(tracer), _maybe_journaling(events):
         return check_scope(
-            parse_program(source),
+            Scope.from_source(source),
             limits,
             explain=explain,
             parallel=parallel,
@@ -199,90 +206,47 @@ def check_program_resilient(
     The supervision knobs (``parallel``/``cache_dir``/``job_timeout``/
     ``max_retries``) behave as in :func:`check_program`.
     """
-    with _maybe_tracing(tracer), _maybe_journaling(events):
-        return _check_program_resilient(
-            source,
-            limits,
-            filename=filename,
-            explain=explain,
-            parallel=parallel,
-            fleet=fleet,
-            cache_dir=cache_dir,
-            cache_url=cache_url,
-            cache_max_bytes=cache_max_bytes,
-            job_timeout=job_timeout,
-            max_retries=max_retries,
-            static_discharge=static_discharge,
-            check_discharge=check_discharge,
-            run_dir=run_dir,
-            resume=resume,
-        )
-
-
-def _check_program_resilient(
-    source: str,
-    limits: Optional[Limits],
-    *,
-    filename: Optional[str],
-    explain: bool = False,
-    parallel: Optional[int] = None,
-    fleet=None,
-    cache_dir: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    cache_max_bytes: Optional[int] = None,
-    job_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    static_discharge: str = "off",
-    check_discharge: bool = False,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-) -> CheckReport:
     report = CheckReport()
-    try:
-        scope, diagnostics = Scope.from_sources_recovering([(filename, source)])
-    except Exception as exc:
-        report.fatal.append(internal_error_diagnostic("parsing", exc))
-        return report
-    frontend_errors = [
-        d for d in diagnostics if d.severity is Severity.ERROR
-    ]
-    if frontend_errors:
-        report.fatal.extend(frontend_errors)
-        report.diagnostics.extend(
-            d for d in diagnostics if d.severity is not Severity.ERROR
-        )
-        return report
-    report.diagnostics.extend(diagnostics)
-    try:
-        inner = check_scope(
-            scope,
-            limits,
-            explain=explain,
-            parallel=parallel,
-            fleet=fleet,
-            cache_dir=cache_dir,
-            cache_url=cache_url,
-            cache_max_bytes=cache_max_bytes,
-            job_timeout=job_timeout,
-            max_retries=max_retries,
-            static_discharge=static_discharge,
-            check_discharge=check_discharge,
-            run_dir=run_dir,
-            resume=resume,
-        )
-    except ReproError as exc:
-        from repro.analysis.diagnostics import diagnostic_from_error
-
-        report.fatal.append(diagnostic_from_error(exc))
-        return report
-    except Exception as exc:
-        report.fatal.append(internal_error_diagnostic("checking", exc))
-        return report
+    with _maybe_tracing(tracer), _maybe_journaling(events):
+        try:
+            scope, diagnostics = Scope.from_sources_recovering(
+                [(filename, source)]
+            )
+        except Exception as exc:
+            report.fatal.append(internal_error_diagnostic("parsing", exc))
+            return report
+        frontend_errors = [
+            d for d in diagnostics if d.severity is Severity.ERROR
+        ]
+        if frontend_errors:
+            report.fatal.extend(frontend_errors)
+            report.diagnostics.extend(
+                d for d in diagnostics if d.severity is not Severity.ERROR
+            )
+            return report
+        report.diagnostics.extend(diagnostics)
+        try:
+            inner = check_scope(
+                scope,
+                limits,
+                explain=explain,
+                parallel=parallel,
+                fleet=fleet,
+                cache_dir=cache_dir,
+                cache_url=cache_url,
+                cache_max_bytes=cache_max_bytes,
+                job_timeout=job_timeout,
+                max_retries=max_retries,
+                static_discharge=static_discharge,
+                check_discharge=check_discharge,
+                run_dir=run_dir,
+                resume=resume,
+            )
+        except ReproError as exc:
+            report.fatal.append(diagnostic_from_error(exc))
+            return report
+        except Exception as exc:
+            report.fatal.append(internal_error_diagnostic("checking", exc))
+            return report
     inner.diagnostics = report.diagnostics + inner.diagnostics
-    inner.fatal = report.fatal + inner.fatal
     return inner
-
-
-def lint_program(source: str, filename: Optional[str] = None) -> LintResult:
-    """Parse and statically analyse an oolong program text (no prover)."""
-    return lint_scope(Scope.from_source(source, filename))

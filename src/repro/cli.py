@@ -80,7 +80,6 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.oolong.program import Scope
-from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits
 from repro.vcgen.checker import check_scope
 
@@ -473,15 +472,6 @@ def _read_sources(
     return sources, None
 
 
-def _parse_scope_recovering(sources: List[Tuple[str, str]]):
-    """Parse each file with error recovery; positions carry file names.
-
-    Returns ``(scope, frontend_diagnostics)``; the diagnostics cover
-    every lexical/syntax error in every file, not just the first.
-    """
-    return Scope.from_sources_recovering(sources)
-
-
 def _print_frontend_errors(diagnostics, sources, fmt: str) -> None:
     from repro.analysis.diagnostics import render_json, render_text
 
@@ -579,11 +569,10 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
 
     with tracing(tracer) if tracer is not None else nullcontext():
         try:
-            scope, frontend = _parse_scope_recovering(sources)
+            scope, frontend = Scope.from_sources_recovering(sources)
             if frontend:
                 _print_frontend_errors(frontend, sources, args.format)
                 return 2
-            check_well_formed(scope)
             report = check_scope(
                 scope,
                 limits,
@@ -1317,7 +1306,7 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.engine import lint_scope
 
     try:
-        scope, frontend = _parse_scope_recovering(sources)
+        scope, frontend = Scope.from_sources_recovering(sources)
         if frontend:
             _print_frontend_errors(frontend, sources, args.format)
             return 2

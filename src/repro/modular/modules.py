@@ -26,7 +26,6 @@ from repro.errors import WellFormednessError
 from repro.oolong.ast import Decl, ImplDecl
 from repro.oolong.parser import parse_program_text
 from repro.oolong.program import Scope
-from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits
 from repro.vcgen.checker import CheckReport, check_scope
 
@@ -146,9 +145,7 @@ class ModuleSystem:
         self, name: str, limits: Optional[Limits] = None
     ) -> CheckReport:
         """Modularly check one module's implementations in its own scope."""
-        scope = self.implementation_scope(name)
-        check_well_formed(scope)
-        return check_scope(scope, limits)
+        return check_scope(self.implementation_scope(name), limits)
 
     def check_all(
         self, limits: Optional[Limits] = None

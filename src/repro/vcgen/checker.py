@@ -450,6 +450,12 @@ def check_scope(
     still raise :class:`WellFormednessError` — that is a user error, not
     a pipeline fault.
 
+    Well-formedness: this function decides it, once per check, before
+    the ``check-start`` event and before any other pass; callers on the
+    check path (``check_program``, ``check_program_resilient``, the CLI,
+    ``ModuleSystem.check_module``) do not decide it first, and the lint
+    pre-filter runs its passes without a second gate.
+
     Observability: under an installed tracer (:mod:`repro.obs`) the run
     is covered by a ``check_scope`` root span, per-stage spans at every
     boundary the fault harness names, and per-implementation/per-VC
@@ -467,24 +473,193 @@ def check_scope(
         static_discharge = "on"
 
     with obs.span("check_scope", obs.CAT_PIPELINE):
-        return _check_scope_traced(
+        start = time.monotonic()
+        if (
+            limits is not None
+            and limits.scope_time_budget is not None
+            and limits.scope_deadline is None
+        ):
+            limits = replace(
+                limits, scope_deadline=start + limits.scope_time_budget
+            )
+        deadline = limits.scope_deadline if limits is not None else None
+
+        # The one well-formedness decision of a check, made before the
+        # run is announced: an ill-formed scope raises here and journals
+        # no check-start.
+        report = CheckReport()
+        try:
+            check_well_formed(scope)
+        except WellFormednessError:
+            raise
+        except Exception as exc:
+            # The pass itself died (not the scope): warn and keep checking —
+            # per-impl isolation contains any knock-on failures.
+            report.diagnostics.append(
+                internal_error_diagnostic(
+                    "well-formedness checking", exc, severity=Severity.WARNING
+                )
+            )
+
+        backend = "fleet" if fleet is not None else (
+            "parallel" if parallel is not None else "serial"
+        )
+        obs_events.emit(
+            "check-start",
+            impls=sum(len(impls) for impls in scope.impls.values()),
+            backend=backend,
+        )
+        if lint:
+            from repro.analysis.engine import lint_well_formed
+
+            # The syntactic restriction family is reported separately below;
+            # the flow-sensitive escape pass follows the restriction switch.
+            try:
+                result = lint_well_formed(
+                    scope,
+                    include_restrictions=False,
+                    include_flow=enforce_restrictions,
+                )
+                report.diagnostics.extend(list(result.diagnostics))
+            except Exception as exc:
+                report.diagnostics.append(
+                    internal_error_diagnostic(
+                        "lint pre-filter", exc, severity=Severity.WARNING
+                    )
+                )
+        try:
+            scope = desugar_contracts(scope)
+        except Exception as exc:
+            report.fatal.append(
+                internal_error_diagnostic("contract desugaring", exc)
+            )
+            report.elapsed = time.monotonic() - start
+            obs_events.emit(
+                "check-end", ok=report.ok, impls=len(report.verdicts)
+            )
+            return report
+        if enforce_restrictions:
+            try:
+                report.pivot_violations = list(check_pivot_uniqueness(scope))
+            except Exception as exc:
+                report.diagnostics.append(
+                    internal_error_diagnostic(
+                        "pivot restriction pass",
+                        exc,
+                        severity=Severity.WARNING,
+                    )
+                )
+        discharge = None
+        if static_discharge != "off" and not explain:
+            # Explain runs want the prover's reasoning; a discharged verdict
+            # has none to offer, so the pass is bypassed entirely.
+            from repro.analysis.effects import discharge_scope
+
+            try:
+                with obs.span("discharge", obs.CAT_PIPELINE):
+                    discharge = discharge_scope(scope, mode=static_discharge)
+            except Exception as exc:
+                report.diagnostics.append(
+                    internal_error_diagnostic(
+                        "static discharge", exc, severity=Severity.WARNING
+                    )
+                )
+            if discharge is not None:
+                report.diagnostics.extend(discharge.diagnostics)
+                report.discharge_summary = discharge.summary_dict()
+                report.discharge_summary["checked"] = check_discharge
+                _record_discharge_metrics(discharge)
+
+        cache = None
+        remote_cache = None
+        if not explain:
+            # Explain runs bypass the cache: explanations are never cached,
+            # so a hit would silently drop the requested blame report.
+            if cache_url is not None:
+                from repro.parallel.cacheserver import (
+                    CacheUnavailable,
+                    RemoteCache,
+                )
+
+                try:
+                    cache = remote_cache = RemoteCache.connect(cache_url)
+                except CacheUnavailable as exc:
+                    report.diagnostics.append(
+                        _fleet_degraded_diagnostic(
+                            f"shared result cache unreachable ({exc})"
+                        )
+                    )
+            if cache is None and cache_dir is not None:
+                from repro.parallel.cache import ResultCache
+
+                cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
+
+        ledger = None
+        if run_dir is not None and not explain:
+            # The ledger shares the cache's explain bypass: explanations are
+            # never persisted, so a replayed verdict would silently drop the
+            # requested blame report.
+            from repro.parallel.ledger import RunLedger
+
+            journal = obs_events.journal()
+            try:
+                ledger = RunLedger(
+                    run_dir,
+                    scope,
+                    limits,
+                    resume=resume,
+                    run_id=journal.run_id if journal is not None else None,
+                )
+            except OSError as exc:
+                report.diagnostics.append(
+                    _ledger_degraded_diagnostic(
+                        f"run ledger unusable in {run_dir!r} ({exc})"
+                    )
+                )
+            if ledger is not None:
+                if ledger.discarded is not None:
+                    report.diagnostics.append(
+                        _ledger_degraded_diagnostic(
+                            f"run ledger discarded ({ledger.discarded})"
+                        )
+                    )
+
+        _check_impls(
             scope,
             limits,
-            enforce_restrictions=enforce_restrictions,
-            lint=lint,
-            explain=explain,
+            deadline,
+            report,
             parallel=parallel,
             fleet=fleet,
-            cache_dir=cache_dir,
-            cache_url=cache_url,
-            cache_max_bytes=cache_max_bytes,
+            cache=cache,
+            ledger=ledger,
             job_timeout=job_timeout,
             max_retries=max_retries,
-            static_discharge=static_discharge,
+            explain=explain,
+            discharge=discharge,
             check_discharge=check_discharge,
-            run_dir=run_dir,
-            resume=resume,
         )
+        if ledger is not None:
+            report.ledger_summary = ledger.summary()
+            report.ledger_summary["warnings"] = [
+                f"{where}: {reason}" for where, reason in ledger.warnings
+            ]
+            ledger.close()
+        if cache is not None:
+            report.diagnostics.extend(_cache_rejection_diagnostics(cache))
+            report.cache_summary = cache.summary()
+        if remote_cache is not None:
+            if remote_cache.degraded is not None:
+                report.diagnostics.append(
+                    _fleet_degraded_diagnostic(
+                        f"shared result cache lost mid-run "
+                        f"({remote_cache.degraded})"
+                    )
+                )
+            remote_cache.close()
+        report.elapsed = time.monotonic() - start
+        obs_events.emit("check-end", ok=report.ok, impls=len(report.verdicts))
+        return report
 
 
 def _ledger_degraded_diagnostic(detail: str) -> Diagnostic:
@@ -511,210 +686,6 @@ def _fleet_degraded_diagnostic(detail: str) -> Diagnostic:
         message=f"{detail}; degraded to local checking",
         severity=Severity.WARNING,
     )
-
-
-def _check_scope_traced(
-    scope: Scope,
-    limits: Optional[Limits],
-    *,
-    enforce_restrictions: bool,
-    lint: bool,
-    explain: bool = False,
-    parallel: Optional[int] = None,
-    fleet=None,
-    cache_dir: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    cache_max_bytes: Optional[int] = None,
-    job_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    static_discharge: str = "off",
-    check_discharge: bool = False,
-    run_dir: Optional[str] = None,
-    resume: bool = False,
-) -> CheckReport:
-    from repro import obs
-
-    start = time.monotonic()
-    if (
-        limits is not None
-        and limits.scope_time_budget is not None
-        and limits.scope_deadline is None
-    ):
-        limits = replace(limits, scope_deadline=start + limits.scope_time_budget)
-    deadline = limits.scope_deadline if limits is not None else None
-
-    backend = "fleet" if fleet is not None else (
-        "parallel" if parallel is not None else "serial"
-    )
-    obs_events.emit(
-        "check-start",
-        impls=sum(len(impls) for impls in scope.impls.values()),
-        backend=backend,
-    )
-
-    try:
-        check_well_formed(scope)
-    except WellFormednessError:
-        raise
-    except Exception as exc:
-        # The pass itself died (not the scope): warn and keep checking —
-        # per-impl isolation contains any knock-on failures.
-        well_formed_crash = internal_error_diagnostic(
-            "well-formedness checking", exc, severity=Severity.WARNING
-        )
-    else:
-        well_formed_crash = None
-
-    report = CheckReport()
-    if well_formed_crash is not None:
-        report.diagnostics.append(well_formed_crash)
-    if lint:
-        from repro.analysis.engine import lint_scope
-
-        # The syntactic restriction family is reported separately below;
-        # the flow-sensitive escape pass follows the restriction switch.
-        try:
-            result = lint_scope(
-                scope,
-                include_restrictions=False,
-                include_flow=enforce_restrictions,
-            )
-            report.diagnostics.extend(list(result.diagnostics))
-        except Exception as exc:
-            report.diagnostics.append(
-                internal_error_diagnostic(
-                    "lint pre-filter", exc, severity=Severity.WARNING
-                )
-            )
-    try:
-        scope = desugar_contracts(scope)
-    except Exception as exc:
-        report.fatal.append(
-            internal_error_diagnostic("contract desugaring", exc)
-        )
-        report.elapsed = time.monotonic() - start
-        obs_events.emit("check-end", ok=report.ok, impls=len(report.verdicts))
-        return report
-    if enforce_restrictions:
-        try:
-            report.pivot_violations = list(check_pivot_uniqueness(scope))
-        except Exception as exc:
-            report.diagnostics.append(
-                internal_error_diagnostic(
-                    "pivot restriction pass", exc, severity=Severity.WARNING
-                )
-            )
-    discharge = None
-    if static_discharge != "off" and not explain:
-        # Explain runs want the prover's reasoning; a discharged verdict
-        # has none to offer, so the pass is bypassed entirely.
-        from repro.analysis.effects import discharge_scope
-
-        try:
-            with obs.span("discharge", obs.CAT_PIPELINE):
-                discharge = discharge_scope(scope, mode=static_discharge)
-        except Exception as exc:
-            report.diagnostics.append(
-                internal_error_diagnostic(
-                    "static discharge", exc, severity=Severity.WARNING
-                )
-            )
-        if discharge is not None:
-            report.diagnostics.extend(discharge.diagnostics)
-            report.discharge_summary = discharge.summary_dict()
-            report.discharge_summary["checked"] = check_discharge
-            _record_discharge_metrics(discharge)
-
-    cache = None
-    remote_cache = None
-    if not explain:
-        # Explain runs bypass the cache: explanations are never cached,
-        # so a hit would silently drop the requested blame report.
-        if cache_url is not None:
-            from repro.parallel.cacheserver import (
-                CacheUnavailable,
-                RemoteCache,
-            )
-
-            try:
-                cache = remote_cache = RemoteCache.connect(cache_url)
-            except CacheUnavailable as exc:
-                report.diagnostics.append(
-                    _fleet_degraded_diagnostic(
-                        f"shared result cache unreachable ({exc})"
-                    )
-                )
-        if cache is None and cache_dir is not None:
-            from repro.parallel.cache import ResultCache
-
-            cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
-
-    ledger = None
-    if run_dir is not None and not explain:
-        # The ledger shares the cache's explain bypass: explanations are
-        # never persisted, so a replayed verdict would silently drop the
-        # requested blame report.
-        from repro.parallel.ledger import RunLedger
-
-        journal = obs_events.journal()
-        try:
-            ledger = RunLedger(
-                run_dir,
-                scope,
-                limits,
-                resume=resume,
-                run_id=journal.run_id if journal is not None else None,
-            )
-        except OSError as exc:
-            report.diagnostics.append(
-                _ledger_degraded_diagnostic(
-                    f"run ledger unusable in {run_dir!r} ({exc})"
-                )
-            )
-        if ledger is not None:
-            if ledger.discarded is not None:
-                report.diagnostics.append(
-                    _ledger_degraded_diagnostic(
-                        f"run ledger discarded ({ledger.discarded})"
-                    )
-                )
-
-    _check_impls(
-        scope,
-        limits,
-        deadline,
-        report,
-        parallel=parallel,
-        fleet=fleet,
-        cache=cache,
-        ledger=ledger,
-        job_timeout=job_timeout,
-        max_retries=max_retries,
-        explain=explain,
-        discharge=discharge,
-        check_discharge=check_discharge,
-    )
-    if ledger is not None:
-        report.ledger_summary = ledger.summary()
-        report.ledger_summary["warnings"] = [
-            f"{where}: {reason}" for where, reason in ledger.warnings
-        ]
-        ledger.close()
-    if cache is not None:
-        report.diagnostics.extend(_cache_rejection_diagnostics(cache))
-        report.cache_summary = cache.summary()
-    if remote_cache is not None:
-        if remote_cache.degraded is not None:
-            report.diagnostics.append(
-                _fleet_degraded_diagnostic(
-                    f"shared result cache lost mid-run "
-                    f"({remote_cache.degraded})"
-                )
-            )
-        remote_cache.close()
-    report.elapsed = time.monotonic() - start
-    obs_events.emit("check-end", ok=report.ok, impls=len(report.verdicts))
-    return report
 
 
 #: The counter each up-front settlement feeds instead of the prover

@@ -199,11 +199,9 @@ class TestChromeTrace:
         assert skeleton == [
             ("stage", "lex"),
             ("stage", "parse"),
-            ("stage", "wellformed"),
             ("pipeline", "check_scope"),
             ("stage", "wellformed"),
             ("stage", "lint"),
-            ("stage", "wellformed"),
             ("stage", "pivot"),
             ("stage", "vcgen"),
             ("implementation", "normalize"),
