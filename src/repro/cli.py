@@ -49,16 +49,21 @@ checking".
 mid-flight (even SIGKILL) resumes with ``--resume``, replaying the
 committed verdicts and checking only the remainder, and the resumed
 report is byte-identical to an uninterrupted run (damaged or stale
-ledgers degrade with OL905, never fail). Both servers drain gracefully
-on SIGTERM/^C — stop accepting, finish in-flight work within
-``--drain-timeout``, announce a final ``server-stop`` record, exit 0.
-See README "Crash recovery & graceful shutdown".
+ledgers degrade with OL905, never fail). ``workers`` and ``cache``
+share one entry (``serve|status HOST:PORT`` plus the common flags; each
+kind adds only its own: ``-j``/``--status`` for the pool,
+``--dir``/``--max-bytes`` for the cache) and one serve loop: SIGTERM/^C
+stops accepting, finishes in-flight work within ``--drain-timeout``,
+announces a final ``server-stop`` record and exits 0; an address
+already in use exits 2. See README "Crash recovery & graceful
+shutdown".
 ``oolong-check events report FILE`` analyzes a ``--events`` journal
 after the fact (utilization, lease latencies, OL901–OL904 summaries,
 cache effectiveness, the critical path); ``events export --trace OUT
 FILE`` converts a journal into a Chrome trace. ``workers status`` and
-``cache status`` exit 3 when nothing answered and 4 when the server
-refused the handshake, so scripts can tell "down" from "wrong server".
+``cache status`` speak one status protocol (``oolong-status-1``) and
+exit 3 when nothing answered and 4 when the server refused the
+handshake, so scripts can tell "down" from "wrong server".
 Sources are parsed per file with panic-mode error recovery, so every
 diagnostic position names the file it points into and *all* syntax
 errors across all files are reported in one run (as ``OL001``/``OL002``
@@ -831,229 +836,26 @@ def _render_status(payload: dict, metrics_format: Optional[str]) -> str:
     return "\n".join(lines)
 
 
-def _journal_for_server(events_path: Optional[str]):
-    """A journal for a server entry point, or None without ``--events``."""
-    if not events_path:
-        return None
-    from repro.obs import EventJournal
-
-    return EventJournal()
-
-
-def workers_main(argv: Optional[List[str]] = None) -> int:
-    """``oolong-check workers serve|status`` — a standing worker pool.
-
-    ``serve HOST:PORT`` keeps dialing the coordinator address, so the
-    pool can be started before any checker run exists and survives
-    across successive runs (each run's coordinator binds the same
-    address, the workers rejoin). With ``--status HOST:PORT`` the pool
-    also answers live status queries there. ``status HOST:PORT`` asks a
-    pool's status endpoint and prints the answer.
-    """
+def _server_parser(
+    kind: str, description: str, address_help: str
+) -> argparse.ArgumentParser:
+    """The ``serve|status`` arguments ``workers`` and ``cache`` share;
+    each kind adds only its own flags."""
     parser = argparse.ArgumentParser(
-        prog="oolong-check workers",
-        description=(
-            "Run a standing pool of fleet proof workers that dial a "
-            "coordinator address and steal job leases from it (see "
-            "'oolong-check --fleet HOST:PORT'), or query a running "
-            "pool's status endpoint."
-        ),
+        prog=f"oolong-check {kind}", description=description
     )
     parser.add_argument(
         "action",
         choices=("serve", "status"),
-        help="serve: run the pool until ^C; status: query a pool's "
-        "--status endpoint and print the answer",
+        help="serve: run the server until SIGTERM or ^C; status: query a "
+        "running server and print its status",
     )
-    parser.add_argument(
-        "address",
-        metavar="HOST:PORT",
-        help="serve: fleet coordinator address to dial; status: the "
-        "pool's --status endpoint address",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=_nonneg_int,
-        metavar="N",
-        default=2,
-        help="worker processes in the pool (default: 2)",
-    )
+    parser.add_argument("address", metavar="HOST:PORT", help=address_help)
     parser.add_argument(
         "--token",
         default=None,
-        help="shared fleet token (must match the coordinator's)",
-    )
-    parser.add_argument(
-        "--status",
-        metavar="HOST:PORT",
-        default=None,
-        help="with serve: also answer status queries at this address "
-        "(port 0 picks an ephemeral port)",
-    )
-    parser.add_argument(
-        "--http",
-        metavar="HOST:PORT",
-        default=None,
-        help="with serve: also expose /metrics (Prometheus text), "
-        "/healthz, and /status (JSON) over plain HTTP at this address",
-    )
-    parser.add_argument(
-        "--events",
-        metavar="FILE",
-        default=None,
-        help="with serve: write the pool's JSONL event journal to FILE "
-        "on shutdown",
-    )
-    parser.add_argument(
-        "--events-append",
-        action="store_true",
-        help="append to --events FILE instead of truncating it",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=_nonneg_float,
-        metavar="S",
-        default=10.0,
-        help="with serve: on SIGTERM or ^C, seconds to let in-flight "
-        "jobs finish before remaining workers are terminated "
-        "(default: 10)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_nonneg_float,
-        metavar="SECONDS",
-        default=5.0,
-        help="with status: bound the connect/read round-trip "
-        "(default: 5)",
-    )
-    parser.add_argument(
-        "--metrics-format",
-        choices=("json", "prom"),
-        default=None,
-        help="with status: print the full payload as JSON, or the "
-        "metrics as Prometheus text (default: human-readable summary)",
-    )
-    args = parser.parse_args(argv)
-    from repro.parallel.transport import parse_address
-
-    try:
-        address = parse_address(args.address)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.action == "status":
-        from repro.parallel.transport import (
-            StatusRejected,
-            TransportError,
-            query_status,
-        )
-
-        try:
-            payload = query_status(
-                address, token=args.token, timeout=args.timeout
-            )
-        except StatusRejected as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "hint: something answered but refused the handshake — "
-                "wrong server, protocol, or --token?",
-                file=sys.stderr,
-            )
-            return EXIT_STATUS_REJECTED
-        except TransportError as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                f"hint: nothing answered at {args.address} — "
-                "is the server running?",
-                file=sys.stderr,
-            )
-            return EXIT_STATUS_DOWN
-        print(_render_status(payload, args.metrics_format))
-        return 0
-    from repro.obs import journaling
-    from repro.parallel.fleet import serve_workers_forever
-
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    status_address = None
-    if args.status is not None:
-        try:
-            status_address = parse_address(args.status)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    http_address = None
-    if args.http is not None:
-        try:
-            http_address = parse_address(args.http)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    journal = _journal_for_server(args.events)
-    try:
-        with journaling(journal):
-            serve_workers_forever(
-                address,
-                jobs=args.jobs,
-                token=args.token,
-                status_address=status_address,
-                http_address=http_address,
-                drain_timeout=args.drain_timeout,
-            )
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if journal is not None:
-            _export(
-                "events",
-                args.events,
-                lambda path: journal.write(path, append=args.events_append),
-            )
-    return 0
-
-
-def cache_main(argv: Optional[List[str]] = None) -> int:
-    """``oolong-check cache serve|status HOST:PORT`` — a shared cache."""
-    parser = argparse.ArgumentParser(
-        prog="oolong-check cache",
-        description=(
-            "Serve an on-disk result cache over a socket so many checker "
-            "runs can warm each other (see 'oolong-check --cache-url'), "
-            "or query a running server's status."
-        ),
-    )
-    parser.add_argument(
-        "action",
-        choices=("serve", "status"),
-        help="serve: run the server until ^C; status: query a running "
-        "server and print its status",
-    )
-    parser.add_argument(
-        "address",
-        metavar="HOST:PORT",
-        help="serve: address to listen on; status: server to query",
-    )
-    parser.add_argument(
-        "--dir",
-        dest="directory",
-        metavar="PATH",
-        default=None,
-        help="with serve (required): cache directory to serve (created "
-        "if missing)",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=_nonneg_int,
-        metavar="B",
-        default=None,
-        help="evict least-recently-used entries beyond B bytes",
-    )
-    parser.add_argument(
-        "--token",
-        default=None,
-        help="shared secret clients must present",
+        help="shared token (a pool's must match the coordinator's; a "
+        "cache server's clients must present it)",
     )
     parser.add_argument(
         "--http",
@@ -1079,9 +881,8 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
         type=_nonneg_float,
         metavar="S",
         default=10.0,
-        help="with serve: on SIGTERM or ^C, seconds to let connected "
-        "clients finish in-flight requests before they are severed "
-        "(default: 10)",
+        help="with serve: on SIGTERM or ^C, seconds to let in-flight "
+        "jobs or requests finish before they are cut off (default: 10)",
     )
     parser.add_argument(
         "--timeout",
@@ -1098,26 +899,43 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
         help="with status: print the full payload as JSON, or the "
         "metrics as Prometheus text (default: human-readable summary)",
     )
+    return parser
+
+
+def _server_main(parser: argparse.ArgumentParser, argv, build) -> int:
+    """Run ``serve`` or ``status`` for one kind of standing server.
+
+    ``build(args, address, http_address)`` checks the kind's own flags
+    (a ``ValueError`` is a usage error) and constructs the server, which
+    binds its addresses but starts nothing. ``status`` exits 3 when
+    nothing answered and 4 when the server refused the handshake; a
+    usage error, including an address already in use, exits 2.
+    """
     args = parser.parse_args(argv)
-    from repro.parallel.transport import parse_address
+    from repro.parallel.transport import (
+        StatusRejected,
+        TransportError,
+        parse_address,
+        query_status,
+        serve_forever,
+    )
 
     try:
         address = parse_address(args.address)
-    except ValueError as error:
+        if args.action == "serve":
+            http_address = (
+                None if args.http is None else parse_address(args.http)
+            )
+            server = build(args, address, http_address)
+    except (ValueError, OSError, TransportError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.action == "status":
-        from repro.parallel.cacheserver import (
-            CacheRejected,
-            CacheUnavailable,
-            cache_status,
-        )
-
         try:
-            payload = cache_status(
-                args.address, token=args.token, timeout=args.timeout
+            payload = query_status(
+                address, token=args.token, timeout=args.timeout
             )
-        except CacheRejected as error:
+        except StatusRejected as error:
             print(f"error: {error}", file=sys.stderr)
             print(
                 "hint: something answered but refused the handshake — "
@@ -1125,7 +943,7 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return EXIT_STATUS_REJECTED
-        except CacheUnavailable as error:
+        except TransportError as error:
             print(f"error: {error}", file=sys.stderr)
             print(
                 f"hint: nothing answered at {args.address} — "
@@ -1135,35 +953,14 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
             return EXIT_STATUS_DOWN
         print(_render_status(payload, args.metrics_format))
         return 0
-    if not args.directory:
-        print("error: serve requires --dir PATH", file=sys.stderr)
-        return 2
-    http_address = None
-    if args.http is not None:
-        try:
-            http_address = parse_address(args.http)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    from repro.obs import journaling
-    from repro.parallel.cacheserver import serve_cache_forever
+    from repro.obs import EventJournal, journaling
 
-    journal = _journal_for_server(args.events)
+    journal = EventJournal() if args.events else None
     try:
         with journaling(journal):
-            serve_cache_forever(
-                args.directory,
-                address,
-                max_bytes=args.max_bytes or None,
-                token=args.token,
-                http_address=http_address,
-                drain_timeout=args.drain_timeout,
-            )
+            serve_forever(server, args.drain_timeout)
     except KeyboardInterrupt:
         pass
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     finally:
         if journal is not None:
             _export(
@@ -1172,6 +969,101 @@ def cache_main(argv: Optional[List[str]] = None) -> int:
                 lambda path: journal.write(path, append=args.events_append),
             )
     return 0
+
+
+def workers_main(argv: Optional[List[str]] = None) -> int:
+    """``oolong-check workers serve|status`` — a standing worker pool.
+
+    ``serve HOST:PORT`` keeps dialing the coordinator address, so the
+    pool can be started before any checker run exists and survives
+    across successive runs (each run's coordinator binds the same
+    address, the workers rejoin). With ``--status HOST:PORT`` the pool
+    also answers live status queries there. ``status HOST:PORT`` asks a
+    pool's status endpoint and prints the answer.
+    """
+    parser = _server_parser(
+        "workers",
+        "Run a standing pool of fleet proof workers that dial a "
+        "coordinator address and steal job leases from it (see "
+        "'oolong-check --fleet HOST:PORT'), or query a running "
+        "pool's status endpoint.",
+        "serve: fleet coordinator address to dial; status: the "
+        "pool's --status endpoint address",
+    )
+    parser.add_argument(
+        "-j",
+        "--jobs",
+        type=_nonneg_int,
+        metavar="N",
+        default=2,
+        help="worker processes in the pool (default: 2)",
+    )
+    parser.add_argument(
+        "--status",
+        metavar="HOST:PORT",
+        default=None,
+        help="with serve: also answer status queries at this address "
+        "(port 0 picks an ephemeral port)",
+    )
+    return _server_main(parser, argv, _build_pool)
+
+
+def cache_main(argv: Optional[List[str]] = None) -> int:
+    """``oolong-check cache serve|status HOST:PORT`` — a shared cache."""
+    parser = _server_parser(
+        "cache",
+        "Serve an on-disk result cache over a socket so many checker "
+        "runs can warm each other (see 'oolong-check --cache-url'), "
+        "or query a running server's status.",
+        "serve: address to listen on; status: server to query",
+    )
+    parser.add_argument(
+        "--dir",
+        dest="directory",
+        metavar="PATH",
+        default=None,
+        help="with serve (required): cache directory to serve (created "
+        "if missing)",
+    )
+    parser.add_argument(
+        "--max-bytes",
+        type=_nonneg_int,
+        metavar="B",
+        default=None,
+        help="evict least-recently-used entries beyond B bytes",
+    )
+    return _server_main(parser, argv, _build_cache_server)
+
+
+def _build_pool(args, address, http_address):
+    from repro.parallel.fleet import WorkerPool
+    from repro.parallel.transport import parse_address
+
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    return WorkerPool(
+        address,
+        jobs=args.jobs,
+        token=args.token,
+        status_address=(
+            None if args.status is None else parse_address(args.status)
+        ),
+        http_address=http_address,
+    )
+
+
+def _build_cache_server(args, address, http_address):
+    from repro.parallel.cacheserver import CacheServer
+
+    if not args.directory:
+        raise ValueError("serve requires --dir PATH")
+    return CacheServer(
+        args.directory,
+        address,
+        max_bytes=args.max_bytes or None,
+        token=args.token,
+        http_address=http_address,
+    )
 
 
 def events_main(argv: Optional[List[str]] = None) -> int:

@@ -295,17 +295,6 @@ class Designator:
     path: Tuple[str, ...]
     attr: str
 
-    def prefix_expr(self) -> Expr:
-        """The object-valued expression ``E`` such that this is ``E.attr``."""
-        expr: Expr = Id(self.root)
-        for name in self.path:
-            expr = FieldAccess(expr, name)
-        return expr
-
-    def substitute_root(self, mapping: dict) -> "Designator":
-        """Rename the root according to ``mapping`` (formals → actuals)."""
-        return Designator(mapping.get(self.root, self.root), self.path, self.attr)
-
     def __str__(self) -> str:
         parts = [self.root, *self.path, self.attr]
         return ".".join(parts)

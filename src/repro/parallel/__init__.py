@@ -21,7 +21,11 @@ exploits that independence for throughput *and* robustness:
   crash isolation the serial driver uses;
 * :mod:`repro.parallel.transport` — length-prefixed, checksummed socket
   framing with read deadlines; a damaged frame is rejected (and the
-  stream resynchronised) rather than trusted;
+  stream resynchronised) rather than trusted. It also holds what the two
+  standing servers share: :func:`serve_forever`, the one SIGTERM/^C
+  announce-and-drain loop behind ``workers serve`` and ``cache serve``,
+  and :func:`query_status`, the one ``oolong-status-1`` client that reads
+  either server;
 * :mod:`repro.parallel.fleet` — the distributed transport: a socket
   coordinator handing out *renewable leases* to a fleet of local and/or
   remote workers via work stealing; expired leases go back to the job
@@ -61,14 +65,12 @@ _EXPORTS = {
     "CacheServer": "cacheserver",
     "CacheUnavailable": "cacheserver",
     "RemoteCache": "cacheserver",
-    "serve_cache_forever": "cacheserver",
     "FleetCoordinator": "fleet",
     "FleetOptions": "fleet",
     "FleetOutcome": "fleet",
     "FleetUnavailable": "fleet",
     "fleet_worker_main": "fleet",
     "run_fleet_checks": "fleet",
-    "serve_workers_forever": "fleet",
     "Job": "jobs",
     "backoff_delay": "jobs",
     "build_jobs": "jobs",
@@ -84,6 +86,8 @@ _EXPORTS = {
     "ReadTimeout": "transport",
     "TransportError": "transport",
     "parse_address": "transport",
+    "query_status": "transport",
+    "serve_forever": "transport",
     "KILL_EXIT_CODE": "worker",
     "JobRequest": "worker",
     "JobResult": "worker",

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import threading
 import time
 from typing import List, Optional, Tuple
@@ -52,7 +51,9 @@ from repro.parallel.transport import (
     FramedSocket,
     FrameError,
     ReadTimeout,
+    STATUS_PROTOCOL,
     TransportError,
+    answer_status,
     close_listener,
     connect,
     parse_address,
@@ -66,21 +67,15 @@ class CacheUnavailable(Exception):
     """The cache server could not be reached (or rejected the client)."""
 
 
-class CacheRejected(CacheUnavailable):
-    """The cache server answered but refused the handshake.
-
-    Distinct from plain :class:`CacheUnavailable` (nothing listening)
-    so scripted health checks can tell "down" from "wrong server or
-    token" — the CLI maps the two onto different exit codes.
-    """
-
-
 class CacheServer:
     """Serve one :class:`ResultCache` directory to many clients.
 
     One thread per connection; the cache itself is guarded by a single
     lock (requests are small and disk-bound, contention is not the
-    bottleneck at checker scale).
+    bottleneck at checker scale). The same port answers the
+    ``oolong-status-1`` hello, so one
+    :func:`~repro.parallel.transport.query_status` reads both a cache
+    server and a worker pool's status endpoint.
     """
 
     def __init__(
@@ -141,6 +136,21 @@ class CacheServer:
         if self._http_server is None:
             return None
         return self._http_server.url
+
+    def wait(self) -> None:
+        """Block until :meth:`stop`."""
+        while not self._stop.is_set():
+            self._stop.wait(3600)
+
+    def announcement(self, starting: bool) -> dict:
+        """This server's fields of its ``server-start``/``server-stop``
+        stdout records (see :func:`~repro.parallel.transport.serve_forever`)."""
+        record = {"kind": "cache-server", "address": self.url}
+        if starting:
+            record["directory"] = self.cache.directory
+            if self.http_url is not None:
+                record["http"] = self.http_url
+        return record
 
     def stop(self) -> None:
         if not self._stop.is_set():
@@ -214,12 +224,15 @@ class CacheServer:
                 not isinstance(hello, tuple)
                 or len(hello) != 3
                 or hello[0] != "hello"
-                or hello[1] != PROTOCOL
+                or hello[1] not in (PROTOCOL, STATUS_PROTOCOL)
             ):
                 channel.send(("reject", "bad hello"))
                 return
             if self.token is not None and hello[2] != self.token:
                 channel.send(("reject", "bad token"))
+                return
+            if hello[1] == STATUS_PROTOCOL:
+                answer_status(channel, self.status)
                 return
             channel.send(("welcome", code_version()))
             while not self._stop.is_set():
@@ -250,8 +263,6 @@ class CacheServer:
                 elif kind == "summary":
                     with self._lock:
                         channel.send(("summary", self.cache.summary()))
-                elif kind == "status":
-                    channel.send(("status", self.status()))
                 else:
                     channel.send(("reject", f"unknown request {kind!r}"))
         except TransportError:
@@ -559,129 +570,3 @@ class RemoteCache:
             summary["outages"] = self.outages
             summary["reconnects"] = self.reconnects
         return summary
-
-
-def cache_status(
-    url: str, *, token: Optional[str] = None, timeout: float = 5.0
-) -> dict:
-    """One STATUS round-trip against a running :class:`CacheServer`.
-
-    The cache server answers status natively on its own port (no second
-    listener), so this speaks the cache protocol: hello, ``("status",)``,
-    bye.
-    """
-    try:
-        address = parse_address(url)
-    except ValueError as exc:
-        raise CacheUnavailable(str(exc)) from exc
-    try:
-        channel = connect(address, timeout=timeout)
-    except TransportError as exc:
-        raise CacheUnavailable(f"cache server {url}: {exc}") from exc
-    try:
-        channel.send(("hello", PROTOCOL, token))
-        reply = channel.recv(timeout=timeout)
-        if not (isinstance(reply, tuple) and reply and reply[0] == "welcome"):
-            reason = (
-                reply[1]
-                if isinstance(reply, tuple) and len(reply) > 1
-                else reply
-            )
-            raise CacheRejected(
-                f"cache server {url} rejected client: {reason}"
-            )
-        channel.send(("status",))
-        reply = channel.recv(timeout=timeout)
-        if not (
-            isinstance(reply, tuple) and len(reply) == 2 and reply[0] == "status"
-        ):
-            raise CacheUnavailable(f"cache server {url}: bad status reply")
-        try:
-            channel.send(("bye",))
-        except TransportError:
-            pass
-        return reply[1]
-    except TransportError as exc:
-        raise CacheUnavailable(f"cache server {url}: {exc}") from exc
-    finally:
-        channel.close()
-
-
-def serve_cache_forever(
-    directory: str,
-    address: Tuple[str, int],
-    *,
-    max_bytes: Optional[int] = None,
-    token: Optional[str] = None,
-    http_address: Optional[Tuple[str, int]] = None,
-    drain_timeout: float = 10.0,
-) -> None:
-    """Blocking entry point for ``oolong-check cache serve``.
-
-    SIGTERM and SIGINT (Ctrl-C) both trigger a graceful drain: the
-    listener closes immediately (no new clients), connected clients get
-    up to ``drain_timeout`` seconds to finish in-flight requests, and
-    the final ``server-stop`` announcement records the signal that
-    caused the shutdown plus the drain outcome. Exits normally (status
-    0) — a signal-driven stop is the *intended* way to end a server.
-    """
-    server = CacheServer(
-        directory,
-        address,
-        max_bytes=max_bytes,
-        token=token,
-        http_address=http_address,
-    )
-    server.start()
-    stop = {"reason": "exit"}
-
-    def _on_term(signum, frame):
-        stop["reason"] = "sigterm"
-        raise KeyboardInterrupt
-
-    # Install the handler *before* announcing server-start: the
-    # announcement is the readiness signal scripts wait on, so a
-    # SIGTERM may arrive the instant it is printed.
-    previous_term = None
-    try:
-        previous_term = signal.signal(signal.SIGTERM, _on_term)
-    except (ValueError, OSError):  # pragma: no cover — non-main thread
-        previous_term = None
-    record = {
-        "event": "server-start",
-        "kind": "cache-server",
-        "address": server.url,
-        "directory": directory,
-        "pid": os.getpid(),
-    }
-    if server.http_url is not None:
-        record["http"] = server.http_url
-    outcome = {"drained": 0, "terminated": 0}
-    try:
-        # The announcement is inside the try: a signal that lands the
-        # instant the readiness line is printed must still exit through
-        # the drain path below.
-        obs_events.announce(record)
-        while not server._stop.is_set():
-            server._stop.wait(3600)
-    except KeyboardInterrupt:
-        if stop["reason"] == "exit":
-            stop["reason"] = "sigint"
-    finally:
-        if previous_term is not None:
-            try:
-                signal.signal(signal.SIGTERM, previous_term)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        outcome = server.drain(drain_timeout)
-        obs_events.announce(
-            {
-                "event": "server-stop",
-                "kind": "cache-server",
-                "address": server.url,
-                "pid": os.getpid(),
-                "reason": stop["reason"],
-                "drained": outcome["drained"],
-                "terminated": outcome["terminated"],
-            }
-        )

@@ -815,9 +815,12 @@ def fleet_worker_main(
     # A terminal Ctrl-C delivers SIGINT to the whole foreground process
     # group; the *parent* coordinates shutdown (drain or terminate), so
     # a pool child must not die mid-job with a KeyboardInterrupt
-    # traceback of its own.
+    # traceback of its own. SIGTERM (also the parent's ``terminate()``)
+    # takes the default action, not the drain handler a serving parent
+    # installed before forking this child.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass  # not the main thread, or an embedded interpreter
 
@@ -1088,9 +1091,22 @@ class WorkerPool:
             "metrics": metrics.to_dict(),
         }
 
-    def join(self) -> None:
+    def wait(self) -> None:
+        """Block until every worker process has exited."""
         for process in self._procs:
             process.join()
+
+    def announcement(self, starting: bool) -> dict:
+        """This pool's fields of its ``server-start``/``server-stop``
+        stdout records (see :func:`~repro.parallel.transport.serve_forever`)."""
+        record = {"kind": "worker-pool", "coordinator": self.coordinator_url}
+        if starting:
+            record["workers"] = self.jobs
+            if self.status_url is not None:
+                record["address"] = self.status_url
+            if self.http_url is not None:
+                record["http"] = self.http_url
+        return record
 
     def drain(self, timeout: float = 10.0) -> dict:
         """Graceful shutdown: let in-flight jobs finish, then stop.
@@ -1134,79 +1150,6 @@ class WorkerPool:
                 process.terminate()
         for process in self._procs:
             process.join(timeout=5.0)
-
-
-def serve_workers_forever(
-    address: Tuple[str, int],
-    *,
-    jobs: int = 2,
-    token: Optional[str] = None,
-    status_address: Optional[Tuple[str, int]] = None,
-    http_address: Optional[Tuple[str, int]] = None,
-    drain_timeout: float = 10.0,
-) -> None:
-    """Blocking entry point for ``oolong-check workers serve``.
-
-    SIGTERM and SIGINT (Ctrl-C) both exit through the graceful drain
-    path: workers finish their in-flight job (up to ``drain_timeout``
-    seconds), the structured ``server-stop`` line is announced with the
-    signal and drain outcome, and the function returns normally so the
-    CLI exits 0.
-    """
-    import signal
-
-    pool = WorkerPool(
-        address,
-        jobs=jobs,
-        token=token,
-        status_address=status_address,
-        http_address=http_address,
-    )
-    pool.start()
-    stop = {"reason": "exit"}
-
-    def _on_term(signum, frame):
-        stop["reason"] = "sigterm"
-        raise KeyboardInterrupt
-
-    # Handler first, announcement second: the server-start line is the
-    # readiness signal scripts key on, and a SIGTERM may land the
-    # moment it is printed.
-    previous_term = signal.signal(signal.SIGTERM, _on_term)
-    record = {
-        "event": "server-start",
-        "kind": "worker-pool",
-        "coordinator": pool.coordinator_url,
-        "workers": jobs,
-        "pid": os.getpid(),
-    }
-    if pool.status_url is not None:
-        record["address"] = pool.status_url
-    if pool.http_url is not None:
-        record["http"] = pool.http_url
-    outcome = {"drained": 0, "terminated": 0}
-    try:
-        # Announce inside the try: a signal that lands the instant the
-        # readiness line is printed must still drain gracefully.
-        obs_events.announce(record)
-        pool.join()
-    except KeyboardInterrupt:
-        if stop["reason"] == "exit":
-            stop["reason"] = "sigint"
-    finally:
-        signal.signal(signal.SIGTERM, previous_term)
-        outcome = pool.drain(drain_timeout)
-        obs_events.announce(
-            {
-                "event": "server-stop",
-                "kind": "worker-pool",
-                "coordinator": pool.coordinator_url,
-                "pid": os.getpid(),
-                "reason": stop["reason"],
-                "drained": outcome["drained"],
-                "terminated": outcome["terminated"],
-            }
-        )
 
 
 def run_fleet_checks(

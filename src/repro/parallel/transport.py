@@ -37,7 +37,9 @@ or corrupt the n-th frame on the wire (see
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
+import signal
 import socket
 import struct
 import threading
@@ -359,7 +361,7 @@ class StatusServer:
     Wraps a caller-supplied ``snapshot`` callable (returning a plain
     dict) behind the same frame protocol everything else speaks. The
     worker pool mounts one beside its coordinator rendezvous; the cache
-    server answers status natively on its own port instead. Queries are
+    server answers the same hello on its own port instead. Queries are
     read-only and served on daemon threads, so a slow or hostile client
     can never wedge the server it is observing.
     """
@@ -411,26 +413,36 @@ class StatusServer:
             ):
                 channel.send(("error", "bad hello"))
                 return
-            channel.send(("welcome", STATUS_PROTOCOL))
-            while True:
-                try:
-                    request = channel.recv(timeout=30.0)
-                except FrameError:
-                    continue
-                except (ReadTimeout, ConnectionClosed):
-                    return
-                if not isinstance(request, tuple) or not request:
-                    channel.send(("error", "bad request"))
-                elif request[0] == "status":
-                    channel.send(("status", self.snapshot()))
-                elif request[0] == "bye":
-                    return
-                else:
-                    channel.send(("error", f"unknown request {request[0]!r}"))
+            answer_status(channel, self.snapshot)
         except (TransportError, OSError):
             pass
         finally:
             channel.close()
+
+
+def answer_status(channel: FramedSocket, snapshot: Callable[[], dict]) -> None:
+    """Welcome an accepted status hello, then answer until ``bye``.
+
+    Shared by :class:`StatusServer` and the cache server, which answers
+    the same ``oolong-status-1`` hello on its own port, so one
+    :func:`query_status` reads either kind of server.
+    """
+    channel.send(("welcome", STATUS_PROTOCOL))
+    while True:
+        try:
+            request = channel.recv(timeout=30.0)
+        except FrameError:
+            continue
+        except (ReadTimeout, ConnectionClosed):
+            return
+        if not isinstance(request, tuple) or not request:
+            channel.send(("error", "bad request"))
+        elif request[0] == "status":
+            channel.send(("status", snapshot()))
+        elif request[0] == "bye":
+            return
+        else:
+            channel.send(("error", f"unknown request {request[0]!r}"))
 
 
 def query_status(
@@ -439,7 +451,8 @@ def query_status(
     token: Optional[str] = None,
     timeout: float = 5.0,
 ) -> dict:
-    """One status round-trip against a :class:`StatusServer`."""
+    """One status round-trip against a worker pool's :class:`StatusServer`
+    or a cache server's own port."""
     channel = connect(address, timeout=timeout)
     try:
         channel.send(("hello", STATUS_PROTOCOL, token))
@@ -478,3 +491,57 @@ def close_listener(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
+
+
+def serve_forever(server, drain_timeout: float = 10.0) -> None:
+    """Run a standing server until SIGTERM or SIGINT (Ctrl-C), then drain.
+
+    The blocking body of ``oolong-check workers serve`` and ``cache
+    serve``. ``server`` is a :class:`~repro.parallel.fleet.WorkerPool`
+    or a :class:`~repro.parallel.cacheserver.CacheServer`: it supplies
+    ``start()``, a blocking ``wait()``, ``drain(timeout)`` (returning
+    the ``drained``/``terminated`` counts) and ``announcement(starting)``,
+    its own fields of the ``server-start``/``server-stop`` stdout
+    records. Either signal lets in-flight work finish for up to
+    ``drain_timeout`` seconds, announces ``server-stop`` with the signal
+    and the drain outcome, and returns normally so the CLI exits 0.
+
+    The SIGTERM handler goes in before the server starts anything, so a
+    call off the main thread raises ``ValueError`` with no process or
+    thread left behind.
+    """
+    stop = {"reason": "exit"}
+
+    def _on_term(signum, frame):
+        stop["reason"] = "sigterm"
+        raise KeyboardInterrupt
+
+    previous_term = signal.signal(signal.SIGTERM, _on_term)
+    try:
+        server.start()
+        # Announce inside the try: the server-start line is the
+        # readiness signal scripts wait on, and a SIGTERM that lands
+        # the instant it is printed must still drain.
+        obs_events.announce(
+            {
+                "event": "server-start",
+                "pid": os.getpid(),
+                **server.announcement(True),
+            }
+        )
+        server.wait()
+    except KeyboardInterrupt:
+        if stop["reason"] == "exit":
+            stop["reason"] = "sigint"
+    finally:
+        signal.signal(signal.SIGTERM, previous_term)
+        outcome = server.drain(drain_timeout)
+        obs_events.announce(
+            {
+                "event": "server-stop",
+                "pid": os.getpid(),
+                **server.announcement(False),
+                "reason": stop["reason"],
+                **outcome,
+            }
+        )

@@ -459,10 +459,6 @@ class EGraph:
     def apps_with_head(self, fn: str) -> Tuple[int, ...]:
         return tuple(self._head_index.get(fn, ()))
 
-    def head_count(self, fn: str) -> int:
-        """How many application nodes have head ``fn``."""
-        return len(self._head_index.get(fn, ()))
-
     def class_use_count(self, node: int) -> int:
         """How many parent registrations the members of ``node``'s class
         have — the cost of :meth:`parents_at` on that class."""

@@ -154,11 +154,6 @@ class CheckReport:
             return matching[index]
         return None
 
-    def worst_diagnostic_severity(self) -> Optional[Severity]:
-        from repro.analysis.diagnostics import max_severity
-
-        return max_severity(self.diagnostics)
-
     def describe(self, *, stats: bool = False) -> str:
         """The canonical text report (the CLI prints exactly this).
 

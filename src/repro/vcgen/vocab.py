@@ -56,15 +56,6 @@ def attr_const(name: str) -> Const:
     return Const(f"attr${name}")
 
 
-def program_var(name: str) -> Term:
-    """A formal parameter or local variable as a logic variable.
-
-    Formals stay free in the VC body and are closed to constants during
-    assembly; locals are bound by the ``var`` quantifier in wlp.
-    """
-    return Var(name)
-
-
 def store_var() -> Var:
     """The current-store variable ``$``."""
     return Var(STORE_VAR)

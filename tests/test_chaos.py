@@ -12,16 +12,19 @@ comes back mid-run is re-dialed and serves the rest of the run.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic_from_dict
+from repro.cli import main
 from repro.corpus.generators import generate_impl_farm
 from repro.obs import EventJournal, journaling
 from repro.obs.events import read_journal
@@ -33,12 +36,14 @@ from repro.parallel.cache import (
     payload_to_verdict,
 )
 from repro.parallel.cacheserver import CacheServer, RemoteCache
+from repro.parallel.fleet import WorkerPool
 from repro.parallel.ledger import (
     CHAOS_EXIT_CODE,
     LEDGER_NAME,
     PREVIOUS_NAME,
     RunLedger,
 )
+from repro.parallel.transport import serve_forever
 from repro.prover.core import Limits
 from repro.testing.chaos import (
     CHAOS_ENV,
@@ -473,26 +478,27 @@ def _stop_record(out):
     raise AssertionError(f"no server-stop record in {out!r}")
 
 
+def _serve_args(kind, tmp_path):
+    if kind == "workers":
+        return ["workers", "serve", f"127.0.0.1:{_free_port()}", "-j", "2"]
+    directory = str(tmp_path / "cache")
+    return ["cache", "serve", f"127.0.0.1:{_free_port()}", "--dir", directory]
+
+
 class TestGracefulDrain:
+    @pytest.mark.parametrize("kind", ["workers", "cache"])
     @pytest.mark.parametrize(
         "sig,reason",
         [(signal.SIGTERM, "sigterm"), (signal.SIGINT, "sigint")],
     )
-    def test_workers_serve_drains(self, sig, reason):
+    def test_serve_drains(self, tmp_path, kind, sig, reason):
         process = _spawn_cli(
-            [
-                "workers",
-                "serve",
-                f"127.0.0.1:{_free_port()}",
-                "-j",
-                "2",
-                "--drain-timeout",
-                "5",
-            ]
+            [*_serve_args(kind, tmp_path), "--drain-timeout", "5"]
         )
         try:
             _await_start(process)
-            time.sleep(1.0)  # let the workers fork and start dialing
+            if kind == "workers":
+                time.sleep(1.0)  # let the workers fork and start dialing
             os.killpg(process.pid, sig)  # the whole group, like Ctrl-C
             out, err = process.communicate(timeout=30)
         finally:
@@ -502,35 +508,59 @@ class TestGracefulDrain:
         assert "Traceback" not in err
         record = _stop_record(out)
         assert record["reason"] == reason
-        assert record["drained"] + record["terminated"] == 2
+        if kind == "workers":
+            assert record["drained"] + record["terminated"] == 2
 
     @pytest.mark.parametrize(
-        "sig,reason",
-        [(signal.SIGTERM, "sigterm"), (signal.SIGINT, "sigint")],
+        "argv",
+        [
+            ["workers", "serve", "127.0.0.1:1", "-j", "1", "--status", "BUSY"],
+            ["workers", "serve", "127.0.0.1:1", "-j", "1", "--http", "BUSY"],
+            ["cache", "serve", "BUSY", "--dir", "DIR"],
+            ["cache", "serve", "127.0.0.1:0", "--dir", "DIR", "--http", "BUSY"],
+        ],
+        ids=["workers-status", "workers-http", "cache-address", "cache-http"],
     )
-    def test_cache_serve_drains(self, tmp_path, sig, reason):
-        process = _spawn_cli(
-            [
-                "cache",
-                "serve",
-                f"127.0.0.1:{_free_port()}",
-                "--dir",
-                str(tmp_path / "cache"),
-                "--drain-timeout",
-                "5",
-            ]
-        )
+    def test_busy_address_is_a_usage_error(self, tmp_path, capsys, argv):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            url = "127.0.0.1:%d" % busy.getsockname()[1]
+            placeholders = {"BUSY": url, "DIR": str(tmp_path / "cache")}
+            assert main([placeholders.get(arg, arg) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no server-start: nothing was announced
+        assert err.startswith("error: ")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["workers", "cache"])
+    def test_serve_loop_off_main_thread_starts_nothing(self, tmp_path, kind):
+        # signal.signal raises ValueError off the main thread; the loop
+        # must raise before it starts a worker process or accept thread.
+        if kind == "workers":
+            server = WorkerPool(("127.0.0.1", 1), jobs=1)
+        else:
+            server = CacheServer(str(tmp_path / "cache"))
+        raised = []
+
+        def run():
+            try:
+                serve_forever(server, drain_timeout=1.0)
+            except ValueError as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
         try:
-            _await_start(process)
-            os.killpg(process.pid, sig)
-            out, err = process.communicate(timeout=30)
+            assert not thread.is_alive(), "the serve loop blocked"
+            assert raised
+            assert multiprocessing.active_children() == []
+            assert not any(
+                t.name == "cache-accept" for t in threading.enumerate()
+            )
         finally:
-            if process.poll() is None:
-                process.kill()
-        assert process.returncode == 0
-        assert "Traceback" not in err
-        record = _stop_record(out)
-        assert record["reason"] == reason
+            server.stop()
 
 
 # ---------------------------------------------------------------------------

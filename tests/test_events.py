@@ -12,11 +12,12 @@
 * **Prometheus** — ``MetricsRegistry.to_prometheus`` renders counters,
   labelled counters, and timers in the text exposition format;
   ``--metrics-format prom`` writes it from the CLI.
-* **Status** — a :class:`StatusServer` answers ``query_status`` round
-  trips; the cache server answers natively; ``workers status`` /
+* **Status** — a :class:`StatusServer` and the cache server's own port
+  answer the same ``query_status`` round trip; ``workers status`` /
   ``cache status`` print the payloads.
 """
 
+import contextlib
 import json
 import os
 
@@ -38,7 +39,7 @@ from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.parallel import FleetOptions
 from repro.parallel.cache import cache_key
-from repro.parallel.cacheserver import CacheServer, cache_status
+from repro.parallel.cacheserver import CacheServer
 from repro.parallel.transport import (
     StatusServer,
     TransportError,
@@ -594,7 +595,7 @@ class TestStatusEndpoints:
             scope = Scope.from_source(RATIONAL)
             impl = next(iter(scope.impls.values()))[0]
             key = cache_key(scope, impl, 0, None)
-            payload = cache_status(server.url)
+            payload = query_status(server.address)
             assert payload["kind"] == "cache-server"
             assert payload["address"] == server.url
             assert payload["metrics"]["counters"] == {}
@@ -604,49 +605,39 @@ class TestStatusEndpoints:
             client = RemoteCache.connect(server.url)
             assert client.load(key) is None
             client.close()
-            payload = cache_status(server.url)
+            payload = query_status(server.address)
             assert payload["metrics"]["counters"]["cacheserver.gets"] == 1
             assert payload["metrics"]["counters"]["cacheserver.misses"] == 1
             assert payload["summary"]["misses"] == 1
 
-    def test_cache_status_cli(self, tmp_path, capsys):
-        with CacheServer(str(tmp_path / "cache")) as server:
-            assert cache_main(["status", server.url]) == 0
+    @pytest.mark.parametrize(
+        "kind,entry,lines,fmt,check",
+        [
+            (
+                "workers",
+                workers_main,
+                ["workers: 2/2 alive", "jobs served: 5"],
+                "prom",
+                lambda out: "oolong_pool_jobs_served 5" in out,
+            ),
+            (
+                "cache",
+                cache_main,
+                ["cache-server"],
+                "json",
+                lambda out: json.loads(out)["kind"] == "cache-server",
+            ),
+        ],
+        ids=["workers", "cache"],
+    )
+    def test_status_cli(self, tmp_path, capsys, kind, entry, lines, fmt, check):
+        with _status_target(kind, tmp_path) as url:
+            assert entry(["status", url]) == 0
             text = capsys.readouterr().out
-            assert "cache-server" in text
-            assert cache_main(
-                ["status", server.url, "--metrics-format", "json"]
-            ) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["kind"] == "cache-server"
-
-    def test_workers_status_cli(self, capsys):
-        snapshot = {
-            "kind": "worker-pool",
-            "coordinator": "127.0.0.1:1",
-            "pid": 1,
-            "uptime": 0.0,
-            "workers": {"configured": 2, "alive": 2, "pids": [10, 11]},
-            "jobs_served": 5,
-            "metrics": {"counters": {"pool.jobs_served": 5}},
-        }
-        server = StatusServer(("127.0.0.1", 0), lambda: snapshot).start()
-        try:
-            host, port = server.address
-            assert workers_main(["status", f"{host}:{port}"]) == 0
-            text = capsys.readouterr().out
-            assert "workers: 2/2 alive" in text
-            assert "jobs served: 5" in text
-            assert (
-                workers_main(
-                    ["status", f"{host}:{port}", "--metrics-format", "prom"]
-                )
-                == 0
-            )
-            prom = capsys.readouterr().out
-            assert "oolong_pool_jobs_served 5" in prom
-        finally:
-            server.stop()
+            for line in lines:
+                assert line in text
+            assert entry(["status", url, "--metrics-format", fmt]) == 0
+            assert check(capsys.readouterr().out)
 
     def test_status_against_nothing_exits_down(self, capsys):
         """Connection-refused means "down": exit 3 plus a stderr hint."""
@@ -662,33 +653,53 @@ class TestStatusEndpoints:
         assert "error:" in err
         assert "is the server running?" in err
 
-    def test_status_handshake_rejection_exits_distinctly(self, capsys):
+    @pytest.mark.parametrize(
+        "kind,entry",
+        [("workers", workers_main), ("cache", cache_main)],
+        ids=["workers", "cache"],
+    )
+    def test_status_rejection_exits_distinctly(
+        self, tmp_path, capsys, kind, entry
+    ):
         """A live server with the wrong token is "wrong server", not
         "down": exit 4, and the hint names the token."""
-        server = StatusServer(
-            ("127.0.0.1", 0), lambda: {}, token="sekrit"
-        ).start()
-        try:
-            host, port = server.address
+        with _status_target(kind, tmp_path, token="sekrit") as url:
             assert (
-                workers_main(
-                    ["status", f"{host}:{port}", "--timeout", "2"]
-                )
+                entry(["status", url, "--timeout", "2"])
                 == EXIT_STATUS_REJECTED
             )
-        finally:
-            server.stop()
         err = capsys.readouterr().err
         assert "refused the handshake" in err
 
-    def test_cache_status_rejection_exits_distinctly(self, tmp_path, capsys):
-        with CacheServer(str(tmp_path / "cache"), token="sekrit") as server:
-            assert (
-                cache_main(["status", server.url, "--timeout", "2"])
-                == EXIT_STATUS_REJECTED
-            )
-        err = capsys.readouterr().err
-        assert "refused the handshake" in err
+
+@contextlib.contextmanager
+def _status_target(kind, tmp_path, token=None):
+    """A live server of ``kind`` answering status; yields its address.
+
+    ``workers`` is a :class:`StatusServer` over a fixed pool snapshot,
+    ``cache`` a real :class:`CacheServer`.
+    """
+    if kind == "cache":
+        with CacheServer(str(tmp_path / "cache"), token=token) as server:
+            yield server.url
+        return
+    snapshot = {
+        "kind": "worker-pool",
+        "coordinator": "127.0.0.1:1",
+        "pid": 1,
+        "uptime": 0.0,
+        "workers": {"configured": 2, "alive": 2, "pids": [10, 11]},
+        "jobs_served": 5,
+        "metrics": {"counters": {"pool.jobs_served": 5}},
+    }
+    server = StatusServer(
+        ("127.0.0.1", 0), lambda: snapshot, token=token
+    ).start()
+    try:
+        host, port = server.address
+        yield f"{host}:{port}"
+    finally:
+        server.stop()
 
 
 # ----------------------------------------------------------------------
@@ -786,52 +797,47 @@ def _http_get(url):
 
 
 class TestHttpEndpoints:
-    def test_worker_pool_serves_http(self):
+    @pytest.mark.parametrize("kind", ["worker-pool", "cache-server"])
+    def test_server_serves_http(self, tmp_path, kind):
         from repro.obs.httpd import render_prometheus
+        from repro.parallel.cacheserver import RemoteCache
         from repro.parallel.fleet import WorkerPool
 
-        pool = WorkerPool(
-            ("127.0.0.1", 1), jobs=0, http_address=("127.0.0.1", 0)
-        ).start()
+        if kind == "worker-pool":
+            server = WorkerPool(
+                ("127.0.0.1", 1), jobs=0, http_address=("127.0.0.1", 0)
+            )
+        else:
+            server = CacheServer(
+                str(tmp_path / "cache"), http_address=("127.0.0.1", 0)
+            )
+        server.start()
         try:
-            base = f"http://{pool.http_url}"
-            status, body = _http_get(base + "/healthz")
-            assert status == 200 and body == "ok\n"
-            status, body = _http_get(base + "/status")
-            payload = json.loads(body)
-            assert payload["kind"] == "worker-pool"
-            status, body = _http_get(base + "/metrics")
-            assert status == 200
-            assert "oolong_pool_jobs_served 0" in body
-            # The scrape endpoint and the status protocol render the
-            # very same counters.
-            assert body == render_prometheus(pool.status())
-        finally:
-            pool.stop()
-
-    def test_cache_server_serves_http(self, tmp_path):
-        with CacheServer(
-            str(tmp_path / "cache"), http_address=("127.0.0.1", 0)
-        ) as server:
             base = f"http://{server.http_url}"
             status, body = _http_get(base + "/healthz")
             assert status == 200 and body == "ok\n"
             status, body = _http_get(base + "/status")
             payload = json.loads(body)
-            assert payload["kind"] == "cache-server"
+            assert payload["kind"] == kind
             status, body = _http_get(base + "/metrics")
             assert status == 200
-            # traffic shows up in later scrapes
-            from repro.parallel.cacheserver import RemoteCache
-
-            scope = Scope.from_source(RATIONAL)
-            impl = next(iter(scope.impls.values()))[0]
-            key = cache_key(scope, impl, 0, None)
-            client = RemoteCache.connect(server.url)
-            assert client.load(key) is None
-            client.close()
-            _, body = _http_get(base + "/metrics")
-            assert "oolong_cacheserver_misses 1" in body
+            if kind == "worker-pool":
+                assert "oolong_pool_jobs_served 0" in body
+                # The scrape endpoint and the status protocol render the
+                # very same counters.
+                assert body == render_prometheus(server.status())
+            else:
+                # traffic shows up in later scrapes
+                scope = Scope.from_source(RATIONAL)
+                impl = next(iter(scope.impls.values()))[0]
+                key = cache_key(scope, impl, 0, None)
+                client = RemoteCache.connect(server.url)
+                assert client.load(key) is None
+                client.close()
+                _, body = _http_get(base + "/metrics")
+                assert "oolong_cacheserver_misses 1" in body
+        finally:
+            server.stop()
 
     def test_unknown_path_is_404(self):
         from repro.obs.httpd import TelemetryHTTPServer
