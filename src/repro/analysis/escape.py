@@ -168,9 +168,11 @@ class PivotEscapeAnalysis(ForwardAnalysis):
             return []
         rhs = node.rhs
         if isinstance(rhs, Id):
+            # Shortest path first, ties by step text (not by hash order).
             return sorted(
                 state.get(rhs.name, frozenset()),
-                key=lambda t: (len(t.steps), t.kind, t.source),
+                key=lambda t: (len(t.steps), t.kind, t.source)
+                + tuple(step.description for step in t.steps),
             )
         if isinstance(rhs, FieldAccess) and self.scope.is_pivot(rhs.attr):
             step = TaintStep(f"{node.target} := {rhs} (pivot read)", node.position)

@@ -87,3 +87,26 @@ class TestPrecision:
         """
         diags = escapes(source)
         assert [d.code for d in diags] == ["OL110"]
+
+    def test_equal_length_leak_paths_are_chosen_by_text(self):
+        # Two arms read the same pivot field through different objects:
+        # both paths have one step, and the one reported is the first by
+        # text whatever the hash order of the joined taint set.
+        source = """
+        group contents
+        field cnt
+        field obj
+        field vec maps cnt into contents
+        proc m(st, r) modifies r.obj
+        impl m(st, r) {
+          var t in
+            ( t := st.vec [] t := r.vec ) ;
+            r.obj := t
+          end
+        }
+        """
+        (diag,) = escapes(source)
+        assert [note.message for note in diag.notes] == [
+            "t := r.vec (pivot read)",
+            "r.obj := t (heap store)",
+        ]
