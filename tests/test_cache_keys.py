@@ -11,7 +11,9 @@ The corpus is the static-identity corpus (every ``examples/**/*.oolong``
 file, the paper's programs, one scope per generator, and the
 end-to-end benchmark's planted farm and chain) plus the 100-impl scope
 of the benchmark's ``edit-recheck`` session
-(``e2ebench/inputs.py``'s ``EditSession``).
+(``e2ebench/inputs.py``'s ``EditSession``). The static corpus's scope
+of ``[]`` chains is left out: a key hashes the printed body, and a
+chain of three or more arms prints one pair of parentheses per node.
 
 The golden file was written by the code *before* such a change. Keys
 embed the code version, so a deliberate version bump (or any change
@@ -46,7 +48,9 @@ LIMITS = Limits(
 
 def key_corpus():
     """``(name, filename, source)`` triples, in a fixed order."""
-    yield from corpus()
+    for name, filename, source in corpus():
+        if name != "choice-chains":
+            yield name, filename, source
     yield "edit-session-1", None, e2ebench_inputs().EditSession(1).case("base").source
 
 

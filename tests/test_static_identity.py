@@ -8,12 +8,15 @@ reproduce, for every scope below:
   message, position, notes), and the inferred modifies lists;
 * every implementation's ``discharge_scope`` outcome, per-obligation
   decisions, blame and blame notes, in both discharge modes, plus the
-  effect summaries.
+  effect summaries;
+* every implementation's verification condition (after the contract
+  desugaring): the sha256 of its goal's printed text, and its
+  obligation list.
 
 The corpus is every ``examples/**/*.oolong`` file, the paper's programs,
-one scope per generator, and a 100-impl farm and a 150-link call chain
-carrying the end-to-end benchmark's planted mutants
-(``e2ebench/inputs.py``'s ``plant``).
+one scope per generator, a scope of ``[]`` chains, and a 100-impl farm
+and a 150-link call chain carrying the end-to-end benchmark's planted
+mutants (``e2ebench/inputs.py``'s ``plant``).
 
 The golden file was written by the code *before* such a refactor; when
 a change deliberately alters a static result, regenerate it and say
@@ -22,7 +25,9 @@ why::
     PYTHONPATH=src python tests/test_static_identity.py --write
 """
 
+import dataclasses
 import glob
+import hashlib
 import importlib.util
 import json
 import os
@@ -39,10 +44,89 @@ from repro.corpus.generators import (
     generate_wide_scope,
 )
 from repro.corpus.programs import PAPER_PROGRAMS, RATIONAL_OVERBROAD
+from repro.logic.printer import format_formula
+from repro.oolong.contracts import desugar_contracts
 from repro.oolong.program import Scope
+from repro.vcgen.vc import vc_for_impl
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "data", "static_identity.json")
+
+#: ``[]`` chains of three and eight arms, both nestings, chains inside
+#: ``var`` and ``if``, arms that write through different access paths
+#: or call a procedure with a contract, and arms that read pivot fields
+#: into one local before a heap store (the join picks the leak path).
+CHOICE_CHAINS = """\
+group contents
+group elems
+field cnt in elems
+field data in elems
+field vec in contents maps elems into contents
+field aux in contents maps elems into contents
+field obj
+field f
+field g
+field next
+proc vec_add(v) modifies v.elems
+impl vec_add(v) {
+  assume v != null ;
+  v.cnt := v.cnt + 1 ;
+  v.data := 0
+}
+proc bump(t) modifies t.f requires t != null ensures t.f > 0
+impl bump(t) {
+  t.f := 1
+}
+proc three(s) modifies s.contents
+impl three(s) {
+  assume s != null ;
+  ( s.vec := new() [] assume s.vec != null ; vec_add(s.vec) [] skip )
+}
+proc eight(t) modifies t.f
+impl eight(t) {
+  assume t != null ;
+  t.f := 0 [] t.f := 1 [] t.f := 2 [] t.f := 3 []
+  t.f := 4 [] t.f := 5 [] bump(t) [] t.f := 7 ;
+  assert t.f >= 0
+}
+proc left_nested(t) modifies t.f, t.g
+impl left_nested(t) {
+  assume t != null ;
+  ( t.f := 1 [] t.g := 2 ) [] t.f := 3
+}
+proc right_nested(t) modifies t.f
+impl right_nested(t) {
+  assume t != null ;
+  t.f := 1 [] ( t.g := 2 [] t.f := 3 )
+}
+proc in_var(t) modifies t.f
+impl in_var(t) {
+  assume t != null ;
+  var u in
+    ( u := t [] u := t.next [] u := new() ) ;
+    assume u != null ;
+    u.f := 1
+  end
+}
+proc in_if(t, b) modifies t.f, t.g
+impl in_if(t, b) {
+  assume t != null ;
+  if b = 1 then t.f := 1 [] t.g := 2 [] bump(t) else t.g := 0 end
+}
+proc leak(s, r) modifies r.obj
+impl leak(s, r) {
+  assume s != null ;
+  assume r != null ;
+  var tmp in
+    ( tmp := 0
+      [] var u in u := s.vec ; tmp := u end
+      [] tmp := s.vec
+      [] tmp := r.vec
+      [] tmp := s.aux ) ;
+    r.obj := tmp
+  end
+}
+"""
 
 
 def e2ebench_inputs():
@@ -80,6 +164,7 @@ def corpus():
     yield "benign-5", None, generate_benign_copies(5)
     yield "farm-3x4", None, generate_impl_farm(3, 4)
     yield "chain-6", None, generate_call_chain(6)
+    yield "choice-chains", None, CHOICE_CHAINS
 
     plant = _plant()
     source = generate_impl_farm(100, 8)
@@ -125,8 +210,30 @@ def _discharge_record(scope, mode):
     }
 
 
+def _vc_record(scope):
+    try:
+        scope = desugar_contracts(scope)
+        impls = []
+        for proc_name, bodies in scope.impls.items():
+            for index, impl in enumerate(bodies):
+                bundle = vc_for_impl(scope, impl)
+                goal = format_formula(bundle.goal).encode("utf-8")
+                impls.append(
+                    {
+                        "impl": f"{proc_name}#{index}",
+                        "goal": hashlib.sha256(goal).hexdigest(),
+                        "obligations": [
+                            dataclasses.asdict(info) for info in bundle.obligations
+                        ],
+                    }
+                )
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return impls
+
+
 def static_record(filename, source):
-    """Lint and discharge results of one scope, as plain JSON data."""
+    """Lint, discharge and VC results of one scope, as plain JSON data."""
     scope = Scope.from_source(source, filename)
     lint = lint_scope(scope)
     return {
@@ -137,6 +244,7 @@ def static_record(filename, source):
         },
         "discharge": _discharge_record(scope, "on"),
         "discharge_strict": _discharge_record(scope, "strict"),
+        "vc": _vc_record(scope),
     }
 
 
