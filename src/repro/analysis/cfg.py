@@ -8,8 +8,9 @@ blocks. The builder desugars the command tree:
   :class:`Statement` to the current block;
 * ``C ; D`` lowers ``C`` then continues lowering ``D`` from wherever
   control ended up;
-* ``C [] D`` ends the current block, lowers each arm into a fresh block,
-  and joins both arms in a fresh join block;
+* ``C1 [] ... [] Cn`` (one flat ``Choice``) ends the current block,
+  lowers each arm from a fresh entry block (all n numbered first), and
+  joins all n arms in one fresh join block;
 * ``var x in C end`` brackets the body with ``var-enter``/``var-exit``
   pseudo-statements so scoped analyses can bind and kill ``x``.
 
@@ -150,15 +151,13 @@ class _Builder:
                 current = self.lower(part, current)
             return current
         if isinstance(cmd, Choice):
-            left_entry = self.new_block()
-            right_entry = self.new_block()
-            self.edge(current, left_entry)
-            self.edge(current, right_entry)
-            left_end = self.lower(cmd.left, left_entry)
-            right_end = self.lower(cmd.right, right_entry)
+            entries = [self.new_block() for _ in cmd.cmds]
+            for entry in entries:
+                self.edge(current, entry)
+            ends = [self.lower(part, entry) for part, entry in zip(cmd.cmds, entries)]
             join = self.new_block()
-            self.edge(left_end, join)
-            self.edge(right_end, join)
+            for end in ends:
+                self.edge(end, join)
             return join
         if isinstance(cmd, VarCmd):
             current.stmts.append(Statement(VAR_ENTER, cmd, cmd.name))

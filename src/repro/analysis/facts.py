@@ -162,7 +162,7 @@ class ImplFacts:
         frame = tuple(str(d) for d in proc.modifies) if proc else ()
         sites: list = []
         # wlp builds backwards, so a Seq registers its last command first
-        # and a Choice its left arm first. Walk depth-first with an
+        # and a Choice its first arm first. Walk depth-first with an
         # explicit stack, children pushed in reverse of that order.
         stack = [self.impl.body]
         while stack:
@@ -174,7 +174,7 @@ class ImplFacts:
                 stack.extend(cmd.cmds)
                 continue
             if isinstance(cmd, Choice):
-                stack.extend((cmd.right, cmd.left))
+                stack.extend(reversed(cmd.cmds))
                 continue
             callee = None
             if isinstance(cmd, Call):

@@ -189,10 +189,10 @@ class Seq(Cmd):
 
 @dataclass(frozen=True)
 class Choice(Cmd):
-    """``C [] D`` — demonic (arbitrary) choice."""
+    """``C1 [] ... [] Cn`` — demonic (arbitrary) choice, n >= 2, one flat
+    node; ``cmds[0]`` is never a ``Choice`` (:func:`choice` splices it in)."""
 
-    left: Cmd
-    right: Cmd
+    cmds: Tuple[Cmd, ...]
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,15 @@ def sequence(cmds: Sequence[Cmd]) -> Cmd:
     return Seq(tuple(cmds))
 
 
+def choice(cmds: Sequence[Cmd]) -> Cmd:
+    """``cmds[0] [] cmds[1] [] ...``, a leading ``Choice`` spliced in."""
+    if len(cmds) == 1:
+        return cmds[0]
+    if isinstance(cmds[0], Choice):
+        return Choice(cmds[0].cmds + tuple(cmds[1:]))
+    return Choice(tuple(cmds))
+
+
 def walk_commands(cmd: Cmd) -> Iterator[Cmd]:
     """Every command of ``cmd``, composite ones included, in pre-order
     (parts left to right), without recursion."""
@@ -225,11 +234,8 @@ def walk_commands(cmd: Cmd) -> Iterator[Cmd]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Seq):
+        if isinstance(node, (Seq, Choice)):
             stack.extend(reversed(node.cmds))
-        elif isinstance(node, Choice):
-            stack.append(node.right)
-            stack.append(node.left)
         elif isinstance(node, VarCmd):
             stack.append(node.body)
 

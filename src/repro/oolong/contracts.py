@@ -43,6 +43,7 @@ from repro.oolong.ast import (
     Seq,
     UnOp,
     VarCmd,
+    choice,
     sequence,
 )
 from repro.oolong.program import Scope
@@ -70,7 +71,7 @@ def _rewrite_cmd(cmd: Cmd, scope: Scope) -> Cmd:
     if isinstance(cmd, Seq):
         return sequence([_rewrite_cmd(part, scope) for part in cmd.cmds])
     if isinstance(cmd, Choice):
-        return Choice(_rewrite_cmd(cmd.left, scope), _rewrite_cmd(cmd.right, scope))
+        return choice([_rewrite_cmd(part, scope) for part in cmd.cmds])
     if isinstance(cmd, VarCmd):
         return VarCmd(cmd.name, _rewrite_cmd(cmd.body, scope), cmd.position)
     if isinstance(cmd, Call):

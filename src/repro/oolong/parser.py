@@ -86,6 +86,7 @@ from repro.oolong.ast import (
     Skip,
     UnOp,
     VarCmd,
+    choice,
     sequence,
 )
 from repro.oolong.lexer import TokenStream, tokenize
@@ -333,10 +334,10 @@ class Parser:
 
     def parse_cmd(self) -> Cmd:
         """Parse a command; ``[]`` binds loosest, then ``;``."""
-        cmd = self._parse_seq()
+        cmds = [self._parse_seq()]
         while self._match(TokenKind.BOX):
-            cmd = Choice(cmd, self._parse_seq())
-        return cmd
+            cmds.append(self._parse_seq())
+        return choice(cmds)
 
     def _parse_seq(self) -> Cmd:
         cmds = [self._parse_atom_recovering()]
@@ -397,11 +398,9 @@ class Parser:
         self._expect(TokenKind.ELSE, "in if command")
         else_cmd = self.parse_cmd()
         self._expect(TokenKind.END, "after if command")
-        negated = UnOp("!", condition)
-        return Choice(
-            Seq((Assume(negated, position), else_cmd)),
-            Seq((Assume(condition, position), then_cmd)),
-        )
+        else_arm = Seq((Assume(UnOp("!", condition), position), else_cmd))
+        then_arm = Seq((Assume(condition, position), then_cmd))
+        return Choice((else_arm, then_arm))
 
     def _parse_call(self) -> Cmd:
         position = self._at(self._index)

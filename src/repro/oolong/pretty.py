@@ -113,9 +113,8 @@ def pretty_cmd(cmd: Cmd, indent: int = 0) -> str:
                 parts.append(pretty_cmd(part, indent))
         return " ;\n".join(parts)
     if isinstance(cmd, Choice):
-        left = pretty_cmd(cmd.left, indent + 1)
-        right = pretty_cmd(cmd.right, indent + 1)
-        return f"{pad}(\n{left}\n{pad}[]\n{right}\n{pad})"
+        arms = (pretty_cmd(part, indent + 1) for part in cmd.cmds)
+        return f"{pad}(\n" + f"\n{pad}[]\n".join(arms) + f"\n{pad})"
     if isinstance(cmd, Call):
         args = ", ".join(pretty_expr(a) for a in cmd.args)
         return f"{pad}{cmd.proc}({args})"

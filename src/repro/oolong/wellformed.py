@@ -246,12 +246,9 @@ def _check_cmd(
     elif isinstance(cmd, AssignNew):
         _check_expr(scope, cmd.target, bound, impl)
         _check_assign_target(cmd.target, formals, impl, cmd.position)
-    elif isinstance(cmd, Seq):
+    elif isinstance(cmd, (Seq, Choice)):
         for part in cmd.cmds:
             _check_cmd(scope, part, bound, formals, impl)
-    elif isinstance(cmd, Choice):
-        _check_cmd(scope, cmd.left, bound, formals, impl)
-        _check_cmd(scope, cmd.right, bound, formals, impl)
     elif isinstance(cmd, Call):
         proc = scope.proc(cmd.proc)
         if proc is None:

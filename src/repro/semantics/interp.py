@@ -220,10 +220,9 @@ class Interpreter:
             elif isinstance(cmd, Seq):
                 yield from self._exec_seq(cmd.cmds, state, depth)
             elif isinstance(cmd, Choice):
-                left = state.fork().noting("choice:left")
-                right = state.fork().noting("choice:right")
-                yield from self._exec(cmd.left, left, depth)
-                yield from self._exec(cmd.right, right, depth)
+                for index, part in enumerate(cmd.cmds):
+                    arm = state.fork().noting(f"choice:{index}")
+                    yield from self._exec(part, arm, depth)
             elif isinstance(cmd, Assign):
                 yield self._exec_assign(cmd, state)
             elif isinstance(cmd, AssignNew):

@@ -298,7 +298,8 @@ def wlp(cmd: Cmd, post: Formula, wctx: WlpContext) -> Formula:
             post = wlp(part, post, wctx)
         return post
     if isinstance(cmd, Choice):
-        return conj((wlp(cmd.left, post, wctx), wlp(cmd.right, post, wctx)))
+        # A tuple: every arm registers its obligations, even past a false.
+        return conj(tuple(wlp(part, post, wctx) for part in cmd.cmds))
     if isinstance(cmd, Assign):
         return _wlp_assign(cmd, post, wctx)
     if isinstance(cmd, AssignNew):

@@ -201,8 +201,10 @@ def test_state_at_joins_a_node_reused_in_two_places():
     body = VarCmd(
         "x",
         Choice(
-            Seq((Assign(Id("x"), FieldAccess(Id("t"), "a")), write)),
-            Seq((Assign(Id("x"), FieldAccess(Id("t"), "b")), write)),
+            (
+                Seq((Assign(Id("x"), FieldAccess(Id("t"), "a")), write)),
+                Seq((Assign(Id("x"), FieldAccess(Id("t"), "b")), write)),
+            )
         ),
     )
     facts = ImplFacts(ImplDecl("p", ("t",), body), {})

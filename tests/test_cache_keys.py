@@ -12,8 +12,9 @@ file, the paper's programs, one scope per generator, and the
 end-to-end benchmark's planted farm and chain) plus the 100-impl scope
 of the benchmark's ``edit-recheck`` session
 (``e2ebench/inputs.py``'s ``EditSession``). The static corpus's scope
-of ``[]`` chains is left out: a key hashes the printed body, and a
-chain of three or more arms prints one pair of parentheses per node.
+of ``[]`` chains is left out: a key hashes the printed body, and its
+chains of three or more arms printed one pair of parentheses per binary
+node before ``Choice`` was one flat node.
 
 The golden file was written by the code *before* such a change. Keys
 embed the code version, so a deliberate version bump (or any change

@@ -4,7 +4,9 @@
 thousand statements is as shallow as one of three: parsing, printing,
 hashing, pickling, keying, lint, static discharge and the interpreter
 all take it without running out of stack. So do the CFG and its
-reverse postorder on a thousand ``if`` commands in a row.
+reverse postorder on a thousand ``if`` commands in a row. ``Choice`` is
+one flat node per ``[]`` chain in the same way, so a chain of a
+thousand arms is as shallow as one of two.
 """
 
 import pickle
@@ -13,7 +15,7 @@ import pytest
 
 from repro.api import check_program, check_program_resilient, lint_scope
 from repro.corpus.generators import generate_impl_farm
-from repro.oolong.ast import Seq
+from repro.oolong.ast import Choice, Seq
 from repro.oolong.parser import parse_program_text
 from repro.oolong.pretty import pretty_decl
 from repro.oolong.program import Scope
@@ -22,6 +24,7 @@ from repro.semantics.interp import OutcomeKind, explore_program
 from repro.vcgen.checker import ImplStatus
 
 STATEMENTS = 10_000
+ARMS = 1_000
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +98,51 @@ def test_interpreter_runs_a_long_body():
     )
     outcomes = explore_program(Scope.from_source(source), "main")
     assert [o.kind for o in outcomes] == [OutcomeKind.NORMAL]
+
+
+@pytest.fixture(scope="module")
+def chain_source():
+    arms = " []\n".join(f"t.f0 := {i}" for i in range(ARMS))
+    return (
+        "group data\nfield f0 in data\nproc p(t) modifies t.data\n"
+        f"impl p(t) {{ assume t != null ;\n( {arms} ) }}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def chain_impl(chain_source):
+    (impl,) = Scope.from_source(chain_source).impls_of("p")
+    return impl
+
+
+def test_choice_chain_is_one_flat_choice(chain_impl):
+    chain = chain_impl.body.cmds[1]
+    assert isinstance(chain, Choice)
+    assert len(chain.cmds) == ARMS
+    assert not any(isinstance(cmd, Choice) for cmd in chain.cmds)
+
+
+def test_choice_chain_round_trips_hashes_pickles_and_keys(chain_source, chain_impl):
+    (reparsed,) = parse_program_text(pretty_decl(chain_impl))
+    assert reparsed == chain_impl
+    copy = pickle.loads(pickle.dumps(chain_impl))
+    assert copy == chain_impl and hash(copy) == hash(chain_impl)
+    scope = Scope.from_source(chain_source)
+    assert len(cache_key(scope, chain_impl, 0, None)) == 64
+
+
+def test_choice_chain_lints_and_verifies(chain_source):
+    result = lint_scope(Scope.from_source(chain_source))
+    assert "OL900" not in {d.code for d in result.diagnostics}
+    report = check_program(chain_source, static_discharge="on")
+    assert [v.status for v in report.verdicts] == [ImplStatus.VERIFIED]
+
+
+def test_interpreter_runs_a_long_choice_chain():
+    arms = " [] ".join(f"x := {i}" for i in range(ARMS))
+    source = (
+        "proc main()\n"
+        f"impl main() {{ var x in ( {arms} ) ; assert x >= 0 end }}\n"
+    )
+    outcomes = explore_program(Scope.from_source(source), "main")
+    assert [o.kind for o in outcomes] == [OutcomeKind.NORMAL] * ARMS

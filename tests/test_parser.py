@@ -28,6 +28,7 @@ from repro.oolong.ast import (
     Skip,
     UnOp,
     VarCmd,
+    choice,
     sequence,
 )
 from repro.oolong.parser import parse_command, parse_expression, parse_program_text
@@ -154,11 +155,22 @@ class TestCommands:
 
     def test_choice_binds_looser_than_seq(self):
         cmd = parse_command("skip ; skip [] skip")
-        assert cmd == Choice(Seq((Skip(), Skip())), Skip())
+        assert cmd == Choice((Seq((Skip(), Skip())), Skip()))
 
     def test_parenthesized_command(self):
         cmd = parse_command("skip ; (skip [] skip)")
-        assert cmd == Seq((Skip(), Choice(Skip(), Skip())))
+        assert cmd == Seq((Skip(), Choice((Skip(), Skip()))))
+
+    def test_choice_chain_is_one_flat_node(self):
+        # A leading parenthesized choice is spliced in, a later one
+        # keeps its parentheses.
+        chain = Choice((Skip(), Assume(Id("b")), Assert(Id("c"))))
+        assert parse_command("skip [] assume b [] assert c") == chain
+        assert parse_command("(skip [] assume b) [] assert c") == chain
+        nested = parse_command("skip [] (assume b [] assert c)")
+        assert nested == Choice((Skip(), Choice((Assume(Id("b")), Assert(Id("c"))))))
+        assert parse_command(pretty_cmd(nested)) == nested
+        assert parse_command(pretty_cmd(chain)) == chain
 
     def test_call_no_args(self):
         assert parse_command("q()") == Call("q", ())
@@ -174,8 +186,10 @@ class TestCommands:
     def test_if_desugars_to_paper_encoding(self):
         cmd = parse_command("if b then x := 1 else x := 2 end")
         expected = Choice(
-            Seq((Assume(UnOp("!", Id("b"))), Assign(Id("x"), IntConst(2)))),
-            Seq((Assume(Id("b")), Assign(Id("x"), IntConst(1)))),
+            (
+                Seq((Assume(UnOp("!", Id("b"))), Assign(Id("x"), IntConst(2)))),
+                Seq((Assume(Id("b")), Assign(Id("x"), IntConst(1)))),
+            )
         )
         assert cmd == expected
 
@@ -331,7 +345,7 @@ def random_cmd(rng, depth=3):
         return sequence(
             [random_cmd(rng, depth - 1) for _ in range(rng.randrange(2, 5))]
         )
-    return Choice(random_cmd(rng, depth - 1), random_cmd(rng, depth - 1))
+    return choice([random_cmd(rng, depth - 1) for _ in range(rng.randrange(2, 6))])
 
 
 class TestRandomRoundTrips:

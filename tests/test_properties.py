@@ -32,7 +32,6 @@ from repro.oolong.ast import (
     BinOp,
     BoolConst,
     Call,
-    Choice,
     FieldAccess,
     Id,
     IntConst,
@@ -40,6 +39,7 @@ from repro.oolong.ast import (
     Skip,
     UnOp,
     VarCmd,
+    choice,
     sequence,
 )
 from repro.oolong.parser import parse_command, parse_expression, parse_program_text
@@ -101,7 +101,7 @@ def commands(depth=3):
     return st.one_of(
         base,
         st.lists(sub, min_size=2, max_size=4).map(sequence),
-        st.builds(Choice, sub, sub),
+        st.lists(sub, min_size=2, max_size=5).map(choice),
         st.builds(VarCmd, names, sub),
     )
 
