@@ -116,8 +116,9 @@ class TelemetryHTTPServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        # shutdown() waits for serve_forever, which an unstarted server never ran.
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._server.server_close()

@@ -93,7 +93,11 @@ class CacheServer:
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._http_server: Optional[TelemetryHTTPServer] = None
         if http_address is not None:
-            self._http_server = TelemetryHTTPServer(http_address, self.status)
+            try:
+                self._http_server = TelemetryHTTPServer(http_address, self.status)
+            except BaseException:
+                close_listener(self._listener)
+                raise
         self.metrics = MetricsRegistry()
         self.started = time.time()
         self._lock = threading.Lock()

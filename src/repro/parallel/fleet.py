@@ -1017,7 +1017,12 @@ class WorkerPool:
             )
         self._http_server: Optional[TelemetryHTTPServer] = None
         if http_address is not None:
-            self._http_server = TelemetryHTTPServer(http_address, self.status)
+            try:
+                self._http_server = TelemetryHTTPServer(http_address, self.status)
+            except BaseException:
+                if self._status_server is not None:
+                    self._status_server.stop()
+                raise
 
     @property
     def coordinator_url(self) -> str:

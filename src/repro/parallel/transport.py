@@ -387,7 +387,8 @@ class StatusServer:
     def stop(self) -> None:
         self._stop.set()
         close_listener(self._listener)
-        self._thread.join(timeout=1.0)
+        if self._thread.is_alive():
+            self._thread.join(timeout=1.0)
 
     def _accept_loop(self) -> None:
         while not self._stop.is_set():

@@ -20,6 +20,8 @@
 import contextlib
 import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -838,6 +840,64 @@ class TestHttpEndpoints:
                 assert "oolong_cacheserver_misses 1" in body
         finally:
             server.stop()
+
+    @pytest.mark.parametrize("kind", ["worker-pool", "cache-server"])
+    def test_busy_http_address_closes_the_first_listener(self, tmp_path, kind):
+        from repro.parallel.fleet import WorkerPool
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            first = probe.getsockname()
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            # The raised error's traceback keeps the half-built server
+            # alive, so only an explicit close frees its first port.
+            with pytest.raises(OSError) as raised:
+                if kind == "worker-pool":
+                    WorkerPool(
+                        ("127.0.0.1", 1),
+                        jobs=1,
+                        status_address=first,
+                        http_address=busy.getsockname(),
+                    )
+                else:
+                    CacheServer(
+                        str(tmp_path / "cache"),
+                        first,
+                        http_address=busy.getsockname(),
+                    )
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(first, timeout=5).close()
+        del raised
+
+    @pytest.mark.parametrize("kind", ["http", "worker-pool", "cache-server"])
+    def test_stop_without_start_returns_at_once(self, tmp_path, kind):
+        from repro.obs.httpd import TelemetryHTTPServer
+        from repro.parallel.fleet import WorkerPool
+
+        http = ("127.0.0.1", 0)
+        if kind == "http":
+            server = TelemetryHTTPServer(http, lambda: {})
+        elif kind == "worker-pool":
+            server = WorkerPool(
+                ("127.0.0.1", 1), jobs=1, status_address=http, http_address=http
+            )
+        else:
+            server = CacheServer(str(tmp_path / "cache"), http_address=http)
+        errors = []
+
+        def stop():
+            try:
+                server.stop()
+            except Exception as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=stop, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "stop() blocked"
+        assert errors == []
 
     def test_unknown_path_is_404(self):
         from repro.obs.httpd import TelemetryHTTPServer
