@@ -5,12 +5,13 @@ The subsystem layers:
 * :mod:`repro.analysis.diagnostics` — the shared diagnostics engine
   (stable ``OLxxx`` codes, severities, spans, text/JSON renderers);
 * :mod:`repro.analysis.cfg` — basic-block CFGs over oolong commands;
-* :mod:`repro.analysis.dataflow` — a generic forward fixpoint engine;
+* :mod:`repro.analysis.dataflow` — one forward pass over a CFG, blocks
+  in id order (a topological order: oolong has no loops);
 * :mod:`repro.analysis.escape` — flow-sensitive pivot escape analysis;
 * :mod:`repro.analysis.modifies` — modifies-list inference;
 * :mod:`repro.analysis.facts` — the per-scope cache of the facts lint
   and static discharge share (inclusion lattice, call graph, CFGs,
-  access-path fixpoints);
+  access-path states);
 * :mod:`repro.analysis.callgraph` — call graph + recursion detection;
 * :mod:`repro.analysis.lints` — unused declarations, unreachable code;
 * :mod:`repro.analysis.engine` — the ``lint_scope`` driver.
@@ -42,13 +43,13 @@ __all__ = [
     "build_cfg",
     "code_for_rule",
     "check_pivot_escapes",
+    "forward_states",
     "infer_modifies",
     "lint_program",
     "lint_scope",
     "render_json",
     "render_text",
     "rule_for_code",
-    "run_forward",
     "sorted_diagnostics",
 ]
 
@@ -60,7 +61,7 @@ _LAZY = {
     "infer_modifies": ("repro.analysis.modifies", "infer_modifies"),
     "lint_program": ("repro.analysis.engine", "lint_program"),
     "lint_scope": ("repro.analysis.engine", "lint_scope"),
-    "run_forward": ("repro.analysis.dataflow", "run_forward"),
+    "forward_states": ("repro.analysis.dataflow", "forward_states"),
 }
 
 

@@ -14,9 +14,12 @@ blocks. The builder desugars the command tree:
 * ``var x in C end`` brackets the body with ``var-enter``/``var-exit``
   pseudo-statements so scoped analyses can bind and kill ``x``.
 
-Every block is reachable by construction; the *semantic* reachability
-lint (``assume false`` making the rest of a path dead) is a dataflow
-instance, not a graph property.
+Blocks are numbered in creation order, and a block is created before
+any block it can reach, so every edge goes from a lower id to a higher
+one: id order is a topological order, which the one forward pass of
+:mod:`repro.analysis.dataflow` walks. Every block is reachable by
+construction; the *semantic* reachability lint (``assume false`` making
+the rest of a path dead) is a dataflow instance, not a graph property.
 """
 
 from __future__ import annotations
@@ -78,56 +81,23 @@ class BasicBlock:
 
 
 class CFG:
-    """The control-flow graph of one implementation body."""
+    """The control-flow graph of one implementation body. ``blocks`` is
+    keyed and ordered by id, and every edge goes from a lower id to a
+    higher one."""
 
     def __init__(self, blocks: List[BasicBlock], entry: int, exit: int):
         self.blocks: Dict[int, BasicBlock] = {b.bid: b for b in blocks}
         self.entry = entry
         self.exit = exit
-        self._rpo: Optional[Tuple[int, ...]] = None
-
-    def block(self, bid: int) -> BasicBlock:
-        return self.blocks[bid]
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     def statements(self) -> Iterator[Tuple[BasicBlock, Statement]]:
-        """Every statement, in reverse-postorder block order."""
-        for bid in self.reverse_postorder():
-            block = self.blocks[bid]
+        """Every statement, blocks in id order."""
+        for block in self.blocks.values():
             for stmt in block.stmts:
                 yield block, stmt
-
-    def reverse_postorder(self) -> List[int]:
-        """Blocks in reverse postorder from the entry (topological: the
-        graph is a DAG, so every predecessor precedes its successors).
-        Computed once: a CFG is not changed after it is built."""
-        if self._rpo is None:
-            self._rpo = self._compute_reverse_postorder()
-        return list(self._rpo)
-
-    def _compute_reverse_postorder(self) -> Tuple[int, ...]:
-        # Depth-first with an explicit stack of (block, successors left),
-        # so a long chain of blocks costs no recursion.
-        seen = {self.entry}
-        order: List[int] = []
-        stack = [(self.entry, iter(self.blocks[self.entry].succs))]
-        while stack:
-            bid, succs = stack[-1]
-            for succ in succs:
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, iter(self.blocks[succ].succs)))
-                    break
-            else:
-                stack.pop()
-                order.append(bid)
-        # Unreached blocks cannot exist by construction, but stay safe.
-        for bid in self.blocks:
-            if bid not in seen:
-                order.insert(0, bid)
-        return tuple(reversed(order))
 
 
 class _Builder:

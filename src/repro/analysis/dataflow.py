@@ -1,20 +1,19 @@
-"""A generic forward-dataflow fixpoint engine over :mod:`analysis.cfg` CFGs.
+"""One forward dataflow pass over an :mod:`analysis.cfg` CFG.
 
 An analysis supplies an initial state for the entry block, a join for
-confluence points, and a per-statement transfer function. The engine runs
-a worklist to a fixpoint (oolong CFGs are DAGs, so one reverse-postorder
-sweep converges, but the worklist keeps the engine correct for any edge
-structure a future lowering might produce) and exposes both block-level
-in/out states and a per-statement replay used by reporting passes.
+confluence points, and a per-statement transfer function. Oolong has no
+loops, so a CFG is a DAG, and the builder numbers its blocks so that
+every edge goes from a lower id to a higher one. Visiting the blocks in
+id order therefore meets every predecessor before its successors: one
+pass joins each block's predecessor out-states once and runs each
+statement's transfer once, with no worklist and no fixpoint test.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Tuple
 
-from repro.analysis.cfg import CFG, BasicBlock, Statement
+from repro.analysis.cfg import CFG, Statement
 
 
 class ForwardAnalysis:
@@ -32,67 +31,19 @@ class ForwardAnalysis:
         """The state after executing ``stmt`` in ``state``."""
         raise NotImplementedError
 
-    def equal(self, left: Any, right: Any) -> bool:
-        return left == right
 
-
-@dataclass
-class DataflowResult:
-    """Fixpoint states per block."""
-
-    block_in: Dict[int, Any]
-    block_out: Dict[int, Any]
-
-
-def run_forward(cfg: CFG, analysis: ForwardAnalysis) -> DataflowResult:
-    """Run ``analysis`` over ``cfg`` to a fixpoint."""
-    block_in: Dict[int, Any] = {}
+def forward_states(
+    cfg: CFG, analysis: ForwardAnalysis
+) -> Iterator[Tuple[Statement, Any]]:
+    """Yield every statement of ``cfg`` with its *in* state, blocks in id
+    order; each statement is transferred exactly once."""
     block_out: Dict[int, Any] = {}
-    rpo = cfg.reverse_postorder()
-    rpo_index = {bid: index for index, bid in enumerate(rpo)}
-
-    block_in[cfg.entry] = analysis.initial_state(cfg)
-    worklist = deque(rpo)
-    queued = set(worklist)
-    while worklist:
-        bid = worklist.popleft()
-        queued.discard(bid)
-        block = cfg.block(bid)
-        if bid != cfg.entry:
-            pred_outs = [
-                block_out[p] for p in block.preds if p in block_out
-            ]
-            if not pred_outs:
-                continue  # not yet reachable in this sweep
-            in_state = analysis.join(pred_outs)
-            if bid in block_in and analysis.equal(block_in[bid], in_state):
-                if bid in block_out:
-                    continue
-            block_in[bid] = in_state
-        state = block_in[bid]
+    for bid, block in cfg.blocks.items():
+        if bid == cfg.entry:
+            state = analysis.initial_state(cfg)
+        else:
+            state = analysis.join([block_out[pred] for pred in block.preds])
         for stmt in block.stmts:
+            yield stmt, state
             state = analysis.transfer(stmt, state)
-        if bid in block_out and analysis.equal(block_out[bid], state):
-            continue
         block_out[bid] = state
-        for succ in block.succs:
-            if succ not in queued:
-                worklist.append(succ)
-                queued.add(succ)
-    return DataflowResult(block_in=block_in, block_out=block_out)
-
-
-def statement_states(
-    cfg: CFG, analysis: ForwardAnalysis, result: DataflowResult
-) -> Iterator[Tuple[BasicBlock, Statement, Any]]:
-    """Replay the fixpoint: yield every statement with its *in* state, in
-    reverse-postorder. Reporting passes consume this to emit diagnostics
-    exactly once per program point."""
-    for bid in cfg.reverse_postorder():
-        if bid not in result.block_in:
-            continue
-        block = cfg.block(bid)
-        state = result.block_in[bid]
-        for stmt in block.stmts:
-            yield block, stmt, state
-            state = analysis.transfer(stmt, state)

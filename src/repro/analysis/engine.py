@@ -6,13 +6,17 @@ well-formedness itself and runs the passes through ``lint_well_formed``.
 Linting is deliberately cheap — pure AST/CFG walks, no prover — so it
 can run as a pre-filter in front of verification on every
 ``check_scope`` call. The passes read one inclusion lattice and call
-graph per scope and one CFG and access-path fixpoint per implementation
-from the scope's analysis cache (:mod:`repro.analysis.facts`), which
-static discharge then reuses. Measured by per-layer self time on
-100-300-impl farms and 150/250-link call chains with static discharge
-on, where the prover is bypassed (2-core x86, Python 3.11): lint is
-~35% of a check, static discharge ~26%, the parser ~20%, the lexer ~8%,
-well-formedness ~6% and the prover ~3%.
+graph per scope and one CFG per implementation from the scope's
+analysis cache (:mod:`repro.analysis.facts`), which static discharge
+then reuses. Each implementation gets at most three forward passes over
+its CFG, one per analysis, and each visits every statement once: pivot
+escape (only with ``include_flow``), reachability, and the access paths
+behind modifies inference, which the cache keeps for discharge.
+Measured by per-layer self time on 100-300-impl farms and 150/250-link
+call chains with static discharge on, where the prover is bypassed
+(2-core x86, Python 3.11): lint is ~35% of a check, static discharge
+~26%, the parser ~20%, the lexer ~8%, well-formedness ~6% and the
+prover ~3%.
 
 Pass inventory:
 
@@ -76,8 +80,6 @@ def lint_scope(
     *,
     include_restrictions: bool = True,
     include_flow: bool = True,
-    include_inference: bool = True,
-    include_lints: bool = True,
 ) -> LintResult:
     """Decide ``scope``'s well-formedness, then run the static passes.
 
@@ -94,8 +96,6 @@ def lint_scope(
         scope,
         include_restrictions=include_restrictions,
         include_flow=include_flow,
-        include_inference=include_inference,
-        include_lints=include_lints,
     )
 
 
@@ -104,8 +104,6 @@ def lint_well_formed(
     *,
     include_restrictions: bool = True,
     include_flow: bool = True,
-    include_inference: bool = True,
-    include_lints: bool = True,
 ) -> LintResult:
     """Run the static passes over a scope already known to be well-formed."""
     from repro.obs import span
@@ -122,14 +120,12 @@ def lint_well_formed(
             )
         if include_flow:
             result.diagnostics.extend(check_pivot_escapes(scope))
-        if include_inference:
-            inference = infer_modifies(scope)
-            result.diagnostics.extend(inference.diagnostics)
-            result.inferred_modifies = inference.inferred
-        if include_lints:
-            result.diagnostics.extend(check_unused_declarations(scope))
-            result.diagnostics.extend(check_unreachable_code(scope))
-            result.diagnostics.extend(check_recursion(scope))
+        inference = infer_modifies(scope)
+        result.diagnostics.extend(inference.diagnostics)
+        result.inferred_modifies = inference.inferred
+        result.diagnostics.extend(check_unused_declarations(scope))
+        result.diagnostics.extend(check_unreachable_code(scope))
+        result.diagnostics.extend(check_recursion(scope))
         result.diagnostics = sorted_diagnostics(result.diagnostics)
         sp.set(diagnostics=len(result.diagnostics))
         return fault_point("lint", result)

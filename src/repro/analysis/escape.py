@@ -29,7 +29,7 @@ from repro.errors import SourcePosition
 from repro.oolong.ast import Assign, Expr, FieldAccess, Id, ImplDecl
 from repro.oolong.program import Scope
 from repro.analysis.cfg import ASSIGN, ASSIGN_NEW, VAR_ENTER, VAR_EXIT, Statement
-from repro.analysis.dataflow import ForwardAnalysis, run_forward, statement_states
+from repro.analysis.dataflow import ForwardAnalysis, forward_states
 from repro.analysis.diagnostics import Diagnostic, Note
 from repro.analysis.facts import impl_facts
 
@@ -184,9 +184,8 @@ def check_impl_escapes(scope: Scope, impl: ImplDecl) -> List[Diagnostic]:
     """All OL110 escapes in one implementation, with flow paths."""
     cfg = impl_facts(scope, impl).cfg
     analysis = PivotEscapeAnalysis(scope, impl)
-    result = run_forward(cfg, analysis)
     diagnostics: List[Diagnostic] = []
-    for _block, stmt, state in statement_states(cfg, analysis, result):
+    for stmt, state in forward_states(cfg, analysis):
         taints = analysis.sink_taints(stmt, state)
         if not taints:
             continue

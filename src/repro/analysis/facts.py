@@ -9,9 +9,15 @@ and access paths are fixed by its body. So lint
 
 * per scope, one :class:`~repro.analysis.inclusion.InclusionLattice`
   and one :class:`~repro.analysis.callgraph.CallGraph`;
-* per implementation, one command walk, one CFG, one access-path
-  fixpoint and one list of obligation sites (:class:`ImplFacts`), keyed
-  by the implementation object the scope holds.
+* per implementation, one command walk, one CFG, one forward pass of
+  the access-path analysis (its state before each command) and one list
+  of obligation sites (:class:`ImplFacts`), keyed by the implementation
+  object the scope holds.
+
+The access paths are not folded into a product with the other two
+forward analyses over the same CFG (pivot escape and reachability):
+each of the three runs once, but escape is skipped when restrictions
+are off and the access paths are derived only when the sites are read.
 
 The site list is the checker's one enumeration of where side effects
 are checked: every obligation wlp registers (the Figure 2 write licence,
@@ -49,8 +55,8 @@ from repro.oolong.ast import (
     walk_commands,
 )
 from repro.oolong.program import Scope
-from repro.analysis.cfg import CFG, Statement, build_cfg
-from repro.analysis.dataflow import run_forward, statement_states
+from repro.analysis.cfg import CFG, build_cfg
+from repro.analysis.dataflow import forward_states
 from repro.analysis.modifies import AccessPathAnalysis, eval_expr
 
 if TYPE_CHECKING:
@@ -74,7 +80,7 @@ class Site(NamedTuple):
 
 
 class ImplFacts:
-    """One implementation's command walk, CFG, access-path fixpoint and
+    """One implementation's command walk, CFG, access-path states and
     obligation sites, each built on first use.
 
     ``procs`` is the scope's procedure table, which the sites read the
@@ -87,8 +93,6 @@ class ImplFacts:
         self._procs = procs
         self._commands: Optional[Tuple[Cmd, ...]] = None
         self._cfg: Optional[CFG] = None
-        self._analysis = None
-        self._path_states = None
         self._node_states = None
         self._sites: Optional[Tuple[Site, ...]] = None
 
@@ -106,28 +110,6 @@ class ImplFacts:
             self._cfg = build_cfg(self.impl)
         return self._cfg
 
-    @property
-    def analysis(self):
-        """The :class:`~repro.analysis.modifies.AccessPathAnalysis` whose
-        fixpoint :attr:`path_states` replays."""
-        if self._analysis is None:
-            self._analysis = AccessPathAnalysis(self.impl)
-        return self._analysis
-
-    @property
-    def path_states(self) -> Tuple[Tuple[Statement, object], ...]:
-        """Every statement with its access-path in-state (an immutable
-        ``PointsToState``), in reverse postorder."""
-        if self._path_states is None:
-            result = run_forward(self.cfg, self.analysis)
-            self._path_states = tuple(
-                (stmt, state)
-                for _block, stmt, state in statement_states(
-                    self.cfg, self.analysis, result
-                )
-            )
-        return self._path_states
-
     def state_at(self, node: Cmd):
         """The access-path state before ``node``, or None if no CFG
         statement carries it."""
@@ -135,13 +117,14 @@ class ImplFacts:
             # A programmatic AST can reuse one node object in several CFG
             # statements; join the incoming states rather than keeping
             # the last one seen.
+            analysis = AccessPathAnalysis(self.impl)
             states: Dict[int, object] = {}
-            for stmt, state in self.path_states:
+            for stmt, state in forward_states(self.cfg, analysis):
                 if stmt.node is None:
                     continue
                 key = id(stmt.node)
                 if key in states:
-                    states[key] = self.analysis.join([states[key], state])
+                    states[key] = analysis.join([states[key], state])
                 else:
                     states[key] = state
             self._node_states = states

@@ -7,10 +7,9 @@ declared ``in a``) plus rep inclusions through pivot fields (``g —f→ x``
 from ``field f maps x into g``). This module precomputes the whole
 lattice once per scope and is the checker's only decision procedure for
 that relation: the scope's analysis cache (:mod:`repro.analysis.facts`)
-holds one lattice that modifies inference (``OL301``/``OL302``, and
-:func:`repro.analysis.modifies.covers`, a one-line call into it), the
+holds one lattice that modifies inference (``OL301``/``OL302``), the
 discharge pass and the effect summaries (:mod:`repro.analysis.effects`)
-all query. Subsumption queries take near-constant time, and static
+all query, through :meth:`InclusionLattice.covers`. Subsumption queries take near-constant time, and static
 ``inc`` reachability is enumerated without touching a store.
 
 Cyclic rep inclusions (``field next maps g into g`` — the scope family on

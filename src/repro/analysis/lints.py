@@ -33,7 +33,7 @@ from repro.oolong.ast import (
 )
 from repro.oolong.program import Scope
 from repro.analysis.cfg import ASSERT, ASSIGN, ASSIGN_NEW, ASSUME, CALL, Statement
-from repro.analysis.dataflow import ForwardAnalysis, run_forward, statement_states
+from repro.analysis.dataflow import ForwardAnalysis, forward_states
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.facts import impl_facts
 
@@ -151,10 +151,9 @@ def check_unreachable(scope: Scope, impl: ImplDecl) -> List[Diagnostic]:
     """OL203: the first statement of every contiguous dead region."""
     cfg = impl_facts(scope, impl).cfg
     analysis = ReachabilityAnalysis()
-    result = run_forward(cfg, analysis)
     diagnostics: List[Diagnostic] = []
     previous_dead = False
-    for _block, stmt, state in statement_states(cfg, analysis, result):
+    for stmt, state in forward_states(cfg, analysis):
         dead = state is _DEAD
         # Report the entry into a dead region at an effectful statement
         # with a position (skip var brackets, which carry block structure).

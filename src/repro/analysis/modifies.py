@@ -193,20 +193,6 @@ class AccessPathAnalysis(ForwardAnalysis):
 
 
 # ---------------------------------------------------------------------------
-# Licence coverage (the static mirror of semantics.inclusion)
-# ---------------------------------------------------------------------------
-
-
-def covers(scope: Scope, declared: Designator, required: Designator) -> bool:
-    """Does the licence ``declared`` imply the licence ``required``?
-    Decided by the scope's inclusion lattice
-    (:meth:`~repro.analysis.inclusion.InclusionLattice.covers`)."""
-    from repro.analysis.facts import scope_lattice
-
-    return scope_lattice(scope).covers(declared, required)
-
-
-# ---------------------------------------------------------------------------
 # The pass
 # ---------------------------------------------------------------------------
 

@@ -39,7 +39,7 @@ class Scope:
         #: never pickled with the scope.
         self.vc_background = None
         #: The static facts lint and discharge share — inclusion lattice,
-        #: call graph, per-implementation CFGs and access-path fixpoints —
+        #: call graph, per-implementation CFGs and access-path states —
         #: made on first use (:mod:`repro.analysis.facts`).
         #: Process-local: never pickled with the scope.
         self.analysis_facts = None

@@ -1,7 +1,7 @@
 """The scope-owned analysis cache (``repro.analysis.facts``).
 
 Lint and static discharge share one inclusion lattice and one call graph
-per scope, and one CFG and one access-path fixpoint per implementation.
+per scope, and one CFG and one access-path pass per implementation.
 These tests hold that sharing to *exactly once* by counting, not by
 timing, and check that the cache belongs to its scope: never pickled,
 re-derived identically after unpickling, and not inherited by
@@ -27,7 +27,9 @@ from repro.analysis.facts import (
     scope_call_graph,
     scope_lattice,
 )
+from repro.analysis.escape import PivotEscapeAnalysis
 from repro.analysis.inclusion import InclusionLattice
+from repro.analysis.lints import ReachabilityAnalysis
 from repro.analysis.modifies import AccessPathAnalysis, PathVal
 from repro.api import check_program
 from repro.corpus.generators import generate_impl_farm
@@ -73,8 +75,15 @@ def _static_results(scope):
 def test_each_fact_is_derived_once_per_check(monkeypatch, impls):
     source = generate_impl_farm(impls, 4)
     cfgs = _count_calls(monkeypatch, CFG, "__init__")
-    fixpoints = _count_calls(monkeypatch, AccessPathAnalysis, "initial_state")
-    transfers = _count_calls(monkeypatch, AccessPathAnalysis, "transfer")
+    passes = _count_calls(monkeypatch, AccessPathAnalysis, "initial_state")
+    transfers = {
+        analysis: _count_calls(monkeypatch, analysis, "transfer")
+        for analysis in (
+            AccessPathAnalysis,
+            PivotEscapeAnalysis,
+            ReachabilityAnalysis,
+        )
+    }
     graphs = _count_calls(monkeypatch, CallGraph, "__init__")
     lattices = _count_calls(monkeypatch, InclusionLattice, "__init__")
     site_lists = _count_calls(monkeypatch, ImplFacts, "_build_sites")
@@ -85,15 +94,21 @@ def test_each_fact_is_derived_once_per_check(monkeypatch, impls):
     assert report.ok
     assert report.discharge_summary["impls"]["static-valid"] == impls
     assert len(cfgs) == impls
-    assert len(fixpoints) == impls
-    # One fixpoint sweep and one replay over every statement of each
-    # (straight-line) body: the states are kept, not recomputed.
+    assert len(passes) == impls
+    # Each analysis makes one forward pass over every body: one transfer
+    # per statement, and the access-path states are kept, not recomputed.
     statements = sum(
         len(block.stmts)
         for (cfg, *_rest) in cfgs
         for block in cfg.blocks.values()
     )
-    assert len(transfers) == 2 * statements
+    assert {
+        analysis.__name__: len(calls) for analysis, calls in transfers.items()
+    } == {
+        "AccessPathAnalysis": statements,
+        "PivotEscapeAnalysis": statements,
+        "ReachabilityAnalysis": statements,
+    }
     assert len(graphs) == 1
     assert len(lattices) == 1
     # Lint and discharge read one site list per implementation, and
@@ -135,7 +150,7 @@ def _fill_cache(scope):
     scope_call_graph(scope)
     for impls in scope.impls.values():
         for impl in impls:
-            impl_facts(scope, impl).path_states
+            impl_facts(scope, impl).sites
     return scope.analysis_facts
 
 
@@ -175,7 +190,8 @@ def test_extended_scope_starts_with_an_empty_cache():
     assert scope_lattice(extended).locally_covers("data", "g")
     assert not lattice.locally_covers("data", "g")
     impl = extended.impls_of("more")[0]
-    assert len(impl_facts(extended, impl).path_states) == 2
+    (write,) = [site.node for site in impl_facts(extended, impl).sites]
+    assert impl_facts(extended, impl).state_at(write) is not None
 
 
 def test_a_dropped_scope_is_freed_without_the_cycle_collector():

@@ -28,9 +28,8 @@ from repro.analysis.effects import (
     compute_summaries,
     discharge_scope,
 )
-from repro.analysis.facts import impl_facts
+from repro.analysis.facts import impl_facts, scope_lattice
 from repro.analysis.inclusion import InclusionLattice
-from repro.analysis.modifies import covers
 from repro.corpus.generators import (
     generate_call_chain,
     generate_deep_groups,
@@ -192,9 +191,10 @@ class TestLatticeCovers:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SCOPES))
     def test_covers_matches_reference(self, name):
         """Every pair of designators up to path length 2 — the lattice,
-        and ``modifies.covers`` over it, against the scanning oracle."""
+        and the scope's cached one, against the scanning oracle."""
         scope = Scope.from_source(DIFFERENTIAL_SCOPES[name])
         lattice = InclusionLattice(scope)
+        cached = scope_lattice(scope)
         designators = all_designators(scope)
         covered = 0
         for declared in designators:
@@ -203,7 +203,7 @@ class TestLatticeCovers:
                 assert lattice.covers(declared, required) == expected, (
                     f"{declared} vs {required} in {name}"
                 )
-                assert covers(scope, declared, required) == expected
+                assert cached.covers(declared, required) == expected
                 covered += expected
         # Not vacuous: some pairs are covered, most are not.
         assert 0 < covered < len(designators) ** 2

@@ -75,6 +75,17 @@ class TestUnreachable:
         """
         assert check_unreachable_code(Scope.from_source(source)) == []
 
+    def test_dead_region_entering_a_choice_is_reported_at_the_first_arm(self):
+        source = (
+            "group g\nfield f in g\nproc p(t) modifies t.g\n"
+            "impl p(t) { assume t != null ; assume false ; "
+            "( t.f := 1 [] t.f := 2 ) }"
+        )
+        diags = check_unreachable_code(Scope.from_source(source))
+        assert codes(diags) == ["OL203"]
+        # ``t.f := 1``, the first arm, in source order.
+        assert str(diags[0].position) == "4:49"
+
     def test_paper_programs_fully_reachable(self):
         for source in (RATIONAL, STACK_VECTOR, LINKED_LIST):
             assert check_unreachable_code(Scope.from_source(source)) == []

@@ -3,8 +3,8 @@
 ``Seq`` is one flat node per sequence, so a straight-line body of ten
 thousand statements is as shallow as one of three: parsing, printing,
 hashing, pickling, keying, lint, static discharge and the interpreter
-all take it without running out of stack. So do the CFG and its
-reverse postorder on a thousand ``if`` commands in a row. ``Choice`` is
+all take it without running out of stack. So do the CFG and the
+forward dataflow pass on a thousand ``if`` commands in a row. ``Choice`` is
 one flat node per ``[]`` chain in the same way, so a chain of a
 thousand arms is as shallow as one of two.
 """
@@ -76,8 +76,8 @@ def test_resilient_check_reports_no_internal_error(source):
 
 
 def test_a_long_run_of_branches_lints_and_verifies():
-    # Each ``if`` adds CFG blocks to one chain, which the reverse
-    # postorder walks without recursion.
+    # Each ``if`` adds CFG blocks to one chain, which the forward pass
+    # walks in block-id order without recursion.
     body = " ;\n".join(
         f"if t.f0 = {i} then t.f0 := {i + 1} else skip end" for i in range(1_000)
     )

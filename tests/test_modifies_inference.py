@@ -1,8 +1,8 @@
 """Tests for modifies-list inference and licence coverage."""
 
 from repro.analysis.effects import Outcome, discharge_scope
-from repro.analysis.facts import impl_facts
-from repro.analysis.modifies import PathVal, covers, infer_modifies
+from repro.analysis.facts import impl_facts, scope_lattice
+from repro.analysis.modifies import PathVal, infer_modifies
 from repro.corpus.programs import (
     LINKED_LIST,
     RATIONAL,
@@ -141,22 +141,22 @@ class TestCovers:
 
     def test_reflexive(self):
         d = Designator("s", (), "contents")
-        assert covers(self.scope(), d, d)
+        assert scope_lattice(self.scope()).covers(d, d)
 
     def test_group_membership(self):
-        scope = self.scope()
+        lattice = scope_lattice(self.scope())
         declared = Designator("v", (), "elems")
-        assert covers(scope, declared, Designator("v", (), "cnt"))
-        assert covers(scope, declared, Designator("v", (), "data"))
-        assert not covers(scope, declared, Designator("v", (), "vec"))
+        assert lattice.covers(declared, Designator("v", (), "cnt"))
+        assert lattice.covers(declared, Designator("v", (), "data"))
+        assert not lattice.covers(declared, Designator("v", (), "vec"))
 
     def test_pivot_chain_steps_through_rep_inclusion(self):
-        scope = self.scope()
+        lattice = scope_lattice(self.scope())
         declared = Designator("s", (), "contents")
         # s.contents licenses s.vec (pivot in contents) and s.vec.cnt
-        assert covers(scope, declared, Designator("s", (), "vec"))
-        assert covers(scope, declared, Designator("s", ("vec",), "cnt"))
-        assert not covers(scope, declared, Designator("t", (), "vec"))
+        assert lattice.covers(declared, Designator("s", (), "vec"))
+        assert lattice.covers(declared, Designator("s", ("vec",), "cnt"))
+        assert not lattice.covers(declared, Designator("t", (), "vec"))
 
     def test_requirements_extracted_per_impl(self):
         scope = self.scope()
