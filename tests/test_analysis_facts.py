@@ -66,8 +66,7 @@ def _static_results(scope):
     return (
         [d.to_dict() for d in lint.diagnostics],
         lint.inferred_modifies,
-        _discharge_record(scope, "on"),
-        _discharge_record(scope, "strict"),
+        _discharge_record(scope),
     )
 
 

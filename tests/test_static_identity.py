@@ -7,8 +7,7 @@ reproduce, for every scope below:
 * every ``lint_scope`` diagnostic, rendered as JSON (code, severity,
   message, position, notes), and the inferred modifies lists;
 * every implementation's ``discharge_scope`` outcome, per-obligation
-  decisions, blame and blame notes, in both discharge modes, plus the
-  effect summaries;
+  decisions, blame and blame notes;
 * every implementation's verification condition (after the contract
   desugaring): the sha256 of its goal's printed text, and its
   obligation list.
@@ -177,9 +176,9 @@ def corpus():
     yield "chain-150-mutants", None, source
 
 
-def _discharge_record(scope, mode):
+def _discharge_record(scope):
     try:
-        result = discharge_scope(scope, mode=mode)
+        result = discharge_scope(scope)
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     impls = []
@@ -202,10 +201,6 @@ def _discharge_record(scope, mode):
     return {
         "impls": impls,
         "diagnostics": [d.to_dict() for d in result.diagnostics],
-        "summaries": {
-            name: {"opaque": summary.opaque, "writes": list(summary.render())}
-            for name, summary in sorted(result.summaries.items())
-        },
         "summary": result.summary_dict(),
     }
 
@@ -242,8 +237,7 @@ def static_record(filename, source):
             name: list(designators)
             for name, designators in sorted(lint.inferred_modifies.items())
         },
-        "discharge": _discharge_record(scope, "on"),
-        "discharge_strict": _discharge_record(scope, "strict"),
+        "discharge": _discharge_record(scope),
         "vc": _vc_record(scope),
     }
 
