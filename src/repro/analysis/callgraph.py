@@ -64,8 +64,7 @@ class CallGraph:
         condensation order: callees before callers. Tarjan pops a
         component only after all components reachable from it, so the
         emission order is a reverse topological sort of the condensed
-        graph — the evaluation order an interprocedural fixpoint wants.
-        Deterministic."""
+        graph. Deterministic."""
         index: Dict[str, int] = {}
         lowlink: Dict[str, int] = {}
         on_stack: Set[str] = set()

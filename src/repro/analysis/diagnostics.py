@@ -73,10 +73,9 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "OL301": (Severity.ERROR, "write or call not licensed by the declared modifies list"),
     "OL302": (Severity.WARNING, "modifies list is over-broad"),
     "OL310": (Severity.ERROR, "implementation not proved"),
-    # OL4xx — static discharge (interprocedural effect analysis).
+    # OL4xx — static discharge.
     "OL401": (Severity.ERROR, "frame obligation refuted statically"),
     "OL402": (Severity.ERROR, "static discharge disagrees with the prover"),
-    "OL403": (Severity.INFO, "obligations deferred to the prover under strict static discharge"),
     # OL9xx — pipeline faults (crash isolation and deadlines).
     "OL900": (Severity.ERROR, "internal error in a checking stage"),
     "OL901": (Severity.ERROR, "time budget exhausted"),
@@ -106,7 +105,6 @@ RULE_ALIASES: Dict[str, str] = {
     "not-proved": "OL310",
     "static-refuted": "OL401",
     "discharge-disagreement": "OL402",
-    "discharge-deferred": "OL403",
     "internal-error": "OL900",
     "deadline": "OL901",
     "fleet-degraded": "OL904",

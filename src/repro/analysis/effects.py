@@ -1,4 +1,4 @@
-"""Interprocedural effect summaries and static frame-obligation discharge.
+"""Static frame-obligation discharge.
 
 The prover's front door. Before any VC is generated, this pass
 classifies each proof obligation of every implementation — the entries
@@ -7,7 +7,9 @@ carry the obligations :mod:`repro.vcgen.wlp` registers, in the same
 order with the same descriptions — by pure lattice reasoning over the
 scope's inclusion relation (:class:`~repro.analysis.inclusion.
 InclusionLattice`) and the objects each site writes through, from the
-access-path dataflow of :mod:`repro.analysis.modifies`:
+access-path dataflow of :mod:`repro.analysis.modifies`. Which frame
+designators license each written access path is decided once, on the
+site (:attr:`repro.analysis.facts.Site.covering`); this pass reads it:
 
 * ``STATIC_VALID`` — every value the written object may denote is either
   definitely fresh (``¬alive($0)`` holds) or an entry access path whose
@@ -31,23 +33,17 @@ static view and the wlp's store terms can drift apart:
   reachable in some model — every ``assume`` in the body must be a
   trivial guard (``true``, ``e != null``, conjunctions thereof).
 
-On top of the per-obligation classification the module computes
-SCC-condensed **interprocedural effect summaries** (each procedure's
-transitive, downward-closed write effect, a fixpoint over
-:meth:`~repro.analysis.callgraph.CallGraph.sccs` that is sound for self
-and mutual recursion), from the same write sites. Summaries degrade to
-*opaque* — and strict mode then refuses to discharge — whenever a write
-cannot be named: a callee without implementations, an unknown actual,
-or an access path beyond the widening cap. Only strict mode reads them,
-so they are computed on first read of
-:attr:`DischargeResult.summaries`.
+The pass is modular, like the paper's checking: a call is classified
+against the callee's declared modifies list, never its body, so a
+caller's decisions do not depend on how (or whether) its callees are
+implemented.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.oolong.ast import (
     Assign,
@@ -65,16 +61,8 @@ from repro.oolong.ast import (
     ProcDecl,
 )
 from repro.oolong.program import Scope
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.diagnostics import Diagnostic, Note
-from repro.analysis.facts import (
-    ImplFacts,
-    Site,
-    impl_facts,
-    owner_values,
-    scope_call_graph,
-    scope_lattice,
-)
+from repro.analysis.facts import ImplFacts, Site, impl_facts, scope_lattice
 from repro.analysis.inclusion import InclusionLattice
 from repro.analysis.modifies import FRESH, PathVal
 from repro.vcgen.wlp import ObligationInfo
@@ -83,10 +71,6 @@ from repro.vcgen.wlp import ObligationInfo
 #: key (see :func:`repro.parallel.cache.code_version`) so cached verdicts
 #: never outlive a change in discharge semantics.
 DISCHARGE_VERSION = 1
-
-#: Access paths longer than this are widened to *opaque* during the
-#: summary fixpoint — the cap that keeps recursive scopes finite.
-MAX_SUMMARY_PATH = 4
 
 
 class Outcome(enum.Enum):
@@ -200,8 +184,7 @@ class ObligationDecision:
 def _value_verdict(
     value,
     attr: str,
-    frame: Tuple[Designator, ...],
-    lattice: InclusionLattice,
+    covering: Mapping[PathVal, Tuple[int, ...]],
     unstable: FrozenSet[str],
 ) -> Tuple[str, Optional[Designator]]:
     """Classify one abstract value a written object may denote."""
@@ -216,26 +199,21 @@ def _value_verdict(
         # The entry-store and current-store readings of this path may
         # diverge; neither coverage nor refutation is safe.
         return _UNDECIDED, required
-    if lattice.covered_by_frame(frame, required):
+    if covering[value]:
         return _COVERED, required
     return _UNCOVERED, required
 
 
 def _classify_mod(
-    values,
-    attr: str,
-    frame: Tuple[Designator, ...],
-    lattice: InclusionLattice,
-    unstable: FrozenSet[str],
-    refutation_safe: bool,
+    site: Site, unstable: FrozenSet[str], refutation_safe: bool
 ) -> Tuple[Outcome, Optional[Designator], str]:
     """Classify a ``mod(X·A, w, $0)`` obligation from the abstract values
     ``X`` may denote."""
-    if not values:
+    if not site.values:
         return Outcome.UNKNOWN, None, "target has no abstract value"
     verdicts = [
-        _value_verdict(value, attr, frame, lattice, unstable)
-        for value in values
+        _value_verdict(value, site.info.attr, site.covering, unstable)
+        for value in site.values
     ]
     if all(verdict == _COVERED for verdict, _ in verdicts):
         return Outcome.STATIC_VALID, None, "all targets covered"
@@ -262,7 +240,7 @@ class ImplDischarge:
     decisions: List[ObligationDecision] = field(default_factory=list)
     #: The decision that refutes the implementation, for violations.
     blame: Optional[ObligationDecision] = None
-    #: Why a would-be discharge was withheld (strict mode, crash, ...).
+    #: Why the pass could not decide (undeclared procedure, crash).
     reason: str = ""
     error: Optional[str] = None
 
@@ -289,9 +267,7 @@ def _discharge_impl(
     frame = tuple(proc.modifies)
 
     decisions = [
-        _classify_site(
-            site, lattice, frame, unstable, refutation_safe, has_pivots
-        )
+        _classify_site(site, frame, unstable, refutation_safe, has_pivots)
         for site in facts.sites
     ]
 
@@ -315,7 +291,6 @@ def _discharge_impl(
 
 def _classify_site(
     site: Site,
-    lattice: InclusionLattice,
     frame: Tuple[Designator, ...],
     unstable: FrozenSet[str],
     refutation_safe: bool,
@@ -348,128 +323,8 @@ def _classify_site(
     # A write or call licence: mod(X·A, w, $0) over the objects X the
     # site writes through (for a call, the owner the callee's designator
     # denotes at the call site).
-    outcome, required, reason = _classify_mod(
-        site.values, info.attr, frame, lattice, unstable, refutation_safe
-    )
+    outcome, required, reason = _classify_mod(site, unstable, refutation_safe)
     return ObligationDecision(info, outcome, required, frame, reason)
-
-
-# ---------------------------------------------------------------------------
-# Interprocedural effect summaries (SCC fixpoint)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EffectSummary:
-    """A procedure's transitive write effect on entry-reachable state.
-
-    ``writes`` are formal-rooted designators; ``opaque`` means some write
-    could not be named (missing implementation, unknown target, widened
-    path) and the true effect may be larger.
-    """
-
-    writes: FrozenSet[Designator] = frozenset()
-    opaque: bool = False
-
-    def render(self) -> Tuple[str, ...]:
-        return tuple(sorted(str(d) for d in self.writes))
-
-
-def _impl_effect(
-    scope: Scope,
-    facts: ImplFacts,
-    summaries: Dict[str, EffectSummary],
-) -> EffectSummary:
-    writes = set()
-    opaque = False
-
-    def record(values, attr: str) -> None:
-        nonlocal opaque
-        if values is None:
-            opaque = True  # the designator's root is bound to no argument
-            return
-        for value in values:
-            if value is FRESH:
-                continue  # writes inside fresh objects are invisible at entry
-            if (
-                isinstance(value, PathVal)
-                and len(value.path) <= MAX_SUMMARY_PATH
-            ):
-                writes.add(Designator(value.root, value.path, attr))
-            else:
-                # An object the analysis cannot name, or a path widened
-                # instead of diverging on recursion.
-                opaque = True
-
-    for site in facts.sites:
-        if site.info.kind != "write-licence":
-            continue
-        if site.state is None:
-            opaque = True
-            continue
-        record(site.values, site.info.attr)
-    # A call writes what its callee's summary says, not what its declared
-    # frame (the call licences) says, and a call whose callee modifies
-    # nothing has no site: calls come from the command walk. Each write
-    # lands on the owner the summary's designator denotes at the call,
-    # evaluated as the call sites evaluate the declared ones.
-    for cmd in facts.commands:
-        if isinstance(cmd, Call):
-            state = facts.state_at(cmd)
-            callee = scope.proc(cmd.proc)
-            summary = summaries.get(cmd.proc)
-            if callee is None or summary is None or state is None:
-                opaque = True
-                continue
-            if summary.opaque:
-                opaque = True
-            actuals = dict(zip(callee.params, cmd.args))
-            for designator in summary.writes:
-                record(
-                    owner_values(
-                        actuals.get(designator.root), designator.path, state
-                    ),
-                    designator.attr,
-                )
-    return EffectSummary(frozenset(writes), opaque)
-
-
-def compute_summaries(
-    scope: Scope, graph: Optional[CallGraph] = None
-) -> Dict[str, EffectSummary]:
-    """Every procedure's transitive write effect, by fixpoint over the
-    condensed call graph (callees first; components iterate until their
-    members stabilise, which self/mutual recursion needs)."""
-    graph = graph or scope_call_graph(scope)
-    summaries: Dict[str, EffectSummary] = {}
-    for component in graph.sccs():
-        for name in component:
-            if not scope.impls_of(name):
-                # No implementation to analyse: the effect is unknown.
-                summaries[name] = EffectSummary(frozenset(), opaque=True)
-            else:
-                summaries[name] = EffectSummary()
-        changed = True
-        while changed:
-            changed = False
-            for name in component:
-                if not scope.impls_of(name):
-                    continue
-                merged = set()
-                opaque = False
-                for impl in scope.impls_of(name):
-                    effect = _impl_effect(
-                        scope, impl_facts(scope, impl), summaries
-                    )
-                    merged |= effect.writes
-                    opaque = opaque or effect.opaque
-                candidate = EffectSummary(frozenset(merged), opaque)
-                if candidate != summaries[name]:
-                    summaries[name] = candidate
-                    changed = True
-            if not graph.is_recursive(component):
-                break  # no member reads its own summary: one pass is final
-    return summaries
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +341,6 @@ class DischargeResult:
     impls: Dict[Tuple[str, int], ImplDischarge]
     lattice: InclusionLattice
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    _summaries: Optional[Dict[str, EffectSummary]] = field(
-        default=None, repr=False
-    )
-
-    @property
-    def summaries(self) -> Dict[str, EffectSummary]:
-        """Every procedure's effect summary, computed on first read (only
-        strict mode needs them to decide)."""
-        if self._summaries is None:
-            self._summaries = compute_summaries(self.scope)
-        return self._summaries
 
     def outcome_of(self, proc_name: str, index: int) -> Outcome:
         entry = self.impls.get((proc_name, index))
@@ -602,12 +446,11 @@ def violation_diagnostic(
 def discharge_scope(scope: Scope, mode: str = "on") -> DischargeResult:
     """Classify every obligation of every implementation in ``scope``.
 
-    ``mode="strict"`` additionally withholds ``STATIC_VALID`` from any
-    implementation whose own effect summary is opaque or exceeds its
-    declared frame, and reports the deferral as OL403 (info).
+    ``mode`` is recorded in the result's summary; ``"on"`` is the only
+    mode.
     """
-    if mode not in ("on", "strict"):
-        raise ValueError(f"unknown discharge mode {mode!r}")
+    if mode != "on":
+        raise ValueError(f"unknown discharge mode {mode!r}; expected 'on'")
     lattice = scope_lattice(scope)
     result = DischargeResult(mode=mode, scope=scope, impls={}, lattice=lattice)
     for proc_name, impls in scope.impls.items():
@@ -631,40 +474,6 @@ def discharge_scope(scope: Scope, mode: str = "on") -> DischargeResult:
                         reason="discharge failed",
                         error=f"{type(exc).__name__}: {exc}",
                     )
-            if mode == "strict" and entry.outcome is Outcome.STATIC_VALID:
-                reason = _strict_block_reason(
-                    lattice, result.summaries, proc
-                )
-                if reason is not None:
-                    entry.outcome = Outcome.UNKNOWN
-                    entry.reason = reason
-                    result.diagnostics.append(
-                        Diagnostic(
-                            code="OL403",
-                            message=(
-                                f"{len(entry.decisions)} obligation(s) of "
-                                f"{impl.name!r} deferred to the prover: "
-                                f"{reason}"
-                            ),
-                            position=impl.position,
-                            impl=impl.name,
-                        )
-                    )
             result.impls[(proc_name, index)] = entry
     return result
 
-
-def _strict_block_reason(
-    lattice: InclusionLattice,
-    summaries: Dict[str, EffectSummary],
-    proc: ProcDecl,
-) -> Optional[str]:
-    """Strict mode: a discharged implementation must also have an exact
-    effect summary contained in its declared frame."""
-    summary = summaries.get(proc.name)
-    if summary is None or summary.opaque:
-        return "effect summary is opaque"
-    for written in summary.writes:
-        if not lattice.covered_by_frame(proc.modifies, written):
-            return f"summary effect {written} exceeds the declared frame"
-    return None

@@ -23,10 +23,14 @@ The site list is the checker's one enumeration of where side effects
 are checked: every obligation wlp registers (the Figure 2 write licence,
 Figure 3's call licence and owner exclusion, and asserts), in wlp's
 registration order, each with the access-path state before it and the
-abstract objects it writes through. Lint's OL301/OL302, static
-discharge's classification, ``--check-discharge``'s obligation-by-
-obligation comparison and the effect summaries all read it; each keeps
-its own predicate over it.
+abstract objects it writes through. Coverage is decided once, here:
+each site records, for every entry access path it writes through, the
+indices of the frame designators that license it
+(:meth:`~repro.analysis.inclusion.InclusionLattice.covering`). Lint's
+OL301 reads an empty answer, OL302 the frame indices no site of the
+procedure names, and static discharge a non-empty one; discharge's
+classification and ``--check-discharge``'s obligation-by-obligation
+comparison read the same list.
 
 The cache lives on the scope (``Scope.analysis_facts``), like the
 prover's prepared background: it is filled lazily, is process-local,
@@ -46,6 +50,7 @@ from repro.oolong.ast import (
     Call,
     Choice,
     Cmd,
+    Designator,
     Expr,
     FieldAccess,
     ImplDecl,
@@ -57,9 +62,10 @@ from repro.oolong.ast import (
 from repro.oolong.program import Scope
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.dataflow import forward_states
-from repro.analysis.modifies import AccessPathAnalysis, eval_expr
+from repro.analysis.modifies import AccessPathAnalysis, PathVal, eval_expr
 
 if TYPE_CHECKING:
+    from repro.analysis.inclusion import InclusionLattice
     from repro.vcgen.wlp import ObligationInfo
 
 
@@ -77,6 +83,10 @@ class Site(NamedTuple):
     #: None when the designator's root is bound to no argument; empty for
     #: other kinds and where ``state`` is None.
     values: Optional[FrozenSet[object]]
+    #: Each entry access path in ``values`` -> the indices of the
+    #: designators of the implementation's frame that license writing
+    #: ``info.attr`` through it, ascending; empty when none does.
+    covering: Dict[PathVal, Tuple[int, ...]]
 
 
 class ImplFacts:
@@ -84,13 +94,20 @@ class ImplFacts:
     obligation sites, each built on first use.
 
     ``procs`` is the scope's procedure table, which the sites read the
-    frames of (the table, not the scope, so the facts hold no reference
-    back to the scope).
+    frames of, and ``lattice`` the scope's inclusion lattice, which
+    decides their coverage (the table and the lattice, not the scope, so
+    the facts hold no reference back to the scope).
     """
 
-    def __init__(self, impl: ImplDecl, procs: Dict[str, ProcDecl]):
+    def __init__(
+        self,
+        impl: ImplDecl,
+        procs: Dict[str, ProcDecl],
+        lattice: "InclusionLattice",
+    ):
         self.impl = impl
         self._procs = procs
+        self._lattice = lattice
         self._commands: Optional[Tuple[Cmd, ...]] = None
         self._cfg: Optional[CFG] = None
         self._node_states = None
@@ -142,7 +159,8 @@ class ImplFacts:
         from repro.vcgen.wlp import command_obligations
 
         proc = self._procs.get(self.impl.name)
-        frame = tuple(str(d) for d in proc.modifies) if proc else ()
+        modifies = proc.modifies if proc else ()
+        frame = tuple(str(d) for d in modifies)
         sites: list = []
         # wlp builds backwards, so a Seq registers its last command first
         # and a Choice its first arm first. Walk depth-first with an
@@ -182,7 +200,14 @@ class ImplFacts:
                 written = []
             for index, info in enumerate(infos):
                 values = written[index] if index < len(written) else _NO_VALUES
-                sites.append(Site(cmd, info, state, values))
+                covering = {
+                    value: self._lattice.covering(
+                        modifies, Designator(value.root, value.path, info.attr)
+                    )
+                    for value in values or ()
+                    if isinstance(value, PathVal)
+                }
+                sites.append(Site(cmd, info, state, values, covering))
         return tuple(sites)
 
 
@@ -253,6 +278,6 @@ def impl_facts(scope: Scope, impl: ImplDecl) -> ImplFacts:
     cache = _cache(scope)
     facts = cache.impls.get(id(impl))
     if facts is None or facts.impl is not impl:
-        facts = ImplFacts(impl, cache.procs)
+        facts = ImplFacts(impl, cache.procs, scope_lattice(scope))
         cache.impls[id(impl)] = facts
     return facts

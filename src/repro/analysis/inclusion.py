@@ -7,10 +7,13 @@ declared ``in a``) plus rep inclusions through pivot fields (``g —f→ x``
 from ``field f maps x into g``). This module precomputes the whole
 lattice once per scope and is the checker's only decision procedure for
 that relation: the scope's analysis cache (:mod:`repro.analysis.facts`)
-holds one lattice that modifies inference (``OL301``/``OL302``), the
-discharge pass and the effect summaries (:mod:`repro.analysis.effects`)
-all query, through :meth:`InclusionLattice.covers`. Subsumption queries take near-constant time, and static
-``inc`` reachability is enumerated without touching a store.
+holds one lattice, and each obligation site asks it once, through
+:meth:`InclusionLattice.covering`, which designators of the
+implementation's frame license each access path the site writes
+through. Modifies inference (``OL301``/``OL302``) and the discharge
+pass (:mod:`repro.analysis.effects`) read that answer off the site.
+Subsumption queries take near-constant time, and static ``inc``
+reachability is enumerated without touching a store.
 
 Cyclic rep inclusions (``field next maps g into g`` — the scope family on
 which the paper reports Simplify divergence, EX-5.3) are harmless here:
@@ -136,6 +139,11 @@ class InclusionLattice:
             attrs = frozenset(merged)
         return required.attr in attrs
 
-    def covered_by_frame(self, frame, required: Designator) -> bool:
-        """Is ``required`` licensed by any designator of ``frame``?"""
-        return any(self.covers(declared, required) for declared in frame)
+    def covering(self, frame, required: Designator) -> Tuple[int, ...]:
+        """The indices of the designators of ``frame`` that license
+        ``required``, ascending; empty when none does."""
+        return tuple(
+            index
+            for index, declared in enumerate(frame)
+            if self.covers(declared, required)
+        )

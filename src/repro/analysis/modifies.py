@@ -15,19 +15,20 @@ CFG. The state has two components:
   needs no licence. Must-facts join by intersection and are killed
   conservatively by any write that could redirect the path and by calls.
 
-The requirements are read off the implementation's obligation-site list
-(:attr:`repro.analysis.facts.ImplFacts.sites`), which evaluates every
-write target, and every callee designator's owner (the actual extended
-by the designator's path, each step checked against the must-fresh
-set), in these states once for lint and static discharge alike. Each
-access path a written object may be named by is one requirement; fresh
-and unknown objects need none.
+The licences an implementation needs are read off its obligation-site
+list (:attr:`repro.analysis.facts.ImplFacts.sites`), which evaluates
+every write target, and every callee designator's owner (the actual
+extended by the designator's path, each step checked against the
+must-fresh set), in these states once for lint and static discharge
+alike. Each access path a written object may be named by needs one
+licence; fresh and unknown objects need none.
 
-The inferred requirements are compared against the declared modifies list
-using the paper's licence semantics — local inclusions (``group ≽ attr``)
-plus rep inclusions through pivot fields (``g —p→ x``), decided by the
-scope's one inclusion lattice (:mod:`repro.analysis.inclusion`) — and two
-kinds of diagnostics come out:
+Each site also records which designators of the declared modifies list
+license each of those access paths, decided once by the scope's
+inclusion lattice (:mod:`repro.analysis.inclusion`) with the paper's
+licence semantics — local inclusions (``group ≽ attr``) plus rep
+inclusions through pivot fields (``g —p→ x``). Two kinds of diagnostics
+are read off that record:
 
 * **OL301** (error): a write or callee licence is not covered by the
   declaration. These are the implementations the prover will refuse, so
@@ -40,9 +41,8 @@ kinds of diagnostics come out:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.errors import SourcePosition
 from repro.oolong.ast import Designator, Expr, FieldAccess, Id, ImplDecl
 from repro.oolong.program import Scope
 from repro.analysis.cfg import ASSIGN, ASSIGN_NEW, CALL, VAR_ENTER, VAR_EXIT, Statement
@@ -94,15 +94,6 @@ class PointsToState:
 
     def locals_map(self) -> Dict[str, FrozenSet[AbstractValue]]:
         return dict(self.locals)
-
-
-@dataclass(frozen=True)
-class Requirement:
-    """One licence an implementation needs: permission on ``designator``."""
-
-    designator: Designator
-    reason: str
-    position: Optional[SourcePosition] = None
 
 
 def eval_expr(expr: Expr, state: PointsToState) -> FrozenSet[AbstractValue]:
@@ -207,85 +198,66 @@ class ModifiesInference:
     diagnostics: List[Diagnostic]
 
 
-def _requirements(facts) -> Iterator[Requirement]:
-    """The licences an implementation's write and call sites need (``facts``
-    is its :class:`~repro.analysis.facts.ImplFacts`): one per access path
-    the written object may be named by. Writes into fresh objects, and
-    through values the analysis cannot name, need none."""
-    for site in facts.sites:
-        info = site.info
-        if info.kind == "write-licence":
-            reason = f"write to {info.target}"
-        elif info.kind == "call-licence":
-            reason = f"call to {info.callee} (modifies {info.target})"
-        else:
-            continue
-        for value in site.values or ():
-            if isinstance(value, PathVal):
-                yield Requirement(
-                    Designator(value.root, value.path, info.attr),
-                    reason,
-                    info.position,
-                )
-
-
 def infer_modifies(scope: Scope) -> ModifiesInference:
     """Infer least modifies lists and diff them against the declarations."""
-    from repro.analysis.facts import impl_facts, scope_lattice
+    from repro.analysis.facts import impl_facts
 
-    lattice = scope_lattice(scope)
     diagnostics: List[Diagnostic] = []
     inferred: Dict[str, Tuple[str, ...]] = {}
-    per_proc_requirements: Dict[str, List[Requirement]] = {}
+    #: proc name -> the indices of its frame that some site exercises.
+    exercised: Dict[str, Set[int]] = {}
 
     for proc_name, impls in scope.impls.items():
         proc = scope.proc(proc_name)
         if proc is None:
             continue  # undeclared; well-formedness reports it
-        collected: List[Requirement] = []
+        named: Set[str] = set()
+        used: Set[int] = set()
         for impl in impls:
-            impl_reqs = list(_requirements(impl_facts(scope, impl)))
-            collected.extend(impl_reqs)
-            for requirement in impl_reqs:
-                if not lattice.covered_by_frame(
-                    proc.modifies, requirement.designator
-                ):
+            for site in impl_facts(scope, impl).sites:
+                info = site.info
+                for value, covering in site.covering.items():
+                    required = Designator(value.root, value.path, info.attr)
+                    named.add(str(required))
+                    used.update(covering)
+                    if covering:
+                        continue
+                    if info.kind == "write-licence":
+                        reason = f"write to {info.target}"
+                    else:
+                        reason = f"call to {info.callee} (modifies {info.target})"
                     diagnostics.append(
                         Diagnostic(
                             code="OL301",
                             message=(
-                                f"{requirement.reason} requires a licence on "
-                                f"{requirement.designator}, which the declared "
-                                f"modifies list of {proc_name!r} does not grant"
+                                f"{reason} requires a licence on {required}, "
+                                f"which the declared modifies list of "
+                                f"{proc_name!r} does not grant"
                             ),
-                            position=requirement.position,
+                            position=info.position,
                             impl=impl.name,
                         )
                     )
-        per_proc_requirements[proc_name] = collected
-        inferred[proc_name] = tuple(
-            sorted({str(r.designator) for r in collected})
-        )
+        exercised[proc_name] = used
+        inferred[proc_name] = tuple(sorted(named))
 
     # Over-broad declarations: a designator no implementation exercises.
-    for proc_name, requirements in per_proc_requirements.items():
+    for proc_name, used in exercised.items():
         proc = scope.proc(proc_name)
-        for declared in proc.modifies:
-            if not any(
-                lattice.covers(declared, requirement.designator)
-                for requirement in requirements
-            ):
-                diagnostics.append(
-                    Diagnostic(
-                        code="OL302",
-                        message=(
-                            f"modifies {declared} of {proc_name!r} is never "
-                            f"exercised by any implementation; the "
-                            f"{'group' if scope.is_group(declared.attr) else 'field'} "
-                            f"{declared.attr!r} can be removed from the list"
-                        ),
-                        position=proc.position,
-                        impl=proc_name,
-                    )
+        for index, declared in enumerate(proc.modifies):
+            if index in used:
+                continue
+            diagnostics.append(
+                Diagnostic(
+                    code="OL302",
+                    message=(
+                        f"modifies {declared} of {proc_name!r} is never "
+                        f"exercised by any implementation; the "
+                        f"{'group' if scope.is_group(declared.attr) else 'field'} "
+                        f"{declared.attr!r} can be removed from the list"
+                    ),
+                    position=proc.position,
+                    impl=proc_name,
                 )
+            )
     return ModifiesInference(inferred=inferred, diagnostics=diagnostics)

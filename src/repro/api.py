@@ -143,8 +143,8 @@ def check_program(
     ``max_retries`` the retry budget after worker deaths — see
     :mod:`repro.parallel` and :func:`repro.vcgen.checker.check_scope`.
 
-    ``static_discharge``/``check_discharge`` control the interprocedural
-    effect analyzer that discharges frame obligations before the prover —
+    ``static_discharge``/``check_discharge`` control the static pass
+    that discharges frame obligations before the prover —
     see :mod:`repro.analysis.effects` and
     :func:`repro.vcgen.checker.check_scope`.
 

@@ -14,8 +14,8 @@ fast enough for editor integration.
 Both accept ``--format text|json|sarif`` and ``--fail-on`` with either a
 severity (``error``, ``warning``) or a comma-separated list of OLxxx
 codes (unknown codes are rejected with the known-code list). Check mode
-adds ``--static-discharge on|off|strict`` (the interprocedural effect
-analyzer that discharges frame obligations before the prover) and
+adds ``--static-discharge on|off`` (the static pass that discharges
+frame obligations before the prover) and
 ``--check-discharge`` (the differential soundness guard; disagreements
 are OL402 errors).
 Check mode also carries the observability flags: ``--trace FILE``
@@ -426,14 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--static-discharge",
-        choices=("on", "off", "strict"),
+        choices=("on", "off"),
         default="off",
         help="statically discharge frame obligations before the prover "
         "(repro.analysis.effects): fully subsumed implementations skip "
         "the prover as verified, statically refuted ones as not proved "
-        "with an OL401 blame; 'strict' additionally requires an exact "
-        "effect summary within the declared frame (deferrals reported "
-        "as OL403). Default: off",
+        "with an OL401 blame. Default: off",
     )
     parser.add_argument(
         "--check-discharge",

@@ -368,18 +368,16 @@ def check_scope(
     uninterrupted run. Damaged ledgers degrade (OL905), never crash; the
     ledger is disabled under ``explain=True`` like the result cache.
 
-    ``static_discharge="on"`` runs the interprocedural effect analyzer
+    ``static_discharge`` is ``"off"`` (the default) or ``"on"``.
+    ``"on"`` runs the static discharge pass
     (:mod:`repro.analysis.effects`) ahead of vcgen: implementations whose
     every obligation is statically subsumed in the inclusion lattice skip
     the prover with a ``VERIFIED`` verdict, and statically refuted ones
     skip it with ``NOT_PROVED`` plus an ``OL401`` blame diagnostic;
-    everything else reaches the prover unchanged. ``"strict"``
-    additionally refuses to discharge implementations whose effect
-    summary is opaque or exceeds the declared frame (reported as OL403).
-    Discharged verdicts are never written to the result cache, and the
-    pass is disabled under ``explain=True`` (explanations need a prover
-    run). A crash in the pass degrades to an ``OL900`` warning and full
-    proving.
+    everything else reaches the prover unchanged. Discharged verdicts are
+    never written to the result cache, and the pass is disabled under
+    ``explain=True`` (explanations need a prover run). A crash in the
+    pass degrades to an ``OL900`` warning and full proving.
 
     ``check_discharge=True`` is the differential soundness guard: every
     implementation is still proved, and each prover verdict is compared
@@ -459,9 +457,9 @@ def check_scope(
     """
     from repro import obs
 
-    if static_discharge not in ("off", "on", "strict"):
+    if static_discharge not in ("off", "on"):
         raise ValueError(
-            f"static_discharge must be 'off', 'on' or 'strict', "
+            f"static_discharge must be 'off' or 'on', "
             f"not {static_discharge!r}"
         )
     if check_discharge and static_discharge == "off":
@@ -552,7 +550,7 @@ def check_scope(
 
             try:
                 with obs.span("discharge", obs.CAT_PIPELINE):
-                    discharge = discharge_scope(scope, mode=static_discharge)
+                    discharge = discharge_scope(scope)
             except Exception as exc:
                 report.diagnostics.append(
                     internal_error_diagnostic(

@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG
-from repro.analysis import effects
 from repro.analysis.effects import discharge_scope
 from repro.analysis.engine import lint_scope
 from repro.analysis.facts import (
@@ -86,7 +85,7 @@ def test_each_fact_is_derived_once_per_check(monkeypatch, impls):
     graphs = _count_calls(monkeypatch, CallGraph, "__init__")
     lattices = _count_calls(monkeypatch, InclusionLattice, "__init__")
     site_lists = _count_calls(monkeypatch, ImplFacts, "_build_sites")
-    summaries = _count_calls(monkeypatch, effects, "compute_summaries")
+    covers = _count_calls(monkeypatch, InclusionLattice, "covers")
 
     report = check_program(source, static_discharge="on")
 
@@ -110,24 +109,12 @@ def test_each_fact_is_derived_once_per_check(monkeypatch, impls):
     }
     assert len(graphs) == 1
     assert len(lattices) == 1
-    # Lint and discharge read one site list per implementation, and
-    # nothing in "on" mode reads the effect summaries.
+    # Lint and discharge read one site list per implementation.
     assert len(site_lists) == impls
-    assert summaries == []
-
-
-@pytest.mark.parametrize("impls", [10, 100])
-def test_strict_discharge_computes_summaries_once(monkeypatch, impls):
-    source = generate_impl_farm(impls, 4)
-    site_lists = _count_calls(monkeypatch, ImplFacts, "_build_sites")
-    summaries = _count_calls(monkeypatch, effects, "compute_summaries")
-
-    report = check_program(source, static_discharge="strict")
-
-    assert report.ok
-    assert report.discharge_summary["impls"]["static-valid"] == impls
-    assert len(summaries) == 1
-    assert len(site_lists) == impls
+    # Coverage is decided once per named licence and frame designator,
+    # on the site: OL301, OL302 and discharge all read that answer. Each
+    # farm body writes t.f0 .. t.f3 under the one designator t.data.
+    assert len(covers) == 4 * impls
 
 
 class _NoWalk(tuple):
@@ -222,7 +209,8 @@ def test_state_at_joins_a_node_reused_in_two_places():
             )
         ),
     )
-    facts = ImplFacts(ImplDecl("p", ("t",), body), {})
+    lattice = InclusionLattice(Scope.from_source("field a\nfield b\nfield f"))
+    facts = ImplFacts(ImplDecl("p", ("t",), body), {}, lattice)
     state = facts.state_at(write)
     assert state.locals_map()["x"] == frozenset(
         {PathVal("t", ("a",)), PathVal("t", ("b",))}

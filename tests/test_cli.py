@@ -43,6 +43,23 @@ class TestArguments:
         assert args.stats and args.no_restrictions
         assert args.files == ["a", "b"]
 
+    def test_static_discharge_takes_on_or_off(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["x.oolong", "--static-discharge", "strict"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "invalid choice: 'strict'" in err
+
+    @pytest.mark.parametrize("code", ["OL403", "discharge-deferred"])
+    def test_deferral_code_is_unknown(self, code, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["x.oolong", "--fail-on", code])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown diagnostic code {code!r}" in err
+        assert "known codes: OL001" in err
+
 
 class TestExitCodes:
     def test_ok_program_exits_zero(self, write_source, capsys):

@@ -11,8 +11,12 @@ Covers the static-discharge PR's driver wiring:
 * statically refuted implementations come back ``NOT_PROVED`` with an
   ``OL401`` blame diagnostic, without a prover run;
 * ``check_discharge=True`` re-proves everything and reports zero
-  disagreements on the corpus (``OL402`` stays silent);
-* strict mode defers opaque-summary implementations with ``OL403``;
+  disagreements on the corpus (``OL402`` stays silent), and on callers
+  of procedures whose bodies are missing, recursive or write through a
+  fresh carrier;
+* discharge is modular: a caller's decisions read the callee's modifies
+  list, never its body;
+* only ``"off"`` and ``"on"`` are accepted modes;
 * discharged verdicts are never written to the result cache;
 * the discharge pass version participates in the cache key.
 """
@@ -22,9 +26,9 @@ import os
 
 import pytest
 
-from repro.analysis.effects import DISCHARGE_VERSION
+from repro.analysis.effects import DISCHARGE_VERSION, Outcome, discharge_scope
 from repro.api import check_program
-from repro.corpus.generators import generate_impl_farm
+from repro.corpus.generators import generate_call_chain, generate_impl_farm
 from repro.oolong.program import Scope
 from repro.parallel.cache import code_version
 from repro.prover.core import Limits
@@ -74,6 +78,17 @@ class TestVerdictIdentity:
         scope = Scope.from_source("field f")
         with pytest.raises(ValueError):
             check_scope(scope, LIMITS, static_discharge="sometimes")
+
+    def test_strict_is_rejected(self):
+        scope = Scope.from_source("field f")
+        with pytest.raises(ValueError, match="'off' or 'on'"):
+            check_scope(scope, LIMITS, static_discharge="strict")
+
+    def test_discharge_scope_accepts_only_on(self):
+        scope = Scope.from_source("field f")
+        assert discharge_scope(scope, mode="on").mode == "on"
+        with pytest.raises(ValueError):
+            discharge_scope(scope, mode="strict")
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +191,7 @@ class TestCheckDischarge:
 
 
 # ----------------------------------------------------------------------
-# Strict mode
+# Callers of missing, recursive and fresh-carrier callees
 # ----------------------------------------------------------------------
 
 
@@ -191,25 +206,119 @@ impl driver(o) {
 }
 """
 
+RECURSIVE = """
+group g
+field f in g
+proc self_rec(o) modifies o.g
+impl self_rec(o) {
+  assume o != null ;
+  o.f := 1 ;
+  self_rec(o)
+}
+"""
 
-class TestStrictMode:
-    def test_strict_defers_opaque_summaries_with_ol403(self):
-        scope = Scope.from_source(OPAQUE_CALLEE)
-        report = check_scope(scope, LIMITS, static_discharge="strict")
-        deferred = [d for d in report.diagnostics if d.code == "OL403"]
-        assert deferred, "strict mode must report the deferral"
-        assert report.discharge_summary["mode"] == "strict"
-        # Deferred means the prover decided — and the verdict matches
-        # the plain run.
-        baseline = check_scope(
-            Scope.from_source(OPAQUE_CALLEE), LIMITS
+MUTUAL = """
+group g
+field f in g
+proc ping(o) modifies o.g
+proc pong(o) modifies o.g
+impl ping(o) {
+  assume o != null ;
+  o.f := 1 ;
+  pong(o)
+}
+impl pong(o) {
+  assume o != null ;
+  ping(o)
+}
+"""
+
+#: n is fresh, but n.a holds t: q's write to s.a.b lands on t.b, which
+#: p's frame (t.a) does not license, so the prover refuses p.
+FRESH_CARRIER = """
+group g
+field a
+field b
+proc q(s) modifies s.a.b
+impl q(s) { assume s != null ; assume s.a != null ; s.a.b := 1 }
+proc p(t) modifies t.a
+impl p(t) {
+  assume t != null ;
+  var n in n := new() ; n.a := t ; q(n) end
+}
+"""
+
+
+def without_impl(source, proc):
+    """``source`` with the implementation of ``proc`` removed."""
+    return "".join(
+        line
+        for line in source.splitlines(keepends=True)
+        if not line.startswith(f"impl {proc}(")
+    )
+
+
+#: A 12-link chain whose last procedure has no implementation.
+OPAQUE_CHAIN_12 = without_impl(generate_call_chain(12), "p12")
+
+
+class TestCallers:
+    @pytest.mark.parametrize(
+        "source",
+        [OPAQUE_CALLEE, FRESH_CARRIER, RECURSIVE, MUTUAL, OPAQUE_CHAIN_12],
+        ids=["opaque-callee", "fresh-carrier", "recursive", "mutual",
+             "opaque-chain-12"],
+    )
+    def test_discharge_agrees_with_the_prover(self, source):
+        report = check_program(source, LIMITS, check_discharge=True)
+        assert not [d for d in report.diagnostics if d.code == "OL402"]
+        assert report.discharge_summary.get("disagreements", 0) == 0
+        if source is FRESH_CARRIER:
+            result = discharge_scope(Scope.from_source(source))
+            assert result.outcome_of("p", 0) is not Outcome.STATIC_VALID
+            (verdict,) = [v for v in report.verdicts if v.impl.name == "p"]
+            assert verdict.status is ImplStatus.NOT_PROVED
+
+    def test_opaque_chain_discharges_every_caller(self):
+        report = check_program(OPAQUE_CHAIN_12, LIMITS, static_discharge="on")
+        assert report.discharge_summary["impls"]["static-valid"] == 12
+        assert all(v.status is ImplStatus.VERIFIED for v in report.verdicts)
+
+
+# ----------------------------------------------------------------------
+# Modularity: a caller's decisions never read a callee's body
+# ----------------------------------------------------------------------
+
+
+def _decisions(scope, proc):
+    entry = discharge_scope(scope).impls[(proc, 0)]
+    return entry.outcome, [d.to_dict() for d in entry.decisions]
+
+
+class TestModularity:
+    CALLEE_BODY = "impl p3(t) { assume t != null ; t.payload := 3 }\n"
+    #: ``other`` is not in ``data``, the one group ``p3`` may modify.
+    ESCAPING_BODY = "impl p3(t) { assume t != null ; t.other := 3 }\n"
+
+    def chain(self, callee_body):
+        source = "field other\n" + generate_call_chain(3)
+        assert self.CALLEE_BODY in source
+        return Scope.from_source(source.replace(self.CALLEE_BODY, callee_body))
+
+    def test_callee_body_does_not_change_caller_decisions(self):
+        plain = self.chain(self.CALLEE_BODY)
+        escaping = self.chain(self.ESCAPING_BODY)
+        missing = self.chain("\n")  # a blank line keeps the positions
+        assert discharge_scope(plain).outcome_of("p3", 0) is Outcome.STATIC_VALID
+        assert (
+            discharge_scope(escaping).outcome_of("p3", 0)
+            is Outcome.STATIC_VIOLATION
         )
-        assert verdict_fingerprint(report) == verdict_fingerprint(baseline)
-
-    def test_strict_still_discharges_closed_impls(self):
-        source = generate_impl_farm(3, fields=3)
-        report = check_program(source, LIMITS, static_discharge="strict")
-        assert report.discharge_summary["discharge_rate"] > 0
+        for caller in ("p0", "p1", "p2"):
+            expected = _decisions(plain, caller)
+            assert expected[0] is Outcome.STATIC_VALID
+            assert _decisions(escaping, caller) == expected
+            assert _decisions(missing, caller) == expected
 
 
 # ----------------------------------------------------------------------

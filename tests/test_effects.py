@@ -1,5 +1,5 @@
-"""Tests for the interprocedural effect analyzer (``repro.analysis.effects``
-and ``repro.analysis.inclusion``).
+"""Tests for the static discharge pass's analysis layer
+(``repro.analysis.effects`` and ``repro.analysis.inclusion``).
 
 Covers the static-discharge PR's analysis layer:
 
@@ -12,8 +12,8 @@ Covers the static-discharge PR's analysis layer:
   scanning procedure it replaced, kept here as the reference oracle;
 * cyclic rep inclusions (``field next maps g into g``) terminate and
   agree with the runtime inclusion monitor;
-* SCC condensation order, self/mutual recursion, and missing (opaque)
-  implementations in the summary fixpoint.
+* SCC condensation order, and discharge of self and mutually
+  recursive implementations.
 """
 
 import glob
@@ -22,12 +22,7 @@ import os
 import pytest
 
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.effects import (
-    EffectSummary,
-    Outcome,
-    compute_summaries,
-    discharge_scope,
-)
+from repro.analysis.effects import Outcome, discharge_scope
 from repro.analysis.facts import impl_facts, scope_lattice
 from repro.analysis.inclusion import InclusionLattice
 from repro.corpus.generators import (
@@ -43,6 +38,7 @@ from repro.oolong.program import Scope
 from repro.semantics.inclusion import included_locations
 from repro.semantics.store import RuntimeStore
 from repro.vcgen.vc import vc_for_impl
+from tests.test_discharge import MUTUAL, RECURSIVE
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
@@ -280,7 +276,7 @@ impl touch(o) {
 
 
 # ----------------------------------------------------------------------
-# SCC condensation and the summary fixpoint
+# SCC condensation and recursion
 # ----------------------------------------------------------------------
 
 
@@ -307,73 +303,9 @@ class TestSccs:
         assert graph.cycles() == [("a", "b"), ("c",)]
 
 
-RECURSIVE = """
-group g
-field f in g
-proc self_rec(o) modifies o.g
-impl self_rec(o) {
-  assume o != null ;
-  o.f := 1 ;
-  self_rec(o)
-}
-"""
-
-MUTUAL = """
-group g
-field f in g
-proc ping(o) modifies o.g
-proc pong(o) modifies o.g
-impl ping(o) {
-  assume o != null ;
-  o.f := 1 ;
-  pong(o)
-}
-impl pong(o) {
-  assume o != null ;
-  ping(o)
-}
-"""
-
-OPAQUE_CALLEE = """
-group g
-field f in g
-proc helper(o) modifies o.g
-proc driver(o) modifies o.g
-impl driver(o) {
-  assume o != null ;
-  helper(o)
-}
-"""
-
-
-FRESH_CARRIER = """
-group g
-field a
-field b
-proc q(s) modifies s.a.b
-impl q(s) { assume s != null ; assume s.a != null ; s.a.b := 1 }
-proc p(t) modifies t.a
-impl p(t) {
-  assume t != null ;
-  var n in n := new() ; n.a := t ; q(n) end
-}
-"""
-
-
 class TestSummaries:
-    def test_self_recursion_reaches_fixpoint(self):
-        scope = desugar_contracts(Scope.from_source(RECURSIVE))
-        summaries = compute_summaries(scope, CallGraph(scope))
-        summary = summaries["self_rec"]
-        assert not summary.opaque
-        assert Designator("o", (), "f") in summary.writes
-
-    def test_mutual_recursion_reaches_fixpoint(self):
-        scope = desugar_contracts(Scope.from_source(MUTUAL))
-        summaries = compute_summaries(scope, CallGraph(scope))
-        for name in ("ping", "pong"):
-            assert not summaries[name].opaque
-            assert Designator("o", (), "f") in summaries[name].writes
+    """Recursive scopes: discharge reads the callees' modifies lists, not
+    their bodies, so recursion needs no fixpoint."""
 
     def test_recursive_impls_still_discharge(self):
         """Recursion is not a soundness cliff: the write and the
@@ -386,26 +318,3 @@ class TestSummaries:
                     Outcome.STATIC_VALID,
                     Outcome.UNKNOWN,
                 ), (name, index, entry.reason)
-
-    def test_call_through_a_fresh_carrier_is_opaque(self):
-        """n is fresh, but n.a holds t: q's write to s.a.b lands on t.b,
-        which the prover refuses p. The summary cannot name that object,
-        so it must not claim p writes nothing."""
-        scope = Scope.from_source(FRESH_CARRIER)
-        summaries = compute_summaries(scope, CallGraph(scope))
-        assert summaries["q"] == EffectSummary(
-            frozenset({Designator("s", ("a",), "b")})
-        )
-        assert summaries["p"].opaque
-
-    def test_missing_impl_is_opaque(self):
-        scope = desugar_contracts(Scope.from_source(OPAQUE_CALLEE))
-        summaries = compute_summaries(scope, CallGraph(scope))
-        assert summaries["helper"].opaque
-
-    def test_strict_never_validates_through_opaque_callee(self):
-        """Under strict mode a caller of an implementation-less procedure
-        must not be STATIC_VALID — there is no summary to trust."""
-        scope = Scope.from_source(OPAQUE_CALLEE)
-        result = discharge_scope(scope, mode="strict")
-        assert result.outcome_of("driver", 0) is not Outcome.STATIC_VALID

@@ -74,7 +74,7 @@ class TestSarifDocument:
         }
         assert levels["OL401"] == "error"
         assert levels["OL201"] == "warning"
-        assert levels["OL403"] == "note"
+        assert levels["OL204"] == "note"
 
     def test_result_carries_location_and_notes(self):
         diag = Diagnostic(
