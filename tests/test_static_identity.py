@@ -200,7 +200,6 @@ def _discharge_record(scope):
         impls.append(row)
     return {
         "impls": impls,
-        "diagnostics": [d.to_dict() for d in result.diagnostics],
         "summary": result.summary_dict(),
     }
 
