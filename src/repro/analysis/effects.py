@@ -244,12 +244,6 @@ class ImplDischarge:
     reason: str = ""
     error: Optional[str] = None
 
-    def counts(self) -> Dict[str, int]:
-        tally = {outcome.value: 0 for outcome in Outcome}
-        for decision in self.decisions:
-            tally[decision.outcome.value] += 1
-        return tally
-
 
 def _discharge_impl(
     scope: Scope,
@@ -339,8 +333,6 @@ class DischargeResult:
     mode: str
     scope: Scope
     impls: Dict[Tuple[str, int], ImplDischarge]
-    lattice: InclusionLattice
-    diagnostics: List[Diagnostic] = field(default_factory=list)
 
     def outcome_of(self, proc_name: str, index: int) -> Outcome:
         entry = self.impls.get((proc_name, index))
@@ -452,7 +444,7 @@ def discharge_scope(scope: Scope, mode: str = "on") -> DischargeResult:
     if mode != "on":
         raise ValueError(f"unknown discharge mode {mode!r}; expected 'on'")
     lattice = scope_lattice(scope)
-    result = DischargeResult(mode=mode, scope=scope, impls={}, lattice=lattice)
+    result = DischargeResult(mode=mode, scope=scope, impls={})
     for proc_name, impls in scope.impls.items():
         proc = scope.proc(proc_name)
         for index, impl in enumerate(impls):

@@ -26,6 +26,10 @@ measured and guarded under 1% by ``benchmarks/bench_observability.py``.
 ``emit`` is thread-safe (the fleet coordinator's reader threads and the
 cache server's client threads all emit concurrently) and listeners
 (e.g. the ``--progress`` renderer) observe records in sequence order.
+
+The journal only records: it triggers no side effect of the check
+itself. The owners of those effects (the job book's settle step, the
+ledger, the cache) emit their records here like any other emitter.
 """
 
 from __future__ import annotations
@@ -171,16 +175,6 @@ class EventJournal:
 
 _ACTIVE: Optional[EventJournal] = None
 
-#: The checker installs its per-verdict callback here (commit to the run
-#: ledger, store fresh verdicts in the result cache).
-#: :func:`emit_impl_checked` is the single choke point every verdict
-#: crosses when it is decided — settled up front by the checker or
-#: produced by an executor (serial loop, local supervisor, fleet
-#: coordinator) — so tapping it here gives complete coverage without
-#: touching any emission site, even when no ``--events`` journal is
-#: installed.
-_VERDICT_SINK: Optional[Callable[..., None]] = None
-
 
 def journal() -> Optional[EventJournal]:
     """The installed journal, or None (the fast-path check)."""
@@ -193,58 +187,6 @@ def emit(event: str, **fields: object) -> None:
     if active is None:
         return
     active.emit(event, **fields)
-
-
-def emit_impl_checked(
-    verdict,
-    *,
-    cache_hit: bool = False,
-    discharged: bool = False,
-    preresolved: bool = False,
-    lease: Optional[int] = None,
-    worker: Optional[str] = None,
-    attempt: Optional[int] = None,
-) -> None:
-    """Emit the ``impl-checked`` record for one decided verdict.
-
-    Duck-typed on :class:`~repro.vcgen.checker.ImplVerdict` (this module
-    must not import the checker) and shared by every backend so the
-    record shape is identical whether the verdict came from the serial
-    loop, the local supervisor, or the fleet coordinator. ``code``
-    carries the OL9xx diagnostic code when the verdict has one, tying
-    OL901/OL902 outcomes to their journal records. ``cache_hit``,
-    ``discharged`` and ``preresolved`` (a run-ledger replay) mark the
-    verdicts the checker settled before proving; the verdict sink gets
-    the same flags.
-    """
-    sink = _VERDICT_SINK
-    if sink is not None:
-        try:
-            sink(
-                verdict,
-                cache_hit=cache_hit,
-                discharged=discharged,
-                preresolved=preresolved,
-            )
-        except Exception:
-            pass  # a broken ledger must never fail a check
-    active = _ACTIVE
-    if active is None:
-        return
-    error = getattr(verdict, "error", None)
-    active.emit(
-        "impl-checked",
-        impl=verdict.impl.name,
-        index=verdict.index,
-        status=verdict.status.name.lower(),
-        cache_hit=True if cache_hit else None,
-        discharged=True if discharged else None,
-        preresolved=True if preresolved else None,
-        code=error.code if error is not None else None,
-        lease=lease,
-        worker=worker,
-        attempt=attempt,
-    )
 
 
 def announce(record: Dict[str, object]) -> None:
@@ -260,26 +202,6 @@ def announce(record: Dict[str, object]) -> None:
     if active is not None:
         record = dict(record, run_id=active.run_id)
     print(json.dumps(record, sort_keys=True), flush=True)
-
-
-@contextmanager
-def verdict_sink(sink: Optional[Callable[..., None]]) -> Iterator[None]:
-    """Install ``sink`` as the process-wide verdict tap for the duration.
-
-    ``verdict_sink(None)`` is a no-op passthrough. The checker wraps its
-    check pipeline in this so the run ledger and the result cache see
-    every decided verdict without any executor knowing they exist.
-    """
-    global _VERDICT_SINK
-    if sink is None:
-        yield
-        return
-    previous = _VERDICT_SINK
-    _VERDICT_SINK = sink
-    try:
-        yield
-    finally:
-        _VERDICT_SINK = previous
 
 
 @contextmanager

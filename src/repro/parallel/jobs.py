@@ -9,10 +9,14 @@ membership) and calls in here for every lifecycle decision:
 
 * :class:`Job` — the per-implementation bookkeeping record (attempt
   counter, backoff eligibility, death history, final verdict);
-* :func:`build_jobs` — jobs in the serial driver's iteration order (the
-  declaration order every backend's merged report must follow). The
-  checker builds this *job book* once, settles what it can before any
-  proving, and hands the same book to whichever executor runs the rest;
+* :class:`JobBook` and :func:`build_jobs` — the jobs in the serial
+  driver's iteration order (the declaration order every backend's
+  merged report must follow). The checker builds this book once, with
+  the run's result cache and run ledger, settles what it can before
+  any proving, and hands the same book to whichever executor runs the
+  rest. :meth:`JobBook.settle` is the one step every decided verdict
+  takes: it commits the verdict to the ledger, stores a fresh one in
+  the cache and emits its ``impl-checked`` record;
 * :func:`backoff_delay` — exponential backoff **with deterministic
   jitter**: pure-exponential delays make simultaneously-orphaned jobs
   retry in lockstep (a thundering herd against whatever killed their
@@ -23,7 +27,8 @@ membership) and calls in here for every lifecycle decision:
   outcomes with their journal records: a filed result, a retry or
   ``OL902`` quarantine after a worker death, an ``OL901`` hard timeout,
   and ``OL901`` scope-deadline cancellation in the serial driver's
-  wording.
+  wording. Each outcome that decides a job settles it through the
+  book.
 
 Importing this module loads neither ``multiprocessing`` nor a transport:
 the serial checker builds its job book from here.
@@ -32,6 +37,7 @@ the serial checker builds its job book from here.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -77,29 +83,128 @@ class Job:
         return self.verdict is not None
 
 
+class JobBook(list):
+    """The jobs of one check, and what happens when one is decided.
+
+    A list of :class:`Job` in the serial driver's order, carrying the
+    run's result cache and run ledger (either may be None). Every
+    decided verdict — settled up front by the checker or produced by
+    an executor — goes through :meth:`settle`.
+    """
+
+    def __init__(self, *, cache=None, ledger=None):
+        super().__init__()
+        self.cache = cache
+        self.ledger = ledger
+        #: The ``OL905`` warning a failed ledger write leaves for the
+        #: report.
+        self.diagnostics: List[Diagnostic] = []
+
+    def settle(
+        self, job: Job, verdict, *, source: Optional[str] = None, **fields
+    ) -> None:
+        """Decide ``job``: set its verdict and ``source``, commit the
+        verdict to the run ledger, store it in the result cache if it is
+        fresh, and emit its ``impl-checked`` record.
+
+        ``source`` is how the checker settled the job before proving
+        (see :attr:`Job.source`), None for an executor's verdict.
+        ``fields`` (a worker, attempt or fleet lease) ride on the
+        ``impl-checked`` record, as does ``code``, the OL9xx code of the
+        verdict's diagnostic. A ledger commit that fails to write
+        becomes one ``OL905`` warning, and the ledger is off for the rest
+        of the run.
+        """
+        job.verdict = verdict
+        job.source = source
+        if self.ledger is not None:
+            try:
+                self.ledger.commit(verdict)
+            except OSError as error:
+                from repro.vcgen.checker import _ledger_degraded_diagnostic
+
+                self.diagnostics.append(
+                    _ledger_degraded_diagnostic(
+                        f"run ledger write failed in "
+                        f"{self.ledger.run_dir!r} ({error})",
+                        "later verdicts are not recorded for --resume",
+                    )
+                )
+                self.ledger = None
+        if self.cache is not None and source is None:
+            self._store(job, verdict)
+        error = verdict.error
+        obs_events.emit(
+            "impl-checked",
+            impl=verdict.impl.name,
+            index=verdict.index,
+            status=verdict.status.name.lower(),
+            **({source: True} if source is not None else {}),
+            code=error.code if error is not None else None,
+            **fields,
+        )
+
+    def _store(self, job: Job, verdict) -> None:
+        """Store a verdict in the result cache if the codec keeps it.
+
+        Cached verdicts must always mean "the prover said so", so only
+        verdicts an executor produced get here. The ``cache-corrupt``
+        fault point lives here: it damages the entry just published for
+        its job index.
+        """
+        from repro.parallel.cache import verdict_to_payload
+
+        payload = verdict_to_payload(verdict)
+        if payload is None or job.key is None:
+            return
+        stored = self.cache.store(
+            job.key, payload, impl=job.proc_name, index=job.impl_index
+        )
+        if stored and job.job_id in supervisor_fault_hits("cache-corrupt"):
+            path = os.path.join(self.cache.directory, f"{job.key}.json")
+            try:
+                with open(path, "r+") as handle:
+                    handle.seek(max(os.path.getsize(path) // 2, 1))
+                    handle.write("\x00GARBAGE\x00")
+            except OSError:
+                return  # e.g. a remote cache: no local file to damage
+            record_supervisor_fault("cache-corrupt", job.job_id, "corrupt")
+
+
 def build_jobs(
     scope: Scope,
     preresolved: Optional[Dict[Tuple[str, int], object]] = None,
-) -> List[Job]:
-    """The proof jobs in the serial driver's iteration order.
+    *,
+    cache=None,
+    ledger=None,
+) -> JobBook:
+    """The job book of ``scope``, in the serial driver's iteration order.
 
     Jobs named in ``preresolved`` (keyed ``(proc_name, index)``) start
-    out done with that verdict; executors leave them alone.
+    out done with that verdict; executors leave them alone. With a
+    ``ledger``, each job takes the cache key the ledger computed when it
+    opened, so the cache reads those keys rather than hashing each
+    implementation again.
     """
     preresolved = preresolved or {}
-    jobs: List[Job] = []
+    book = JobBook(cache=cache, ledger=ledger)
     for proc_name, impls in scope.impls.items():
         for index, impl in enumerate(impls):
-            jobs.append(
+            book.append(
                 Job(
-                    job_id=len(jobs),
+                    job_id=len(book),
                     proc_name=proc_name,
                     impl_index=index,
                     impl=impl,
+                    key=(
+                        ledger.keys[(proc_name, index)]
+                        if ledger is not None
+                        else None
+                    ),
                     verdict=preresolved.get((proc_name, index)),
                 )
             )
-    return jobs
+    return book
 
 
 def jitter_fraction(token: str) -> float:
@@ -144,7 +249,7 @@ class JobPolicy:
 
     def __init__(
         self,
-        jobs: List[Job],
+        jobs: JobBook,
         limits: Optional[Limits],
         options,
         scope_deadline: Optional[float],
@@ -278,7 +383,7 @@ class JobPolicy:
         ride on the ``impl-checked`` record.
         """
         if result.failure is not None:
-            job.verdict = _verdict(
+            verdict = _verdict(
                 job,
                 "INTERNAL_ERROR",
                 Diagnostic(
@@ -289,8 +394,8 @@ class JobPolicy:
                 ),
             )
         else:
-            job.verdict = result.verdict
-            job.verdict.impl = job.impl
+            verdict = result.verdict
+            verdict.impl = job.impl
             job.explain_crash = result.explain_crash
         tracer = self.tracer
         if tracer is not None:
@@ -303,15 +408,15 @@ class JobPolicy:
                 args={
                     "worker": worker,
                     "attempt": result.attempt,
-                    "status": job.verdict.status.name.lower(),
+                    "status": verdict.status.name.lower(),
                 },
             )
             if result.spans:
                 tracer.absorb(result.spans, parent=job_span, offset=offset)
             if result.metrics:
                 tracer.metrics.merge_dict(result.metrics)
-        obs_events.emit_impl_checked(
-            job.verdict, worker=str(worker), attempt=result.attempt, **fields
+        self.jobs.settle(
+            job, verdict, worker=str(worker), attempt=result.attempt, **fields
         )
 
     def retry_or_quarantine(self, job: Job, reason: str) -> bool:
@@ -324,7 +429,7 @@ class JobPolicy:
         job.attempts += 1
         job.death_reasons.append(reason)
         if job.attempts > self.options.max_retries:
-            job.verdict = _verdict(
+            self._fail(
                 job,
                 "INTERNAL_ERROR",
                 Diagnostic(
@@ -334,9 +439,9 @@ class JobPolicy:
                     "job quarantined",
                     impl=job.impl.name,
                 ),
-            )
-            self._emit(
-                job, "job-quarantined", attempt=job.attempts, code="OL902"
+                "job-quarantined",
+                attempt=job.attempts,
+                code="OL902",
             )
             return False
         backoff = backoff_delay(
@@ -364,7 +469,7 @@ class JobPolicy:
         the ``job-hard-timeout`` record."""
         if job.done:
             return
-        job.verdict = _verdict(
+        self._fail(
             job,
             "TIMED_OUT",
             Diagnostic(
@@ -374,9 +479,6 @@ class JobPolicy:
                 f"worker {worker} killed",
                 impl=job.impl.name,
             ),
-        )
-        self._emit(
-            job,
             "job-hard-timeout",
             **fields,
             worker=str(worker),
@@ -396,16 +498,21 @@ class JobPolicy:
             for job in jobs:
                 if job.done:
                     continue
-                job.verdict = _verdict(
+                self._fail(
                     job,
                     "TIMED_OUT",
                     _deadline_diagnostic(job.impl, before=before),
+                    "job-deadline",
+                    code="OL901",
                 )
-                self._emit(job, "job-deadline", code="OL901")
         self.queue.clear()
 
-    def _emit(self, job: Job, event: str, **fields) -> None:
-        """A lifecycle record for ``job``, then its ``impl-checked``."""
+    def _fail(
+        self, job: Job, status: str, error: Diagnostic, event: str, **fields
+    ) -> None:
+        """Decide ``job`` without a prover: its lifecycle record, then
+        the settle step for the ``ImplStatus`` named ``status`` with
+        diagnostic ``error``."""
         obs_events.emit(
             event,
             job=job.job_id,
@@ -413,7 +520,7 @@ class JobPolicy:
             index=job.impl_index,
             **fields,
         )
-        obs_events.emit_impl_checked(job.verdict)
+        self.jobs.settle(job, _verdict(job, status, error))
 
 
 def _verdict(job: Job, status: str, error: Diagnostic) -> object:

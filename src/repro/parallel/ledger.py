@@ -303,7 +303,7 @@ class RunLedger:
         """
         key = self.keys.get((verdict.impl.name, verdict.index))
         if key is None:
-            return  # not a scope impl (cannot happen via emit_impl_checked)
+            return  # not a scope impl (cannot happen via JobBook.settle)
         if key in self.committed:
             self.deduped += 1
             return

@@ -100,8 +100,8 @@ def _beat(heartbeat, stop_event: threading.Event, supervisor_pid: int) -> None:
 
 
 def detach_from_parent() -> None:
-    """Drop the tracer, event journal, verdict sink and fault plan a
-    forked worker inherits.
+    """Drop the tracer, event journal and fault plan a forked worker
+    inherits.
 
     All are parent-side concerns: spans ship home with each result,
     worker faults are interpreted by the parent's job policy, and the
@@ -113,7 +113,6 @@ def detach_from_parent() -> None:
 
     tracer_module._ACTIVE = None
     events_module._ACTIVE = None
-    events_module._VERDICT_SINK = None
     faults_module._ACTIVE = None
 
 

@@ -30,7 +30,6 @@ user errors (``WellFormednessError``) still raise.
 from __future__ import annotations
 
 import enum
-import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -558,7 +557,6 @@ def check_scope(
                     )
                 )
             if discharge is not None:
-                report.diagnostics.extend(discharge.diagnostics)
                 report.discharge_summary = discharge.summary_dict()
                 report.discharge_summary["checked"] = check_discharge
                 _record_discharge_metrics(discharge)
@@ -655,16 +653,18 @@ def check_scope(
         return report
 
 
-def _ledger_degraded_diagnostic(detail: str) -> Diagnostic:
-    # The whole-ledger failure path (unusable directory, header skew):
-    # routine recovery (torn tail, stale records) stays out of the
-    # report so resumed output is byte-identical to an uninterrupted
-    # run; only "your durability is gone / everything re-checks" earns
-    # a report-level warning.
+def _ledger_degraded_diagnostic(
+    detail: str, consequence: str = "all implementations re-checked"
+) -> Diagnostic:
+    # The whole-ledger failure paths (unusable directory, header skew,
+    # a commit that failed to write): routine recovery (torn tail,
+    # stale records) stays out of the report so resumed output is
+    # byte-identical to an uninterrupted run; only "your durability is
+    # gone / everything re-checks" earns a report-level warning.
     obs_events.emit("ledger-skip", reason=detail, code="OL905")
     return Diagnostic(
         code="OL905",
-        message=f"{detail}; all implementations re-checked",
+        message=f"{detail}; {consequence}",
         severity=Severity.WARNING,
     )
 
@@ -841,41 +841,37 @@ def _check_impls(
     3. **Merge** — one declaration-order loop reports every verdict with
        its discharge findings and metrics.
 
-    Every decided verdict crosses :func:`obs_events.emit_impl_checked`,
-    whose tap commits it to the run ledger and stores fresh ones in the
-    result cache as they arrive.
+    The job book carries the result cache and the run ledger, so every
+    decided verdict, whichever step decides it, takes the book's one
+    settle step (:meth:`~repro.parallel.jobs.JobBook.settle`): commit to
+    the ledger, store a fresh verdict in the cache, emit
+    ``impl-checked``.
     """
     from repro.parallel.jobs import build_jobs
 
-    book = build_jobs(scope)
-    if ledger is not None:
-        # The ledger keyed every job when it opened; the cache reads
-        # the same keys rather than hashing each implementation again.
-        for job in book:
-            job.key = ledger.keys[(job.proc_name, job.impl_index)]
-    with obs_events.verdict_sink(_verdict_tap(book, cache, ledger)):
-        with ledger.settled_batch() if ledger is not None else nullcontext():
-            _decide(
-                scope,
-                limits,
-                book,
-                cache=cache,
-                resumed=ledger.preloaded if ledger is not None else {},
-                discharge=discharge if not check_discharge else None,
-            )
-        if not all(job.done for job in book):
-            _execute(
-                scope,
-                limits,
-                deadline,
-                report,
-                book,
-                parallel=parallel,
-                fleet=fleet,
-                job_timeout=job_timeout,
-                max_retries=max_retries,
-                explain=explain,
-            )
+    book = build_jobs(scope, cache=cache, ledger=ledger)
+    with ledger.settled_batch() if ledger is not None else nullcontext():
+        _decide(
+            scope,
+            limits,
+            book,
+            resumed=ledger.preloaded if ledger is not None else {},
+            discharge=discharge if not check_discharge else None,
+        )
+    if not all(job.done for job in book):
+        _execute(
+            scope,
+            limits,
+            deadline,
+            report,
+            book,
+            parallel=parallel,
+            fleet=fleet,
+            job_timeout=job_timeout,
+            max_retries=max_retries,
+            explain=explain,
+        )
+    report.diagnostics.extend(book.diagnostics)
     for job in book:
         if job.explain_crash is not None:
             report.diagnostics.append(job.explain_crash)
@@ -893,7 +889,7 @@ def _check_impls(
             ledger.merge_chaos_point()
 
 
-def _decide(scope: Scope, limits, book, *, cache, resumed, discharge) -> None:
+def _decide(scope: Scope, limits, book, *, resumed, discharge) -> None:
     """Settle every job that needs no prover, marking how on
     ``job.source`` (the ``impl-checked`` flag it is announced with).
 
@@ -904,6 +900,7 @@ def _decide(scope: Scope, limits, book, *, cache, resumed, discharge) -> None:
     """
     from repro import obs
 
+    cache = book.cache
     if cache is not None:
         from repro.parallel.cache import cache_key, payload_to_verdict
 
@@ -912,22 +909,21 @@ def _decide(scope: Scope, limits, book, *, cache, resumed, discharge) -> None:
         slot = (job.proc_name, job.impl_index)
         entry = _discharge_entry(discharge, job.impl, job.impl_index)
         if entry is not None:
-            job.verdict = _discharged_verdict(job.impl, job.impl_index, entry)
-            job.source = "discharged"
+            verdict = _discharged_verdict(job.impl, job.impl_index, entry)
+            source = "discharged"
         elif slot in resumed:
-            job.verdict = resumed[slot]
-            job.source = "preresolved"
+            verdict, source = resumed[slot], "preresolved"
         elif cache is not None:
             if job.key is None:
                 job.key = cache_key(scope, job.impl, job.impl_index, limits)
             payload = cache.load(job.key)
             if payload is None:
                 continue
-            job.verdict = payload_to_verdict(payload, job.impl, job.impl_index)
-            job.source = "cache_hit"
+            verdict = payload_to_verdict(payload, job.impl, job.impl_index)
+            source = "cache_hit"
         else:
             continue
-        obs_events.emit_impl_checked(job.verdict, **{job.source: True})
+        book.settle(job, verdict, source=source)
         if tracer is not None:
             now = time.perf_counter()
             tracer.record(
@@ -1019,59 +1015,10 @@ def _execute(
 
     for job in book:
         if not job.done:
-            job.verdict, job.explain_crash = _check_impl(
+            verdict, job.explain_crash = _check_impl(
                 scope, job.impl, job.impl_index, limits, deadline, explain
             )
-            obs_events.emit_impl_checked(job.verdict)
-
-
-def _verdict_tap(book, cache, ledger):
-    """The per-verdict callback for :func:`obs_events.verdict_sink`.
-
-    Commits every decided verdict to the run ledger, and stores fresh
-    ones — neither settled up front nor transient — in the result cache.
-    Cached verdicts must always mean "the prover said so", so discharged
-    verdicts never reach the cache. The ``cache-corrupt`` fault point
-    lives here: it damages the entry just published for its job index.
-    """
-    if cache is None and ledger is None:
-        return None
-    from repro.parallel.cache import verdict_to_payload
-    from repro.testing.faults import supervisor_fault_hits
-
-    jobs = {(job.proc_name, job.impl_index): job for job in book}
-    corrupt = supervisor_fault_hits("cache-corrupt")
-
-    def tap(verdict, *, cache_hit=False, discharged=False, preresolved=False):
-        if ledger is not None:
-            ledger.commit(verdict)
-        if cache is None or cache_hit or discharged or preresolved:
-            return
-        job = jobs[(verdict.impl.name, verdict.index)]
-        payload = verdict_to_payload(verdict)
-        if payload is None or job.key is None:
-            return
-        stored = cache.store(
-            job.key, payload, impl=job.proc_name, index=job.impl_index
-        )
-        if stored and job.job_id in corrupt:
-            _corrupt_cache_entry(cache, job)
-
-    return tap
-
-
-def _corrupt_cache_entry(cache, job) -> None:
-    """Deliberately damage a just-written entry (fault injection)."""
-    from repro.testing.faults import record_supervisor_fault
-
-    path = os.path.join(cache.directory, f"{job.key}.json")
-    try:
-        with open(path, "r+") as handle:
-            handle.seek(max(os.path.getsize(path) // 2, 1))
-            handle.write("\x00GARBAGE\x00")
-    except OSError:
-        return  # e.g. a remote cache: no local file to damage
-    record_supervisor_fault("cache-corrupt", job.job_id, "corrupt")
+            book.settle(job, verdict)
 
 
 def _cache_rejection_diagnostics(cache) -> List[Diagnostic]:

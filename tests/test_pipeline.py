@@ -15,10 +15,15 @@ the same answers:
   implementation span and metrics counter name how it was settled
   (``discharged`` / ``preresolved`` / ``cache_hit``) the same way on
   every backend, and no verdict is announced twice.
+* **One settle step** — every backend commits the same ledger records,
+  caches the same keys and journals each decided job in the order
+  ``ledger-commit``, ``cache-store``, ``impl-checked``; a ledger write
+  that fails costs one ``OL905`` warning and the ledger, nothing else.
 * **One codec** — a ledger record and a cache entry written in the
   earlier on-disk layouts still resume and hit.
 """
 
+import errno
 import glob
 import json
 import os
@@ -27,6 +32,7 @@ import shutil
 import pytest
 
 from repro import obs
+from repro.analysis.diagnostics import Severity
 from repro.api import check_program_resilient
 from repro.corpus.generators import generate_impl_farm
 from repro.corpus.programs import PAPER_PROGRAMS
@@ -40,7 +46,7 @@ from repro.parallel.cache import (
     code_version,
 )
 from repro.parallel.fleet import FleetOptions
-from repro.parallel.ledger import LEDGER_FORMAT, LEDGER_NAME
+from repro.parallel.ledger import LEDGER_FORMAT, LEDGER_NAME, RunLedger
 from repro.prover.core import Limits
 from repro.testing.faults import Fault, FaultPlan, inject
 from repro.vcgen.checker import ImplStatus, check_scope
@@ -353,6 +359,150 @@ def test_degraded_fleet_hands_only_open_jobs_to_supervisor(tmp_path):
     assert report.ledger_summary["commits"] == 4
     assert report.ledger_summary["deduped"] == 0
     assert report.cache_summary["stores"] == 4
+
+
+# ----------------------------------------------------------------------
+# One settle step: ledger, cache and journal alike on every backend
+# ----------------------------------------------------------------------
+
+
+def _cache_keys(cache_dir):
+    return sorted(
+        name[: -len(".json")]
+        for name in os.listdir(cache_dir)
+        if name.endswith(".json") and name != "summary.json"
+    )
+
+
+def _persisted(run_dir, cache_dir):
+    """The ledger's committed verdicts as (key, impl, index, status),
+    and the cache's key set."""
+    with open(os.path.join(run_dir, LEDGER_NAME)) as handle:
+        records = [json.loads(line) for line in handle]
+    committed = sorted(
+        (r["key"], r["impl"], r["index"], r["verdict"]["status"])
+        for r in records
+        if r["record"] == "verdict-committed"
+    )
+    return committed, _cache_keys(cache_dir)
+
+
+def _settle_order(records):
+    """Per decided job, the kinds of its ``ledger-commit``,
+    ``cache-store`` and ``impl-checked`` records in journal order."""
+    keys = {
+        (r["impl"], r["index"]): r["key"]
+        for r in records
+        if r["event"] == "ledger-commit"
+    }
+    order = {}
+    for record in records:
+        if record["event"] in ("ledger-commit", "impl-checked"):
+            job = (record["impl"], record["index"])
+        elif record["event"] == "cache-store":
+            (job,) = [j for j, key in keys.items() if key == record["key"]]
+        else:
+            continue
+        order.setdefault(job, []).append(record["event"])
+    return order
+
+
+#: The body edit between the cold and the warm run: job0 only.
+EDIT = ("t.f0 := 0 ;", "t.f0 := 7 ;")
+
+
+@pytest.fixture(scope="module")
+def persistence(tmp_path_factory):
+    """Per backend and phase: the journal, the committed ledger records
+    and the cache key set of a cold run on a 4 x 3 farm, then of a warm
+    run on the same directories after one body edit."""
+    root = tmp_path_factory.mktemp("persist")
+    cold = generate_impl_farm(4, 3)
+    warm = cold.replace(*EDIT)
+    assert warm.count(EDIT[1]) == 1
+    out = {}
+    for backend in BACKENDS:
+        run_dir = str(root / f"run-{backend}")
+        cache_dir = str(root / f"cache-{backend}")
+        for phase, source in (("cold", cold), ("warm", warm)):
+            scope = Scope.from_source(source)
+            check_well_formed(scope)
+            journal = obs.EventJournal()
+            with obs.journaling(journal):
+                check_scope(
+                    scope,
+                    LIMITS,
+                    run_dir=run_dir,
+                    cache_dir=cache_dir,
+                    **BACKENDS[backend],
+                )
+            out[backend, phase] = (
+                journal.records,
+                *_persisted(run_dir, cache_dir),
+            )
+    return out
+
+
+@pytest.mark.parametrize("phase", ["cold", "warm"])
+def test_backends_persist_alike(persistence, phase):
+    _, committed, keys = persistence["serial", phase]
+    assert len(committed) == 4
+    assert len(keys) == (4 if phase == "cold" else 5)
+    for backend in ("parallel", "fleet"):
+        assert persistence[backend, phase][1:] == (committed, keys), backend
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("phase", ["cold", "warm"])
+def test_settle_journals_commit_store_checked(persistence, backend, phase):
+    """Each proved job commits, then stores, then is announced; a warm
+    cache hit commits and is announced, with nothing stored."""
+    order = _settle_order(persistence[backend, phase][0])
+    proved = {"cold": {"job0", "job1", "job2", "job3"}, "warm": {"job0"}}
+    assert len(order) == 4
+    for (impl, _), kinds in order.items():
+        if impl in proved[phase]:
+            assert kinds == ["ledger-commit", "cache-store", "impl-checked"]
+        else:
+            assert kinds == ["ledger-commit", "impl-checked"]
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_failed_ledger_write_warns_once_and_still_caches(
+    backend, tmp_path, monkeypatch
+):
+    """A ledger commit that raises (here: a full disk) costs the run its
+    ledger with one ``OL905`` warning, and nothing else: every fresh
+    verdict is still cached, and the verdicts are a healthy run's."""
+    source = generate_impl_farm(4, 3)
+
+    def check(tag):
+        scope = Scope.from_source(source)
+        check_well_formed(scope)
+        cache_dir = str(tmp_path / f"cache-{tag}")
+        report = check_scope(
+            scope,
+            LIMITS,
+            run_dir=str(tmp_path / f"run-{tag}"),
+            cache_dir=cache_dir,
+            **BACKENDS[backend],
+        )
+        return report, json.loads(_canonical(report))["verdicts"], cache_dir
+
+    healthy, healthy_verdicts, _ = check("healthy")
+
+    def full_disk(self, verdict):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(RunLedger, "commit", full_disk)
+    report, verdicts, cache_dir = check("full")
+    (warning,) = [d for d in report.diagnostics if d.code == "OL905"]
+    assert warning.severity is Severity.WARNING
+    assert "run ledger write failed" in warning.message
+    assert report.cache_summary["stores"] == 4
+    assert len(_cache_keys(cache_dir)) == 4
+    assert verdicts == healthy_verdicts
+    assert report.ok == healthy.ok
 
 
 # ----------------------------------------------------------------------
