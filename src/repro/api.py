@@ -33,29 +33,17 @@ __all__ = [
 ]
 
 
-def parse_program(source: str, *, recover: bool = False) -> Scope:
+def parse_program(source: str) -> Scope:
     """Parse an oolong program text into a well-formed scope.
 
     This function decides well-formedness for its caller (an ill-formed
     scope raises :class:`WellFormednessError`); :func:`check_program`
     does not call it, since ``check_scope`` decides it once per check.
 
-    Fail-fast by default: the first syntax error raises. With
-    ``recover=True`` the parser recovers at declaration/command
-    boundaries and raises only at the end — a single :class:`ParseError`
-    summarizing every error found (use :func:`parse_program_resilient`
-    to get the partial scope and the individual diagnostics instead).
+    Fail-fast: the first syntax error raises. Use
+    :func:`parse_program_resilient` to recover at declaration/command
+    boundaries and get the partial scope and every diagnostic instead.
     """
-    if recover:
-        scope, diagnostics = parse_program_resilient(source)
-        if diagnostics:
-            from repro.errors import ParseError
-
-            raise ParseError(
-                f"{len(diagnostics)} syntax error(s): "
-                + "; ".join(d.message for d in diagnostics[:5])
-            )
-        return scope
     scope = Scope.from_source(source)
     check_well_formed(scope)
     return scope

@@ -21,11 +21,13 @@ exploits that independence for throughput *and* robustness:
   crash isolation the serial driver uses;
 * :mod:`repro.parallel.transport` — length-prefixed, checksummed socket
   framing with read deadlines; a damaged frame is rejected (and the
-  stream resynchronised) rather than trusted. It also holds what the two
-  standing servers share: :func:`serve_forever`, the one SIGTERM/^C
-  announce-and-drain loop behind ``workers serve`` and ``cache serve``,
-  and :func:`query_status`, the one ``oolong-status-1`` client that reads
-  either server;
+  stream resynchronised) rather than trusted. It also holds how every
+  endpoint admits a peer: ``Listener`` (bind, one accept thread, a
+  thread per connection), ``greet`` (the server's hello and token
+  check) and ``dial`` (the client's hello); and what the two standing
+  servers share: :func:`serve_forever`, the one SIGTERM/^C
+  announce-and-drain loop, and :func:`query_status`, the one
+  ``oolong-status-1`` client that reads either server;
 * :mod:`repro.parallel.fleet` — the distributed transport: a socket
   coordinator handing out *renewable leases* to a fleet of local and/or
   remote workers via work stealing; expired leases go back to the job

@@ -353,7 +353,8 @@ class ResultCache:
     def __post_init__(self):
         os.makedirs(self.directory, exist_ok=True)
 
-    def _path(self, key: str) -> str:
+    def path(self, key: str) -> str:
+        """The file that holds (or would hold) the entry for ``key``."""
         return os.path.join(self.directory, f"{key}.json")
 
     # ------------------------------------------------------------------
@@ -362,7 +363,7 @@ class ResultCache:
 
     def load(self, key: str) -> Optional[dict]:
         """The validated payload for ``key``, or None (miss/rejected)."""
-        path = self._path(key)
+        path = self.path(key)
         entry, error = self.read_entry(key)
         if entry is None:
             if error is None:
@@ -398,7 +399,7 @@ class ResultCache:
         validation to the client.
         """
         try:
-            with open(self._path(key)) as handle:
+            with open(self.path(key)) as handle:
                 return json.load(handle), None
         except FileNotFoundError:
             return None, None
@@ -433,19 +434,7 @@ class ResultCache:
         }
         entry = {"checksum": checksum(payload), "payload": payload}
         try:
-            fd, temp_path = tempfile.mkstemp(
-                prefix=f".{key[:16]}-", suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(entry, handle)
-                os.replace(temp_path, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self.path(key), json.dumps(entry))
         except OSError as error:
             self.rejections.append((key, f"cache write failed: {error}"))
             obs_events.emit(

@@ -50,14 +50,14 @@ from repro.parallel.transport import (
     ConnectionClosed,
     FramedSocket,
     FrameError,
+    Listener,
     ReadTimeout,
     STATUS_PROTOCOL,
     TransportError,
     answer_status,
-    close_listener,
-    connect,
+    dial,
+    greet,
     parse_address,
-    serve,
 )
 
 PROTOCOL = "oolong-cache-1"
@@ -89,21 +89,19 @@ class CacheServer:
     ):
         self.cache = ResultCache(directory, max_bytes=max_bytes)
         self.token = token
-        self._listener = serve(address)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self._listener = Listener(address, self._serve_client)
+        self.address: Tuple[str, int] = self._listener.address
         self._http_server: Optional[TelemetryHTTPServer] = None
         if http_address is not None:
             try:
                 self._http_server = TelemetryHTTPServer(http_address, self.status)
             except BaseException:
-                close_listener(self._listener)
+                self._listener.stop()
                 raise
         self.metrics = MetricsRegistry()
         self.started = time.time()
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
-        self._accept_thread: Optional[threading.Thread] = None
         self._gets = 0
         # evict-under-read is interpreted here: on the n-th *served* GET
         # the entry's file is deleted after the read, modelling an
@@ -126,11 +124,7 @@ class CacheServer:
             pid=os.getpid(),
             directory=self.cache.directory,
         )
-        thread = threading.Thread(
-            target=self._accept_loop, name="cache-accept", daemon=True
-        )
-        thread.start()
-        self._accept_thread = thread
+        self._listener.start()
         if self._http_server is not None:
             self._http_server.start()
         return self
@@ -165,13 +159,9 @@ class CacheServer:
                 pid=os.getpid(),
             )
         self._stop.set()
-        close_listener(self._listener)
+        self._listener.stop()
         if self._http_server is not None:
             self._http_server.stop()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        for thread in self._threads:
-            thread.join(timeout=2.0)
 
     def drain(self, timeout: float = 10.0) -> dict:
         """Graceful shutdown: stop accepting, let clients finish, stop.
@@ -182,11 +172,11 @@ class CacheServer:
         at the deadline is severed by :meth:`stop`. Returns
         ``{"drained": n, "terminated": m}`` for the stop announcement.
         """
-        close_listener(self._listener)
+        self._listener.close()
         deadline = time.monotonic() + max(0.0, timeout)
         drained = 0
         stragglers = 0
-        for thread in self._threads:
+        for thread in self._listener.threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
             if thread.is_alive():
                 stragglers += 1
@@ -203,38 +193,11 @@ class CacheServer:
 
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_client,
-                args=(FramedSocket(sock),),
-                name="cache-client",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
     def _serve_client(self, channel: FramedSocket) -> None:
+        hello = greet(channel, (PROTOCOL, STATUS_PROTOCOL), self.token)
+        if hello is None:
+            return
         try:
-            try:
-                hello = channel.recv(timeout=5.0)
-            except TransportError:
-                return
-            if (
-                not isinstance(hello, tuple)
-                or len(hello) != 3
-                or hello[0] != "hello"
-                or hello[1] not in (PROTOCOL, STATUS_PROTOCOL)
-            ):
-                channel.send(("reject", "bad hello"))
-                return
-            if self.token is not None and hello[2] != self.token:
-                channel.send(("reject", "bad token"))
-                return
             if hello[1] == STATUS_PROTOCOL:
                 answer_status(channel, self.status)
                 return
@@ -301,7 +264,7 @@ class CacheServer:
                 if ordinal in self._evict_under_read:
                     record_supervisor_fault("evict-under-read", ordinal, "corrupt")
                     try:
-                        os.unlink(self.cache._path(key))
+                        os.unlink(self.cache.path(key))
                     except OSError:
                         pass
                     self.cache.evictions += 1
@@ -312,7 +275,7 @@ class CacheServer:
                 self.metrics.inc("cacheserver.hits")
                 obs_events.emit("cache-hit", key=event_key(key))
                 try:
-                    os.utime(self.cache._path(key))
+                    os.utime(self.cache.path(key))
                 except OSError:
                     pass
                 return ("entry", entry)
@@ -345,19 +308,9 @@ def _dial(
     except ValueError as exc:
         raise CacheUnavailable(str(exc)) from exc
     try:
-        channel = connect(address, timeout=timeout)
+        channel, _ = dial(address, PROTOCOL, token, timeout=timeout)
     except TransportError as exc:
         raise CacheUnavailable(f"cache server {url}: {exc}") from exc
-    try:
-        channel.send(("hello", PROTOCOL, token))
-        reply = channel.recv(timeout=timeout)
-    except TransportError as exc:
-        channel.close()
-        raise CacheUnavailable(f"cache server {url}: {exc}") from exc
-    if not (isinstance(reply, tuple) and reply and reply[0] == "welcome"):
-        channel.close()
-        reason = reply[1] if isinstance(reply, tuple) and len(reply) > 1 else reply
-        raise CacheUnavailable(f"cache server {url} rejected client: {reason}")
     return channel
 
 

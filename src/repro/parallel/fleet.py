@@ -40,7 +40,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
-import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -56,15 +55,15 @@ from repro.parallel.transport import (
     FramedSocket,
     FrameError,
     FramePolicy,
+    Listener,
     ReadTimeout,
     StatusServer,
     TransportError,
     clock_offset,
     clock_sample,
-    close_listener,
-    connect,
+    dial,
+    greet,
     parse_address,
-    serve,
 )
 from repro.parallel.worker import (
     JobRequest,
@@ -100,9 +99,8 @@ class FleetOptions:
     job_timeout: Optional[float] = None
     #: Lease reclaims per job before OL902 quarantine.
     max_retries: int = 2
-    #: Retry backoff base + jitter, as in the local supervisor.
+    #: Retry backoff base, as in the local supervisor.
     backoff_base: float = 0.05
-    backoff_jitter: float = 0.5
     #: A lease not renewed for this long is reclaimed (the fleet's
     #: heartbeat-timeout analogue).
     lease_duration: float = 1.0
@@ -119,8 +117,6 @@ class FleetOptions:
     #: Local worker processes re-spawned after deaths before the
     #: coordinator stops replacing them.
     respawn_budget: int = 8
-    #: ``multiprocessing`` start method for local workers.
-    start_method: Optional[str] = None
 
     @classmethod
     def from_spec(
@@ -239,9 +235,8 @@ class FleetCoordinator:
         self._next_ordinal = 0
         self._events: "queue.Queue" = queue.Queue()
         self._ordinal_lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
+        self._listener: Optional[Listener] = None
         self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
         self._local_procs: List[multiprocessing.Process] = []
         self._respawns = 0
         self._policy = FramePolicy()
@@ -275,7 +270,11 @@ class FleetCoordinator:
         nothing is half-done.
         """
         try:
-            self._listener = serve(self.options.address)
+            self._listener = Listener(
+                self.options.address,
+                self._register_and_read,
+                policy=self._policy,
+            )
         except TransportError as exc:
             raise FleetUnavailable(str(exc)) from exc
         host, port = self.bound_address
@@ -285,11 +284,7 @@ class FleetCoordinator:
             address=f"{host}:{port}",
             pid=os.getpid(),
         )
-        accept = threading.Thread(
-            target=self._accept_loop, name="fleet-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        self._listener.start()
         try:
             self._spawn_local_workers(self.options.workers)
         except BaseException:
@@ -314,10 +309,10 @@ class FleetCoordinator:
     @property
     def bound_address(self) -> Tuple[str, int]:
         assert self._listener is not None
-        return self._listener.getsockname()[:2]
+        return self._listener.address
 
     def _spawn_local_workers(self, count: int) -> None:
-        context = mp_context(self.options.start_method)
+        context = mp_context()
         address = self.bound_address
         for _ in range(count):
             process = context.Process(
@@ -339,48 +334,11 @@ class FleetCoordinator:
     # Connection handling (threads feeding the event queue)
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            channel = FramedSocket(sock, policy=self._policy)
-            thread = threading.Thread(
-                target=self._register_and_read,
-                args=(channel,),
-                name="fleet-reader",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
     def _register_and_read(self, channel: FramedSocket) -> None:
-        try:
-            hello = channel.recv(timeout=5.0)
-        except TransportError:
-            channel.close()
+        hello = greet(channel, (PROTOCOL,), self.options.token)
+        if hello is None:
             return
-        if (
-            not isinstance(hello, tuple)
-            or len(hello) not in (4, 5)
-            or hello[0] != "hello"
-            or hello[1] != PROTOCOL
-        ):
-            try:
-                channel.send(("reject", "bad hello"))
-            except TransportError:
-                pass
-            channel.close()
-            return
-        if self.options.token is not None and hello[2] != self.options.token:
-            try:
-                channel.send(("reject", "bad token"))
-            except TransportError:
-                pass
-            channel.close()
-            return
-        pid = hello[3] if isinstance(hello[3], int) else None
+        pid = hello[3] if len(hello) > 3 and isinstance(hello[3], int) else None
         local_pids = {p.pid for p in self._local_procs}
         kind = "local" if pid in local_pids else "remote"
         # A 5-tuple hello carries the worker's (wall, perf) clock sample
@@ -764,7 +722,7 @@ class FleetCoordinator:
             member.channel.close()
         self.members.clear()
         if self._listener is not None:
-            close_listener(self._listener)
+            self._listener.stop()
         for process in self._local_procs:
             process.join(timeout=1.0)
             if process.is_alive():
@@ -774,9 +732,6 @@ class FleetCoordinator:
                     pass
                 process.join(timeout=5.0)
         self._local_procs = []
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads = []
 
 
 # ----------------------------------------------------------------------
@@ -839,51 +794,43 @@ def fleet_worker_main(
             return
         attempts_left -= 1
         try:
-            channel = connect(address, timeout=5.0)
+            channel, welcome = dial(
+                address,
+                PROTOCOL,
+                token,
+                os.getpid(),
+                clock_sample(),
+                timeout=io_timeout,
+            )
         except TransportError:
             time.sleep(reconnect_delay)
             continue
         outcome = _worker_session(
             channel,
-            token,
+            welcome,
             renew_interval=renew_interval,
-            io_timeout=io_timeout,
             jobs_served=jobs_served,
             drain=drain,
         )
         channel.close()
         if outcome in ("shutdown", "drained"):
             return
-        if outcome == "registered":
-            # A productive session that later lost its link: reset the
-            # budget so a long run survives many transient partitions.
-            attempts_left = reconnect_attempts
+        # A registered session that later lost its link: reset the
+        # budget so a long run survives many transient partitions.
+        attempts_left = reconnect_attempts
         time.sleep(reconnect_delay)
 
 
 def _worker_session(
     channel: FramedSocket,
-    token: Optional[str],
+    welcome: tuple,
     *,
     renew_interval: float,
-    io_timeout: float,
     jobs_served=None,
     drain=None,
 ) -> str:
-    """One registration + steal/prove loop; returns why it ended."""
-    try:
-        channel.send(("hello", PROTOCOL, token, os.getpid(), clock_sample()))
-        welcome = channel.recv(timeout=io_timeout)
-    except TransportError:
-        return "lost"
-    if not (
-        isinstance(welcome, tuple)
-        and len(welcome) == 5
-        and welcome[0] == "welcome"
-    ):
-        return "rejected"
+    """The steal/prove loop of one registration; returns why it ended."""
     _, _name, scope, job_limits, explain = welcome
-    registered = True
     while True:
         if drain is not None and drain.is_set():
             # Graceful drain: the in-flight job (if any) already
@@ -905,7 +852,7 @@ def _worker_session(
         except ReadTimeout:
             continue
         except TransportError:
-            return "registered" if registered else "lost"
+            return "lost"
         if not isinstance(message, tuple) or not message:
             continue
         if message[0] == "shutdown":
@@ -919,7 +866,6 @@ def _worker_session(
             continue
         if message[0] != "lease" or len(message) != 3:
             continue
-        registered = True
         _, lease_id, request = message
         request = replace(
             request, limits=job_limits, explain=explain or request.explain
@@ -932,7 +878,7 @@ def _worker_session(
         try:
             channel.send(("result", lease_id, result))
         except TransportError:
-            return "registered"
+            return "lost"
         if jobs_served is not None:
             # A shared multiprocessing.Value owned by the WorkerPool: the
             # pool's status endpoint reads the sum across its processes.

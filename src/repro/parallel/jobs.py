@@ -152,7 +152,7 @@ class JobBook(list):
         fault point lives here: it damages the entry just published for
         its job index.
         """
-        from repro.parallel.cache import verdict_to_payload
+        from repro.parallel.cache import ResultCache, verdict_to_payload
 
         payload = verdict_to_payload(verdict)
         if payload is None or job.key is None:
@@ -161,13 +161,15 @@ class JobBook(list):
             job.key, payload, impl=job.proc_name, index=job.impl_index
         )
         if stored and job.job_id in supervisor_fault_hits("cache-corrupt"):
-            path = os.path.join(self.cache.directory, f"{job.key}.json")
+            if not isinstance(self.cache, ResultCache):
+                return  # a remote cache: no local file to damage
+            path = self.cache.path(job.key)
             try:
                 with open(path, "r+") as handle:
                     handle.seek(max(os.path.getsize(path) // 2, 1))
                     handle.write("\x00GARBAGE\x00")
             except OSError:
-                return  # e.g. a remote cache: no local file to damage
+                return
             record_supervisor_fault("cache-corrupt", job.job_id, "corrupt")
 
 
@@ -241,10 +243,10 @@ class JobPolicy:
     ``options`` is the executor's :class:`ParallelOptions` or
     :class:`FleetOptions`; the policy reads the fields they share
     (``job_timeout``, ``max_retries``, ``backoff_base``,
-    ``backoff_jitter``, ``poll_interval``). The jobs still open when the
-    policy is made form its :attr:`queue`. The executor sets
-    :attr:`tracer` and :attr:`parent_span` by opening its pipeline span
-    through :meth:`traced`.
+    ``poll_interval``). The jobs still open when the policy is made form
+    its :attr:`queue`. The executor sets :attr:`tracer` and
+    :attr:`parent_span` by opening its pipeline span through
+    :meth:`traced`.
     """
 
     def __init__(
@@ -444,11 +446,10 @@ class JobPolicy:
                 code="OL902",
             )
             return False
+        # Jitter 0.5 (the default): simultaneous worker deaths must not
+        # retry in lockstep.
         backoff = backoff_delay(
-            self.options.backoff_base,
-            job.attempts,
-            jitter=self.options.backoff_jitter,
-            token=f"job{job.job_id}",
+            self.options.backoff_base, job.attempts, token=f"job{job.job_id}"
         )
         job.eligible_at = time.monotonic() + backoff
         self.queue.append(job)
@@ -537,13 +538,12 @@ def _verdict(job: Job, status: str, error: Diagnostic) -> object:
     )
 
 
-def mp_context(start_method: Optional[str] = None):
-    """The ``multiprocessing`` context workers start in: ``start_method``
-    if given, else ``fork`` where available (fast, shares the parsed
-    scope), else ``spawn``."""
+def mp_context():
+    """The ``multiprocessing`` context workers start in: ``fork`` where
+    available (fast, shares the parsed scope), else ``spawn``."""
     import multiprocessing
 
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        return multiprocessing.get_context("spawn")

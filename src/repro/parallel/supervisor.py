@@ -71,21 +71,15 @@ class ParallelOptions:
     #: ``INTERNAL_ERROR``/``OL902``.
     max_retries: int = 2
     #: Base of the exponential retry backoff (seconds): attempt *n*
-    #: waits ``backoff_base * 2**(n-1)``, stretched by jitter.
+    #: waits ``backoff_base * 2**(n-1)``, stretched by the job policy's
+    #: deterministic jitter (see :func:`repro.parallel.jobs.backoff_delay`).
     backoff_base: float = 0.05
-    #: Deterministic jitter fraction on the retry backoff (see
-    #: :func:`repro.parallel.jobs.backoff_delay`): simultaneous worker
-    #: deaths must not retry in lockstep. 0 disables it.
-    backoff_jitter: float = 0.5
     #: A worker whose heartbeat is older than this while a job is
     #: running is considered dead (frozen interpreter) and killed.
     heartbeat_timeout: float = 2.0
     #: Supervision loop tick; bounds scope-budget overshoot and
     #: timeout-detection latency.
     poll_interval: float = 0.05
-    #: ``multiprocessing`` start method; default prefers ``fork`` (fast,
-    #: shares the parsed scope) and falls back to ``spawn``.
-    start_method: Optional[str] = None
 
 
 class _WorkerHandle:
@@ -180,7 +174,7 @@ class WorkerSupervisor:
             self.jobs, limits, options, scope_deadline, explain
         )
         self.workers: List[_WorkerHandle] = []
-        self._context = mp_context(options.start_method)
+        self._context = mp_context()
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------

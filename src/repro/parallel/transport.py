@@ -26,7 +26,9 @@ the same checker installation (the same trust model as the fork-pipe
 supervisor this generalizes), and verdicts/AST nodes are already
 pickle-shaped from the PR-5 worker protocol. An optional shared token in
 the hello message keeps *accidental* cross-talk out; it is not an
-authentication scheme.
+authentication scheme. Every endpoint admits peers through one
+:class:`Listener`, one :func:`greet` and, on the client side, one
+:func:`dial`.
 
 :class:`FramePolicy` is the deterministic fault hook: the coordinator
 threads one through its outbound side so seeded plans can drop, delay,
@@ -44,7 +46,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import events as obs_events
 
@@ -68,7 +70,7 @@ class ConnectionClosed(TransportError):
 
 
 class StatusRejected(TransportError):
-    """The status server answered but refused the handshake.
+    """A server answered but refused the handshake (see :func:`dial`).
 
     Distinct from :class:`ConnectionClosed` (nothing listening) so
     scripted health checks can tell "down" from "wrong server or
@@ -294,34 +296,6 @@ class FramedSocket:
             pass
 
 
-def connect(
-    address: Tuple[str, int],
-    *,
-    timeout: float = 5.0,
-    policy: Optional[FramePolicy] = None,
-) -> FramedSocket:
-    """Dial ``address`` and wrap the connection."""
-    try:
-        sock = socket.create_connection(address, timeout=timeout)
-    except OSError as exc:
-        raise ConnectionClosed(f"connect to {address} failed: {exc}") from exc
-    sock.settimeout(None)
-    return FramedSocket(sock, policy=policy)
-
-
-def serve(address: Tuple[str, int], *, backlog: int = 64) -> socket.socket:
-    """Bind a listening socket at ``address`` (port 0 = ephemeral)."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        sock.bind(address)
-        sock.listen(backlog)
-    except OSError as exc:
-        sock.close()
-        raise ConnectionClosed(f"bind to {address} failed: {exc}") from exc
-    return sock
-
-
 # ----------------------------------------------------------------------
 # Clock alignment
 #
@@ -352,18 +326,172 @@ def clock_offset(sample: Tuple[float, float]) -> float:
     return (time.perf_counter() - time.time()) - (remote_perf - remote_wall)
 
 
+# ----------------------------------------------------------------------
+# Endpoints
+#
+# Every server (the fleet coordinator, the cache server and a worker
+# pool's status port) admits peers the same way: a Listener hands each
+# connection to the server's handler, the handler calls greet on it, and
+# the client calls dial with the matching hello. A server with a token
+# requires exactly that token; a server without one accepts any.
+
+
+class Listener:
+    """A bound socket whose one accept thread hands every connection to
+    ``handle(FramedSocket)`` on a daemon thread of its own.
+
+    The address is bound here, so one already in use raises
+    :class:`ConnectionClosed` before anything starts; :meth:`start`
+    starts accepting. The connection threads stay in :attr:`threads`, so
+    an owner can wait for its peers after :meth:`close` (a graceful
+    drain). ``policy`` rides on every accepted socket's sends (the
+    coordinator's frame faults).
+    """
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        handle: Callable[[FramedSocket], None],
+        *,
+        policy: Optional[FramePolicy] = None,
+    ):
+        self.handle = handle
+        self.policy = policy
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            sock.bind(address)
+            sock.listen(64)
+        except OSError as exc:
+            sock.close()
+            raise ConnectionClosed(f"bind to {address} failed: {exc}") from exc
+        self._sock = sock
+        self.address: Tuple[str, int] = sock.getsockname()[:2]
+        self.threads: List[threading.Thread] = []
+        self._accepter = threading.Thread(
+            target=self._accept_loop, name="listener-accept", daemon=True
+        )
+
+    def start(self) -> "Listener":
+        self._accepter.start()
+        return self
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._sock.accept()
+            except OSError:
+                return  # closed
+            thread = threading.Thread(
+                target=self.handle,
+                args=(FramedSocket(sock, self.policy),),
+                daemon=True,
+            )
+            thread.start()
+            self.threads.append(thread)
+
+    def close(self) -> None:
+        """Stop accepting; connections already handed out live on.
+
+        A plain ``close()`` does not wake a thread parked in
+        ``accept()``, so every shutdown would pay the join timeout in
+        full; ``shutdown(SHUT_RDWR)`` first wakes it at once.
+        """
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._sock.close()
+        if self._accepter.is_alive():
+            self._accepter.join(timeout=2.0)
+
+    def stop(self) -> None:
+        """Stop accepting, then give each connection thread up to 2 s."""
+        self.close()
+        for thread in self.threads:
+            thread.join(timeout=2.0)
+
+
+def greet(
+    channel: FramedSocket, protocols: Tuple[str, ...], token: Optional[str]
+) -> Optional[tuple]:
+    """Admit or refuse a new peer by its ``("hello", protocol, token,
+    *extra)``.
+
+    The hello must arrive within 5 s, name one of ``protocols`` and, if
+    the server has a ``token``, carry exactly that token. An admitted
+    peer's hello is returned for the server to answer with its welcome.
+    A refused one is answered ``("reject", reason)``, its channel is
+    closed and None is returned.
+    """
+    try:
+        hello = channel.recv(timeout=5.0)
+    except TransportError:
+        channel.close()
+        return None
+    if not (
+        isinstance(hello, tuple)
+        and len(hello) >= 3
+        and hello[0] == "hello"
+        and hello[1] in protocols
+    ):
+        reason = "bad hello"
+    elif token is not None and hello[2] != token:
+        reason = "bad token"
+    else:
+        return hello
+    try:
+        channel.send(("reject", reason))
+    except TransportError:
+        pass
+    channel.close()
+    return None
+
+
+def dial(
+    address: Tuple[str, int],
+    protocol: str,
+    token: Optional[str],
+    *extra: Any,
+    timeout: float,
+) -> Tuple[FramedSocket, tuple]:
+    """Connect and say ``("hello", protocol, token, *extra)``; returns
+    the channel and the server's ``("welcome", ...)``.
+
+    Raises :class:`StatusRejected` when the server answers anything but
+    a welcome, and :class:`TransportError` when nothing answers: the
+    connect and the reply each get ``timeout`` seconds.
+    """
+    try:
+        sock = socket.create_connection(address, timeout=timeout)
+    except OSError as exc:
+        raise ConnectionClosed(f"connect to {address} failed: {exc}") from exc
+    sock.settimeout(None)
+    channel = FramedSocket(sock)
+    try:
+        channel.send(("hello", protocol, token, *extra))
+        welcome = channel.recv(timeout=timeout)
+    except TransportError:
+        channel.close()
+        raise
+    if not (isinstance(welcome, tuple) and welcome and welcome[0] == "welcome"):
+        channel.close()
+        raise StatusRejected(f"handshake refused: {welcome!r}")
+    return channel, welcome
+
+
 STATUS_PROTOCOL = "oolong-status-1"
 
 
-class StatusServer:
-    """A tiny framed-socket status endpoint for long-running servers.
+class StatusServer(Listener):
+    """A tiny framed-socket status endpoint for long-running servers: a
+    :class:`Listener` that greets ``oolong-status-1`` peers and answers
+    them from ``snapshot`` (a callable returning a plain dict).
 
-    Wraps a caller-supplied ``snapshot`` callable (returning a plain
-    dict) behind the same frame protocol everything else speaks. The
-    worker pool mounts one beside its coordinator rendezvous; the cache
-    server answers the same hello on its own port instead. Queries are
-    read-only and served on daemon threads, so a slow or hostile client
-    can never wedge the server it is observing.
+    The worker pool mounts one beside its coordinator rendezvous; the
+    cache server answers the same hello on its own port instead.
+    Queries are read-only and served on daemon threads, so a slow or
+    hostile client can never wedge the server it is observing.
     """
 
     def __init__(
@@ -375,45 +503,12 @@ class StatusServer:
     ):
         self.snapshot = snapshot
         self.token = token
-        self._listener = serve(address)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        super().__init__(address, self._serve_client)
 
-    def start(self) -> "StatusServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        close_listener(self._listener)
-        if self._thread.is_alive():
-            self._thread.join(timeout=1.0)
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_client,
-                args=(FramedSocket(sock),),
-                daemon=True,
-            ).start()
-
-    def _serve_client(self, channel: "FramedSocket") -> None:
+    def _serve_client(self, channel: FramedSocket) -> None:
+        if greet(channel, (STATUS_PROTOCOL,), self.token) is None:
+            return
         try:
-            hello = channel.recv(timeout=5.0)
-            if (
-                not isinstance(hello, tuple)
-                or len(hello) != 3
-                or hello[0] != "hello"
-                or hello[1] != STATUS_PROTOCOL
-                or hello[2] != self.token
-            ):
-                channel.send(("error", "bad hello"))
-                return
             answer_status(channel, self.snapshot)
         except (TransportError, OSError):
             pass
@@ -422,7 +517,7 @@ class StatusServer:
 
 
 def answer_status(channel: FramedSocket, snapshot: Callable[[], dict]) -> None:
-    """Welcome an accepted status hello, then answer until ``bye``.
+    """Welcome a greeted status peer, then answer until ``bye``.
 
     Shared by :class:`StatusServer` and the cache server, which answers
     the same ``oolong-status-1`` hello on its own port, so one
@@ -454,12 +549,11 @@ def query_status(
 ) -> dict:
     """One status round-trip against a worker pool's :class:`StatusServer`
     or a cache server's own port."""
-    channel = connect(address, timeout=timeout)
     try:
-        channel.send(("hello", STATUS_PROTOCOL, token))
-        reply = channel.recv(timeout=timeout)
-        if not (isinstance(reply, tuple) and reply and reply[0] == "welcome"):
-            raise StatusRejected(f"status handshake refused: {reply!r}")
+        channel, _ = dial(address, STATUS_PROTOCOL, token, timeout=timeout)
+    except StatusRejected as exc:
+        raise StatusRejected(f"status {exc}") from None
+    try:
         channel.send(("status",))
         reply = channel.recv(timeout=timeout)
         if not (
@@ -473,25 +567,6 @@ def query_status(
         return reply[1]
     finally:
         channel.close()
-
-
-def close_listener(sock: socket.socket) -> None:
-    """Close a listening socket so a blocked ``accept()`` wakes *now*.
-
-    A plain ``close()`` does not interrupt another thread already parked
-    in ``accept()`` — it stays in the kernel until a peer connects, and
-    every shutdown pays the accept-thread join timeout in full. A
-    ``shutdown(SHUT_RDWR)`` first wakes the accept immediately (EINVAL on
-    Linux, caught by the accept loop's OSError handler).
-    """
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
 
 
 def serve_forever(server, drain_timeout: float = 10.0) -> None:

@@ -923,6 +923,8 @@ def _decide(scope: Scope, limits, book, *, resumed, discharge) -> None:
             source = "cache_hit"
         else:
             continue
+        if source != "discharged" and verdict.failed_obligation is not None:
+            _reanchor_failure(scope, verdict)
         book.settle(job, verdict, source=source)
         if tracer is not None:
             now = time.perf_counter()
@@ -937,6 +939,25 @@ def _decide(scope: Scope, limits, book, *, resumed, discharge) -> None:
                     "status": job.verdict.status.name.lower(),
                 },
             )
+
+
+def _reanchor_failure(scope: Scope, verdict: ImplVerdict) -> None:
+    """Take a replayed or cached verdict's failed obligation from
+    ``scope``.
+
+    The decoded obligation describes the run that proved it, and the
+    cache key and ledger record bind the implementation's text, not
+    where it sits: the same body moved to another file or line hits the
+    same entry. The obligation is found again by its ident, which
+    numbers the implementation's obligations as wlp and the site list
+    (:attr:`~repro.analysis.facts.ImplFacts.sites`) both do.
+    """
+    from repro.analysis.facts import impl_facts
+
+    sites = impl_facts(scope, verdict.impl).sites
+    ident = verdict.failed_obligation.ident
+    if 0 <= ident < len(sites):
+        verdict.failed_obligation = sites[ident].info
 
 
 def _execute(

@@ -16,6 +16,10 @@ tests hold it to that by counting, not by timing:
 * **One sync for the settled batch** — a warm re-check ``fsync``s the
   ledger header and then the whole settled batch once, whatever the
   scope's size; each proved verdict still gets its own ``fsync``.
+* **Settled failures name where the body is now** — a key binds an
+  implementation's text, not its place, so a failing body moved to
+  another file and line settles from the old entry or record; its
+  report must still read as a cold check of the new file does.
 """
 
 import collections
@@ -28,6 +32,7 @@ import weakref
 import pytest
 
 import repro.parallel.cache as cache_module
+from repro.cli import main
 from repro.corpus.generators import generate_impl_farm
 from repro.oolong.ast import ImplDecl
 from repro.oolong.parser import parse_program_text
@@ -38,7 +43,7 @@ from repro.parallel.fleet import FleetOptions
 from repro.parallel.ledger import LEDGER_NAME
 from repro.prover.core import Limits
 from repro.vcgen.checker import check_scope
-from tests.test_pipeline import _canonical, _truncate_ledger
+from tests.test_pipeline import _canonical, _strip_timing, _truncate_ledger
 
 LIMITS = Limits(time_budget=60.0)
 
@@ -279,3 +284,50 @@ def test_each_proved_verdict_adds_one_sync(fsyncs, proved, tmp_path):
 def test_a_check_with_nothing_settled_has_no_batch_sync(fsyncs, tmp_path):
     check_scope(_farm(4, 2), LIMITS, run_dir=str(tmp_path / "run"))
     assert len(fsyncs) == 1 + 4
+
+
+# ----------------------------------------------------------------------
+# Settled failures name where the body is now
+# ----------------------------------------------------------------------
+
+BAD_CALL = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples",
+    "failing",
+    "bad_call.oolong",
+)
+
+
+def _report(capsys, argv, fmt):
+    """The CLI's report for ``argv`` in ``fmt``, wall-clock fields
+    dropped."""
+    main([*argv, "--format", fmt, "--time-budget", "60"])
+    out = capsys.readouterr().out
+    if fmt == "json":
+        return json.dumps(_strip_timing(json.loads(out)), sort_keys=True)
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "sarif"])
+@pytest.mark.parametrize("store", ["cache", "ledger"])
+def test_a_moved_failure_settles_with_its_new_position(
+    tmp_path, capsys, monkeypatch, store, fmt
+):
+    with open(BAD_CALL) as handle:
+        source = handle.read()
+    (tmp_path / "a.oolong").write_text(source)
+    (tmp_path / "b.oolong").write_text("\n\n\n" + source)
+    monkeypatch.chdir(tmp_path)
+    cold = _report(capsys, ["b.oolong"], fmt)
+    assert "b.oolong" in cold and "a.oolong" not in cold
+    if store == "cache":
+        first, then = ["--cache-dir", "state"], ["--cache-dir", "state"]
+    else:
+        first, then = ["--run-dir", "state"], ["--run-dir", "state", "--resume"]
+    main(["a.oolong", *first, "--time-budget", "60"])
+    capsys.readouterr()
+    assert _report(capsys, ["b.oolong", *then], fmt) == cold
+    with open(tmp_path / "state" / "summary.json") as handle:
+        summary = json.load(handle)
+    # Both verdicts settled from what the check of a.oolong left.
+    assert summary["hits" if store == "cache" else "resumed"] == 2
