@@ -89,7 +89,7 @@ class CacheServer:
     ):
         self.cache = ResultCache(directory, max_bytes=max_bytes)
         self.token = token
-        self._listener = Listener(address, self._serve_client)
+        self._listener = Listener(address, self._serve_client, name="cache")
         self.address: Tuple[str, int] = self._listener.address
         self._http_server: Optional[TelemetryHTTPServer] = None
         if http_address is not None:
@@ -174,16 +174,15 @@ class CacheServer:
         """
         self._listener.close()
         deadline = time.monotonic() + max(0.0, timeout)
-        drained = 0
         stragglers = 0
         for thread in self._listener.threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                stragglers += 1
-            else:
-                drained += 1
+            stragglers += thread.is_alive()
         self.stop()
-        return {"drained": drained, "terminated": stragglers}
+        return {
+            "drained": self._listener.accepted - stragglers,
+            "terminated": stragglers,
+        }
 
     def __enter__(self) -> "CacheServer":
         return self.start()

@@ -40,6 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue
+import signal
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -273,6 +274,7 @@ class FleetCoordinator:
             self._listener = Listener(
                 self.options.address,
                 self._register_and_read,
+                name="fleet",
                 policy=self._policy,
             )
         except TransportError as exc:
@@ -326,7 +328,7 @@ class FleetCoordinator:
                 name=f"oolong-fleet-worker-{len(self._local_procs)}",
                 daemon=True,
             )
-            process.start()
+            _start_worker(process)
             self._local_procs.append(process)
             obs_events.emit("worker-spawn", pid=process.pid, kind="local")
 
@@ -739,6 +741,21 @@ class FleetCoordinator:
 # ----------------------------------------------------------------------
 
 
+_HELD_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def _start_worker(process) -> None:
+    """Start a :func:`fleet_worker_main` process with SIGINT and SIGTERM
+    held until it has set its own handlers: one landing before (a
+    ``killpg`` right after ``server-start``) would run ours in the child.
+    """
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
+    try:
+        process.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def fleet_worker_main(
     address: Tuple[str, int],
     *,
@@ -761,8 +778,6 @@ def fleet_worker_main(
     the pipe workers use, so a SIGKILLed coordinator never leaves
     orphans).
     """
-    import signal
-
     # Fleet faults are interpreted at the coordinator, frame faults on
     # its transport policy.
     detach_from_parent()
@@ -778,6 +793,7 @@ def fleet_worker_main(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):
         pass  # not the main thread, or an embedded interpreter
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _HELD_SIGNALS)
 
     if parent_pid is not None:
         def _watchdog():
@@ -801,8 +817,13 @@ def fleet_worker_main(
                 os.getpid(),
                 clock_sample(),
                 timeout=io_timeout,
+                connect_timeout=5.0,
             )
         except TransportError:
+            time.sleep(reconnect_delay)
+            continue
+        if len(welcome) != 5:
+            channel.close()  # refused, like a reject: no budget reset
             time.sleep(reconnect_delay)
             continue
         outcome = _worker_session(
@@ -1003,7 +1024,7 @@ class WorkerPool:
                 name=f"oolong-fleet-worker-{index}",
                 daemon=False,
             )
-            process.start()
+            _start_worker(process)
             self._procs.append(process)
             obs_events.emit("worker-spawn", pid=process.pid, kind="pool")
         if self._status_server is not None:

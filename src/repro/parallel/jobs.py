@@ -222,19 +222,16 @@ def jitter_fraction(token: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def backoff_delay(
-    base: float, attempt: int, *, jitter: float = 0.5, token: str = ""
-) -> float:
+def backoff_delay(base: float, attempt: int, *, token: str = "") -> float:
     """Exponential backoff with deterministic jitter.
 
     Attempt *n* (1-based) waits ``base * 2**(n-1)``, stretched by up to
-    ``jitter`` (a fraction of itself) according to
-    :func:`jitter_fraction` of ``token:attempt``.
+    half of itself according to :func:`jitter_fraction` of
+    ``token:attempt``.
     """
     delay = base * (2 ** max(attempt - 1, 0))
-    if jitter <= 0:
-        return delay
-    return delay * (1.0 + jitter * jitter_fraction(f"{token}:{attempt}"))
+    # Jitter 0.5: simultaneous worker deaths must not retry in lockstep.
+    return delay * (1.0 + 0.5 * jitter_fraction(f"{token}:{attempt}"))
 
 
 class JobPolicy:
@@ -446,8 +443,6 @@ class JobPolicy:
                 code="OL902",
             )
             return False
-        # Jitter 0.5 (the default): simultaneous worker deaths must not
-        # retry in lockstep.
         backoff = backoff_delay(
             self.options.backoff_base, job.attempts, token=f"job{job.job_id}"
         )

@@ -327,13 +327,10 @@ def clock_offset(sample: Tuple[float, float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Endpoints
-#
-# Every server (the fleet coordinator, the cache server and a worker
-# pool's status port) admits peers the same way: a Listener hands each
-# connection to the server's handler, the handler calls greet on it, and
-# the client calls dial with the matching hello. A server with a token
-# requires exactly that token; a server without one accepts any.
+# Endpoints: every server admits peers the same way. A Listener hands
+# each connection to the server's handler, which calls greet; the client
+# calls dial. A server with a token requires exactly that token; a
+# server without one accepts any.
 
 
 class Listener:
@@ -342,10 +339,13 @@ class Listener:
 
     The address is bound here, so one already in use raises
     :class:`ConnectionClosed` before anything starts; :meth:`start`
-    starts accepting. The connection threads stay in :attr:`threads`, so
+    starts accepting. The threads are named ``{name}-accept`` and
+    ``{name}-client``. The connection threads still running stay in
+    :attr:`threads` (finished ones are dropped at the next accept), so
     an owner can wait for its peers after :meth:`close` (a graceful
-    drain). ``policy`` rides on every accepted socket's sends (the
-    coordinator's frame faults).
+    drain); :attr:`accepted` counts every connection ever handed out.
+    ``policy`` rides on every accepted socket's sends (the coordinator's
+    frame faults).
     """
 
     def __init__(
@@ -353,9 +353,11 @@ class Listener:
         address: Tuple[str, int],
         handle: Callable[[FramedSocket], None],
         *,
+        name: str,
         policy: Optional[FramePolicy] = None,
     ):
         self.handle = handle
+        self.name = name
         self.policy = policy
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -368,8 +370,9 @@ class Listener:
         self._sock = sock
         self.address: Tuple[str, int] = sock.getsockname()[:2]
         self.threads: List[threading.Thread] = []
+        self.accepted = 0
         self._accepter = threading.Thread(
-            target=self._accept_loop, name="listener-accept", daemon=True
+            target=self._accept_loop, name=f"{name}-accept", daemon=True
         )
 
     def start(self) -> "Listener":
@@ -385,18 +388,18 @@ class Listener:
             thread = threading.Thread(
                 target=self.handle,
                 args=(FramedSocket(sock, self.policy),),
+                name=f"{self.name}-client",
                 daemon=True,
             )
             thread.start()
+            self.threads = [t for t in self.threads if t.is_alive()]
             self.threads.append(thread)
+            self.accepted += 1
 
     def close(self) -> None:
         """Stop accepting; connections already handed out live on.
-
-        A plain ``close()`` does not wake a thread parked in
-        ``accept()``, so every shutdown would pay the join timeout in
-        full; ``shutdown(SHUT_RDWR)`` first wakes it at once.
-        """
+        (``shutdown`` wakes the parked ``accept()``; ``close`` alone would
+        not, and every shutdown would pay the join timeout.)"""
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -416,13 +419,10 @@ def greet(
     channel: FramedSocket, protocols: Tuple[str, ...], token: Optional[str]
 ) -> Optional[tuple]:
     """Admit or refuse a new peer by its ``("hello", protocol, token,
-    *extra)``.
-
-    The hello must arrive within 5 s, name one of ``protocols`` and, if
-    the server has a ``token``, carry exactly that token. An admitted
-    peer's hello is returned for the server to answer with its welcome.
-    A refused one is answered ``("reject", reason)``, its channel is
-    closed and None is returned.
+    *extra)``: it must arrive within 5 s, name one of ``protocols`` and
+    carry the server's ``token``, if it has one. An admitted peer's hello
+    is returned for the server to answer with its welcome; a refused one
+    is answered ``("reject", reason)``, closed, and None returned.
     """
     try:
         hello = channel.recv(timeout=5.0)
@@ -454,16 +454,20 @@ def dial(
     token: Optional[str],
     *extra: Any,
     timeout: float,
+    connect_timeout: Optional[float] = None,
 ) -> Tuple[FramedSocket, tuple]:
     """Connect and say ``("hello", protocol, token, *extra)``; returns
     the channel and the server's ``("welcome", ...)``.
 
     Raises :class:`StatusRejected` when the server answers anything but
     a welcome, and :class:`TransportError` when nothing answers: the
-    connect and the reply each get ``timeout`` seconds.
+    reply gets ``timeout`` seconds, the connect ``connect_timeout``
+    (default ``timeout``).
     """
     try:
-        sock = socket.create_connection(address, timeout=timeout)
+        sock = socket.create_connection(
+            address, timeout=timeout if connect_timeout is None else connect_timeout
+        )
     except OSError as exc:
         raise ConnectionClosed(f"connect to {address} failed: {exc}") from exc
     sock.settimeout(None)
@@ -503,7 +507,11 @@ class StatusServer(Listener):
     ):
         self.snapshot = snapshot
         self.token = token
-        super().__init__(address, self._serve_client)
+        super().__init__(address, self._serve_client, name="status")
+
+    def stop(self) -> None:
+        """Stop accepting; open queries are read-only and not waited for."""
+        self.close()
 
     def _serve_client(self, channel: FramedSocket) -> None:
         if greet(channel, (STATUS_PROTOCOL,), self.token) is None:
