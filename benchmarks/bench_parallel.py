@@ -25,6 +25,12 @@ baseline (the serial run; for the re-check, the 100-impl farm), so a
 loaded CI runner slows numerator and denominator together instead of
 failing the gate.
 
+Two absolute keys, ``grid_serial_seconds`` and ``grid_j2_seconds``, time
+the farms of the ``jobs-j2`` end-to-end workload (:data:`GRID`), each
+checked cold on a fresh :class:`Scope`, serially and at ``parallel=2``.
+They record where ``-j 2`` stands against serial at the sizes the
+end-to-end benchmark measures; no guard reads them.
+
 Run as a script (``python benchmarks/bench_parallel.py``) it re-measures
 and rewrites ``BENCH_parallel.json`` at the repo root.
 """
@@ -65,6 +71,10 @@ FARM_FIELDS = 12
 #: all that runs.
 RECHECK_SIZES = (100, 300)
 RECHECK_FIELDS = 4
+
+#: The ``(impls, fields)`` farms of the ``jobs-j2`` end-to-end workload
+#: (``e2ebench/inputs.py``'s ``JOBS_GRID``).
+GRID = ((32, 4), (40, 4), (48, 4), (56, 4), (64, 4), (32, 6), (32, 8))
 
 
 def _cores():
@@ -158,6 +168,34 @@ def measure_warm_recheck(limits, repeats=3):
     return row
 
 
+def measure_grid(limits, repeats=3):
+    """Best-of-``repeats`` seconds to check every :data:`GRID` farm once
+    at ``parallel=2``, then serially, each check on a fresh
+    :class:`Scope` (timed from the check alone).
+
+    The ``-j 2`` checks run first, as in a fresh ``oolong-check -j 2``
+    process: after a serial check this process would hold compiled
+    matcher shapes for the forked workers to inherit.
+    """
+    sources = [generate_impl_farm(impls, fields) for impls, fields in GRID]
+    row = {}
+    modes = (("grid_j2_seconds", 2), ("grid_serial_seconds", None))
+    for key, parallel in modes:
+        best = None
+        for _ in range(repeats):
+            total = 0.0
+            for source in sources:
+                scope = Scope.from_source(source)
+                check_well_formed(scope)
+                start = time.perf_counter()
+                report = check_scope(scope, limits, parallel=parallel)
+                total += time.perf_counter() - start
+                assert report.ok
+            best = total if best is None else min(best, total)
+        row[key] = round(best, 4)
+    return row
+
+
 def measure_for_regression():
     """Entry point for ``benchmarks/check_regression.py``."""
     limits = Limits(time_budget=120.0)
@@ -202,6 +240,7 @@ def main():
     row = {
         **measure_parallel(limits, repeats=3),
         **measure_warm_recheck(limits),
+        **measure_grid(limits),
     }
     payload = {
         "benchmark": "parallel",
@@ -209,7 +248,8 @@ def main():
             "seconds and ratios vs the serial driver on an "
             f"{FARM_IMPLS}-impl farm; warm re-checks of "
             f"{RECHECK_SIZES[0]}- and {RECHECK_SIZES[1]}-impl "
-            f"{RECHECK_FIELDS}-field farms"
+            f"{RECHECK_FIELDS}-field farms; cold serial and -j 2 checks "
+            "of the jobs-j2 farm grid"
         ),
         "guard": (
             "parallel1_over_serial_ratio < 1.05; warm_over_serial_ratio "

@@ -63,6 +63,7 @@ from repro.parallel.transport import (
     clock_offset,
     clock_sample,
     dial,
+    encode_frame,
     greet,
     parse_address,
 )
@@ -71,6 +72,7 @@ from repro.parallel.worker import (
     JobResult,
     detach_from_parent,
     run_job,
+    untransportable,
 )
 from repro.prover.core import Limits
 from repro.testing.faults import (
@@ -897,7 +899,7 @@ def _worker_session(
         if result is None:
             continue
         try:
-            channel.send(("result", lease_id, result))
+            channel.send_frame(_result_frame(lease_id, request, result))
         except TransportError:
             return "lost"
         if jobs_served is not None:
@@ -928,19 +930,24 @@ def _prove_with_renewals(
     finally:
         stop_event.set()
         renewer.join(timeout=1.0)
-    if result is None:
-        return None
-    try:
-        import pickle
-
-        pickle.dumps(result)
-    except Exception as error:
-        result = JobResult(
-            job_id=request.job_id,
-            attempt=request.attempt,
-            failure=f"result not transportable: {type(error).__name__}: {error}",
-        )
     return result
+
+
+def _result_frame(
+    lease_id: int, request: JobRequest, result: JobResult
+) -> bytes:
+    """The ``result`` message of a lease, encoded once.
+
+    A result that does not encode — a pickling error, or a frame over
+    ``MAX_FRAME``, both raised before any byte is written — is replaced
+    by the :func:`~repro.parallel.worker.untransportable` fallback.
+    """
+    try:
+        return encode_frame(("result", lease_id, result))
+    except Exception as error:
+        return encode_frame(
+            ("result", lease_id, untransportable(request, error))
+        )
 
 
 class WorkerPool:

@@ -331,7 +331,8 @@ class JobPolicy:
 
         A first attempt carries the fault the active plan puts on its
         job index (``worker-kill`` before ``worker-hang``), so fault
-        placement never depends on which worker takes the job. The
+        placement never depends on which worker takes the job. It asks
+        the worker for spans and metrics only under a tracer. The
         deadline is ``now + job_timeout`` only: scope-budget expiry is
         handled by :meth:`cancel`.
         """
@@ -350,6 +351,7 @@ class JobPolicy:
             limits=self.job_limits,
             explain=self.explain,
             inject=inject,
+            trace=self.tracer is not None,
         )
         timeout = self.options.job_timeout
         return request, (None if timeout is None else now + timeout)
@@ -371,15 +373,16 @@ class JobPolicy:
         """File a worker's :class:`~repro.parallel.worker.JobResult`.
 
         A job that raised outside the worker's verdict isolation becomes
-        an ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the pickled
-        verdict is re-anchored on the parent's own AST object so report
-        identities match the serial driver's exactly. Under a tracer the
-        job gets an ``implementation`` span from ``started`` (monotonic
-        time; on the platforms workers run on ``time.monotonic`` and
-        ``perf_counter`` share CLOCK_MONOTONIC), with the worker's own
-        spans grafted beneath it, shifted by ``offset`` into this
-        clock, and its metrics merged. ``fields`` (a fleet ``lease``)
-        ride on the ``impl-checked`` record.
+        an ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the verdict,
+        which crossed without its AST, is re-anchored on the parent's
+        own ``ImplDecl`` so report identities match the serial driver's
+        exactly. Under a tracer the job gets an ``implementation`` span
+        from ``started`` (monotonic time; on the platforms workers run
+        on ``time.monotonic`` and ``perf_counter`` share
+        CLOCK_MONOTONIC), with the worker's own spans grafted beneath
+        it, shifted by ``offset`` into this clock, and its metrics
+        merged. ``fields`` (a fleet ``lease``) ride on the
+        ``impl-checked`` record.
         """
         if result.failure is not None:
             verdict = _verdict(

@@ -31,18 +31,26 @@ given that are still open. Deciding jobs up front (static discharge,
 ledger replay, cache hits) and storing fresh verdicts in the result
 cache are the checker's business (:mod:`repro.vcgen.checker`).
 
+Warm workers: before the first fork the supervisor prepares the
+scope's prover background (UBP ∧ BP_D asserted, every quantifier's
+matchers compiled; :meth:`repro.prover.core.Background.prepare`), so
+each forked worker resumes from that state instead of building it
+again.
+
 Observability: under an installed tracer the supervisor emits one
 ``supervisor`` pipeline span, one implementation span per job carrying
 ``worker``/``attempt``/``status`` args, and grafts each worker's own
 span tree (vcgen/prove stage spans with their per-VC children)
 underneath, so ``--trace``/``--profile`` cover parallel runs end to end.
+Workers trace a job, and ship its spans and metrics, only when the
+parent traces: an untraced check's results carry neither.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
@@ -127,12 +135,15 @@ class _WorkerHandle:
         except OSError:
             pass
 
-    def shutdown(self) -> None:
-        """Polite stop for an idle worker (sentinel, then reap)."""
+    def stop(self) -> None:
+        """Ask an idle worker to exit (the ``None`` sentinel)."""
         try:
             self.conn.send(None)
         except (OSError, ValueError, BrokenPipeError):
             pass
+
+    def reap(self) -> None:
+        """Wait for a stopped worker to exit; kill it if it does not."""
         self.process.join(timeout=1.0)
         if self.process.is_alive():
             self.kill()
@@ -185,10 +196,34 @@ class WorkerSupervisor:
         with self.policy.traced("supervisor", workers=self.options.jobs):
             try:
                 if self.policy.queue:
+                    self._prepare_background()
                     self._supervise()
             finally:
                 self._shutdown_workers()
         return ParallelOutcome(jobs=self.jobs)
+
+    def _prepare_background(self) -> None:
+        """Prepare the scope's prover background before the first fork,
+        so every worker resumes from the E-graph and compiled matchers
+        it inherits rather than asserting UBP ∧ BP_D itself.
+
+        The prepare runs under a job's time budget and the scope
+        deadline. If it runs out or raises, it stores nothing and each
+        worker prepares its own, as the first job there would anyway:
+        a failure then becomes that job's verdict, as in a serial check.
+        """
+        if self._context.get_start_method() != "fork":
+            return  # a pickled scope leaves its background behind
+        from repro.vcgen.vc import scope_background_of
+
+        limits = replace(
+            self.policy.job_limits or Limits(),
+            scope_deadline=self.policy.scope_deadline,
+        )
+        try:
+            scope_background_of(self.scope).prepare(limits)
+        except Exception:
+            pass  # each job meets it again in its worker and reports it
 
     # ------------------------------------------------------------------
     # The supervision loop
@@ -353,13 +388,19 @@ class WorkerSupervisor:
         self.policy.cancel(inflight)
 
     def _shutdown_workers(self) -> None:
+        """Stop every idle worker, then reap them, so they exit side by
+        side; kill the rest."""
+        stopping = []
         for worker in self.workers:
             if worker.conn.closed:
                 continue
             if worker.idle and worker.alive():
-                worker.shutdown()
+                worker.stop()
+                stopping.append(worker)
             else:
                 worker.kill()
+        for worker in stopping:
+            worker.reap()
         self.workers = []
 
 

@@ -192,7 +192,11 @@ class FramedSocket:
 
     def send(self, message: Any) -> bool:
         """Frame and send one message; False if a fault dropped it."""
-        frame = encode_frame(message)
+        return self.send_frame(encode_frame(message))
+
+    def send_frame(self, frame: bytes) -> bool:
+        """Send one frame made by :func:`encode_frame`; False if a fault
+        dropped it."""
         if self.policy is not None:
             applied = self.policy.apply(frame)
             if applied is None:

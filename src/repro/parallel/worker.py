@@ -4,10 +4,15 @@ A worker is a long-lived child process owning one end of a duplex pipe.
 It receives :class:`JobRequest` messages, proves the named
 implementation with the same per-implementation isolation the serial
 driver uses (:func:`repro.vcgen.checker._check_impl`), and sends a
-:class:`JobResult` back. Everything observable rides along: the
-verdict, the advisory explain-crash diagnostic, the worker's span tree
-(re-rooted under the supervisor's job span at merge time), and its
-metrics registry.
+:class:`JobResult` back. The result carries the verdict without its
+``ImplDecl`` (the parent re-anchors it on its own) and the advisory
+explain-crash diagnostic; when the parent traces, the request says so,
+and the worker's span tree (re-rooted under the supervisor's job span at
+merge time) and metrics registry ride along too.
+
+A forked worker inherits its parent's scope, with the prover background
+the supervisor prepared before forking, so its first job resumes from it
+like every later one.
 
 Liveness is reported out-of-band: a daemon thread stamps the current
 monotonic time into a shared double at a fixed interval. The supervisor
@@ -58,6 +63,8 @@ class JobRequest:
     explain: bool = False
     #: Supervisor-decided fault injection: None, "kill", or "hang".
     inject: Optional[str] = None
+    #: Trace the job and ship its spans and metrics (the parent traces).
+    trace: bool = False
 
 
 @dataclass
@@ -66,16 +73,18 @@ class JobResult:
 
     job_id: int
     attempt: int
-    #: Pickled-through verdict (``ImplVerdict``); the supervisor swaps
-    #: in its own ``ImplDecl`` object on receipt so report identities
-    #: match the parent's scope exactly.
+    #: The job's ``ImplVerdict``, sent without its ``ImplDecl``
+    #: (``impl`` is None): the parent puts its own on receipt, so
+    #: report identities match the parent's scope exactly, and the AST
+    #: is most of what a verdict would pickle.
     verdict: Any = None
     #: Advisory OL900 warning when the explainer crashed (see
     #: ``_check_impl``); the verdict itself survived.
     explain_crash: Any = None
-    #: The worker-side span tree for this job (``Tracer.export_spans``).
+    #: The worker-side span tree for this job (``Tracer.export_spans``),
+    #: empty unless the request asked for a trace …
     spans: List[dict] = field(default_factory=list)
-    #: The worker-side metrics registry (``MetricsRegistry.to_dict``).
+    #: … and the worker-side metrics registry (``MetricsRegistry.to_dict``).
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Set when the job raised outside the verdict isolation layer
     #: (should not happen; surfaces as INTERNAL_ERROR parent-side).
@@ -129,6 +138,8 @@ def worker_main(
     time, so the orphan watchdog works even if the supervisor dies
     before this process first runs.
     """
+    from multiprocessing.reduction import ForkingPickler
+
     detach_from_parent()
     stop_event = threading.Event()
     beat_thread = threading.Thread(
@@ -154,25 +165,26 @@ def worker_main(
             if result is None:
                 continue
             try:
-                conn.send(result)
-            except (OSError, ValueError, TypeError) as error:
-                # The payload would not cross the pipe (e.g. an
-                # unpicklable object smuggled into an explanation).
-                # Degrade: resend without the rich attachments.
-                fallback = JobResult(
-                    job_id=request.job_id,
-                    attempt=request.attempt,
-                    failure=(
-                        "result not transportable: "
-                        f"{type(error).__name__}: {error}"
-                    ),
-                )
-                try:
-                    conn.send(fallback)
-                except (OSError, ValueError):
-                    break
+                payload = ForkingPickler.dumps(result)
+            except Exception as error:
+                payload = ForkingPickler.dumps(untransportable(request, error))
+            try:
+                conn.send_bytes(payload)
+            except (OSError, ValueError):
+                break
     finally:
         stop_event.set()
+
+
+def untransportable(request: JobRequest, error: Exception) -> JobResult:
+    """The result sent instead of one that would not encode (an
+    unpicklable object smuggled into an explanation, say): the parent
+    files it as an ``INTERNAL_ERROR``/``OL900`` verdict for that job."""
+    return JobResult(
+        job_id=request.job_id,
+        attempt=request.attempt,
+        failure=f"result not transportable: {type(error).__name__}: {error}",
+    )
 
 
 def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
@@ -201,7 +213,7 @@ def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
         )
     impl = impls[request.impl_index]
 
-    tracer = Tracer()
+    tracer = Tracer() if request.trace else None
     try:
         with tracing(tracer):
             verdict, explain_crash = _check_impl(
@@ -212,13 +224,14 @@ def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
                 None,  # the scope deadline is enforced by the supervisor
                 request.explain,
             )
+        verdict.impl = None  # the parent re-anchors it on its own AST
         return JobResult(
             job_id=request.job_id,
             attempt=request.attempt,
             verdict=verdict,
             explain_crash=explain_crash,
-            spans=tracer.export_spans(),
-            metrics=tracer.metrics.to_dict(),
+            spans=tracer.export_spans() if tracer is not None else [],
+            metrics=tracer.metrics.to_dict() if tracer is not None else {},
         )
     except Exception as error:  # pragma: no cover — _check_impl isolates
         import traceback

@@ -453,12 +453,46 @@ class Background:
     are those of asserting everything from scratch. A deadline or an
     exception before the boundary stores nothing.
 
+    :meth:`prepare` stores the state without a check of its own. The
+    ``-j`` supervisor prepares its scope's background before it forks
+    its workers, so every worker resumes from the E-graph and compiled
+    matchers it inherits.
+
     The state is process-local: its owner keeps it out of pickles.
     """
 
     def __init__(self, formulas: List[Formula]):
         self.formulas: Tuple[Formula, ...] = tuple(formulas)
         self._prepared: Optional[_Prepared] = None
+
+    def prepare(self, limits: Optional[Limits] = None) -> bool:
+        """Store the state at the boundary now, and compile the matchers
+        and width function of every quantifier in it.
+
+        The formulas are asserted in a throwaway :class:`Solver`, as the
+        first solver given this background would assert them. ``limits``
+        bound it by their ``time_budget`` and ``scope_deadline``: a
+        prepare that passes either, or raises, stores nothing. Returns
+        whether the background is prepared; once it is, a call does
+        nothing.
+        """
+        if self._prepared is None:
+            solver = Solver(limits, background=self)
+            solver._arm_deadline(time.monotonic())
+            solver._assert_facts(_State(), 0)
+            prepared = self._prepared
+            if prepared is None:
+                return False
+            try:
+                for record in prepared.quants:
+                    if record.matchers is None:
+                        record.compile()
+            except BaseException:
+                self._prepared = None
+                raise
+            if solver._out_of_time():
+                self._prepared = None
+        return self._prepared is not None
 
 
 class Solver:
@@ -556,14 +590,7 @@ class Solver:
     def check(self) -> ProverResult:
         """Decide satisfiability of the asserted conjunction."""
         start = time.monotonic()
-        if self.limits.time_budget is not None:
-            self._deadline = start + self.limits.time_budget
-        if self.limits.scope_deadline is not None:
-            self._deadline = (
-                self.limits.scope_deadline
-                if self._deadline is None
-                else min(self._deadline, self.limits.scope_deadline)
-            )
+        self._arm_deadline(start)
         state = _State()
         verdict: Optional[Verdict] = None
         prepared = self._resumed
@@ -594,6 +621,17 @@ class Solver:
         if verdict is Verdict.SAT:
             result.countermodel = self._countermodel
         return result
+
+    def _arm_deadline(self, start: float) -> None:
+        """Set the deadline from the limits' budget and scope deadline."""
+        if self.limits.time_budget is not None:
+            self._deadline = start + self.limits.time_budget
+        if self.limits.scope_deadline is not None:
+            self._deadline = (
+                self.limits.scope_deadline
+                if self._deadline is None
+                else min(self._deadline, self.limits.scope_deadline)
+            )
 
     def _assert_facts(self, state: _State, first: int) -> Optional[Verdict]:
         """Assert the facts from index ``first`` on; a verdict if that

@@ -7,12 +7,20 @@ indistinguishable from asserting every hypothesis from scratch: the same
 verdict, every ``ProverStats`` counter but ``elapsed``, the same proof
 log (which still replays) and the same countermodel.
 
+A background can also be prepared up front (``Background.prepare``), as
+the ``-j`` supervisor does before it forks its workers. A solver that
+resumes from a background prepared that way must be indistinguishable
+from one that prepared it itself, and a prepare that runs out of time or
+raises must store nothing.
+
 Serial, ``-j`` and fleet checks are held to identical reports by
 ``tests/test_pipeline.py``; the search-identity golden pins the counters
 of the same corpus against the code before this change.
 """
 
+import os
 import pickle
+import time
 
 import pytest
 
@@ -20,11 +28,14 @@ from repro.api import parse_program
 from repro.corpus.generators import generate_impl_farm
 from repro.logic.terms import Const, Eq, Exists, Forall, Not, Pred, Var
 from repro.oolong.contracts import desugar_contracts
+from repro.parallel import ParallelOptions, run_parallel_checks
+from repro.prover import core
 from repro.prover.core import Background, Limits, Verdict, prove_valid
 from repro.prover.prooflog import replay_proof_log
 from repro.testing.faults import Fault, FaultPlan, inject
 from repro.vcgen.checker import ImplStatus, check_scope
-from repro.vcgen.vc import vc_for_impl
+from repro.vcgen.vc import scope_background_of, vc_for_impl
+from tests.test_pipeline import _canonical
 from tests.test_search_identity import LIMITS, corpus
 
 
@@ -161,3 +172,147 @@ class TestDeadlineDuringBackground:
         report = check_scope(scope, LIMITS)
         assert all(v.status is ImplStatus.VERIFIED for v in report.verdicts)
         assert scope.vc_background._prepared is not None
+
+
+# ----------------------------------------------------------------------
+# Preparing up front
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
+@pytest.mark.parametrize("name,source", CORPUS, ids=[name for name, _ in CORPUS])
+def test_preparing_up_front_equals_preparing_in_the_first_solver(
+    name, source, explain
+):
+    warm, cold = _scope(source), _scope(source)
+    background = scope_background_of(warm)
+    assert background.prepare(LIMITS)
+    assert all(record.matchers is not None for record in background._prepared.quants)
+    for warm_impl, cold_impl in zip(_impls(warm), _impls(cold)):
+        resumed = vc_for_impl(warm, warm_impl).prove(LIMITS, explain=explain)
+        prepared_itself = vc_for_impl(cold, cold_impl).prove(LIMITS, explain=explain)
+        assert _fingerprint(resumed) == _fingerprint(prepared_itself), warm_impl.name
+    assert cold.vc_background._prepared is not None
+
+
+def test_a_second_prepare_does_nothing(monkeypatch):
+    background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+    assert background.prepare(LIMITS)
+    prepared = background._prepared
+    matchers = [record.matchers for record in prepared.quants]
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a prepared background built a solver")
+
+    monkeypatch.setattr(core, "Solver", no_solver)
+    assert background.prepare(LIMITS)
+    assert background._prepared is prepared
+    assert [record.matchers for record in prepared.quants] == matchers
+
+
+def test_a_background_that_closes_prepares_closed():
+    a = Const("a")
+    background = Background([Pred("p", (a,)), Not(Pred("p", (a,)))])
+    assert background.prepare(LIMITS)
+    assert background._prepared.closed
+    result = prove_valid([], Pred("r", (a,)), LIMITS, background=background)
+    assert result.verdict is Verdict.UNSAT
+
+
+class TestPrepareStoresNothing:
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            Limits(time_budget=-1.0),
+            Limits(time_budget=60.0, scope_deadline=time.monotonic() - 1.0),
+        ],
+        ids=["time-budget", "scope-deadline"],
+    )
+    def test_past_its_deadline(self, limits):
+        background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+        assert not background.prepare(limits)
+        assert background._prepared is None
+        assert background.prepare(LIMITS)
+
+    def test_when_asserting_raises(self, monkeypatch):
+        background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+
+        def broken(self, formula, state):
+            raise RuntimeError("assert failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core.Solver, "_assert", broken)
+            with pytest.raises(RuntimeError):
+                background.prepare(LIMITS)
+        assert background._prepared is None
+
+    def test_when_compiling_raises(self, monkeypatch):
+        background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+
+        def broken(self):
+            raise RuntimeError("compile failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core._QuantRecord, "compile", broken)
+            with pytest.raises(RuntimeError):
+                background.prepare(LIMITS)
+        assert background._prepared is None
+        assert background.prepare(LIMITS)
+
+
+class TestParallelPreparesBeforeForking:
+    def test_workers_resume_from_the_parents_background(self, monkeypatch):
+        """No worker asserts the background itself: a solver that would
+        prepare it in a worker fails that job."""
+        parent = os.getpid()
+        original = core.Solver._prepare
+
+        def parent_only(self, *args, **kwargs):
+            assert os.getpid() == parent, "a worker prepared the background"
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(core.Solver, "_prepare", parent_only)
+        scope = _scope(generate_impl_farm(4, 3))
+        report = check_scope(scope, LIMITS, parallel=2)
+        assert [v.status for v in report.verdicts] == [ImplStatus.VERIFIED] * 4
+        background = scope.vc_background
+        assert background._prepared is not None
+        assert all(r.matchers is not None for r in background._prepared.quants)
+
+    def test_a_prepare_that_raises_leaves_the_report_unchanged(
+        self, monkeypatch
+    ):
+        source = dict(CORPUS)["examples/failing/bad_call.oolong"]
+        serial = _canonical(check_scope(_scope(source), LIMITS))
+        assert "not proved" in serial
+
+        def broken(self, limits=None):
+            raise RuntimeError("prepare failed")
+
+        monkeypatch.setattr(Background, "prepare", broken)
+        scope = _scope(source)
+        assert _canonical(check_scope(scope, LIMITS, parallel=2)) == serial
+        assert scope.vc_background._prepared is None
+
+    def test_a_spent_time_budget_leaves_the_report_unchanged(self):
+        spent = Limits(time_budget=-1.0)
+        source = generate_impl_farm(3, 3)
+        serial = _canonical(check_scope(_scope(source), spent))
+        scope = _scope(source)
+        assert _canonical(check_scope(scope, spent, parallel=2)) == serial
+        assert scope.vc_background._prepared is None
+
+    def test_a_passed_scope_deadline_prepares_nothing(self):
+        scope = _scope(generate_impl_farm(3, 3))
+        outcome = run_parallel_checks(
+            scope,
+            LIMITS,
+            options=ParallelOptions(jobs=2),
+            scope_deadline=time.monotonic() - 1.0,
+        )
+        for job in outcome.jobs:
+            assert job.verdict.status is ImplStatus.TIMED_OUT
+            assert "before this implementation was checked" in (
+                job.verdict.error.message
+            )
+        assert scope.vc_background._prepared is None
