@@ -71,8 +71,8 @@ from repro.parallel.worker import (
     JobRequest,
     JobResult,
     detach_from_parent,
+    encode_result,
     run_job,
-    untransportable,
 )
 from repro.prover.core import Limits
 from repro.testing.faults import (
@@ -898,8 +898,15 @@ def _worker_session(
         )
         if result is None:
             continue
+        # A pickling error or a frame over MAX_FRAME is raised before any
+        # byte is written, so it costs only this job (see encode_result).
+        frame = encode_result(
+            lambda message: encode_frame(("result", lease_id, message)),
+            request,
+            result,
+        )
         try:
-            channel.send_frame(_result_frame(lease_id, request, result))
+            channel.send_frame(frame)
         except TransportError:
             return "lost"
         if jobs_served is not None:
@@ -931,23 +938,6 @@ def _prove_with_renewals(
         stop_event.set()
         renewer.join(timeout=1.0)
     return result
-
-
-def _result_frame(
-    lease_id: int, request: JobRequest, result: JobResult
-) -> bytes:
-    """The ``result`` message of a lease, encoded once.
-
-    A result that does not encode — a pickling error, or a frame over
-    ``MAX_FRAME``, both raised before any byte is written — is replaced
-    by the :func:`~repro.parallel.worker.untransportable` fallback.
-    """
-    try:
-        return encode_frame(("result", lease_id, result))
-    except Exception as error:
-        return encode_frame(
-            ("result", lease_id, untransportable(request, error))
-        )
 
 
 class WorkerPool:

@@ -164,10 +164,7 @@ def worker_main(
             result = _run_job(scope, request, stop_event)
             if result is None:
                 continue
-            try:
-                payload = ForkingPickler.dumps(result)
-            except Exception as error:
-                payload = ForkingPickler.dumps(untransportable(request, error))
+            payload = encode_result(ForkingPickler.dumps, request, result)
             try:
                 conn.send_bytes(payload)
             except (OSError, ValueError):
@@ -176,15 +173,28 @@ def worker_main(
         stop_event.set()
 
 
-def untransportable(request: JobRequest, error: Exception) -> JobResult:
-    """The result sent instead of one that would not encode (an
-    unpicklable object smuggled into an explanation, say): the parent
-    files it as an ``INTERNAL_ERROR``/``OL900`` verdict for that job."""
-    return JobResult(
-        job_id=request.job_id,
-        attempt=request.attempt,
-        failure=f"result not transportable: {type(error).__name__}: {error}",
-    )
+def encode_result(encode, request: JobRequest, result: JobResult):
+    """``encode(result)``, the one encoding a result gets before it is
+    sent.
+
+    A result that does not encode (an unpicklable object smuggled into
+    an explanation, say) is replaced by a ``result not transportable``
+    failure, which the parent files as an ``INTERNAL_ERROR``/``OL900``
+    verdict for that job alone.
+    """
+    try:
+        return encode(result)
+    except Exception as error:
+        return encode(
+            JobResult(
+                job_id=request.job_id,
+                attempt=request.attempt,
+                failure=(
+                    "result not transportable: "
+                    f"{type(error).__name__}: {error}"
+                ),
+            )
+        )
 
 
 def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:

@@ -19,9 +19,9 @@ import pytest
 from repro import obs
 from repro.api import check_program
 from repro.corpus.generators import generate_impl_farm
-from repro.parallel import fleet, transport
+from repro.parallel import transport
 from repro.parallel.jobs import JobPolicy
-from repro.parallel.worker import JobRequest, JobResult
+from repro.parallel.worker import JobRequest, JobResult, encode_result
 from repro.prover.core import Limits
 from repro.vcgen import checker
 from repro.vcgen.checker import ImplStatus
@@ -179,12 +179,18 @@ def test_an_unpicklable_verdict_fails_only_its_job(backend, monkeypatch):
 def test_a_result_frame_over_max_frame_becomes_the_fallback(monkeypatch):
     request = JobRequest(job_id=7, proc_name="job7", impl_index=0, attempt=1)
     result = JobResult(job_id=7, attempt=1, spans=[{"name": "x" * 4096}])
-    frame = fleet._result_frame(3, request, result)
-    assert pickle.loads(frame[transport.HEADER.size:]) == ("result", 3, result)
 
+    def frame(message):
+        return transport.encode_frame(("result", 3, message))
+
+    def decoded(payload):
+        return pickle.loads(payload[transport.HEADER.size:])
+
+    assert decoded(encode_result(frame, request, result)) == (
+        "result", 3, result
+    )
     monkeypatch.setattr(transport, "MAX_FRAME", 1024)
-    frame = fleet._result_frame(3, request, result)
-    kind, lease, fallback = pickle.loads(frame[transport.HEADER.size:])
+    kind, lease, fallback = decoded(encode_result(frame, request, result))
     assert (kind, lease) == ("result", 3)
     assert (fallback.job_id, fallback.attempt) == (7, 1)
     assert fallback.verdict is None and fallback.spans == []
