@@ -13,9 +13,11 @@ reproduce, for every scope below:
   obligation list.
 
 The corpus is every ``examples/**/*.oolong`` file, the paper's programs,
-one scope per generator, a scope of ``[]`` chains, and a 100-impl farm
-and a 150-link call chain carrying the end-to-end benchmark's planted
-mutants (``e2ebench/inputs.py``'s ``plant``).
+one scope per generator, a scope of ``[]`` chains, write-heavy scopes (a
+24-field wide scope, a 1 × 48 farm, and writes around calls and ``var``
+blocks), and a 100-impl farm and a 150-link call chain carrying the
+end-to-end benchmark's planted mutants (``e2ebench/inputs.py``'s
+``plant``).
 
 The golden file was written by the code *before* such a refactor; when
 a change deliberately alters a static result, regenerate it and say
@@ -127,6 +129,51 @@ impl leak(s, r) {
 }
 """
 
+#: Writes before and after calls and ``var`` blocks, so the store
+#: substitution of each write crosses call frame quantifiers and local
+#: binders: two sequential blocks bind the same local, and a write that
+#: stores it crosses the later block (capture-avoiding renaming).
+WRITES_AROUND_CALLS = """\
+group data
+field f in data
+field g in data
+field h in data
+proc touch(t) modifies t.data
+impl touch(t) {
+  assume t != null ;
+  t.f := 1
+}
+proc mixed(t, u) modifies t.data, u.data
+impl mixed(t, u) {
+  assume t != null ;
+  assume u != null ;
+  t.f := 1 ;
+  t.g := 2 ;
+  touch(t) ;
+  var x in
+    x := t.f ;
+    u.f := x ;
+    var y in
+      y := new() ;
+      y.g := 3 ;
+      t.h := y.g ;
+      touch(u)
+    end ;
+    u.g := x
+  end ;
+  t.f := 4 ;
+  var x in
+    x := u.g ;
+    touch(t) ;
+    t.g := x ;
+    u.h := x + 1
+  end ;
+  touch(u) ;
+  u.h := 5 ;
+  assert t.g = u.g
+}
+"""
+
 
 def e2ebench_inputs():
     """The end-to-end benchmark's input module, loaded from its file (the
@@ -164,6 +211,9 @@ def corpus():
     yield "farm-3x4", None, generate_impl_farm(3, 4)
     yield "chain-6", None, generate_call_chain(6)
     yield "choice-chains", None, CHOICE_CHAINS
+    yield "wide-24", None, generate_wide_scope(24)
+    yield "farm-1x48", None, generate_impl_farm(1, 48)
+    yield "writes-around-calls", None, WRITES_AROUND_CALLS
 
     plant = _plant()
     source = generate_impl_farm(100, 8)
