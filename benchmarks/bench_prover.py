@@ -14,6 +14,14 @@ instance per field. The row also records each farm's E-matching volume
 (``farm<N>_matches``), so a change that keeps the search unchanged shows
 the same counts.
 
+Three more absolute keys, which no guard reads, time the work around the
+search: ``ubp_prepare_ms`` is asserting the universal background UBP
+and compiling its matchers once (what a process pays once for every
+scope's background to resume from), and ``farm<N>_vcgen_ms`` /
+``farm<N>_subst_terms`` are the VC generation time of a 1 × N farm and
+the number of calls into the term substitution it makes (each of the N
+writes substitutes a store term into the rest of the body's VC).
+
 Run as a script (``python benchmarks/bench_prover.py``) it re-measures
 and rewrites ``BENCH_prover.json`` at the repo root.
 """
@@ -32,13 +40,18 @@ from benchmarks.conftest import print_row
 from repro.corpus.generators import generate_impl_farm
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
-from repro.prover.core import Limits
+from repro.prover.core import Background, Limits
+from repro.vcgen.background import universal_background
 from repro.vcgen.checker import ImplStatus, check_scope
+from repro.vcgen.vc import vc_for_impl
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_prover.json")
 
 #: Field counts of the measured farms.
 FIELDS = (12, 24, 48)
+
+#: Field counts of the farms whose VC generation is measured.
+VCGEN_FIELDS = (24, 48)
 
 
 def _farm_scope(fields):
@@ -66,6 +79,60 @@ def measure_prover(limits, repeats=1):
     return row
 
 
+def _count_subst_term_calls(fn):
+    """Run ``fn`` and count the calls into term substitution
+    (``repro.logic.subst``'s ``subst_term`` and its helpers)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if (
+            event == "call"
+            and "subst_term" in code.co_name
+            and code.co_filename.endswith(os.path.join("logic", "subst.py"))
+        ):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def measure_background_and_vcgen(repeats=5):
+    """Best-of-``repeats`` UBP prepare time, and each
+    :data:`VCGEN_FIELDS` farm's VC generation time (on a fresh
+    :class:`Scope` each time) and substitution call count."""
+    row = {}
+    best = None
+    for _ in range(repeats):
+        background = Background(universal_background())
+        start = time.perf_counter()
+        assert background.prepare(Limits())
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    row["ubp_prepare_ms"] = round(best * 1000, 2)
+    for fields in VCGEN_FIELDS:
+        best = None
+        for _ in range(repeats):
+            scope = _farm_scope(fields)
+            (impl,) = scope.impls["job0"]
+            start = time.perf_counter()
+            vc_for_impl(scope, impl)
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+        row[f"farm{fields}_vcgen_ms"] = round(best * 1000, 2)
+        scope = _farm_scope(fields)
+        (impl,) = scope.impls["job0"]
+        row[f"farm{fields}_subst_terms"] = _count_subst_term_calls(
+            lambda: vc_for_impl(scope, impl)
+        )
+    return row
+
+
 def measure_for_regression():
     """Entry point for ``benchmarks/check_regression.py``."""
     return measure_prover(Limits(time_budget=120.0))
@@ -81,9 +148,14 @@ def test_farms_verify_with_one_instance_per_field(limits):
 
 def main():
     row = measure_prover(Limits(time_budget=120.0), repeats=3)
+    row.update(measure_background_and_vcgen())
     payload = {
         "benchmark": "prover",
-        "unit": "milliseconds of check_scope on a 1-impl farm, best of 3",
+        "unit": (
+            "milliseconds of check_scope on a 1-impl farm, best of 3; "
+            "milliseconds to prepare UBP and to generate a farm's VC, "
+            "best of 5; calls into term substitution per VC"
+        ),
         "guard": "every farm verifies with one instance per field",
         "regression_keys": [f"farm{fields}_ms" for fields in FIELDS],
         "entries": [row],

@@ -27,7 +27,9 @@ none are given.
 Every node computes its structural hash at most once (see
 :func:`_hash_once`): the prover probes sets and dicts keyed by deep
 formulas many times over, and a frozen dataclass would otherwise re-hash
-the whole tree on each probe.
+the whole tree on each probe. Likewise a :class:`Pred` builds the
+application term the prover interns for it once (:attr:`Pred.atom`).
+Both caches live in the instance ``__dict__`` and never cross a pickle.
 """
 
 from __future__ import annotations
@@ -36,14 +38,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
 
 
+#: Per-process values a node computes once and keeps in its ``__dict__``.
+_CACHES = ("_hash", "_atom")
+
+
 def _hash_once(cls):
     """Cache the dataclass-generated hash of ``cls`` on each instance.
 
     Values, ``==``, ``repr`` and the dataclass fields are unchanged; the
     hash is stored in the instance ``__dict__`` on first use. Pickling
-    (and so ``copy``/``deepcopy``) drops it: ``str`` hashes differ from
-    process to process, so a hash carried to another process would be
-    wrong there.
+    (and so ``copy``/``deepcopy``) drops it, and every other cache in
+    :data:`_CACHES`: ``str`` hashes differ from process to process, so a
+    hash carried to another process would be wrong there.
     """
     structural = cls.__hash__
 
@@ -57,7 +63,8 @@ def _hash_once(cls):
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        for name in _CACHES:
+            state.pop(name, None)
         return state
 
     cls.__hash__ = __hash__
@@ -177,6 +184,17 @@ class Pred(Formula):
 
     name: str
     args: Tuple[Term, ...]
+
+    @property
+    def atom(self) -> App:
+        """``name(args...)`` as a term: the node the prover interns for
+        this atom, built once per ``Pred``."""
+        try:
+            return self._atom
+        except AttributeError:
+            atom = App(self.name, self.args)
+            object.__setattr__(self, "_atom", atom)
+            return atom
 
     def __str__(self) -> str:
         rendered = ", ".join(str(a) for a in self.args)

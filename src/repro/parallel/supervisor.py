@@ -32,10 +32,10 @@ ledger replay, cache hits) and storing fresh verdicts in the result
 cache are the checker's business (:mod:`repro.vcgen.checker`).
 
 Warm workers: before the first fork the supervisor prepares the
-scope's prover background (UBP ∧ BP_D asserted, every quantifier's
-matchers compiled; :meth:`repro.prover.core.Background.prepare`), so
-each forked worker resumes from that state instead of building it
-again.
+scope's prover background (BP_D asserted on top of the process's UBP,
+which is prepared first if it is not yet, every quantifier's matchers
+compiled; :meth:`repro.prover.core.Background.prepare`), so each forked
+worker resumes from that state instead of building it again.
 
 Observability: under an installed tracer the supervisor emits one
 ``supervisor`` pipeline span, one implementation span per job carrying
@@ -205,7 +205,7 @@ class WorkerSupervisor:
     def _prepare_background(self) -> None:
         """Prepare the scope's prover background before the first fork,
         so every worker resumes from the E-graph and compiled matchers
-        it inherits rather than asserting UBP ∧ BP_D itself.
+        it inherits rather than asserting UBP or BP_D itself.
 
         The prepare runs under a job's time budget and the scope
         deadline. If it runs out or raises, it stores nothing and each

@@ -31,7 +31,6 @@ from repro.logic.nnf import FreshNames, negate, skolemize, to_nnf
 from repro.logic.subst import formula_free_vars, subst_formula
 from repro.logic.terms import (
     And,
-    App,
     Eq,
     Exists,
     FalseF,
@@ -180,6 +179,10 @@ class ProverResult:
 class _QuantRecord:
     formula: Forall
     triggers: Tuple[Tuple[Term, ...], ...]
+    #: The integer that stands for ``formula`` in the solver's instance
+    #: keys: records of structurally equal quantifiers share it (see
+    #: ``Solver._quantifier_ids``).
+    ident: int = 0
     #: Built the first time the record is matched: a ``(matcher,
     #: parameters)`` pair per multi-pattern …
     matchers: Optional[Tuple[Tuple[Callable, Tuple[Term, ...]], ...]] = field(
@@ -199,7 +202,11 @@ class _QuantRecord:
 
     def __getstate__(self):
         # Generated functions do not pickle; a copy compiles again.
-        return {"formula": self.formula, "triggers": self.triggers}
+        return {
+            "formula": self.formula,
+            "triggers": self.triggers,
+            "ident": self.ident,
+        }
 
 
 def compile_width(quantifier: Forall) -> Tuple[Callable, Tuple[Term, ...]]:
@@ -435,8 +442,11 @@ class _Prepared:
     facts: Tuple[Formula, ...]
     #: … whether the last of them closed the refutation …
     closed: bool
-    #: … and the ``FreshNames`` counters their skolemization left.
+    #: … the ``FreshNames`` counters their skolemization left …
     names: Tuple[Tuple[str, int], ...]
+    #: … and the quantifiers registered so far, by instance-key integer.
+    quantifiers: Tuple[Forall, ...]
+    quantifier_ids: Dict[Forall, int]
     #: ``ProverStats`` counters at the boundary.
     added: int
     conflicts: int
@@ -444,14 +454,21 @@ class _Prepared:
 
 
 class Background:
-    """Closed hypotheses shared by many checks: a scope's UBP ∧ BP_D.
+    """Closed hypotheses shared by many checks: UBP, or a scope's UBP ∧ BP_D.
 
-    The first :class:`Solver` given a background asserts its formulas as
-    its leading facts and, at the boundary after the last one, stores the
-    state they built here. Later solvers start from a copy of that state
-    and assert only their own facts; verdicts, statistics and proof logs
-    are those of asserting everything from scratch. A deadline or an
-    exception before the boundary stores nothing.
+    A background may extend a ``base``: its formulas are the base's,
+    followed by its own. The checker keeps one UBP background per process
+    and gives each scope a background that extends it
+    (:func:`repro.vcgen.vc.scope_background_of`), so UBP is asserted once
+    per process and BP_D once per scope.
+
+    A :class:`Solver` given a background resumes from the state of the
+    last background along the chain that is prepared, and asserts only
+    the formulas after it. At the boundary after each later background's
+    last formula it stores the state they built on that background.
+    Verdicts, statistics and proof logs are those of asserting everything
+    from scratch. A deadline or an exception before a boundary stores
+    nothing there.
 
     :meth:`prepare` stores the state without a check of its own. The
     ``-j`` supervisor prepares its scope's background before it forks
@@ -461,37 +478,45 @@ class Background:
     The state is process-local: its owner keeps it out of pickles.
     """
 
-    def __init__(self, formulas: List[Formula]):
-        self.formulas: Tuple[Formula, ...] = tuple(formulas)
+    def __init__(
+        self, formulas: List[Formula], base: Optional["Background"] = None
+    ):
+        self.base = base
+        own = tuple(formulas)
+        self.formulas: Tuple[Formula, ...] = (
+            own if base is None else base.formulas + own
+        )
         self._prepared: Optional[_Prepared] = None
 
     def prepare(self, limits: Optional[Limits] = None) -> bool:
-        """Store the state at the boundary now, and compile the matchers
-        and width function of every quantifier in it.
+        """Store the state at the boundary now (its bases' too), and
+        compile the matchers and width function of every quantifier in it.
 
         The formulas are asserted in a throwaway :class:`Solver`, as the
         first solver given this background would assert them. ``limits``
         bound it by their ``time_budget`` and ``scope_deadline``: a
-        prepare that passes either, or raises, stores nothing. Returns
-        whether the background is prepared; once it is, a call does
-        nothing.
+        prepare that passes either, or raises, stores nothing, on this
+        background or its bases. Returns whether the background is
+        prepared; once it is, a call does nothing.
         """
         if self._prepared is None:
             solver = Solver(limits, background=self)
-            solver._arm_deadline(time.monotonic())
-            solver._assert_facts(_State(), 0)
-            prepared = self._prepared
-            if prepared is None:
-                return False
+            pending = [background for _, background, _ in solver._boundaries]
             try:
-                for record in prepared.quants:
-                    if record.matchers is None:
-                        record.compile()
+                solver._arm_deadline(time.monotonic())
+                solver._load(_State())
+                prepared = self._prepared
+                if prepared is not None:
+                    for record in prepared.quants:
+                        if record.matchers is None:
+                            record.compile()
             except BaseException:
-                self._prepared = None
+                for background in pending:
+                    background._prepared = None
                 raise
-            if solver._out_of_time():
-                self._prepared = None
+            if self._prepared is None or solver._out_of_time():
+                for background in pending:
+                    background._prepared = None
         return self._prepared is not None
 
 
@@ -499,8 +524,8 @@ class Solver:
     """A refutation-based solver for closed first-order formulas.
 
     With a ``background``, the solver's leading facts are the background's
-    formulas: the first solver asserts them and prepares the background,
-    the later ones resume from it (see :class:`Background`).
+    formulas: it resumes from the background's prepared state, or its
+    base's, and prepares the rest (see :class:`Background`).
     """
 
     def __init__(
@@ -511,21 +536,54 @@ class Solver:
         background: Optional[Background] = None,
     ):
         self.limits = limits or Limits()
-        #: With a ``background``: the prepared state this solver resumes
-        #: from, once there is one …
-        self._resumed = background._prepared if background is not None else None
-        self.egraph = (
-            EGraph() if self._resumed is None else self._resumed.egraph.copy()
-        )
+        # The background and its bases, outermost first, up to the first
+        # prepared one: that one's state is resumed, the others prepared.
+        unprepared: List[Background] = []
+        resumed: Optional[_Prepared] = None
+        while background is not None:
+            resumed = background._prepared
+            if resumed is not None:
+                break
+            unprepared.append(background)
+            background = background.base
+        #: The prepared state this solver resumes from, if any.
+        self._resumed = resumed
         self.stats = ProverStats()
-        self._fresh = FreshNames()
-        self._facts: List[Formula] = []
-        #: … else the background this solver prepares, the number of its
-        #: facts (0: nothing to prepare) and the name counters they left.
-        self._background = background
-        self._boundary = 0
-        self._background_names: Tuple[Tuple[str, int], ...] = ()
-        #: Instance keys asserted in the current branch …
+        if resumed is None:
+            self.egraph = EGraph()
+            self._fresh = FreshNames()
+            self._facts: List[Formula] = []
+            #: Every quantifier registered, by the integer that stands for
+            #: it in instance keys, and the integer of each (structurally
+            #: equal quantifiers share one, as they share instances).
+            self._quantifiers: List[Forall] = []
+            self._quantifier_ids: Dict[Forall, int] = {}
+        else:
+            self.egraph = resumed.egraph.copy()
+            self._fresh = FreshNames(dict(resumed.names))
+            self._facts = list(resumed.facts)
+            self._quantifiers = list(resumed.quantifiers)
+            self._quantifier_ids = dict(resumed.quantifier_ids)
+            self.stats.facts = resumed.added
+            self.stats.conflicts = resumed.conflicts
+            self.stats.unmatchable_quantifiers = resumed.unmatchable
+        #: ``(formula count, background, name counters)`` at the boundary
+        #: of each background this solver prepares, innermost first.
+        #: Asserting NNF, skolemized facts draws no names, so the counters
+        #: after adding a background's formulas are those at its boundary.
+        self._boundaries: List[
+            Tuple[int, Background, Tuple[Tuple[str, int], ...]]
+        ] = []
+        added = resumed.added if resumed is not None else 0
+        for pending in reversed(unprepared):
+            for formula in pending.formulas[added:]:
+                self.add(formula)
+            added = len(pending.formulas)
+            self._boundaries.append(
+                (added, pending, tuple(self._fresh.counters().items()))
+            )
+        #: Instance keys ``(quantifier integer, nodes)`` asserted in the
+        #: current branch …
         self._seen: Set[Tuple] = set()
         #: … and candidates whose instance already holds there (width −1).
         #: The E-graph only grows within a branch, so they stay redundant —
@@ -546,20 +604,6 @@ class Solver:
         self.explain = explain
         self._journal: Optional[List[ProofStep]] = [] if explain else None
         self._countermodel: Optional[Countermodel] = None
-        prepared = self._resumed
-        if prepared is not None:
-            self._fresh = FreshNames(dict(prepared.names))
-            self._facts = list(prepared.facts)
-            self.stats.facts = prepared.added
-            self.stats.conflicts = prepared.conflicts
-            self.stats.unmatchable_quantifiers = prepared.unmatchable
-        elif background is not None:
-            for formula in background.formulas:
-                self.add(formula)
-            self._boundary = len(self._facts)
-            # Asserting NNF, skolemized facts draws no names, so these are
-            # the counters at the boundary too.
-            self._background_names = tuple(self._fresh.counters().items())
 
     # ------------------------------------------------------------------
     # Loading formulas
@@ -570,8 +614,12 @@ class Solver:
         free = formula_free_vars(formula)
         if free:
             raise ValueError(f"formula must be closed; free: {sorted(free)}")
-        nnf = to_nnf(formula)
-        self._facts.append(skolemize(nnf, self._fresh, "hyp"))
+        atom = formula.body if isinstance(formula, Not) else formula
+        if isinstance(atom, (Eq, Pred)):
+            # A literal is its own NNF and has nothing to skolemize.
+            self._facts.append(formula)
+        else:
+            self._facts.append(skolemize(to_nnf(formula), self._fresh, "hyp"))
         self.stats.facts += 1
 
     def add_negated_goal(self, goal: Formula) -> None:
@@ -592,25 +640,7 @@ class Solver:
         start = time.monotonic()
         self._arm_deadline(start)
         state = _State()
-        verdict: Optional[Verdict] = None
-        prepared = self._resumed
-        if prepared is None:
-            verdict = self._assert_facts(state, 0)
-        else:
-            # The journal prefix is the one asserting the background
-            # would have written.
-            if self._journal is not None:
-                for fact in prepared.facts:
-                    self._journal.append(ProofStep(STEP_FACT, formula=fact))
-            if prepared.closed:
-                if self._journal is not None:
-                    self._journal.append(
-                        ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)
-                    )
-                verdict = Verdict.UNSAT
-            else:
-                state = _State(list(prepared.disjunctions), list(prepared.quants))
-                verdict = self._assert_facts(state, len(prepared.facts))
+        verdict = self._load(state)
         if verdict is None:
             verdict = self._search(state, 0)
         self.stats.elapsed = time.monotonic() - start
@@ -633,9 +663,37 @@ class Solver:
                 else min(self._deadline, self.limits.scope_deadline)
             )
 
+    def _load(self, state: _State) -> Optional[Verdict]:
+        """Resume into ``state`` and assert the facts after the resumed
+        ones; a verdict if that decides the check."""
+        prepared = self._resumed
+        if prepared is not None and self._out_of_time():
+            # Asserting from scratch stops before the first fact: so does
+            # a resumed solver, with nothing of the resumed state.
+            self.egraph = EGraph()
+            self.stats.conflicts = self.stats.unmatchable_quantifiers = 0
+            prepared = None
+        if prepared is None:
+            return self._assert_facts(state, 0)
+        # The journal prefix is the one asserting the background would
+        # have written.
+        if self._journal is not None:
+            for fact in prepared.facts:
+                self._journal.append(ProofStep(STEP_FACT, formula=fact))
+        if prepared.closed:
+            if self._journal is not None:
+                self._journal.append(ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL))
+            if self._boundaries:
+                self._prepare(state, len(prepared.facts), closed=True)
+            return Verdict.UNSAT
+        state.disjunctions = list(prepared.disjunctions)
+        state.quants = list(prepared.quants)
+        return self._assert_facts(state, len(prepared.facts))
+
     def _assert_facts(self, state: _State, first: int) -> Optional[Verdict]:
         """Assert the facts from index ``first`` on; a verdict if that
-        decides the check. Passing the background's boundary prepares it."""
+        decides the check. Passing a background's boundary prepares it."""
+        boundaries = self._boundaries
         for index in range(first, len(self._facts)):
             if self._out_of_time():
                 self._record_sat_markers()
@@ -648,26 +706,34 @@ class Solver:
                     self._journal.append(
                         ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)
                     )
-                if index < self._boundary:
+                if boundaries:
                     self._prepare(state, index + 1, closed=True)
                 return Verdict.UNSAT
-            if index + 1 == self._boundary:
+            if boundaries and index + 1 == boundaries[0][0]:
                 self._prepare(state, index + 1, closed=False)
         return None
 
     def _prepare(self, state: _State, asserted: int, closed: bool) -> None:
-        """Store the state after the background's facts on the background."""
-        self._background._prepared = _Prepared(
-            egraph=self.egraph.copy(),
-            disjunctions=tuple(state.disjunctions),
-            quants=tuple(state.quants),
-            facts=tuple(self._facts[:asserted]),
-            closed=closed,
-            names=self._background_names,
-            added=self._boundary,
-            conflicts=self.stats.conflicts,
-            unmatchable=self.stats.unmatchable_quantifiers,
-        )
+        """Store the state after ``asserted`` facts on the backgrounds
+        whose boundary it is, or a closed state on every pending one."""
+        egraph = None
+        while self._boundaries and (closed or self._boundaries[0][0] == asserted):
+            added, background, names = self._boundaries.pop(0)
+            if egraph is None:
+                egraph = self.egraph.copy()
+            background._prepared = _Prepared(
+                egraph=egraph,
+                disjunctions=tuple(state.disjunctions),
+                quants=tuple(state.quants),
+                facts=tuple(self._facts[:asserted]),
+                closed=closed,
+                names=names,
+                quantifiers=tuple(self._quantifiers),
+                quantifier_ids=dict(self._quantifier_ids),
+                added=added,
+                conflicts=self.stats.conflicts,
+                unmatchable=self.stats.unmatchable_quantifiers,
+            )
 
     # ------------------------------------------------------------------
     # Assertion of NNF formulas
@@ -701,7 +767,7 @@ class Solver:
                 return False
             return True
         if isinstance(formula, Pred):
-            node = self.egraph.intern(App(formula.name, formula.args))
+            node = self.egraph.intern(formula.atom)
             if not self.egraph.assert_eq(node, self.egraph.TRUE):
                 self.stats.conflicts += 1
                 return False
@@ -716,7 +782,7 @@ class Solver:
                     return False
                 return True
             if isinstance(body, Pred):
-                node = self.egraph.intern(App(body.name, body.args))
+                node = self.egraph.intern(body.atom)
                 if not self.egraph.assert_eq(node, self.egraph.FALSE):
                     self.stats.conflicts += 1
                     return False
@@ -748,41 +814,34 @@ class Solver:
             if not triggers:
                 self.stats.unmatchable_quantifiers += 1
                 return
-        state.quants.append(_QuantRecord(formula, triggers))
+        ident = self._quantifier_ids.get(formula)
+        if ident is None:
+            ident = len(self._quantifiers)
+            self._quantifier_ids[formula] = ident
+            self._quantifiers.append(formula)
+        state.quants.append(_QuantRecord(formula, triggers, ident))
 
     # ------------------------------------------------------------------
     # Three-valued evaluation against the E-graph
     # ------------------------------------------------------------------
 
     def _eval(self, formula: Formula) -> Optional[bool]:
-        if isinstance(formula, TrueF):
-            return True
-        if isinstance(formula, FalseF):
-            return False
-        if isinstance(formula, Eq):
-            left = self.egraph.intern(formula.left)
-            right = self.egraph.intern(formula.right)
-            if self.egraph.are_equal(left, right):
+        kind = formula.__class__
+        if kind is Pred:
+            return self.egraph.truth(self.egraph.intern(formula.atom))
+        if kind is Eq:
+            egraph = self.egraph
+            left = egraph.intern(formula.left)
+            right = egraph.intern(formula.right)
+            if egraph.are_equal(left, right):
                 return True
-            if self.egraph.are_diseq(left, right):
+            if egraph.are_diseq(left, right):
                 return False
             return None
-        if isinstance(formula, Pred):
-            node = self.egraph.intern(App(formula.name, formula.args))
-            return self.egraph.truth(node)
-        if isinstance(formula, Not):
+        if kind is Not:
             inner = self._eval(formula.body)
             return None if inner is None else not inner
-        if isinstance(formula, And):
-            value = True
-            for conjunct in formula.conjuncts:
-                inner = self._eval(conjunct)
-                if inner is False:
-                    return False
-                if inner is None:
-                    value = None
-            return value
-        if isinstance(formula, Or):
+        if kind is Or:
             value = False
             for disjunct in formula.disjuncts:
                 inner = self._eval(disjunct)
@@ -791,6 +850,19 @@ class Solver:
                 if inner is None:
                     value = None
             return value
+        if kind is And:
+            value = True
+            for conjunct in formula.conjuncts:
+                inner = self._eval(conjunct)
+                if inner is False:
+                    return False
+                if inner is None:
+                    value = None
+            return value
+        if kind is TrueF:
+            return True
+        if kind is FalseF:
+            return False
         return None  # quantifiers and anything else: unknown
 
     def _simplify_disjunction(self, formula: Or):
@@ -857,7 +929,10 @@ class Solver:
                 self._record_sat_markers(force=True)
                 if self.explain and self._countermodel is None:
                     self._countermodel = capture_countermodel(
-                        self.egraph, self._seen, self.stats.sat_markers
+                        self.egraph,
+                        self._seen,
+                        self.stats.sat_markers,
+                        self._quantifiers,
                     )
                 return Verdict.SAT
 
@@ -1017,6 +1092,7 @@ class Solver:
             if record.matchers is None:
                 record.compile()
             quantifier = record.formula
+            ident = record.ident
             effective_limit = width_limit
             if quantifier.width_cap is not None:
                 effective_limit = min(width_limit, quantifier.width_cap)
@@ -1026,14 +1102,16 @@ class Solver:
                 closing = None
                 for nodes in matcher(egraph, parameters):
                     matches += 1
-                    if self._out_of_time():
+                    # The deadline is read every 32 bindings (and at the
+                    # first): the clock is dearer than a binding.
+                    if matches & 31 == 1 and self._out_of_time():
                         self._count_matches(quantifier, matches)
                         return "resource"
                     if matches > max_matches:
                         break
                     if nodes is None:
                         continue  # trigger did not bind every variable
-                    key = (quantifier, nodes)
+                    key = (ident, nodes)
                     if key in seen or key in redundant:
                         continue
                     width = width_of(egraph, width_parameters, nodes)
@@ -1080,7 +1158,7 @@ class Solver:
                 return "resource"
             if key in self._seen:
                 continue
-            quantifier, nodes = key
+            quantifier, nodes = record.formula, key[1]
             width_of, width_parameters = self._width_of(record)
             width = width_of(self.egraph, width_parameters, nodes)
             if width < 0:

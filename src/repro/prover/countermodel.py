@@ -170,12 +170,15 @@ class Countermodel:
         }
 
 
-def capture_countermodel(egraph, seen_instances, markers) -> Countermodel:
+def capture_countermodel(
+    egraph, seen_instances, markers, quantifiers
+) -> Countermodel:
     """Snapshot ``egraph`` (and the instantiation ledger) at a SAT leaf.
 
     ``seen_instances`` is the solver's ``_seen`` key set — pairs of
-    ``(quantifier, witness node tuple)`` alive on the current branch;
-    ``markers`` the obligation-marker ids true in the branch.
+    ``(quantifier integer, witness node tuple)`` alive on the current
+    branch, where ``quantifiers[integer]`` is the quantifier; ``markers``
+    the obligation-marker ids true in the branch.
     """
     members_by_root: Dict[int, List[int]] = {}
     for node in range(egraph.node_count):
@@ -222,7 +225,8 @@ def capture_countermodel(egraph, seen_instances, markers) -> Countermodel:
         (rep_of_root[egraph.find(a)], rep_of_root[egraph.find(b)])
         for a, b in egraph.diseq_pairs()
     ]
-    for quantifier, witness_nodes in seen_instances:
+    for ident, witness_nodes in seen_instances:
+        quantifier = quantifiers[ident]
         model.instances.append(
             InstanceWitness(
                 quantifier=quantifier.name or "<anonymous>",

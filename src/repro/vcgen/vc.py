@@ -160,13 +160,27 @@ def _marker_traversal_order(goal: Formula) -> List[int]:
     return order
 
 
+#: UBP, the same for every program: one background per process, which
+#: every scope's background extends, so the prover asserts it once.
+_UNIVERSAL: Optional[Background] = None
+
+
+def universal_background_of() -> Background:
+    """The process's UBP background, built on first use."""
+    global _UNIVERSAL
+    if _UNIVERSAL is None:
+        _UNIVERSAL = Background(universal_background())
+    return _UNIVERSAL
+
+
 def scope_background_of(scope: Scope) -> Background:
     """``UBP & BP_D``: the hypotheses of formula (1) that depend only on
-    the scope, built on the scope's first VC and kept on the scope, so
-    the prover asserts them once per scope and process."""
+    the scope, built on the scope's first VC and kept on the scope. BP_D
+    extends the process's UBP background, so the prover asserts UBP once
+    per process and BP_D once per scope and process."""
     background = scope.vc_background
     if background is None:
-        background = Background(universal_background() + scope_background(scope))
+        background = Background(scope_background(scope), universal_background_of())
         scope.vc_background = background
     return background
 

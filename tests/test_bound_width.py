@@ -392,7 +392,7 @@ class WholeRoundSolver(Solver):
                         break
                     if nodes is None:
                         continue
-                    key = (quantifier, nodes)
+                    key = (record.ident, nodes)
                     if key in self._seen or key in self._redundant:
                         continue
                     width = width_of(self.egraph, width_parameters, nodes)

@@ -1,11 +1,13 @@
-"""The scope's background predicate is asserted once and resumed from.
+"""The background predicate is asserted once and resumed from.
 
-``UBP & BP_D`` depends only on the scope, so the prover asserts it once
-per scope (:class:`repro.prover.core.Background`) and starts every later
-implementation's solver from a copy of that state. Resuming must be
-indistinguishable from asserting every hypothesis from scratch: the same
-verdict, every ``ProverStats`` counter but ``elapsed``, the same proof
-log (which still replays) and the same countermodel.
+UBP is the same for every program and ``BP_D`` depends only on the
+scope, so the prover asserts UBP once per process and ``BP_D`` once per
+scope (:class:`repro.prover.core.Background`): a scope's background
+extends the process's UBP background, and every later solver starts from
+a copy of the state they built. Resuming must be indistinguishable from
+asserting every hypothesis from scratch: the same verdict, every
+``ProverStats`` counter but ``elapsed``, the same proof log (which still
+replays) and the same countermodel.
 
 A background can also be prepared up front (``Background.prepare``), as
 the ``-j`` supervisor does before it forks its workers. A solver that
@@ -33,6 +35,8 @@ from repro.prover import core
 from repro.prover.core import Background, Limits, Verdict, prove_valid
 from repro.prover.prooflog import replay_proof_log
 from repro.testing.faults import Fault, FaultPlan, inject
+from repro.vcgen import vc
+from repro.vcgen.background import universal_background
 from repro.vcgen.checker import ImplStatus, check_scope
 from repro.vcgen.vc import scope_background_of, vc_for_impl
 from tests.test_pipeline import _canonical
@@ -64,20 +68,70 @@ def _assert_resumes_like_scratch(bundle, explain):
 CORPUS = list(corpus())
 
 
+class _CountingBackground(Background):
+    """A background that counts the states stored on it."""
+
+    def __init__(self, formulas):
+        self.stores = 0
+        super().__init__(formulas)
+
+    @property
+    def _prepared(self):
+        return self.__dict__["_state"]
+
+    @_prepared.setter
+    def _prepared(self, state):
+        self.stores += state is not None
+        self.__dict__["_state"] = state
+
+
+def _fresh_ubp(monkeypatch):
+    """A new, unprepared process UBP background, counting its stores."""
+    ubp = _CountingBackground(universal_background())
+    monkeypatch.setattr(vc, "_UNIVERSAL", ubp)
+    return ubp
+
+
+def _each_ubp(monkeypatch):
+    """A new process UBP background, unprepared and then prepared: the
+    first scope checked prepares it, or resumes from it."""
+    yield _fresh_ubp(monkeypatch)
+    ubp = _fresh_ubp(monkeypatch)
+    assert ubp.prepare(LIMITS)
+    yield ubp
+
+
 @pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
 @pytest.mark.parametrize("name,source", CORPUS, ids=[name for name, _ in CORPUS])
-def test_resuming_equals_asserting_from_scratch(name, source, explain):
-    scope = _scope(source)
-    impls = _impls(scope)
-    # The first check prepares the background (and must itself match
-    # asserting from scratch); the second resumes every implementation.
-    for _ in range(2):
-        for impl in impls:
-            bundle = vc_for_impl(scope, impl)
-            shared = bundle.hypotheses[: len(bundle.background.formulas)]
-            assert shared == list(bundle.background.formulas)
-            _assert_resumes_like_scratch(bundle, explain)
-            assert scope.vc_background._prepared is not None
+def test_resuming_equals_asserting_from_scratch(name, source, explain, monkeypatch):
+    for ubp in _each_ubp(monkeypatch):
+        scope = _scope(source)
+        assert scope_background_of(scope).base is ubp
+        impls = _impls(scope)
+        # The first check prepares the background (and must itself match
+        # asserting from scratch); the second resumes every implementation.
+        for _ in range(2):
+            for impl in impls:
+                bundle = vc_for_impl(scope, impl)
+                shared = bundle.hypotheses[: len(bundle.background.formulas)]
+                assert shared == list(bundle.background.formulas)
+                _assert_resumes_like_scratch(bundle, explain)
+                assert scope.vc_background._prepared is not None
+        assert ubp.stores == 1
+
+
+def test_ubp_is_prepared_once_per_process(monkeypatch):
+    ubp = _fresh_ubp(monkeypatch)
+    sources = [generate_impl_farm(2, 3), generate_impl_farm(1, 5)]
+    sources.append(dict(CORPUS)["examples/failing/bad_call.oolong"])
+    for source in sources + sources:
+        scope = _scope(source)
+        check_scope(scope, LIMITS)
+        assert scope.vc_background._prepared is not None
+    assert ubp.stores == 1
+    # Preparing a scope's background resumes from it too.
+    assert scope_background_of(_scope(generate_impl_farm(3, 2))).prepare(LIMITS)
+    assert ubp.stores == 1
 
 
 def _solver_background():
@@ -135,24 +189,28 @@ def test_prepared_state_never_crosses_a_pickle():
 
 
 class TestDeadlineDuringBackground:
-    def test_spent_budget_is_resource_out_and_prepares_nothing(self):
-        scope = _scope(generate_impl_farm(2, 3))
-        spent = Limits(time_budget=-1.0)
-        bundle = vc_for_impl(scope, _impls(scope)[0])
-        result = bundle.prove(spent)
-        assert result.verdict is Verdict.RESOURCE_OUT
-        # What asserting every hypothesis from scratch gives, as before
-        # the background was shared.
-        scratch = prove_valid(bundle.hypotheses, bundle.goal, spent)
-        assert _fingerprint(result) == _fingerprint(scratch)
-        report = check_scope(scope, spent)
-        for verdict in report.verdicts:
-            assert verdict.status is ImplStatus.RESOURCE_OUT
-            assert verdict.error is None
-        assert scope.vc_background._prepared is None
-        report = check_scope(scope, LIMITS)
-        assert all(v.status is ImplStatus.VERIFIED for v in report.verdicts)
-        assert scope.vc_background._prepared is not None
+    def test_spent_budget_is_resource_out_and_prepares_nothing(self, monkeypatch):
+        for ubp in _each_ubp(monkeypatch):
+            prepared = ubp._prepared
+            scope = _scope(generate_impl_farm(2, 3))
+            spent = Limits(time_budget=-1.0)
+            bundle = vc_for_impl(scope, _impls(scope)[0])
+            result = bundle.prove(spent)
+            assert result.verdict is Verdict.RESOURCE_OUT
+            # What asserting every hypothesis from scratch gives, as before
+            # the background was shared.
+            scratch = prove_valid(bundle.hypotheses, bundle.goal, spent)
+            assert _fingerprint(result) == _fingerprint(scratch)
+            report = check_scope(scope, spent)
+            for verdict in report.verdicts:
+                assert verdict.status is ImplStatus.RESOURCE_OUT
+                assert verdict.error is None
+            assert scope.vc_background._prepared is None
+            assert ubp._prepared is prepared
+            report = check_scope(scope, LIMITS)
+            assert all(v.status is ImplStatus.VERIFIED for v in report.verdicts)
+            assert scope.vc_background._prepared is not None
+            assert ubp.stores == 1
 
     def test_scope_budget_expiring_in_the_background_is_ol901(self):
         scope = _scope(generate_impl_farm(2, 3))
@@ -220,6 +278,8 @@ def test_a_background_that_closes_prepares_closed():
 
 
 class TestPrepareStoresNothing:
+    """Neither on the scope's background nor on a UBP it prepares."""
+
     @pytest.mark.parametrize(
         "limits",
         [
@@ -228,42 +288,52 @@ class TestPrepareStoresNothing:
         ],
         ids=["time-budget", "scope-deadline"],
     )
-    def test_past_its_deadline(self, limits):
-        background = scope_background_of(_scope(generate_impl_farm(2, 3)))
-        assert not background.prepare(limits)
-        assert background._prepared is None
-        assert background.prepare(LIMITS)
+    def test_past_its_deadline(self, limits, monkeypatch):
+        for ubp in _each_ubp(monkeypatch):
+            prepared = ubp._prepared
+            background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+            assert not background.prepare(limits)
+            assert background._prepared is None
+            assert ubp._prepared is prepared
+            assert background.prepare(LIMITS)
+            assert ubp.stores == 1
 
     def test_when_asserting_raises(self, monkeypatch):
-        background = scope_background_of(_scope(generate_impl_farm(2, 3)))
-
         def broken(self, formula, state):
             raise RuntimeError("assert failed")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(core.Solver, "_assert", broken)
-            with pytest.raises(RuntimeError):
-                background.prepare(LIMITS)
-        assert background._prepared is None
+        for ubp in _each_ubp(monkeypatch):
+            prepared = ubp._prepared
+            background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+            with monkeypatch.context() as patch:
+                patch.setattr(core.Solver, "_assert", broken)
+                with pytest.raises(RuntimeError):
+                    background.prepare(LIMITS)
+            assert background._prepared is None
+            assert ubp._prepared is prepared
 
     def test_when_compiling_raises(self, monkeypatch):
-        background = scope_background_of(_scope(generate_impl_farm(2, 3)))
-
         def broken(self):
             raise RuntimeError("compile failed")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(core._QuantRecord, "compile", broken)
-            with pytest.raises(RuntimeError):
-                background.prepare(LIMITS)
-        assert background._prepared is None
-        assert background.prepare(LIMITS)
+        for ubp in _each_ubp(monkeypatch):
+            prepared = ubp._prepared
+            background = scope_background_of(_scope(generate_impl_farm(2, 3)))
+            with monkeypatch.context() as patch:
+                patch.setattr(core._QuantRecord, "compile", broken)
+                with pytest.raises(RuntimeError):
+                    background.prepare(LIMITS)
+            # A prepare that passed UBP's boundary took its state back.
+            assert background._prepared is None
+            assert ubp._prepared is prepared
+            assert background.prepare(LIMITS)
+            assert ubp._prepared is not None
 
 
 class TestParallelPreparesBeforeForking:
     def test_workers_resume_from_the_parents_background(self, monkeypatch):
-        """No worker asserts the background itself: a solver that would
-        prepare it in a worker fails that job."""
+        """No worker asserts the background itself, UBP included: a
+        solver that would prepare either in a worker fails that job."""
         parent = os.getpid()
         original = core.Solver._prepare
 
@@ -272,16 +342,16 @@ class TestParallelPreparesBeforeForking:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(core.Solver, "_prepare", parent_only)
-        scope = _scope(generate_impl_farm(4, 3))
-        report = check_scope(scope, LIMITS, parallel=2)
-        assert [v.status for v in report.verdicts] == [ImplStatus.VERIFIED] * 4
-        background = scope.vc_background
-        assert background._prepared is not None
-        assert all(r.matchers is not None for r in background._prepared.quants)
+        for ubp in _each_ubp(monkeypatch):
+            scope = _scope(generate_impl_farm(4, 3))
+            report = check_scope(scope, LIMITS, parallel=2)
+            assert [v.status for v in report.verdicts] == [ImplStatus.VERIFIED] * 4
+            background = scope.vc_background
+            assert background._prepared is not None
+            assert all(r.matchers is not None for r in background._prepared.quants)
+            assert ubp.stores == 1
 
-    def test_a_prepare_that_raises_leaves_the_report_unchanged(
-        self, monkeypatch
-    ):
+    def test_a_prepare_that_raises_leaves_the_report_unchanged(self, monkeypatch):
         source = dict(CORPUS)["examples/failing/bad_call.oolong"]
         serial = _canonical(check_scope(_scope(source), LIMITS))
         assert "not proved" in serial
@@ -289,10 +359,14 @@ class TestParallelPreparesBeforeForking:
         def broken(self, limits=None):
             raise RuntimeError("prepare failed")
 
-        monkeypatch.setattr(Background, "prepare", broken)
-        scope = _scope(source)
-        assert _canonical(check_scope(scope, LIMITS, parallel=2)) == serial
-        assert scope.vc_background._prepared is None
+        for ubp in _each_ubp(monkeypatch):
+            prepared = ubp._prepared
+            scope = _scope(source)
+            with monkeypatch.context() as patch:
+                patch.setattr(Background, "prepare", broken)
+                assert _canonical(check_scope(scope, LIMITS, parallel=2)) == serial
+            assert scope.vc_background._prepared is None
+            assert ubp._prepared is prepared
 
     def test_a_spent_time_budget_leaves_the_report_unchanged(self):
         spent = Limits(time_budget=-1.0)
@@ -316,3 +390,49 @@ class TestParallelPreparesBeforeForking:
                 job.verdict.error.message
             )
         assert scope.vc_background._prepared is None
+
+
+# ----------------------------------------------------------------------
+# Per-process caches never cross a pickle
+# ----------------------------------------------------------------------
+
+
+def test_pickles_carry_no_per_process_cache():
+    """Hashes, interned atoms and quantifier integers stay in their
+    process: a pickled formula or verdict carries none of them."""
+    source = dict(CORPUS)["examples/failing/bad_call.oolong"]
+    scope = _scope(source)
+    report = check_scope(scope, LIMITS, explain=True)
+    bundle = vc_for_impl(scope, _impls(scope)[0])
+    bundle.prove(LIMITS, explain=True)
+    atoms = [f for f in bundle.hypotheses if isinstance(f, Pred)]
+    assert atoms and all("_atom" in f.__dict__ for f in atoms)
+    hash(bundle.goal)
+    assert "_hash" in bundle.goal.__dict__
+    assert all(v.explanation is not None for v in report.verdicts)
+    for payload in (bundle.hypotheses, bundle.goal, report.verdicts):
+        copied = pickle.loads(pickle.dumps(payload))
+        for value in _reachable(copied):
+            assert not isinstance(value, (core.EGraph, core._QuantRecord))
+            state = getattr(value, "__dict__", {})
+            assert "_atom" not in state and "_hash" not in state, value
+    assert pickle.loads(pickle.dumps(bundle.hypotheses)) == bundle.hypotheses
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through containers and
+    instance attributes."""
+    seen, stack = set(), [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(value, (str, int, float, type(None))):
+            continue
+        seen.add(id(value))
+        yield value
+        if isinstance(value, dict):
+            stack.extend(value.keys())
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__"):
+            stack.extend(vars(value).values())

@@ -35,7 +35,8 @@ LIMITS = Limits(time_budget=300.0)
 class _CheckedKeys(set):
     """A key set whose membership test builds the key's instance and
     re-checks, with the reference evaluator, that it still has width −1
-    before confirming it."""
+    before confirming it. A key is the quantifier's integer and the
+    witness nodes; the solver's ``_quantifiers`` maps the integer back."""
 
     def __init__(self, solver):
         super().__init__()
@@ -44,7 +45,8 @@ class _CheckedKeys(set):
     def __contains__(self, key):
         if not set.__contains__(self, key):
             return False
-        quantifier, nodes = key
+        ident, nodes = key
+        quantifier = self.solver._quantifiers[ident]
         egraph = self.solver.egraph
         binding = dict(zip(quantifier.vars, nodes))
         instance = instance_of(egraph, quantifier.body, binding)
