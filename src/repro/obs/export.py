@@ -158,6 +158,7 @@ def text_report(tracer: Tracer, *, top: int = 5) -> str:
         lines.append(
             f"prover: {checks} check(s), "
             f"{metrics.counters.get('prover.instantiations', 0)} instantiation(s), "
+            f"{metrics.counters.get('prover.inclusion_lookups', 0)} inclusion lookup(s), "
             f"{metrics.counters.get('prover.egraph_merges', 0)} e-graph merge(s), "
             f"max check {_fmt_ms(timer.max) if timer else 'n/a'}"
         )

@@ -99,6 +99,7 @@ class MetricsRegistry:
         self.inc("prover.conflicts", stats.conflicts)
         self.inc("prover.egraph_merges", stats.merges)
         self.inc("prover.matches", stats.matches)
+        self.inc("prover.inclusion_lookups", stats.inclusion_lookups)
         self.inc("prover.unmatchable_quantifiers", stats.unmatchable_quantifiers)
         self.inc("prover.sat_markers", len(stats.sat_markers))
         self.observe("prover.check_seconds", stats.elapsed)

@@ -299,6 +299,7 @@ def _stats_from_dict(data: dict):
         merges=data.get("merges", 0),
         matches=data.get("matches", 0),
         matches_by_quantifier=dict(data.get("matches_by_quantifier", {})),
+        inclusion_lookups=data.get("inclusion_lookups", 0),
     )
 
 

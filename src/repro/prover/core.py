@@ -18,6 +18,17 @@ Search strategy (Simplify-flavoured):
    conflict yields ``SAT`` (the goal is not provable); exceeding the
    instance/time budget yields ``RESOURCE_OUT`` — the analogue of the
    matching-loop divergence the paper reports for cyclic rep inclusions.
+
+Ground inclusion is decided by lookup, not by E-matching, once the facts
+outside any branch hold the local-inclusion axiom
+``forall S, X, A, B :: !linc(A, B) | inc(S, X, A, X, B)`` (UBP's
+``inc-local``) and ground ``linc(a, b)`` facts (BP_D's): each such fact
+registers its pair with the E-graph, which then decides every
+``inc(s, x, a, x, b)`` it sees (see :class:`~repro.prover.egraph.EGraph`).
+After each assertion the solver asserts the decided applications true; in
+explain mode it first journals each as the ``inc-local`` instance with
+witnesses ``s, x, a, b``, so the replay kernel, which has no lookup,
+re-derives it. The axiom stays in the pool for what the lookup misses.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from repro.logic.nnf import FreshNames, negate, skolemize, to_nnf
 from repro.logic.subst import formula_free_vars, subst_formula
 from repro.logic.terms import (
     And,
+    App,
     Eq,
     Exists,
     FalseF,
@@ -41,6 +53,7 @@ from repro.logic.terms import (
     Pred,
     Term,
     TrueF,
+    Var,
 )
 from repro.prover.countermodel import Countermodel, capture_countermodel
 from repro.prover.egraph import EGraph
@@ -135,6 +148,10 @@ class ProverStats:
     #: ``matches`` attributed per quantifier name (raw E-matching volume;
     #: compare with ``per_quantifier`` to see the relevancy filter's cut).
     matches_by_quantifier: Dict[str, int] = field(default_factory=dict)
+    #: ``inc`` applications decided true by the ground inclusion lookup
+    #: (each one an ``inc-local`` instance E-matching did not have to
+    #: find; not counted in ``instantiations``).
+    inclusion_lookups: int = 0
 
     def to_dict(self) -> dict:
         """Machine-readable rendering (surfaced per verdict by
@@ -155,6 +172,7 @@ class ProverStats:
             "matches_by_quantifier": dict(
                 sorted(self.matches_by_quantifier.items())
             ),
+            "inclusion_lookups": self.inclusion_lookups,
         }
 
 
@@ -403,6 +421,54 @@ class _WidthWriter:
         return name
 
 
+@dataclass(frozen=True)
+class _InclusionLookup:
+    """The local-inclusion axiom that licenses the ground inclusion lookup:
+    ``forall S, X, A, B :: !local(A, B) | inclusion(S, X, A, X, B)``."""
+
+    axiom: Forall
+    inclusion: str
+    local: str
+
+    @staticmethod
+    def of(axiom: Forall) -> Optional["_InclusionLookup"]:
+        """The lookup ``axiom`` licenses, if it has the shape above."""
+        body = axiom.body
+        if len(axiom.vars) != 4 or not isinstance(body, Or):
+            return None
+        if len(body.disjuncts) != 2:
+            return None
+        local, inclusion = body.disjuncts
+        if not (
+            isinstance(local, Not)
+            and isinstance(local.body, Pred)
+            and isinstance(inclusion, Pred)
+        ):
+            return None
+        s, x, a, b = (Var(name) for name in axiom.vars)
+        if local.body.args != (a, b) or inclusion.args != (s, x, a, x, b):
+            return None
+        return _InclusionLookup(axiom, inclusion.name, local.body.name)
+
+    def witnesses(
+        self, egraph: EGraph, node: int, a: int, b: int
+    ) -> Tuple[Term, Term, Term, Term]:
+        """The axiom's witnesses for deciding ``node`` by the registered
+        pair ``(a, b)``: the node's store and first object, and the pair."""
+        store, obj = egraph.children_of(node)[:2]
+        return tuple(egraph.term_of(witness) for witness in (store, obj, a, b))
+
+    def instance(self, witnesses: Tuple[Term, ...]) -> ProofStep:
+        """The journal step of the axiom's instance at ``witnesses``."""
+        binding = dict(zip(self.axiom.vars, witnesses))
+        return ProofStep(
+            STEP_INSTANCE,
+            formula=subst_formula(self.axiom.body, binding),
+            quantifier=self.axiom,
+            witnesses=binding,
+        )
+
+
 def _disjuncts(shape):
     """The top-level disjuncts of a body shape, nested disjunctions
     flattened."""
@@ -447,6 +513,8 @@ class _Prepared:
     #: … and the quantifiers registered so far, by instance-key integer.
     quantifiers: Tuple[Forall, ...]
     quantifier_ids: Dict[Forall, int]
+    #: The local-inclusion axiom among the facts, if one licenses lookups.
+    lookup: Optional[_InclusionLookup]
     #: ``ProverStats`` counters at the boundary.
     added: int
     conflicts: int
@@ -558,12 +626,15 @@ class Solver:
             #: equal quantifiers share one, as they share instances).
             self._quantifiers: List[Forall] = []
             self._quantifier_ids: Dict[Forall, int] = {}
+            #: Set by a fact that licenses the ground inclusion lookup.
+            self._lookup: Optional[_InclusionLookup] = None
         else:
             self.egraph = resumed.egraph.copy()
             self._fresh = FreshNames(dict(resumed.names))
             self._facts = list(resumed.facts)
             self._quantifiers = list(resumed.quantifiers)
             self._quantifier_ids = dict(resumed.quantifier_ids)
+            self._lookup = resumed.lookup
             self.stats.facts = resumed.added
             self.stats.conflicts = resumed.conflicts
             self.stats.unmatchable_quantifiers = resumed.unmatchable
@@ -671,6 +742,7 @@ class Solver:
             # Asserting from scratch stops before the first fact: so does
             # a resumed solver, with nothing of the resumed state.
             self.egraph = EGraph()
+            self._lookup = None
             self.stats.conflicts = self.stats.unmatchable_quantifiers = 0
             prepared = None
         if prepared is None:
@@ -701,7 +773,7 @@ class Solver:
             fact = self._facts[index]
             if self._journal is not None:
                 self._journal.append(ProofStep(STEP_FACT, formula=fact))
-            if not self._assert(fact, state):
+            if not (self._assert(fact, state) and self._decide_inclusions()):
                 if self._journal is not None:
                     self._journal.append(
                         ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)
@@ -709,6 +781,7 @@ class Solver:
                 if boundaries:
                     self._prepare(state, index + 1, closed=True)
                 return Verdict.UNSAT
+            self._set_up_lookup(fact)
             if boundaries and index + 1 == boundaries[0][0]:
                 self._prepare(state, index + 1, closed=False)
         return None
@@ -716,6 +789,11 @@ class Solver:
     def _prepare(self, state: _State, asserted: int, closed: bool) -> None:
         """Store the state after ``asserted`` facts on the backgrounds
         whose boundary it is, or a closed state on every pending one."""
+        if self.stats.inclusion_lookups:
+            # A resumed journal is rebuilt from the facts alone, without
+            # lookup steps: such a background is asserted in full instead.
+            self._boundaries.clear()
+            return
         egraph = None
         while self._boundaries and (closed or self._boundaries[0][0] == asserted):
             added, background, names = self._boundaries.pop(0)
@@ -730,10 +808,59 @@ class Solver:
                 names=names,
                 quantifiers=tuple(self._quantifiers),
                 quantifier_ids=dict(self._quantifier_ids),
+                lookup=self._lookup,
                 added=added,
                 conflicts=self.stats.conflicts,
                 unmatchable=self.stats.unmatchable_quantifiers,
             )
+
+    def _set_up_lookup(self, fact: Formula) -> None:
+        """Take the ground inclusion lookup's axiom, or one of its pairs,
+        from a fact just asserted outside any branch."""
+        lookup = self._lookup
+        if isinstance(fact, Forall):
+            if lookup is None:
+                self._lookup = _InclusionLookup.of(flatten_forall(fact))
+        elif (
+            isinstance(fact, Pred)
+            and lookup is not None
+            and fact.name == lookup.local
+            and len(fact.args) == 2
+        ):
+            egraph = self.egraph
+            left, right = fact.args
+            egraph.register_inclusion(
+                lookup.inclusion, egraph.intern(left), egraph.intern(right)
+            )
+
+    def _decide_inclusions(self) -> bool:
+        """Assert true the applications the E-graph decided by lookup since
+        the last call; False on conflict (the caller journals the close).
+
+        Each is asserted as the replay kernel asserts its journaled
+        ``inc-local`` instance, whose ``linc`` premise is a fact: the atom
+        ``inc(s, x, a, x, b)`` at the witnesses, the decided node itself
+        when its objects and attributes are those very nodes, and
+        otherwise one that congruence joins to it.
+        """
+        egraph = self.egraph
+        decided = egraph.take_inclusions()
+        while decided:
+            lookup = self._lookup
+            for node, a, b in decided:
+                if egraph.are_equal(node, egraph.TRUE):
+                    continue
+                self.stats.inclusion_lookups += 1
+                witnesses = lookup.witnesses(egraph, node, a, b)
+                if self._journal is not None:
+                    self._journal.append(lookup.instance(witnesses))
+                store, obj, left, right = witnesses
+                atom = App(lookup.inclusion, (store, obj, left, obj, right))
+                if not egraph.assert_eq(egraph.intern(atom), egraph.TRUE):
+                    self.stats.conflicts += 1
+                    return False
+            decided = egraph.take_inclusions()
+        return True
 
     # ------------------------------------------------------------------
     # Assertion of NNF formulas
@@ -963,7 +1090,10 @@ class Solver:
                             clause=disjunction,
                         )
                     )
-                if not self._assert(remaining[0], state):
+                if not (
+                    self._assert(remaining[0], state)
+                    and self._decide_inclusions()
+                ):
                     if self._journal is not None:
                         self._journal.append(
                             ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)
@@ -976,7 +1106,14 @@ class Solver:
             else:
                 surviving.append(disjunction)
         state.disjunctions = surviving
-        return progressed, None
+        # Evaluating the clauses interns their atoms, which the lookup
+        # may decide.
+        lookups = self.stats.inclusion_lookups
+        if not self._decide_inclusions():
+            if self._journal is not None:
+                self._journal.append(ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL))
+            return progressed, Verdict.UNSAT
+        return progressed or self.stats.inclusion_lookups > lookups, None
 
     def _split(self, state: _State, depth: int) -> Verdict:
         # Pick the smallest disjunction; among equals prefer the most
@@ -1007,7 +1144,7 @@ class Solver:
             mark = self.egraph.push()
             branch_mark = len(self._branch_trail)
             child = _State(list(rest), list(state.quants), state.rounds)
-            ok = self._assert(disjunct, child)
+            ok = self._assert(disjunct, child) and self._decide_inclusions()
             if not ok and self._journal is not None:
                 self._journal.append(ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL))
             result = self._search(child, depth + 1) if ok else Verdict.UNSAT
@@ -1191,7 +1328,7 @@ class Solver:
                         witnesses=witnesses,
                     )
                 )
-            if not self._assert(instance, state):
+            if not (self._assert(instance, state) and self._decide_inclusions()):
                 if self._journal is not None:
                     self._journal.append(
                         ProofStep(STEP_CLOSE, reason=CLOSE_KERNEL)

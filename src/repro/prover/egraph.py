@@ -16,6 +16,16 @@ Boolean structure is encoded by two distinguished nodes ``TRUE`` and
 ``FALSE`` (asserted distinct): a predicate atom holds iff its node is
 merged with ``TRUE``.
 
+Ground inclusion is decided by lookup: given registered pairs ``(a, b)``
+of a local-inclusion relation and the head symbol ``inc`` of the
+inclusion it implies (``linc(A, B) ⟹ inc(S, X, A, X, B)``), an
+application ``inc(s, x, a', y, b')`` whose objects ``x`` and ``y`` share
+a class, and whose attributes ``a'`` and ``b'`` are in the classes of a
+registered pair, is *decided*. The check runs when such an application
+is interned and when a merge walks it as a parent; decided nodes queue
+until :meth:`EGraph.take_inclusions` hands them to the solver, which
+merges them with ``TRUE`` (and can journal why).
+
 All class-level mutations (unions, disequalities, signature-table updates)
 record undo entries; :meth:`EGraph.push` / :meth:`EGraph.pop` provide the
 backtracking used by the tableau search. Node *creation* is permanent —
@@ -85,6 +95,13 @@ class EGraph:
         # Interpreted app nodes pending constant folding.
         self._interpreted: List[int] = []
 
+        # Ground inclusion: the head symbol decided by lookup, the
+        # registered local-inclusion pairs (node -> nodes it includes),
+        # and the decided applications not yet taken.
+        self._inclusion: Optional[str] = None
+        self._included: Dict[int, List[int]] = {}
+        self._decided: List[int] = []
+
         # Undo trail: list of (tag, payload...) tuples.
         self._trail: List[Tuple] = []
 
@@ -126,6 +143,9 @@ class EGraph:
         clone._diseq_of = [list(others) for others in self._diseq_of]
         clone._absorbed = list(self._absorbed)
         clone._interpreted = list(self._interpreted)
+        clone._inclusion = self._inclusion
+        clone._included = {a: list(bs) for a, bs in self._included.items()}
+        clone._decided = list(self._decided)
         clone._trail = list(self._trail)
         clone._conflict = self._conflict
         clone.merges = self.merges
@@ -178,6 +198,8 @@ class EGraph:
                 self._trail.append(("sig", signature, self._sig.get(signature)))
                 self._sig[signature] = node
             self._fold_interpreted()
+            if term.fn == self._inclusion:
+                self._check_inclusion(node)
             return node
         if isinstance(term, Var):
             raise ProverError(f"cannot intern non-ground term containing {term}")
@@ -311,10 +333,14 @@ class EGraph:
             # a surviving-side parent may have lost its signature entry to
             # a pop, and this merge is its chance to collide with a
             # congruent peer.
+            inclusion = self._inclusion
             for member in absorbed_members + surviving_members:
                 for parent in self._uses[member]:
+                    head = self._head[parent]
+                    if head == inclusion:
+                        self._check_inclusion(parent)
                     signature = (
-                        self._head[parent],
+                        head,
                         tuple(self.find(c) for c in self._children[parent]),
                     )
                     other = self._sig.get(signature)
@@ -368,6 +394,71 @@ class EGraph:
                 self._check_diseqs()
 
     # ------------------------------------------------------------------
+    # Ground inclusion
+    # ------------------------------------------------------------------
+
+    def register_inclusion(self, inclusion: str, a: int, b: int) -> None:
+        """Decide ``inclusion(s, x, a, x, b)`` by lookup from now on.
+
+        The caller vouches that ``linc(a, b)`` holds and that every
+        ``inclusion`` application of that shape follows from it. Undone
+        by :meth:`pop` like any other mutation; an application interned
+        before the pair is decided only once a merge walks it.
+        """
+        if self._inclusion not in (None, inclusion):
+            raise ProverError(
+                f"inclusion lookup is for {self._inclusion!r}, not {inclusion!r}"
+            )
+        self._trail.append(("inclusion", self._inclusion, a))
+        self._inclusion = inclusion
+        self._included.setdefault(a, []).append(b)
+
+    def _check_inclusion(self, node: int) -> None:
+        """Queue ``node`` if the lookup decides it and it is not yet true."""
+        if self._inclusion_pair(node) is not None and (
+            self.find(node) != self.find(self.TRUE)
+        ):
+            self._decided.append(node)
+
+    def _inclusion_pair(self, node: int) -> Optional[Tuple[int, int]]:
+        """The registered pair that decides ``node``, if one does."""
+        children = self._children[node]
+        if len(children) != 5:
+            return None
+        _, x, a, y, b = children
+        find = self.find
+        if find(x) != find(y):
+            return None
+        included = self._included
+        sources = (a,) if a in included else self._members[find(a)]
+        root_b = find(b)
+        for source in sources:
+            for target in included.get(source, ()):
+                if find(target) == root_b:
+                    return source, target
+        return None
+
+    def take_inclusions(self) -> List[Tuple[int, int, int]]:
+        """The applications decided since the last call and not true yet,
+        each once, as ``(node, a, b)`` with ``(a, b)`` the registered pair
+        deciding it (read now: a queued node whose condition a pop undid
+        is dropped)."""
+        if not self._decided:
+            return []
+        queued, self._decided = self._decided, []
+        true_root = self.find(self.TRUE)
+        taken: List[Tuple[int, int, int]] = []
+        seen = set()
+        for node in queued:
+            if node in seen or self.find(node) == true_root:
+                continue
+            seen.add(node)
+            pair = self._inclusion_pair(node)
+            if pair is not None:
+                taken.append((node,) + pair)
+        return taken
+
+    # ------------------------------------------------------------------
     # Backtracking
     # ------------------------------------------------------------------
 
@@ -403,6 +494,12 @@ class EGraph:
                 self._diseq_of[rb].pop()
             elif tag == "conflict":
                 self._conflict = False
+            elif tag == "inclusion":
+                _, old, a = entry
+                self._inclusion = old
+                self._included[a].pop()
+                if not self._included[a]:
+                    del self._included[a]
             else:  # pragma: no cover - defensive
                 raise ProverError(f"unknown trail entry {tag!r}")
 

@@ -21,6 +21,8 @@ from repro.cli import main
 from repro.testing.faults import Fault, FaultPlan, STAGES as FAULT_STAGES, inject
 from repro.vcgen.checker import ImplStatus
 
+#: The final assert needs quantifier instances (the store axioms): the
+#: frame conditions alone are decided by the inclusion lookup.
 RATIONAL = """
 group value
 field num in value
@@ -29,7 +31,8 @@ proc normalize(r) modifies r.value
 impl normalize(r) {
   assume r != null ;
   r.num := 1 ;
-  r.den := 1
+  r.den := 1 ;
+  assert r.num = 1
 }
 """
 
@@ -123,6 +126,7 @@ class TestMetrics:
         counters = tracer.metrics.counters
         assert counters["prover.checks"] == 1
         assert counters["prover.instantiations"] >= 1
+        assert counters["prover.inclusion_lookups"] >= 1
         assert counters["prover.facts"] > 0
         assert counters["prover.egraph_merges"] > 0
         assert counters["vcgen.vcs"] == 1

@@ -173,7 +173,7 @@ def test_resume_with_discharge_reports_discharged_verdicts(backend, tmp_path):
     check_well_formed(scope)
     run_dir = str(tmp_path / "run")
     first = check_scope(scope, LIMITS, static_discharge="off", run_dir=run_dir)
-    assert all(v.stats.instantiations == 4 for v in first.verdicts)
+    assert all(v.stats.inclusion_lookups == 4 for v in first.verdicts)
     uninterrupted = check_scope(scope, LIMITS, static_discharge="on")
     resumed = check_scope(
         scope,
@@ -183,7 +183,7 @@ def test_resume_with_discharge_reports_discharged_verdicts(backend, tmp_path):
         resume=True,
         **BACKENDS[backend],
     )
-    assert [v.stats.instantiations for v in resumed.verdicts] == [0, 0, 0, 0]
+    assert [v.stats.inclusion_lookups for v in resumed.verdicts] == [0, 0, 0, 0]
     assert _canonical(resumed) == _canonical(uninterrupted)
 
 

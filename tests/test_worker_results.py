@@ -30,7 +30,12 @@ LIMITS = Limits(time_budget=60.0)
 
 BACKENDS = {"parallel": {"parallel": 2}, "fleet": {"fleet": 2}}
 
-SOURCE = generate_impl_farm(2, 3)
+#: A two-impl farm whose bodies end in an assert: the frame conditions
+#: are decided by the inclusion lookup, the assert by quantifier
+#: instances, so both kinds of prover metric are merged.
+SOURCE = generate_impl_farm(2, 3).replace(
+    "t.f2 := 2\n}", "t.f2 := 2 ;\n  assert t.f0 = 0\n}"
+).replace("t.f2 := 3\n}", "t.f2 := 3 ;\n  assert t.f0 = 1\n}")
 
 #: The span paths a traced check of :data:`SOURCE` records, with
 #: ``EXECUTOR`` for the executor's pipeline span (``supervisor`` or
@@ -71,6 +76,7 @@ METRICS = {
         "prover.conflicts",
         "prover.egraph_merges",
         "prover.facts",
+        "prover.inclusion_lookups",
         "prover.instantiations",
         "prover.matches",
         "prover.rounds",
