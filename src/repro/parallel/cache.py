@@ -68,11 +68,17 @@ def code_version() -> str:
     Includes the discharge-pass version: discharged implementations
     never write cache entries, but which implementations *reach* the
     prover (and the semantics the differential guard assumes) changes
-    with the pass, so cached verdicts must not outlive it.
+    with the pass, so cached verdicts must not outlive it. Includes the
+    prover's search version too: a cached or ledgered verdict replays its
+    ``ProverStats``, which must be the current search's.
     """
     from repro.analysis.effects import DISCHARGE_VERSION
+    from repro.prover.core import SEARCH_VERSION
 
-    return f"{__version__}+cache{CACHE_FORMAT}+discharge{DISCHARGE_VERSION}"
+    return (
+        f"{__version__}+cache{CACHE_FORMAT}+discharge{DISCHARGE_VERSION}"
+        f"+search{SEARCH_VERSION}"
+    )
 
 
 #: The limit fields that can change a per-implementation verdict.

@@ -75,6 +75,13 @@ from repro.prover.prooflog import (
 from repro.prover.triggers import infer_triggers
 
 
+#: Version of the search; folded into the parallel result-cache key (see
+#: :func:`repro.parallel.cache.code_version`) so cached verdicts, and the
+#: ``ProverStats`` they carry, never outlive a change in which steps the
+#: search takes. 2: ground inclusion decided by lookup.
+SEARCH_VERSION = 2
+
+
 class Verdict(enum.Enum):
     """Outcome of a satisfiability check."""
 

@@ -26,7 +26,8 @@ from repro.parallel.cache import (
     validate_entry,
     verdict_to_payload,
 )
-from repro.prover.core import Limits, ProverStats
+from repro.parallel import cache as cache_module
+from repro.prover.core import SEARCH_VERSION, Limits, ProverStats
 from repro.vcgen.checker import ImplStatus, ImplVerdict, check_scope
 
 LIMITS = Limits(time_budget=60.0)
@@ -99,6 +100,20 @@ class TestCacheKey:
 
     def test_key_carries_code_version(self):
         assert "+cache" in code_version()
+
+    def test_entries_of_an_older_search_re_prove(self, tmp_path, monkeypatch):
+        """A verdict cached before the search changed carries that
+        search's ``ProverStats``: its key must miss."""
+        assert f"+search{SEARCH_VERSION}" in code_version()
+        older = code_version().replace(f"+search{SEARCH_VERSION}", "")
+        cache_dir = str(tmp_path)
+        monkeypatch.setattr(cache_module, "code_version", lambda: older)
+        first = check_scope(_scope(), LIMITS, cache_dir=cache_dir)
+        assert first.cache_summary["stores"] == 1
+        monkeypatch.undo()
+        second = check_scope(_scope(), LIMITS, cache_dir=cache_dir)
+        assert second.cache_summary["hits"] == 0
+        assert second.cache_summary["stores"] == 1
 
 
 def _verified_payload(scope):
