@@ -778,7 +778,9 @@ def fleet_worker_main(
     instead of stealing another), or — for locally spawned workers —
     the parent process disappears (the same ``getppid`` orphan watchdog
     the pipe workers use, so a SIGKILLed coordinator never leaves
-    orphans).
+    orphans). A pool worker (one given ``drain``) takes ``shutdown`` as
+    the end of one coordinator's run: it redials with a fresh budget,
+    for the next run at the same address.
     """
     # Fleet faults are interpreted at the coordinator, frame faults on
     # its transport policy.
@@ -836,10 +838,11 @@ def fleet_worker_main(
             drain=drain,
         )
         channel.close()
-        if outcome in ("shutdown", "drained"):
+        if outcome == "drained" or (outcome == "shutdown" and drain is None):
             return
-        # A registered session that later lost its link: reset the
-        # budget so a long run survives many transient partitions.
+        # A registered session that later lost its link, or a pool
+        # worker's finished run: reset the budget so a long run survives
+        # many transient partitions, and a pool many runs.
         attempts_left = reconnect_attempts
         time.sleep(reconnect_delay)
 

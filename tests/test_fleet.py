@@ -17,9 +17,12 @@ Mirrors :mod:`tests.test_parallel` one transport up:
   serial-identical verdicts. A SIGKILLed coordinator leaves no orphans.
 """
 
+import contextlib
+import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,10 +30,12 @@ import time
 import pytest
 
 from repro.api import check_program_resilient
+from repro.cli import main as cli_main
 from repro.corpus.generators import generate_impl_farm
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.parallel import FleetOptions, run_fleet_checks
+from repro.parallel.fleet import WorkerPool
 from repro.prover.core import Limits
 from repro.testing.faults import (
     FLEET_STAGES,
@@ -301,6 +306,39 @@ class TestDegradation:
         assert any(d.code == "OL904" for d in report.diagnostics)
         assert report.fleet_summary is not None
         assert "degraded" in report.fleet_summary
+
+
+def _cli(argv):
+    """``oolong-check argv``'s exit code and standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, out.getvalue()
+
+
+class TestStandingPool:
+    def test_pool_serves_successive_coordinators(self):
+        """One ``workers serve`` pool, two ``--fleet ADDR`` runs: the
+        pool's workers rejoin the second run, whose report is serial's."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        path = os.path.join(EXAMPLES_DIR, "stack.oolong")
+        serial = _cli([path])
+        pool = WorkerPool(("127.0.0.1", port), jobs=2).start()
+        served = 0
+        try:
+            for run in (1, 2):
+                fleet = _cli(
+                    [path, "--fleet", f"127.0.0.1:{port}", "--fleet-wait", "30"]
+                )
+                assert fleet == serial, run
+                status = pool.status()
+                assert status["workers"]["alive"] == 2, run
+                assert status["jobs_served"] > served, run
+                served = status["jobs_served"]
+        finally:
+            pool.stop()
 
 
 def _processes_mentioning(needle: str):
