@@ -1,18 +1,23 @@
 """PROVER-FARM: absolute prover time on one-implementation farms.
 
 A 1-impl farm (:func:`generate_impl_farm`) writes every field of one
-group, so its frame VC needs one quantifier instance per field and the
-field count alone sets the prover's work. Almost all of a farm check is
-proving (the front end and vcgen are a few ms), so these keys track the
-prover's congruence closure, E-matching and case splitting directly.
+group, so its frame VC asks for one ground local inclusion per field and
+the field count alone sets the prover's work. Almost all of a farm check
+is proving (the front end and vcgen are a few ms), so these keys track
+the prover's congruence closure, inclusion lookups, E-matching and case
+splitting directly.
 
 Unlike the other bench heads, the committed keys are **absolute**
 milliseconds (best of the runs), not ratios: a prover speedup shrinks
 the denominator of every ratio key, and only an absolute key shows it.
 The guard checks the search itself: each farm verifies with exactly one
-instance per field. The row also records each farm's E-matching volume
-(``farm<N>_matches``), so a change that keeps the search unchanged shows
-the same counts.
+inclusion lookup per field and no quantifier instance (before the E-graph
+decided ground inclusion, it took one ``inc-local`` instance per field).
+The row also records each farm's E-matching volume (``farm<N>_matches``),
+its ``inc-local`` instances and lookups (``farm<N>_inc_local``,
+``farm<N>_lookups``) and the prover's own time, best of the runs
+(``farm<N>_prove_ms``, ``ProverStats.elapsed``), so a change that keeps
+the search unchanged shows the same counts; no guard reads the last.
 
 Three more absolute keys, which no guard reads, time the work around the
 search: ``ubp_prepare_ms`` is asserting the universal background UBP
@@ -65,17 +70,23 @@ def measure_prover(limits, repeats=1):
     row = {"impls": 1}
     for fields in FIELDS:
         scope = _farm_scope(fields)
-        best = None
+        best = prove = None
         for _ in range(repeats):
             start = time.perf_counter()
             report = check_scope(scope, limits)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
-        (verdict,) = report.verdicts
+            (verdict,) = report.verdicts
+            proving = verdict.stats.elapsed
+            prove = proving if prove is None else min(prove, proving)
+        stats = verdict.stats
         row[f"farm{fields}_status"] = verdict.status.value
-        row[f"farm{fields}_instantiations"] = verdict.stats.instantiations
-        row[f"farm{fields}_matches"] = verdict.stats.matches
+        row[f"farm{fields}_instantiations"] = stats.instantiations
+        row[f"farm{fields}_matches"] = stats.matches
+        row[f"farm{fields}_inc_local"] = stats.per_quantifier.get("inc-local", 0)
+        row[f"farm{fields}_lookups"] = stats.inclusion_lookups
         row[f"farm{fields}_ms"] = round(best * 1000, 1)
+        row[f"farm{fields}_prove_ms"] = round(prove * 1000, 2)
     return row
 
 
@@ -138,12 +149,13 @@ def measure_for_regression():
     return measure_prover(Limits(time_budget=120.0))
 
 
-def test_farms_verify_with_one_instance_per_field(limits):
+def test_farms_verify_with_one_lookup_per_field(limits):
     row = measure_prover(limits)
     print_row("PROVER-FARM", **row)
     for fields in FIELDS:
         assert row[f"farm{fields}_status"] == ImplStatus.VERIFIED.value
-        assert row[f"farm{fields}_instantiations"] == fields
+        assert row[f"farm{fields}_lookups"] == fields
+        assert row[f"farm{fields}_instantiations"] == 0
 
 
 def main():
@@ -152,11 +164,12 @@ def main():
     payload = {
         "benchmark": "prover",
         "unit": (
-            "milliseconds of check_scope on a 1-impl farm, best of 3; "
+            "milliseconds of check_scope, and of its prover, on a 1-impl "
+            "farm, best of 3; "
             "milliseconds to prepare UBP and to generate a farm's VC, "
             "best of 5; calls into term substitution per VC"
         ),
-        "guard": "every farm verifies with one instance per field",
+        "guard": "every farm verifies with one inclusion lookup per field and no instance",
         "regression_keys": [f"farm{fields}_ms" for fields in FIELDS],
         "entries": [row],
     }

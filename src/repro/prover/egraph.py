@@ -24,7 +24,7 @@ a class, and whose attributes ``a'`` and ``b'`` are in the classes of a
 registered pair, is *decided*. The check runs when such an application
 is interned and when a merge walks it as a parent; decided nodes queue
 until :meth:`EGraph.take_inclusions` hands them to the solver, which
-merges them with ``TRUE`` (and can journal why).
+asserts them true (and can journal why).
 
 All class-level mutations (unions, disequalities, signature-table updates)
 record undo entries; :meth:`EGraph.push` / :meth:`EGraph.pop` provide the

@@ -26,11 +26,11 @@ from repro.corpus.generators import (
     generate_pivot_tower,
 )
 from repro.corpus.programs import PAPER_PROGRAMS
-from repro.logic.terms import Const, Forall, Or, TrueF
+from repro.logic.terms import Const, Forall, Not, Or, Pred, TrueF
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.prover import core
-from repro.prover.core import Limits, Solver, Verdict
+from repro.prover.core import Background, Limits, Solver, Verdict, prove_valid
 from repro.prover.egraph import EGraph
 from repro.prover.prooflog import STEP_FACT, ProofStep, replay_proof_log
 from repro.vcgen.background import universal_background
@@ -163,6 +163,20 @@ def test_no_lookup_without_the_axiom():
     result = solver.check()
     assert result.verdict is Verdict.SAT
     assert result.stats.inclusion_lookups == 0
+
+
+def test_a_background_the_lookup_decides_in_is_asserted_in_full():
+    # The resumed journal is rebuilt from a background's facts alone, so
+    # a background whose own facts the lookup decided is not stored.
+    marker = Pred("p", ())
+    clause = Or((Not(inc(S, X, G, X, F)), marker))
+    background = Background([_inc_local(), linc(G, F), clause])
+    assert not background.prepare(LIMITS)
+    for _ in range(2):
+        result = prove_valid([], marker, LIMITS, explain=True, background=background)
+        assert result.verdict is Verdict.UNSAT
+        assert result.stats.inclusion_lookups == 1
+        assert replay_proof_log(result.proof_log).ok
 
 
 STRAY_SOURCE = """
