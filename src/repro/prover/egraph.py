@@ -405,10 +405,6 @@ class EGraph:
         by :meth:`pop` like any other mutation; an application interned
         before the pair is decided only once a merge walks it.
         """
-        if self._inclusion not in (None, inclusion):
-            raise ProverError(
-                f"inclusion lookup is for {self._inclusion!r}, not {inclusion!r}"
-            )
         self._trail.append(("inclusion", self._inclusion, a))
         self._inclusion = inclusion
         self._included.setdefault(a, []).append(b)
