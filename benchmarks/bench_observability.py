@@ -17,6 +17,14 @@ cost includes them). The journal guard is emissions x per-emit cost
 :class:`~repro.obs.progress.ProgressRenderer` attached must stay within
 a small constant factor of the bare run.
 
+The pipeline imports only those null paths: every other layer of
+``repro.obs`` (and of ``repro.testing``) loads on first use. The cold
+start is recorded, not guarded: ``cold_start_ms`` is the median over
+fresh interpreters of importing ``repro.api`` and ``repro.cli`` and
+running the e2ebench warm-up check (a 4 x 4 farm), without a bytecode
+cache; ``cold_start_modules`` and ``cold_start_source_lines`` count the
+``repro`` modules that loaded and their lines.
+
 Run as a script (``python benchmarks/bench_observability.py``) it
 re-measures and rewrites ``BENCH_observability.json`` at the repo root —
 the committed head of the observability bench trajectory.
@@ -24,6 +32,8 @@ the committed head of the observability bench trajectory.
 
 import json
 import os
+import statistics
+import subprocess
 import sys
 import time
 
@@ -181,6 +191,65 @@ def _measure_report_speed():
     return round(best * 1000.0 * (10_000.0 / len(records)), 2)
 
 
+#: Run in a fresh interpreter: time the import of the checker plus one
+#: check of the source text on stdin, then count the ``repro`` modules
+#: that loaded and their source lines.
+_COLD_START_PROBE = """
+import sys, time
+source = sys.stdin.read()
+start = time.perf_counter()
+import repro.api, repro.cli
+repro.api.check_program(source)
+elapsed = time.perf_counter() - start
+files = [
+    module.__file__
+    for name, module in sys.modules.items()
+    if name.split(".")[0] == "repro" and getattr(module, "__file__", None)
+]
+lines = 0
+for path in files:
+    with open(path, encoding="utf-8") as handle:
+        lines += sum(1 for _ in handle)
+print(elapsed * 1000.0, len(files), lines)
+"""
+
+
+def measure_cold_start(runs=7):
+    """Median cold start of the checker over ``runs`` fresh interpreters.
+
+    Each interpreter runs without writing bytecode
+    (``PYTHONDONTWRITEBYTECODE=1``), as ``oolong-check`` and the
+    e2ebench set-up probe run here, so every ``repro`` module it imports
+    is compiled from source when no ``__pycache__`` exists under
+    ``src``.
+    """
+    from repro.corpus.generators import generate_impl_farm
+
+    source = generate_impl_farm(4, 4)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (os.path.abspath(src), env.get("PYTHONPATH")) if part
+    )
+    samples = []
+    for _ in range(runs):
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_START_PROBE],
+            input=source,
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        ms, modules, lines = done.stdout.split()
+        samples.append((float(ms), int(modules), int(lines)))
+    return {
+        "cold_start_ms": round(statistics.median(s[0] for s in samples), 1),
+        "cold_start_modules": statistics.median(s[1] for s in samples),
+        "cold_start_source_lines": statistics.median(s[2] for s in samples),
+    }
+
+
 def measure_for_regression():
     """Entry point for ``benchmarks/check_regression.py``."""
     return measure_overhead(Limits(time_budget=120.0))
@@ -272,6 +341,7 @@ def test_armed_journal_with_progress_is_bounded(limits):
 
 def main():
     row = measure_overhead(Limits(time_budget=120.0))
+    row.update(measure_cold_start())
     payload = {
         "benchmark": "observability",
         "unit": "overhead_percent of examples-corpus check_scope wall-clock",

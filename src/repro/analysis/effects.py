@@ -212,7 +212,7 @@ def _classify_mod(
     if not site.values:
         return Outcome.UNKNOWN, None, "target has no abstract value"
     verdicts = [
-        _value_verdict(value, site.info.attr, site.covering, unstable)
+        _value_verdict(value, site.attr, site.covering, unstable)
         for value in site.values
     ]
     if all(verdict == _COVERED for verdict, _ in verdicts):
@@ -291,14 +291,14 @@ def _classify_site(
     has_pivots: bool,
 ) -> ObligationDecision:
     info = site.info
-    if info.kind == "assert":
+    if site.kind == "assert":
         condition = site.node.condition
         if isinstance(condition, BoolConst) and condition.value:
             return ObligationDecision(info, Outcome.STATIC_VALID, frame=frame)
         return ObligationDecision(
             info, Outcome.UNKNOWN, frame=frame, reason="non-trivial assert"
         )
-    if info.kind == "owner-exclusion":
+    if site.kind == "owner-exclusion":
         # ownExcl is trivially true when the scope declares no rep
         # inclusions (no pivot can place an argument inside a rep).
         if not has_pivots:

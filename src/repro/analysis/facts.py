@@ -41,7 +41,7 @@ are the ways in.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import VerificationError
 from repro.oolong.ast import (
@@ -66,27 +66,79 @@ from repro.analysis.modifies import AccessPathAnalysis, PathVal, eval_expr
 
 if TYPE_CHECKING:
     from repro.analysis.inclusion import InclusionLattice
-    from repro.vcgen.wlp import ObligationInfo
+    from repro.vcgen.wlp import ObligationInfo, ObligationShape
 
 
-class Site(NamedTuple):
-    """One proof obligation at the command that raises it."""
+class Site:
+    """One proof obligation at the command that raises it.
 
-    node: Cmd
-    info: "ObligationInfo"
-    #: The joined access-path state before ``node``; None where the
-    #: dataflow does not reach it.
-    state: object
-    #: The abstract objects the site writes through: the target's object
-    #: for a write licence, the owner of the callee's designator (the
-    #: actual extended by the designator's path) for a call licence.
-    #: None when the designator's root is bound to no argument; empty for
-    #: other kinds and where ``state`` is None.
-    values: Optional[FrozenSet[object]]
-    #: Each entry access path in ``values`` -> the indices of the
-    #: designators of the implementation's frame that license writing
-    #: ``info.attr`` through it, ascending; empty when none does.
-    covering: Dict[PathVal, Tuple[int, ...]]
+    The walk that finds a site knows the obligation's ``shape`` (see
+    :func:`repro.vcgen.wlp.obligation_shapes`); its ``kind``, ``attr``
+    and ``subject`` are all lint reads. :attr:`info`, the full record
+    with its description text, is built on first read: static
+    discharge and the checker's blame read it, a lint-only run never
+    does.
+    """
+
+    __slots__ = (
+        "node",
+        "ident",
+        "shape",
+        "kind",
+        "attr",
+        "subject",
+        "state",
+        "values",
+        "covering",
+        "_frame",
+        "_callee",
+        "_info",
+    )
+
+    def __init__(
+        self,
+        node: Cmd,
+        ident: int,
+        shape: "ObligationShape",
+        state: object,
+        values: Optional[FrozenSet[object]],
+        covering: Dict[PathVal, Tuple[int, ...]],
+        frame: Tuple[str, ...],
+        callee: Optional[ProcDecl],
+    ):
+        self.node = node
+        #: The obligation's number in wlp's registration order.
+        self.ident = ident
+        self.shape = shape
+        self.kind, self.attr, self.subject, _ = shape
+        #: The joined access-path state before ``node``; None where the
+        #: dataflow does not reach it.
+        self.state = state
+        #: The abstract objects the site writes through: the target's
+        #: object for a write licence, the owner of the callee's
+        #: designator (the actual extended by the designator's path) for
+        #: a call licence. None when the designator's root is bound to no
+        #: argument; empty for other kinds and where ``state`` is None.
+        self.values = values
+        #: Each entry access path in ``values`` -> the indices of the
+        #: designators of the implementation's frame that license writing
+        #: ``attr`` through it, ascending; empty when none does.
+        self.covering = covering
+        self._frame = frame
+        self._callee = callee
+        self._info: Optional["ObligationInfo"] = None
+
+    @property
+    def info(self) -> "ObligationInfo":
+        """The obligation's :class:`~repro.vcgen.wlp.ObligationInfo`,
+        equal to the one wlp registers for it."""
+        if self._info is None:
+            from repro.vcgen.wlp import obligation_info
+
+            self._info = obligation_info(
+                self.node, self.ident, self.shape, self._frame, self._callee
+            )
+        return self._info
 
 
 class ImplFacts:
@@ -150,13 +202,13 @@ class ImplFacts:
     @property
     def sites(self) -> Tuple[Site, ...]:
         """Every obligation of the body in wlp's registration order (see
-        :func:`repro.vcgen.wlp.command_obligations`)."""
+        :func:`repro.vcgen.wlp.obligation_shapes`)."""
         if self._sites is None:
             self._sites = self._build_sites()
         return self._sites
 
     def _build_sites(self) -> Tuple[Site, ...]:
-        from repro.vcgen.wlp import command_obligations
+        from repro.vcgen.wlp import obligation_shapes
 
         proc = self._procs.get(self.impl.name)
         modifies = proc.modifies if proc else ()
@@ -184,8 +236,8 @@ class ImplFacts:
                     raise VerificationError(
                         f"call to undeclared procedure {cmd.proc!r}"
                     )
-            infos = command_obligations(cmd, len(sites), frame, callee)
-            if not infos:
+            shapes = obligation_shapes(cmd, callee)
+            if not shapes:
                 continue
             state = self.state_at(cmd)
             if isinstance(cmd, Call):
@@ -198,16 +250,21 @@ class ImplFacts:
                 written = [owner_values(cmd.target.obj, (), state)]
             else:
                 written = []
-            for index, info in enumerate(infos):
+            for index, shape in enumerate(shapes):
                 values = written[index] if index < len(written) else _NO_VALUES
                 covering = {
                     value: self._lattice.covering(
-                        modifies, Designator(value.root, value.path, info.attr)
+                        modifies, Designator(value.root, value.path, shape[1])
                     )
                     for value in values or ()
                     if isinstance(value, PathVal)
                 }
-                sites.append(Site(cmd, info, state, values, covering))
+                sites.append(
+                    Site(
+                        cmd, len(sites), shape, state, values, covering,
+                        frame, callee,
+                    )
+                )
         return tuple(sites)
 
 

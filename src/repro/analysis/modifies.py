@@ -215,17 +215,19 @@ def infer_modifies(scope: Scope) -> ModifiesInference:
         used: Set[int] = set()
         for impl in impls:
             for site in impl_facts(scope, impl).sites:
-                info = site.info
                 for value, covering in site.covering.items():
-                    required = Designator(value.root, value.path, info.attr)
+                    required = Designator(value.root, value.path, site.attr)
                     named.add(str(required))
                     used.update(covering)
                     if covering:
                         continue
-                    if info.kind == "write-licence":
-                        reason = f"write to {info.target}"
+                    if site.kind == "write-licence":
+                        reason = f"write to {site.subject}"
                     else:
-                        reason = f"call to {info.callee} (modifies {info.target})"
+                        reason = (
+                            f"call to {site.node.proc} "
+                            f"(modifies {site.subject})"
+                        )
                     diagnostics.append(
                         Diagnostic(
                             code="OL301",
@@ -234,7 +236,7 @@ def infer_modifies(scope: Scope) -> ModifiesInference:
                                 f"which the declared modifies list of "
                                 f"{proc_name!r} does not grant"
                             ),
-                            position=info.position,
+                            position=site.node.position,
                             impl=impl.name,
                         )
                     )

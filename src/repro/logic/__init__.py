@@ -4,11 +4,13 @@ Terms and formulas are immutable trees (:mod:`repro.logic.terms`), with
 substitution and free-variable computation (:mod:`repro.logic.subst`),
 negation-normal-form and skolemization transforms (:mod:`repro.logic.nnf`),
 and a printer producing a stable S-expression-like syntax used by golden
-tests (:mod:`repro.logic.printer`).
+tests (:mod:`repro.logic.printer`). The printer loads on first use
+(PEP 562): a check that explains nothing prints no formula.
 """
 
+import importlib
+
 from repro.logic.nnf import FreshNames, negate, skolemize, to_nnf
-from repro.logic.printer import format_formula, format_term
 from repro.logic.subst import formula_free_vars, subst_formula, subst_term, term_free_vars
 from repro.logic.terms import (
     And,
@@ -33,6 +35,12 @@ from repro.logic.terms import (
     distinct_pairs,
     neq,
 )
+
+#: Each public name of the printer and the submodule defining it.
+_EXPORTS = {
+    "format_formula": "printer",
+    "format_term": "printer",
+}
 
 __all__ = [
     "And",
@@ -67,3 +75,10 @@ __all__ = [
     "term_free_vars",
     "to_nnf",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

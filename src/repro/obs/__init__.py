@@ -1,6 +1,7 @@
 """``repro.obs`` — zero-dependency telemetry for the checking pipeline.
 
-Four layers:
+The null paths load with the package; everything else loads on first
+use:
 
 * :mod:`repro.obs.tracer` — a span tracer covering every stage boundary
   named by :data:`repro.obs.stages.STAGES` (the same vocabulary the
@@ -9,13 +10,24 @@ Four layers:
   installed, :func:`span` costs one global read.
 * :mod:`repro.obs.metrics` — a registry of counters/labelled
   counters/timers fed from ``ProverStats`` and vcgen sizes.
-* :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto
-  or ``chrome://tracing``), machine-readable metrics JSON (or the
-  Prometheus text format), and the human ``--profile`` text report.
 * :mod:`repro.obs.events` — a structured JSONL event journal for the
   *distributed* lifecycle (leases, worker churn, quarantines, cache
-  traffic, degradation), schema-validated in-tree, with a ``--progress``
-  renderer (:mod:`repro.obs.progress`) driven off the same stream.
+  traffic, degradation), with the same one-read null path as the tracer.
+
+Loaded on demand (PEP 562), so a plain check imports none of them:
+
+* :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto
+  or ``chrome://tracing``), machine-readable metrics JSON (or the
+  Prometheus text format), and the human ``--profile`` text report;
+* :mod:`repro.obs.progress` — the ``--progress`` renderer, driven off
+  the event stream;
+* :mod:`repro.obs.analyze` — the ``events report`` / ``events export``
+  analytics over a journal;
+* :mod:`repro.obs.schema` — the in-tree JSON-schema validators;
+* :mod:`repro.obs.explain` — ``--explain`` reports (it pulls in the
+  proof-replay kernel and countermodels);
+* :mod:`repro.obs.httpd` — the ``/metrics`` HTTP endpoint of the
+  standing servers (it pulls in ``http.server``).
 
 Typical use::
 
@@ -28,13 +40,8 @@ Typical use::
     print(obs.text_report(tracer))
 """
 
-from repro.obs.analyze import (
-    analyze_journal,
-    journal_chrome_trace,
-    render_report_text,
-    run_ids,
-    write_report,
-)
+import importlib
+
 from repro.obs.events import (
     EVENT_KINDS,
     EventJournal,
@@ -44,7 +51,6 @@ from repro.obs.events import (
     read_journal,
 )
 from repro.obs.metrics import MetricsRegistry, TimerStat, prometheus_name
-from repro.obs.progress import ProgressRenderer
 from repro.obs.stages import (
     CAT_IMPL,
     CAT_PIPELINE,
@@ -52,6 +58,9 @@ from repro.obs.stages import (
     CAT_VC,
     STAGES,
 )
+
+# Bound after ``repro.obs.metrics`` has loaded, so ``repro.obs.metrics``
+# is the tracer's ``metrics`` function, not the submodule.
 from repro.obs.tracer import (
     Span,
     Tracer,
@@ -61,74 +70,66 @@ from repro.obs.tracer import (
     span,
     tracing,
 )
-from repro.obs.export import (
-    chrome_trace,
-    metrics_json,
-    text_report,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_metrics,
-    write_metrics_prometheus,
-)
-from repro.obs.explain import (
-    Explanation,
-    InclusionCheck,
-    attach_to_trace,
-    explain_result,
-    inclusion_chain,
-)
-from repro.obs.httpd import TelemetryHTTPServer, render_prometheus
-from repro.obs.schema import (
-    validate_event,
-    validate_event_journal,
-    validate_events_report,
-    validate_explanation_report,
+
+#: Each public name of an optional layer and the submodule that defines
+#: it. Submodules load on first access (PEP 562).
+_EXPORTS = {
+    "analyze_journal": "analyze",
+    "journal_chrome_trace": "analyze",
+    "render_report_text": "analyze",
+    "run_ids": "analyze",
+    "write_report": "analyze",
+    "Explanation": "explain",
+    "InclusionCheck": "explain",
+    "attach_to_trace": "explain",
+    "explain_result": "explain",
+    "inclusion_chain": "explain",
+    "chrome_trace": "export",
+    "metrics_json": "export",
+    "text_report": "export",
+    "validate_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "write_metrics": "export",
+    "write_metrics_prometheus": "export",
+    "TelemetryHTTPServer": "httpd",
+    "render_prometheus": "httpd",
+    "ProgressRenderer": "progress",
+    "validate_event": "schema",
+    "validate_event_journal": "schema",
+    "validate_events_report": "schema",
+    "validate_explanation_report": "schema",
+}
+
+__all__ = sorted(
+    [
+        "CAT_IMPL",
+        "CAT_PIPELINE",
+        "CAT_STAGE",
+        "CAT_VC",
+        "EVENT_KINDS",
+        "EventJournal",
+        "MetricsRegistry",
+        "STAGES",
+        "Span",
+        "TimerStat",
+        "Tracer",
+        "active",
+        "current",
+        "emit",
+        "journal",
+        "journaling",
+        "metrics",
+        "prometheus_name",
+        "read_journal",
+        "span",
+        "tracing",
+        *_EXPORTS,
+    ]
 )
 
-__all__ = [
-    "CAT_IMPL",
-    "CAT_PIPELINE",
-    "CAT_STAGE",
-    "CAT_VC",
-    "EVENT_KINDS",
-    "EventJournal",
-    "Explanation",
-    "InclusionCheck",
-    "MetricsRegistry",
-    "ProgressRenderer",
-    "STAGES",
-    "Span",
-    "TelemetryHTTPServer",
-    "TimerStat",
-    "Tracer",
-    "active",
-    "analyze_journal",
-    "attach_to_trace",
-    "chrome_trace",
-    "current",
-    "emit",
-    "explain_result",
-    "inclusion_chain",
-    "journal",
-    "journal_chrome_trace",
-    "journaling",
-    "metrics",
-    "metrics_json",
-    "prometheus_name",
-    "read_journal",
-    "render_prometheus",
-    "render_report_text",
-    "run_ids",
-    "span",
-    "text_report",
-    "tracing",
-    "validate_chrome_trace",
-    "validate_event",
-    "validate_event_journal",
-    "validate_events_report",
-    "validate_explanation_report",
-    "write_chrome_trace",
-    "write_metrics",
-    "write_metrics_prometheus",
-    "write_report",
-]
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

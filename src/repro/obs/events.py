@@ -38,7 +38,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -97,7 +96,11 @@ class EventJournal:
     """An in-memory, thread-safe journal of structured event records."""
 
     def __init__(self, run_id: Optional[str] = None):
-        self.run_id = run_id or uuid.uuid4().hex[:12]
+        if not run_id:
+            import uuid  # loads ``platform`` too: only journaled runs pay
+
+            run_id = uuid.uuid4().hex[:12]
+        self.run_id = run_id
         self.records: List[Dict[str, object]] = []
         self._seq = 0
         # Re-entrant: a listener observing a record may itself query the

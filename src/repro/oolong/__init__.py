@@ -16,7 +16,12 @@ oolong is the primitive, untyped object-oriented language of the paper
 
 plus the paper's ``if B then C else D end`` encoding and a ``skip`` command
 as parsing sugar.
+
+The pretty-printer (:mod:`repro.oolong.pretty`) loads on first use
+(PEP 562): a check never prints source.
 """
+
+import importlib
 
 from repro.oolong.ast import (
     Assert,
@@ -47,9 +52,16 @@ from repro.oolong.ast import (
 )
 from repro.oolong.lexer import tokenize
 from repro.oolong.parser import Parser, parse_command, parse_expression, parse_program_text
-from repro.oolong.pretty import pretty_cmd, pretty_decl, pretty_expr, pretty_program
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
+
+#: Each public name of the pretty-printer and the submodule defining it.
+_EXPORTS = {
+    "pretty_cmd": "pretty",
+    "pretty_decl": "pretty",
+    "pretty_expr": "pretty",
+    "pretty_program": "pretty",
+}
 
 __all__ = [
     "Assert",
@@ -89,3 +101,10 @@ __all__ = [
     "pretty_program",
     "tokenize",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -4,13 +4,15 @@ The paper's modular-soundness result (scope monotonicity) makes every
 per-implementation verdict independent of the others; this package
 exploits that independence for throughput *and* robustness:
 
-* :mod:`repro.parallel.jobs` — the job book and the one job policy
-  both executors follow: one :class:`Job` per implementation, the queue
-  with deterministic jittered backoff, each attempt's injected fault
-  and hard deadline, and every outcome with its journal records — a
-  filed result, retry or quarantine (``OL902``), hard timeout and
-  scope-budget cancellation (``OL901``) — so every executor fails
-  identically;
+* :mod:`repro.parallel.jobs` — the job book every backend checks
+  from: one :class:`Job` per implementation, and the settle step each
+  decided verdict takes;
+* :mod:`repro.parallel.policy` — the one job policy both executors
+  follow: the queue with deterministic jittered backoff, each attempt's
+  injected fault and hard deadline, and every outcome with its journal
+  records — a filed result, retry or quarantine (``OL902``), hard
+  timeout and scope-budget cancellation (``OL901``) — so every
+  executor fails identically;
 * :mod:`repro.parallel.supervisor` — the ``-j`` transport: a
   :class:`WorkerSupervisor` running jobs on process-isolated pipe
   workers, detecting deaths (exit code, killing signal, lost heartbeat)
@@ -74,9 +76,9 @@ _EXPORTS = {
     "fleet_worker_main": "fleet",
     "run_fleet_checks": "fleet",
     "Job": "jobs",
-    "backoff_delay": "jobs",
     "build_jobs": "jobs",
-    "jitter_fraction": "jobs",
+    "backoff_delay": "policy",
+    "jitter_fraction": "policy",
     "ParallelOptions": "supervisor",
     "ParallelOutcome": "supervisor",
     "WorkerSupervisor": "supervisor",

@@ -23,7 +23,7 @@ cache silently becomes a zero-hit cache, because a mid-run cache outage
 must never fail or stall proving. The breaker is *half-open*: after a
 trip the client schedules reconnect probes on a jittered exponential
 backoff (deterministic per client, see
-:func:`repro.parallel.jobs.backoff_delay`) and, when a probe's
+:func:`repro.parallel.policy.backoff_delay`) and, when a probe's
 re-handshake succeeds, swaps in the fresh connection and resumes
 remote traffic — so a cache server restarted mid-run serves the rest
 of the run instead of the outage being permanent.
@@ -383,7 +383,7 @@ class RemoteCache:
         self._schedule_probe()
 
     def _schedule_probe(self) -> None:
-        from repro.parallel.jobs import backoff_delay
+        from repro.parallel.policy import backoff_delay
 
         self._probe_at = time.monotonic() + backoff_delay(
             self.reconnect_backoff,

@@ -21,7 +21,7 @@ lease expire and the coordinator reclaims the job. This module is
 transport only — sockets, leases, membership, local respawn and the
 ``fleet.*`` counters. What a reclaimed lease, a hard-timeout overrun or
 an expired scope budget means for the job is decided by the job policy
-the local supervisor follows too (:class:`repro.parallel.jobs.JobPolicy`),
+the local supervisor follows too (:class:`repro.parallel.policy.JobPolicy`),
 so retries, ``OL902`` quarantine and both ``OL901`` outcomes read the
 same on either backend. A lease frame that never reached its worker is
 requeued without charging an attempt. Verdicts are merged in job order,
@@ -48,7 +48,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.jobs import Job, JobPolicy, build_jobs, mp_context
+from repro.parallel.jobs import Job, build_jobs
+from repro.parallel.policy import JobPolicy, mp_context
 from repro.obs.httpd import TelemetryHTTPServer
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.transport import (

@@ -15,7 +15,7 @@ receives results, and detects what the cooperative serial driver cannot:
   interval, instead of waiting for each to notice.
 
 What follows from each is the job policy's decision
-(:class:`repro.parallel.jobs.JobPolicy`), shared with the fleet: retry
+(:class:`repro.parallel.policy.JobPolicy`), shared with the fleet: retry
 with backoff or quarantine as ``OL902``, ``TIMED_OUT``/``OL901``, or
 cancellation in the serial driver's ``OL901`` wording. A job that was
 never accepted because its worker died first counts as a death.
@@ -56,7 +56,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.jobs import Job as _Job, JobPolicy, build_jobs, mp_context
+from repro.parallel.jobs import Job as _Job, build_jobs
+from repro.parallel.policy import JobPolicy, mp_context
 from repro.parallel.worker import (
     HEARTBEAT_INTERVAL,
     JobResult,
@@ -80,7 +81,7 @@ class ParallelOptions:
     max_retries: int = 2
     #: Base of the exponential retry backoff (seconds): attempt *n*
     #: waits ``backoff_base * 2**(n-1)``, stretched by the job policy's
-    #: deterministic jitter (see :func:`repro.parallel.jobs.backoff_delay`).
+    #: deterministic jitter (see :func:`repro.parallel.policy.backoff_delay`).
     backoff_base: float = 0.05
     #: A worker whose heartbeat is older than this while a job is
     #: running is considered dead (frozen interpreter) and killed.

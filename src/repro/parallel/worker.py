@@ -22,7 +22,7 @@ stale → treat as worker death and retry the job elsewhere).
 
 Injected faults (``worker-kill``/``worker-hang``) arrive as part of the
 job request — decided by the parent's job policy
-(:class:`repro.parallel.jobs.JobPolicy`) from the active
+(:class:`repro.parallel.policy.JobPolicy`) from the active
 :class:`repro.testing.faults.FaultPlan`, so fault placement is keyed by
 deterministic job index, never by which worker happened to pick the job
 up. ``kill`` exits the process hard (``os._exit``, modelling SIGKILL by

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.logic.nnf import FreshNames, negate, skolemize, to_nnf
 from repro.logic.subst import formula_free_vars, subst_formula
@@ -55,7 +55,6 @@ from repro.logic.terms import (
     TrueF,
     Var,
 )
-from repro.prover.countermodel import Countermodel, capture_countermodel
 from repro.prover.egraph import EGraph
 from repro.prover.matching import Emitter, compile_trigger, compiled, term_shape
 from repro.prover.prooflog import (
@@ -72,7 +71,9 @@ from repro.prover.prooflog import (
     ProofStep,
     flatten_forall,
 )
-from repro.prover.triggers import infer_triggers
+
+if TYPE_CHECKING:
+    from repro.prover.countermodel import Countermodel
 
 
 #: Version of the search; folded into the parallel result-cache key (see
@@ -944,6 +945,10 @@ class Solver:
         formula = flatten_forall(formula)
         triggers = formula.triggers
         if not triggers:
+            # Background axioms carry their patterns, so a plain check
+            # may never need inference.
+            from repro.prover.triggers import infer_triggers
+
             triggers = infer_triggers(formula)
             if not triggers:
                 self.stats.unmatchable_quantifiers += 1
@@ -1062,6 +1067,8 @@ class Solver:
                 # snapshot the branch before the unwind discards it.
                 self._record_sat_markers(force=True)
                 if self.explain and self._countermodel is None:
+                    from repro.prover.countermodel import capture_countermodel
+
                     self._countermodel = capture_countermodel(
                         self.egraph,
                         self._seen,

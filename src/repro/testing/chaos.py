@@ -22,8 +22,6 @@ registered stage) and ``hit`` is its deterministic ordinal.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.testing.faults import (
@@ -95,6 +93,9 @@ def run_cli(
     that can import :mod:`repro`, so the harness works from a source
     checkout without installation.
     """
+    import subprocess
+    import sys
+
     env = dict(os.environ)
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),

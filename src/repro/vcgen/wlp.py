@@ -185,73 +185,116 @@ def command_obligations(
     registration order and numbered from ``ident``.
 
     ``modifies`` is the checked procedure's declared frame as source text
-    and ``callee`` the procedure a :class:`Call` invokes. This is the one
-    place an obligation's kind, description and details are made: wlp
-    tags its formulas with them, and the static analyses' site list
-    (:attr:`repro.analysis.facts.ImplFacts.sites`) carries the same
-    records.
+    and ``callee`` the procedure a :class:`Call` invokes. wlp tags its
+    formulas with these records; the static analyses' site list
+    (:attr:`repro.analysis.facts.ImplFacts.sites`) holds the same
+    obligations as :func:`obligation_shapes` and builds each record only
+    when something reads it.
+    """
+    return [
+        obligation_info(cmd, ident + offset, shape, modifies, callee)
+        for offset, shape in enumerate(
+            obligation_shapes(cmd, callee, owner_exclusion)
+        )
+    ]
+
+
+#: One obligation without its text: ``(kind, attr, subject, arg_index)``.
+#: ``subject`` is the AST node it is about — the written location, the
+#: asserted condition, the callee's designator or the actual — and
+#: ``attr`` the attribute a licence is checked for (None for asserts
+#: and owner exclusion), ``arg_index`` the 1-based argument position of
+#: an owner exclusion (None otherwise).
+ObligationShape = Tuple[str, Optional[str], object, Optional[int]]
+
+
+def obligation_shapes(
+    cmd: Cmd,
+    callee: Optional[ProcDecl] = None,
+    owner_exclusion: bool = True,
+) -> List[ObligationShape]:
+    """The obligations of the atomic command ``cmd`` in wlp's
+    registration order, without their text.
+
+    This is the one place the obligations of a command are enumerated;
+    :func:`obligation_info` makes the record of each.
     """
     if isinstance(cmd, (Assign, AssignNew)):
         if not isinstance(cmd.target, FieldAccess):
             return []
-        verb = "write to" if isinstance(cmd, Assign) else "allocation into"
-        target = str(cmd.target)
-        return [
-            ObligationInfo(
-                ident,
-                "write-licence",
-                f"{verb} {target}{_at(cmd)}",
-                position=cmd.position,
-                target=target,
-                attr=cmd.target.attr,
-                modifies=modifies,
-            )
-        ]
+        return [("write-licence", cmd.target.attr, cmd.target, None)]
     if isinstance(cmd, Assert):
-        return [
-            ObligationInfo(
-                ident,
-                "assert",
-                f"assert {cmd.condition}{_at(cmd)}",
-                position=cmd.position,
-                target=str(cmd.condition),
-            )
-        ]
+        return [("assert", None, cmd.condition, None)]
     if not isinstance(cmd, Call):
         return []
     # Figure 3: a licence for every location the callee may modify, then
     # owner exclusion for every actual (vacuous when the callee's
     # modifies list is empty).
-    where = f"call {cmd.proc}{_at(cmd)}"
-    infos = [
-        ObligationInfo(
-            ident + index,
-            "call-licence",
-            f"{where}: callee may modify {designator}",
+    shapes: List[ObligationShape] = [
+        ("call-licence", designator.attr, designator, None)
+        for designator in callee.modifies
+    ]
+    if owner_exclusion and callee.modifies:
+        shapes.extend(
+            ("owner-exclusion", None, arg, index + 1)
+            for index, arg in enumerate(cmd.args)
+        )
+    return shapes
+
+
+def obligation_info(
+    cmd: Cmd,
+    ident: int,
+    shape: ObligationShape,
+    modifies: Tuple[str, ...],
+    callee: Optional[ProcDecl] = None,
+) -> ObligationInfo:
+    """The record of the obligation ``shape`` of ``cmd``, numbered
+    ``ident``: its kind, description and details (see
+    :func:`command_obligations` for ``modifies`` and ``callee``)."""
+    kind, attr, subject, arg_index = shape
+    target = str(subject)
+    if kind == "write-licence":
+        verb = "write to" if isinstance(cmd, Assign) else "allocation into"
+        return ObligationInfo(
+            ident,
+            kind,
+            f"{verb} {target}{_at(cmd)}",
             position=cmd.position,
-            target=str(designator),
-            attr=designator.attr,
+            target=target,
+            attr=attr,
+            modifies=modifies,
+        )
+    if kind == "assert":
+        return ObligationInfo(
+            ident,
+            kind,
+            f"assert {target}{_at(cmd)}",
+            position=cmd.position,
+            target=target,
+        )
+    where = f"call {cmd.proc}{_at(cmd)}"
+    if kind == "call-licence":
+        return ObligationInfo(
+            ident,
+            kind,
+            f"{where}: callee may modify {target}",
+            position=cmd.position,
+            target=target,
+            attr=attr,
             modifies=modifies,
             callee=cmd.proc,
         )
-        for index, designator in enumerate(callee.modifies)
-    ]
-    if owner_exclusion and callee.modifies:
-        callee_modifies = tuple(str(d) for d in callee.modifies)
-        for index, arg in enumerate(cmd.args):
-            infos.append(
-                ObligationInfo(
-                    ident + len(infos),
-                    "owner-exclusion",
-                    f"{where}: argument #{index + 1} ({arg})",
-                    position=cmd.position,
-                    target=str(arg),
-                    modifies=callee_modifies,
-                    callee=cmd.proc,
-                    arg_index=index + 1,
-                )
-            )
-    return infos
+    return ObligationInfo(
+        ident,
+        kind,
+        f"{where}: argument #{arg_index} ({target})",
+        position=cmd.position,
+        target=target,
+        modifies=tuple(str(d) for d in callee.modifies),
+        callee=cmd.proc,
+        arg_index=arg_index,
+    )
 
 
 def _at(cmd: Cmd) -> str:

@@ -27,13 +27,8 @@ import pytest
 
 from repro import obs
 from repro.api import check_program, check_program_resilient
-from repro.cli import (
-    EXIT_STATUS_DOWN,
-    EXIT_STATUS_REJECTED,
-    cache_main,
-    main,
-    workers_main,
-)
+from repro.cli import EXIT_STATUS_DOWN, EXIT_STATUS_REJECTED, main
+from repro.cli_ops import cache_main, workers_main
 from repro.corpus.generators import generate_impl_farm
 from repro.obs import events as events_module
 from repro.obs.metrics import MetricsRegistry, prometheus_name

@@ -20,7 +20,7 @@ from repro import obs
 from repro.api import check_program
 from repro.corpus.generators import generate_impl_farm
 from repro.parallel import transport
-from repro.parallel.jobs import JobPolicy
+from repro.parallel.policy import JobPolicy
 from repro.parallel.worker import JobRequest, JobResult, encode_result
 from repro.prover.core import Limits
 from repro.vcgen import checker
