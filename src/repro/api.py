@@ -97,7 +97,6 @@ def check_program(
     parallel: Optional[int] = None,
     fleet=None,
     cache_dir: Optional[str] = None,
-    cache_url: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
     job_timeout: Optional[float] = None,
     max_retries: int = 2,
@@ -148,7 +147,6 @@ def check_program(
             parallel=parallel,
             fleet=fleet,
             cache_dir=cache_dir,
-            cache_url=cache_url,
             cache_max_bytes=cache_max_bytes,
             job_timeout=job_timeout,
             max_retries=max_retries,
@@ -170,7 +168,6 @@ def check_program_resilient(
     parallel: Optional[int] = None,
     fleet=None,
     cache_dir: Optional[str] = None,
-    cache_url: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
     job_timeout: Optional[float] = None,
     max_retries: int = 2,
@@ -221,7 +218,6 @@ def check_program_resilient(
                 parallel=parallel,
                 fleet=fleet,
                 cache_dir=cache_dir,
-                cache_url=cache_url,
                 cache_max_bytes=cache_max_bytes,
                 job_timeout=job_timeout,
                 max_retries=max_retries,

@@ -39,37 +39,32 @@ rejected with OL903 and recomputed). See README "Parallel & incremental
 checking".
 ``--fleet N|HOST:PORT`` distributes the same jobs over a socket worker
 fleet with lease-based work stealing (``oolong-check workers serve``
-runs a standing pool; ``oolong-check cache serve`` a shared result-cache
-server for ``--cache-url``; both take ``--http HOST:PORT`` to expose
-/metrics, /healthz, and /status to plain HTTP scrapers). A fleet or
-cache server that cannot be reached degrades the run to local checking
-with an OL904 warning — it never fails it. See README "Distributed
-checking".
+runs a standing pool, and its ``--http HOST:PORT`` exposes /metrics,
+/healthz, and /status to plain HTTP scrapers). A fleet that cannot be
+reached degrades the run to local checking with an OL904 warning — it
+never fails it. See README "Distributed checking".
 ``--run-dir DIR`` keeps a crash-safe fsync'd run ledger: a run killed
 mid-flight (even SIGKILL) resumes with ``--resume``, replaying the
 committed verdicts and checking only the remainder, and the resumed
 report is byte-identical to an uninterrupted run (damaged or stale
-ledgers degrade with OL905, never fail). ``workers`` and ``cache``
-share one entry (``serve|status HOST:PORT`` plus the common flags; each
-kind adds only its own: ``-j``/``--status`` for the pool,
-``--dir``/``--max-bytes`` for the cache) and one serve loop: SIGTERM/^C
-stops accepting, finishes in-flight work within ``--drain-timeout``,
-announces a final ``server-stop`` record and exits 0; an address
-already in use exits 2. See README "Crash recovery & graceful
-shutdown".
+ledgers degrade with OL905, never fail). ``workers serve`` stops on
+SIGTERM/^C: it stops accepting, finishes in-flight work within
+``--drain-timeout``, announces a final ``server-stop`` record and exits
+0; an address already in use exits 2. See README "Crash recovery &
+graceful shutdown".
 ``oolong-check events report FILE`` analyzes a ``--events`` journal
 after the fact (utilization, lease latencies, OL901–OL904 summaries,
 cache effectiveness, the critical path); ``events export --trace OUT
-FILE`` converts a journal into a Chrome trace. ``workers status`` and
-``cache status`` speak one status protocol (``oolong-status-1``) and
-exit 3 when nothing answered and 4 when the server refused the
-handshake, so scripts can tell "down" from "wrong server".
+FILE`` converts a journal into a Chrome trace. ``workers status``
+speaks the status protocol (``oolong-status-1``) and exits 3 when
+nothing answered and 4 when the server refused the handshake, so
+scripts can tell "down" from "wrong server".
 Sources are parsed per file with panic-mode error recovery, so every
 diagnostic position names the file it points into and *all* syntax
 errors across all files are reported in one run (as ``OL001``/``OL002``
 diagnostics) instead of only the first.
 
-The ``workers``, ``cache`` and ``events`` subcommands live in
+The ``workers`` and ``events`` subcommands live in
 :mod:`repro.cli_ops`, which loads only when one of them runs.
 
 Exit codes: 0 — clean; 1 — findings at or above the ``--fail-on``
@@ -371,15 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "recomputed. Bypassed under --explain",
     )
     parser.add_argument(
-        "--cache-url",
-        metavar="HOST:PORT",
-        default=None,
-        help="use a shared result-cache server ('oolong-check cache "
-        "serve') instead of a local --cache-dir; entries are checksum-"
-        "validated on both ends (OL903 on rejection). An unreachable or "
-        "mid-run-lost server degrades to OL904, never fails the run",
-    )
-    parser.add_argument(
         "--cache-max-bytes",
         type=_nonneg_int,
         metavar="B",
@@ -501,10 +487,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.cli_ops import workers_main
 
         return workers_main(argv[1:])
-    if argv and argv[0] == "cache":
-        from repro.cli_ops import cache_main
-
-        return cache_main(argv[1:])
     if argv and argv[0] == "events":
         from repro.cli_ops import events_main
 
@@ -514,9 +496,24 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def check_main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.resume and not args.run_dir:
-        print("error: --resume requires --run-dir DIR", file=sys.stderr)
-        return 2
+    for given, needed, flag, needs in (
+        (args.resume, args.run_dir, "--resume", "--run-dir DIR"),
+        (
+            args.cache_max_bytes is not None,
+            args.cache_dir,
+            "--cache-max-bytes",
+            "--cache-dir PATH",
+        ),
+        (
+            args.fleet_wait is not None,
+            args.fleet,
+            "--fleet-wait",
+            "--fleet N|HOST:PORT",
+        ),
+    ):
+        if given and not needed:
+            print(f"error: {flag} requires {needs}", file=sys.stderr)
+            return 2
     sources, read_error = _read_sources(args.files)
     if read_error is not None:
         print(f"error: {read_error}", file=sys.stderr)
@@ -594,7 +591,6 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
                 parallel=args.jobs,
                 fleet=_fleet_spec(args),
                 cache_dir=args.cache_dir,
-                cache_url=args.cache_url,
                 cache_max_bytes=args.cache_max_bytes,
                 job_timeout=args.job_timeout,
                 max_retries=args.max_retries,

@@ -1,8 +1,8 @@
 """The operations subcommands of ``oolong-check``.
 
-``workers serve|status`` and ``cache serve|status`` run and query the
-standing servers (a fleet worker pool, a shared result cache); ``events
-report|export`` analyzes an ``--events`` journal after the fact.
+``workers serve|status`` runs and queries a standing fleet worker pool;
+``events report|export`` analyzes an ``--events`` journal after the
+fact.
 :mod:`repro.cli` dispatches here on first use, so a check never
 compiles this module. See :mod:`repro.cli` for the exit codes.
 """
@@ -49,23 +49,30 @@ def _render_status(payload: dict, metrics_format: Optional[str]) -> str:
             f"alive (pids: {pids or 'none'})"
         )
         lines.append(f"  jobs served: {payload.get('jobs_served')}")
-    elif kind == "cache-server":
-        lines.append(f"  address: {payload.get('address')}")
-        for key, value in sorted(payload.get("summary", {}).items()):
-            lines.append(f"  {key}: {value}")
     counters = payload.get("metrics", {}).get("counters", {})
     for name, value in sorted(counters.items()):
         lines.append(f"  {name}: {value}")
     return "\n".join(lines)
 
 
-def _server_parser(
-    kind: str, description: str, address_help: str
-) -> argparse.ArgumentParser:
-    """The ``serve|status`` arguments ``workers`` and ``cache`` share;
-    each kind adds only its own flags."""
+def workers_main(argv: Optional[List[str]] = None) -> int:
+    """``oolong-check workers serve|status`` — a standing worker pool.
+
+    ``serve HOST:PORT`` keeps dialing the coordinator address, so the
+    pool can be started before any checker run exists and survives
+    across successive runs (each run's coordinator binds the same
+    address, the workers rejoin). With ``--status HOST:PORT`` the pool
+    also answers live status queries there. ``status HOST:PORT`` asks a
+    pool's status endpoint and prints the answer: it exits 3 when
+    nothing answered and 4 when the pool refused the handshake. A usage
+    error, including an address already in use, exits 2.
+    """
     parser = argparse.ArgumentParser(
-        prog=f"oolong-check {kind}", description=description
+        prog="oolong-check workers",
+        description="Run a standing pool of fleet proof workers that dial "
+        "a coordinator address and steal job leases from it (see "
+        "'oolong-check --fleet HOST:PORT'), or query a running "
+        "pool's status endpoint.",
     )
     parser.add_argument(
         "action",
@@ -73,12 +80,16 @@ def _server_parser(
         help="serve: run the server until SIGTERM or ^C; status: query a "
         "running server and print its status",
     )
-    parser.add_argument("address", metavar="HOST:PORT", help=address_help)
+    parser.add_argument(
+        "address",
+        metavar="HOST:PORT",
+        help="serve: fleet coordinator address to dial; status: the "
+        "pool's --status endpoint address",
+    )
     parser.add_argument(
         "--token",
         default=None,
-        help="shared token (a pool's must match the coordinator's; a "
-        "cache server's clients must present it)",
+        help="shared token (a pool's must match the coordinator's)",
     )
     parser.add_argument(
         "--http",
@@ -105,7 +116,7 @@ def _server_parser(
         metavar="S",
         default=10.0,
         help="with serve: on SIGTERM or ^C, seconds to let in-flight "
-        "jobs or requests finish before they are cut off (default: 10)",
+        "jobs finish before they are cut off (default: 10)",
     )
     parser.add_argument(
         "--timeout",
@@ -122,18 +133,21 @@ def _server_parser(
         help="with status: print the full payload as JSON, or the "
         "metrics as Prometheus text (default: human-readable summary)",
     )
-    return parser
-
-
-def _server_main(parser: argparse.ArgumentParser, argv, build) -> int:
-    """Run ``serve`` or ``status`` for one kind of standing server.
-
-    ``build(args, address, http_address)`` checks the kind's own flags
-    (a ``ValueError`` is a usage error) and constructs the server, which
-    binds its addresses but starts nothing. ``status`` exits 3 when
-    nothing answered and 4 when the server refused the handshake; a
-    usage error, including an address already in use, exits 2.
-    """
+    parser.add_argument(
+        "-j",
+        "--jobs",
+        type=_nonneg_int,
+        metavar="N",
+        default=2,
+        help="worker processes in the pool (default: 2)",
+    )
+    parser.add_argument(
+        "--status",
+        metavar="HOST:PORT",
+        default=None,
+        help="with serve: also answer status queries at this address "
+        "(port 0 picks an ephemeral port)",
+    )
     args = parser.parse_args(argv)
     from repro.parallel.transport import (
         StatusRejected,
@@ -146,10 +160,21 @@ def _server_main(parser: argparse.ArgumentParser, argv, build) -> int:
     try:
         address = parse_address(args.address)
         if args.action == "serve":
-            http_address = (
-                None if args.http is None else parse_address(args.http)
+            from repro.parallel.fleet import WorkerPool
+
+            if args.jobs < 1:
+                raise ValueError("--jobs must be at least 1")
+            server = WorkerPool(
+                address,
+                jobs=args.jobs,
+                token=args.token,
+                status_address=(
+                    None if args.status is None else parse_address(args.status)
+                ),
+                http_address=(
+                    None if args.http is None else parse_address(args.http)
+                ),
             )
-            server = build(args, address, http_address)
     except (ValueError, OSError, TransportError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -192,101 +217,6 @@ def _server_main(parser: argparse.ArgumentParser, argv, build) -> int:
                 lambda path: journal.write(path, append=args.events_append),
             )
     return 0
-
-
-def workers_main(argv: Optional[List[str]] = None) -> int:
-    """``oolong-check workers serve|status`` — a standing worker pool.
-
-    ``serve HOST:PORT`` keeps dialing the coordinator address, so the
-    pool can be started before any checker run exists and survives
-    across successive runs (each run's coordinator binds the same
-    address, the workers rejoin). With ``--status HOST:PORT`` the pool
-    also answers live status queries there. ``status HOST:PORT`` asks a
-    pool's status endpoint and prints the answer.
-    """
-    parser = _server_parser(
-        "workers",
-        "Run a standing pool of fleet proof workers that dial a "
-        "coordinator address and steal job leases from it (see "
-        "'oolong-check --fleet HOST:PORT'), or query a running "
-        "pool's status endpoint.",
-        "serve: fleet coordinator address to dial; status: the "
-        "pool's --status endpoint address",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=_nonneg_int,
-        metavar="N",
-        default=2,
-        help="worker processes in the pool (default: 2)",
-    )
-    parser.add_argument(
-        "--status",
-        metavar="HOST:PORT",
-        default=None,
-        help="with serve: also answer status queries at this address "
-        "(port 0 picks an ephemeral port)",
-    )
-    return _server_main(parser, argv, _build_pool)
-
-
-def cache_main(argv: Optional[List[str]] = None) -> int:
-    """``oolong-check cache serve|status HOST:PORT`` — a shared cache."""
-    parser = _server_parser(
-        "cache",
-        "Serve an on-disk result cache over a socket so many checker "
-        "runs can warm each other (see 'oolong-check --cache-url'), "
-        "or query a running server's status.",
-        "serve: address to listen on; status: server to query",
-    )
-    parser.add_argument(
-        "--dir",
-        dest="directory",
-        metavar="PATH",
-        default=None,
-        help="with serve (required): cache directory to serve (created "
-        "if missing)",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=_nonneg_int,
-        metavar="B",
-        default=None,
-        help="evict least-recently-used entries beyond B bytes",
-    )
-    return _server_main(parser, argv, _build_cache_server)
-
-
-def _build_pool(args, address, http_address):
-    from repro.parallel.fleet import WorkerPool
-    from repro.parallel.transport import parse_address
-
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    return WorkerPool(
-        address,
-        jobs=args.jobs,
-        token=args.token,
-        status_address=(
-            None if args.status is None else parse_address(args.status)
-        ),
-        http_address=http_address,
-    )
-
-
-def _build_cache_server(args, address, http_address):
-    from repro.parallel.cacheserver import CacheServer
-
-    if not args.directory:
-        raise ValueError("serve requires --dir PATH")
-    return CacheServer(
-        args.directory,
-        address,
-        max_bytes=args.max_bytes or None,
-        token=args.token,
-        http_address=http_address,
-    )
 
 
 def events_main(argv: Optional[List[str]] = None) -> int:

@@ -26,8 +26,8 @@ Loaded on demand (PEP 562), so a plain check imports none of them:
 * :mod:`repro.obs.schema` — the in-tree JSON-schema validators;
 * :mod:`repro.obs.explain` — ``--explain`` reports (it pulls in the
   proof-replay kernel and countermodels);
-* :mod:`repro.obs.httpd` — the ``/metrics`` HTTP endpoint of the
-  standing servers (it pulls in ``http.server``).
+* :mod:`repro.obs.httpd` — the ``/metrics`` HTTP endpoint of a
+  standing worker pool (it pulls in ``http.server``).
 
 Typical use::
 

@@ -23,8 +23,8 @@ Every record is a flat JSON object carrying
 The journal follows the tracer's null-path discipline exactly: with no
 journal installed, :func:`emit` is a single module-global read —
 measured and guarded under 1% by ``benchmarks/bench_observability.py``.
-``emit`` is thread-safe (the fleet coordinator's reader threads and the
-cache server's client threads all emit concurrently) and listeners
+``emit`` is thread-safe (the fleet coordinator's reader threads all
+emit concurrently) and listeners
 (e.g. the ``--progress`` renderer) observe records in sequence order.
 
 The journal only records: it triggers no side effect of the check
@@ -49,7 +49,7 @@ EVENT_KINDS = (
     # run lifecycle
     "check-start",
     "check-end",
-    # server lifecycle (coordinator, worker pool, cache server)
+    # server lifecycle (coordinator, worker pool)
     "server-start",
     "server-stop",
     # worker lifecycle
@@ -78,7 +78,6 @@ EVENT_KINDS = (
     "cache-store",
     "cache-evict",
     "cache-reject",  # OL903
-    "cache-reconnected",
     # transport
     "frame-rejected",
     "frame-resync",
@@ -195,8 +194,8 @@ def emit(event: str, **fields: object) -> None:
 def announce(record: Dict[str, object]) -> None:
     """Print one structured record as a JSON line on stdout.
 
-    The long-running server entry points (``cache serve``, ``workers
-    serve``) use this instead of prose banners so their stdout is
+    The long-running server entry point (``workers serve``) uses this
+    instead of a prose banner so its stdout is
     machine-readable with the same shape as the journal; when a journal
     is installed the line carries its ``run_id`` so console output and
     journal records correlate.

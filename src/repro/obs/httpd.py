@@ -1,9 +1,9 @@
-"""An optional HTTP scrape endpoint for the standing servers.
+"""An optional HTTP scrape endpoint for the standing worker pool.
 
-``workers serve --http`` and ``cache serve --http`` mount this tiny
-stdlib ``http.server`` thread next to their ``oolong-status-1`` status
-socket so a real Prometheus (or a plain ``curl``) can scrape them
-without speaking the framed status protocol:
+``workers serve --http`` mounts this tiny stdlib ``http.server`` thread
+next to the pool's ``oolong-status-1`` status socket so a real
+Prometheus (or a plain ``curl``) can scrape it without speaking the
+framed status protocol:
 
 * ``GET /metrics``  — Prometheus text exposition, rendered through the
   exact same path as ``workers status --metrics-format prom``

@@ -26,10 +26,9 @@ exploits that independence for throughput *and* robustness:
   stream resynchronised) rather than trusted. It also holds how every
   endpoint admits a peer: ``Listener`` (bind, one accept thread, a
   thread per connection), ``greet`` (the server's hello and token
-  check) and ``dial`` (the client's hello); and what the two standing
-  servers share: :func:`serve_forever`, the one SIGTERM/^C
-  announce-and-drain loop, and :func:`query_status`, the one
-  ``oolong-status-1`` client that reads either server;
+  check) and ``dial`` (the client's hello); and the standing worker
+  pool's :func:`serve_forever`, its SIGTERM/^C announce-and-drain
+  loop, and :func:`query_status`, its ``oolong-status-1`` client;
 * :mod:`repro.parallel.fleet` — the distributed transport: a socket
   coordinator handing out *renewable leases* to a fleet of local and/or
   remote workers via work stealing; expired leases go back to the job
@@ -41,16 +40,11 @@ exploits that independence for throughput *and* robustness:
   temp-file+rename and a per-entry checksum, LRU-bounded on disk with
   ``max_bytes``, so a ``kill -9`` loses at most the in-flight jobs and
   corrupted or version-skewed entries are rejected (``OL903``) and
-  recomputed;
-* :mod:`repro.parallel.cacheserver` — the same cache served over the
-  fleet transport (:class:`CacheServer` / :class:`RemoteCache`), with
-  entries checksum-validated on both ends of the wire and a mid-run
-  circuit breaker instead of stalls.
+  recomputed.
 
-Entry points: ``check_scope(parallel=N | fleet=..., cache_dir=...,
-cache_url=...)``, ``check_program*`` with the same keywords, and the CLI
-(``oolong-check -j N | --fleet N|HOST:PORT``, ``oolong-check workers
-serve``, ``oolong-check cache serve``).
+Entry points: ``check_scope(parallel=N | fleet=..., cache_dir=...)``,
+``check_program*`` with the same keywords, and the CLI (``oolong-check
+-j N | --fleet N|HOST:PORT``, ``oolong-check workers serve``).
 """
 
 import importlib
@@ -66,9 +60,6 @@ _EXPORTS = {
     "cache_key": "cache",
     "code_version": "cache",
     "validate_entry": "cache",
-    "CacheServer": "cacheserver",
-    "CacheUnavailable": "cacheserver",
-    "RemoteCache": "cacheserver",
     "FleetCoordinator": "fleet",
     "FleetOptions": "fleet",
     "FleetOutcome": "fleet",

@@ -159,11 +159,8 @@ def validate_entry(entry, key: str) -> Tuple[Optional[dict], Optional[str]]:
     """Validate one raw cache entry against ``key``.
 
     Returns ``(verdict_payload, None)`` on success or ``(None, reason)``
-    on rejection. This is the single validation chain for every consumer
-    of entries — the local :class:`ResultCache`, the cache *server*
-    (which refuses to serve bad entries), and the remote cache *client*
-    (which re-validates everything the server sends, so a corrupt or
-    version-skewed entry is rejected on both ends of the wire).
+    on rejection: the validation chain :meth:`ResultCache.load` runs on
+    every entry it reads.
     """
     payload = entry.get("payload") if isinstance(entry, dict) else None
     if not isinstance(payload, dict):
@@ -371,13 +368,15 @@ class ResultCache:
     def load(self, key: str) -> Optional[dict]:
         """The validated payload for ``key``, or None (miss/rejected)."""
         path = self.path(key)
-        entry, error = self.read_entry(key)
-        if entry is None:
-            if error is None:
-                self.misses += 1
-                obs_events.emit("cache-miss", key=event_key(key))
-            else:
-                self._reject(key, error)
+        try:
+            with open(path) as handle:
+                entry = json.load(handle)
+        except FileNotFoundError:
+            self.misses += 1
+            obs_events.emit("cache-miss", key=event_key(key))
+            return None
+        except (OSError, ValueError) as error:
+            self._reject(key, f"unreadable entry: {error}")
             return None
         verdict, reason = validate_entry(entry, key)
         if verdict is None:
@@ -396,22 +395,6 @@ class ResultCache:
         except OSError:
             pass
         return verdict
-
-    def read_entry(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        """The raw (unvalidated) entry for ``key``.
-
-        Returns ``(entry, None)``, ``(None, None)`` for a clean miss, or
-        ``(None, reason)`` when the file exists but cannot be read. Used
-        by the cache server, which serves raw entries and leaves final
-        validation to the client.
-        """
-        try:
-            with open(self.path(key)) as handle:
-                return json.load(handle), None
-        except FileNotFoundError:
-            return None, None
-        except (OSError, ValueError) as error:
-            return None, f"unreadable entry: {error}"
 
     def _reject(self, key: str, reason: str) -> None:
         self.misses += 1

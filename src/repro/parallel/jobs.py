@@ -132,7 +132,7 @@ class JobBook(list):
         fault point lives here: it damages the entry just published for
         its job index.
         """
-        from repro.parallel.cache import ResultCache, verdict_to_payload
+        from repro.parallel.cache import verdict_to_payload
 
         payload = verdict_to_payload(verdict)
         if payload is None or job.key is None:
@@ -141,8 +141,6 @@ class JobBook(list):
             job.key, payload, impl=job.proc_name, index=job.impl_index
         )
         if stored and job.job_id in supervisor_fault_hits("cache-corrupt"):
-            if not isinstance(self.cache, ResultCache):
-                return  # a remote cache: no local file to damage
             path = self.cache.path(job.key)
             try:
                 with open(path, "r+") as handle:

@@ -1,7 +1,7 @@
 """Length-prefixed, checksummed message framing over sockets.
 
-Every message between the fleet coordinator, its workers, and the cache
-server travels as one *frame*:
+Every message between the fleet coordinator, its workers, and a worker
+pool's status port travels as one *frame*:
 
 ====== ======= ==========================================================
 bytes  field   meaning
@@ -496,8 +496,7 @@ class StatusServer(Listener):
     :class:`Listener` that greets ``oolong-status-1`` peers and answers
     them from ``snapshot`` (a callable returning a plain dict).
 
-    The worker pool mounts one beside its coordinator rendezvous; the
-    cache server answers the same hello on its own port instead.
+    The worker pool mounts one beside its coordinator rendezvous.
     Queries are read-only and served on daemon threads, so a slow or
     hostile client can never wedge the server it is observing.
     """
@@ -518,39 +517,32 @@ class StatusServer(Listener):
         self.close()
 
     def _serve_client(self, channel: FramedSocket) -> None:
+        """Welcome a greeted status peer, then answer until ``bye``."""
         if greet(channel, (STATUS_PROTOCOL,), self.token) is None:
             return
         try:
-            answer_status(channel, self.snapshot)
+            channel.send(("welcome", STATUS_PROTOCOL))
+            while True:
+                try:
+                    request = channel.recv(timeout=30.0)
+                except FrameError:
+                    continue
+                except (ReadTimeout, ConnectionClosed):
+                    return
+                if not isinstance(request, tuple) or not request:
+                    channel.send(("error", "bad request"))
+                elif request[0] == "status":
+                    channel.send(("status", self.snapshot()))
+                elif request[0] == "bye":
+                    return
+                else:
+                    channel.send(
+                        ("error", f"unknown request {request[0]!r}")
+                    )
         except (TransportError, OSError):
             pass
         finally:
             channel.close()
-
-
-def answer_status(channel: FramedSocket, snapshot: Callable[[], dict]) -> None:
-    """Welcome a greeted status peer, then answer until ``bye``.
-
-    Shared by :class:`StatusServer` and the cache server, which answers
-    the same ``oolong-status-1`` hello on its own port, so one
-    :func:`query_status` reads either kind of server.
-    """
-    channel.send(("welcome", STATUS_PROTOCOL))
-    while True:
-        try:
-            request = channel.recv(timeout=30.0)
-        except FrameError:
-            continue
-        except (ReadTimeout, ConnectionClosed):
-            return
-        if not isinstance(request, tuple) or not request:
-            channel.send(("error", "bad request"))
-        elif request[0] == "status":
-            channel.send(("status", snapshot()))
-        elif request[0] == "bye":
-            return
-        else:
-            channel.send(("error", f"unknown request {request[0]!r}"))
 
 
 def query_status(
@@ -559,8 +551,7 @@ def query_status(
     token: Optional[str] = None,
     timeout: float = 5.0,
 ) -> dict:
-    """One status round-trip against a worker pool's :class:`StatusServer`
-    or a cache server's own port."""
+    """One status round-trip against a worker pool's :class:`StatusServer`."""
     try:
         channel, _ = dial(address, STATUS_PROTOCOL, token, timeout=timeout)
     except StatusRejected as exc:
@@ -584,9 +575,8 @@ def query_status(
 def serve_forever(server, drain_timeout: float = 10.0) -> None:
     """Run a standing server until SIGTERM or SIGINT (Ctrl-C), then drain.
 
-    The blocking body of ``oolong-check workers serve`` and ``cache
-    serve``. ``server`` is a :class:`~repro.parallel.fleet.WorkerPool`
-    or a :class:`~repro.parallel.cacheserver.CacheServer`: it supplies
+    The blocking body of ``oolong-check workers serve``. ``server`` is
+    a :class:`~repro.parallel.fleet.WorkerPool`: it supplies
     ``start()``, a blocking ``wait()``, ``drain(timeout)`` (returning
     the ``drained``/``terminated`` counts) and ``announcement(starting)``,
     its own fields of the ``server-start``/``server-stop`` stdout

@@ -79,10 +79,9 @@ SUPERVISOR_STAGES: Tuple[str, ...] = (
 )
 
 #: Fault kinds interpreted by the *distributed* backends
-#: (:mod:`repro.parallel.fleet`, :mod:`repro.parallel.transport`,
-#: :mod:`repro.parallel.cacheserver`). As with the supervisor stages the
-#: ``hit`` index names a deterministic ordinal, but which ordinal depends
-#: on the stage:
+#: (:mod:`repro.parallel.fleet`, :mod:`repro.parallel.transport`). As
+#: with the supervisor stages the ``hit`` index names a deterministic
+#: ordinal, but which ordinal depends on the stage:
 #:
 #: * ``drop-frame`` / ``delay-frame`` / ``corrupt-frame`` — the ``hit``-th
 #:   frame the coordinator *sends* (a global outbound-frame ordinal) is
@@ -96,11 +95,7 @@ SUPERVISOR_STAGES: Tuple[str, ...] = (
 #:   worker may reconnect and registers as a fresh ordinal);
 #: * ``worker-churn`` — the ``hit``-th worker to register is shut down
 #:   right after its first completed job, exercising deregistration and
-#:   requeue-free capacity loss;
-#: * ``evict-under-read`` — the cache server deletes the entry behind its
-#:   ``hit``-th *served* GET (misses do not count) after loading it,
-#:   modelling an eviction racing a reader (the client must recompute,
-#:   never crash).
+#:   requeue-free capacity loss.
 #:
 #: Like :data:`SUPERVISOR_STAGES` they stay out of :data:`STAGES` so the
 #: existing seeded fuzz windows are unchanged; sweep them with
@@ -110,7 +105,6 @@ FLEET_STAGES: Tuple[str, ...] = (
     "delay-frame",
     "corrupt-frame",
     "partition-worker",
-    "evict-under-read",
     "worker-churn",
 )
 

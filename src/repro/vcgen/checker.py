@@ -342,7 +342,6 @@ def check_scope(
     parallel: Optional[int] = None,
     fleet=None,
     cache_dir: Optional[str] = None,
-    cache_url: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
     job_timeout: Optional[float] = None,
     max_retries: int = 2,
@@ -410,20 +409,14 @@ def check_scope(
     local supervisor with an ``OL904`` warning instead of failing; the
     merged report is byte-identical either way.
 
-    ``cache_url`` points at a shared cache server
-    (:mod:`repro.parallel.cacheserver`); entries are checksum-validated
-    on both ends (bad ones rejected as ``OL903``), and an unreachable
-    server degrades to the local ``cache_dir`` (or no cache) with an
-    ``OL904`` warning. ``cache_max_bytes`` bounds the local cache
-    directory with LRU eviction.
-
     ``cache_dir`` enables the crash-safe incremental result cache
     (:mod:`repro.parallel.cache`): deterministic verdicts are keyed by a
     content hash of (implementation source, scope interface, limits,
     code version) and reused across runs; corrupted or version-skewed
     entries are rejected with an ``OL903`` warning and recomputed. The
-    cache works in both serial and parallel mode and is bypassed under
-    ``explain=True`` (explanations are not cached).
+    cache works on every backend and is bypassed under ``explain=True``
+    (explanations are not cached). ``cache_max_bytes`` bounds the cache
+    directory with LRU eviction.
 
     ``enforce_restrictions=False`` disables the pivot-uniqueness pass (used
     by the baseline experiments that demonstrate why the restriction is
@@ -562,28 +555,12 @@ def check_scope(
                 _record_discharge_metrics(discharge)
 
         cache = None
-        remote_cache = None
-        if not explain:
+        if cache_dir is not None and not explain:
             # Explain runs bypass the cache: explanations are never cached,
             # so a hit would silently drop the requested blame report.
-            if cache_url is not None:
-                from repro.parallel.cacheserver import (
-                    CacheUnavailable,
-                    RemoteCache,
-                )
+            from repro.parallel.cache import ResultCache
 
-                try:
-                    cache = remote_cache = RemoteCache.connect(cache_url)
-                except CacheUnavailable as exc:
-                    report.diagnostics.append(
-                        _fleet_degraded_diagnostic(
-                            f"shared result cache unreachable ({exc})"
-                        )
-                    )
-            if cache is None and cache_dir is not None:
-                from repro.parallel.cache import ResultCache
-
-                cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
+            cache = ResultCache(cache_dir, max_bytes=cache_max_bytes)
 
         ledger = None
         if run_dir is not None and not explain:
@@ -639,15 +616,6 @@ def check_scope(
         if cache is not None:
             report.diagnostics.extend(_cache_rejection_diagnostics(cache))
             report.cache_summary = cache.summary()
-        if remote_cache is not None:
-            if remote_cache.degraded is not None:
-                report.diagnostics.append(
-                    _fleet_degraded_diagnostic(
-                        f"shared result cache lost mid-run "
-                        f"({remote_cache.degraded})"
-                    )
-                )
-            remote_cache.close()
         report.elapsed = time.monotonic() - start
         obs_events.emit("check-end", ok=report.ok, impls=len(report.verdicts))
         return report
@@ -671,8 +639,8 @@ def _ledger_degraded_diagnostic(
 
 def _fleet_degraded_diagnostic(detail: str) -> Diagnostic:
     # Every OL904 the checker can issue flows through here, so this one
-    # emit covers all degradation paths (cache unreachable, fleet
-    # unavailable, mid-run collapse, cache lost mid-run).
+    # emit covers both degradation paths (fleet unavailable, mid-run
+    # collapse).
     obs_events.emit("degraded", code="OL904", reason=detail)
     return Diagnostic(
         code="OL904",

@@ -3,7 +3,7 @@ fleet-wide trace assembly.
 
 * **Golden fleet report** — a seeded 4-worker *external-pool* fleet run
   with planted OL901 (hard timeout), OL902 (quarantine), and OL904
-  (cache degradation) faults: the report names a non-empty critical
+  (fleet collapse) faults: the report names a non-empty critical
   path and per-worker utilization, its OL901–OL904 counts exactly match
   the run's ``CheckReport`` tallies, the quarantine and degradation
   rows appear in the text rendering, and the journal's Chrome trace
@@ -242,7 +242,7 @@ class TestClockAlignment:
 
 class TestGoldenFleetReport:
     """The acceptance-criteria run: external 4-worker pool, planted
-    OL901 + OL902 faults, cache degradation (OL904)."""
+    OL901 + OL902 faults, fleet degradation (OL904)."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -254,6 +254,12 @@ class TestGoldenFleetReport:
             (
                 Fault("worker-hang", "raise", hit=0),  # job 0 -> OL901
                 Fault("worker-kill", "raise", hit=1),  # job 1 -> OL902
+                # The other two pool workers leave after their first
+                # result, so the fleet has no live worker with jobs still
+                # open. It collapses (OL904) before they redial (the
+                # pool's reconnect delay is 1 s), and the local supervisor
+                # checks the rest.
+                *(Fault("worker-churn", "raise", hit=k) for k in range(4)),
             )
         )
         journal = obs.EventJournal()
@@ -268,12 +274,10 @@ class TestGoldenFleetReport:
                         address=("127.0.0.1", port),
                         lease_duration=30.0,
                         max_retries=0,
+                        stall_timeout=0.05,
                     ),
                     job_timeout=0.5,
                     max_retries=0,
-                    # Nobody listens here: the run degrades the shared
-                    # cache with OL904 but keeps checking on the fleet.
-                    cache_url="127.0.0.1:1",
                 )
         finally:
             pool.stop()

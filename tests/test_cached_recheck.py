@@ -7,8 +7,8 @@ tests hold it to that by counting, not by timing:
 
 * **Once per check** — across one check with a cache and a run ledger,
   each interface declaration is pretty-printed once per :class:`Scope`
-  and each implementation once per check, serially, under ``-j 2``, on
-  a ``--resume`` and against a shared cache server.
+  and each implementation once per check, serially, under ``-j 2`` and
+  on a ``--resume``.
 * **Lifetime** — the interface digest memoized on the scope never
   crosses a pickle, is not inherited by ``extend``/``restrict_to``, and
   does not keep a dropped scope alive; ``-j 2`` and fleet checks of a
@@ -38,7 +38,6 @@ from repro.oolong.ast import ImplDecl
 from repro.oolong.parser import parse_program_text
 from repro.oolong.program import Scope
 from repro.parallel.cache import cache_key
-from repro.parallel.cacheserver import CacheServer
 from repro.parallel.fleet import FleetOptions
 from repro.parallel.ledger import LEDGER_NAME
 from repro.prover.core import Limits
@@ -130,23 +129,6 @@ def test_resume_prints_each_declaration_once(printed, tmp_path):
     )
     assert report.ledger_summary["resumed"] == 2
     assert printed == _expected(scope)
-
-
-@pytest.mark.parametrize("with_ledger", [False, True], ids=["cache", "cache+run"])
-def test_remote_cache_prints_each_declaration_once(
-    printed, with_ledger, tmp_path
-):
-    run_dir = str(tmp_path / "run") if with_ledger else None
-    with CacheServer(str(tmp_path / "served")) as server:
-        for phase in ("cold", "warm"):
-            scope = _farm()
-            printed.clear()
-            report = check_scope(
-                scope, LIMITS, cache_url=server.url, run_dir=run_dir
-            )
-            assert report.ok
-            assert printed == _expected(scope), phase
-    assert report.cache_summary["hits"] == len(report.verdicts)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,8 @@ durable (fsync'd) before the run can observe it, so a coordinator killed
 at *any* point — SIGKILL mid-commit, mid-merge, with a torn ledger tail,
 or with duplicated records — resumes to a **byte-identical** report
 without proving any committed implementation twice; and the standing
-servers (``workers serve``, ``cache serve``) exit 0 through a graceful
-drain on SIGTERM/SIGINT instead of dying with a traceback, while the
-remote-cache client's circuit breaker is half-open: a cache server that
-comes back mid-run is re-dialed and serves the rest of the run.
+worker pool (``workers serve``) exits 0 through a graceful drain on
+SIGTERM/SIGINT instead of dying with a traceback.
 """
 
 import json
@@ -26,7 +24,6 @@ import pytest
 from repro.analysis.diagnostics import Diagnostic, diagnostic_from_dict
 from repro.cli import main
 from repro.corpus.generators import generate_impl_farm
-from repro.obs import EventJournal, journaling
 from repro.obs.events import read_journal
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
@@ -35,7 +32,6 @@ from repro.parallel.cache import (
     encode_verdict,
     payload_to_verdict,
 )
-from repro.parallel.cacheserver import CacheServer, RemoteCache
 from repro.parallel.fleet import WorkerPool
 from repro.parallel.ledger import (
     CHAOS_EXIT_CODE,
@@ -437,7 +433,7 @@ class TestCoordinatorKillMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Graceful server drain (SIGTERM / SIGINT, both servers)
+# Graceful server drain (SIGTERM / SIGINT)
 # ---------------------------------------------------------------------------
 
 
@@ -478,27 +474,20 @@ def _stop_record(out):
     raise AssertionError(f"no server-stop record in {out!r}")
 
 
-def _serve_args(kind, tmp_path):
-    if kind == "workers":
-        return ["workers", "serve", f"127.0.0.1:{_free_port()}", "-j", "2"]
-    directory = str(tmp_path / "cache")
-    return ["cache", "serve", f"127.0.0.1:{_free_port()}", "--dir", directory]
-
-
 class TestGracefulDrain:
-    @pytest.mark.parametrize("kind", ["workers", "cache"])
+    @pytest.mark.parametrize("kind", ["workers"])
     @pytest.mark.parametrize(
         "sig,reason",
         [(signal.SIGTERM, "sigterm"), (signal.SIGINT, "sigint")],
     )
-    def test_serve_drains(self, tmp_path, kind, sig, reason):
+    def test_serve_drains(self, kind, sig, reason):
+        address = f"127.0.0.1:{_free_port()}"
         process = _spawn_cli(
-            [*_serve_args(kind, tmp_path), "--drain-timeout", "5"]
+            [kind, "serve", address, "-j", "2", "--drain-timeout", "5"]
         )
         try:
             _await_start(process)
-            if kind == "workers":
-                time.sleep(1.0)  # let the workers fork and start dialing
+            time.sleep(1.0)  # let the workers fork and start dialing
             os.killpg(process.pid, sig)  # the whole group, like Ctrl-C
             out, err = process.communicate(timeout=30)
         finally:
@@ -508,39 +497,31 @@ class TestGracefulDrain:
         assert "Traceback" not in err
         record = _stop_record(out)
         assert record["reason"] == reason
-        if kind == "workers":
-            assert record["drained"] + record["terminated"] == 2
+        assert record["drained"] + record["terminated"] == 2
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["workers", "serve", "127.0.0.1:1", "-j", "1", "--status", "BUSY"],
             ["workers", "serve", "127.0.0.1:1", "-j", "1", "--http", "BUSY"],
-            ["cache", "serve", "BUSY", "--dir", "DIR"],
-            ["cache", "serve", "127.0.0.1:0", "--dir", "DIR", "--http", "BUSY"],
         ],
-        ids=["workers-status", "workers-http", "cache-address", "cache-http"],
+        ids=["workers-status", "workers-http"],
     )
-    def test_busy_address_is_a_usage_error(self, tmp_path, capsys, argv):
+    def test_busy_address_is_a_usage_error(self, capsys, argv):
         with socket.socket() as busy:
             busy.bind(("127.0.0.1", 0))
             busy.listen(1)
             url = "127.0.0.1:%d" % busy.getsockname()[1]
-            placeholders = {"BUSY": url, "DIR": str(tmp_path / "cache")}
-            assert main([placeholders.get(arg, arg) for arg in argv]) == 2
+            assert main([url if arg == "BUSY" else arg for arg in argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # no server-start: nothing was announced
         assert err.startswith("error: ")
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("kind", ["workers", "cache"])
-    def test_serve_loop_off_main_thread_starts_nothing(self, tmp_path, kind):
+    def test_serve_loop_off_main_thread_starts_nothing(self):
         # signal.signal raises ValueError off the main thread; the loop
         # must raise before it starts a worker process or accept thread.
-        if kind == "workers":
-            server = WorkerPool(("127.0.0.1", 1), jobs=1)
-        else:
-            server = CacheServer(str(tmp_path / "cache"))
+        server = WorkerPool(("127.0.0.1", 1), jobs=1)
         raised = []
 
         def run():
@@ -557,79 +538,7 @@ class TestGracefulDrain:
             assert raised
             assert multiprocessing.active_children() == []
             assert not any(
-                t.name == "cache-accept" for t in threading.enumerate()
+                t.name.endswith("-accept") for t in threading.enumerate()
             )
         finally:
             server.stop()
-
-
-# ---------------------------------------------------------------------------
-# Cache outage, then recovery: the half-open breaker re-dials
-# ---------------------------------------------------------------------------
-
-
-class TestCacheOutageRecovery:
-    def test_breaker_reconnects_after_restart(self, tmp_path):
-        key = "a" * 64
-        directory = str(tmp_path / "cache")
-        journal = EventJournal()
-        with journaling(journal):
-            server = CacheServer(directory, ("127.0.0.1", 0)).start()
-            host, port = server.address
-            client = RemoteCache.connect(server.url)
-            client.reconnect_backoff = 0.05  # shrink the outage window
-            assert client.load(key) is None  # honest miss over the wire
-            server.stop()
-
-            client.load(key)  # fails -> breaker trips
-            assert client.degraded is not None
-            assert client.outages == 1
-            before = client.misses
-            client.load(key)  # still down: local no-op miss
-            assert client.misses == before + 1
-
-            restarted = CacheServer(directory, (host, port)).start()
-            try:
-                deadline = time.monotonic() + 30
-                while client.degraded is not None:
-                    assert time.monotonic() < deadline, "never reconnected"
-                    time.sleep(0.05)
-                    client.load(key)
-                assert client.reconnects == 1
-                # Post-recovery traffic is served remotely again (the
-                # round trip completes instead of no-op'ing locally).
-                assert client.load(key) is None
-                assert client.degraded is None
-                summary = client.summary()
-                assert summary["outages"] == 1
-                assert summary["reconnects"] == 1
-                assert "degraded" not in summary
-            finally:
-                client.close()
-                restarted.stop()
-        kinds = [record["event"] for record in journal.records]
-        assert "cache-reconnected" in kinds
-
-    def test_checker_run_heals_after_outage(self, tmp_path):
-        # Differential: a run against a cache that died and came back
-        # reports the same verdicts as a cacheless run, and ends
-        # un-degraded (the probe reconnected).
-        directory = str(tmp_path / "cache")
-        scope = _scope()
-        baseline = check_scope(scope, LIMITS)
-
-        server = CacheServer(directory, ("127.0.0.1", 0)).start()
-        host, port = server.address
-        url = server.url
-        warm = check_scope(_scope(), LIMITS, cache_url=url)
-        assert warm.describe() == baseline.describe()
-        server.stop()  # outage between runs
-
-        restarted = CacheServer(directory, (host, port)).start()
-        try:
-            healed = check_scope(_scope(), LIMITS, cache_url=url)
-            assert healed.describe() == baseline.describe()
-            assert healed.cache_summary is not None
-            assert healed.cache_summary.get("hits", 0) >= 1
-        finally:
-            restarted.stop()

@@ -97,6 +97,34 @@ class TestExitCodes:
         assert main(["/nonexistent/path.oolong"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "orphan, error",
+        [
+            (["--cache-max-bytes", "10"], "--cache-max-bytes requires --cache-dir PATH"),
+            (["--cache-max-bytes", "0"], "--cache-max-bytes requires --cache-dir PATH"),
+            (["--fleet-wait", "1"], "--fleet-wait requires --fleet N|HOST:PORT"),
+            (["--fleet-wait", "0"], "--fleet-wait requires --fleet N|HOST:PORT"),
+        ],
+        ids=["cache-max-bytes", "cache-max-bytes-0", "fleet-wait", "fleet-wait-0"],
+    )
+    def test_orphan_flag_is_usage_error(self, orphan, error, write_source, capsys):
+        path = write_source("good.oolong", RATIONAL)
+        assert main([path, *orphan]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    def test_cache_max_bytes_bounds_the_cache_dir(
+        self, write_source, tmp_path, capsys
+    ):
+        path = write_source("good.oolong", RATIONAL)
+        cache = tmp_path / "cache"
+        argv = [path, "--cache-dir", str(cache), "--cache-max-bytes", "0"]
+        assert main(argv) == 0
+        assert "verified" in capsys.readouterr().out
+        # A zero budget evicts every entry it stores.
+        assert sorted(p.name for p in cache.iterdir()) == ["summary.json"]
+
     def test_parse_error_exits_two(self, write_source, capsys):
         path = write_source("broken.oolong", "group group group")
         assert main([path]) == 2

@@ -58,7 +58,6 @@ FORBIDDEN = {
         "repro.parallel.fleet",
         "repro.parallel.transport",
         "repro.parallel.cache",
-        "repro.parallel.cacheserver",
         "repro.parallel.ledger",
         "repro.parallel.policy",
         "repro.cli_ops",

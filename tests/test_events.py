@@ -12,9 +12,8 @@
 * **Prometheus** — ``MetricsRegistry.to_prometheus`` renders counters,
   labelled counters, and timers in the text exposition format;
   ``--metrics-format prom`` writes it from the CLI.
-* **Status** — a :class:`StatusServer` and the cache server's own port
-  answer the same ``query_status`` round trip; ``workers status`` /
-  ``cache status`` print the payloads.
+* **Status** — a :class:`StatusServer` answers the ``query_status``
+  round trip; ``workers status`` prints the payload.
 """
 
 import contextlib
@@ -28,15 +27,13 @@ import pytest
 from repro import obs
 from repro.api import check_program, check_program_resilient
 from repro.cli import EXIT_STATUS_DOWN, EXIT_STATUS_REJECTED, main
-from repro.cli_ops import cache_main, workers_main
+from repro.cli_ops import workers_main
 from repro.corpus.generators import generate_impl_farm
 from repro.obs import events as events_module
 from repro.obs.metrics import MetricsRegistry, prometheus_name
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.parallel import FleetOptions
-from repro.parallel.cache import cache_key
-from repro.parallel.cacheserver import CacheServer
 from repro.parallel.transport import (
     StatusServer,
     TransportError,
@@ -587,26 +584,6 @@ class TestStatusEndpoints:
         finally:
             server.stop()
 
-    def test_cache_server_answers_status(self, tmp_path):
-        with CacheServer(str(tmp_path / "cache")) as server:
-            scope = Scope.from_source(RATIONAL)
-            impl = next(iter(scope.impls.values()))[0]
-            key = cache_key(scope, impl, 0, None)
-            payload = query_status(server.address)
-            assert payload["kind"] == "cache-server"
-            assert payload["address"] == server.url
-            assert payload["metrics"]["counters"] == {}
-            # traffic shows up in the served metrics
-            from repro.parallel.cacheserver import RemoteCache
-
-            client = RemoteCache.connect(server.url)
-            assert client.load(key) is None
-            client.close()
-            payload = query_status(server.address)
-            assert payload["metrics"]["counters"]["cacheserver.gets"] == 1
-            assert payload["metrics"]["counters"]["cacheserver.misses"] == 1
-            assert payload["summary"]["misses"] == 1
-
     @pytest.mark.parametrize(
         "kind,entry,lines,fmt,check",
         [
@@ -617,18 +594,11 @@ class TestStatusEndpoints:
                 "prom",
                 lambda out: "oolong_pool_jobs_served 5" in out,
             ),
-            (
-                "cache",
-                cache_main,
-                ["cache-server"],
-                "json",
-                lambda out: json.loads(out)["kind"] == "cache-server",
-            ),
         ],
-        ids=["workers", "cache"],
+        ids=["workers"],
     )
-    def test_status_cli(self, tmp_path, capsys, kind, entry, lines, fmt, check):
-        with _status_target(kind, tmp_path) as url:
+    def test_status_cli(self, capsys, kind, entry, lines, fmt, check):
+        with _status_target() as url:
             assert entry(["status", url]) == 0
             text = capsys.readouterr().out
             for line in lines:
@@ -642,25 +612,19 @@ class TestStatusEndpoints:
             workers_main(["status", "127.0.0.1:1", "--timeout", "1"])
             == EXIT_STATUS_DOWN
         )
-        assert (
-            cache_main(["status", "127.0.0.1:1", "--timeout", "1"])
-            == EXIT_STATUS_DOWN
-        )
         err = capsys.readouterr().err
         assert "error:" in err
         assert "is the server running?" in err
 
     @pytest.mark.parametrize(
         "kind,entry",
-        [("workers", workers_main), ("cache", cache_main)],
-        ids=["workers", "cache"],
+        [("workers", workers_main)],
+        ids=["workers"],
     )
-    def test_status_rejection_exits_distinctly(
-        self, tmp_path, capsys, kind, entry
-    ):
+    def test_status_rejection_exits_distinctly(self, capsys, kind, entry):
         """A live server with the wrong token is "wrong server", not
         "down": exit 4, and the hint names the token."""
-        with _status_target(kind, tmp_path, token="sekrit") as url:
+        with _status_target(token="sekrit") as url:
             assert (
                 entry(["status", url, "--timeout", "2"])
                 == EXIT_STATUS_REJECTED
@@ -670,16 +634,9 @@ class TestStatusEndpoints:
 
 
 @contextlib.contextmanager
-def _status_target(kind, tmp_path, token=None):
-    """A live server of ``kind`` answering status; yields its address.
-
-    ``workers`` is a :class:`StatusServer` over a fixed pool snapshot,
-    ``cache`` a real :class:`CacheServer`.
-    """
-    if kind == "cache":
-        with CacheServer(str(tmp_path / "cache"), token=token) as server:
-            yield server.url
-        return
+def _status_target(token=None):
+    """A :class:`StatusServer` over a fixed pool snapshot; yields its
+    address."""
     snapshot = {
         "kind": "worker-pool",
         "coordinator": "127.0.0.1:1",
@@ -794,20 +751,14 @@ def _http_get(url):
 
 
 class TestHttpEndpoints:
-    @pytest.mark.parametrize("kind", ["worker-pool", "cache-server"])
-    def test_server_serves_http(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["worker-pool"])
+    def test_server_serves_http(self, kind):
         from repro.obs.httpd import render_prometheus
-        from repro.parallel.cacheserver import RemoteCache
         from repro.parallel.fleet import WorkerPool
 
-        if kind == "worker-pool":
-            server = WorkerPool(
-                ("127.0.0.1", 1), jobs=0, http_address=("127.0.0.1", 0)
-            )
-        else:
-            server = CacheServer(
-                str(tmp_path / "cache"), http_address=("127.0.0.1", 0)
-            )
+        server = WorkerPool(
+            ("127.0.0.1", 1), jobs=0, http_address=("127.0.0.1", 0)
+        )
         server.start()
         try:
             base = f"http://{server.http_url}"
@@ -818,26 +769,15 @@ class TestHttpEndpoints:
             assert payload["kind"] == kind
             status, body = _http_get(base + "/metrics")
             assert status == 200
-            if kind == "worker-pool":
-                assert "oolong_pool_jobs_served 0" in body
-                # The scrape endpoint and the status protocol render the
-                # very same counters.
-                assert body == render_prometheus(server.status())
-            else:
-                # traffic shows up in later scrapes
-                scope = Scope.from_source(RATIONAL)
-                impl = next(iter(scope.impls.values()))[0]
-                key = cache_key(scope, impl, 0, None)
-                client = RemoteCache.connect(server.url)
-                assert client.load(key) is None
-                client.close()
-                _, body = _http_get(base + "/metrics")
-                assert "oolong_cacheserver_misses 1" in body
+            assert "oolong_pool_jobs_served 0" in body
+            # The scrape endpoint and the status protocol render the
+            # very same counters.
+            assert body == render_prometheus(server.status())
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("kind", ["worker-pool", "cache-server"])
-    def test_busy_http_address_closes_the_first_listener(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["worker-pool"])
+    def test_busy_http_address_closes_the_first_listener(self, kind):
         from repro.parallel.fleet import WorkerPool
 
         with socket.socket() as probe:
@@ -849,37 +789,28 @@ class TestHttpEndpoints:
             # The raised error's traceback keeps the half-built server
             # alive, so only an explicit close frees its first port.
             with pytest.raises(OSError) as raised:
-                if kind == "worker-pool":
-                    WorkerPool(
-                        ("127.0.0.1", 1),
-                        jobs=1,
-                        status_address=first,
-                        http_address=busy.getsockname(),
-                    )
-                else:
-                    CacheServer(
-                        str(tmp_path / "cache"),
-                        first,
-                        http_address=busy.getsockname(),
-                    )
+                WorkerPool(
+                    ("127.0.0.1", 1),
+                    jobs=1,
+                    status_address=first,
+                    http_address=busy.getsockname(),
+                )
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(first, timeout=5).close()
         del raised
 
-    @pytest.mark.parametrize("kind", ["http", "worker-pool", "cache-server"])
-    def test_stop_without_start_returns_at_once(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["http", "worker-pool"])
+    def test_stop_without_start_returns_at_once(self, kind):
         from repro.obs.httpd import TelemetryHTTPServer
         from repro.parallel.fleet import WorkerPool
 
         http = ("127.0.0.1", 0)
         if kind == "http":
             server = TelemetryHTTPServer(http, lambda: {})
-        elif kind == "worker-pool":
+        else:
             server = WorkerPool(
                 ("127.0.0.1", 1), jobs=1, status_address=http, http_address=http
             )
-        else:
-            server = CacheServer(str(tmp_path / "cache"), http_address=http)
         errors = []
 
         def stop():

@@ -1,7 +1,6 @@
 """One admission rule for every socket endpoint.
 
-The fleet coordinator, the shared cache server and a worker pool's
-status port each greet a new peer's ``("hello", protocol, token,
+The fleet coordinator and a worker pool's status port each greet a new peer's ``("hello", protocol, token,
 *extra)`` the same way: a wrong protocol or a wrong token is refused,
 the right token is welcomed, and a server without a token welcomes any
 token. The peer here is a bare framed socket, so the test holds the
@@ -18,8 +17,6 @@ import pytest
 
 from repro.corpus.generators import generate_impl_farm
 from repro.oolong.program import Scope
-from repro.parallel.cacheserver import PROTOCOL as CACHE_PROTOCOL
-from repro.parallel.cacheserver import CacheServer
 from repro.parallel.fleet import PROTOCOL as FLEET_PROTOCOL
 from repro.parallel.fleet import FleetCoordinator, FleetOptions, FleetUnavailable
 from repro.parallel.transport import (
@@ -29,7 +26,7 @@ from repro.parallel.transport import (
     clock_sample,
 )
 
-ENDPOINTS = ["coordinator", "cache-server", "status-server"]
+ENDPOINTS = ["coordinator", "status-server"]
 
 #: (id, server token, hello protocol right?, client token, welcomed?)
 CASES = [
@@ -47,13 +44,9 @@ def _free_port():
 
 
 @contextlib.contextmanager
-def _endpoint(kind, token, tmp_path):
+def _endpoint(kind, token):
     """A live server of ``kind``; yields its address, protocol and the
     extra hello fields its clients send."""
-    if kind == "cache-server":
-        with CacheServer(str(tmp_path / "cache"), token=token) as server:
-            yield server.address, CACHE_PROTOCOL, ()
-        return
     if kind == "status-server":
         server = StatusServer(
             ("127.0.0.1", 0), lambda: {"kind": "test"}, token=token
@@ -104,9 +97,9 @@ def _connect(address):
 )
 @pytest.mark.parametrize("kind", ENDPOINTS)
 def test_every_endpoint_admits_by_one_rule(
-    tmp_path, kind, server_token, right_protocol, client_token, welcomed
+    kind, server_token, right_protocol, client_token, welcomed
 ):
-    with _endpoint(kind, server_token, tmp_path) as (address, protocol, extra):
+    with _endpoint(kind, server_token) as (address, protocol, extra):
         channel = FramedSocket(_connect(address))
         try:
             channel.send(

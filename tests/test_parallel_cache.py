@@ -182,6 +182,18 @@ class TestEntries:
         assert cache.load(key) is None
         assert any("unreadable" in reason for _, reason in cache.rejections)
 
+    def test_null_entry_is_rejected_not_missed(self, tmp_path):
+        # A file that parses to JSON null is a damaged entry (OL903),
+        # not a clean miss.
+        cache = ResultCache(str(tmp_path))
+        key = "0" * 64
+        (tmp_path / f"{key}.json").write_text("null")
+        assert cache.load(key) is None
+        assert cache.rejections == [
+            (key, "malformed entry: no payload object")
+        ]
+        assert cache.misses == 1
+
     def test_version_skew_is_rejected(self, tmp_path):
         scope = _scope()
         _, payload = _verified_payload(scope)
