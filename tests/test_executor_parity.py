@@ -17,7 +17,9 @@ each:
   "connection lost"), so codes are compared, not text.
 """
 
+import json
 import os
+import sys
 import time
 from collections import Counter
 
@@ -47,6 +49,13 @@ BACKENDS = ("parallel", "fleet")
 
 #: The job-lifecycle records whose per-job counts must match.
 LIFECYCLE = ("job-retry", "job-quarantined", "job-hard-timeout", "job-deadline")
+
+#: The supervisor's lifecycle per fuzzed plan, over every CI
+#: ``FAULT_SEED_OFFSET`` window; regenerate with
+#: ``PYTHONPATH=src python tests/test_executor_parity.py --write``.
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "supervisor_lifecycle.json")
+GOLDEN_SEEDS = (*range(0, 6), *range(100, 106), *range(200, 206))
+GOLDEN_RETRIES = (0, 2)
 
 
 def _farm_scope(impls=4, fields=4):
@@ -192,3 +201,28 @@ class TestFaultParity:
             for backend in BACKENDS
         )
         assert parallel == fleet, plan.describe()
+
+
+def _golden_record(seed, max_retries):
+    plan = FaultPlan.fuzz(seed, stages=("worker-kill", "worker-hang"))
+    jobs, records = _run(
+        "parallel", _farm_scope(), plan, patience=1.0, max_retries=max_retries
+    )
+    return {
+        "plan": plan.describe(),
+        "jobs": json.loads(json.dumps(_lifecycle(jobs, records))),
+    }
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_executor_parity.py --write")
+    lines = [
+        f'"{seed}-{retries}": '
+        + json.dumps(_golden_record(seed, retries), separators=(",", ":"))
+        for seed in GOLDEN_SEEDS
+        for retries in GOLDEN_RETRIES
+    ]
+    with open(GOLDEN, "w") as handle:
+        handle.write("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {os.path.relpath(GOLDEN)}")
