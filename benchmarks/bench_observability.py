@@ -142,30 +142,32 @@ def measure_overhead(limits):
 
 
 def _synthetic_report_journal(jobs=2500, workers=8):
-    """A fleet-shaped journal of ~4 events per job — the input class
-    ``oolong events report`` is priced on."""
+    """A ``-j``-shaped journal of ~4 events per job — the input class
+    ``oolong events report`` is priced on: each job is assigned, misses
+    the result cache, is stored in it and is announced, as in a cold
+    ``-j N --cache-dir`` run."""
     journal = obs.EventJournal()
-    journal.emit("check-start", impls=jobs, backend="fleet")
+    journal.emit("check-start", impls=jobs, backend="parallel")
     for w in range(workers):
-        journal.emit("worker-registered", worker=f"w{w}", kind="remote")
+        journal.emit("worker-spawn", worker=str(w), pid=1000 + w)
     for job in range(jobs):
-        worker = f"w{job % workers}"
+        worker = str(job % workers)
+        key = f"{job:012x}"
         journal.emit(
-            "lease-granted",
-            lease=job,
+            "job-assigned",
             job=job,
-            impl=f"impl_{job}",
-            index=0,
             worker=worker,
             attempt=0,
+            impl=f"impl_{job}",
+            index=0,
         )
-        journal.emit("lease-renewed", lease=job, job=job, worker=worker)
+        journal.emit("cache-miss", key=key)
+        journal.emit("cache-store", key=key)
         journal.emit(
             "impl-checked",
             impl=f"impl_{job}",
             index=0,
             status="verified",
-            lease=job,
             worker=worker,
             attempt=0,
         )
@@ -176,10 +178,10 @@ def _synthetic_report_journal(jobs=2500, workers=8):
 def _measure_report_speed():
     """Milliseconds ``analyze_journal`` spends per 10k journal events.
 
-    The analytics pass is offline (it runs after the fleet is done), so
-    the budget is generous — but it must stay linear-ish in the journal:
-    a 1M-event overnight soak journal has to report in seconds, not
-    minutes. Best-of-3 over a ~10k-event synthetic fleet journal.
+    The analytics pass is offline (it runs after the check is done),
+    so the budget is generous — but it must stay linear-ish in the
+    journal: a 1M-event journal has to report in seconds, not minutes.
+    Best-of-3 over a ~10k-event synthetic ``-j`` journal.
     """
     from repro.obs.analyze import analyze_journal
 

@@ -81,7 +81,6 @@ CODES: Dict[str, Tuple[Severity, str]] = {
     "OL901": (Severity.ERROR, "time budget exhausted"),
     "OL902": (Severity.ERROR, "worker process died repeatedly; job quarantined"),
     "OL903": (Severity.WARNING, "result cache entry rejected"),
-    "OL904": (Severity.WARNING, "distributed backend unavailable; degraded to local checking"),
     "OL905": (Severity.WARNING, "run ledger damaged or stale; affected verdicts recomputed"),
 }
 
@@ -107,7 +106,6 @@ RULE_ALIASES: Dict[str, str] = {
     "discharge-disagreement": "OL402",
     "internal-error": "OL900",
     "deadline": "OL901",
-    "fleet-degraded": "OL904",
     "ledger-recovery": "OL905",
 }
 

@@ -95,7 +95,6 @@ def check_program(
     events=None,
     explain: bool = False,
     parallel: Optional[int] = None,
-    fleet=None,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
     job_timeout: Optional[float] = None,
@@ -117,8 +116,8 @@ def check_program(
 
     ``events``, when given, is a :class:`repro.obs.EventJournal`
     installed for the duration of the call: the run's lifecycle records
-    (lease grants, worker churn, retries/quarantines, cache traffic,
-    degradation) land on it, ready for ``journal.write(path)`` or a live
+    (job assignments, worker spawns and deaths, retries/quarantines,
+    cache traffic) land on it, ready for ``journal.write(path)`` or a live
     listener such as :class:`repro.obs.ProgressRenderer`.
 
     ``explain=True`` attaches a blame report or replayable proof log to
@@ -145,7 +144,6 @@ def check_program(
             limits,
             explain=explain,
             parallel=parallel,
-            fleet=fleet,
             cache_dir=cache_dir,
             cache_max_bytes=cache_max_bytes,
             job_timeout=job_timeout,
@@ -166,7 +164,6 @@ def check_program_resilient(
     events=None,
     explain: bool = False,
     parallel: Optional[int] = None,
-    fleet=None,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
     job_timeout: Optional[float] = None,
@@ -216,7 +213,6 @@ def check_program_resilient(
                 limits,
                 explain=explain,
                 parallel=parallel,
-                fleet=fleet,
                 cache_dir=cache_dir,
                 cache_max_bytes=cache_max_bytes,
                 job_timeout=job_timeout,

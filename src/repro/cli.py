@@ -23,7 +23,7 @@ Check mode also carries the observability flags: ``--trace FILE``
 ``--metrics FILE`` (machine-readable pipeline/prover metrics;
 ``--metrics-format prom`` renders Prometheus text instead of JSON),
 ``--events FILE`` (a structured JSONL event journal of the run's
-lifecycle — leases, worker churn, retries, cache traffic, degradation),
+lifecycle — job assignments, worker deaths, retries, cache traffic),
 ``--progress`` (a live progress line on stderr driven by the same
 events), and ``--profile`` (stage breakdown, slowest VCs, hottest
 quantifiers, deadline pressure). See README "Observability".
@@ -33,39 +33,26 @@ replay-validated proof logs for verified ones. See README "Explaining
 failures".
 ``-j N`` checks implementations on N supervised worker processes with a
 hard ``--job-timeout`` per proof (SIGKILL, OL901), worker-death retries
-up to ``--max-retries`` (then OL902 quarantine), and ``--cache-dir``
-enables the crash-safe incremental result cache (corrupted entries are
-rejected with OL903 and recomputed). See README "Parallel & incremental
-checking".
-``--fleet N|HOST:PORT`` distributes the same jobs over a socket worker
-fleet with lease-based work stealing (``oolong-check workers serve``
-runs a standing pool, and its ``--http HOST:PORT`` exposes /metrics,
-/healthz, and /status to plain HTTP scrapers). A fleet that cannot be
-reached degrades the run to local checking with an OL904 warning — it
-never fails it. See README "Distributed checking".
+up to ``--max-retries`` (then OL902 quarantine); both flags require
+``-j``. ``--cache-dir`` enables the crash-safe incremental result cache
+(corrupted entries are rejected with OL903 and recomputed). See README
+"Parallel & incremental checking".
 ``--run-dir DIR`` keeps a crash-safe fsync'd run ledger: a run killed
 mid-flight (even SIGKILL) resumes with ``--resume``, replaying the
 committed verdicts and checking only the remainder, and the resumed
 report is byte-identical to an uninterrupted run (damaged or stale
-ledgers degrade with OL905, never fail). ``workers serve`` stops on
-SIGTERM/^C: it stops accepting, finishes in-flight work within
-``--drain-timeout``, announces a final ``server-stop`` record and exits
-0; an address already in use exits 2. See README "Crash recovery &
-graceful shutdown".
+ledgers degrade with OL905, never fail). See README "Crash recovery".
 ``oolong-check events report FILE`` analyzes a ``--events`` journal
-after the fact (utilization, lease latencies, OL901–OL904 summaries,
-cache effectiveness, the critical path); ``events export --trace OUT
-FILE`` converts a journal into a Chrome trace. ``workers status``
-speaks the status protocol (``oolong-status-1``) and exits 3 when
-nothing answered and 4 when the server refused the handshake, so
-scripts can tell "down" from "wrong server".
+after the fact (utilization, OL901–OL903 summaries, cache
+effectiveness, the critical path); ``events export --trace OUT FILE``
+converts a journal into a Chrome trace.
 Sources are parsed per file with panic-mode error recovery, so every
 diagnostic position names the file it points into and *all* syntax
 errors across all files are reported in one run (as ``OL001``/``OL002``
 diagnostics) instead of only the first.
 
-The ``workers`` and ``events`` subcommands live in
-:mod:`repro.cli_ops`, which loads only when one of them runs.
+The ``events`` subcommand lives in :mod:`repro.cli_ops`, which loads
+only when it runs.
 
 Exit codes: 0 — clean; 1 — findings at or above the ``--fail-on``
 threshold (or a failed proof, timeout, or internal-error verdict in
@@ -126,15 +113,6 @@ def _fail_on_value(value: str) -> str:
     return value
 
 
-# Exit codes for `workers status` / `cache status`, distinct so a
-# scripted health check can tell "down" from "wrong server": 2 stays the
-# generic usage/parse error, 3 means nothing answered (connection
-# failed), 4 means something answered but refused the handshake (wrong
-# protocol or token).
-EXIT_STATUS_DOWN = 3
-EXIT_STATUS_REJECTED = 4
-
-
 def _nonneg_int(value: str) -> int:
     """argparse ``type`` hook: a non-negative integer (``--max-retries``
     et al. — a negative retry budget would silently mean "never retry"
@@ -157,21 +135,6 @@ def _nonneg_float(value: str) -> float:
     if parsed < 0:
         raise argparse.ArgumentTypeError(f"expected a value >= 0, got {parsed}")
     return parsed
-
-
-def _fleet_value(value: str) -> str:
-    """argparse ``type`` hook for ``--fleet``: worker count or HOST:PORT.
-
-    Validates eagerly so a typo is a parse error, not a mid-run OL904
-    degradation; keeps the raw string on ``args``.
-    """
-    from repro.parallel.fleet import FleetOptions
-
-    try:
-        FleetOptions.from_spec(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-    return value
 
 
 def _fails_threshold(diagnostics, fail_on: str) -> bool:
@@ -278,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write a structured JSONL event journal of the run to FILE: "
-        "lease grants/expiries, worker churn, retries and quarantines "
-        "(OL902), cache traffic (OL903), degradation (OL904) — one JSON "
+        "job assignments, worker deaths, retries and quarantines "
+        "(OL902), timeouts (OL901), cache traffic (OL903) — one JSON "
         "record per line, conforming to the in-tree events.schema.json; "
         "written even when the run fails",
     )
@@ -294,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="render live progress on stderr (implementations checked, "
-        "leases outstanding, cache hits, quarantines, ETA), driven by "
+        "cache hits, quarantines, ETA), driven by "
         "the same event stream --events records",
     )
     parser.add_argument(
@@ -334,27 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check implementations on N supervised worker processes "
         "(process isolation: a crashed, hung, or OOM-killed proof costs "
         "only its own verdict). Default: serial, in-process",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=_fleet_value,
-        metavar="N|HOST:PORT",
-        default=None,
-        help="check implementations on a socket worker fleet: an integer "
-        "spawns N local socket workers; HOST:PORT binds the coordinator "
-        "there for externally started pools ('oolong-check workers "
-        "serve'). Idle workers steal renewable leases; expired leases "
-        "are reassigned with jittered backoff. An unreachable fleet "
-        "degrades to local checking with an OL904 warning — it never "
-        "fails the run",
-    )
-    parser.add_argument(
-        "--fleet-wait",
-        type=_nonneg_float,
-        metavar="S",
-        default=None,
-        help="with --fleet: seconds to wait for the first worker to "
-        "register before degrading to local checking (default: 5)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -400,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=_nonneg_int,
         metavar="K",
-        default=2,
-        help="with -j/--fleet: retries after a worker death before the "
+        default=None,
+        help="with -j: retries after a worker death before the "
         "job is quarantined as INTERNAL_ERROR/OL902 (default: 2)",
     )
     parser.add_argument(
@@ -409,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonneg_float,
         metavar="S",
         default=None,
-        help="with -j/--fleet: hard wall-clock limit per proof job, in "
+        help="with -j: hard wall-clock limit per proof job, in "
         "seconds — the worker is SIGKILLed (no cooperative poll needed) "
         "and the verdict is TIMED_OUT/OL901",
     )
@@ -483,10 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
         return lint_main(argv[1:])
-    if argv and argv[0] == "workers":
-        from repro.cli_ops import workers_main
-
-        return workers_main(argv[1:])
     if argv and argv[0] == "events":
         from repro.cli_ops import events_main
 
@@ -505,10 +443,16 @@ def check_main(argv: Optional[List[str]] = None) -> int:
             "--cache-dir PATH",
         ),
         (
-            args.fleet_wait is not None,
-            args.fleet,
-            "--fleet-wait",
-            "--fleet N|HOST:PORT",
+            args.job_timeout is not None,
+            args.jobs is not None,
+            "--job-timeout",
+            "-j N",
+        ),
+        (
+            args.max_retries is not None,
+            args.jobs is not None,
+            "--max-retries",
+            "-j N",
         ),
     ):
         if given and not needed:
@@ -589,11 +533,12 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
                 lint=not args.no_lint,
                 explain=args.explain,
                 parallel=args.jobs,
-                fleet=_fleet_spec(args),
                 cache_dir=args.cache_dir,
                 cache_max_bytes=args.cache_max_bytes,
                 job_timeout=args.job_timeout,
-                max_retries=args.max_retries,
+                max_retries=(
+                    2 if args.max_retries is None else args.max_retries
+                ),
                 static_discharge=args.static_discharge,
                 check_discharge=args.check_discharge,
                 run_dir=args.run_dir,
@@ -656,24 +601,6 @@ def _discharge_line(summary: dict) -> str:
             f"{summary.get('disagreements', 0)} disagreements"
         )
     return f"discharge ({summary['mode']}): " + "; ".join(parts)
-
-
-def _fleet_spec(args):
-    """Turn ``--fleet``/``--fleet-wait`` into a ``check_scope`` spec.
-
-    The common case stays the raw string (the checker resolves it);
-    ``--fleet-wait`` forces an eager :class:`FleetOptions` so the
-    registration wait rides along.
-    """
-    if args.fleet is None:
-        return None
-    if args.fleet_wait is None:
-        return args.fleet
-    from repro.parallel.fleet import FleetOptions
-
-    return FleetOptions.from_spec(
-        args.fleet, registration_wait=args.fleet_wait
-    )
 
 
 def _export(label: str, path: Optional[str], writer) -> None:

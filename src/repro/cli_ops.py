@@ -1,10 +1,8 @@
-"""The operations subcommands of ``oolong-check``.
+"""The ``events report|export`` subcommand of ``oolong-check``.
 
-``workers serve|status`` runs and queries a standing fleet worker pool;
-``events report|export`` analyzes an ``--events`` journal after the
-fact.
-:mod:`repro.cli` dispatches here on first use, so a check never
-compiles this module. See :mod:`repro.cli` for the exit codes.
+It analyzes an ``--events`` journal after the fact. :mod:`repro.cli`
+dispatches here on first use, so a check never compiles this module.
+See :mod:`repro.cli` for the exit codes.
 """
 
 from __future__ import annotations
@@ -13,224 +11,19 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cli import (
-    EXIT_STATUS_DOWN,
-    EXIT_STATUS_REJECTED,
-    _export,
-    _nonneg_float,
-    _nonneg_int,
-    _write_text,
-)
-
-
-def _render_status(payload: dict, metrics_format: Optional[str]) -> str:
-    """Render a STATUS payload: human text, JSON, or Prometheus text."""
-    if metrics_format == "json":
-        import json
-
-        return json.dumps(payload, indent=2, sort_keys=True)
-    if metrics_format == "prom":
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.merge_dict(payload.get("metrics", {}))
-        return registry.to_prometheus().rstrip("\n")
-    kind = payload.get("kind", "server")
-    lines = [
-        f"{kind} pid={payload.get('pid')} "
-        f"uptime={payload.get('uptime')}s"
-    ]
-    if kind == "worker-pool":
-        workers = payload.get("workers", {})
-        pids = ", ".join(str(pid) for pid in workers.get("pids", []))
-        lines.append(f"  coordinator: {payload.get('coordinator')}")
-        lines.append(
-            f"  workers: {workers.get('alive')}/{workers.get('configured')} "
-            f"alive (pids: {pids or 'none'})"
-        )
-        lines.append(f"  jobs served: {payload.get('jobs_served')}")
-    counters = payload.get("metrics", {}).get("counters", {})
-    for name, value in sorted(counters.items()):
-        lines.append(f"  {name}: {value}")
-    return "\n".join(lines)
-
-
-def workers_main(argv: Optional[List[str]] = None) -> int:
-    """``oolong-check workers serve|status`` — a standing worker pool.
-
-    ``serve HOST:PORT`` keeps dialing the coordinator address, so the
-    pool can be started before any checker run exists and survives
-    across successive runs (each run's coordinator binds the same
-    address, the workers rejoin). With ``--status HOST:PORT`` the pool
-    also answers live status queries there. ``status HOST:PORT`` asks a
-    pool's status endpoint and prints the answer: it exits 3 when
-    nothing answered and 4 when the pool refused the handshake. A usage
-    error, including an address already in use, exits 2.
-    """
-    parser = argparse.ArgumentParser(
-        prog="oolong-check workers",
-        description="Run a standing pool of fleet proof workers that dial "
-        "a coordinator address and steal job leases from it (see "
-        "'oolong-check --fleet HOST:PORT'), or query a running "
-        "pool's status endpoint.",
-    )
-    parser.add_argument(
-        "action",
-        choices=("serve", "status"),
-        help="serve: run the server until SIGTERM or ^C; status: query a "
-        "running server and print its status",
-    )
-    parser.add_argument(
-        "address",
-        metavar="HOST:PORT",
-        help="serve: fleet coordinator address to dial; status: the "
-        "pool's --status endpoint address",
-    )
-    parser.add_argument(
-        "--token",
-        default=None,
-        help="shared token (a pool's must match the coordinator's)",
-    )
-    parser.add_argument(
-        "--http",
-        metavar="HOST:PORT",
-        default=None,
-        help="with serve: also expose /metrics (Prometheus text), "
-        "/healthz, and /status (JSON) over plain HTTP at this address",
-    )
-    parser.add_argument(
-        "--events",
-        metavar="FILE",
-        default=None,
-        help="with serve: write the server's JSONL event journal to "
-        "FILE on shutdown",
-    )
-    parser.add_argument(
-        "--events-append",
-        action="store_true",
-        help="append to --events FILE instead of truncating it",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=_nonneg_float,
-        metavar="S",
-        default=10.0,
-        help="with serve: on SIGTERM or ^C, seconds to let in-flight "
-        "jobs finish before they are cut off (default: 10)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_nonneg_float,
-        metavar="SECONDS",
-        default=5.0,
-        help="with status: bound the connect/read round-trip "
-        "(default: 5)",
-    )
-    parser.add_argument(
-        "--metrics-format",
-        choices=("json", "prom"),
-        default=None,
-        help="with status: print the full payload as JSON, or the "
-        "metrics as Prometheus text (default: human-readable summary)",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=_nonneg_int,
-        metavar="N",
-        default=2,
-        help="worker processes in the pool (default: 2)",
-    )
-    parser.add_argument(
-        "--status",
-        metavar="HOST:PORT",
-        default=None,
-        help="with serve: also answer status queries at this address "
-        "(port 0 picks an ephemeral port)",
-    )
-    args = parser.parse_args(argv)
-    from repro.parallel.transport import (
-        StatusRejected,
-        TransportError,
-        parse_address,
-        query_status,
-        serve_forever,
-    )
-
-    try:
-        address = parse_address(args.address)
-        if args.action == "serve":
-            from repro.parallel.fleet import WorkerPool
-
-            if args.jobs < 1:
-                raise ValueError("--jobs must be at least 1")
-            server = WorkerPool(
-                address,
-                jobs=args.jobs,
-                token=args.token,
-                status_address=(
-                    None if args.status is None else parse_address(args.status)
-                ),
-                http_address=(
-                    None if args.http is None else parse_address(args.http)
-                ),
-            )
-    except (ValueError, OSError, TransportError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.action == "status":
-        try:
-            payload = query_status(
-                address, token=args.token, timeout=args.timeout
-            )
-        except StatusRejected as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "hint: something answered but refused the handshake — "
-                "wrong server, protocol, or --token?",
-                file=sys.stderr,
-            )
-            return EXIT_STATUS_REJECTED
-        except TransportError as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                f"hint: nothing answered at {args.address} — "
-                "is the server running?",
-                file=sys.stderr,
-            )
-            return EXIT_STATUS_DOWN
-        print(_render_status(payload, args.metrics_format))
-        return 0
-    from repro.obs import EventJournal, journaling
-
-    journal = EventJournal() if args.events else None
-    try:
-        with journaling(journal):
-            serve_forever(server, args.drain_timeout)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if journal is not None:
-            _export(
-                "events",
-                args.events,
-                lambda path: journal.write(path, append=args.events_append),
-            )
-    return 0
+from repro.cli import _write_text
 
 
 def events_main(argv: Optional[List[str]] = None) -> int:
     """``oolong-check events report|export FILE`` — journal analytics.
 
     ``report`` reconstructs one run from its JSONL event journal
-    (``--events`` output): per-worker utilization and idle gaps, lease
-    latency percentiles, OL901–OL904 fault summaries correlated to
-    implementations, cache effectiveness, and the critical path that
-    bounded wall-clock — as text or schema-pinned JSON
-    (``report.schema.json``). ``export --trace OUT`` converts the
-    journal into a Chrome trace (open in Perfetto), reconstructing the
-    timeline even for fleet runs over external worker pools whose
-    in-process spans never came home.
+    (``--events`` output): per-worker utilization and idle gaps,
+    OL901–OL903 fault summaries correlated to implementations, cache
+    effectiveness, and the critical path that bounded wall-clock — as
+    text or schema-pinned JSON (``report.schema.json``). ``export
+    --trace OUT`` converts the journal into a Chrome trace (open in
+    Perfetto).
     """
     parser = argparse.ArgumentParser(
         prog="oolong-check events",

@@ -10,9 +10,10 @@ use:
   installed, :func:`span` costs one global read.
 * :mod:`repro.obs.metrics` — a registry of counters/labelled
   counters/timers fed from ``ProverStats`` and vcgen sizes.
-* :mod:`repro.obs.events` — a structured JSONL event journal for the
-  *distributed* lifecycle (leases, worker churn, quarantines, cache
-  traffic, degradation), with the same one-read null path as the tracer.
+* :mod:`repro.obs.events` — a structured JSONL event journal of a
+  check's lifecycle (job assignments, worker deaths, retries,
+  quarantines, cache traffic, ledger commits), with the same one-read
+  null path as the tracer.
 
 Loaded on demand (PEP 562), so a plain check imports none of them:
 
@@ -25,9 +26,7 @@ Loaded on demand (PEP 562), so a plain check imports none of them:
   analytics over a journal;
 * :mod:`repro.obs.schema` — the in-tree JSON-schema validators;
 * :mod:`repro.obs.explain` — ``--explain`` reports (it pulls in the
-  proof-replay kernel and countermodels);
-* :mod:`repro.obs.httpd` — the ``/metrics`` HTTP endpoint of a
-  standing worker pool (it pulls in ``http.server``).
+  proof-replay kernel and countermodels).
 
 Typical use::
 
@@ -91,8 +90,6 @@ _EXPORTS = {
     "write_chrome_trace": "export",
     "write_metrics": "export",
     "write_metrics_prometheus": "export",
-    "TelemetryHTTPServer": "httpd",
-    "render_prometheus": "httpd",
     "ProgressRenderer": "progress",
     "validate_event": "schema",
     "validate_event_journal": "schema",

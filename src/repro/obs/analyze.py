@@ -5,27 +5,24 @@ module answers the operator's questions about it after the fact —
 "which worker was idle, what gated wall-clock, did the cache earn its
 keep, which implementations hit OL901/OL902?" — from nothing but the
 JSON Lines file a ``--events`` run leaves behind. Nothing here imports
-the checker or the fleet: a journal shipped home from another machine
-analyzes identically.
+the checker: a journal copied from another machine analyzes
+identically.
 
 Three consumers sit on top of :func:`analyze_journal`:
 
 * ``oolong events report FILE`` renders the report as text
   (:func:`render_report_text`) or JSON, pinned by
   ``report.schema.json`` next to this module;
-* ``oolong events export --trace`` converts the journal's lease/job
-  intervals into a Chrome trace (:func:`journal_chrome_trace`) so even
-  fleet runs over *external* worker pools — whose in-process spans
-  never came home — get a Perfetto timeline;
+* ``oolong events export --trace`` converts the journal's job
+  intervals into a Chrome trace (:func:`journal_chrome_trace`), a
+  Perfetto timeline for a run that was not traced;
 * ``benchmarks/bench_observability.py`` guards that analysis stays
   linear (``report_ms_per_10k_events``).
 
 All analysis is single-pass over the records plus a sort; busy
-intervals are reconstructed from ``lease-granted``/``job-assigned``
-openings matched against ``impl-checked``/``lease-expired``/
-``lease-reclaimed``/``job-hard-timeout``/``worker-died`` closings, so
-both the fleet and the local supervisor backends reconstruct. The
-critical path is the greedy backward chain over those intervals: from
+intervals are reconstructed from each worker's ``job-assigned``
+openings matched against its ``impl-checked``/``job-hard-timeout``/
+``worker-died`` closings. The critical path is the greedy backward chain over those intervals: from
 the latest-ending interval, repeatedly hop to the latest-ending
 interval that finished before the current one began — the job chain
 that bounded wall-clock.
@@ -35,20 +32,18 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
-# Event kinds that open a busy interval for a worker.
-_OPENERS = ("lease-granted", "job-assigned")
+# Event kinds that close a worker's busy interval.
+_CLOSERS = ("impl-checked", "job-hard-timeout", "worker-died")
 # OL9xx-carrying kinds tabulated as incidents.
 _INCIDENT_KINDS = (
     "job-quarantined",
     "job-hard-timeout",
     "job-deadline",
     "cache-reject",
-    "degraded",
 )
 
 
@@ -76,9 +71,7 @@ def _select_run(
     if not records:
         raise AnalysisError("empty journal")
     if run_id is None:
-        # Prefer the first run that actually checked something; a
-        # journal from `workers serve --events` may lead with a bare
-        # server-lifecycle run.
+        # Prefer the first run that actually checked something.
         for record in records:
             if record.get("event") == "check-start":
                 run_id = str(record.get("run_id"))
@@ -109,7 +102,6 @@ class _Interval:
         "worker",
         "impl",
         "index",
-        "lease",
         "job",
         "attempt",
         "start",
@@ -122,7 +114,6 @@ class _Interval:
         self.worker = str(record.get("worker", "?"))
         self.impl = record.get("impl")
         self.index = record.get("index")
-        self.lease = record.get("lease")
         self.job = record.get("job")
         self.attempt = record.get("attempt")
         self.start = _as_float(record.get("t_mono"))
@@ -150,89 +141,29 @@ class _Interval:
 
 
 def _reconstruct_intervals(records: Sequence[dict]) -> List[_Interval]:
-    by_lease: Dict[object, _Interval] = {}
     by_worker: Dict[str, _Interval] = {}
     closed: List[_Interval] = []
-
-    def _close(interval: _Interval, record: dict) -> None:
-        interval.close(record)
-        closed.append(interval)
-        if interval.lease is not None:
-            by_lease.pop(interval.lease, None)
-        if by_worker.get(interval.worker) is interval:
-            by_worker.pop(interval.worker, None)
-
     last_mono = 0.0
     for record in records:
         last_mono = max(last_mono, _as_float(record.get("t_mono"), last_mono))
         kind = record.get("event")
-        if kind in _OPENERS:
+        if kind == "job-assigned":
             interval = _Interval(record)
-            if interval.lease is not None:
-                by_lease[interval.lease] = interval
             by_worker[interval.worker] = interval
-            continue
-        if kind in (
-            "impl-checked",
-            "lease-expired",
-            "lease-reclaimed",
-            "job-hard-timeout",
-        ):
-            lease = record.get("lease")
-            interval = by_lease.get(lease) if lease is not None else None
-            if interval is None:
-                worker = record.get("worker")
-                interval = (
-                    by_worker.get(str(worker)) if worker is not None else None
-                )
-            if interval is not None:
-                _close(interval, record)
-            continue
-        if kind == "worker-died":
+        elif kind in _CLOSERS:
             worker = record.get("worker")
             interval = (
-                by_worker.get(str(worker)) if worker is not None else None
+                by_worker.pop(str(worker), None) if worker is not None else None
             )
             if interval is not None:
-                _close(interval, record)
+                interval.close(record)
+                closed.append(interval)
     # Anything still open at the end of the journal ends with the run.
-    for interval in list(by_lease.values()) + list(by_worker.values()):
-        if interval.end is None:
-            interval.close({"t_mono": last_mono})
-            closed.append(interval)
-    # by_lease and by_worker can alias the same interval; dedupe while
-    # preserving order.
-    unique: List[_Interval] = []
-    seen_ids = set()
-    for interval in closed:
-        if id(interval) not in seen_ids:
-            seen_ids.add(id(interval))
-            unique.append(interval)
-    unique.sort(key=lambda i: (i.start, i.end if i.end is not None else i.start))
-    return unique
-
-
-# ----------------------------------------------------------------------
-# Latency percentiles
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over an ascending-sorted sample."""
-    if not ordered:
-        return 0.0
-    rank = max(1, int(math.ceil(q * len(ordered))))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
-def _latency_summary(samples_ms: List[float]) -> dict:
-    ordered = sorted(samples_ms)
-    return {
-        "count": len(ordered),
-        "p50_ms": round(_percentile(ordered, 0.50), 3),
-        "p90_ms": round(_percentile(ordered, 0.90), 3),
-        "p99_ms": round(_percentile(ordered, 0.99), 3),
-        "max_ms": round(ordered[-1], 3) if ordered else 0.0,
-    }
+    for interval in by_worker.values():
+        interval.close({"t_mono": last_mono})
+        closed.append(interval)
+    closed.sort(key=lambda i: (i.start, i.end if i.end is not None else i.start))
+    return closed
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +258,7 @@ def analyze_journal(
         by_worker.setdefault(interval.worker, []).append(interval)
     first_seen: Dict[str, float] = {}
     for record in records:
-        if record.get("event") in ("worker-registered", "worker-spawn"):
+        if record.get("event") == "worker-spawn":
             name = record.get("worker")
             if name is not None:
                 first_seen.setdefault(
@@ -363,36 +294,6 @@ def analyze_journal(
             }
         )
 
-    # Lease latencies: grant -> first renewal (heartbeat) and
-    # grant -> result. Only the first renewal of each lease counts as
-    # its heartbeat sample.
-    grant_t: Dict[object, float] = {}
-    beaten: set = set()
-    first_beat: List[float] = []
-    to_result: List[float] = []
-    for record in records:
-        kind = record.get("event")
-        lease = record.get("lease")
-        if lease is None:
-            continue
-        t = _as_float(record.get("t_mono"))
-        if kind == "lease-granted":
-            grant_t[lease] = t
-            beaten.discard(lease)
-        elif kind == "lease-renewed":
-            if lease in grant_t and lease not in beaten:
-                beaten.add(lease)
-                first_beat.append((t - grant_t[lease]) * 1000.0)
-        elif kind == "impl-checked" and lease in grant_t:
-            to_result.append((t - grant_t.pop(lease)) * 1000.0)
-
-    lease_counts = {
-        "granted": event_counts.get("lease-granted", 0),
-        "renewed": event_counts.get("lease-renewed", 0),
-        "expired": event_counts.get("lease-expired", 0),
-        "reclaimed": event_counts.get("lease-reclaimed", 0),
-    }
-
     # Implementation outcomes, deduped by (impl, index): the checker
     # announces each verdict once, but the last announcement wins should
     # a journal carry one twice.
@@ -404,13 +305,12 @@ def analyze_journal(
     for record in final.values():
         status = str(record.get("status", "?"))
         statuses[status] = statuses.get(status, 0) + 1
-    by_code = {"OL901": 0, "OL902": 0, "OL903": 0, "OL904": 0}
+    by_code = {"OL901": 0, "OL902": 0, "OL903": 0}
     for record in final.values():
         code = record.get("code")
         if code in ("OL901", "OL902"):
             by_code[str(code)] += 1
     by_code["OL903"] = event_counts.get("cache-reject", 0)
-    by_code["OL904"] = event_counts.get("degraded", 0)
 
     incidents: List[dict] = []
     for record in records:
@@ -456,18 +356,12 @@ def analyze_journal(
         "events": len(records),
         "event_counts": event_counts,
         "workers": worker_rows,
-        "leases": {
-            "counts": lease_counts,
-            "grant_to_first_heartbeat": _latency_summary(first_beat),
-            "grant_to_result": _latency_summary(to_result),
-        },
         "faults": {
             "retries": event_counts.get("job-retry", 0),
             "quarantined": event_counts.get("job-quarantined", 0),
             "hard_timeouts": event_counts.get("job-hard-timeout", 0),
             "deadline": event_counts.get("job-deadline", 0),
             "cache_rejects": event_counts.get("cache-reject", 0),
-            "degraded": event_counts.get("degraded", 0),
             "by_code": by_code,
             "incidents": incidents,
         },
@@ -532,32 +426,12 @@ def render_report_text(report: dict) -> str:
         for row in rows:
             lines.append("  " + _fmt_row([str(c) for c in row], widths))
 
-    leases = report.get("leases", {})
-    counts = leases.get("counts", {})
-    if counts.get("granted"):
-        lines.append("")
-        lines.append(
-            "leases  granted={granted} renewed={renewed} "
-            "expired={expired} reclaimed={reclaimed}".format(**counts)
-        )
-        for label, key in (
-            ("grant->first-heartbeat", "grant_to_first_heartbeat"),
-            ("grant->result", "grant_to_result"),
-        ):
-            stat = leases.get(key, {})
-            if stat.get("count"):
-                lines.append(
-                    f"  {label}  n={stat['count']}  p50={stat['p50_ms']}ms"
-                    f"  p90={stat['p90_ms']}ms  p99={stat['p99_ms']}ms"
-                    f"  max={stat['max_ms']}ms"
-                )
-
     faults = report.get("faults", {})
     by_code = faults.get("by_code", {})
     lines.append("")
     lines.append(
         "faults  retries={r} quarantined={q} hard_timeouts={h} "
-        "deadline={d}  OL901={c1} OL902={c2} OL903={c3} OL904={c4}".format(
+        "deadline={d}  OL901={c1} OL902={c2} OL903={c3}".format(
             r=faults.get("retries", 0),
             q=faults.get("quarantined", 0),
             h=faults.get("hard_timeouts", 0),
@@ -565,7 +439,6 @@ def render_report_text(report: dict) -> str:
             c1=by_code.get("OL901", 0),
             c2=by_code.get("OL902", 0),
             c3=by_code.get("OL903", 0),
-            c4=by_code.get("OL904", 0),
         )
     )
     for incident in faults.get("incidents", []):
@@ -640,8 +513,7 @@ def journal_chrome_trace(
     OL9xx incidents and run lifecycle markers become zero-duration "X"
     events on a marker lane. The output passes
     :func:`repro.obs.export.validate_chrome_trace` — every timestamp is
-    rebased on the run's first record, so nothing is negative even when
-    the journal came from another machine.
+    rebased on the run's first record, so nothing is negative.
     """
     run_id, records = _select_run(list(records), run_id)
     run_start = _as_float(records[0].get("t_mono"))
@@ -684,8 +556,6 @@ def journal_chrome_trace(
             else f"job {interval.job}"
         )
         args = {"worker": interval.worker}
-        if interval.lease is not None:
-            args["lease"] = interval.lease
         if interval.attempt is not None:
             args["attempt"] = interval.attempt
         if interval.status is not None:
@@ -710,9 +580,6 @@ def journal_chrome_trace(
         "check-end",
         "job-retry",
         "worker-died",
-        "worker-partition",
-        "frame-rejected",
-        "frame-resync",
     }
     for record in records:
         kind = str(record.get("event"))

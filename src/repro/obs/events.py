@@ -1,31 +1,30 @@
-"""A structured event journal for fleet-wide observability.
+"""A structured event journal of a check's lifecycle.
 
 The span tracer (:mod:`repro.obs.tracer`) answers "where did the time
-go?" *inside* one process; this module answers "what happened?" *across*
-the fleet: lease grants and expiries, worker churn, retries and
-quarantines (OL902), cache traffic and corruption (OL903), frame
-resyncs, and OL904 degradation — the lifecycle that is otherwise
-invisible between the start banner and the final report.
+go?"; this module answers "what happened?": job assignments, worker
+spawns and deaths, retries and quarantines (OL902), hard timeouts and
+deadlines (OL901), cache traffic and corruption (OL903) and ledger
+commits and skips (OL905) — the lifecycle that is otherwise invisible
+between the start and the final report.
 
 Every record is a flat JSON object carrying
 
 * ``event`` — the kind, drawn from :data:`EVENT_KINDS`;
-* ``run_id`` — one opaque id per journal, so journals from several
-  processes can be merged and still teased apart;
+* ``run_id`` — one opaque id per journal, so journals of several runs
+  can be merged (``--events-append``) and still teased apart;
 * ``seq`` — a monotone per-journal sequence number (total order even
   when two records land inside the same clock tick);
 * ``t_mono`` / ``t_wall`` — monotonic seconds (for intervals) and wall
-  seconds since the epoch (for cross-machine correlation);
-* correlation ids (``worker``, ``job``, ``lease``, ``impl``/``index``)
-  and a ``code`` field tying OL901/OL902/OL903/OL904 events to the
+  seconds since the epoch;
+* correlation ids (``worker``, ``job``, ``impl``/``index``) and a
+  ``code`` field tying OL901/OL902/OL903/OL905 events to the
   diagnostics they accompany.
 
 The journal follows the tracer's null-path discipline exactly: with no
 journal installed, :func:`emit` is a single module-global read —
 measured and guarded under 1% by ``benchmarks/bench_observability.py``.
-``emit`` is thread-safe (the fleet coordinator's reader threads all
-emit concurrently) and listeners
-(e.g. the ``--progress`` renderer) observe records in sequence order.
+``emit`` is thread-safe and listeners (e.g. the ``--progress``
+renderer) observe records in sequence order.
 
 The journal only records: it triggers no side effect of the check
 itself. The owners of those effects (the job book's settle step, the
@@ -49,22 +48,9 @@ EVENT_KINDS = (
     # run lifecycle
     "check-start",
     "check-end",
-    # server lifecycle (coordinator, worker pool)
-    "server-start",
-    "server-stop",
     # worker lifecycle
     "worker-spawn",
-    "worker-registered",
-    "worker-deregistered",
     "worker-died",
-    "worker-respawn",
-    "worker-churn",
-    "worker-partition",
-    # lease lifecycle (fleet)
-    "lease-granted",
-    "lease-renewed",
-    "lease-expired",
-    "lease-reclaimed",
     # job lifecycle
     "job-assigned",
     "job-retry",
@@ -78,11 +64,6 @@ EVENT_KINDS = (
     "cache-store",
     "cache-evict",
     "cache-reject",  # OL903
-    # transport
-    "frame-rejected",
-    "frame-resync",
-    # graceful degradation
-    "degraded",  # OL904
     # crash-safe run ledger
     "ledger-commit",
     "ledger-skip",  # OL905
@@ -189,21 +170,6 @@ def emit(event: str, **fields: object) -> None:
     if active is None:
         return
     active.emit(event, **fields)
-
-
-def announce(record: Dict[str, object]) -> None:
-    """Print one structured record as a JSON line on stdout.
-
-    The long-running server entry point (``workers serve``) uses this
-    instead of a prose banner so its stdout is
-    machine-readable with the same shape as the journal; when a journal
-    is installed the line carries its ``run_id`` so console output and
-    journal records correlate.
-    """
-    active = _ACTIVE
-    if active is not None:
-        record = dict(record, run_id=active.run_id)
-    print(json.dumps(record, sort_keys=True), flush=True)
 
 
 @contextmanager

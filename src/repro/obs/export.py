@@ -163,43 +163,7 @@ def text_report(tracer: Tracer, *, top: int = 5) -> str:
             f"max check {_fmt_ms(timer.max) if timer else 'n/a'}"
         )
 
-    lines.extend(_fleet_lines(metrics.counters))
     return "\n".join(lines)
-
-
-def _fleet_lines(counters) -> List[str]:
-    """The distributed-checking block: lease/steal/requeue traffic.
-
-    Only rendered when a fleet actually ran (any ``fleet.*`` counter
-    present), so serial and pipe-parallel profiles are unchanged.
-    """
-    if not any(key.startswith("fleet.") for key in counters):
-        return []
-    get = counters.get
-    lines = [
-        "fleet supervision:",
-        (
-            f"  members: {get('fleet.registrations', 0)} registration(s), "
-            f"{get('fleet.deregistrations', 0)} deregistration(s), "
-            f"{get('fleet.respawns', 0)} respawn(s)"
-        ),
-        (
-            f"  leases: {get('fleet.leases', 0)} granted / "
-            f"{get('fleet.steals', 0)} steal(s), "
-            f"{get('fleet.renewals', 0)} renewal(s), "
-            f"{get('fleet.lease_expiries', 0)} expiration(s), "
-            f"{get('fleet.requeues', 0)} requeue(s), "
-            f"{get('fleet.quarantines', 0)} quarantine(s)"
-        ),
-    ]
-    disruptions = (
-        f"  disruptions: {get('fleet.partitions', 0)} partition(s), "
-        f"{get('fleet.churn', 0)} churn(s), "
-        f"{get('fleet.frames_rejected', 0)} rejected frame(s), "
-        f"{get('fleet.stale_results', 0)} stale result(s)"
-    )
-    lines.append(disruptions)
-    return lines
 
 
 def _deadline_pressure_lines(tracer: Tracer) -> List[str]:

@@ -4,13 +4,13 @@
 run's :class:`~repro.obs.events.EventJournal` and repaints one status
 line as lifecycle events arrive::
 
-    checked 37/96 impls | 5 leases out | 12 cache hits | 1 quarantined | eta 14s
+    checked 37/96 impls | 12 cache hits | 1 quarantined | eta 14s
 
 On a TTY the line is repainted in place (carriage return, no scroll);
 when stderr is redirected it degrades to one plain line every few
 seconds so logs stay readable.  Rendering is rate-limited and the
 listener does nothing but integer bookkeeping otherwise, so it is safe
-to leave attached on large fleet runs.
+to leave attached on large runs.
 
 Jobs are deduplicated by ``(impl, index)``: the checker announces each
 verdict once, but the renderer (like anyone else consuming journals)
@@ -45,7 +45,6 @@ class ProgressRenderer:
         self.done: Set[Tuple[str, int]] = set()
         self.cache_hits = 0
         self.quarantined = 0
-        self.leases: Set[int] = set()
         self.renders = 0
         self._started: Optional[float] = None
         self._last_render = 0.0
@@ -68,19 +67,6 @@ class ProgressRenderer:
             self.done.add(key)
             if record.get("cache_hit"):
                 self.cache_hits += 1
-            lease = record.get("lease")
-            if isinstance(lease, int):
-                self.leases.discard(lease)
-        elif event == "cache-hit":
-            pass  # counted via impl-checked to avoid double counting
-        elif event == "lease-granted":
-            lease = record.get("lease")
-            if isinstance(lease, int):
-                self.leases.add(lease)
-        elif event in ("lease-expired", "lease-reclaimed"):
-            lease = record.get("lease")
-            if isinstance(lease, int):
-                self.leases.discard(lease)
         elif event == "job-quarantined":
             self.quarantined += 1
         elif event == "check-end":
@@ -95,8 +81,6 @@ class ProgressRenderer:
         done = len(self.done)
         total = f"/{self.total}" if self.total is not None else ""
         parts = [f"checked {done}{total} impls"]
-        if self.leases:
-            parts.append(f"{len(self.leases)} leases out")
         if self.cache_hits:
             parts.append(f"{self.cache_hits} cache hits")
         if self.quarantined:

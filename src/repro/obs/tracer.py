@@ -216,7 +216,6 @@ class Tracer:
         exported: List[dict],
         *,
         parent: Optional[int] = None,
-        offset: float = 0.0,
     ) -> None:
         """Graft spans exported by another tracer under ``parent``.
 
@@ -224,15 +223,6 @@ class Tracer:
         tracer's span list; top-level exported spans become children of
         ``parent`` (or roots when None). Depths are recomputed so the
         exporters' nesting invariants keep holding.
-
-        ``offset`` rebases remote timestamps onto this tracer's clock:
-        spans shipped from another machine carry that machine's
-        ``perf_counter`` domain, and the fleet's registration handshake
-        estimates the additive offset landing them in ours (see
-        ``repro.parallel.transport.clock_offset``). Rebased spans are
-        clamped to this tracer's ``origin`` (and ends to their starts)
-        so estimation jitter can never produce a pre-run-start or
-        negative-duration span in the assembled Chrome trace.
         """
         base_depth = (
             self.spans[parent].depth + 1 if parent is not None else 0
@@ -246,21 +236,11 @@ class Tracer:
             else:
                 new_parent = parent
                 depth = base_depth
-            start = data["start"]
-            end = data["end"]
-            if offset:
-                start += offset
-                if end is not None:
-                    end += offset
-                if start < self.origin:
-                    start = self.origin
-                if end is not None and end < start:
-                    end = start
             span = Span(
                 name=data["name"],
                 category=data["category"],
-                start=start,
-                end=end,
+                start=data["start"],
+                end=data["end"],
                 parent=new_parent,
                 depth=depth,
                 args=dict(data.get("args", {})),

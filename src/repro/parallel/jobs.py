@@ -1,6 +1,6 @@
 """The job book: one job per implementation, and its settle step.
 
-Every backend — serial, ``-j`` and ``--fleet`` — checks from one book:
+Both backends — serial and ``-j`` — check from one book:
 
 * :class:`Job` — the per-implementation bookkeeping record (attempt
   counter, backoff eligibility, death history, final verdict);
@@ -13,10 +13,10 @@ Every backend — serial, ``-j`` and ``--fleet`` — checks from one book:
   takes: it commits the verdict to the ledger, stores a fresh one in
   the cache and emits its ``impl-checked`` record.
 
-How the executors run the open jobs of a book — retries, backoff, hard
-deadlines, cancellation — is :mod:`repro.parallel.policy`. Importing
-this module loads neither that policy nor ``multiprocessing`` nor a
-transport: the serial checker builds its job book from here.
+How the ``-j`` executor runs the open jobs of a book — retries,
+backoff, hard deadlines, cancellation — is :mod:`repro.parallel.policy`.
+Importing this module loads neither that policy nor
+``multiprocessing``: the serial checker builds its job book from here.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class JobBook(list):
 
         ``source`` is how the checker settled the job before proving
         (see :attr:`Job.source`), None for an executor's verdict.
-        ``fields`` (a worker, attempt or fleet lease) ride on the
+        ``fields`` (a worker and attempt) ride on the
         ``impl-checked`` record, as does ``code``, the OL9xx code of the
         verdict's diagnostic. A ledger commit that fails to write
         becomes one ``OL905`` warning, and the ledger is off for the rest

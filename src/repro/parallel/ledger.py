@@ -35,8 +35,8 @@ discharge or the cache.
   the cache refuses (timeouts, quarantines), with their error
   diagnostics round-tripped through the cache's verdict codec
   (:func:`repro.parallel.cache.encode_verdict`) — are preloaded, and the
-  checker settles those jobs before any executor runs, so serial,
-  ``-j``, and ``--fleet`` resumes all report them without re-proving;
+  checker settles those jobs before any executor runs, so serial and
+  ``-j`` resumes both report them without re-proving;
 * damage is contained, not fatal: a torn final line, a checksum-failing
   record, or a duplicated record is counted and skipped (surfaced as an
   ``OL905`` warning on stderr), and only a header-level mismatch

@@ -1,12 +1,10 @@
-"""The one job policy of the parallel and fleet backends.
+"""The job policy of the ``-j`` backend.
 
-The single-machine :class:`~repro.parallel.supervisor.WorkerSupervisor`
-and the socket :class:`~repro.parallel.fleet.FleetCoordinator` run the
-same unit of work — one :class:`~repro.parallel.jobs.Job` per
-implementation — under the same rules. This module owns those rules;
-each executor keeps only its transport (fork/pipe workers and
-heartbeats, or sockets, leases and membership) and calls in here for
-every lifecycle decision:
+The :class:`~repro.parallel.supervisor.WorkerSupervisor` runs one
+:class:`~repro.parallel.jobs.Job` per implementation. This module owns
+the rules those jobs live by; the supervisor keeps only its transport
+(fork/pipe workers and heartbeats) and calls in here for every
+lifecycle decision:
 
 * :func:`backoff_delay` — exponential backoff **with deterministic
   jitter**: pure-exponential delays make simultaneously-orphaned jobs
@@ -69,12 +67,11 @@ def backoff_delay(base: float, attempt: int, *, token: str = "") -> float:
 
 
 class JobPolicy:
-    """The job lifecycle both executors follow, over one job book.
+    """The job lifecycle of the ``-j`` executor, over one job book.
 
-    ``options`` is the executor's :class:`ParallelOptions` or
-    :class:`FleetOptions`; the policy reads the fields they share
-    (``job_timeout``, ``max_retries``, ``backoff_base``,
-    ``poll_interval``). The jobs still open when the policy is made form
+    ``options`` is the executor's :class:`ParallelOptions`; the policy
+    reads ``job_timeout``, ``max_retries``, ``backoff_base`` and
+    ``poll_interval``. The jobs still open when the policy is made form
     its :attr:`queue`. The executor sets :attr:`tracer` and
     :attr:`parent_span` by opening its pipeline span through
     :meth:`traced`.
@@ -145,7 +142,7 @@ class JobPolicy:
 
         At most one poll interval, and no later than the scope deadline,
         the end of a queued job's backoff, or any of ``deadlines`` (the
-        executor's attempt and lease deadlines).
+        executor's attempt deadlines).
         """
         due = [d for d in deadlines if d is not None]
         due += [job.eligible_at for job in self.queue if job.eligible_at > now]
@@ -201,8 +198,6 @@ class JobPolicy:
         *,
         worker,
         started: float,
-        offset: float = 0.0,
-        **fields,
     ) -> None:
         """File a worker's :class:`~repro.parallel.worker.JobResult`.
 
@@ -214,9 +209,7 @@ class JobPolicy:
         from ``started`` (monotonic time; on the platforms workers run
         on ``time.monotonic`` and ``perf_counter`` share
         CLOCK_MONOTONIC), with the worker's own spans grafted beneath
-        it, shifted by ``offset`` into this clock, and its metrics
-        merged. ``fields`` (a fleet ``lease``) ride on the
-        ``impl-checked`` record.
+        it and its metrics merged.
         """
         if result.failure is not None:
             verdict = _verdict(
@@ -248,11 +241,11 @@ class JobPolicy:
                 },
             )
             if result.spans:
-                tracer.absorb(result.spans, parent=job_span, offset=offset)
+                tracer.absorb(result.spans, parent=job_span)
             if result.metrics:
                 tracer.metrics.merge_dict(result.metrics)
         self.jobs.settle(
-            job, verdict, worker=str(worker), attempt=result.attempt, **fields
+            job, verdict, worker=str(worker), attempt=result.attempt
         )
 
     def retry_or_quarantine(self, job: Job, reason: str) -> bool:
@@ -296,10 +289,9 @@ class JobPolicy:
         )
         return True
 
-    def hard_timeout(self, job: Job, worker, **fields) -> None:
+    def hard_timeout(self, job: Job, worker) -> None:
         """``job`` overran its attempt deadline and ``worker`` was killed:
-        ``TIMED_OUT``/``OL901``. ``fields`` (a fleet ``lease``) ride on
-        the ``job-hard-timeout`` record."""
+        ``TIMED_OUT``/``OL901``."""
         if job.done:
             return
         self._fail(
@@ -313,7 +305,6 @@ class JobPolicy:
                 impl=job.impl.name,
             ),
             "job-hard-timeout",
-            **fields,
             worker=str(worker),
             code="OL901",
         )

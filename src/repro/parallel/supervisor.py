@@ -15,7 +15,7 @@ receives results, and detects what the cooperative serial driver cannot:
   interval, instead of waiting for each to notice.
 
 What follows from each is the job policy's decision
-(:class:`repro.parallel.policy.JobPolicy`), shared with the fleet: retry
+(:class:`repro.parallel.policy.JobPolicy`): retry
 with backoff or quarantine as ``OL902``, ``TIMED_OUT``/``OL901``, or
 cancellation in the serial driver's ``OL901`` wording. A job that was
 never accepted because its worker died first counts as a death.

@@ -138,8 +138,6 @@ def worker_main(
     time, so the orphan watchdog works even if the supervisor dies
     before this process first runs.
     """
-    from multiprocessing.reduction import ForkingPickler
-
     detach_from_parent()
     stop_event = threading.Event()
     beat_thread = threading.Thread(
@@ -164,7 +162,7 @@ def worker_main(
             result = _run_job(scope, request, stop_event)
             if result is None:
                 continue
-            payload = encode_result(ForkingPickler.dumps, request, result)
+            payload = encode_result(request, result)
             try:
                 conn.send_bytes(payload)
             except (OSError, ValueError):
@@ -173,19 +171,20 @@ def worker_main(
         stop_event.set()
 
 
-def encode_result(encode, request: JobRequest, result: JobResult):
-    """``encode(result)``, the one encoding a result gets before it is
-    sent.
+def encode_result(request: JobRequest, result: JobResult) -> bytes:
+    """``result`` pickled for the pipe.
 
-    A result that does not encode (an unpicklable object smuggled into
+    A result that does not pickle (an unpicklable object smuggled into
     an explanation, say) is replaced by a ``result not transportable``
     failure, which the parent files as an ``INTERNAL_ERROR``/``OL900``
     verdict for that job alone.
     """
+    from multiprocessing.reduction import ForkingPickler
+
     try:
-        return encode(result)
+        return ForkingPickler.dumps(result)
     except Exception as error:
-        return encode(
+        return ForkingPickler.dumps(
             JobResult(
                 job_id=request.job_id,
                 attempt=request.attempt,
@@ -255,10 +254,3 @@ def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
                 )
             ),
         )
-
-
-#: Public name for the job executor: the fleet worker
-#: (:func:`repro.parallel.fleet.fleet_worker_main`) runs the exact same
-#: code per job as a pipe worker, so injected ``kill``/``hang`` faults
-#: and verdict semantics are identical across transports.
-run_job = _run_job

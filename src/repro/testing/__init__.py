@@ -23,7 +23,6 @@ _EXPORTS = {
     "run_cli": "chaos",
     "ACTIONS": "faults",
     "COORDINATOR_STAGES": "faults",
-    "FLEET_STAGES": "faults",
     "STAGES": "faults",
     "SUPERVISOR_STAGES": "faults",
     "Corrupted": "faults",

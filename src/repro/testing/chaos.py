@@ -1,9 +1,8 @@
 """The coordinator-kill chaos harness.
 
-:mod:`repro.testing.faults` can crash a *worker* (SUPERVISOR_STAGES) or
-sever a *connection* (FLEET_STAGES); this module drives faults against
-the one process those harnesses cannot touch from inside — the
-coordinator itself. A ``kill-coordinator`` fault calls ``os._exit`` in
+:mod:`repro.testing.faults` can crash a *worker* (SUPERVISOR_STAGES);
+this module drives faults against the one process that harness cannot
+touch from inside — the coordinator itself. A ``kill-coordinator`` fault calls ``os._exit`` in
 the middle of the run, so it can only be observed from *outside*: the
 harness runs ``oolong check --run-dir DIR`` as a subprocess, lets the
 planned fault kill it, then re-runs with ``--resume`` and compares the

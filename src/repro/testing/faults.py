@@ -78,36 +78,6 @@ SUPERVISOR_STAGES: Tuple[str, ...] = (
     "cache-corrupt",
 )
 
-#: Fault kinds interpreted by the *distributed* backends
-#: (:mod:`repro.parallel.fleet`, :mod:`repro.parallel.transport`). As
-#: with the supervisor stages the ``hit`` index names a deterministic
-#: ordinal, but which ordinal depends on the stage:
-#:
-#: * ``drop-frame`` / ``delay-frame`` / ``corrupt-frame`` — the ``hit``-th
-#:   frame the coordinator *sends* (a global outbound-frame ordinal) is
-#:   dropped before the write, delayed by ``fault.delay``, or has its
-#:   payload bytes flipped after the header is written — so the frame
-#:   stays aligned on the wire and the receiver's checksum must reject
-#:   it;
-#: * ``partition-worker`` — the ``hit``-th worker to *register* is
-#:   partitioned: the next message it sends while holding a lease is
-#:   discarded and its connection severed, forcing lease reclamation (the
-#:   worker may reconnect and registers as a fresh ordinal);
-#: * ``worker-churn`` — the ``hit``-th worker to register is shut down
-#:   right after its first completed job, exercising deregistration and
-#:   requeue-free capacity loss.
-#:
-#: Like :data:`SUPERVISOR_STAGES` they stay out of :data:`STAGES` so the
-#: existing seeded fuzz windows are unchanged; sweep them with
-#: ``FaultPlan.fuzz(seed, stages=FLEET_STAGES)``.
-FLEET_STAGES: Tuple[str, ...] = (
-    "drop-frame",
-    "delay-frame",
-    "corrupt-frame",
-    "partition-worker",
-    "worker-churn",
-)
-
 #: Fault kinds interpreted by the *coordinator process itself* — the run
 #: ledger (:mod:`repro.parallel.ledger`) and the report merge in
 #: :mod:`repro.vcgen.checker`. They model the coordinator dying or its
@@ -183,9 +153,7 @@ class Fault:
     delay: float = 0.0
 
     def __post_init__(self):
-        known = (
-            STAGES + SUPERVISOR_STAGES + FLEET_STAGES + COORDINATOR_STAGES
-        )
+        known = STAGES + SUPERVISOR_STAGES + COORDINATOR_STAGES
         if self.stage not in known:
             raise ValueError(
                 f"unknown stage {self.stage!r}; known: {known}"

@@ -9,8 +9,8 @@
 Step 3 is one decide → execute → merge pipeline (``_check_impls``) for
 every backend: verdicts that need no prover (static discharge, a
 run-ledger replay, a cache hit — in that precedence) are settled first,
-only the open jobs reach an executor (inline, ``-j`` supervisor, or
-fleet), and one declaration-order loop builds the report.
+only the open jobs reach an executor (inline or the ``-j``
+supervisor), and one declaration-order loop builds the report.
 
 Owner exclusion needs no separate pass: it is embedded in every call's
 verification condition and assumed on entry via ``Init``.
@@ -128,10 +128,6 @@ class CheckReport:
     #: enabled. Like ``cache_summary``, *not* part of ``to_dict`` — the
     #: report stays verdict-identical with discharge on or off.
     discharge_summary: Optional[dict] = None
-    #: Fleet lease/steal/membership counters, set when ``fleet`` was
-    #: given. Like the other summaries, *not* part of ``to_dict`` — a
-    #: fleet report stays byte-identical to a serial one.
-    fleet_summary: Optional[dict] = None
     #: Run-ledger bookkeeping (commits, resumed/stale/skipped records),
     #: set when ``run_dir`` was given. Like the other summaries, *not*
     #: part of ``to_dict`` or ``describe`` — a resumed report must stay
@@ -340,7 +336,6 @@ def check_scope(
     lint: bool = True,
     explain: bool = False,
     parallel: Optional[int] = None,
-    fleet=None,
     cache_dir: Optional[str] = None,
     cache_max_bytes: Optional[int] = None,
     job_timeout: Optional[float] = None,
@@ -396,18 +391,6 @@ def check_scope(
     in declaration order — the report is byte-identical to a serial run
     modulo wall-clock fields. ``parallel=None`` (default) checks
     serially in-process.
-
-    ``fleet`` checks implementations on a socket worker fleet
-    (:mod:`repro.parallel.fleet`): an integer spawns that many local
-    socket workers, ``"HOST:PORT"`` binds a coordinator there for
-    externally started workers (``oolong-check workers serve``), and a
-    :class:`~repro.parallel.fleet.FleetOptions` gives full control.
-    Jobs are leased with renewable deadlines; expired leases are
-    reclaimed and retried with jittered backoff, then quarantined as
-    ``OL902`` exactly like the local path. If the fleet cannot be
-    assembled — or collapses mid-run — the checker **degrades** to the
-    local supervisor with an ``OL904`` warning instead of failing; the
-    merged report is byte-identical either way.
 
     ``cache_dir`` enables the crash-safe incremental result cache
     (:mod:`repro.parallel.cache`): deterministic verdicts are keyed by a
@@ -486,13 +469,10 @@ def check_scope(
                 )
             )
 
-        backend = "fleet" if fleet is not None else (
-            "parallel" if parallel is not None else "serial"
-        )
         obs_events.emit(
             "check-start",
             impls=sum(len(impls) for impls in scope.impls.values()),
-            backend=backend,
+            backend="parallel" if parallel is not None else "serial",
         )
         if lint:
             from repro.analysis.engine import lint_well_formed
@@ -598,7 +578,6 @@ def check_scope(
             deadline,
             report,
             parallel=parallel,
-            fleet=fleet,
             cache=cache,
             ledger=ledger,
             job_timeout=job_timeout,
@@ -633,18 +612,6 @@ def _ledger_degraded_diagnostic(
     return Diagnostic(
         code="OL905",
         message=f"{detail}; {consequence}",
-        severity=Severity.WARNING,
-    )
-
-
-def _fleet_degraded_diagnostic(detail: str) -> Diagnostic:
-    # Every OL904 the checker can issue flows through here, so this one
-    # emit covers both degradation paths (fleet unavailable, mid-run
-    # collapse).
-    obs_events.emit("degraded", code="OL904", reason=detail)
-    return Diagnostic(
-        code="OL904",
-        message=f"{detail}; degraded to local checking",
         severity=Severity.WARNING,
     )
 
@@ -785,7 +752,6 @@ def _check_impls(
     report: CheckReport,
     *,
     parallel: Optional[int],
-    fleet,
     cache,
     ledger,
     job_timeout: Optional[float],
@@ -804,8 +770,7 @@ def _check_impls(
        prover, in one fixed precedence: static discharge, then ledger
        replay, then cache hit.
     2. **Execute** — run only the still-open jobs on one executor: an
-       inline loop (serial), the ``-j`` supervisor, or the fleet (whose
-       OL904 degradation hands what it left open to the supervisor).
+       inline loop (serial) or the ``-j`` supervisor.
     3. **Merge** — one declaration-order loop reports every verdict with
        its discharge findings and metrics.
 
@@ -831,10 +796,8 @@ def _check_impls(
             scope,
             limits,
             deadline,
-            report,
             book,
             parallel=parallel,
-            fleet=fleet,
             job_timeout=job_timeout,
             max_retries=max_retries,
             explain=explain,
@@ -932,56 +895,14 @@ def _execute(
     scope: Scope,
     limits: Optional[Limits],
     deadline: Optional[float],
-    report: CheckReport,
     book,
     *,
     parallel: Optional[int],
-    fleet,
     job_timeout: Optional[float],
     max_retries: int,
     explain: bool,
 ) -> None:
-    """Run the book's open jobs on the executor the caller asked for.
-
-    A fleet that cannot be assembled, or collapses mid-run, degrades
-    with ``OL904``: whatever it finished stays done, and the local
-    supervisor runs the rest — no job is proved twice or lost.
-    """
-    if fleet is not None:
-        from repro.parallel.fleet import (
-            FleetOptions,
-            FleetUnavailable,
-            run_fleet_checks,
-        )
-
-        options = FleetOptions.from_spec(
-            fleet, job_timeout=job_timeout, max_retries=max_retries
-        )
-        try:
-            outcome = run_fleet_checks(
-                scope,
-                limits,
-                options=options,
-                explain=explain,
-                scope_deadline=deadline,
-                book=book,
-            )
-        except FleetUnavailable as exc:
-            report.fleet_summary = {"degraded": str(exc)}
-            detail = f"fleet unavailable ({exc})"
-        else:
-            report.fleet_summary = dict(outcome.summary)
-            if outcome.degraded is None:
-                return
-            report.fleet_summary["degraded"] = detail = outcome.degraded
-        report.diagnostics.append(_fleet_degraded_diagnostic(detail))
-        parallel = options.workers or 2
-        for job in book:
-            if not job.done:
-                # The supervisor grants each job its own retry budget,
-                # whatever the fleet's leases already spent.
-                job.attempts, job.death_reasons, job.eligible_at = 0, [], 0.0
-
+    """Run the book's open jobs inline, or on the ``-j`` supervisor."""
     if parallel is not None:
         from repro.parallel.supervisor import (
             ParallelOptions,

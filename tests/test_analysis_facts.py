@@ -5,7 +5,7 @@ per scope, and one CFG and one access-path pass per implementation.
 These tests hold that sharing to *exactly once* by counting, not by
 timing, and check that the cache belongs to its scope: never pickled,
 re-derived identically after unpickling, and not inherited by
-``Scope.extend``. (That ``-j`` and fleet checks still match serial ones
+``Scope.extend``. (That ``-j`` checks still match serial ones
 is held by ``tests/test_pipeline.py``, which compares every backend's
 report.)
 """

@@ -1,22 +1,15 @@
-"""The journal-analytics layer: ``events report``/``export`` and the
-fleet-wide trace assembly.
+"""The journal-analytics layer: ``events report``/``export``.
 
-* **Golden fleet report** — a seeded 4-worker *external-pool* fleet run
-  with planted OL901 (hard timeout), OL902 (quarantine), and OL904
-  (fleet collapse) faults: the report names a non-empty critical
-  path and per-worker utilization, its OL901–OL904 counts exactly match
-  the run's ``CheckReport`` tallies, the quarantine and degradation
-  rows appear in the text rendering, and the journal's Chrome trace
-  export validates. The same run exercises the clock-offset handshake:
-  remote worker spans are rebased onto the coordinator's clock, so the
-  assembled tracer trace validates with no negative or pre-run-start
-  timestamps.
+* **Golden report** — a ``-j 2`` run with planted OL901 (hard timeout)
+  and OL902 (quarantine) faults: the report names a non-empty critical
+  path and per-worker utilization, its OL901–OL903 counts exactly match
+  the run's ``CheckReport`` tallies, the timeout and quarantine rows
+  appear in the text rendering, and the journal's Chrome trace export
+  validates. The worker spans the same traced run absorbs assemble into
+  a valid trace with no negative or pre-run-start timestamps.
 * **Fuzzed fault matrix** — ``report`` never crashes on any
   schema-valid journal a faulted run can produce, and its JSON always
   validates against ``report.schema.json``.
-* **Clock rebase** — ``Tracer.absorb(offset=...)`` lands remote spans
-  in the local clock domain and clamps estimation jitter at the
-  tracer's origin; ``transport.clock_offset`` is ~0 on the same host.
 * **CLI** — ``events report``/``events export`` round-trip through
   files; error paths exit 2.
 """
@@ -24,7 +17,6 @@ fleet-wide trace assembly.
 import io
 import json
 import os
-import socket
 from contextlib import redirect_stdout
 
 import pytest
@@ -35,16 +27,8 @@ from repro.corpus.generators import generate_impl_farm
 from repro.obs.analyze import AnalysisError, analyze_journal
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
-from repro.parallel.fleet import FleetOptions, WorkerPool
-from repro.parallel.transport import clock_offset, clock_sample
 from repro.prover.core import Limits
-from repro.testing.faults import (
-    FLEET_STAGES,
-    SUPERVISOR_STAGES,
-    Fault,
-    FaultPlan,
-    inject,
-)
+from repro.testing.faults import SUPERVISOR_STAGES, Fault, FaultPlan, inject
 from repro.vcgen.checker import check_scope
 
 LIMITS = Limits(time_budget=120.0)
@@ -58,51 +42,26 @@ def _farm_scope(impls=4, fields=4):
     return scope
 
 
-def _fleet_fast(**overrides) -> FleetOptions:
-    defaults = dict(
-        workers=2,
-        lease_duration=2.0,
-        renew_interval=0.1,
-        backoff_base=0.01,
-        poll_interval=0.02,
-        registration_wait=30.0,
-        max_retries=4,
-    )
-    defaults.update(overrides)
-    return FleetOptions(**defaults)
-
-
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _synthetic_fleet_journal():
-    """A hand-driven journal shaped like a 2-worker fleet run."""
+def _synthetic_journal():
+    """A hand-driven journal shaped like a ``-j 2`` run."""
     journal = obs.EventJournal()
-    journal.emit("check-start", impls=3, backend="fleet")
-    journal.emit("worker-registered", worker="remote-1", kind="remote")
-    journal.emit("worker-registered", worker="remote-2", kind="remote")
-    for lease, (impl, worker) in enumerate(
-        [("a", "remote-1"), ("b", "remote-2"), ("c", "remote-1")]
-    ):
+    journal.emit("check-start", impls=3, backend="parallel")
+    journal.emit("worker-spawn", worker="0", pid=101)
+    journal.emit("worker-spawn", worker="1", pid=102)
+    for job, (impl, worker) in enumerate([("a", "0"), ("b", "1"), ("c", "0")]):
         journal.emit(
-            "lease-granted",
-            lease=lease,
-            job=lease,
+            "job-assigned",
+            job=job,
             impl=impl,
             index=0,
             worker=worker,
             attempt=0,
         )
-        journal.emit("lease-renewed", lease=lease, job=lease, worker=worker)
         journal.emit(
             "impl-checked",
             impl=impl,
             index=0,
             status="verified",
-            lease=lease,
             worker=worker,
             attempt=0,
         )
@@ -116,32 +75,28 @@ class TestAnalyzeUnit:
             analyze_journal([])
 
     def test_unknown_run_raises(self):
-        journal = _synthetic_fleet_journal()
+        journal = _synthetic_journal()
         with pytest.raises(AnalysisError):
             analyze_journal(journal.records, "no-such-run")
 
     def test_synthetic_run_reconstructs(self):
-        journal = _synthetic_fleet_journal()
+        journal = _synthetic_journal()
         report = analyze_journal(journal.records)
         assert obs.validate_events_report(report) == []
         assert report["run_id"] == journal.run_id
         assert report["ok"] is True
-        assert report["backend"] == "fleet"
+        assert report["backend"] == "parallel"
         assert report["impls"] == 3
         workers = {row["worker"]: row for row in report["workers"]}
-        assert workers["remote-1"]["jobs"] == 2
-        assert workers["remote-2"]["jobs"] == 1
-        leases = report["leases"]
-        assert leases["counts"]["granted"] == 3
-        assert leases["grant_to_first_heartbeat"]["count"] == 3
-        assert leases["grant_to_result"]["count"] == 3
+        assert workers["0"]["jobs"] == 2
+        assert workers["1"]["jobs"] == 1
         assert report["statuses"] == {"verified": 3}
         # Three sequential grants chain back-to-back.
         assert len(report["critical_path"]["chain"]) >= 1
 
     def test_multi_run_files_analyze_per_run(self):
-        first = _synthetic_fleet_journal()
-        second = _synthetic_fleet_journal()
+        first = _synthetic_journal()
+        second = _synthetic_journal()
         merged = first.records + second.records
         assert obs.validate_event_journal(merged) == []
         assert obs.run_ids(merged) == [first.run_id, second.run_id]
@@ -152,11 +107,11 @@ class TestAnalyzeUnit:
 
     def test_preresolved_reannouncements_dedupe(self):
         journal = obs.EventJournal()
-        journal.emit("check-start", impls=1, backend="fleet")
+        journal.emit("check-start", impls=1, backend="parallel")
         journal.emit(
             "impl-checked", impl="a", index=0, status="timeout", code="OL901"
         )
-        # The degraded supervisor re-announces the same decided impl.
+        # A journal that announces the same decided impl twice.
         journal.emit(
             "impl-checked",
             impl="a",
@@ -172,7 +127,7 @@ class TestAnalyzeUnit:
         assert report["faults"]["by_code"]["OL901"] == 1
 
     def test_journal_trace_of_synthetic_run_validates(self):
-        journal = _synthetic_fleet_journal()
+        journal = _synthetic_journal()
         payload = obs.journal_chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None
         spans = [
@@ -181,106 +136,28 @@ class TestAnalyzeUnit:
             if e.get("ph") == "X" and e.get("cat") == "implementation"
         ]
         assert len(spans) == 3
-        assert {e["args"]["worker"] for e in spans} == {
-            "remote-1",
-            "remote-2",
-        }
+        assert {e["args"]["worker"] for e in spans} == {"0", "1"}
 
 
-class TestClockAlignment:
-    def test_same_host_offset_is_negligible(self):
-        assert abs(clock_offset(clock_sample())) < 0.5
-
-    def test_absorb_rebases_remote_domains(self):
-        tracer = obs.Tracer()
-        # A remote perf domain wildly different from ours: spans at
-        # 1e6 seconds land near our origin after rebasing.
-        remote_start = 1_000_000.0
-        shift = (tracer.origin + 0.5) - remote_start
-        exported = [
-            {
-                "name": "prove",
-                "category": "implementation",
-                "start": remote_start,
-                "end": remote_start + 0.25,
-                "parent": None,
-                "args": {},
-                "error": None,
-            }
-        ]
-        tracer.absorb(exported, offset=shift)
-        span = tracer.spans[-1]
-        assert span.start >= tracer.origin
-        assert abs(span.start - (tracer.origin + 0.5)) < 1e-6
-        assert abs((span.end - span.start) - 0.25) < 1e-6
-        assert obs.validate_chrome_trace(obs.chrome_trace(tracer)) is None
-
-    def test_absorb_clamps_jitter_at_origin(self):
-        tracer = obs.Tracer()
-        exported = [
-            {
-                "name": "early",
-                "category": "implementation",
-                "start": tracer.origin - 10.0,
-                "end": tracer.origin - 9.0,
-                "parent": None,
-                "args": {},
-                "error": None,
-            }
-        ]
-        # A nonzero offset that still lands the span before our origin
-        # (clock skew mis-estimated): the span is clamped, never
-        # negative in the trace.
-        tracer.absorb(exported, offset=1.0)
-        span = tracer.spans[-1]
-        assert span.start == tracer.origin
-        assert span.end == span.start
-        payload = obs.chrome_trace(tracer)
-        assert obs.validate_chrome_trace(payload) is None
-        assert all(e.get("ts", 0) >= 0 for e in payload["traceEvents"])
-
-
-class TestGoldenFleetReport:
-    """The acceptance-criteria run: external 4-worker pool, planted
-    OL901 + OL902 faults, fleet degradation (OL904)."""
+class TestGoldenReport:
+    """The acceptance-criteria run: ``-j 2`` with planted OL901 and
+    OL902 faults."""
 
     @pytest.fixture(scope="class")
     def golden(self):
         scope = _farm_scope(impls=8, fields=4)
-        port = _free_port()
-        pool = WorkerPool(("127.0.0.1", port), jobs=4)
-        pool.start()
         plan = FaultPlan(
             (
                 Fault("worker-hang", "raise", hit=0),  # job 0 -> OL901
                 Fault("worker-kill", "raise", hit=1),  # job 1 -> OL902
-                # The other two pool workers leave after their first
-                # result, so the fleet has no live worker with jobs still
-                # open. It collapses (OL904) before they redial (the
-                # pool's reconnect delay is 1 s), and the local supervisor
-                # checks the rest.
-                *(Fault("worker-churn", "raise", hit=k) for k in range(4)),
             )
         )
         journal = obs.EventJournal()
         tracer = obs.Tracer()
-        try:
-            with obs.journaling(journal), obs.tracing(tracer), inject(plan):
-                report = check_scope(
-                    scope,
-                    LIMITS,
-                    fleet=_fleet_fast(
-                        workers=0,
-                        address=("127.0.0.1", port),
-                        lease_duration=30.0,
-                        max_retries=0,
-                        stall_timeout=0.05,
-                    ),
-                    job_timeout=0.5,
-                    max_retries=0,
-                )
-        finally:
-            pool.stop()
+        with obs.journaling(journal), obs.tracing(tracer), inject(plan):
+            report = check_scope(
+                scope, LIMITS, parallel=2, job_timeout=0.5, max_retries=0
+            )
         return scope, journal, tracer, report
 
     def test_journal_validates(self, golden):
@@ -302,22 +179,20 @@ class TestGoldenFleetReport:
             if v.error is not None and v.error.code == "OL902"
         )
         ol903 = sum(1 for d in report.diagnostics if d.code == "OL903")
-        ol904 = sum(1 for d in report.diagnostics if d.code == "OL904")
-        assert ol901 >= 1 and ol902 >= 1 and ol904 >= 1
+        assert ol901 >= 1 and ol902 >= 1
         assert analyzed["faults"]["by_code"] == {
             "OL901": ol901,
             "OL902": ol902,
             "OL903": ol903,
-            "OL904": ol904,
         }
-        assert analyzed["backend"] == "fleet"
+        assert analyzed["backend"] == "parallel"
         assert analyzed["impls"] == len(report.verdicts)
 
     def test_report_names_critical_path_and_utilization(self, golden):
         _, journal, _, _ = golden
         analyzed = analyze_journal(journal.records)
         chain = analyzed["critical_path"]["chain"]
-        assert chain, "critical path must be non-empty for a fleet run"
+        assert chain, "critical path must be non-empty for a -j run"
         assert all(link["impl"] for link in chain)
         assert analyzed["critical_path"]["seconds"] > 0
         workers = analyzed["workers"]
@@ -330,7 +205,6 @@ class TestGoldenFleetReport:
         text = obs.render_report_text(analyze_journal(journal.records))
         assert "[OL901] job-hard-timeout" in text
         assert "[OL902] job-quarantined" in text
-        assert "[OL904] degraded" in text
         assert "critical path" in text
         assert "workers" in text
 
@@ -343,11 +217,11 @@ class TestGoldenFleetReport:
             for e in payload["traceEvents"]
             if e.get("ph") == "M" and e.get("name") == "thread_name"
         }
-        assert any(lane.startswith("worker remote-") for lane in lanes)
+        assert {"worker 0", "worker 1"} <= lanes
 
-    def test_assembled_tracer_trace_is_rebased(self, golden):
-        """Remote worker spans (shipped through the clock-offset
-        handshake) assemble into one coherent, valid trace."""
+    def test_assembled_tracer_trace_validates(self, golden):
+        """The worker spans shipped home with each result assemble into
+        one coherent, valid trace."""
         _, _, tracer, _ = golden
         payload = obs.chrome_trace(tracer)
         assert obs.validate_chrome_trace(payload) is None
@@ -355,7 +229,7 @@ class TestGoldenFleetReport:
         assert all(e["ts"] >= 0 for e in spans)
         assert all(e["dur"] >= 0 for e in spans)
         # The shipped worker spans really came home: job spans have
-        # children absorbed from the remote tracers.
+        # children absorbed from the workers' tracers.
         impl_spans = [s for s in tracer.spans if s.category == "implementation"]
         assert impl_spans
         assert all(s.start >= tracer.origin for s in tracer.spans)
@@ -365,12 +239,10 @@ class TestFuzzedReports:
     @pytest.mark.parametrize("seed", range(SEED_OFFSET, SEED_OFFSET + 3))
     def test_report_never_crashes_on_faulted_journals(self, seed):
         scope = _farm_scope()
-        plan = FaultPlan.fuzz(
-            seed, stages=SUPERVISOR_STAGES + FLEET_STAGES, max_hit=3
-        )
+        plan = FaultPlan.fuzz(seed, stages=SUPERVISOR_STAGES, max_hit=3)
         journal = obs.EventJournal()
         with obs.journaling(journal), inject(plan):
-            check_scope(scope, LIMITS, fleet=_fleet_fast())
+            check_scope(scope, LIMITS, parallel=2, max_retries=4)
         detail = f"seed {seed}: {plan.describe()}"
         assert obs.validate_event_journal(journal.records) == [], detail
         report = analyze_journal(journal.records)
@@ -383,7 +255,7 @@ class TestFuzzedReports:
 
 class TestCliEvents:
     def _journal_file(self, tmp_path):
-        journal = _synthetic_fleet_journal()
+        journal = _synthetic_journal()
         path = tmp_path / "events.jsonl"
         journal.write(str(path))
         return str(path), journal.run_id
@@ -442,7 +314,7 @@ class TestCliEvents:
         err = capsys.readouterr().err
         assert "error:" in err
 
-    def test_report_on_real_fleet_run(self, tmp_path, capsys):
+    def test_report_on_real_parallel_run(self, tmp_path, capsys):
         source = tmp_path / "farm.oolong"
         source.write_text(generate_impl_farm(4, 3))
         events = tmp_path / "events.jsonl"
@@ -453,7 +325,7 @@ class TestCliEvents:
                     str(source),
                     "--events",
                     str(events),
-                    "--fleet",
+                    "-j",
                     "2",
                     "--time-budget",
                     "120",
@@ -462,5 +334,5 @@ class TestCliEvents:
         assert rc == 0
         assert main(["events", "report", str(events)]) == 0
         text = capsys.readouterr().out
-        assert "backend=fleet" in text
+        assert "backend=parallel" in text
         assert "critical path" in text

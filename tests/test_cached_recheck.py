@@ -11,8 +11,8 @@ tests hold it to that by counting, not by timing:
   on a ``--resume``.
 * **Lifetime** — the interface digest memoized on the scope never
   crosses a pickle, is not inherited by ``extend``/``restrict_to``, and
-  does not keep a dropped scope alive; ``-j 2`` and fleet checks of a
-  scope carrying it report what serial reports.
+  does not keep a dropped scope alive; a ``-j 2`` check of a scope
+  carrying it reports what serial reports.
 * **One sync for the settled batch** — a warm re-check ``fsync``s the
   ledger header and then the whole settled batch once, whatever the
   scope's size; each proved verdict still gets its own ``fsync``.
@@ -38,7 +38,6 @@ from repro.oolong.ast import ImplDecl
 from repro.oolong.parser import parse_program_text
 from repro.oolong.program import Scope
 from repro.parallel.cache import cache_key
-from repro.parallel.fleet import FleetOptions
 from repro.parallel.ledger import LEDGER_NAME
 from repro.prover.core import Limits
 from repro.vcgen.checker import check_scope
@@ -184,23 +183,17 @@ def test_a_dropped_scope_is_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-@pytest.mark.parametrize("backend", ["j2-cache", "fleet2-run"])
+@pytest.mark.parametrize("backend", ["j2-cache"])
 def test_pool_checks_of_a_keyed_scope_match_serial(backend, tmp_path):
-    """The scope a ``-j``/fleet check ships to its workers already
-    carries the digest (the cache or ledger keyed it first); it must
-    still pickle, and the report must be serial's."""
-    if backend == "j2-cache":
-        options = {"parallel": 2, "cache_dir": str(tmp_path / "cache")}
-    else:
-        options = {
-            "fleet": FleetOptions(workers=2, registration_wait=30.0),
-            "run_dir": str(tmp_path / "run"),
-        }
+    """The scope a ``-j`` check forks its workers from already carries
+    the digest (the cache keyed it first); the report must be
+    serial's."""
     serial = check_scope(_farm(), LIMITS)
     scope = _farm()
     _keys(scope)
-    pooled = check_scope(scope, LIMITS, **options)
-    assert not [d for d in pooled.diagnostics if d.code == "OL904"]
+    pooled = check_scope(
+        scope, LIMITS, parallel=2, cache_dir=str(tmp_path / "cache")
+    )
     assert _canonical(pooled) == _canonical(serial)
 
 

@@ -1,28 +1,18 @@
-"""Crash-safety and graceful-shutdown chaos tests.
+"""Crash-safety chaos tests.
 
 The contract under test: with ``--run-dir`` every decided verdict is
 durable (fsync'd) before the run can observe it, so a coordinator killed
 at *any* point — SIGKILL mid-commit, mid-merge, with a torn ledger tail,
 or with duplicated records — resumes to a **byte-identical** report
-without proving any committed implementation twice; and the standing
-worker pool (``workers serve``) exits 0 through a graceful drain on
-SIGTERM/SIGINT instead of dying with a traceback.
+without proving any committed implementation twice.
 """
 
 import json
-import multiprocessing
 import os
-import signal
-import socket
-import subprocess
-import sys
-import threading
-import time
 
 import pytest
 
 from repro.analysis.diagnostics import Diagnostic, diagnostic_from_dict
-from repro.cli import main
 from repro.corpus.generators import generate_impl_farm
 from repro.obs.events import read_journal
 from repro.oolong.program import Scope
@@ -32,14 +22,12 @@ from repro.parallel.cache import (
     encode_verdict,
     payload_to_verdict,
 )
-from repro.parallel.fleet import WorkerPool
 from repro.parallel.ledger import (
     CHAOS_EXIT_CODE,
     LEDGER_NAME,
     PREVIOUS_NAME,
     RunLedger,
 )
-from repro.parallel.transport import serve_forever
 from repro.prover.core import Limits
 from repro.testing.chaos import (
     CHAOS_ENV,
@@ -337,7 +325,6 @@ def write_farm(tmp_path):
 BACKENDS = [
     pytest.param([], id="serial"),
     pytest.param(["-j", "2"], id="parallel"),
-    pytest.param(["--fleet", "2"], id="fleet"),
 ]
 
 KILL_STAGES = [
@@ -430,115 +417,3 @@ class TestCoordinatorKillMatrix:
         code, _, err = run_cli([write_farm(), "--resume"])
         assert code == 2
         assert "--run-dir" in err
-
-
-# ---------------------------------------------------------------------------
-# Graceful server drain (SIGTERM / SIGINT)
-# ---------------------------------------------------------------------------
-
-
-def _free_port():
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
-def _spawn_cli(args):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    parts = [src] + env.get("PYTHONPATH", "").split(os.pathsep)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in parts if p)
-    env.pop(CHAOS_ENV, None)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-        start_new_session=True,  # its own group, like a terminal job
-    )
-
-
-def _await_start(process):
-    line = process.stdout.readline()
-    record = json.loads(line)
-    assert record["event"] == "server-start"
-    return record
-
-
-def _stop_record(out):
-    for line in out.splitlines():
-        record = json.loads(line)
-        if record.get("event") == "server-stop":
-            return record
-    raise AssertionError(f"no server-stop record in {out!r}")
-
-
-class TestGracefulDrain:
-    @pytest.mark.parametrize("kind", ["workers"])
-    @pytest.mark.parametrize(
-        "sig,reason",
-        [(signal.SIGTERM, "sigterm"), (signal.SIGINT, "sigint")],
-    )
-    def test_serve_drains(self, kind, sig, reason):
-        address = f"127.0.0.1:{_free_port()}"
-        process = _spawn_cli(
-            [kind, "serve", address, "-j", "2", "--drain-timeout", "5"]
-        )
-        try:
-            _await_start(process)
-            time.sleep(1.0)  # let the workers fork and start dialing
-            os.killpg(process.pid, sig)  # the whole group, like Ctrl-C
-            out, err = process.communicate(timeout=30)
-        finally:
-            if process.poll() is None:
-                process.kill()
-        assert process.returncode == 0
-        assert "Traceback" not in err
-        record = _stop_record(out)
-        assert record["reason"] == reason
-        assert record["drained"] + record["terminated"] == 2
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["workers", "serve", "127.0.0.1:1", "-j", "1", "--status", "BUSY"],
-            ["workers", "serve", "127.0.0.1:1", "-j", "1", "--http", "BUSY"],
-        ],
-        ids=["workers-status", "workers-http"],
-    )
-    def test_busy_address_is_a_usage_error(self, capsys, argv):
-        with socket.socket() as busy:
-            busy.bind(("127.0.0.1", 0))
-            busy.listen(1)
-            url = "127.0.0.1:%d" % busy.getsockname()[1]
-            assert main([url if arg == "BUSY" else arg for arg in argv]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""  # no server-start: nothing was announced
-        assert err.startswith("error: ")
-        assert multiprocessing.active_children() == []
-
-    def test_serve_loop_off_main_thread_starts_nothing(self):
-        # signal.signal raises ValueError off the main thread; the loop
-        # must raise before it starts a worker process or accept thread.
-        server = WorkerPool(("127.0.0.1", 1), jobs=1)
-        raised = []
-
-        def run():
-            try:
-                serve_forever(server, drain_timeout=1.0)
-            except ValueError as error:
-                raised.append(error)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        try:
-            assert not thread.is_alive(), "the serve loop blocked"
-            assert raised
-            assert multiprocessing.active_children() == []
-            assert not any(
-                t.name.endswith("-accept") for t in threading.enumerate()
-            )
-        finally:
-            server.stop()

@@ -102,10 +102,19 @@ class TestExitCodes:
         [
             (["--cache-max-bytes", "10"], "--cache-max-bytes requires --cache-dir PATH"),
             (["--cache-max-bytes", "0"], "--cache-max-bytes requires --cache-dir PATH"),
-            (["--fleet-wait", "1"], "--fleet-wait requires --fleet N|HOST:PORT"),
-            (["--fleet-wait", "0"], "--fleet-wait requires --fleet N|HOST:PORT"),
+            (["--job-timeout", "5"], "--job-timeout requires -j N"),
+            (["--job-timeout", "0"], "--job-timeout requires -j N"),
+            (["--max-retries", "2"], "--max-retries requires -j N"),
+            (["--max-retries", "0"], "--max-retries requires -j N"),
         ],
-        ids=["cache-max-bytes", "cache-max-bytes-0", "fleet-wait", "fleet-wait-0"],
+        ids=[
+            "cache-max-bytes",
+            "cache-max-bytes-0",
+            "job-timeout",
+            "job-timeout-0",
+            "max-retries",
+            "max-retries-0",
+        ],
     )
     def test_orphan_flag_is_usage_error(self, orphan, error, write_source, capsys):
         path = write_source("good.oolong", RATIONAL)

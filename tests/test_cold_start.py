@@ -42,7 +42,6 @@ FORBIDDEN = {
         "repro.obs.export",
         "repro.obs.progress",
         "repro.obs.schema",
-        "repro.obs.httpd",
         "repro.obs.explain",
     ),
     "prover-and-harness": (
@@ -55,8 +54,6 @@ FORBIDDEN = {
     "parallel": (
         "repro.parallel.worker",
         "repro.parallel.supervisor",
-        "repro.parallel.fleet",
-        "repro.parallel.transport",
         "repro.parallel.cache",
         "repro.parallel.ledger",
         "repro.parallel.policy",

@@ -1,52 +1,34 @@
-"""The fleet-wide event journal, progress renderer, and status endpoints.
+"""The event journal and the progress renderer.
 
 * **Journal core** — kinds are validated at emit time, sequence numbers
   are a total order, listeners observe records in order, JSONL round
   trips, and the disabled path stays a no-op.
 * **Schema** — every journal a real run produces (serial, ``-j``,
-  ``--fleet``, seeded fault matrices) validates against the in-tree
+  seeded fault matrices) validates against the in-tree
   ``events.schema.json``, including the journal-level seq/t_mono
   invariants; hand-built garbage is rejected.
-* **Correlation** — OL901/OL902/OL903/OL904 outcomes each appear as the
-  matching journal event carrying the code, correlated to jobs/leases.
+* **Correlation** — OL901/OL902/OL903 outcomes each appear as the
+  matching journal event carrying the code, correlated to jobs.
 * **Prometheus** — ``MetricsRegistry.to_prometheus`` renders counters,
   labelled counters, and timers in the text exposition format;
   ``--metrics-format prom`` writes it from the CLI.
-* **Status** — a :class:`StatusServer` answers the ``query_status``
-  round trip; ``workers status`` prints the payload.
 """
 
-import contextlib
 import json
 import os
-import socket
-import threading
 
 import pytest
 
 from repro import obs
-from repro.api import check_program, check_program_resilient
-from repro.cli import EXIT_STATUS_DOWN, EXIT_STATUS_REJECTED, main
-from repro.cli_ops import workers_main
+from repro.api import check_program
+from repro.cli import main
 from repro.corpus.generators import generate_impl_farm
 from repro.obs import events as events_module
 from repro.obs.metrics import MetricsRegistry, prometheus_name
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
-from repro.parallel import FleetOptions
-from repro.parallel.transport import (
-    StatusServer,
-    TransportError,
-    query_status,
-)
 from repro.prover.core import Limits
-from repro.testing.faults import (
-    FLEET_STAGES,
-    SUPERVISOR_STAGES,
-    Fault,
-    FaultPlan,
-    inject,
-)
+from repro.testing.faults import SUPERVISOR_STAGES, Fault, FaultPlan, inject
 from repro.vcgen.checker import check_scope
 
 LIMITS = Limits(time_budget=60.0)
@@ -70,20 +52,6 @@ def _farm_scope(impls=4, fields=4):
     scope = Scope.from_source(generate_impl_farm(impls, fields))
     check_well_formed(scope)
     return scope
-
-
-def _fleet_fast(**overrides) -> FleetOptions:
-    defaults = dict(
-        workers=2,
-        lease_duration=2.0,
-        renew_interval=0.1,
-        backoff_base=0.01,
-        poll_interval=0.02,
-        registration_wait=30.0,
-        max_retries=4,
-    )
-    defaults.update(overrides)
-    return FleetOptions(**defaults)
 
 
 def _journaled_check(source=RATIONAL, **kwargs):
@@ -268,48 +236,20 @@ class TestRunJournals:
         assert counts["job-assigned"] >= len(report.verdicts)
         assert counts["impl-checked"] == len(report.verdicts)
 
-    def test_fleet_run_correlates_leases(self):
-        scope = _farm_scope()
-        journal = obs.EventJournal()
-        with obs.journaling(journal):
-            report = check_scope(scope, LIMITS, fleet=_fleet_fast())
-        assert report.ok
-        assert obs.validate_event_journal(journal.records) == []
-        counts = journal.counts()
-        assert counts["server-start"] == 1
-        assert counts["server-stop"] == 1
-        assert counts["worker-registered"] >= 1
-        grants = [
-            r for r in journal.records if r["event"] == "lease-granted"
-        ]
-        assert len(grants) >= len(report.verdicts)
-        checked = [
-            r for r in journal.records if r["event"] == "impl-checked"
-        ]
-        # every verdict is announced, carrying the lease that decided it
-        assert {(r["impl"], r["index"]) for r in checked} == {
-            (v.impl.name, v.index) for v in report.verdicts
-        }
-        lease_ids = {r["lease"] for r in grants}
-        for record in checked:
-            assert record["lease"] in lease_ids
-
     def test_quarantine_appears_as_ol902_events(self):
         scope = _farm_scope()
         plan = FaultPlan((Fault("worker-kill", "raise", hit=1),))
         journal = obs.EventJournal()
         with obs.journaling(journal), inject(plan):
-            check_scope(scope, LIMITS, fleet=_fleet_fast(), max_retries=0)
+            check_scope(scope, LIMITS, parallel=2, max_retries=0)
         assert obs.validate_event_journal(journal.records) == []
         quarantined = [
             r for r in journal.records if r["event"] == "job-quarantined"
         ]
         assert len(quarantined) == 1
         assert quarantined[0]["code"] == "OL902"
-        reclaims = [
-            r for r in journal.records if r["event"] == "lease-reclaimed"
-        ]
-        assert any(r["job"] == quarantined[0]["job"] for r in reclaims)
+        deaths = [r for r in journal.records if r["event"] == "worker-died"]
+        assert any(r.get("job") == quarantined[0]["job"] for r in deaths)
         checked = {
             (r["impl"], r["index"]): r
             for r in journal.records
@@ -323,32 +263,12 @@ class TestRunJournals:
         plan = FaultPlan((Fault("worker-hang", "raise", hit=0),))
         journal = obs.EventJournal()
         with obs.journaling(journal), inject(plan):
-            check_scope(
-                scope,
-                LIMITS,
-                fleet=_fleet_fast(lease_duration=30.0),
-                job_timeout=0.4,
-            )
+            check_scope(scope, LIMITS, parallel=2, job_timeout=0.4)
         assert obs.validate_event_journal(journal.records) == []
         timeouts = [
             r for r in journal.records if r["event"] == "job-hard-timeout"
         ]
         assert timeouts and all(r["code"] == "OL901" for r in timeouts)
-
-    def test_degradation_appears_as_ol904_event(self):
-        journal = obs.EventJournal()
-        report = check_program_resilient(
-            RATIONAL,
-            LIMITS,
-            events=journal,
-            fleet=FleetOptions(workers=0, registration_wait=0.2),
-        )
-        assert report.ok
-        assert obs.validate_event_journal(journal.records) == []
-        degraded = [r for r in journal.records if r["event"] == "degraded"]
-        assert len(degraded) == 1
-        assert degraded[0]["code"] == "OL904"
-        assert degraded[0]["reason"]
 
     def test_cache_traffic_appears_as_events(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -394,23 +314,19 @@ class TestRunJournals:
     @pytest.mark.parametrize("seed", range(SEED_OFFSET, SEED_OFFSET + 3))
     def test_fault_matrix_journals_stay_schema_valid(self, seed):
         scope = _farm_scope()
-        plan = FaultPlan.fuzz(
-            seed, stages=SUPERVISOR_STAGES + FLEET_STAGES, max_hit=3
-        )
+        plan = FaultPlan.fuzz(seed, stages=SUPERVISOR_STAGES, max_hit=3)
         journal = obs.EventJournal()
         with obs.journaling(journal), inject(plan):
-            report = check_scope(scope, LIMITS, fleet=_fleet_fast())
+            report = check_scope(scope, LIMITS, parallel=2, max_retries=4)
         detail = f"seed {seed}: {plan.describe()}"
         assert obs.validate_event_journal(journal.records) == [], detail
         # every OL9xx event kind carries its code, and every verdict is
-        # announced at least once (degraded runs re-announce preresolved
-        # jobs; consumers dedupe by (impl, index))
+        # announced
         codes = {
             "job-quarantined": "OL902",
             "job-hard-timeout": "OL901",
             "job-deadline": "OL901",
             "cache-reject": "OL903",
-            "degraded": "OL904",
         }
         for record in journal.records:
             expected = codes.get(record["event"])
@@ -456,27 +372,22 @@ class TestProgressRenderer:
         renderer = obs.ProgressRenderer(stream, line_interval=0.0)
         journal = obs.EventJournal()
         journal.add_listener(renderer)
-        journal.emit("check-start", impls=2, backend="fleet")
-        journal.emit("lease-granted", lease=1, job=0)
-        journal.emit("impl-checked", impl="a", index=0, lease=1, status="verified")
+        journal.emit("check-start", impls=2, backend="parallel")
+        journal.emit("job-assigned", job=0, worker="0")
+        journal.emit("impl-checked", impl="a", index=0, worker="0", status="verified")
         journal.emit("impl-checked", impl="a", index=0, status="verified")
         journal.emit("impl-checked", impl="b", index=0, cache_hit=True, status="verified")
         assert renderer.total == 2
         assert len(renderer.done) == 2
         assert renderer.cache_hits == 1
-        assert not renderer.leases
         line = renderer.status_line()
         assert "checked 2/2 impls" in line
         assert "1 cache hits" in line
 
-    def test_quarantine_and_lease_accounting(self):
+    def test_quarantine_accounting(self):
         renderer = obs.ProgressRenderer(_FakeStream(), line_interval=0.0)
         renderer({"event": "check-start", "impls": 3, "t_mono": 0.0})
-        renderer({"event": "lease-granted", "lease": 7, "t_mono": 0.1})
-        renderer({"event": "lease-granted", "lease": 8, "t_mono": 0.2})
-        renderer({"event": "lease-expired", "lease": 7, "t_mono": 0.3})
         renderer({"event": "job-quarantined", "code": "OL902", "t_mono": 0.4})
-        assert renderer.leases == {8}
         assert renderer.quarantined == 1
         assert "1 quarantined" in renderer.status_line()
 
@@ -567,96 +478,6 @@ class TestPrometheus:
 
 
 # ----------------------------------------------------------------------
-# Status endpoints
-# ----------------------------------------------------------------------
-
-
-class TestStatusEndpoints:
-    def test_status_server_round_trip(self):
-        server = StatusServer(
-            ("127.0.0.1", 0), lambda: {"kind": "test", "n": 7}, token="s3"
-        ).start()
-        try:
-            payload = query_status(server.address, token="s3")
-            assert payload == {"kind": "test", "n": 7}
-            with pytest.raises(TransportError):
-                query_status(server.address, token="wrong")
-        finally:
-            server.stop()
-
-    @pytest.mark.parametrize(
-        "kind,entry,lines,fmt,check",
-        [
-            (
-                "workers",
-                workers_main,
-                ["workers: 2/2 alive", "jobs served: 5"],
-                "prom",
-                lambda out: "oolong_pool_jobs_served 5" in out,
-            ),
-        ],
-        ids=["workers"],
-    )
-    def test_status_cli(self, capsys, kind, entry, lines, fmt, check):
-        with _status_target() as url:
-            assert entry(["status", url]) == 0
-            text = capsys.readouterr().out
-            for line in lines:
-                assert line in text
-            assert entry(["status", url, "--metrics-format", fmt]) == 0
-            assert check(capsys.readouterr().out)
-
-    def test_status_against_nothing_exits_down(self, capsys):
-        """Connection-refused means "down": exit 3 plus a stderr hint."""
-        assert (
-            workers_main(["status", "127.0.0.1:1", "--timeout", "1"])
-            == EXIT_STATUS_DOWN
-        )
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "is the server running?" in err
-
-    @pytest.mark.parametrize(
-        "kind,entry",
-        [("workers", workers_main)],
-        ids=["workers"],
-    )
-    def test_status_rejection_exits_distinctly(self, capsys, kind, entry):
-        """A live server with the wrong token is "wrong server", not
-        "down": exit 4, and the hint names the token."""
-        with _status_target(token="sekrit") as url:
-            assert (
-                entry(["status", url, "--timeout", "2"])
-                == EXIT_STATUS_REJECTED
-            )
-        err = capsys.readouterr().err
-        assert "refused the handshake" in err
-
-
-@contextlib.contextmanager
-def _status_target(token=None):
-    """A :class:`StatusServer` over a fixed pool snapshot; yields its
-    address."""
-    snapshot = {
-        "kind": "worker-pool",
-        "coordinator": "127.0.0.1:1",
-        "pid": 1,
-        "uptime": 0.0,
-        "workers": {"configured": 2, "alive": 2, "pids": [10, 11]},
-        "jobs_served": 5,
-        "metrics": {"counters": {"pool.jobs_served": 5}},
-    }
-    server = StatusServer(
-        ("127.0.0.1", 0), lambda: snapshot, token=token
-    ).start()
-    try:
-        host, port = server.address
-        yield f"{host}:{port}"
-    finally:
-        server.stop()
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 
@@ -701,16 +522,16 @@ class TestCli:
         assert "# TYPE oolong_prover_checks counter" in text
         assert "oolong_prover_checks 1" in text
 
-    def test_fleet_run_with_events_and_progress(
+    def test_parallel_run_with_events_and_progress(
         self, write_source, tmp_path, capsys
     ):
         source = write_source("good.oolong", RATIONAL)
         out = str(tmp_path / "events.jsonl")
-        assert main([source, "--fleet", "2", "--events", out, "--progress"]) == 0
+        assert main([source, "-j", "2", "--events", out, "--progress"]) == 0
         records = obs.read_journal(out)
         assert obs.validate_event_journal(records) == []
         kinds = {record["event"] for record in records}
-        assert {"server-start", "lease-granted", "server-stop"} <= kinds
+        assert {"worker-spawn", "job-assigned", "impl-checked"} <= kinds
         assert "checked 1/1 impls" in capsys.readouterr().err
 
     def test_events_default_truncates_previous_run(
@@ -736,126 +557,3 @@ class TestCli:
         records = obs.read_journal(out)
         assert obs.validate_event_journal(records) == []
         assert len({record["run_id"] for record in records}) == 2
-
-
-# ----------------------------------------------------------------------
-# HTTP scraping
-# ----------------------------------------------------------------------
-
-
-def _http_get(url):
-    import urllib.request
-
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return response.status, response.read().decode("utf-8")
-
-
-class TestHttpEndpoints:
-    @pytest.mark.parametrize("kind", ["worker-pool"])
-    def test_server_serves_http(self, kind):
-        from repro.obs.httpd import render_prometheus
-        from repro.parallel.fleet import WorkerPool
-
-        server = WorkerPool(
-            ("127.0.0.1", 1), jobs=0, http_address=("127.0.0.1", 0)
-        )
-        server.start()
-        try:
-            base = f"http://{server.http_url}"
-            status, body = _http_get(base + "/healthz")
-            assert status == 200 and body == "ok\n"
-            status, body = _http_get(base + "/status")
-            payload = json.loads(body)
-            assert payload["kind"] == kind
-            status, body = _http_get(base + "/metrics")
-            assert status == 200
-            assert "oolong_pool_jobs_served 0" in body
-            # The scrape endpoint and the status protocol render the
-            # very same counters.
-            assert body == render_prometheus(server.status())
-        finally:
-            server.stop()
-
-    @pytest.mark.parametrize("kind", ["worker-pool"])
-    def test_busy_http_address_closes_the_first_listener(self, kind):
-        from repro.parallel.fleet import WorkerPool
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            first = probe.getsockname()
-        with socket.socket() as busy:
-            busy.bind(("127.0.0.1", 0))
-            busy.listen(1)
-            # The raised error's traceback keeps the half-built server
-            # alive, so only an explicit close frees its first port.
-            with pytest.raises(OSError) as raised:
-                WorkerPool(
-                    ("127.0.0.1", 1),
-                    jobs=1,
-                    status_address=first,
-                    http_address=busy.getsockname(),
-                )
-            with pytest.raises(ConnectionRefusedError):
-                socket.create_connection(first, timeout=5).close()
-        del raised
-
-    @pytest.mark.parametrize("kind", ["http", "worker-pool"])
-    def test_stop_without_start_returns_at_once(self, kind):
-        from repro.obs.httpd import TelemetryHTTPServer
-        from repro.parallel.fleet import WorkerPool
-
-        http = ("127.0.0.1", 0)
-        if kind == "http":
-            server = TelemetryHTTPServer(http, lambda: {})
-        else:
-            server = WorkerPool(
-                ("127.0.0.1", 1), jobs=1, status_address=http, http_address=http
-            )
-        errors = []
-
-        def stop():
-            try:
-                server.stop()
-            except Exception as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=stop, daemon=True)
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "stop() blocked"
-        assert errors == []
-
-    def test_unknown_path_is_404(self):
-        from repro.obs.httpd import TelemetryHTTPServer
-
-        server = TelemetryHTTPServer(("127.0.0.1", 0), lambda: {}).start()
-        try:
-            import urllib.error
-            import urllib.request
-
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(
-                    f"http://{server.url}/nope", timeout=5
-                )
-            assert exc_info.value.code == 404
-        finally:
-            server.stop()
-
-    def test_snapshot_failure_is_500(self):
-        from repro.obs.httpd import TelemetryHTTPServer
-
-        def broken():
-            raise RuntimeError("boom")
-
-        server = TelemetryHTTPServer(("127.0.0.1", 0), broken).start()
-        try:
-            import urllib.error
-            import urllib.request
-
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(
-                    f"http://{server.url}/status", timeout=5
-                )
-            assert exc_info.value.code == 500
-        finally:
-            server.stop()

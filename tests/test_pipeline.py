@@ -1,11 +1,11 @@
 """The one check pipeline: decide once, execute open jobs, merge once.
 
-Every backend (serial, ``-j``, ``--fleet``) runs the same three steps in
+Both backends (serial and ``-j``) run the same three steps in
 :func:`repro.vcgen.checker._check_impls`, so these tests hold them to
 the same answers:
 
 * **Backend identity** — ``CheckReport.to_dict()`` (minus wall-clock
-  ``elapsed`` fields) is identical across serial, ``parallel=2`` and ``fleet=2`` on the
+  ``elapsed`` fields) is identical across serial and ``parallel=2`` on the
   examples and the paper corpus, under a plain run, a cold and a warm
   cache, ``static_discharge="on"``, and a resume from a partial ledger.
 * **One precedence** — static discharge settles a job before a ledger
@@ -45,16 +45,14 @@ from repro.parallel.cache import (
     checksum,
     code_version,
 )
-from repro.parallel.fleet import FleetOptions
 from repro.parallel.ledger import LEDGER_FORMAT, LEDGER_NAME, RunLedger
 from repro.prover.core import Limits
-from repro.testing.faults import Fault, FaultPlan, inject
 from repro.vcgen.checker import ImplStatus, check_scope
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 LIMITS = Limits(time_budget=60.0)
 
-BACKENDS = {"serial": {}, "parallel": {"parallel": 2}, "fleet": {"fleet": 2}}
+BACKENDS = {"serial": {}, "parallel": {"parallel": 2}}
 
 
 def _sources():
@@ -153,8 +151,7 @@ class TestBackendIdentity:
                 "resume": check(backend, run_dir=run_dir, resume=True),
             }
         for mode, serial in reports["serial"].items():
-            for backend in ("parallel", "fleet"):
-                assert reports[backend][mode] == serial, (backend, mode)
+            assert reports["parallel"][mode] == serial, mode
         plain = reports["serial"]["plain"]
         for mode in ("cold", "warm", "resume"):
             assert reports["serial"][mode] == plain, mode
@@ -318,47 +315,7 @@ def test_settled_labelling_identical_across_backends(mixed_state):
         return _canonical(report), flags, counters
 
     serial = labelling("serial")
-    for backend in ("parallel", "fleet"):
-        assert labelling(backend) == serial, backend
-
-
-def test_degraded_fleet_hands_only_open_jobs_to_supervisor(tmp_path):
-    """A fleet that collapses mid-run: what it finished stays decided,
-    the supervisor runs the rest of the same job book, and every verdict
-    is announced, committed and cached exactly once."""
-    scope = Scope.from_source(generate_impl_farm(4, 2))
-    check_well_formed(scope)
-    serial = check_scope(scope, LIMITS)
-    journal = obs.EventJournal()
-    # One worker and no respawns: the kill at job 1 strands the fleet
-    # after it finished job 0, and the stall clock degrades it.
-    options = FleetOptions(
-        workers=1,
-        respawn_budget=0,
-        stall_timeout=0.3,
-        backoff_base=0.01,
-        poll_interval=0.02,
-        registration_wait=30.0,
-    )
-    with obs.journaling(journal), inject(
-        FaultPlan((Fault("worker-kill", "raise", hit=1),))
-    ):
-        report = check_scope(
-            scope,
-            LIMITS,
-            fleet=options,
-            run_dir=str(tmp_path / "run"),
-            cache_dir=str(tmp_path / "cache"),
-        )
-    assert any(d.code == "OL904" for d in report.diagnostics)
-    assert [v.status for v in report.verdicts] == [
-        v.status for v in serial.verdicts
-    ]
-    checked = [r for r in journal.records if r["event"] == "impl-checked"]
-    assert sorted(r["impl"] for r in checked) == ["job0", "job1", "job2", "job3"]
-    assert report.ledger_summary["commits"] == 4
-    assert report.ledger_summary["deduped"] == 0
-    assert report.cache_summary["stores"] == 4
+    assert labelling("parallel") == serial
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +405,7 @@ def test_backends_persist_alike(persistence, phase):
     _, committed, keys = persistence["serial", phase]
     assert len(committed) == 4
     assert len(keys) == (4 if phase == "cold" else 5)
-    for backend in ("parallel", "fleet"):
-        assert persistence[backend, phase][1:] == (committed, keys), backend
+    assert persistence["parallel", phase][1:] == (committed, keys)
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))

@@ -15,7 +15,7 @@ resumes from a background prepared that way must be indistinguishable
 from one that prepared it itself, and a prepare that runs out of time or
 raises must store nothing.
 
-Serial, ``-j`` and fleet checks are held to identical reports by
+Serial and ``-j`` checks are held to identical reports by
 ``tests/test_pipeline.py``; the search-identity golden pins the counters
 of the same corpus against the code before this change.
 """

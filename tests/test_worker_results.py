@@ -1,4 +1,4 @@
-"""What a ``-j`` or fleet worker sends back for a job.
+"""What a ``-j`` worker sends back for a job.
 
 * **Tracing follows the parent.** A worker traces a job, and ships its
   spans and metrics, only when the parent check has a tracer. Untraced,
@@ -7,28 +7,24 @@
   when every job was traced.
 * **Verdicts ship without their AST.** The parent re-anchors each
   verdict on its own ``ImplDecl``.
-* **A result that does not encode costs only its job.** An unpicklable
-  object in one verdict, or a frame over ``MAX_FRAME``, makes that job
-  ``INTERNAL_ERROR``/``OL900`` on either transport; the rest verify.
+* **A result that does not pickle costs only its job.** An unpicklable
+  object in one verdict makes that job ``INTERNAL_ERROR``/``OL900``;
+  the rest verify.
 """
-
-import pickle
 
 import pytest
 
 from repro import obs
 from repro.api import check_program
 from repro.corpus.generators import generate_impl_farm
-from repro.parallel import transport
 from repro.parallel.policy import JobPolicy
-from repro.parallel.worker import JobRequest, JobResult, encode_result
 from repro.prover.core import Limits
 from repro.vcgen import checker
 from repro.vcgen.checker import ImplStatus
 
 LIMITS = Limits(time_budget=60.0)
 
-BACKENDS = {"parallel": {"parallel": 2}, "fleet": {"fleet": 2}}
+BACKENDS = {"parallel": {"parallel": 2}}
 
 #: A two-impl farm whose bodies end in an assert: the frame conditions
 #: are decided by the inclusion lookup, the assert by quantifier
@@ -37,13 +33,12 @@ SOURCE = generate_impl_farm(2, 3).replace(
     "t.f2 := 2\n}", "t.f2 := 2 ;\n  assert t.f0 = 0\n}"
 ).replace("t.f2 := 3\n}", "t.f2 := 3 ;\n  assert t.f0 = 1\n}")
 
-#: The span paths a traced check of :data:`SOURCE` records, with
-#: ``EXECUTOR`` for the executor's pipeline span (``supervisor`` or
-#: ``fleet``), as recorded when every worker job was traced.
+#: The span paths a traced check of :data:`SOURCE` records, as recorded
+#: when every worker job was traced.
 SKELETON = sorted(
     [
         "pipeline:check_scope",
-        "pipeline:check_scope/pipeline:EXECUTOR",
+        "pipeline:check_scope/pipeline:supervisor",
         "pipeline:check_scope/stage:lint",
         "pipeline:check_scope/stage:pivot",
         "pipeline:check_scope/stage:wellformed",
@@ -51,7 +46,7 @@ SKELETON = sorted(
         "stage:parse",
     ]
     + [
-        f"pipeline:check_scope/pipeline:EXECUTOR/implementation:{job}{tail}"
+        f"pipeline:check_scope/pipeline:supervisor/implementation:{job}{tail}"
         for job in ("job0", "job1")
         for tail in (
             "",
@@ -65,8 +60,7 @@ SKELETON = sorted(
     ]
 )
 
-#: The metric names the same traced check merges (the fleet's own
-#: ``fleet.*`` counters aside).
+#: The metric names the same traced check merges.
 METRICS = {
     "counters": [
         "checker.impls",
@@ -90,9 +84,6 @@ METRICS = {
     "labelled": ["prover.instantiations.by_quantifier"],
     "timers": ["prover.check_seconds"],
 }
-
-EXECUTOR = {"parallel": "supervisor", "fleet": "fleet"}
-
 
 @pytest.fixture
 def filed(monkeypatch):
@@ -141,15 +132,9 @@ class TestTracingFollowsTheParent:
         assert report.ok
         assert len(filed) == 2
         assert all(spans and metrics for spans, metrics, _ in filed)
-        expected = [
-            path.replace("EXECUTOR", EXECUTOR[backend]) for path in SKELETON
-        ]
-        assert _skeleton(tracer) == expected
+        assert _skeleton(tracer) == SKELETON
         merged = tracer.metrics.to_dict()
         names = {kind: sorted(values) for kind, values in merged.items()}
-        names["counters"] = [
-            name for name in names["counters"] if not name.startswith("fleet.")
-        ]
         assert names == METRICS
 
 
@@ -181,25 +166,3 @@ def test_an_unpicklable_verdict_fails_only_its_job(backend, monkeypatch):
     assert error.code == "OL900"
     assert "result not transportable" in error.message
 
-
-def test_a_result_frame_over_max_frame_becomes_the_fallback(monkeypatch):
-    request = JobRequest(job_id=7, proc_name="job7", impl_index=0, attempt=1)
-    result = JobResult(job_id=7, attempt=1, spans=[{"name": "x" * 4096}])
-
-    def frame(message):
-        return transport.encode_frame(("result", 3, message))
-
-    def decoded(payload):
-        return pickle.loads(payload[transport.HEADER.size:])
-
-    assert decoded(encode_result(frame, request, result)) == (
-        "result", 3, result
-    )
-    monkeypatch.setattr(transport, "MAX_FRAME", 1024)
-    kind, lease, fallback = decoded(encode_result(frame, request, result))
-    assert (kind, lease) == ("result", 3)
-    assert (fallback.job_id, fallback.attempt) == (7, 1)
-    assert fallback.verdict is None and fallback.spans == []
-    assert fallback.failure.startswith(
-        "result not transportable: TransportError: message of"
-    )
