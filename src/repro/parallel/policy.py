@@ -359,14 +359,3 @@ def _verdict(job: Job, status: str, error: Diagnostic) -> object:
         stats=ProverStats(),
         error=error,
     )
-
-
-def mp_context():
-    """The ``multiprocessing`` context workers start in: ``fork`` where
-    available (fast, shares the parsed scope), else ``spawn``."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # no fork on this platform
-        return multiprocessing.get_context("spawn")

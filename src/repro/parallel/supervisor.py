@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
 from repro.parallel.jobs import Job as _Job, build_jobs
-from repro.parallel.policy import JobPolicy, mp_context
+from repro.parallel.policy import JobPolicy
 from repro.parallel.worker import (
     HEARTBEAT_INTERVAL,
     JobResult,
@@ -164,6 +164,17 @@ class ParallelOutcome:
     jobs: List[_Job]
 
 
+def _mp_context():
+    """The ``multiprocessing`` context workers start in: ``fork`` where
+    available (fast, shares the parsed scope), else ``spawn``."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        return multiprocessing.get_context("spawn")
+
+
 class WorkerSupervisor:
     """Runs proof jobs on supervised pipe workers under the job policy."""
 
@@ -186,7 +197,7 @@ class WorkerSupervisor:
             self.jobs, limits, options, scope_deadline, explain
         )
         self.workers: List[_WorkerHandle] = []
-        self._context = mp_context()
+        self._context = _mp_context()
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------
