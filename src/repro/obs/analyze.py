@@ -22,10 +22,10 @@ Three consumers sit on top of :func:`analyze_journal`:
 All analysis is single-pass over the records plus a sort; busy
 intervals are reconstructed from each worker's ``job-assigned``
 openings matched against its ``impl-checked``/``job-hard-timeout``/
-``worker-died`` closings. The critical path is the greedy backward chain over those intervals: from
-the latest-ending interval, repeatedly hop to the latest-ending
-interval that finished before the current one began — the job chain
-that bounded wall-clock.
+``worker-died`` closings. The critical path is the greedy backward
+chain over those intervals: from the latest-ending interval, repeatedly
+hop to the latest-ending interval that finished before the current one
+began — the job chain that bounded wall-clock.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def _reconstruct_intervals(records: Sequence[dict]) -> List[_Interval]:
             by_worker[interval.worker] = interval
         elif kind in _CLOSERS:
             worker = record.get("worker")
-            interval = (
-                by_worker.pop(str(worker), None) if worker is not None else None
-            )
+            if worker is None:
+                continue
+            interval = by_worker.pop(str(worker), None)
             if interval is not None:
                 interval.close(record)
                 closed.append(interval)
@@ -162,7 +162,7 @@ def _reconstruct_intervals(records: Sequence[dict]) -> List[_Interval]:
     for interval in by_worker.values():
         interval.close({"t_mono": last_mono})
         closed.append(interval)
-    closed.sort(key=lambda i: (i.start, i.end if i.end is not None else i.start))
+    closed.sort(key=lambda i: (i.start, i.end))
     return closed
 
 

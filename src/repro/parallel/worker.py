@@ -37,6 +37,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, List, Optional
 
 from repro.prover.core import Limits
@@ -179,8 +180,6 @@ def encode_result(request: JobRequest, result: JobResult) -> bytes:
     failure, which the parent files as an ``INTERNAL_ERROR``/``OL900``
     verdict for that job alone.
     """
-    from multiprocessing.reduction import ForkingPickler
-
     try:
         return ForkingPickler.dumps(result)
     except Exception as error:

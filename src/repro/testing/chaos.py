@@ -2,8 +2,9 @@
 
 :mod:`repro.testing.faults` can crash a *worker* (SUPERVISOR_STAGES);
 this module drives faults against the one process that harness cannot
-touch from inside — the coordinator itself. A ``kill-coordinator`` fault calls ``os._exit`` in
-the middle of the run, so it can only be observed from *outside*: the
+touch from inside — the coordinator itself. A ``kill-coordinator``
+fault calls ``os._exit`` in the middle of the run, so it can only be
+observed from *outside*: the
 harness runs ``oolong check --run-dir DIR`` as a subprocess, lets the
 planned fault kill it, then re-runs with ``--resume`` and compares the
 resumed report against an uninterrupted baseline byte for byte.

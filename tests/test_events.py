@@ -374,7 +374,9 @@ class TestProgressRenderer:
         journal.add_listener(renderer)
         journal.emit("check-start", impls=2, backend="parallel")
         journal.emit("job-assigned", job=0, worker="0")
-        journal.emit("impl-checked", impl="a", index=0, worker="0", status="verified")
+        journal.emit(
+            "impl-checked", impl="a", index=0, worker="0", status="verified"
+        )
         journal.emit("impl-checked", impl="a", index=0, status="verified")
         journal.emit("impl-checked", impl="b", index=0, cache_hit=True, status="verified")
         assert renderer.total == 2

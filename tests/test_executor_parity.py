@@ -47,7 +47,9 @@ LIFECYCLE = ("job-retry", "job-quarantined", "job-hard-timeout", "job-deadline")
 #: The supervisor's lifecycle per fuzzed plan, over every CI
 #: ``FAULT_SEED_OFFSET`` window; regenerate with
 #: ``PYTHONPATH=src python tests/test_executor_parity.py --write``.
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "supervisor_lifecycle.json")
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), "data", "supervisor_lifecycle.json"
+)
 GOLDEN_SEEDS = (*range(0, 6), *range(100, 106), *range(200, 206))
 GOLDEN_RETRIES = (0, 2)
 
@@ -97,7 +99,9 @@ class TestScopeBudget:
         # Job 0 freezes; a heartbeat clock far beyond the budget leaves
         # the scope deadline as the only thing that can stop it.
         scope = _farm_scope()
-        jobs, records = _run(scope, _hang(0), patience=30.0, budget=self.BUDGET)
+        jobs, records = _run(
+            scope, _hang(0), patience=30.0, budget=self.BUDGET
+        )
         hung = jobs[0]
         assert hung.verdict.status is ImplStatus.TIMED_OUT
         assert hung.verdict.error.code == "OL901"
