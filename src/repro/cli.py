@@ -113,17 +113,29 @@ def _fail_on_value(value: str) -> str:
     return value
 
 
-def _nonneg_int(value: str) -> int:
-    """argparse ``type`` hook: a non-negative integer (``--max-retries``
-    et al. — a negative retry budget would silently mean "never retry"
-    in some code paths and "retry forever" in others)."""
+def _int_at_least(value: str, low: int) -> int:
     try:
         parsed = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {parsed}")
+    if parsed < low:
+        raise argparse.ArgumentTypeError(
+            f"expected a value >= {low}, got {parsed}"
+        )
     return parsed
+
+
+def _nonneg_int(value: str) -> int:
+    """argparse ``type`` hook: a non-negative integer (``--max-retries``
+    et al. — a negative retry budget would silently mean "never retry"
+    in some code paths and "retry forever" in others)."""
+    return _int_at_least(value, 0)
+
+
+def _positive_int(value: str) -> int:
+    """argparse ``type`` hook: a positive integer (``-j``: a check needs
+    at least one worker)."""
+    return _int_at_least(value, 1)
 
 
 def _nonneg_float(value: str) -> float:
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-j",
         "--jobs",
-        type=int,
+        type=_positive_int,
         metavar="N",
         default=None,
         help="check implementations on N supervised worker processes "

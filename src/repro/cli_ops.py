@@ -48,7 +48,7 @@ def events_main(argv: Optional[List[str]] = None) -> int:
         metavar="RUN_ID",
         default=None,
         help="select one run of a multi-run (--events-append) journal "
-        "(default: the first run containing a check-start)",
+        "(default: the first run in the file)",
     )
     parser.add_argument(
         "--format",

@@ -71,13 +71,7 @@ def _select_run(
     if not records:
         raise AnalysisError("empty journal")
     if run_id is None:
-        # Prefer the first run that actually checked something.
-        for record in records:
-            if record.get("event") == "check-start":
-                run_id = str(record.get("run_id"))
-                break
-        else:
-            run_id = str(records[0].get("run_id"))
+        run_id = str(records[0].get("run_id"))
     chosen = [r for r in records if r.get("run_id") == run_id]
     if not chosen:
         raise AnalysisError(
@@ -226,7 +220,7 @@ def analyze_journal(
 
     ``records`` is the parsed journal (:func:`repro.obs.read_journal`);
     ``run_id`` selects the run in a multi-run (``--events-append``)
-    file, defaulting to the first run containing a ``check-start``.
+    file, defaulting to the file's first run.
     Returns the report dict pinned by ``report.schema.json``.
     """
     run_id, records = _select_run(list(records), run_id)

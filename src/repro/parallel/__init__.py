@@ -7,15 +7,13 @@ exploits that independence for throughput *and* robustness:
 * :mod:`repro.parallel.jobs` — the job book every backend checks
   from: one :class:`Job` per implementation, and the settle step each
   decided verdict takes;
-* :mod:`repro.parallel.policy` — the job policy of the ``-j`` executor:
-  the queue with deterministic jittered backoff, each attempt's
-  injected fault and hard deadline, and every outcome with its journal
-  records — a filed result, retry or quarantine (``OL902``), hard
-  timeout and scope-budget cancellation (``OL901``);
-* :mod:`repro.parallel.supervisor` — the ``-j`` transport: a
+* :mod:`repro.parallel.supervisor` — the ``-j`` executor: a
   :class:`WorkerSupervisor` running jobs on process-isolated pipe
   workers, detecting deaths (exit code, killing signal, lost heartbeat)
-  and hard-timeout overruns (SIGKILL, not a cooperative poll), with a
+  and hard-timeout overruns (SIGKILL, not a cooperative poll), and
+  deciding every outcome with its journal records — a filed result,
+  retry with deterministic jittered backoff or quarantine (``OL902``),
+  hard timeout and scope-budget cancellation (``OL901``) — with a
   deterministic declaration-order merge;
 * :mod:`repro.parallel.worker` — the long-lived worker process: one
   duplex pipe, a heartbeat thread, and the same per-implementation
@@ -49,8 +47,8 @@ _EXPORTS = {
     "validate_entry": "cache",
     "Job": "jobs",
     "build_jobs": "jobs",
-    "backoff_delay": "policy",
-    "jitter_fraction": "policy",
+    "backoff_delay": "supervisor",
+    "jitter_fraction": "supervisor",
     "ParallelOptions": "supervisor",
     "ParallelOutcome": "supervisor",
     "WorkerSupervisor": "supervisor",

@@ -14,9 +14,10 @@ Both backends — serial and ``-j`` — check from one book:
   the cache and emits its ``impl-checked`` record.
 
 How the ``-j`` executor runs the open jobs of a book — retries,
-backoff, hard deadlines, cancellation — is :mod:`repro.parallel.policy`.
-Importing this module loads neither that policy nor
-``multiprocessing``: the serial checker builds its job book from here.
+backoff, hard deadlines, cancellation — is
+:mod:`repro.parallel.supervisor`. Importing this module loads neither
+that executor nor ``multiprocessing``: the serial checker builds its
+job book from here.
 """
 
 from __future__ import annotations

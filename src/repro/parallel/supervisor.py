@@ -1,11 +1,11 @@
-"""The supervised multi-process checking backend: the ``-j`` transport.
+"""The supervised multi-process checking backend: the ``-j`` executor.
 
-``check_scope(parallel=N)`` hands the per-implementation proof jobs to a
+``check_scope(parallel=N)`` hands the open jobs of its job book to a
 :class:`WorkerSupervisor`, which runs them on a pool of process-isolated
 workers (:mod:`repro.parallel.worker`), each a forked child on one end of
-a duplex pipe with a heartbeat stamped into shared memory. This module
-is transport only. It spawns and reaps workers, ships requests and
-receives results, and detects what the cooperative serial driver cannot:
+a duplex pipe with a heartbeat stamped into shared memory. The
+supervisor spawns and reaps workers, ships requests and receives
+results, and detects what the cooperative serial driver cannot:
 
 * a **dead worker** — a nonzero exit, a killing signal, a closed pipe or
   a stale heartbeat (a frozen interpreter);
@@ -14,22 +14,25 @@ receives results, and detects what the cooperative serial driver cannot:
 * an **expired scope budget** — every worker is killed within one poll
   interval, instead of waiting for each to notice.
 
-What follows from each is the job policy's decision
-(:class:`repro.parallel.policy.JobPolicy`): retry
-with backoff or quarantine as ``OL902``, ``TIMED_OUT``/``OL901``, or
-cancellation in the serial driver's ``OL901`` wording. A job that was
-never accepted because its worker died first counts as a death.
+It also decides what follows, with a journal record for each outcome: a
+filed result; a retry after a jittered exponential backoff
+(:func:`backoff_delay`), or ``OL902`` quarantine once the retries are
+spent; an ``OL901`` hard timeout; or cancellation in the serial
+driver's ``OL901`` wording. A job that was never accepted because its
+worker died first counts as a death. Every outcome that decides a job
+settles it through the book (:meth:`repro.parallel.jobs.JobBook.settle`).
 
 Determinism: results are merged in *job order* (declaration order of the
 implementations — the exact order the serial driver uses), so the
 rendered report is independent of scheduling, worker count, and
 completion order; ``CheckReport.to_dict`` is byte-identical to a serial
-run modulo wall-clock fields.
+run modulo wall-clock fields. Injected worker faults are placed by job
+index, never by which worker takes the job.
 
-The supervisor is a pure executor: it runs the jobs of the book it is
-given that are still open. Deciding jobs up front (static discharge,
-ledger replay, cache hits) and storing fresh verdicts in the result
-cache are the checker's business (:mod:`repro.vcgen.checker`).
+The supervisor runs the jobs of the book it is given that are still
+open. Deciding jobs up front (static discharge, ledger replay, cache
+hits) and storing fresh verdicts in the result cache are the checker's
+business (:mod:`repro.vcgen.checker`).
 
 Warm workers: before the first fork the supervisor prepares the
 scope's prover background (BP_D asserted on top of the process's UBP,
@@ -43,27 +46,59 @@ Observability: under an installed tracer the supervisor emits one
 span tree (vcgen/prove stage spans with their per-VC children)
 underneath, so ``--trace``/``--profile`` cover parallel runs end to end.
 Workers trace a job, and ship its spans and metrics, only when the
-parent traces: an untraced check's results carry neither.
+parent traces: an untraced check's results carry neither. The serial
+checker never loads this module.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.diagnostics import Diagnostic
 from repro.obs import events as obs_events
 from repro.oolong.program import Scope
-from repro.parallel.jobs import Job as _Job, build_jobs
-from repro.parallel.policy import JobPolicy
+from repro.parallel.jobs import Job as _Job, JobBook, build_jobs
 from repro.parallel.worker import (
     HEARTBEAT_INTERVAL,
+    JobRequest,
     JobResult,
     worker_main,
 )
-from repro.prover.core import Limits
+from repro.prover.core import Limits, ProverStats
+from repro.testing.faults import (
+    record_supervisor_fault,
+    supervisor_fault_hits,
+)
+
+
+def jitter_fraction(token: str) -> float:
+    """A deterministic pseudo-random fraction in ``[0, 1)`` for ``token``.
+
+    Hash-derived rather than ``random``-derived so backoff schedules are
+    reproducible run to run (and in seeded fault-injection tests) while
+    still differing *between* jobs and attempts — which is the point of
+    jitter: two jobs orphaned by the same worker death must not retry at
+    the same instant forever.
+    """
+    digest = hashlib.sha256(token.encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+def backoff_delay(base: float, attempt: int, *, token: str = "") -> float:
+    """Exponential backoff with deterministic jitter.
+
+    Attempt *n* (1-based) waits ``base * 2**(n-1)``, stretched by up to
+    half of itself according to :func:`jitter_fraction` of
+    ``token:attempt``.
+    """
+    delay = base * (2 ** max(attempt - 1, 0))
+    # Jitter 0.5: simultaneous worker deaths must not retry in lockstep.
+    return delay * (1.0 + 0.5 * jitter_fraction(f"{token}:{attempt}"))
 
 
 @dataclass(frozen=True)
@@ -80,8 +115,8 @@ class ParallelOptions:
     #: ``INTERNAL_ERROR``/``OL902``.
     max_retries: int = 2
     #: Base of the exponential retry backoff (seconds): attempt *n*
-    #: waits ``backoff_base * 2**(n-1)``, stretched by the job policy's
-    #: deterministic jitter (see :func:`repro.parallel.policy.backoff_delay`).
+    #: waits ``backoff_base * 2**(n-1)``, stretched by a deterministic
+    #: jitter (see :func:`backoff_delay`).
     backoff_base: float = 0.05
     #: A worker whose heartbeat is older than this while a job is
     #: running is considered dead (frozen interpreter) and killed.
@@ -176,7 +211,8 @@ def _mp_context():
 
 
 class WorkerSupervisor:
-    """Runs proof jobs on supervised pipe workers under the job policy."""
+    """Runs the open jobs of a job book on supervised pipe workers, and
+    decides each job's outcome."""
 
     def __init__(
         self,
@@ -186,16 +222,35 @@ class WorkerSupervisor:
         options: ParallelOptions,
         explain: bool = False,
         scope_deadline: Optional[float] = None,
-        book: Optional[List[_Job]] = None,
+        book: JobBook,
     ):
         self.scope = scope
         self.options = options
+        self.explain = explain
+        self.scope_deadline = scope_deadline
         #: The job book; jobs already done when the run starts are left
         #: as they are.
-        self.jobs = book if book is not None else build_jobs(scope)
-        self.policy = JobPolicy(
-            self.jobs, limits, options, scope_deadline, explain
+        self.jobs = book
+        #: What each attempt runs under: the scope budget is the
+        #: supervisor's to enforce (by cancellation), never a worker's.
+        self.job_limits = (
+            replace(limits, scope_time_budget=None, scope_deadline=None)
+            if limits is not None
+            else None
         )
+        #: The open jobs waiting for a worker, in book order; a retried
+        #: job rejoins at the end.
+        self.queue: List[_Job] = [job for job in book if not job.done]
+        self._faults = [
+            (stage, action, supervisor_fault_hits(stage))
+            for stage, action in (
+                ("worker-kill", "kill"),
+                ("worker-hang", "hang"),
+            )
+        ]
+        #: The tracer and ``supervisor`` span job spans nest under.
+        self.tracer = None
+        self.parent_span: Optional[int] = None
         self.workers: List[_WorkerHandle] = []
         self._context = _mp_context()
         self._next_worker_id = 0
@@ -205,9 +260,19 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
 
     def run(self) -> ParallelOutcome:
-        with self.policy.traced("supervisor", workers=self.options.jobs):
+        from repro import obs
+
+        with obs.span(
+            "supervisor",
+            obs.CAT_PIPELINE,
+            jobs=len(self.jobs),
+            workers=self.options.jobs,
+        ):
+            self.tracer = obs.current()
+            if self.tracer is not None:
+                self.parent_span = self.tracer.current_index()
             try:
-                if self.policy.queue:
+                if self.queue:
                     self._prepare_background()
                     self._supervise()
             finally:
@@ -229,8 +294,7 @@ class WorkerSupervisor:
         from repro.vcgen.vc import scope_background_of
 
         limits = replace(
-            self.policy.job_limits or Limits(),
-            scope_deadline=self.policy.scope_deadline,
+            self.job_limits or Limits(), scope_deadline=self.scope_deadline
         )
         try:
             scope_background_of(self.scope).prepare(limits)
@@ -242,11 +306,10 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
 
     def _supervise(self) -> None:
-        policy = self.policy
-        queue = policy.queue
+        queue = self.queue
         while True:
             now = time.monotonic()
-            if policy.expired(now):
+            if self.scope_deadline is not None and now >= self.scope_deadline:
                 self._cancel_everything()
                 return
             self._police(now)
@@ -258,7 +321,7 @@ class WorkerSupervisor:
                     break
                 if not worker.idle or not worker.alive():
                     continue
-                job = policy.next_eligible(now)
+                job = self._next_eligible(now)
                 if job is None:
                     break
                 self._assign(worker, job, now)
@@ -269,7 +332,7 @@ class WorkerSupervisor:
 
             ready = connection_wait(
                 [w.conn for w in self.workers if not w.conn.closed],
-                timeout=policy.wait_hint(now, (w.job_deadline for w in busy)),
+                timeout=self._wait_hint(now, busy),
             )
             for conn in ready:
                 worker = next(
@@ -277,6 +340,25 @@ class WorkerSupervisor:
                 )
                 if worker is not None:
                     self._drain(worker)
+
+    def _next_eligible(self, now: float) -> Optional[_Job]:
+        """Pop the first queued job whose retry backoff has elapsed."""
+        for index, job in enumerate(self.queue):
+            if job.eligible_at <= now and not job.done:
+                return self.queue.pop(index)
+        return None
+
+    def _wait_hint(self, now: float, busy: List[_WorkerHandle]) -> float:
+        """How long the loop may block before something falls due: at
+        most one poll interval, and no later than the scope deadline,
+        the end of a queued job's backoff, or a ``busy`` worker's
+        attempt deadline."""
+        due = [w.job_deadline for w in busy if w.job_deadline is not None]
+        due += [job.eligible_at for job in self.queue if job.eligible_at > now]
+        if self.scope_deadline is not None:
+            due.append(self.scope_deadline)
+        timeout = min([self.options.poll_interval] + [d - now for d in due])
+        return max(timeout, 0.001)
 
     def _ensure_workers(self, queued: int) -> None:
         self.workers = [w for w in self.workers if not w.conn.closed]
@@ -297,7 +379,32 @@ class WorkerSupervisor:
             )
 
     def _assign(self, worker: _WorkerHandle, job: _Job, now: float) -> None:
-        request, deadline = self.policy.begin_attempt(job, now)
+        """Send ``job``'s next attempt to ``worker``.
+
+        A first attempt carries the fault the active plan puts on its
+        job index (``worker-kill`` before ``worker-hang``), so fault
+        placement never depends on which worker takes the job. It asks
+        the worker for spans and metrics only under a tracer. The
+        attempt's hard deadline is ``now + job_timeout`` only:
+        scope-budget expiry is handled by :meth:`_cancel_everything`.
+        """
+        inject = None
+        if job.attempts == 0:
+            for stage, action, hits in self._faults:
+                if job.job_id in hits:
+                    inject = action
+                    record_supervisor_fault(stage, job.job_id, "raise")
+                    break
+        request = JobRequest(
+            job_id=job.job_id,
+            proc_name=job.proc_name,
+            impl_index=job.impl_index,
+            attempt=job.attempts,
+            limits=self.job_limits,
+            explain=self.explain,
+            inject=inject,
+            trace=self.tracer is not None,
+        )
         worker.job = job
         worker.job_started = now
         try:
@@ -315,7 +422,8 @@ class WorkerSupervisor:
             impl=job.impl.name,
             index=job.impl_index,
         )
-        worker.job_deadline = deadline
+        timeout = self.options.job_timeout
+        worker.job_deadline = None if timeout is None else now + timeout
         worker.heartbeat.value = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -339,13 +447,70 @@ class WorkerSupervisor:
         job = worker.job
         if job is None or result.job_id != job.job_id:
             return  # stale result from a superseded attempt
-        self.policy.file_result(
-            job, result, worker=worker.worker_id, started=worker.job_started
-        )
+        self._file_result(job, result, worker)
         worker.job = None
         worker.job_deadline = None
 
+    def _file_result(
+        self, job: _Job, result: JobResult, worker: _WorkerHandle
+    ) -> None:
+        """File the :class:`~repro.parallel.worker.JobResult` ``worker``
+        sent for ``job``.
+
+        A job that raised outside the worker's verdict isolation becomes
+        an ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the verdict,
+        which crossed without its AST, is re-anchored on the parent's
+        own ``ImplDecl`` so report identities match the serial driver's
+        exactly. Under a tracer the job gets an ``implementation`` span
+        from the attempt's start (monotonic time; on the platforms
+        workers run on ``time.monotonic`` and ``perf_counter`` share
+        CLOCK_MONOTONIC), with the worker's own spans grafted beneath
+        it and its metrics merged.
+        """
+        if result.failure is not None:
+            verdict = _verdict(
+                job,
+                "INTERNAL_ERROR",
+                Diagnostic(
+                    code="OL900",
+                    message="worker job failed internally: "
+                    + result.failure.strip().splitlines()[-1],
+                    impl=job.impl.name,
+                ),
+            )
+        else:
+            verdict = result.verdict
+            verdict.impl = job.impl
+            job.explain_crash = result.explain_crash
+        tracer = self.tracer
+        if tracer is not None:
+            job_span = tracer.record(
+                job.impl.name,
+                "implementation",
+                worker.job_started,
+                time.perf_counter(),
+                parent=self.parent_span,
+                args={
+                    "worker": worker.worker_id,
+                    "attempt": result.attempt,
+                    "status": verdict.status.name.lower(),
+                },
+            )
+            if result.spans:
+                tracer.absorb(result.spans, parent=job_span)
+            if result.metrics:
+                tracer.metrics.merge_dict(result.metrics)
+        self.jobs.settle(
+            job, verdict, worker=str(worker.worker_id), attempt=result.attempt
+        )
+
     def _worker_died(self, worker: _WorkerHandle, reason: str) -> None:
+        """Reap ``worker`` and charge the lost attempt to its job.
+
+        The job goes back on the queue after a jittered exponential
+        backoff, or — with its retries spent — is quarantined as
+        ``INTERNAL_ERROR``/``OL902``, naming every death.
+        """
         job = worker.job
         worker.job = None
         worker.kill()
@@ -355,11 +520,45 @@ class WorkerSupervisor:
             reason=reason,
             job=job.job_id if job is not None else None,
         )
-        if job is not None and not job.done:
-            self.policy.retry_or_quarantine(job, reason)
+        if job is None or job.done:
+            return
+        job.attempts += 1
+        job.death_reasons.append(reason)
+        if job.attempts > self.options.max_retries:
+            self._fail(
+                job,
+                "INTERNAL_ERROR",
+                Diagnostic(
+                    code="OL902",
+                    message=f"worker died {job.attempts} time(s) running "
+                    f"this implementation ({'; '.join(job.death_reasons)}); "
+                    "job quarantined",
+                    impl=job.impl.name,
+                ),
+                "job-quarantined",
+                attempt=job.attempts,
+                code="OL902",
+            )
+            return
+        backoff = backoff_delay(
+            self.options.backoff_base, job.attempts, token=f"job{job.job_id}"
+        )
+        job.eligible_at = time.monotonic() + backoff
+        self.queue.append(job)
+        obs_events.emit(
+            "job-retry",
+            job=job.job_id,
+            impl=job.impl.name,
+            index=job.impl_index,
+            attempt=job.attempts,
+            backoff=round(backoff, 6),
+            reason=reason,
+        )
 
     def _police(self, now: float) -> None:
-        """Detect deaths, lost heartbeats, and hard-timeout overruns."""
+        """Detect deaths, lost heartbeats, and hard-timeout overruns; an
+        overrun kills its worker and times its job out
+        (``TIMED_OUT``/``OL901``)."""
         for worker in list(self.workers):
             if worker.conn.closed or worker.idle:
                 continue
@@ -384,20 +583,65 @@ class WorkerSupervisor:
                 job = worker.job
                 worker.job = None
                 worker.kill()
-                self.policy.hard_timeout(job, worker.worker_id)
+                if job.done:
+                    continue
+                self._fail(
+                    job,
+                    "TIMED_OUT",
+                    Diagnostic(
+                        code="OL901",
+                        message="hard job timeout "
+                        f"({self.options.job_timeout:.3g}s) exceeded while "
+                        "this implementation was being checked; "
+                        f"worker {worker.worker_id} killed",
+                        impl=job.impl.name,
+                    ),
+                    "job-hard-timeout",
+                    worker=str(worker.worker_id),
+                    code="OL901",
+                )
+
+    def _fail(
+        self, job: _Job, status: str, error: Diagnostic, event: str, **fields
+    ) -> None:
+        """Decide ``job`` without a prover: its lifecycle record, then
+        the settle step for the ``ImplStatus`` named ``status`` with
+        diagnostic ``error``."""
+        obs_events.emit(
+            event,
+            job=job.job_id,
+            impl=job.impl.name,
+            index=job.impl_index,
+            **fields,
+        )
+        self.jobs.settle(job, _verdict(job, status, error))
 
     # ------------------------------------------------------------------
     # Scope-budget cancellation and shutdown
     # ------------------------------------------------------------------
 
     def _cancel_everything(self) -> None:
-        """The scope budget expired: kill every worker, then let the
-        policy fail the jobs they were running and the queue."""
+        """The scope budget expired: kill every worker and fail every
+        open job in the serial driver's vocabulary — the jobs the
+        workers were running with the mid-check ``OL901``, every other
+        one with the before-check one."""
+        from repro.vcgen.checker import _deadline_diagnostic
+
         inflight = [w.job for w in self.workers if w.job is not None]
         for worker in self.workers:
             worker.job = None
             worker.kill()
-        self.policy.cancel(inflight)
+        for before, jobs in ((False, inflight), (True, self.jobs)):
+            for job in jobs:
+                if not job.done:
+                    self._fail(
+                        job,
+                        "TIMED_OUT",
+                        _deadline_diagnostic(job.impl, before=before),
+                        "job-deadline",
+                        code="OL901",
+                    )
+        self.queue.clear()
 
     def _shutdown_workers(self) -> None:
         """Stop every idle worker, then reap them, so they exit side by
@@ -424,7 +668,7 @@ def run_parallel_checks(
     explain: bool = False,
     scope_deadline: Optional[float] = None,
     preresolved: Optional[Dict[Tuple[str, int], object]] = None,
-    book: Optional[List[_Job]] = None,
+    book: Optional[JobBook] = None,
 ) -> ParallelOutcome:
     """Convenience wrapper: build a supervisor, run it, return the jobs.
 
@@ -441,3 +685,17 @@ def run_parallel_checks(
         book=book if book is not None else build_jobs(scope, preresolved),
     )
     return supervisor.run()
+
+
+def _verdict(job: _Job, status: str, error: Diagnostic) -> object:
+    """A verdict the supervisor decides for ``job`` without a prover:
+    the ``ImplStatus`` named ``status``, with diagnostic ``error``."""
+    from repro.vcgen.checker import ImplStatus, ImplVerdict
+
+    return ImplVerdict(
+        impl=job.impl,
+        index=job.impl_index,
+        status=ImplStatus[status],
+        stats=ProverStats(),
+        error=error,
+    )

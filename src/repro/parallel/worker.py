@@ -21,8 +21,8 @@ job slow → enforce the job timeout) from one that is *gone* (heartbeat
 stale → treat as worker death and retry the job elsewhere).
 
 Injected faults (``worker-kill``/``worker-hang``) arrive as part of the
-job request — decided by the parent's job policy
-(:class:`repro.parallel.policy.JobPolicy`) from the active
+job request — decided by the parent's supervisor
+(:class:`repro.parallel.supervisor.WorkerSupervisor`) from the active
 :class:`repro.testing.faults.FaultPlan`, so fault placement is keyed by
 deterministic job index, never by which worker happened to pick the job
 up. ``kill`` exits the process hard (``os._exit``, modelling SIGKILL by
@@ -114,7 +114,7 @@ def detach_from_parent() -> None:
     inherits.
 
     All are parent-side concerns: spans ship home with each result,
-    worker faults are interpreted by the parent's job policy, and the
+    worker faults are placed by the parent's supervisor, and the
     journal records the parent's view of the run.
     """
     from repro.obs import events as events_module
@@ -127,7 +127,7 @@ def detach_from_parent() -> None:
 
 
 def worker_main(
-    conn, heartbeat, scope, worker_id: int, supervisor_pid: Optional[int] = None
+    conn, heartbeat, scope, worker_id: int, supervisor_pid: int
 ) -> None:
     """The worker process entry point.
 
@@ -142,13 +142,7 @@ def worker_main(
     detach_from_parent()
     stop_event = threading.Event()
     beat_thread = threading.Thread(
-        target=_beat,
-        args=(
-            heartbeat,
-            stop_event,
-            os.getppid() if supervisor_pid is None else supervisor_pid,
-        ),
-        daemon=True,
+        target=_beat, args=(heartbeat, stop_event, supervisor_pid), daemon=True
     )
     beat_thread.start()
 

@@ -390,7 +390,7 @@ def check_scope(
     being quarantined as ``INTERNAL_ERROR``/``OL902``, and results merge
     in declaration order — the report is byte-identical to a serial run
     modulo wall-clock fields. ``parallel=None`` (default) checks
-    serially in-process.
+    serially in-process; a ``parallel`` below 1 raises ``ValueError``.
 
     ``cache_dir`` enables the crash-safe incremental result cache
     (:mod:`repro.parallel.cache`): deterministic verdicts are keyed by a
@@ -437,6 +437,8 @@ def check_scope(
             f"static_discharge must be 'off' or 'on', "
             f"not {static_discharge!r}"
         )
+    if parallel is not None and parallel < 1:
+        raise ValueError(f"parallel must be at least 1, not {parallel!r}")
     if check_discharge and static_discharge == "off":
         static_discharge = "on"
 
@@ -913,7 +915,7 @@ def _execute(
             scope,
             limits,
             options=ParallelOptions(
-                jobs=max(1, int(parallel)),
+                jobs=parallel,
                 job_timeout=job_timeout,
                 max_retries=max_retries,
             ),

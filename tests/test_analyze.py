@@ -121,9 +121,7 @@ class TestAnalyzeUnit:
             preresolved=True,
         )
         report = analyze_journal(journal.records)
-        assert report["statuses"] == {"timeout": 2} or report["statuses"] == {
-            "timeout": 1
-        }
+        assert report["statuses"] == {"timeout": 1}
         assert report["faults"]["by_code"]["OL901"] == 1
 
     def test_journal_trace_of_synthetic_run_validates(self):

@@ -183,8 +183,7 @@ def test_a_dropped_scope_is_freed_without_the_cycle_collector(tmp_path):
         gc.enable()
 
 
-@pytest.mark.parametrize("backend", ["j2-cache"])
-def test_pool_checks_of_a_keyed_scope_match_serial(backend, tmp_path):
+def test_pool_checks_of_a_keyed_scope_match_serial(tmp_path):
     """The scope a ``-j`` check forks its workers from already carries
     the digest (the cache keyed it first); the report must be
     serial's."""

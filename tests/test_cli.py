@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import check_scope
 from repro.cli import build_lint_parser, build_parser, lint_main, main
 from repro.corpus.programs import (
     RATIONAL,
@@ -12,6 +13,7 @@ from repro.corpus.programs import (
     SECTION3_LAUNDERED_M,
     SECTION3_LEAKING_M,
 )
+from repro.oolong.program import Scope
 
 
 @pytest.fixture
@@ -122,6 +124,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, jobs, write_source, capsys):
+        path = write_source("good.oolong", RATIONAL)
+        with pytest.raises(SystemExit) as excinfo:
+            main([path, "-j", jobs])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"argument -j/--jobs: expected a value >= 1, got {jobs}"
+            in captured.err
+        )
+
+    def test_check_scope_rejects_parallel_below_one(self):
+        with pytest.raises(ValueError, match="parallel must be at least 1"):
+            check_scope(Scope.from_source(RATIONAL), parallel=0)
 
     def test_cache_max_bytes_bounds_the_cache_dir(
         self, write_source, tmp_path, capsys

@@ -56,7 +56,6 @@ FORBIDDEN = {
         "repro.parallel.supervisor",
         "repro.parallel.cache",
         "repro.parallel.ledger",
-        "repro.parallel.policy",
         "repro.cli_ops",
     ),
 }

@@ -1,7 +1,7 @@
 """The ``-j`` executor's job lifecycle under faults.
 
-The supervisor follows the job policy of :mod:`repro.parallel.policy`,
-so a fault must play out the same way every time:
+The supervisor (:mod:`repro.parallel.supervisor`) decides every job's
+outcome, so a fault must play out the same way every time:
 
 * **Scope-budget expiry** — a job still running when the budget runs out
   reports the serial driver's mid-check ``OL901`` wording and a
@@ -94,8 +94,7 @@ def _hang(*jobs):
 class TestScopeBudget:
     BUDGET = 0.5
 
-    @pytest.mark.parametrize("backend", ["parallel"])
-    def test_running_job_gets_the_serial_mid_check_wording(self, backend):
+    def test_running_job_gets_the_serial_mid_check_wording(self):
         # Job 0 freezes; a heartbeat clock far beyond the budget leaves
         # the scope deadline as the only thing that can stop it.
         scope = _farm_scope()
@@ -115,8 +114,7 @@ class TestScopeBudget:
             for record in records
         )
 
-    @pytest.mark.parametrize("backend", ["parallel"])
-    def test_every_deadline_record_names_its_implementation(self, backend):
+    def test_every_deadline_record_names_its_implementation(self):
         # Both workers freeze, so jobs 2 and 3 are still queued when the
         # budget runs out: the before-check and the mid-check records.
         scope = _farm_scope()

@@ -17,14 +17,12 @@ import pytest
 from repro import obs
 from repro.api import check_program
 from repro.corpus.generators import generate_impl_farm
-from repro.parallel.policy import JobPolicy
+from repro.parallel.supervisor import WorkerSupervisor
 from repro.prover.core import Limits
 from repro.vcgen import checker
 from repro.vcgen.checker import ImplStatus
 
 LIMITS = Limits(time_budget=60.0)
-
-BACKENDS = {"parallel": {"parallel": 2}}
 
 #: A two-impl farm whose bodies end in an assert: the frame conditions
 #: are decided by the inclusion lookup, the assert by quantifier
@@ -89,15 +87,15 @@ METRICS = {
 def filed(monkeypatch):
     """Every ``JobResult`` the parent files, as it arrived."""
     results = []
-    original = JobPolicy.file_result
+    original = WorkerSupervisor._file_result
 
-    def spy(self, job, result, **kwargs):
+    def spy(self, job, result, worker):
         results.append(
             (result.spans, result.metrics, result.verdict.impl)
         )
-        return original(self, job, result, **kwargs)
+        return original(self, job, result, worker)
 
-    monkeypatch.setattr(JobPolicy, "file_result", spy)
+    monkeypatch.setattr(WorkerSupervisor, "_file_result", spy)
     return results
 
 
@@ -115,20 +113,19 @@ def _skeleton(tracer):
     return sorted(path(index) for index in range(len(spans)))
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestTracingFollowsTheParent:
-    def test_untraced_results_carry_no_spans_or_metrics(self, backend, filed):
-        report = check_program(SOURCE, LIMITS, **BACKENDS[backend])
+    def test_untraced_results_carry_no_spans_or_metrics(self, filed):
+        report = check_program(SOURCE, LIMITS, parallel=2)
         assert report.ok
         assert len(filed) == 2
         for spans, metrics, impl in filed:
             assert spans == [] and metrics == {}
             assert impl is None  # the AST stayed in the worker
 
-    def test_traced_check_grafts_and_merges_as_before(self, backend, filed):
+    def test_traced_check_grafts_and_merges_as_before(self, filed):
         tracer = obs.Tracer()
         with obs.tracing(tracer):
-            report = check_program(SOURCE, LIMITS, **BACKENDS[backend])
+            report = check_program(SOURCE, LIMITS, parallel=2)
         assert report.ok
         assert len(filed) == 2
         assert all(spans and metrics for spans, metrics, _ in filed)
@@ -152,10 +149,9 @@ def _plant_unpicklable(monkeypatch, index):
     monkeypatch.setattr(checker, "_check_impl", planted)
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_an_unpicklable_verdict_fails_only_its_job(backend, monkeypatch):
+def test_an_unpicklable_verdict_fails_only_its_job(monkeypatch):
     _plant_unpicklable(monkeypatch, 1)
-    report = check_program(generate_impl_farm(3, 3), LIMITS, **BACKENDS[backend])
+    report = check_program(generate_impl_farm(3, 3), LIMITS, parallel=2)
     statuses = [verdict.status for verdict in report.verdicts]
     assert statuses == [
         ImplStatus.VERIFIED,
