@@ -24,7 +24,6 @@ the rest of a path dead) is a dataflow instance, not a graph property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import SourcePosition
@@ -41,6 +40,7 @@ from repro.oolong.ast import (
     Skip,
     VarCmd,
 )
+from repro.record import Record, field
 
 #: Statement kinds (``node`` is the originating AST atom where one exists).
 ASSERT = "assert"
@@ -52,8 +52,7 @@ VAR_ENTER = "var-enter"
 VAR_EXIT = "var-exit"
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Record, frozen=True):
     """One atomic step inside a basic block."""
 
     kind: str
@@ -70,8 +69,7 @@ class Statement:
         return f"{self.kind} {self.node}"
 
 
-@dataclass
-class BasicBlock:
+class BasicBlock(Record):
     """A maximal straight-line sequence of statements."""
 
     bid: int

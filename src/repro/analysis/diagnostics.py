@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError, SourcePosition
+from repro.record import Record, field
 
 
 class Severity(enum.Enum):
@@ -127,8 +127,7 @@ def rule_for_code(code: str) -> str:
     return _CODE_TO_RULE.get(code, code)
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(Record, frozen=True):
     """A secondary message attached to a diagnostic (e.g. one flow step)."""
 
     message: str
@@ -138,8 +137,7 @@ class Note:
         return {"message": self.message, **_position_dict(self.position)}
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record, frozen=True):
     """One finding of a static pass."""
 
     code: str

@@ -42,7 +42,6 @@ implemented.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.oolong.ast import (
@@ -65,6 +64,7 @@ from repro.analysis.diagnostics import Diagnostic, Note
 from repro.analysis.facts import ImplFacts, Site, impl_facts, scope_lattice
 from repro.analysis.inclusion import InclusionLattice
 from repro.analysis.modifies import FRESH, PathVal
+from repro.record import Record, field
 from repro.vcgen.wlp import ObligationInfo
 
 #: Version of the discharge pass; folded into the parallel result-cache
@@ -157,8 +157,7 @@ _UNCOVERED = "uncovered"
 _UNDECIDED = "undecided"
 
 
-@dataclass
-class ObligationDecision:
+class ObligationDecision(Record):
     """How the discharge pass classified one obligation."""
 
     obligation: ObligationInfo
@@ -230,8 +229,7 @@ def _classify_mod(
     return Outcome.UNKNOWN, None, "coverage undecided"
 
 
-@dataclass
-class ImplDischarge:
+class ImplDischarge(Record):
     """The discharge verdict for one implementation."""
 
     proc_name: str
@@ -326,8 +324,7 @@ def _classify_site(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DischargeResult:
+class DischargeResult(Record):
     """Everything the discharge pass computed for one scope."""
 
     mode: str

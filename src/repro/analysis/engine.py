@@ -33,7 +33,6 @@ OL30x     modifies-list inference (:mod:`analysis.modifies`)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import WellFormednessError
@@ -49,10 +48,10 @@ from repro.analysis.diagnostics import (
 from repro.analysis.escape import check_pivot_escapes
 from repro.analysis.lints import check_unreachable_code, check_unused_declarations
 from repro.analysis.modifies import infer_modifies
+from repro.record import Record, field
 
 
-@dataclass
-class LintResult:
+class LintResult(Record):
     """Everything the lint passes found."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)

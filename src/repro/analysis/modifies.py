@@ -40,7 +40,6 @@ are read off that record:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.oolong.ast import Designator, Expr, FieldAccess, Id, ImplDecl
@@ -48,6 +47,7 @@ from repro.oolong.program import Scope
 from repro.analysis.cfg import ASSIGN, ASSIGN_NEW, CALL, VAR_ENTER, VAR_EXIT, Statement
 from repro.analysis.dataflow import ForwardAnalysis
 from repro.analysis.diagnostics import Diagnostic
+from repro.record import Record
 
 
 class _Fresh:
@@ -64,8 +64,7 @@ FRESH = _Fresh()
 UNKNOWN = _Unknown()
 
 
-@dataclass(frozen=True)
-class PathVal:
+class PathVal(Record, frozen=True):
     """An object named by an access path rooted at a formal parameter."""
 
     root: str
@@ -81,8 +80,7 @@ class PathVal:
 AbstractValue = object  # FRESH | UNKNOWN | PathVal
 
 
-@dataclass(frozen=True)
-class PointsToState:
+class PointsToState(Record, frozen=True):
     """(may-points-to for locals, must-fresh heap paths)."""
 
     locals: Tuple[Tuple[str, FrozenSet[AbstractValue]], ...]
@@ -188,8 +186,7 @@ class AccessPathAnalysis(ForwardAnalysis):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModifiesInference:
+class ModifiesInference(Record):
     """Everything the inference pass computed."""
 
     #: proc name -> the least modifies list its implementations justify,

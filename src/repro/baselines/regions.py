@@ -9,16 +9,15 @@ and regions reject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import SourcePosition
 from repro.oolong.ast import FieldDecl, GroupDecl
 from repro.oolong.program import Scope
+from repro.record import Record
 
 
-@dataclass(frozen=True)
-class RegionViolation:
+class RegionViolation(Record, frozen=True):
     """An attribute included in more than one region."""
 
     attribute: str

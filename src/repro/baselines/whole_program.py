@@ -11,15 +11,14 @@ than data-group reasoning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
 from repro.oolong.ast import Assign, AssignNew, Call, FieldAccess, walk_commands
 from repro.oolong.program import Scope
+from repro.record import Record
 
 
-@dataclass(frozen=True)
-class EffectTable:
+class EffectTable(Record, frozen=True):
     """Per-procedure write effects (field names), plus provenance info."""
 
     effects: Dict[str, FrozenSet[str]]

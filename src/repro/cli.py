@@ -64,14 +64,24 @@ checked).
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.oolong.program import Scope
 from repro.prover.core import Limits
 from repro.vcgen.checker import check_scope
+
+if TYPE_CHECKING:
+    import argparse
+
+
+def _type_error(message: str) -> argparse.ArgumentTypeError:
+    """An ``argparse.ArgumentTypeError``: argparse loads only when a
+    command line is parsed, not with this module."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
 
 
 def _parse_fail_on(value: str):
@@ -92,14 +102,14 @@ def _parse_fail_on(value: str):
         code = RULE_ALIASES.get(part, part)
         if code not in CODES:
             known = ", ".join(sorted(CODES))
-            raise argparse.ArgumentTypeError(
+            raise _type_error(
                 f"unknown diagnostic code {part!r}; expected 'error', "
                 f"'warning', or a comma-separated list of codes "
                 f"(known codes: {known})"
             )
         codes.append(code)
     if not codes:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             "--fail-on needs a severity ('error', 'warning') or at least "
             "one diagnostic code"
         )
@@ -117,9 +127,9 @@ def _int_at_least(value: str, low: int) -> int:
     try:
         parsed = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+        raise _type_error(f"expected an integer, got {value!r}")
     if parsed < low:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             f"expected a value >= {low}, got {parsed}"
         )
     return parsed
@@ -143,9 +153,9 @@ def _nonneg_float(value: str) -> float:
     try:
         parsed = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+        raise _type_error(f"expected a number, got {value!r}")
     if parsed < 0:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {parsed}")
+        raise _type_error(f"expected a value >= 0, got {parsed}")
     return parsed
 
 
@@ -180,6 +190,8 @@ def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oolong-check",
         description=(
@@ -387,6 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def build_lint_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oolong-lint",
         description=(

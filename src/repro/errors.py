@@ -7,12 +7,12 @@ a source position when one is available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.record import Record, field
 
-@dataclass(frozen=True)
-class SourcePosition:
+
+class SourcePosition(Record, frozen=True):
     """A 1-based line/column position in an oolong source text.
 
     ``file`` names the source the position refers to (``None`` for

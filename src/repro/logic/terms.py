@@ -24,52 +24,23 @@ A *trigger* is a tuple of term patterns (a multi-pattern); a quantifier may
 carry several alternative triggers. The prover auto-derives triggers when
 none are given.
 
-Every node computes its structural hash at most once (see
-:func:`_hash_once`): the prover probes sets and dicts keyed by deep
-formulas many times over, and a frozen dataclass would otherwise re-hash
-the whole tree on each probe. Likewise a :class:`Pred` builds the
-application term the prover interns for it once (:attr:`Pred.atom`).
-Both caches live in the instance ``__dict__`` and never cross a pickle.
+Every node is a frozen :class:`~repro.record.Record`, so it computes its
+structural hash at most once: the prover probes sets and dicts keyed by
+deep formulas many times over, and would otherwise re-hash the whole
+tree on each probe. Likewise a :class:`Pred` builds the application term
+the prover interns for it once (:attr:`Pred.atom`). Both caches live in
+the instance ``__dict__`` and never cross a pickle. The parser, vcgen
+and prover build these nodes by the million, so each class writes its
+own ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
 
+from repro.record import Record, field
 
-#: Per-process values a node computes once and keeps in its ``__dict__``.
-_CACHES = ("_hash", "_atom")
-
-
-def _hash_once(cls):
-    """Cache the dataclass-generated hash of ``cls`` on each instance.
-
-    Values, ``==``, ``repr`` and the dataclass fields are unchanged; the
-    hash is stored in the instance ``__dict__`` on first use. Pickling
-    (and so ``copy``/``deepcopy``) drops it, and every other cache in
-    :data:`_CACHES`: ``str`` hashes differ from process to process, so a
-    hash carried to another process would be wrong there.
-    """
-    structural = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = structural(self)
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        for name in _CACHES:
-            state.pop(name, None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -77,51 +48,75 @@ def _hash_once(cls):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record, frozen=True):
     """Base class for logic terms."""
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Var(Term):
     """A variable occurrence, referenced by name."""
 
     name: str
 
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
     def __str__(self) -> str:
         return self.name
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Const(Term):
     """An uninterpreted constant symbol."""
 
     name: str
 
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
     def __str__(self) -> str:
         return self.name
 
 
-@_hash_once
-@dataclass(frozen=True)
 class IntLit(Term):
     """An integer literal; two distinct literals are provably unequal."""
 
     value: int
 
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
     def __str__(self) -> str:
         return str(self.value)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class App(Term):
     """An application ``fn(args...)``."""
 
     fn: str
     args: Tuple[Term, ...]
+
+    def __init__(self, fn, args):
+        _set(self, "fn", fn)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fn, self.args) == (other.fn, other.args)
+        return NotImplemented
 
     def __str__(self) -> str:
         rendered = ", ".join(str(a) for a in self.args)
@@ -146,44 +141,55 @@ INTERPRETED_PREDS = {"<", "<=", ">", ">="}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record, frozen=True):
     """Base class for logic formulas."""
 
 
-@_hash_once
-@dataclass(frozen=True)
 class TrueF(Formula):
     def __str__(self) -> str:
         return "true"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class FalseF(Formula):
     def __str__(self) -> str:
         return "false"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Eq(Formula):
     """Equality between two terms."""
 
     left: Term
     right: Term
 
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
     def __str__(self) -> str:
         return f"({self.left} = {self.right})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Pred(Formula):
     """A predicate application ``name(args...)``."""
 
     name: str
     args: Tuple[Term, ...]
+
+    _per_process = ("_hash", "_atom")
+
+    def __init__(self, name, args):
+        _set(self, "name", name)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
 
     @property
     def atom(self) -> App:
@@ -193,7 +199,7 @@ class Pred(Formula):
             return self._atom
         except AttributeError:
             atom = App(self.name, self.args)
-            object.__setattr__(self, "_atom", atom)
+            _set(self, "_atom", atom)
             return atom
 
     def __str__(self) -> str:
@@ -201,48 +207,80 @@ class Pred(Formula):
         return f"{self.name}({rendered})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Not(Formula):
     body: Formula
+
+    def __init__(self, body):
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.body,) == (other.body,)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"!{self.body}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class And(Formula):
     conjuncts: Tuple[Formula, ...]
+
+    def __init__(self, conjuncts):
+        _set(self, "conjuncts", conjuncts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.conjuncts,) == (other.conjuncts,)
+        return NotImplemented
 
     def __str__(self) -> str:
         return "(" + " & ".join(str(c) for c in self.conjuncts) + ")"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Or(Formula):
     disjuncts: Tuple[Formula, ...]
+
+    def __init__(self, disjuncts):
+        _set(self, "disjuncts", disjuncts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.disjuncts,) == (other.disjuncts,)
+        return NotImplemented
 
     def __str__(self) -> str:
         return "(" + " | ".join(str(d) for d in self.disjuncts) + ")"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Implies(Formula):
     antecedent: Formula
     consequent: Formula
+
+    def __init__(self, antecedent, consequent):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.antecedent, self.consequent) == (other.antecedent, other.consequent)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"({self.antecedent} ==> {self.consequent})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"({self.left} <=> {self.right})"
@@ -252,8 +290,6 @@ class Iff(Formula):
 MultiPattern = Tuple[Term, ...]
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Forall(Formula):
     """Universal quantification with optional E-matching triggers.
 
@@ -269,15 +305,34 @@ class Forall(Formula):
     name: str = field(default="", compare=False)
     width_cap: "int | None" = field(default=None, compare=False)
 
+    def __init__(self, vars, body, triggers=(), name="", width_cap=None):
+        _set(self, "vars", vars)
+        _set(self, "body", body)
+        _set(self, "triggers", triggers)
+        _set(self, "name", name)
+        _set(self, "width_cap", width_cap)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vars, self.body) == (other.vars, other.body)
+        return NotImplemented
+
     def __str__(self) -> str:
         return f"(forall {' '.join(self.vars)} :: {self.body})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Exists(Formula):
     vars: Tuple[str, ...]
     body: Formula
+
+    def __init__(self, vars, body):
+        _set(self, "vars", vars)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vars, self.body) == (other.vars, other.body)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"(exists {' '.join(self.vars)} :: {self.body})"

@@ -19,7 +19,6 @@ valid for the linked program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WellFormednessError
@@ -27,11 +26,11 @@ from repro.oolong.ast import Decl, ImplDecl
 from repro.oolong.parser import parse_program_text
 from repro.oolong.program import Scope
 from repro.prover.core import Limits
+from repro.record import Record, field
 from repro.vcgen.checker import CheckReport, check_scope
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Record, frozen=True):
     """One module: a public interface, a private implementation, imports."""
 
     name: str

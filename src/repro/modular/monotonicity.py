@@ -11,18 +11,17 @@ programs that witness violations without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.oolong.ast import Decl, ImplDecl
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits, Verdict
+from repro.record import Record, field
 from repro.vcgen.vc import vc_for_impl
 
 
-@dataclass
-class MonotonicityResult:
+class MonotonicityResult(Record):
     """Verdict pair for one implementation."""
 
     impl_name: str
@@ -39,8 +38,7 @@ class MonotonicityResult:
         )
 
 
-@dataclass
-class MonotonicityReport:
+class MonotonicityReport(Record):
     results: List[MonotonicityResult] = field(default_factory=list)
 
     @property

@@ -7,7 +7,9 @@ use:
   named by :data:`repro.obs.stages.STAGES` (the same vocabulary the
   fault-injection harness keys on) plus per-implementation and per-VC
   child spans. The default is a no-op null path: with no tracer
-  installed, :func:`span` costs one global read.
+  installed, :func:`span` costs one global read. The recording
+  ``Tracer`` and its ``Span`` records (:mod:`repro.obs.recorder`)
+  load on first use.
 * :mod:`repro.obs.metrics` — a registry of counters/labelled
   counters/timers fed from ``ProverStats`` and vcgen sizes.
 * :mod:`repro.obs.events` — a structured JSONL event journal of a
@@ -61,8 +63,6 @@ from repro.obs.stages import (
 # Bound after ``repro.obs.metrics`` has loaded, so ``repro.obs.metrics``
 # is the tracer's ``metrics`` function, not the submodule.
 from repro.obs.tracer import (
-    Span,
-    Tracer,
     active,
     current,
     metrics,
@@ -91,6 +91,8 @@ _EXPORTS = {
     "write_metrics": "export",
     "write_metrics_prometheus": "export",
     "ProgressRenderer": "progress",
+    "Span": "recorder",
+    "Tracer": "recorder",
     "validate_event": "schema",
     "validate_event_journal": "schema",
     "validate_events_report": "schema",
@@ -107,9 +109,7 @@ __all__ = sorted(
         "EventJournal",
         "MetricsRegistry",
         "STAGES",
-        "Span",
         "TimerStat",
-        "Tracer",
         "active",
         "current",
         "emit",

@@ -23,12 +23,12 @@ the installed tracer so Perfetto shows failure reasons inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.logic.terms import Const
 from repro.prover.countermodel import Countermodel
 from repro.prover.prooflog import ProofLog, ReplayResult, replay_proof_log
+from repro.record import Record, field
 
 #: Version stamp of the ``--explain-format json`` payload, checked by
 #: ``explanations.schema.json``.
@@ -154,8 +154,7 @@ def _violating_inclusions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InclusionCheck:
+class InclusionCheck(Record):
     """One modifies-list entry a licence was checked against."""
 
     entry: str  # source text of the modifies entry, e.g. "t.w"
@@ -192,8 +191,7 @@ class InclusionCheck:
         return text
 
 
-@dataclass
-class Explanation:
+class Explanation(Record):
     """Why one implementation got its verdict.
 
     ``kind`` is ``"blame"`` (a failure anchored to a source command),

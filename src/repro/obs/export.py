@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stages import CAT_STAGE, CAT_VC, STAGES
-from repro.obs.tracer import Span, Tracer
+from repro.obs.recorder import Span, Tracer
 
 #: pid/tid used for the single lane every span is emitted on.
 TRACE_PID = 1

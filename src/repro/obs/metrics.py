@@ -15,8 +15,9 @@ Labelled counters add one level of keys under a single metric name
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from repro.record import Record, field
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -36,8 +37,7 @@ def _prom_label_value(value: str) -> str:
     )
 
 
-@dataclass
-class TimerStat:
+class TimerStat(Record):
     """Aggregate of observed durations for one timer metric."""
 
     count: int = 0
@@ -59,8 +59,7 @@ class TimerStat:
         }
 
 
-@dataclass
-class MetricsRegistry:
+class MetricsRegistry(Record):
     """Counters, labelled counters, and timers for one observed run."""
 
     counters: Dict[str, int] = field(default_factory=dict)

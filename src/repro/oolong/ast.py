@@ -1,29 +1,32 @@
 """Abstract syntax for oolong (Figures 0 and 1 of the paper).
 
-All nodes are immutable dataclasses. Equality is structural, which the test
-suite and the pretty-printer round-trip checks rely on. Source positions are
-optional and excluded from equality so that programmatically built trees
-compare equal to parsed ones.
+All nodes are frozen records (:mod:`repro.record`). Equality is
+structural, which the test suite and the pretty-printer round-trip checks
+rely on. Source positions are optional and excluded from equality so that
+programmatically built trees compare equal to parsed ones. The parser
+builds expressions and commands per token, so their classes write their
+own ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from repro.errors import SourcePosition
+from repro.record import Record, field
+
+_set = object.__setattr__
+
 
 # ---------------------------------------------------------------------------
 # Expressions (Figure 1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Record, frozen=True):
     """Base class for oolong expressions."""
 
 
-@dataclass(frozen=True)
 class NullConst(Expr):
     """The literal ``null``."""
 
@@ -31,38 +34,68 @@ class NullConst(Expr):
         return "null"
 
 
-@dataclass(frozen=True)
 class BoolConst(Expr):
     """``true`` or ``false``."""
 
     value: bool
 
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
     def __str__(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
 class IntConst(Expr):
     """A non-negative integer literal (``0 | 1 | 2 | ...``)."""
 
     value: int
 
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Id(Expr):
     """A local variable or formal parameter occurrence."""
 
     name: str
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, name, position=None):
+        _set(self, "name", name)
+        _set(self, "position", position)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name,) == (other.name,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class FieldAccess(Expr):
     """A designator expression ``obj.attr``.
 
@@ -74,11 +107,23 @@ class FieldAccess(Expr):
     attr: str
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, obj, attr, position=None):
+        _set(self, "obj", obj)
+        _set(self, "attr", attr)
+        _set(self, "position", position)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.obj, self.attr) == (other.obj, other.attr)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.obj, self.attr))
+
     def __str__(self) -> str:
         return f"{self.obj}.{self.attr}"
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     """A binary operator application, e.g. ``x + 1`` or ``v = null``."""
 
@@ -86,16 +131,40 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, op, left, right):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.left, self.right))
+
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
 class UnOp(Expr):
     """A unary operator application; only ``!`` (negation) is predefined."""
 
     op: str
     operand: Expr
+
+    def __init__(self, op, operand):
+        _set(self, "op", op)
+        _set(self, "operand", operand)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.operand) == (other.op, other.operand)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.operand))
 
     def __str__(self) -> str:
         return f"{self.op}{self.operand}"
@@ -128,28 +197,48 @@ BINARY_OPS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cmd:
+class Cmd(Record, frozen=True):
     """Base class for oolong commands."""
 
 
-@dataclass(frozen=True)
 class Assert(Cmd):
     """``assert E`` — goes wrong unless E holds."""
 
     condition: Expr
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, condition, position=None):
+        _set(self, "condition", condition)
+        _set(self, "position", position)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.condition,) == (other.condition,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.condition,))
+
+
 class Assume(Cmd):
     """``assume E`` — blocks unless E holds."""
 
     condition: Expr
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, condition, position=None):
+        _set(self, "condition", condition)
+        _set(self, "position", position)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.condition,) == (other.condition,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.condition,))
+
+
 class VarCmd(Cmd):
     """``var x in C end`` — a fresh local with arbitrary initial value."""
 
@@ -157,8 +246,20 @@ class VarCmd(Cmd):
     body: Cmd
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, name, body, position=None):
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "position", position)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.body) == (other.name, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.body))
+
+
 class Assign(Cmd):
     """``target := rhs`` where ``target`` is an Id or a FieldAccess."""
 
@@ -166,16 +267,39 @@ class Assign(Cmd):
     rhs: Expr
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, target, rhs, position=None):
+        _set(self, "target", target)
+        _set(self, "rhs", rhs)
+        _set(self, "position", position)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.target, self.rhs) == (other.target, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.target, self.rhs))
+
+
 class AssignNew(Cmd):
     """``target := new()`` — allocate a fresh object."""
 
     target: Expr
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, target, position=None):
+        _set(self, "target", target)
+        _set(self, "position", position)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.target,) == (other.target,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.target,))
+
+
 class Seq(Cmd):
     """``C1 ; ... ; Cn`` — sequential composition, n >= 2, one flat node.
 
@@ -186,16 +310,36 @@ class Seq(Cmd):
 
     cmds: Tuple[Cmd, ...]
 
+    def __init__(self, cmds):
+        _set(self, "cmds", cmds)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cmds,) == (other.cmds,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cmds,))
+
+
 class Choice(Cmd):
     """``C1 [] ... [] Cn`` — demonic (arbitrary) choice, n >= 2, one flat
     node; ``cmds[0]`` is never a ``Choice`` (:func:`choice` splices it in)."""
 
     cmds: Tuple[Cmd, ...]
 
+    def __init__(self, cmds):
+        _set(self, "cmds", cmds)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cmds,) == (other.cmds,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cmds,))
+
+
 class Call(Cmd):
     """``p(E1, ..., En)`` — dispatch to an arbitrary implementation of p."""
 
@@ -203,8 +347,20 @@ class Call(Cmd):
     args: Tuple[Expr, ...]
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, proc, args, position=None):
+        _set(self, "proc", proc)
+        _set(self, "args", args)
+        _set(self, "position", position)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.proc, self.args) == (other.proc, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.proc, self.args))
+
+
 class Skip(Cmd):
     """``skip`` — parsing sugar for ``assume true``."""
 
@@ -245,12 +401,10 @@ def walk_commands(cmd: Cmd) -> Iterator[Cmd]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(Record, frozen=True):
     """Base class for top-level declarations."""
 
 
-@dataclass(frozen=True)
 class GroupDecl(Decl):
     """``group g in h, k, ...`` — a data group with its local inclusions."""
 
@@ -259,8 +413,7 @@ class GroupDecl(Decl):
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
-class MapsClause:
+class MapsClause(Record, frozen=True):
     """One ``maps x into g1, ..., gn`` clause of a field declaration.
 
     Declares the rep inclusions ``g_i —f→ x``: for any object ``t`` the
@@ -271,7 +424,6 @@ class MapsClause:
     into: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class FieldDecl(Decl):
     """``field f in h, ... maps x into g, ...`` — an object field.
 
@@ -288,8 +440,7 @@ class FieldDecl(Decl):
         return bool(self.maps)
 
 
-@dataclass(frozen=True)
-class Designator:
+class Designator(Record, frozen=True):
     """A modifies-list entry ``root.f1.f2...fn.attr``.
 
     ``root`` is a formal parameter of the enclosing procedure, the ``path``
@@ -301,12 +452,16 @@ class Designator:
     path: Tuple[str, ...]
     attr: str
 
+    def __init__(self, root, path, attr):
+        _set(self, "root", root)
+        _set(self, "path", path)
+        _set(self, "attr", attr)
+
     def __str__(self) -> str:
         parts = [self.root, *self.path, self.attr]
         return ".".join(parts)
 
 
-@dataclass(frozen=True)
 class ProcDecl(Decl):
     """``proc p(t, u, ...) modifies E.f, ... requires P ensures Q``.
 
@@ -327,7 +482,6 @@ class ProcDecl(Decl):
         return bool(self.requires or self.ensures)
 
 
-@dataclass(frozen=True)
 class ImplDecl(Decl):
     """``impl p(t, u, ...) { C }`` — one implementation of procedure p."""
 

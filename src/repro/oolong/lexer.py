@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.errors import LexError, SourcePosition
@@ -56,7 +55,6 @@ _DECIMALS = re.compile(r"\d*")
 _NEWLINE = re.compile("\n")
 
 
-@dataclass(eq=False, repr=False)
 class TokenStream:
     """The tokens of one source text, as parallel lists ending with EOF.
 
@@ -66,11 +64,19 @@ class TokenStream:
     demand, positions included.
     """
 
-    kinds: List[TokenKind]
-    values: List[str]
-    offsets: List[int]
-    line_starts: List[int]
-    filename: Optional[str]
+    def __init__(
+        self,
+        kinds: List[TokenKind],
+        values: List[str],
+        offsets: List[int],
+        line_starts: List[int],
+        filename: Optional[str],
+    ):
+        self.kinds = kinds
+        self.values = values
+        self.offsets = offsets
+        self.line_starts = line_starts
+        self.filename = filename
 
     def position(self, index: int) -> SourcePosition:
         """The source position of token ``index``."""

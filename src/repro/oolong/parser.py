@@ -56,7 +56,6 @@ them to ``OL001``/``OL002`` diagnostics on request).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import LexError, ParseError, SourcePosition
@@ -91,6 +90,7 @@ from repro.oolong.ast import (
 )
 from repro.oolong.lexer import TokenStream, tokenize
 from repro.oolong.tokens import TokenKind
+from repro.record import Record
 from repro.testing.faults import fault_point
 
 #: Binary operators by token kind: the operator and its binding power.
@@ -535,8 +535,7 @@ def parse_program_text(
         return fault_point("parse", decls)
 
 
-@dataclass(frozen=True)
-class RecoveredParse:
+class RecoveredParse(Record, frozen=True):
     """The outcome of an error-recovering parse of one source text."""
 
     decls: Tuple[Decl, ...]

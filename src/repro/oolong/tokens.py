@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.errors import SourcePosition
+from repro.record import Record
 
 
 class TokenKind(enum.Enum):
@@ -72,8 +72,7 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record, frozen=True):
     """A single lexeme with its source position.
 
     ``value`` carries the identifier text for :attr:`TokenKind.IDENT` and the

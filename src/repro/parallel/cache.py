@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro import __version__
@@ -42,6 +41,7 @@ from repro.obs import events as obs_events
 from repro.oolong.ast import ImplDecl
 from repro.oolong.pretty import pretty_decl
 from repro.prover.core import Limits
+from repro.record import Record, field
 
 
 def event_key(key: str) -> str:
@@ -329,8 +329,7 @@ def payload_to_verdict(payload: dict, impl: ImplDecl, index: int):
     )
 
 
-@dataclass
-class ResultCache:
+class ResultCache(Record):
     """A directory of checksummed per-verdict entries.
 
     ``hits``/``misses``/``stores`` count this process's traffic;

@@ -23,21 +23,20 @@ job book from here.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.obs import events as obs_events
 from repro.oolong.ast import ImplDecl
 from repro.oolong.program import Scope
+from repro.record import Record, field
 from repro.testing.faults import (
     record_supervisor_fault,
     supervisor_fault_hits,
 )
 
 
-@dataclass
-class Job:
+class Job(Record):
     """One per-implementation proof obligation in a backend's book."""
 
     job_id: int

@@ -55,7 +55,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, Optional, Tuple
 
@@ -70,6 +69,7 @@ from repro.parallel.worker import (
     worker_main,
 )
 from repro.prover.core import Limits, ProverStats
+from repro.record import Record, replace
 from repro.testing.faults import (
     record_supervisor_fault,
     supervisor_fault_hits,
@@ -101,8 +101,7 @@ def backoff_delay(base: float, attempt: int, *, token: str = "") -> float:
     return delay * (1.0 + 0.5 * jitter_fraction(f"{token}:{attempt}"))
 
 
-@dataclass(frozen=True)
-class ParallelOptions:
+class ParallelOptions(Record, frozen=True):
     """Supervision policy for one parallel ``check_scope`` run."""
 
     #: Worker process count (the ``-j`` of the CLI).
@@ -190,13 +189,33 @@ class _WorkerHandle:
                 pass
 
 
-@dataclass
-class ParallelOutcome:
+class ParallelOutcome(Record):
     """What the supervisor hands back to the checker driver."""
 
     #: Jobs in declaration order, each carrying its verdict (always
     #: present on return) and optional advisory explain-crash.
     jobs: List[_Job]
+
+
+#: How long a worker whose pipe closed mid-job is given to exit before
+#: its death is worded as a lost connection.
+REAP_GRACE = 1.0
+
+
+def _death_reason(process, *, pipe_closed: bool = False) -> str:
+    """How a worker process died, worded the same whichever way the
+    supervisor noticed: ``exit code N`` or ``killed by signal N``.
+
+    A closed pipe is read before the child is reaped, so it waits up to
+    :data:`REAP_GRACE` for the exit status first, and says ``connection
+    lost`` only if the child is still alive then.
+    """
+    if pipe_closed:
+        process.join(timeout=REAP_GRACE)
+    code = process.exitcode
+    if code is None:
+        return "connection lost"
+    return f"exit code {code}" if code >= 0 else f"killed by signal {-code}"
 
 
 def _mp_context():
@@ -435,9 +454,8 @@ class WorkerSupervisor:
             result: JobResult = worker.conn.recv()
         except (EOFError, OSError):
             if worker.job is not None:
-                exit_code = worker.process.exitcode
                 self._worker_died(
-                    worker, f"connection lost (exit code {exit_code})"
+                    worker, _death_reason(worker.process, pipe_closed=True)
                 )
             else:
                 # An idle worker died; just reap it. Replacements are
@@ -563,13 +581,7 @@ class WorkerSupervisor:
             if worker.conn.closed or worker.idle:
                 continue
             if not worker.alive():
-                exit_code = worker.process.exitcode
-                self._worker_died(
-                    worker,
-                    f"exit code {exit_code}"
-                    if (exit_code or 0) >= 0
-                    else f"killed by signal {-exit_code}",
-                )
+                self._worker_died(worker, _death_reason(worker.process))
                 continue
             stale = now - worker.heartbeat.value
             if stale > max(

@@ -36,11 +36,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, List, Optional
 
 from repro.prover.core import Limits
+from repro.record import Record, field
 
 #: Exit code used by the ``worker-kill`` injected fault (distinguishable
 #: from genuine crashes in tests and logs).
@@ -50,8 +50,7 @@ KILL_EXIT_CODE = 113
 HEARTBEAT_INTERVAL = 0.05
 
 
-@dataclass(frozen=True)
-class JobRequest:
+class JobRequest(Record, frozen=True):
     """One per-implementation proof job, as sent over the pipe."""
 
     job_id: int
@@ -68,8 +67,7 @@ class JobRequest:
     trace: bool = False
 
 
-@dataclass
-class JobResult:
+class JobResult(Record):
     """What a worker sends back for one completed job."""
 
     job_id: int

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.logic.nnf import FreshNames, negate, skolemize, to_nnf
@@ -71,6 +70,7 @@ from repro.prover.prooflog import (
     ProofStep,
     flatten_forall,
 )
+from repro.record import Record, field
 
 if TYPE_CHECKING:
     from repro.prover.countermodel import Countermodel
@@ -91,8 +91,7 @@ class Verdict(enum.Enum):
     RESOURCE_OUT = "resource-out"
 
 
-@dataclass
-class Limits:
+class Limits(Record):
     """Resource bounds for one ``check`` call."""
 
     max_instances: int = 20000
@@ -127,8 +126,7 @@ class Limits:
     escalation_bonus: int = 2
 
 
-@dataclass
-class ProverStats:
+class ProverStats(Record):
     """Counters accumulated during a check."""
 
     instantiations: int = 0
@@ -184,8 +182,7 @@ class ProverStats:
         }
 
 
-@dataclass
-class ProverResult:
+class ProverResult(Record):
     """Verdict plus statistics; ``valid`` reads the refutation outcome."""
 
     verdict: Verdict
@@ -201,8 +198,7 @@ class ProverResult:
         return self.verdict is Verdict.UNSAT
 
 
-@dataclass
-class _QuantRecord:
+class _QuantRecord(Record):
     formula: Forall
     triggers: Tuple[Tuple[Term, ...], ...]
     #: The integer that stands for ``formula`` in the solver's instance
@@ -429,8 +425,7 @@ class _WidthWriter:
         return name
 
 
-@dataclass(frozen=True)
-class _InclusionLookup:
+class _InclusionLookup(Record, frozen=True):
     """The local-inclusion axiom that licenses the ground inclusion lookup:
     ``forall S, X, A, B :: !local(A, B) | inclusion(S, X, A, X, B)``."""
 
@@ -502,8 +497,7 @@ class _State:
         return _State(list(self.disjunctions), list(self.quants), self.rounds)
 
 
-@dataclass(frozen=True)
-class _Prepared:
+class _Prepared(Record, frozen=True):
     """A solver's state at the boundary after a :class:`Background`'s last
     fact. Published once and never changed: a solver that resumes from it
     copies the E-graph and the lists it goes on to change."""

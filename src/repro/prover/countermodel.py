@@ -21,19 +21,18 @@ branch did — without holding onto the (backtracked) E-graph itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic.printer import format_term
 from repro.logic.terms import App, Const, IntLit, Term
+from repro.record import Record, field
 
 #: Heads that encode boolean atoms of the VC vocabulary; the summary
 #: renderer surfaces these first because they carry the story.
 ATOM_HEADS = ("inc", "linc", "rinc", "alive", "isObj")
 
 
-@dataclass
-class InstanceWitness:
+class InstanceWitness(Record):
     """One quantifier instance alive in the refuting branch."""
 
     quantifier: str
@@ -46,8 +45,7 @@ class InstanceWitness:
         }
 
 
-@dataclass
-class Countermodel:
+class Countermodel(Record):
     """A normalized snapshot of the refuting branch's ground state."""
 
     #: representative -> sorted member renderings (only classes with

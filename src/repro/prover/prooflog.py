@@ -34,10 +34,10 @@ replay, so a solver that only journals never compiles it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.logic.terms import Forall, Formula, Or, Term
+from repro.record import Record, field
 
 #: Step kinds, in the vocabulary the solver journals.
 STEP_FACT = "fact"
@@ -80,8 +80,7 @@ def one_line(formula: Formula) -> str:
     return " ".join(format_formula(formula).split())
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Record, frozen=True):
     """One reasoning event of a closed refutation."""
 
     kind: str
@@ -120,8 +119,7 @@ class ProofStep:
         return payload
 
 
-@dataclass
-class ProofLog:
+class ProofLog(Record):
     """The append-only record of one closed refutation."""
 
     steps: List[ProofStep] = field(default_factory=list)
@@ -145,8 +143,7 @@ class ProofLog:
         }
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(Record):
     """Outcome of independently re-validating a proof log."""
 
     ok: bool

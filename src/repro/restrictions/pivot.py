@@ -21,7 +21,6 @@ governed by owner exclusion at the call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.errors import RestrictionError, SourcePosition
@@ -38,10 +37,10 @@ from repro.oolong.ast import (
     walk_commands,
 )
 from repro.oolong.program import Scope
+from repro.record import Record
 
 
-@dataclass(frozen=True)
-class PivotViolation:
+class PivotViolation(Record, frozen=True):
     """One violation of the pivot uniqueness restriction."""
 
     impl: str

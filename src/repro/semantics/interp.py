@@ -20,7 +20,6 @@ The monitors give the paper's static claims an operational ground truth:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InterpError
@@ -46,6 +45,7 @@ from repro.oolong.ast import (
     VarCmd,
 )
 from repro.oolong.program import Scope
+from repro.record import Record
 from repro.semantics.inclusion import Location, included_locations
 from repro.semantics.store import ObjRef, RuntimeStore, Value
 
@@ -73,8 +73,7 @@ WRONG_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record, frozen=True):
     """One terminal result of one explored path."""
 
     kind: OutcomeKind
@@ -86,8 +85,7 @@ class Outcome:
         return self.kind in WRONG_KINDS
 
 
-@dataclass
-class ExplorationConfig:
+class ExplorationConfig(Record):
     """Budgets and switches for one exploration."""
 
     max_paths: int = 10000
@@ -99,8 +97,7 @@ class ExplorationConfig:
     check_owner_exclusion: bool = True
 
 
-@dataclass(frozen=True)
-class _Licence:
+class _Licence(Record, frozen=True):
     """One frame's write licence, fixed at method entry."""
 
     proc_name: str
@@ -120,8 +117,7 @@ class _Stop(Exception):
         self.outcome = outcome
 
 
-@dataclass
-class _State:
+class _State(Record):
     store: RuntimeStore
     env: Dict[str, Value]
     frames: Tuple[_Licence, ...]
@@ -515,7 +511,6 @@ class Interpreter:
         return -value
 
 
-@dataclass(frozen=True)
 class _ValueExpr(Expr):
     """An already-evaluated argument injected into a synthetic call."""
 

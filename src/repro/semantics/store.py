@@ -8,15 +8,15 @@ which keeps the pivot-uniqueness store invariant true for fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple, Union
+
+from repro.record import Record
 
 #: Runtime values: null is None; booleans and ints are themselves.
 Value = Union[None, bool, int, "ObjRef"]
 
 
-@dataclass(frozen=True)
-class ObjRef:
+class ObjRef(Record, frozen=True):
     """A reference to an allocated object."""
 
     oid: int

@@ -9,8 +9,9 @@ harness on top: it crosses the process boundary (``OOLONG_CHAOS``)
 because a killed coordinator can only be observed from outside.
 
 Both load on first use (PEP 562): the pipeline imports
-:mod:`repro.testing.faults` for its injection points, and a plain check
-never loads the chaos harness.
+:mod:`repro.testing.faults` for its injection points (the null paths),
+and a plain check never loads the chaos harness or the fault plans and
+injector (:mod:`repro.testing.plans`).
 """
 
 import importlib
@@ -25,12 +26,12 @@ _EXPORTS = {
     "COORDINATOR_STAGES": "faults",
     "STAGES": "faults",
     "SUPERVISOR_STAGES": "faults",
-    "Corrupted": "faults",
-    "Fault": "faults",
-    "FaultError": "faults",
-    "FaultPlan": "faults",
+    "Corrupted": "plans",
+    "Fault": "plans",
+    "FaultError": "plans",
+    "FaultPlan": "plans",
     "fault_point": "faults",
-    "inject": "faults",
+    "inject": "plans",
 }
 
 __all__ = sorted(_EXPORTS)

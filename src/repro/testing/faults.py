@@ -34,20 +34,25 @@ n-th call to a stage can
 Plans are either built explicitly or fuzzed from a seed with
 :meth:`FaultPlan.fuzz`; the same seed always yields the same plan, so CI
 can sweep a fixed seed matrix and any failure reproduces locally.
+
+This module holds the null paths the pipeline calls and the stage
+vocabulary. The armed machinery (:class:`Fault`, :class:`FaultPlan`,
+the injector, :func:`inject`, :class:`FaultError`, :class:`Corrupted`)
+lives in :mod:`repro.testing.plans` and loads on first access to any of
+those names here (PEP 562), so a plain check never compiles it.
 """
 
 from __future__ import annotations
 
-import random
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from time import sleep
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 # Injection points are the pipeline's canonical stage names — the same
 # vocabulary the tracer spans use, so traces and injected faults line up
 # (re-exported here; the single definition lives in repro.obs.stages).
 from repro.obs.stages import STAGES
+
+if TYPE_CHECKING:
+    from repro.testing.plans import Fault, Injector
 
 #: Every fault action a plan may request.
 ACTIONS: Tuple[str, ...] = ("raise", "delay", "corrupt")
@@ -110,137 +115,6 @@ COORDINATOR_STAGES: Tuple[str, ...] = (
 )
 
 
-class FaultError(RuntimeError):
-    """The exception injected by ``raise`` faults (and raised by poison
-    values). Intentionally outside the ``ReproError`` hierarchy: it
-    models an internal crash, not a user-facing diagnosis."""
-
-
-class Corrupted:
-    """An opaque poison value: any attribute access or truth test raises.
-
-    Returned by ``corrupt`` faults in place of a stage's real result, so
-    whatever the next stage does with it blows up with a
-    :class:`FaultError` — exercising the driver's isolation layer.
-    """
-
-    def __init__(self, origin: str = "?"):
-        object.__setattr__(self, "_origin", origin)
-
-    def __getattr__(self, name: str):
-        raise FaultError(
-            f"use of corrupted {object.__getattribute__(self, '_origin')} "
-            f"value (attribute {name!r})"
-        )
-
-    def __bool__(self) -> bool:
-        raise FaultError(
-            f"truth test on corrupted "
-            f"{object.__getattribute__(self, '_origin')} value"
-        )
-
-    def __repr__(self) -> str:
-        return f"<Corrupted from {object.__getattribute__(self, '_origin')}>"
-
-
-@dataclass(frozen=True)
-class Fault:
-    """One planned fault: act on the ``hit``-th call to ``stage``."""
-
-    stage: str
-    action: str
-    hit: int = 0
-    delay: float = 0.0
-
-    def __post_init__(self):
-        known = STAGES + SUPERVISOR_STAGES + COORDINATOR_STAGES
-        if self.stage not in known:
-            raise ValueError(
-                f"unknown stage {self.stage!r}; known: {known}"
-            )
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown action {self.action!r}; known: {ACTIONS}")
-        if self.hit < 0:
-            raise ValueError("hit index must be non-negative")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A deterministic set of faults, applied while :func:`inject` is active."""
-
-    faults: Tuple[Fault, ...] = ()
-
-    @classmethod
-    def fuzz(
-        cls,
-        seed: int,
-        *,
-        stages: Sequence[str] = STAGES,
-        max_faults: int = 3,
-        max_hit: int = 2,
-        max_delay: float = 0.05,
-    ) -> "FaultPlan":
-        """A pseudo-random plan fully determined by ``seed``.
-
-        ``stages`` restricts which injection points may fault; ``max_hit``
-        bounds the per-stage call index a fault may target; ``max_delay``
-        bounds injected sleeps (keep it well under any deadline a test
-        asserts, since a sleeping stage cannot observe the deadline).
-        """
-        rng = random.Random(seed)
-        count = rng.randint(1, max(1, max_faults))
-        faults: List[Fault] = []
-        for _ in range(count):
-            action = rng.choice(ACTIONS)
-            faults.append(
-                Fault(
-                    stage=rng.choice(tuple(stages)),
-                    action=action,
-                    hit=rng.randint(0, max(0, max_hit)),
-                    delay=rng.uniform(0.001, max_delay)
-                    if action == "delay"
-                    else 0.0,
-                )
-            )
-        return cls(tuple(faults))
-
-    def describe(self) -> str:
-        if not self.faults:
-            return "no faults"
-        return ", ".join(
-            f"{f.action}@{f.stage}#{f.hit}"
-            + (f"({f.delay:.3f}s)" if f.action == "delay" else "")
-            for f in self.faults
-        )
-
-
-@dataclass
-class Injector:
-    """Live state of an active plan: per-stage hit counters and a log."""
-
-    plan: FaultPlan
-    counts: Dict[str, int] = field(default_factory=dict)
-    #: Every fault actually fired, as ``(stage, hit, action)`` triples.
-    fired: List[Tuple[str, int, str]] = field(default_factory=list)
-
-    def on_hit(self, stage: str, value):
-        index = self.counts.get(stage, 0)
-        self.counts[stage] = index + 1
-        for fault in self.plan.faults:
-            if fault.stage != stage or fault.hit != index:
-                continue
-            self.fired.append((stage, index, fault.action))
-            if fault.action == "raise":
-                raise FaultError(f"injected crash at {stage}#{index}")
-            if fault.action == "delay":
-                sleep(fault.delay)
-            elif fault.action == "corrupt":
-                value = Corrupted(f"{stage}#{index}")
-        return value
-
-
 #: The active injector, or None. Writes happen only inside :func:`inject`;
 #: the clean path reads it once per stage boundary.
 _ACTIVE: Optional[Injector] = None
@@ -289,20 +163,16 @@ def record_supervisor_fault(stage: str, hit: int, action: str) -> None:
         injector.fired.append((stage, hit, action))
 
 
-@contextmanager
-def inject(plan: FaultPlan) -> Iterator[Injector]:
-    """Activate ``plan`` for the duration of the ``with`` block.
+#: The armed names, each resolved from :mod:`repro.testing.plans` on
+#: first access.
+_ARMED = frozenset(
+    ("Corrupted", "Fault", "FaultError", "FaultPlan", "Injector", "inject")
+)
 
-    Yields the live :class:`Injector` so tests can inspect which faults
-    actually fired. Nested activation is rejected: overlapping plans
-    would make runs non-deterministic.
-    """
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("fault injection is already active")
-    injector = Injector(plan)
-    _ACTIVE = injector
-    try:
-        yield injector
-    finally:
-        _ACTIVE = None
+
+def __getattr__(name):
+    if name not in _ARMED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.testing import plans
+
+    return getattr(plans, name)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.analysis.diagnostics import (
@@ -47,6 +46,7 @@ from repro.oolong.contracts import desugar_contracts
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits, ProverStats, Verdict
+from repro.record import Record, field, replace
 from repro.restrictions.pivot import PivotViolation, check_pivot_uniqueness
 from repro.vcgen.vc import vc_for_impl
 from repro.vcgen.wlp import ObligationInfo
@@ -69,8 +69,7 @@ class ImplStatus(enum.Enum):
     INTERNAL_ERROR = "internal error"
 
 
-@dataclass
-class ImplVerdict:
+class ImplVerdict(Record):
     """The checker's verdict for a single implementation."""
 
     impl: ImplDecl
@@ -97,8 +96,7 @@ class ImplVerdict:
         return text
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Everything ``check_scope`` found.
 
     ``diagnostics`` holds the lint/inference findings of the static

@@ -22,7 +22,6 @@ paper's ``ws``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import VerificationError
@@ -54,6 +53,7 @@ from repro.oolong.ast import (
     NullConst,
     UnOp,
 )
+from repro.record import Record, field
 from repro.vcgen import vocab
 from repro.vcgen.vocab import FALSE_CONST, NULL, TRUE_CONST, attr_const, inc, sel
 
@@ -61,8 +61,7 @@ from repro.vcgen.vocab import FALSE_CONST, NULL, TRUE_CONST, attr_const, inc, se
 _FORMULA_OPS = {"=", "!=", "<", "<=", ">", ">=", "&&", "||"}
 
 
-@dataclass
-class TranslationContext:
+class TranslationContext(Record):
     """Shared state for translating one implementation.
 
     ``env`` maps formal-parameter and local-variable names to the terms

@@ -11,7 +11,6 @@ constants bearing their source names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import VerificationError
@@ -33,6 +32,7 @@ from repro.oolong.ast import (
 )
 from repro.oolong.program import Scope
 from repro.prover.core import Background, Limits, ProverResult, prove_valid
+from repro.record import Record, field, fields
 from repro.vcgen.background import scope_background, universal_background
 from repro.vcgen.translate import TranslationContext, own_excl_formula
 from repro.vcgen.vocab import alive, entry_store
@@ -94,20 +94,18 @@ def _sort_facts(impl: ImplDecl) -> List[Formula]:
 def formula_nodes(formula: Formula) -> int:
     """Number of formula/term nodes — the telemetry size measure of a VC.
 
-    Generic over the dataclass shape of :mod:`repro.logic.terms`: every
-    dataclass instance counts as one node and its fields are walked,
-    tuples are walked through, leaves (names, ints, None) are free.
+    Generic over the record shape of :mod:`repro.logic.terms`: every
+    record counts as one node and its fields are walked, tuples are
+    walked through, leaves (names, ints, None) are free.
     """
-    import dataclasses
-
     count = 0
     stack = [formula]
     while stack:
         node = stack.pop()
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        if isinstance(node, Record):
             count += 1
-            for field_info in dataclasses.fields(node):
-                stack.append(getattr(node, field_info.name))
+            for spec in fields(node):
+                stack.append(getattr(node, spec.name))
         elif isinstance(node, (tuple, list)):
             stack.extend(node)
     return count
@@ -185,8 +183,7 @@ def scope_background_of(scope: Scope) -> Background:
     return background
 
 
-@dataclass
-class VCBundle:
+class VCBundle(Record):
     """A ready-to-prove verification condition for one implementation.
 
     ``hypotheses`` lists every hypothesis of formula (1). The leading

@@ -20,7 +20,6 @@ operationally correct reading of the paper's substitution chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import VerificationError
@@ -59,6 +58,7 @@ from repro.oolong.ast import (
     VarCmd,
 )
 from repro.oolong.program import Scope
+from repro.record import Record
 from repro.vcgen.translate import (
     TranslationContext,
     mod_formula,
@@ -81,8 +81,7 @@ from repro.vcgen.vocab import (
 )
 
 
-@dataclass(frozen=True)
-class ObligationInfo:
+class ObligationInfo(Record, frozen=True):
     """What one proof obligation is about, for failure reporting.
 
     Beyond the human-readable ``description``, the structured fields
@@ -126,8 +125,7 @@ class ObligationInfo:
         }
 
 
-@dataclass
-class WlpContext:
+class WlpContext(Record):
     """Everything wlp needs about the implementation being verified.
 
     ``owner_exclusion=False`` drops the call-site owner-exclusion checks —

@@ -30,10 +30,11 @@ RETRIES = (0, 2)
 #: on which of the two workers finishes first.
 VOLATILE = ("t_mono", "t_wall", "run_id", "pid", "seq", "worker")
 
-#: Death reasons carry the staleness a lost heartbeat was noticed at,
-#: and a killed worker's death reads ``exit code 113`` or ``connection
-#: lost (exit code 113)`` (or ``None``, before it is reaped) depending
-#: on whether the loop polices it or reads its closed pipe first.
+#: Death reasons carry the staleness a lost heartbeat was noticed at.
+#: A killed worker's death reads ``exit code 113``; a tree from before
+#: deaths were worded from the reaped exit status may read ``connection
+#: lost (exit code 113)`` (or ``None``) when it read the closed pipe
+#: first.
 REASONS = (
     (re.compile(r"\(\d+\.\d+s stale\)"), "(Ns stale)"),
     (re.compile(r"^(connection lost \()?exit code \w+\)?$"), "exit code N"),

@@ -36,8 +36,12 @@ FORBIDDEN = {
         "subprocess",
         "uuid",
         "multiprocessing",
+        "dataclasses",
+        "inspect",
+        "argparse",
     ),
     "telemetry": (
+        "repro.obs.recorder",
         "repro.obs.analyze",
         "repro.obs.export",
         "repro.obs.progress",
@@ -48,6 +52,7 @@ FORBIDDEN = {
         "repro.prover.countermodel",
         "repro.prover.replay",
         "repro.testing.chaos",
+        "repro.testing.plans",
         "repro.logic.printer",
         "repro.oolong.pretty",
     ),

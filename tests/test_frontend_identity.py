@@ -22,7 +22,6 @@ alters the front end's output, regenerate it and say why::
     PYTHONPATH=src:. python tests/test_frontend_identity.py --write
 """
 
-import dataclasses
 import glob
 import hashlib
 import json
@@ -47,6 +46,7 @@ from repro.oolong.parser import (
     parse_program_recovering,
     parse_program_text,
 )
+from repro.record import Record, fields
 from tests.test_static_identity import ROOT, e2ebench_inputs
 
 GOLDEN = os.path.join(ROOT, "tests", "data", "frontend_identity.json")
@@ -62,11 +62,10 @@ def _digest(payload) -> str:
 
 
 def _tree(node):
-    """Every dataclass field of ``node``, positions included, as JSON data."""
-    if dataclasses.is_dataclass(node):
+    """Every record field of ``node``, positions included, as JSON data."""
+    if isinstance(node, Record):
         return [type(node).__name__] + [
-            [f.name, _tree(getattr(node, f.name))]
-            for f in dataclasses.fields(node)
+            [f.name, _tree(getattr(node, f.name))] for f in fields(node)
         ]
     if isinstance(node, tuple):
         return [_tree(item) for item in node]

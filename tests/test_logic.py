@@ -1,7 +1,6 @@
 """Unit tests for the logic layer: substitution, NNF, skolemization."""
 
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -39,6 +38,7 @@ from repro.logic import (
     term_free_vars,
     to_nnf,
 )
+from repro.record import replace
 
 a, b, c = Const("a"), Const("b"), Const("c")
 x, y = Var("x"), Var("y")
@@ -269,9 +269,9 @@ class TestHashCache:
         hash(q)
         clone = copy.deepcopy(q)
         assert clone == q and hash(clone) == hash(q) and clone in {q}
-        renamed = dataclasses.replace(q, name="other", triggers=())
+        renamed = replace(q, name="other", triggers=())
         assert renamed == q and hash(renamed) == hash(q)
         assert repr(renamed) != repr(q)
-        changed = dataclasses.replace(q, body=Eq(fx, b))
+        changed = replace(q, body=Eq(fx, b))
         assert changed != q and changed not in {q}
         assert repr(clone) == repr(q)

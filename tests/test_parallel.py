@@ -36,6 +36,8 @@ from repro.corpus.generators import generate_impl_farm
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.parallel import ParallelOptions, run_parallel_checks
+from repro.parallel.jobs import build_jobs
+from repro.parallel.supervisor import WorkerSupervisor
 from repro.prover.core import Limits
 from repro.testing.faults import (
     SUPERVISOR_STAGES,
@@ -177,6 +179,36 @@ class TestSupervision:
         assert "hard job timeout" in timed_out.verdict.error.message
         for job in outcome.jobs[1:]:
             assert job.verdict.status is ImplStatus.VERIFIED
+
+
+    @pytest.mark.parametrize(
+        "stage, expected",
+        [
+            ("worker-kill", "exit code 113"),
+            ("worker-hang", f"killed by signal {signal.SIGKILL.value}"),
+        ],
+    )
+    def test_death_reason_does_not_depend_on_who_notices(self, stage, expected):
+        # The loop may read a dead worker's closed pipe (``_drain``)
+        # before it polices the exit status (``_police``); the death is
+        # worded from the reaped exit status either way.
+        scope = _farm_scope(1, 2)
+        with inject(FaultPlan((Fault(stage, "raise", hit=0),))):
+            supervisor = WorkerSupervisor(
+                scope, LIMITS, options=FAST, book=build_jobs(scope)
+            )
+            try:
+                supervisor._ensure_workers(1)
+                worker = supervisor.workers[0]
+                job = supervisor.queue.pop(0)
+                supervisor._assign(worker, job, time.monotonic())
+                if stage == "worker-hang":
+                    os.kill(worker.process.pid, signal.SIGKILL)
+                assert worker.conn.poll(30.0)
+                supervisor._drain(worker)
+            finally:
+                supervisor._shutdown_workers()
+        assert job.death_reasons == [expected]
 
 
 class TestScopeBudget:

@@ -26,7 +26,6 @@ why::
     PYTHONPATH=src python tests/test_static_identity.py --write
 """
 
-import dataclasses
 import glob
 import hashlib
 import importlib.util
@@ -48,6 +47,7 @@ from repro.corpus.programs import PAPER_PROGRAMS, RATIONAL_OVERBROAD
 from repro.logic.printer import format_formula
 from repro.oolong.contracts import desugar_contracts
 from repro.oolong.program import Scope
+from repro.record import Record, fields
 from repro.vcgen.vc import vc_for_impl
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -254,6 +254,16 @@ def _discharge_record(scope):
     }
 
 
+def _as_data(value):
+    """``value`` with each record, nested ones included, as a dict of its
+    fields."""
+    if isinstance(value, Record):
+        return {f.name: _as_data(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return type(value)(_as_data(item) for item in value)
+    return value
+
+
 def _vc_record(scope):
     try:
         scope = desugar_contracts(scope)
@@ -267,7 +277,7 @@ def _vc_record(scope):
                         "impl": f"{proc_name}#{index}",
                         "goal": hashlib.sha256(goal).hexdigest(),
                         "obligations": [
-                            dataclasses.asdict(info) for info in bundle.obligations
+                            _as_data(info) for info in bundle.obligations
                         ],
                     }
                 )
