@@ -40,7 +40,9 @@ from repro.oolong.ast import (
     Skip,
     VarCmd,
 )
-from repro.record import Record, field
+from repro.record import MISSING, Record, field
+
+_set = object.__setattr__
 
 #: Statement kinds (``node`` is the originating AST atom where one exists).
 ASSERT = "assert"
@@ -59,6 +61,11 @@ class Statement(Record, frozen=True):
     node: Optional[Cmd] = None
     var: Optional[str] = None  # for var-enter / var-exit
 
+    def __init__(self, kind, node=None, var=None):
+        _set(self, "kind", kind)
+        _set(self, "node", node)
+        _set(self, "var", var)
+
     @property
     def position(self) -> Optional[SourcePosition]:
         return getattr(self.node, "position", None)
@@ -76,6 +83,12 @@ class BasicBlock(Record):
     stmts: List[Statement] = field(default_factory=list)
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
+
+    def __init__(self, bid, stmts=MISSING, succs=MISSING, preds=MISSING):
+        self.bid = bid
+        self.stmts = [] if stmts is MISSING else stmts
+        self.succs = [] if succs is MISSING else succs
+        self.preds = [] if preds is MISSING else preds
 
 
 class CFG:

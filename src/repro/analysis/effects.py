@@ -64,7 +64,7 @@ from repro.analysis.diagnostics import Diagnostic, Note
 from repro.analysis.facts import ImplFacts, Site, impl_facts, scope_lattice
 from repro.analysis.inclusion import InclusionLattice
 from repro.analysis.modifies import FRESH, PathVal
-from repro.record import Record, field
+from repro.record import MISSING, Record, field
 from repro.vcgen.wlp import ObligationInfo
 
 #: Version of the discharge pass; folded into the parallel result-cache
@@ -168,6 +168,13 @@ class ObligationDecision(Record):
     frame: Tuple[Designator, ...] = ()
     reason: str = ""
 
+    def __init__(self, obligation, outcome, required=None, frame=(), reason=""):
+        self.obligation = obligation
+        self.outcome = outcome
+        self.required = required
+        self.frame = frame
+        self.reason = reason
+
     def to_dict(self) -> dict:
         data = {
             "obligation": self.obligation.to_dict(),
@@ -241,6 +248,24 @@ class ImplDischarge(Record):
     #: Why the pass could not decide (undeclared procedure, crash).
     reason: str = ""
     error: Optional[str] = None
+
+    def __init__(
+        self,
+        proc_name,
+        index,
+        outcome,
+        decisions=MISSING,
+        blame=None,
+        reason="",
+        error=None,
+    ):
+        self.proc_name = proc_name
+        self.index = index
+        self.outcome = outcome
+        self.decisions = [] if decisions is MISSING else decisions
+        self.blame = blame
+        self.reason = reason
+        self.error = error
 
 
 def _discharge_impl(

@@ -49,6 +49,8 @@ from repro.analysis.dataflow import ForwardAnalysis
 from repro.analysis.diagnostics import Diagnostic
 from repro.record import Record
 
+_set = object.__setattr__
+
 
 class _Fresh:
     def __repr__(self) -> str:
@@ -70,6 +72,10 @@ class PathVal(Record, frozen=True):
     root: str
     path: Tuple[str, ...] = ()
 
+    def __init__(self, root, path=()):
+        _set(self, "root", root)
+        _set(self, "path", path)
+
     def extend(self, field_name: str) -> "PathVal":
         return PathVal(self.root, self.path + (field_name,))
 
@@ -85,6 +91,10 @@ class PointsToState(Record, frozen=True):
 
     locals: Tuple[Tuple[str, FrozenSet[AbstractValue]], ...]
     fresh: FrozenSet[PathVal] = frozenset()
+
+    def __init__(self, locals, fresh=frozenset()):
+        _set(self, "locals", locals)
+        _set(self, "fresh", fresh)
 
     @classmethod
     def make(cls, locals_map: Dict[str, FrozenSet[AbstractValue]], fresh) -> "PointsToState":

@@ -11,6 +11,8 @@ from typing import Optional
 
 from repro.record import Record, field
 
+_set = object.__setattr__
+
 
 class SourcePosition(Record, frozen=True):
     """A 1-based line/column position in an oolong source text.
@@ -23,6 +25,11 @@ class SourcePosition(Record, frozen=True):
     line: int
     column: int
     file: Optional[str] = field(default=None, compare=False)
+
+    def __init__(self, line, column, file=None):
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "file", file)
 
     def __str__(self) -> str:
         if self.file is not None:

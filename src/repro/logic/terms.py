@@ -146,11 +146,17 @@ class Formula(Record, frozen=True):
 
 
 class TrueF(Formula):
+    def __init__(self):
+        pass
+
     def __str__(self) -> str:
         return "true"
 
 
 class FalseF(Formula):
+    def __init__(self):
+        pass
+
     def __str__(self) -> str:
         return "false"
 

@@ -30,6 +30,9 @@ class Expr(Record, frozen=True):
 class NullConst(Expr):
     """The literal ``null``."""
 
+    def __init__(self):
+        pass
+
     def __str__(self) -> str:
         return "null"
 
@@ -364,6 +367,9 @@ class Call(Cmd):
 class Skip(Cmd):
     """``skip`` — parsing sugar for ``assume true``."""
 
+    def __init__(self):
+        pass
+
 
 def sequence(cmds: Sequence[Cmd]) -> Cmd:
     """``cmds[0] ; cmds[1] ; ...``, a leading ``Seq`` spliced in."""
@@ -412,6 +418,11 @@ class GroupDecl(Decl):
     in_groups: Tuple[str, ...] = ()
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(self, name, in_groups=(), position=None):
+        _set(self, "name", name)
+        _set(self, "in_groups", in_groups)
+        _set(self, "position", position)
+
 
 class MapsClause(Record, frozen=True):
     """One ``maps x into g1, ..., gn`` clause of a field declaration.
@@ -422,6 +433,10 @@ class MapsClause(Record, frozen=True):
 
     mapped: str
     into: Tuple[str, ...]
+
+    def __init__(self, mapped, into):
+        _set(self, "mapped", mapped)
+        _set(self, "into", into)
 
 
 class FieldDecl(Decl):
@@ -434,6 +449,12 @@ class FieldDecl(Decl):
     in_groups: Tuple[str, ...] = ()
     maps: Tuple[MapsClause, ...] = ()
     position: Optional[SourcePosition] = field(default=None, compare=False)
+
+    def __init__(self, name, in_groups=(), maps=(), position=None):
+        _set(self, "name", name)
+        _set(self, "in_groups", in_groups)
+        _set(self, "maps", maps)
+        _set(self, "position", position)
 
     @property
     def is_pivot(self) -> bool:
@@ -477,6 +498,22 @@ class ProcDecl(Decl):
     ensures: Tuple[Expr, ...] = ()
     position: Optional[SourcePosition] = field(default=None, compare=False)
 
+    def __init__(
+        self,
+        name,
+        params,
+        modifies=(),
+        requires=(),
+        ensures=(),
+        position=None,
+    ):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "modifies", modifies)
+        _set(self, "requires", requires)
+        _set(self, "ensures", ensures)
+        _set(self, "position", position)
+
     @property
     def has_contract(self) -> bool:
         return bool(self.requires or self.ensures)
@@ -489,6 +526,12 @@ class ImplDecl(Decl):
     params: Tuple[str, ...]
     body: Cmd
     position: Optional[SourcePosition] = field(default=None, compare=False)
+
+    def __init__(self, name, params, body, position=None):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "body", body)
+        _set(self, "position", position)
 
 
 Attribute = Union[GroupDecl, FieldDecl]

@@ -29,7 +29,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.obs import events as obs_events
 from repro.oolong.ast import ImplDecl
 from repro.oolong.program import Scope
-from repro.record import Record, field
+from repro.record import MISSING, Record, field
 from repro.testing.faults import (
     record_supervisor_fault,
     supervisor_fault_hits,
@@ -57,6 +57,32 @@ class Job(Record):
     #: ``"cache_hit"``, the ``impl-checked`` flag it is announced with —
     #: or None for a verdict an executor produced.
     source: Optional[str] = None
+
+    def __init__(
+        self,
+        job_id,
+        proc_name,
+        impl_index,
+        impl,
+        key=None,
+        attempts=0,
+        eligible_at=0.0,
+        death_reasons=MISSING,
+        verdict=None,
+        explain_crash=None,
+        source=None,
+    ):
+        self.job_id = job_id
+        self.proc_name = proc_name
+        self.impl_index = impl_index
+        self.impl = impl
+        self.key = key
+        self.attempts = attempts
+        self.eligible_at = eligible_at
+        self.death_reasons = [] if death_reasons is MISSING else death_reasons
+        self.verdict = verdict
+        self.explain_crash = explain_crash
+        self.source = source
 
     @property
     def done(self) -> bool:

@@ -42,6 +42,8 @@ from typing import Any, Dict, List, Optional
 from repro.prover.core import Limits
 from repro.record import Record, field
 
+_set = object.__setattr__
+
 #: Exit code used by the ``worker-kill`` injected fault (distinguishable
 #: from genuine crashes in tests and logs).
 KILL_EXIT_CODE = 113
@@ -65,6 +67,26 @@ class JobRequest(Record, frozen=True):
     inject: Optional[str] = None
     #: Trace the job and ship its spans and metrics (the parent traces).
     trace: bool = False
+
+    def __init__(
+        self,
+        job_id,
+        proc_name,
+        impl_index,
+        attempt=0,
+        limits=None,
+        explain=False,
+        inject=None,
+        trace=False,
+    ):
+        _set(self, "job_id", job_id)
+        _set(self, "proc_name", proc_name)
+        _set(self, "impl_index", impl_index)
+        _set(self, "attempt", attempt)
+        _set(self, "limits", limits)
+        _set(self, "explain", explain)
+        _set(self, "inject", inject)
+        _set(self, "trace", trace)
 
 
 class JobResult(Record):

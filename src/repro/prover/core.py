@@ -70,7 +70,7 @@ from repro.prover.prooflog import (
     ProofStep,
     flatten_forall,
 )
-from repro.record import Record, field
+from repro.record import MISSING, Record, field
 
 if TYPE_CHECKING:
     from repro.prover.countermodel import Countermodel
@@ -125,6 +125,30 @@ class Limits(Record):
     #: before the branch is declared saturated. 0 disables escalation.
     escalation_bonus: int = 2
 
+    def __init__(
+        self,
+        max_instances=20000,
+        max_rounds=40,
+        max_depth=400,
+        max_branches=200000,
+        max_matches_per_round=5000,
+        time_budget=30.0,
+        scope_time_budget=None,
+        scope_deadline=None,
+        max_instance_width=1,
+        escalation_bonus=2,
+    ):
+        self.max_instances = max_instances
+        self.max_rounds = max_rounds
+        self.max_depth = max_depth
+        self.max_branches = max_branches
+        self.max_matches_per_round = max_matches_per_round
+        self.time_budget = time_budget
+        self.scope_time_budget = scope_time_budget
+        self.scope_deadline = scope_deadline
+        self.max_instance_width = max_instance_width
+        self.escalation_bonus = escalation_bonus
+
 
 class ProverStats(Record):
     """Counters accumulated during a check."""
@@ -159,6 +183,42 @@ class ProverStats(Record):
     #: find; not counted in ``instantiations``).
     inclusion_lookups: int = 0
 
+    def __init__(
+        self,
+        instantiations=0,
+        rounds=0,
+        branches=0,
+        conflicts=0,
+        max_depth=0,
+        unmatchable_quantifiers=0,
+        per_quantifier=MISSING,
+        elapsed=0.0,
+        sat_markers=MISSING,
+        facts=0,
+        merges=0,
+        matches=0,
+        matches_by_quantifier=MISSING,
+        inclusion_lookups=0,
+    ):
+        self.instantiations = instantiations
+        self.rounds = rounds
+        self.branches = branches
+        self.conflicts = conflicts
+        self.max_depth = max_depth
+        self.unmatchable_quantifiers = unmatchable_quantifiers
+        self.per_quantifier = (
+            {} if per_quantifier is MISSING else per_quantifier
+        )
+        self.elapsed = elapsed
+        self.sat_markers = [] if sat_markers is MISSING else sat_markers
+        self.facts = facts
+        self.merges = merges
+        self.matches = matches
+        self.matches_by_quantifier = (
+            {} if matches_by_quantifier is MISSING else matches_by_quantifier
+        )
+        self.inclusion_lookups = inclusion_lookups
+
     def to_dict(self) -> dict:
         """Machine-readable rendering (surfaced per verdict by
         ``CheckReport.to_dict`` and fed to the metrics registry)."""
@@ -192,6 +252,12 @@ class ProverResult(Record):
     #: … and the replayable step record of the refutation on ``UNSAT``.
     proof_log: Optional[ProofLog] = None
 
+    def __init__(self, verdict, stats, countermodel=None, proof_log=None):
+        self.verdict = verdict
+        self.stats = stats
+        self.countermodel = countermodel
+        self.proof_log = proof_log
+
     @property
     def valid(self) -> bool:
         """For ``prove_valid``: the goal is proved iff refutation closed."""
@@ -214,6 +280,13 @@ class _QuantRecord(Record):
     width: Optional[Tuple[Callable, Tuple[Term, ...]]] = field(
         default=None, compare=False, repr=False
     )
+
+    def __init__(self, formula, triggers, ident=0, matchers=None, width=None):
+        self.formula = formula
+        self.triggers = triggers
+        self.ident = ident
+        self.matchers = matchers
+        self.width = width
 
     def compile(self) -> None:
         variables = self.formula.vars

@@ -83,6 +83,24 @@ class ImplVerdict(Record):
     #: proof log (``VERIFIED``) — see :mod:`repro.obs.explain`.
     explanation: Optional["Explanation"] = None
 
+    def __init__(
+        self,
+        impl,
+        index,
+        status,
+        stats,
+        failed_obligation=None,
+        error=None,
+        explanation=None,
+    ):
+        self.impl = impl
+        self.index = index
+        self.status = status
+        self.stats = stats
+        self.failed_obligation = failed_obligation
+        self.error = error
+        self.explanation = explanation
+
     @property
     def ok(self) -> bool:
         return self.status is ImplStatus.VERIFIED

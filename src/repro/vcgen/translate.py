@@ -53,7 +53,7 @@ from repro.oolong.ast import (
     NullConst,
     UnOp,
 )
-from repro.record import Record, field
+from repro.record import MISSING, Record, field
 from repro.vcgen import vocab
 from repro.vcgen.vocab import FALSE_CONST, NULL, TRUE_CONST, attr_const, inc, sel
 
@@ -71,6 +71,10 @@ class TranslationContext(Record):
 
     env: Dict[str, Term]
     fresh: FreshNames = field(default_factory=FreshNames)
+
+    def __init__(self, env, fresh=MISSING):
+        self.env = env
+        self.fresh = FreshNames() if fresh is MISSING else fresh
 
     def lookup(self, name: str) -> Term:
         term = self.env.get(name)

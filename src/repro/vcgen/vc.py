@@ -32,7 +32,7 @@ from repro.oolong.ast import (
 )
 from repro.oolong.program import Scope
 from repro.prover.core import Background, Limits, ProverResult, prove_valid
-from repro.record import Record, field, fields
+from repro.record import MISSING, Record, field, fields
 from repro.vcgen.background import scope_background, universal_background
 from repro.vcgen.translate import TranslationContext, own_excl_formula
 from repro.vcgen.vocab import alive, entry_store
@@ -199,6 +199,22 @@ class VCBundle(Record):
     goal: Formula
     obligations: List[ObligationInfo] = field(default_factory=list)
     background: Optional[Background] = None
+
+    def __init__(
+        self,
+        impl,
+        proc,
+        hypotheses,
+        goal,
+        obligations=MISSING,
+        background=None,
+    ):
+        self.impl = impl
+        self.proc = proc
+        self.hypotheses = hypotheses
+        self.goal = goal
+        self.obligations = [] if obligations is MISSING else obligations
+        self.background = background
 
     def prove(
         self, limits: Optional[Limits] = None, *, explain: bool = False

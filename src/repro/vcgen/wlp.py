@@ -80,6 +80,8 @@ from repro.vcgen.vocab import (
     upd,
 )
 
+_set = object.__setattr__
+
 
 class ObligationInfo(Record, frozen=True):
     """What one proof obligation is about, for failure reporting.
@@ -107,6 +109,28 @@ class ObligationInfo(Record, frozen=True):
     callee: Optional[str] = None
     #: … and, for owner exclusion, the 1-based argument position.
     arg_index: Optional[int] = None
+
+    def __init__(
+        self,
+        ident,
+        kind,
+        description,
+        position=None,
+        target=None,
+        attr=None,
+        modifies=(),
+        callee=None,
+        arg_index=None,
+    ):
+        _set(self, "ident", ident)
+        _set(self, "kind", kind)
+        _set(self, "description", description)
+        _set(self, "position", position)
+        _set(self, "target", target)
+        _set(self, "attr", attr)
+        _set(self, "modifies", modifies)
+        _set(self, "callee", callee)
+        _set(self, "arg_index", arg_index)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.description}"
@@ -144,6 +168,23 @@ class WlpContext(Record):
     entry_store: Term
     owner_exclusion: bool = True
     obligations: "List[ObligationInfo]" = None
+
+    def __init__(
+        self,
+        scope,
+        proc,
+        ctx,
+        entry_store,
+        owner_exclusion=True,
+        obligations=None,
+    ):
+        self.scope = scope
+        self.proc = proc
+        self.ctx = ctx
+        self.entry_store = entry_store
+        self.owner_exclusion = owner_exclusion
+        self.obligations = obligations
+        self.__post_init__()
 
     def __post_init__(self):
         if self.obligations is None:
