@@ -129,9 +129,7 @@ def _int_at_least(value: str, low: int) -> int:
     except ValueError:
         raise _type_error(f"expected an integer, got {value!r}")
     if parsed < low:
-        raise _type_error(
-            f"expected a value >= {low}, got {parsed}"
-        )
+        raise _type_error(f"expected a value >= {low}, got {parsed}")
     return parsed
 
 

@@ -268,7 +268,10 @@ class Implies(Formula):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.antecedent, self.consequent) == (other.antecedent, other.consequent)
+            return (self.antecedent, self.consequent) == (
+                other.antecedent,
+                other.consequent,
+            )
         return NotImplemented
 
     def __str__(self) -> str:

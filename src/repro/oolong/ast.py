@@ -4,8 +4,9 @@ All nodes are frozen records (:mod:`repro.record`). Equality is
 structural, which the test suite and the pretty-printer round-trip checks
 rely on. Source positions are optional and excluded from equality so that
 programmatically built trees compare equal to parsed ones. The parser
-builds expressions and commands per token, so their classes write their
-own ``__init__``.
+builds these nodes per token, so their classes write their own
+``__init__``; expression and command nodes also write ``__eq__`` and an
+uncached ``__hash__``, as fast as generated ones.
 """
 
 from __future__ import annotations
@@ -141,7 +142,11 @@ class BinOp(Expr):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.op, self.left, self.right) == (other.op, other.left, other.right)
+            return (self.op, self.left, self.right) == (
+                other.op,
+                other.left,
+                other.right,
+            )
         return NotImplemented
 
     def __hash__(self):

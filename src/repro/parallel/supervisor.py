@@ -199,7 +199,7 @@ class ParallelOutcome(Record):
 
 #: How long a worker whose pipe closed mid-job is given to exit before
 #: its death is worded as a lost connection.
-REAP_GRACE = 1.0
+_REAP_GRACE = 1.0
 
 
 def _death_reason(process, *, pipe_closed: bool = False) -> str:
@@ -207,11 +207,11 @@ def _death_reason(process, *, pipe_closed: bool = False) -> str:
     supervisor noticed: ``exit code N`` or ``killed by signal N``.
 
     A closed pipe is read before the child is reaped, so it waits up to
-    :data:`REAP_GRACE` for the exit status first, and says ``connection
+    :data:`_REAP_GRACE` for the exit status first, and says ``connection
     lost`` only if the child is still alive then.
     """
     if pipe_closed:
-        process.join(timeout=REAP_GRACE)
+        process.join(timeout=_REAP_GRACE)
     code = process.exitcode
     if code is None:
         return "connection lost"

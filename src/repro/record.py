@@ -33,15 +33,14 @@ for ``frozen=True``):
   process to process, so a hash carried to another one would be wrong.
 
 The generic ``__init__`` takes ``*args, **kwargs`` and then runs
-``__post_init__`` if the class has one. It costs about twice what a
-generated one does, so the node classes the parser, vcgen and prover
-build in bulk write their own ``__init__`` with their real parameter
-names (and their own ``__eq__``, which a shared method cannot make as
-fast).
+``__post_init__`` if the class has one. It costs several times what a
+generated one does, so the classes the parser, vcgen, prover and the
+per-implementation pipeline build in bulk write their own ``__init__``
+with their real parameter names, and the AST and term nodes their own
+``__eq__`` as well, which a shared method cannot make as fast.
 """
 
 from operator import attrgetter
-from threading import get_ident
 from typing import Any, Callable, Dict, Tuple
 
 __all__ = [
@@ -58,17 +57,8 @@ __all__ = [
 _set = object.__setattr__
 
 
-class _Missing:
-    """The type of :data:`MISSING`."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "MISSING"
-
-
 #: "No default": distinct from ``None``, which is a legitimate default.
-MISSING: Any = _Missing()
+MISSING: Any = object()
 
 
 class FrozenInstanceError(AttributeError):
@@ -77,14 +67,16 @@ class FrozenInstanceError(AttributeError):
 
 
 class Field:
-    """One field of a record class, as :func:`fields` reports it."""
+    """One field of a record class, as :func:`fields` reports it; called
+    as :func:`field` in a class body to give a field options."""
 
     __slots__ = ("name", "default", "default_factory", "compare", "repr")
 
     def __init__(
         self,
+        *,
         default: Any = MISSING,
-        default_factory: Any = MISSING,
+        default_factory: Callable[[], Any] = MISSING,
         compare: bool = True,
         repr: bool = True,
     ):
@@ -94,35 +86,13 @@ class Field:
         self.compare = compare
         self.repr = repr
 
-    def __repr__(self) -> str:
-        return (
-            f"Field(name={self.name!r}, default={self.default!r}, "
-            f"default_factory={self.default_factory!r}, "
-            f"compare={self.compare!r}, repr={self.repr!r})"
-        )
 
-
-def field(
-    *,
-    default: Any = MISSING,
-    default_factory: Callable[[], Any] = MISSING,
-    compare: bool = True,
-    repr: bool = True,
-) -> Any:
-    """A field with options, for a record class body."""
-    if default is not MISSING and default_factory is not MISSING:
-        raise ValueError("cannot specify both default and default_factory")
-    return Field(default, default_factory, compare, repr)
+field = Field
 
 
 def fields(record) -> Tuple[Field, ...]:
     """The fields of a record class or instance, in ``__init__`` order."""
-    try:
-        return record._record_fields
-    except AttributeError:
-        raise TypeError(
-            "must be called with a record type or instance"
-        ) from None
+    return record._record_fields
 
 
 def replace(record, **changes):
@@ -166,17 +136,11 @@ def _hash_one(self):
     return value
 
 
-#: ``(id, thread)`` of each record whose ``repr`` is being built, so a
-#: record that contains itself prints ``...`` there, as ``@dataclass``
-#: does.
-_REPR_RUNNING: set = set()
-
-
 class Record:
     """The base of every record class (see the module docstring).
 
     The class keyword ``frozen=True`` makes the class and its subclasses
-    frozen (a subclass cannot thaw it).
+    frozen.
     """
 
     #: The fields in ``__init__`` order.
@@ -188,22 +152,15 @@ class Record:
     _record_frozen = False
     _record_post_init = False
 
-    def __init_subclass__(cls, frozen=None, **kwargs):
+    def __init_subclass__(cls, frozen=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        if frozen is None:
-            frozen = cls._record_frozen
-        elif not frozen and cls._record_frozen:
-            raise TypeError(
-                f"cannot inherit non-frozen {cls.__name__} from a frozen "
-                "record"
-            )
         specs: Dict[str, Field] = {
             spec.name: spec for spec in cls._record_fields
         }
         namespace = cls.__dict__
         for name in namespace.get("__annotations__", {}):
             value = namespace.get(name, MISSING)
-            spec = value if isinstance(value, Field) else Field(value)
+            spec = value if isinstance(value, Field) else Field(default=value)
             spec.name = name
             specs[name] = spec
             if spec.default is MISSING:
@@ -211,27 +168,20 @@ class Record:
                     delattr(cls, name)
             elif spec is value:
                 setattr(cls, name, spec.default)
-        cls._record_fields = all_fields = tuple(specs.values())
-        defaulted = False
-        for spec in all_fields:
-            if spec.default is not MISSING or spec.default_factory is not MISSING:
-                defaulted = True
-            elif defaulted:
-                raise TypeError(
-                    f"non-default argument {spec.name!r} follows default "
-                    "argument"
-                )
-        compared = tuple(spec.name for spec in all_fields if spec.compare)
+        cls._record_fields = tuple(specs.values())
+        compared = tuple(
+            spec.name for spec in cls._record_fields if spec.compare
+        )
         cls._record_key = _key_of(compared)
         cls._record_post_init = hasattr(cls, "__post_init__")
         if frozen:
             cls._record_frozen = True
             cls.__setattr__ = _frozen_setattr
             cls.__delattr__ = _frozen_delattr
-            # Unless the class body writes its own (a body that defines
-            # ``__eq__`` alone gets ``__hash__ = None`` from Python).
-            if namespace.get("__hash__") is None:
-                cls.__hash__ = _hash_one if len(compared) == 1 else _hash_many
+        # Unless the class body writes its own (a body that defines
+        # ``__eq__`` alone gets ``__hash__ = None`` from Python).
+        if cls._record_frozen and namespace.get("__hash__") is None:
+            cls.__hash__ = _hash_one if len(compared) == 1 else _hash_many
 
     def __init__(self, *args, **kwargs):
         specs = self._record_fields
@@ -256,15 +206,9 @@ class Record:
                     f"{name!r}"
                 )
         if kwargs:
-            name = next(iter(kwargs))
-            if any(spec.name == name for spec in specs):
-                raise TypeError(
-                    f"{type(self).__name__}() got multiple values for "
-                    f"argument {name!r}"
-                )
             raise TypeError(
-                f"{type(self).__name__}() got an unexpected keyword "
-                f"argument {name!r}"
+                f"{type(self).__name__}() got an unexpected or repeated "
+                f"argument {next(iter(kwargs))!r}"
             )
         if self._record_post_init:
             self.__post_init__()
@@ -279,18 +223,11 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        marker = (id(self), get_ident())
-        if marker in _REPR_RUNNING:
-            return "..."
-        _REPR_RUNNING.add(marker)
-        try:
-            parts = ", ".join(
-                f"{spec.name}={getattr(self, spec.name)!r}"
-                for spec in self._record_fields
-                if spec.repr
-            )
-        finally:
-            _REPR_RUNNING.discard(marker)
+        parts = ", ".join(
+            f"{spec.name}={getattr(self, spec.name)!r}"
+            for spec in self._record_fields
+            if spec.repr
+        )
         return f"{type(self).__qualname__}({parts})"
 
     def __getstate__(self):

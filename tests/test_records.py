@@ -259,20 +259,11 @@ class TestAgreesWithDataclass:
                 twin()
             with pytest.raises(TypeError):
                 cls()
-            if len(values) > 0:
-                with pytest.raises(TypeError):
-                    cls(values[0], **{record.fields(cls)[0].name: values[0]})
+            with pytest.raises(TypeError):
+                cls(values[0], **{required[0]: values[0]})
 
 
 class TestRecordBase:
-    def test_a_record_that_contains_itself_prints(self):
-        class Box(Record):
-            items: list
-
-        box = Box([])
-        box.items.append(box)
-        assert repr(box) == "TestRecordBase.test_a_record_that_contains_itself_prints.<locals>.Box(items=[...])"
-
     def test_hash_is_computed_once_and_not_pickled(self):
         from repro.logic.terms import App, Const, Pred
 
@@ -291,23 +282,3 @@ class TestRecordBase:
         with pytest.raises(record.FrozenInstanceError, match="cannot assign"):
             position.line = 3
         assert issubclass(record.FrozenInstanceError, AttributeError)
-
-    def test_a_frozen_record_cannot_be_thawed(self):
-        class Frozen(Record, frozen=True):
-            a: int
-
-        with pytest.raises(TypeError):
-
-            class Thawed(Frozen, frozen=False):
-                pass
-
-    def test_fields_of_a_non_record(self):
-        with pytest.raises(TypeError):
-            record.fields(object())
-
-    def test_non_default_after_default(self):
-        with pytest.raises(TypeError):
-
-            class Bad(Record):
-                a: int = 0
-                b: int
