@@ -5,8 +5,9 @@ the frozen ``__setattr__``/``__delattr__``, ``replace`` and ``fields``
 once, and the hot node classes write their own ``__init__`` (and
 ``__eq__``/``__hash__``). For each record class in the package this
 builds a standard-library twin with :func:`dataclasses.make_dataclass`
-(same fields, defaults, compare and repr flags, frozen-ness and
-``__post_init__``) and checks that both agree on sampled values.
+(same fields, defaults, compare and repr flags and frozen-ness, and the
+class's own ``__post_init__``, ``__repr__`` and ``__getstate__``) and
+checks that both agree on sampled values.
 """
 
 import dataclasses
