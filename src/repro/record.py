@@ -11,10 +11,10 @@ the class body, as with ``@dataclass``::
 Defining the class runs no generated code. ``__init__``, ``__eq__``,
 ``__hash__``, ``__repr__``, the frozen ``__setattr__``/``__delattr__``,
 :func:`replace` and :func:`fields` are written once, here, and read the
-class's field list. ``@dataclass`` compiles five or six methods from
-source for every class, and its module imports ``inspect``, ``ast``,
-``dis`` and ``tokenize``; a check starts a fresh interpreter, so it
-would pay for both on every run.
+class's field list. ``@dataclass`` builds five or six methods from
+generated source text for every class, and its module imports
+``inspect``, ``ast``, ``dis`` and ``tokenize``; a check starts a fresh
+interpreter, so it would pay for both on every run.
 
 The behaviour is that of ``@dataclass`` (``@dataclass(frozen=True)``
 for ``frozen=True``):
