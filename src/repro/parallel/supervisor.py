@@ -610,23 +610,37 @@ class WorkerSupervisor:
                     ),
                     "job-hard-timeout",
                     worker=str(worker.worker_id),
+                    attempt=job.attempts,
                     code="OL901",
                 )
 
     def _fail(
-        self, job: _Job, status: str, error: Diagnostic, event: str, **fields
+        self,
+        job: _Job,
+        status: str,
+        error: Diagnostic,
+        event: str,
+        *,
+        worker: Optional[str] = None,
+        attempt: Optional[int] = None,
+        code: str,
     ) -> None:
         """Decide ``job`` without a prover: its lifecycle record, then
         the settle step for the ``ImplStatus`` named ``status`` with
-        diagnostic ``error``."""
+        diagnostic ``error``. Both records name the ``worker`` the
+        attempt was running on, if any, and the ``attempt``."""
         obs_events.emit(
             event,
             job=job.job_id,
             impl=job.impl.name,
             index=job.impl_index,
-            **fields,
+            worker=worker,
+            attempt=attempt,
+            code=code,
         )
-        self.jobs.settle(job, _verdict(job, status, error))
+        self.jobs.settle(
+            job, _verdict(job, status, error), worker=worker, attempt=attempt
+        )
 
     # ------------------------------------------------------------------
     # Scope-budget cancellation and shutdown
@@ -639,18 +653,23 @@ class WorkerSupervisor:
         one with the before-check one."""
         from repro.vcgen.checker import _deadline_diagnostic
 
-        inflight = [w.job for w in self.workers if w.job is not None]
+        inflight = [
+            (w.job, str(w.worker_id)) for w in self.workers if w.job is not None
+        ]
         for worker in self.workers:
             worker.job = None
             worker.kill()
-        for before, jobs in ((False, inflight), (True, self.jobs)):
-            for job in jobs:
+        unassigned = [(job, None) for job in self.jobs]
+        for before, jobs in ((False, inflight), (True, unassigned)):
+            for job, worker in jobs:
                 if not job.done:
                     self._fail(
                         job,
                         "TIMED_OUT",
                         _deadline_diagnostic(job.impl, before=before),
                         "job-deadline",
+                        worker=worker,
+                        attempt=job.attempts if worker is not None else None,
                         code="OL901",
                     )
         self.queue.clear()

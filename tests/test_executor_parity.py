@@ -114,6 +114,36 @@ class TestScopeBudget:
             for record in records
         )
 
+    def test_cancelled_job_is_journaled_with_its_worker(self):
+        # Job 0 freezes and is still running when the budget runs out:
+        # its deadline and verdict records name the worker and attempt
+        # it was assigned, so the report closes that worker's interval
+        # with the verdict.
+        scope = _farm_scope()
+        jobs, records = _run(
+            scope, _hang(0), patience=30.0, budget=self.BUDGET
+        )
+        hung = jobs[0]
+        (assigned,) = [
+            r for r in records if r["event"] == "job-assigned" and r["job"] == 0
+        ]
+        for kind in ("job-deadline", "impl-checked"):
+            (record,) = [
+                r
+                for r in records
+                if r["event"] == kind
+                and (r["impl"], r["index"]) == (hung.impl.name, hung.impl_index)
+            ]
+            assert record["worker"] == assigned["worker"], kind
+            assert record["attempt"] == assigned["attempt"], kind
+        chain = analyze_journal(records)["critical_path"]["chain"]
+        (link,) = [link for link in chain if link["impl"] == hung.impl.name]
+        assert (link["worker"], link["status"], link["code"]) == (
+            assigned["worker"],
+            "timed_out",
+            "OL901",
+        )
+
     def test_every_deadline_record_names_its_implementation(self):
         # Both workers freeze, so jobs 2 and 3 are still queued when the
         # budget runs out: the before-check and the mid-check records.
