@@ -21,9 +21,10 @@ This package implements, from scratch:
   soundness empirically — :mod:`repro.semantics`;
 * the **modular soundness** (scope monotonicity) experiment harness —
   :mod:`repro.modular`;
-* a zero-dependency **telemetry layer** (span tracer over the pipeline's
-  stage boundaries, prover metrics registry, Chrome-trace/metrics-JSON/
-  text-profile exporters) — :mod:`repro.obs`;
+* a zero-dependency **telemetry layer** (one event journal recording the
+  run's lifecycle and its spans over the pipeline's stage boundaries,
+  with Chrome-trace/metrics-JSON/text-profile exporters computed from
+  it) — :mod:`repro.obs`;
 * **baseline** checkers for comparison — :mod:`repro.baselines`;
 * the paper's example programs and synthetic generators —
   :mod:`repro.corpus`.

@@ -12,6 +12,7 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.engine import LintResult, lint_program, lint_scope
 from repro.errors import ReproError
+from repro.obs import journaling
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits
@@ -69,29 +70,10 @@ def parse_program_resilient(
     return scope, diagnostics
 
 
-def _maybe_tracing(tracer):
-    """Install ``tracer`` for the call when given; no-op context otherwise."""
-    if tracer is None:
-        from contextlib import nullcontext
-
-        return nullcontext()
-    from repro.obs import tracing
-
-    return tracing(tracer)
-
-
-def _maybe_journaling(events):
-    """Install an event journal for the call when given; no-op otherwise."""
-    from repro.obs import journaling
-
-    return journaling(events)
-
-
 def check_program(
     source: str,
     limits: Optional[Limits] = None,
     *,
-    tracer=None,
     events=None,
     explain: bool = False,
     parallel: Optional[int] = None,
@@ -109,16 +91,14 @@ def check_program(
     An ill-formed scope raises :class:`WellFormednessError` from
     ``check_scope``, which decides well-formedness once per check.
 
-    ``tracer``, when given, is a :class:`repro.obs.Tracer` installed for
-    the duration of the call: the run's spans (stage boundaries,
-    per-implementation, per-VC) and prover metrics land on it, ready for
-    :func:`repro.obs.chrome_trace` / :func:`repro.obs.text_report`.
-
     ``events``, when given, is a :class:`repro.obs.EventJournal`
     installed for the duration of the call: the run's lifecycle records
     (job assignments, worker spawns and deaths, retries/quarantines,
-    cache traffic) land on it, ready for ``journal.write(path)`` or a live
-    listener such as :class:`repro.obs.ProgressRenderer`.
+    cache traffic) and its spans (stage boundaries, per-implementation,
+    per-VC) land on it, ready for ``journal.write(path)``, a live
+    listener such as :class:`repro.obs.ProgressRenderer`, or the
+    exporters: :func:`repro.obs.chrome_trace`,
+    :func:`repro.obs.collect_metrics` and :func:`repro.obs.text_report`.
 
     ``explain=True`` attaches a blame report or replayable proof log to
     each verdict (see :mod:`repro.obs.explain`).
@@ -138,7 +118,7 @@ def check_program(
     ``resume=True`` replays the verdicts it committed before a crash —
     see :mod:`repro.parallel.ledger`.
     """
-    with _maybe_tracing(tracer), _maybe_journaling(events):
+    with journaling(events):
         return check_scope(
             Scope.from_source(source),
             limits,
@@ -160,7 +140,6 @@ def check_program_resilient(
     limits: Optional[Limits] = None,
     *,
     filename: Optional[str] = None,
-    tracer=None,
     events=None,
     explain: bool = False,
     parallel: Optional[int] = None,
@@ -181,15 +160,15 @@ def check_program_resilient(
     the report always renders. This is the entry point the
     fault-injection harness drives.
 
-    ``tracer`` installs a :class:`repro.obs.Tracer` for the call (see
-    :func:`check_program`); spans still close on every failure path, so
-    traces of crashing runs are complete.
+    ``events`` installs a :class:`repro.obs.EventJournal` for the call
+    (see :func:`check_program`); spans still close on every failure
+    path, so traces of crashing runs are complete.
 
     The supervision knobs (``parallel``/``cache_dir``/``job_timeout``/
     ``max_retries``) behave as in :func:`check_program`.
     """
     report = CheckReport()
-    with _maybe_tracing(tracer), _maybe_journaling(events):
+    with journaling(events):
         try:
             scope, diagnostics = Scope.from_sources_recovering(
                 [(filename, source)]

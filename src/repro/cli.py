@@ -20,13 +20,14 @@ frame obligations before the prover) and
 are OL402 errors).
 Check mode also carries the observability flags: ``--trace FILE``
 (Chrome trace-event JSON of the run, written on every exit path),
-``--metrics FILE`` (machine-readable pipeline/prover metrics;
-``--metrics-format prom`` renders Prometheus text instead of JSON),
-``--events FILE`` (a structured JSONL event journal of the run's
-lifecycle — job assignments, worker deaths, retries, cache traffic),
-``--progress`` (a live progress line on stderr driven by the same
-events), and ``--profile`` (stage breakdown, slowest VCs, hottest
-quantifiers, deadline pressure). See README "Observability".
+``--metrics FILE`` (machine-readable pipeline/prover metrics as JSON),
+``--events FILE`` (a structured JSONL event journal of the run —
+job assignments, worker deaths, retries, cache traffic, and the spans
+the trace is drawn from), ``--progress`` (a live progress line on
+stderr driven by the same events), and ``--profile`` (stage breakdown,
+slowest VCs, hottest quantifiers, deadline pressure). All of them are
+computed from the one event journal of the run. See README
+"Observability".
 ``--explain`` adds per-verdict explanations (``--explain-format
 text|json``, ``--explain-out FILE``): blame reports for failed proofs,
 replay-validated proof logs for verified ones. See README "Explaining
@@ -249,14 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write machine-readable pipeline/prover metrics to FILE "
-        "(JSON by default; see --metrics-format)",
-    )
-    parser.add_argument(
-        "--metrics-format",
-        choices=("json", "prom"),
-        default="json",
-        help="format for --metrics: 'json' (default) or 'prom' "
-        "(Prometheus text exposition, ready for a file-based scrape)",
+        "as JSON",
     )
     parser.add_argument(
         "--events",
@@ -491,14 +485,11 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         max_instances=args.max_instances,
         scope_time_budget=args.scope_time_budget,
     )
-    tracer = None
-    if args.trace or args.metrics or args.profile:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
     journal = None
     renderer = None
-    if args.events or args.progress:
+    if any(
+        (args.trace, args.metrics, args.profile, args.events, args.progress)
+    ):
         from repro.obs import EventJournal
 
         journal = EventJournal()
@@ -528,7 +519,9 @@ def check_main(argv: Optional[List[str]] = None) -> int:
                 if chaos_plan is not None
                 else nullcontext()
             ):
-                return _check_traced(args, sources, limits, tracer, outcome)
+                return _check_journaled(
+                    args, sources, limits, outcome, journal
+                )
     finally:
         # Exports happen on every exit path — a trace of a failing or
         # crashing run is exactly the one worth keeping (spans are
@@ -536,48 +529,43 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         # and a journal of a crashed run records how far it got).
         if renderer is not None:
             renderer.finish()
-        _write_exports(args, tracer, outcome, journal)
+        _write_exports(args, outcome, journal)
 
 
-def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
-    from contextlib import nullcontext
-
-    from repro.obs import tracing
-
-    with tracing(tracer) if tracer is not None else nullcontext():
-        try:
-            scope, frontend = Scope.from_sources_recovering(sources)
-            if frontend:
-                _print_frontend_errors(frontend, sources, args.format)
-                return 2
-            report = check_scope(
-                scope,
-                limits,
-                enforce_restrictions=not args.no_restrictions,
-                lint=not args.no_lint,
-                explain=args.explain,
-                parallel=args.jobs,
-                cache_dir=args.cache_dir,
-                cache_max_bytes=args.cache_max_bytes,
-                job_timeout=args.job_timeout,
-                max_retries=(
-                    2 if args.max_retries is None else args.max_retries
-                ),
-                static_discharge=args.static_discharge,
-                check_discharge=args.check_discharge,
-                run_dir=args.run_dir,
-                resume=args.resume,
-            )
-            outcome["report"] = report
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
+def _check_journaled(args, sources, limits: Limits, outcome, journal) -> int:
+    try:
+        scope, frontend = Scope.from_sources_recovering(sources)
+        if frontend:
+            _print_frontend_errors(frontend, sources, args.format)
             return 2
-        except Exception as error:  # keep the CLI alive on internal crashes
-            print(
-                f"internal error: {type(error).__name__}: {error}",
-                file=sys.stderr,
-            )
-            return 2
+        report = check_scope(
+            scope,
+            limits,
+            enforce_restrictions=not args.no_restrictions,
+            lint=not args.no_lint,
+            explain=args.explain,
+            parallel=args.jobs,
+            cache_dir=args.cache_dir,
+            cache_max_bytes=args.cache_max_bytes,
+            job_timeout=args.job_timeout,
+            max_retries=(
+                2 if args.max_retries is None else args.max_retries
+            ),
+            static_discharge=args.static_discharge,
+            check_discharge=args.check_discharge,
+            run_dir=args.run_dir,
+            resume=args.resume,
+        )
+        outcome["report"] = report
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    except Exception as error:  # keep the CLI alive on internal crashes
+        print(
+            f"internal error: {type(error).__name__}: {error}",
+            file=sys.stderr,
+        )
+        return 2
     if report.ledger_summary:
         # Routine recovery detail (resumed counts, a torn tail trimmed,
         # duplicates collapsed, stale entries dropped) goes to stderr so
@@ -592,8 +580,10 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
         from repro.analysis.diagnostics import render_json
 
         payload = report.to_dict()
-        if tracer is not None:
-            payload["metrics"] = tracer.metrics.to_dict()
+        if args.trace or args.metrics or args.profile:
+            from repro.obs import collect_metrics
+
+            payload["metrics"] = collect_metrics(journal.records, report)
         print(render_json([], **payload))
     elif args.format == "sarif":
         from repro.analysis.sarif import render_report_sarif
@@ -604,7 +594,7 @@ def _check_traced(args, sources, limits: Limits, tracer, outcome) -> int:
     if args.profile:
         from repro.obs import text_report
 
-        print(text_report(tracer))
+        print(text_report(journal.records, report))
     failed = not report.ok or _fails_threshold(
         report.diagnostics, args.fail_on
     )
@@ -649,7 +639,7 @@ def _write_text(path: str, text: str) -> None:
         handle.write("\n")
 
 
-def _write_exports(args, tracer, outcome, journal=None) -> None:
+def _write_exports(args, outcome, journal=None) -> None:
     """Everything the CLI owes the filesystem, on *every* exit path.
 
     Called from ``check_main``'s single ``finally`` so a crash, a
@@ -659,27 +649,21 @@ def _write_exports(args, tracer, outcome, journal=None) -> None:
     produces a valid, empty report), and the result-cache flush summary.
     """
     report = outcome.get("report")
-    if tracer is not None:
-        from repro.obs import (
-            write_chrome_trace,
-            write_metrics,
-            write_metrics_prometheus,
-        )
+    if journal is not None:
+        from repro.obs import collect_metrics, write_chrome_trace, write_metrics
 
         _export(
-            "trace", args.trace, lambda path: write_chrome_trace(path, tracer)
-        )
-        metrics_writer = (
-            write_metrics_prometheus
-            if args.metrics_format == "prom"
-            else write_metrics
+            "trace",
+            args.trace,
+            lambda path: write_chrome_trace(path, journal.records),
         )
         _export(
             "metrics",
             args.metrics,
-            lambda path: metrics_writer(path, tracer.metrics),
+            lambda path: write_metrics(
+                path, collect_metrics(journal.records, report)
+            ),
         )
-    if journal is not None:
         _export(
             "events",
             args.events,

@@ -22,8 +22,8 @@ def events_main(argv: Optional[List[str]] = None) -> int:
     OL901–OL903 fault summaries correlated to implementations, cache
     effectiveness, and the critical path that bounded wall-clock — as
     text or schema-pinned JSON (``report.schema.json``). ``export
-    --trace OUT`` converts the journal into a Chrome trace (open in
-    Perfetto).
+    --trace OUT`` writes the journal's Chrome trace (open in Perfetto),
+    the file ``--trace OUT`` wrote for the same run.
     """
     parser = argparse.ArgumentParser(
         prog="oolong-check events",
@@ -73,11 +73,10 @@ def events_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     import json
 
-    from repro.obs import read_journal
+    from repro.obs import read_journal, write_chrome_trace
     from repro.obs.analyze import (
         AnalysisError,
         analyze_journal,
-        journal_chrome_trace,
         render_report_text,
     )
 
@@ -99,12 +98,10 @@ def events_main(argv: Optional[List[str]] = None) -> int:
             print("error: export requires --trace FILE", file=sys.stderr)
             return 2
         try:
-            payload = journal_chrome_trace(records, args.run)
+            payload = write_chrome_trace(args.trace, records, args.run)
         except AnalysisError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        try:
-            _write_text(args.trace, json.dumps(payload, sort_keys=True))
         except OSError as error:
             print(f"error: cannot write trace: {error}", file=sys.stderr)
             return 2

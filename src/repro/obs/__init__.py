@@ -1,31 +1,25 @@
 """``repro.obs`` — zero-dependency telemetry for the checking pipeline.
 
-The null paths load with the package; everything else loads on first
-use:
+One recorder, the event journal (:mod:`repro.obs.events`), loads with
+the package. It records what happened — job assignments, worker deaths,
+retries, quarantines, cache traffic, ledger commits — and, through
+:func:`span`, where the time went: one ``span`` record per stage
+boundary named by :data:`repro.obs.stages.STAGES` (the vocabulary the
+fault-injection harness keys on) and per implementation and VC. With no
+journal installed, :func:`emit` and :func:`span` each cost one global
+read.
 
-* :mod:`repro.obs.tracer` — a span tracer covering every stage boundary
-  named by :data:`repro.obs.stages.STAGES` (the same vocabulary the
-  fault-injection harness keys on) plus per-implementation and per-VC
-  child spans. The default is a no-op null path: with no tracer
-  installed, :func:`span` costs one global read. The recording
-  ``Tracer`` and its ``Span`` records (:mod:`repro.obs.recorder`)
-  load on first use.
-* :mod:`repro.obs.metrics` — a registry of counters/labelled
-  counters/timers fed from ``ProverStats`` and vcgen sizes.
-* :mod:`repro.obs.events` — a structured JSONL event journal of a
-  check's lifecycle (job assignments, worker deaths, retries,
-  quarantines, cache traffic, ledger commits), with the same one-read
-  null path as the tracer.
+Everything else is computed from the records and loads on first use
+(PEP 562), so a plain check imports none of it:
 
-Loaded on demand (PEP 562), so a plain check imports none of them:
-
-* :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto
-  or ``chrome://tracing``), machine-readable metrics JSON (or the
-  Prometheus text format), and the human ``--profile`` text report;
-* :mod:`repro.obs.progress` — the ``--progress`` renderer, driven off
-  the event stream;
-* :mod:`repro.obs.analyze` — the ``events report`` / ``events export``
-  analytics over a journal;
+* :mod:`repro.obs.export` — the Chrome trace-event JSON (open in
+  Perfetto or ``chrome://tracing``) and the ``--profile`` text report;
+* :mod:`repro.obs.metrics` — the ``--metrics`` counters and timers,
+  read from span arguments, ``impl-checked`` records and the report;
+* :mod:`repro.obs.progress` — the ``--progress`` renderer, a journal
+  listener;
+* :mod:`repro.obs.analyze` — the ``events report`` analytics over a
+  journal;
 * :mod:`repro.obs.schema` — the in-tree JSON-schema validators;
 * :mod:`repro.obs.explain` — ``--explain`` reports (it pulls in the
   proof-replay kernel and countermodels).
@@ -34,11 +28,10 @@ Typical use::
 
     from repro import obs
 
-    tracer = obs.Tracer()
-    with obs.tracing(tracer):
-        report = check_scope(scope, limits)
-    obs.write_chrome_trace("out.json", tracer)
-    print(obs.text_report(tracer))
+    journal = obs.EventJournal()
+    report = check_program(source, events=journal)
+    obs.write_chrome_trace("out.json", journal.records)
+    print(obs.text_report(journal.records, report))
 """
 
 import importlib
@@ -46,12 +39,13 @@ import importlib
 from repro.obs.events import (
     EVENT_KINDS,
     EventJournal,
+    active,
     emit,
     journal,
     journaling,
     read_journal,
+    span,
 )
-from repro.obs.metrics import MetricsRegistry, TimerStat, prometheus_name
 from repro.obs.stages import (
     CAT_IMPL,
     CAT_PIPELINE,
@@ -60,39 +54,25 @@ from repro.obs.stages import (
     STAGES,
 )
 
-# Bound after ``repro.obs.metrics`` has loaded, so ``repro.obs.metrics``
-# is the tracer's ``metrics`` function, not the submodule.
-from repro.obs.tracer import (
-    active,
-    current,
-    metrics,
-    span,
-    tracing,
-)
-
 #: Each public name of an optional layer and the submodule that defines
 #: it. Submodules load on first access (PEP 562).
 _EXPORTS = {
     "analyze_journal": "analyze",
-    "journal_chrome_trace": "analyze",
     "render_report_text": "analyze",
     "run_ids": "analyze",
-    "write_report": "analyze",
     "Explanation": "explain",
     "InclusionCheck": "explain",
     "attach_to_trace": "explain",
     "explain_result": "explain",
     "inclusion_chain": "explain",
     "chrome_trace": "export",
-    "metrics_json": "export",
+    "spans_of": "export",
     "text_report": "export",
     "validate_chrome_trace": "export",
     "write_chrome_trace": "export",
     "write_metrics": "export",
-    "write_metrics_prometheus": "export",
+    "collect_metrics": "metrics",
     "ProgressRenderer": "progress",
-    "Span": "recorder",
-    "Tracer": "recorder",
     "validate_event": "schema",
     "validate_event_journal": "schema",
     "validate_events_report": "schema",
@@ -107,19 +87,13 @@ __all__ = sorted(
         "CAT_VC",
         "EVENT_KINDS",
         "EventJournal",
-        "MetricsRegistry",
         "STAGES",
-        "TimerStat",
         "active",
-        "current",
         "emit",
         "journal",
         "journaling",
-        "metrics",
-        "prometheus_name",
         "read_journal",
         "span",
-        "tracing",
         *_EXPORTS,
     ]
 )

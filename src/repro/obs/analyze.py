@@ -8,16 +8,16 @@ JSON Lines file a ``--events`` run leaves behind. Nothing here imports
 the checker: a journal copied from another machine analyzes
 identically.
 
-Three consumers sit on top of :func:`analyze_journal`:
+Two consumers sit on top of :func:`analyze_journal`:
 
 * ``oolong events report FILE`` renders the report as text
   (:func:`render_report_text`) or JSON, pinned by
   ``report.schema.json`` next to this module;
-* ``oolong events export --trace`` converts the journal's job
-  intervals into a Chrome trace (:func:`journal_chrome_trace`), a
-  Perfetto timeline for a run that was not traced;
 * ``benchmarks/bench_observability.py`` guards that analysis stays
   linear (``report_ms_per_10k_events``).
+
+The report reads the lifecycle records only; ``span`` records are the
+Chrome trace's and the profile's (:mod:`repro.obs.export`).
 
 All analysis is single-pass over the records plus a sort; busy
 intervals are reconstructed from each worker's ``job-assigned``
@@ -39,7 +39,7 @@ REPORT_SCHEMA_VERSION = 2
 # Event kinds that close a worker's busy interval.
 _CLOSERS = ("impl-checked", "job-hard-timeout", "worker-died")
 # OL9xx-carrying kinds tabulated as incidents.
-_INCIDENT_KINDS = (
+INCIDENT_KINDS = (
     "job-quarantined",
     "job-hard-timeout",
     "job-deadline",
@@ -65,9 +65,11 @@ def run_ids(records: Iterable[dict]) -> List[str]:
     return list(seen)
 
 
-def _select_run(
-    records: Sequence[dict], run_id: Optional[str]
+def select_run(
+    records: Sequence[dict], run_id: Optional[str] = None
 ) -> Tuple[str, List[dict]]:
+    """The records of run ``run_id`` (default: the first run), in
+    ``seq`` order."""
     if not records:
         raise AnalysisError("empty journal")
     if run_id is None:
@@ -96,8 +98,6 @@ class _Interval:
         "worker",
         "impl",
         "index",
-        "job",
-        "attempt",
         "start",
         "end",
         "status",
@@ -108,8 +108,6 @@ class _Interval:
         self.worker = str(record.get("worker", "?"))
         self.impl = record.get("impl")
         self.index = record.get("index")
-        self.job = record.get("job")
-        self.attempt = record.get("attempt")
         self.start = _as_float(record.get("t_mono"))
         self.end: Optional[float] = None
         self.status: Optional[str] = None
@@ -223,13 +221,23 @@ def analyze_journal(
     file, defaulting to the file's first run.
     Returns the report dict pinned by ``report.schema.json``.
     """
-    run_id, records = _select_run(list(records), run_id)
+    run_id, records = select_run(records, run_id)
+    records = [r for r in records if r.get("event") != "span"]
+    if not records:
+        raise AnalysisError(f"run {run_id!r} journaled no lifecycle events")
     run_start = _as_float(records[0].get("t_mono"))
     run_end = run_start
     backend: Optional[str] = None
     ok: Optional[bool] = None
     impls_announced = 0
     event_counts: Dict[str, int] = {}
+    first_seen: Dict[str, float] = {}
+    # Implementation outcomes, deduped by (impl, index): the checker
+    # announces each verdict once, but the last announcement wins should
+    # a journal carry one twice.
+    final: Dict[Tuple[object, object], dict] = {}
+    incidents: List[dict] = []
+    bytes_saved = 0
     for record in records:
         run_end = max(run_end, _as_float(record.get("t_mono"), run_end))
         kind = str(record.get("event", "?"))
@@ -241,6 +249,28 @@ def analyze_journal(
             value = record.get("ok")
             if isinstance(value, bool):
                 ok = value
+        elif kind == "worker-spawn" and record.get("worker") is not None:
+            first_seen.setdefault(
+                str(record["worker"]), _as_float(record.get("t_mono"), run_start)
+            )
+        elif kind == "impl-checked":
+            final[(record.get("impl"), record.get("index"))] = record
+        elif kind == "cache-hit":
+            bytes_saved += int(_as_float(record.get("bytes")))
+        if kind in INCIDENT_KINDS:
+            code = record.get("code")
+            index = record.get("index")
+            incidents.append(
+                {
+                    "event": kind,
+                    "code": str(code) if isinstance(code, str) else "",
+                    "impl": str(record.get("impl", "")) or "",
+                    "index": index if isinstance(index, int) else -1,
+                    "worker": str(record.get("worker", "")) or "",
+                    "detail": str(record.get("reason", record.get("key", ""))),
+                    "at": round(_as_float(record.get("t_mono")) - run_start, 6),
+                }
+            )
     wall = max(run_end - run_start, 0.0)
 
     intervals = _reconstruct_intervals(records)
@@ -250,14 +280,6 @@ def analyze_journal(
     by_worker: Dict[str, List[_Interval]] = {}
     for interval in intervals:
         by_worker.setdefault(interval.worker, []).append(interval)
-    first_seen: Dict[str, float] = {}
-    for record in records:
-        if record.get("event") == "worker-spawn":
-            name = record.get("worker")
-            if name is not None:
-                first_seen.setdefault(
-                    str(name), _as_float(record.get("t_mono"), run_start)
-                )
     for worker in sorted(
         set(by_worker) | set(first_seen), key=lambda w: (w not in by_worker, w)
     ):
@@ -288,57 +310,19 @@ def analyze_journal(
             }
         )
 
-    # Implementation outcomes, deduped by (impl, index): the checker
-    # announces each verdict once, but the last announcement wins should
-    # a journal carry one twice.
-    final: Dict[Tuple[object, object], dict] = {}
-    for record in records:
-        if record.get("event") == "impl-checked":
-            final[(record.get("impl"), record.get("index"))] = record
     statuses: Dict[str, int] = {}
+    by_code = {"OL901": 0, "OL902": 0, "OL903": 0}
     for record in final.values():
         status = str(record.get("status", "?"))
         statuses[status] = statuses.get(status, 0) + 1
-    by_code = {"OL901": 0, "OL902": 0, "OL903": 0}
-    for record in final.values():
         code = record.get("code")
         if code in ("OL901", "OL902"):
             by_code[str(code)] += 1
     by_code["OL903"] = event_counts.get("cache-reject", 0)
 
-    incidents: List[dict] = []
-    for record in records:
-        kind = str(record.get("event"))
-        if kind not in _INCIDENT_KINDS:
-            continue
-        code = record.get("code")
-        incidents.append(
-            {
-                "event": kind,
-                "code": str(code) if isinstance(code, str) else "",
-                "impl": str(record.get("impl", "")) or "",
-                "index": (
-                    record.get("index")
-                    if isinstance(record.get("index"), int)
-                    else -1
-                ),
-                "worker": str(record.get("worker", "")) or "",
-                "detail": str(
-                    record.get("reason", record.get("key", ""))
-                ),
-                "at": round(
-                    _as_float(record.get("t_mono")) - run_start, 6
-                ),
-            }
-        )
-
     cache_hits = event_counts.get("cache-hit", 0)
     cache_misses = event_counts.get("cache-miss", 0)
     lookups = cache_hits + cache_misses
-    bytes_saved = 0
-    for record in records:
-        if record.get("event") == "cache-hit":
-            bytes_saved += int(_as_float(record.get("bytes")))
 
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -487,124 +471,3 @@ def render_report_text(report: dict) -> str:
         lines.append("critical path  (no job intervals in this journal)")
     return "\n".join(lines) + "\n"
 
-
-# ----------------------------------------------------------------------
-# Chrome trace from the journal alone
-
-_JOURNAL_TRACE_PID = 1
-_MARKER_TID = 1
-
-
-def journal_chrome_trace(
-    records: Sequence[dict],
-    run_id: Optional[str] = None,
-    *,
-    process_name: str = "oolong-journal",
-) -> dict:
-    """A Chrome trace reconstructed purely from journal records.
-
-    Busy intervals become complete ("X") events on one lane per worker;
-    OL9xx incidents and run lifecycle markers become zero-duration "X"
-    events on a marker lane. The output passes
-    :func:`repro.obs.export.validate_chrome_trace` — every timestamp is
-    rebased on the run's first record, so nothing is negative.
-    """
-    run_id, records = _select_run(list(records), run_id)
-    run_start = _as_float(records[0].get("t_mono"))
-    events: List[dict] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": _JOURNAL_TRACE_PID,
-            "tid": 0,
-            "args": {"name": f"{process_name} {run_id}"},
-        },
-        {
-            "ph": "M",
-            "name": "thread_name",
-            "pid": _JOURNAL_TRACE_PID,
-            "tid": _MARKER_TID,
-            "args": {"name": "events"},
-        },
-    ]
-    lanes: Dict[str, int] = {}
-
-    def _lane(worker: str) -> int:
-        if worker not in lanes:
-            lanes[worker] = _MARKER_TID + 1 + len(lanes)
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": _JOURNAL_TRACE_PID,
-                    "tid": lanes[worker],
-                    "args": {"name": f"worker {worker}"},
-                }
-            )
-        return lanes[worker]
-
-    for interval in _reconstruct_intervals(records):
-        name = (
-            f"{interval.impl}#{interval.index}"
-            if interval.impl is not None
-            else f"job {interval.job}"
-        )
-        args = {"worker": interval.worker}
-        if interval.attempt is not None:
-            args["attempt"] = interval.attempt
-        if interval.status is not None:
-            args["status"] = interval.status
-        if interval.code is not None:
-            args["code"] = interval.code
-        events.append(
-            {
-                "ph": "X",
-                "name": name,
-                "cat": "implementation",
-                "ts": round(max(interval.start - run_start, 0.0) * 1e6, 3),
-                "dur": round(max(interval.seconds, 0.0) * 1e6, 3),
-                "pid": _JOURNAL_TRACE_PID,
-                "tid": _lane(interval.worker),
-                "args": args,
-            }
-        )
-
-    marker_kinds = set(_INCIDENT_KINDS) | {
-        "check-start",
-        "check-end",
-        "job-retry",
-        "worker-died",
-    }
-    for record in records:
-        kind = str(record.get("event"))
-        if kind not in marker_kinds:
-            continue
-        args = {
-            key: record[key]
-            for key in ("impl", "index", "worker", "code", "reason", "job")
-            if key in record
-        }
-        events.append(
-            {
-                "ph": "X",
-                "name": kind,
-                "cat": "event",
-                "ts": round(
-                    max(_as_float(record.get("t_mono")) - run_start, 0.0)
-                    * 1e6,
-                    3,
-                ),
-                "dur": 0.0,
-                "pid": _JOURNAL_TRACE_PID,
-                "tid": _MARKER_TID,
-                "args": args,
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_report(path: str, report: dict) -> None:
-    """Write one analyzed report as pretty-printed JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")

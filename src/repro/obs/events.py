@@ -1,11 +1,14 @@
-"""A structured event journal of a check's lifecycle.
+"""The event journal: the one record of a check's telemetry.
 
-The span tracer (:mod:`repro.obs.tracer`) answers "where did the time
-go?"; this module answers "what happened?": job assignments, worker
-spawns and deaths, retries and quarantines (OL902), hard timeouts and
-deadlines (OL901), cache traffic and corruption (OL903) and ledger
-commits and skips (OL905) — the lifecycle that is otherwise invisible
-between the start and the final report.
+A journal answers both "what happened?" and "where did the time go?".
+Lifecycle records say what happened: job assignments, worker spawns and
+deaths, retries and quarantines (OL902), hard timeouts and deadlines
+(OL901), cache traffic and corruption (OL903) and ledger commits and
+skips (OL905). ``span`` records say where the time went: one record per
+closed :func:`span`, at every stage boundary the fault harness names
+(:data:`repro.obs.stages.STAGES`) and per implementation and VC.
+Everything else — the Chrome trace, ``--metrics``, ``--profile`` and
+``events report`` — is computed from the records.
 
 Every record is a flat JSON object carrying
 
@@ -18,13 +21,19 @@ Every record is a flat JSON object carrying
   seconds since the epoch;
 * correlation ids (``worker``, ``job``, ``impl``/``index``) and a
   ``code`` field tying OL901/OL902/OL903/OL905 events to the
-  diagnostics they accompany.
+  diagnostics they accompany;
+* on a ``span`` record: ``name``, ``cat`` (its category), ``start`` and
+  ``dur`` (monotonic seconds), ``span`` (its id), ``parent`` (the id of
+  the span it opened inside, absent for a root), ``args`` and ``error``
+  (``"TypeName: message"`` when an exception closed it). Spans open and
+  close in ``with`` blocks, so an injected crash (or a real one) still
+  closes every span it unwinds through.
 
-The journal follows the tracer's null-path discipline exactly: with no
-journal installed, :func:`emit` is a single module-global read —
-measured and guarded under 1% by ``benchmarks/bench_observability.py``.
-``emit`` is thread-safe and listeners (e.g. the ``--progress``
-renderer) observe records in sequence order.
+With no journal installed, :func:`emit` and :func:`span` are each a
+single module-global read — measured and guarded under 1% by
+``benchmarks/bench_observability.py``. ``emit`` is thread-safe and
+listeners (e.g. the ``--progress`` renderer) observe records in
+sequence order.
 
 The journal only records: it triggers no side effect of the check
 itself. The owners of those effects (the job book's settle step, the
@@ -38,7 +47,9 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
+
+from repro.obs.stages import CAT_STAGE
 
 # Every kind the journal can record.  The schema's ``enum`` mirrors this
 # tuple; ``EventJournal.emit`` rejects kinds outside it so a typo at an
@@ -67,6 +78,8 @@ EVENT_KINDS = (
     # crash-safe run ledger
     "ledger-commit",
     "ledger-skip",  # OL905
+    # where the time went
+    "span",
 )
 
 _KIND_SET = frozenset(EVENT_KINDS)
@@ -87,6 +100,10 @@ class EventJournal:
         # journal (counts(), len()) without deadlocking.
         self._lock = threading.RLock()
         self._listeners: List[Callable[[Dict[str, object]], None]] = []
+        #: Span ids handed out so far (spans open on one thread: no
+        #: lock), and the ids of the open spans, innermost last.
+        self.span_ids = 0
+        self.open_spans: List[int] = []
 
     def emit(self, event: str, **fields: object) -> Dict[str, object]:
         """Append one record; ``None``-valued fields are dropped."""
@@ -131,12 +148,6 @@ class EventJournal:
                 out[kind] = out.get(kind, 0) + 1
         return out
 
-    def to_jsonl(self) -> str:
-        with self._lock:
-            records = list(self.records)
-        lines = [json.dumps(record, sort_keys=True) for record in records]
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def write(self, path: str, append: bool = False) -> None:
         """Write the journal as JSON Lines (one record per line).
 
@@ -149,13 +160,88 @@ class EventJournal:
         """
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
+        with self._lock:
+            records = list(self.records)
         with open(path, "a" if append else "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
+
+class _Span:
+    """A span on a journal: ``with`` it; :meth:`set` adds arguments.
+
+    Entering takes an id and notes the innermost open span as the
+    parent; exiting emits the ``span`` record, whatever closed it.
+    """
+
+    __slots__ = (
+        "_journal", "_name", "_category", "_args", "id", "_parent", "_start"
+    )
+
+    def __init__(self, journal: EventJournal, name: str, category: str, args):
+        self._journal = journal
+        self._name = name
+        self._category = category
+        self._args = args
+
+    def set(self, **args: Any) -> None:
+        self._args.update(args)
+
+    def __enter__(self) -> "_Span":
+        journal = self._journal
+        stack = journal.open_spans
+        self._parent = stack[-1] if stack else None
+        self.id = journal.span_ids
+        journal.span_ids += 1
+        stack.append(self.id)
+        self._start = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end = time.monotonic()
+        journal = self._journal
+        stack = journal.open_spans
+        # ``with`` nesting closes spans innermost first; pop defensively
+        # should a handle be closed out of order.
+        while stack and stack.pop() != self.id:
+            pass
+        journal.emit(
+            "span",
+            name=self._name,
+            cat=self._category,
+            start=self._start,
+            dur=end - self._start,
+            span=self.id,
+            parent=self._parent,
+            args=self._args or None,
+            error=None if exc_type is None else f"{exc_type.__name__}: {exc}",
+        )
+        return False
+
+
+class _NullSpan:
+    """The shared no-op span returned when no journal is installed."""
+
+    __slots__ = ()
+    id = None
+
+    def set(self, **args: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
 
 # ----------------------------------------------------------------------
-# Module-level installation, mirroring the tracer's `_ACTIVE` pattern.
+# Module-level installation.
 
+#: The installed journal, or None. Written only by :func:`journaling`;
+#: the clean path reads it once per emission or span.
 _ACTIVE: Optional[EventJournal] = None
 
 
@@ -170,6 +256,24 @@ def emit(event: str, **fields: object) -> None:
     if active is None:
         return
     active.emit(event, **fields)
+
+
+def span(name: str, category: str = CAT_STAGE, **args: Any):
+    """Open a span on the installed journal — or a shared no-op.
+
+    With no journal installed the cost is one global read plus the
+    (empty) kwargs dict. Expensive span arguments must be gated on
+    :func:`active` at the call site.
+    """
+    active = _ACTIVE
+    if active is None:
+        return _NULL_SPAN
+    return _Span(active, name, category, args)
+
+
+def active() -> bool:
+    """True when a journal is installed (gate for costly span args)."""
+    return _ACTIVE is not None
 
 
 @contextmanager

@@ -17,8 +17,8 @@ it observable in *reasoning*. Two verdict stories are told:
   "verified" is auditable rather than trusted.
 
 :func:`explain_result` builds the :class:`Explanation`;
-:func:`attach_to_trace` folds a compact summary into the per-VC span of
-the installed tracer so Perfetto shows failure reasons inline.
+:func:`attach_to_trace` folds a compact summary into the per-VC span
+record of the installed journal so Perfetto shows failure reasons inline.
 """
 
 from __future__ import annotations
@@ -374,21 +374,30 @@ def blame_summary(explanation: Explanation) -> Optional[str]:
 
 
 def attach_to_trace(explanation: Explanation) -> None:
-    """Fold a compact explanation summary into the per-VC span.
+    """Fold a compact explanation summary into the per-VC span record.
 
-    Spans are plain records on the installed tracer, so the (already
-    closed) ``vc <impl>`` span can still take args — Perfetto then shows
-    the failure reason inline with the timing. No-op without a tracer.
+    The journal keeps its records in memory until the run ends, so the
+    (already closed) ``vc <impl>`` span can still take args — Perfetto
+    then shows the failure reason inline with the timing. No-op without
+    a journal.
     """
-    from repro.obs import CAT_VC, current
+    from repro.obs import CAT_VC, journal
 
-    tracer = current()
-    if tracer is None:
+    installed = journal()
+    if installed is None:
         return
-    target = None
-    for span in tracer.spans:
-        if span.category == CAT_VC and span.name == f"vc {explanation.impl}":
-            target = span  # last one wins: vcgen and prove both emit one
+    name = f"vc {explanation.impl}"
+    # The last one: vcgen and prove both record a span of that name.
+    target = next(
+        (
+            record
+            for record in reversed(installed.records)
+            if record["event"] == "span"
+            and record["cat"] == CAT_VC
+            and record["name"] == name
+        ),
+        None,
+    )
     if target is None:
         return
     args: dict = {"explanation": explanation.kind}
@@ -400,4 +409,4 @@ def attach_to_trace(explanation: Explanation) -> None:
         args["proof_steps"] = (
             len(explanation.proof_log) if explanation.proof_log else 0
         )
-    target.args.update(args)
+    target.setdefault("args", {}).update(args)

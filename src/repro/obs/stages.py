@@ -4,10 +4,10 @@ One tuple, shared by every subsystem that names stage boundaries:
 
 * the fault-injection harness (:mod:`repro.testing.faults`) keys its
   injection points on these names;
-* the tracer (:mod:`repro.obs.tracer`) emits a span with the same name
-  at the same boundary, so a trace and an injected fault always line up;
-* the metrics registry and the exporters group per-stage aggregates by
-  these names.
+* the event journal (:mod:`repro.obs.events`) records a span with the
+  same name at the same boundary, so a trace and an injected fault
+  always line up;
+* the exporters group per-stage aggregates by these names.
 
 Keep the tuple in pipeline order — reports iterate it to render stage
 breakdowns in execution order. This module must stay import-free within
@@ -30,7 +30,7 @@ STAGES: Tuple[str, ...] = (
     "prove",
 )
 
-#: Span categories used by the tracer (``cat`` in Chrome trace events).
+#: Span categories (``cat`` in span records and Chrome trace events).
 CAT_PIPELINE = "pipeline"
 CAT_STAGE = "stage"
 CAT_IMPL = "implementation"

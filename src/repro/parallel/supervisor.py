@@ -40,14 +40,16 @@ which is prepared first if it is not yet, every quantifier's matchers
 compiled; :meth:`repro.prover.core.Background.prepare`), so each forked
 worker resumes from that state instead of building it again.
 
-Observability: under an installed tracer the supervisor emits one
-``supervisor`` pipeline span, one implementation span per job carrying
-``worker``/``attempt``/``status`` args, and grafts each worker's own
-span tree (vcgen/prove stage spans with their per-VC children)
-underneath, so ``--trace``/``--profile`` cover parallel runs end to end.
-Workers trace a job, and ship its spans and metrics, only when the
-parent traces: an untraced check's results carry neither. The serial
-checker never loads this module.
+Observability: under an installed event journal the supervisor records
+one ``supervisor`` pipeline span and one implementation span per attempt
+— filed, killed at its hard timeout or the scope deadline, or lost with
+its worker — carrying ``worker``/``attempt`` args and a ``status`` or
+an ``error``. Under a filed attempt's span it grafts the records the
+worker journaled for the job (vcgen/prove stage spans with their per-VC
+children), so ``--trace``/``--profile`` cover parallel runs end to
+end. Workers journal a job, and ship its records, only when the parent
+journals: an unjournaled check's results carry none. The serial checker
+never loads this module.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import hashlib
 import os
 import time
 from multiprocessing.connection import wait as connection_wait
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.obs import events as obs_events
@@ -267,8 +269,9 @@ class WorkerSupervisor:
                 ("worker-hang", "hang"),
             )
         ]
-        #: The tracer and ``supervisor`` span job spans nest under.
-        self.tracer = None
+        #: The journal, and the id of the ``supervisor`` span job spans
+        #: nest under.
+        self.journal = None
         self.parent_span: Optional[int] = None
         self.workers: List[_WorkerHandle] = []
         self._context = _mp_context()
@@ -286,10 +289,9 @@ class WorkerSupervisor:
             obs.CAT_PIPELINE,
             jobs=len(self.jobs),
             workers=self.options.jobs,
-        ):
-            self.tracer = obs.current()
-            if self.tracer is not None:
-                self.parent_span = self.tracer.current_index()
+        ) as span:
+            self.journal = obs.journal()
+            self.parent_span = span.id
             try:
                 if self.queue:
                     self._prepare_background()
@@ -403,7 +405,7 @@ class WorkerSupervisor:
         A first attempt carries the fault the active plan puts on its
         job index (``worker-kill`` before ``worker-hang``), so fault
         placement never depends on which worker takes the job. It asks
-        the worker for spans and metrics only under a tracer. The
+        the worker for its journal records only under a journal. The
         attempt's hard deadline is ``now + job_timeout`` only:
         scope-budget expiry is handled by :meth:`_cancel_everything`.
         """
@@ -422,7 +424,7 @@ class WorkerSupervisor:
             limits=self.job_limits,
             explain=self.explain,
             inject=inject,
-            trace=self.tracer is not None,
+            journal=self.journal is not None,
         )
         worker.job = job
         worker.job_started = now
@@ -479,11 +481,8 @@ class WorkerSupervisor:
         an ``INTERNAL_ERROR``/``OL900`` verdict; otherwise the verdict,
         which crossed without its AST, is re-anchored on the parent's
         own ``ImplDecl`` so report identities match the serial driver's
-        exactly. Under a tracer the job gets an ``implementation`` span
-        from the attempt's start (monotonic time; on the platforms
-        workers run on ``time.monotonic`` and ``perf_counter`` share
-        CLOCK_MONOTONIC), with the worker's own spans grafted beneath
-        it and its metrics merged.
+        exactly. Under a journal the attempt gets its
+        ``implementation`` span (:meth:`_job_span`).
         """
         if result.failure is not None:
             verdict = _verdict(
@@ -500,27 +499,45 @@ class WorkerSupervisor:
             verdict = result.verdict
             verdict.impl = job.impl
             job.explain_crash = result.explain_crash
-        tracer = self.tracer
-        if tracer is not None:
-            job_span = tracer.record(
-                job.impl.name,
-                "implementation",
-                worker.job_started,
-                time.perf_counter(),
-                parent=self.parent_span,
-                args={
-                    "worker": worker.worker_id,
-                    "attempt": result.attempt,
-                    "status": verdict.status.name.lower(),
-                },
-            )
-            if result.spans:
-                tracer.absorb(result.spans, parent=job_span)
-            if result.metrics:
-                tracer.metrics.merge_dict(result.metrics)
+        self._job_span(
+            worker, verdict.status.name.lower(), records=result.records
+        )
         self.jobs.settle(
             job, verdict, worker=str(worker.worker_id), attempt=result.attempt
         )
+
+    def _job_span(
+        self,
+        worker: _WorkerHandle,
+        status: Optional[str] = None,
+        *,
+        records: Sequence[dict] = (),
+        error: Optional[str] = None,
+    ) -> None:
+        """Under a journal, record the ``implementation`` span of the
+        attempt ``worker`` is running, from its assignment to now, with
+        the ``records`` the worker journaled for it grafted beneath."""
+        journal = self.journal
+        if journal is None:
+            return
+        job = worker.job
+        span = journal.span_ids
+        journal.span_ids += 1
+        args = {"worker": worker.worker_id, "attempt": job.attempts}
+        if status is not None:
+            args["status"] = status
+        journal.emit(
+            "span",
+            name=job.impl.name,
+            cat="implementation",
+            start=worker.job_started,
+            dur=time.monotonic() - worker.job_started,
+            span=span,
+            parent=self.parent_span,
+            args=args,
+            error=error,
+        )
+        _graft(journal, records, span)
 
     def _worker_died(self, worker: _WorkerHandle, reason: str) -> None:
         """Reap ``worker`` and charge the lost attempt to its job.
@@ -530,6 +547,8 @@ class WorkerSupervisor:
         ``INTERNAL_ERROR``/``OL902``, naming every death.
         """
         job = worker.job
+        if job is not None:
+            self._job_span(worker, error=f"worker died: {reason}")
         worker.job = None
         worker.kill()
         obs_events.emit(
@@ -593,6 +612,7 @@ class WorkerSupervisor:
                 continue
             if worker.job_deadline is not None and now >= worker.job_deadline:
                 job = worker.job
+                self._job_span(worker, "timed_out")
                 worker.job = None
                 worker.kill()
                 if job.done:
@@ -657,6 +677,8 @@ class WorkerSupervisor:
             (w.job, str(w.worker_id)) for w in self.workers if w.job is not None
         ]
         for worker in self.workers:
+            if worker.job is not None:
+                self._job_span(worker, "timed_out")
             worker.job = None
             worker.kill()
         unassigned = [(job, None) for job in self.jobs]
@@ -716,6 +738,30 @@ def run_parallel_checks(
         book=book if book is not None else build_jobs(scope, preresolved),
     )
     return supervisor.run()
+
+
+def _graft(journal, records: List[dict], parent: int) -> None:
+    """Emit the ``records`` a worker journaled for a job into ``journal``.
+
+    Each record is stamped anew (run id, ``seq``, ``t_mono``), so the
+    journal's order invariants hold; a span keeps the worker's
+    ``start`` (``time.monotonic`` is one clock across processes here),
+    gets a fresh id, and hangs under ``parent`` if it was a root.
+    """
+    base = journal.span_ids
+    for record in records:
+        fields = {
+            key: value
+            for key, value in record.items()
+            if key not in ("event", "run_id", "seq", "t_mono", "t_wall")
+        }
+        if record["event"] == "span":
+            fields["span"] += base
+            fields["parent"] = (
+                parent if "parent" not in fields else fields["parent"] + base
+            )
+            journal.span_ids = max(journal.span_ids, fields["span"] + 1)
+        journal.emit(record["event"], **fields)
 
 
 def _verdict(job: _Job, status: str, error: Diagnostic) -> object:

@@ -6,9 +6,9 @@ implementation with the same per-implementation isolation the serial
 driver uses (:func:`repro.vcgen.checker._check_impl`), and sends a
 :class:`JobResult` back. The result carries the verdict without its
 ``ImplDecl`` (the parent re-anchors it on its own) and the advisory
-explain-crash diagnostic; when the parent traces, the request says so,
-and the worker's span tree (re-rooted under the supervisor's job span at
-merge time) and metrics registry ride along too.
+explain-crash diagnostic; when the parent journals, the request says so,
+and the records the worker journaled for the job (its spans, re-rooted
+under the supervisor's job span at merge time) ride along too.
 
 A forked worker inherits its parent's scope, with the prover background
 the supervisor prepared before forking, so its first job resumes from it
@@ -37,7 +37,7 @@ import os
 import threading
 import time
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.prover.core import Limits
 from repro.record import Record, field
@@ -65,8 +65,8 @@ class JobRequest(Record, frozen=True):
     explain: bool = False
     #: Supervisor-decided fault injection: None, "kill", or "hang".
     inject: Optional[str] = None
-    #: Trace the job and ship its spans and metrics (the parent traces).
-    trace: bool = False
+    #: Journal the job and ship its records (the parent journals).
+    journal: bool = False
 
     def __init__(
         self,
@@ -77,7 +77,7 @@ class JobRequest(Record, frozen=True):
         limits=None,
         explain=False,
         inject=None,
-        trace=False,
+        journal=False,
     ):
         _set(self, "job_id", job_id)
         _set(self, "proc_name", proc_name)
@@ -86,7 +86,7 @@ class JobRequest(Record, frozen=True):
         _set(self, "limits", limits)
         _set(self, "explain", explain)
         _set(self, "inject", inject)
-        _set(self, "trace", trace)
+        _set(self, "journal", journal)
 
 
 class JobResult(Record):
@@ -102,11 +102,9 @@ class JobResult(Record):
     #: Advisory OL900 warning when the explainer crashed (see
     #: ``_check_impl``); the verdict itself survived.
     explain_crash: Any = None
-    #: The worker-side span tree for this job (``Tracer.export_spans``),
-    #: empty unless the request asked for a trace …
-    spans: List[dict] = field(default_factory=list)
-    #: … and the worker-side metrics registry (``MetricsRegistry.to_dict``).
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    #: The records the worker journaled for this job, empty unless the
+    #: request asked for them.
+    records: List[dict] = field(default_factory=list)
     #: Set when the job raised outside the verdict isolation layer
     #: (should not happen; surfaces as INTERNAL_ERROR parent-side).
     failure: Optional[str] = None
@@ -130,18 +128,14 @@ def _beat(heartbeat, stop_event: threading.Event, supervisor_pid: int) -> None:
 
 
 def detach_from_parent() -> None:
-    """Drop the tracer, event journal and fault plan a forked worker
-    inherits.
+    """Drop the event journal and fault plan a forked worker inherits.
 
-    All are parent-side concerns: spans ship home with each result,
-    worker faults are placed by the parent's supervisor, and the
-    journal records the parent's view of the run.
+    Both are parent-side concerns: a job's records ship home with its
+    result, and worker faults are placed by the parent's supervisor.
     """
     from repro.obs import events as events_module
-    from repro.obs import tracer as tracer_module
     from repro.testing import faults as faults_module
 
-    tracer_module._ACTIVE = None
     events_module._ACTIVE = None
     faults_module._ACTIVE = None
 
@@ -210,7 +204,7 @@ def encode_result(request: JobRequest, result: JobResult) -> bytes:
 
 
 def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
-    from repro.obs import Tracer, tracing
+    from repro.obs import EventJournal, journaling
     from repro.vcgen.checker import _check_impl
 
     if request.inject == "kill":
@@ -235,9 +229,9 @@ def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
         )
     impl = impls[request.impl_index]
 
-    tracer = Tracer() if request.trace else None
+    journal = EventJournal(run_id="job") if request.journal else None
     try:
-        with tracing(tracer):
+        with journaling(journal):
             verdict, explain_crash = _check_impl(
                 scope,
                 impl,
@@ -252,8 +246,7 @@ def _run_job(scope, request: JobRequest, stop_event) -> Optional[JobResult]:
             attempt=request.attempt,
             verdict=verdict,
             explain_crash=explain_crash,
-            spans=tracer.export_spans() if tracer is not None else [],
-            metrics=tracer.metrics.to_dict() if tracer is not None else {},
+            records=journal.records if journal is not None else [],
         )
     except Exception as error:  # pragma: no cover — _check_impl isolates
         import traceback

@@ -221,7 +221,7 @@ class ProverStats(Record):
 
     def to_dict(self) -> dict:
         """Machine-readable rendering (surfaced per verdict by
-        ``CheckReport.to_dict`` and fed to the metrics registry)."""
+        ``CheckReport.to_dict``, and summed by ``--metrics``)."""
         return {
             "instantiations": self.instantiations,
             "rounds": self.rounds,

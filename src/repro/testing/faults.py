@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 # Injection points are the pipeline's canonical stage names — the same
-# vocabulary the tracer spans use, so traces and injected faults line up
+# vocabulary the journal's spans use, so traces and injected faults line up
 # (re-exported here; the single definition lives in repro.obs.stages).
 from repro.obs.stages import STAGES
 

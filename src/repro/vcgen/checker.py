@@ -440,11 +440,11 @@ def check_scope(
     ``ModuleSystem.check_module``) do not decide it first, and the lint
     pre-filter runs its passes without a second gate.
 
-    Observability: under an installed tracer (:mod:`repro.obs`) the run
-    is covered by a ``check_scope`` root span, per-stage spans at every
-    boundary the fault harness names, and per-implementation/per-VC
-    child spans; each verdict's ``ProverStats`` is folded into the
-    tracer's metrics registry.
+    Observability: under an installed event journal (:mod:`repro.obs`)
+    the run is covered by a ``check_scope`` root span, per-stage spans
+    at every boundary the fault harness names, and
+    per-implementation/per-VC child spans; the metrics are computed
+    from those records and the report (:mod:`repro.obs.metrics`).
     """
     from repro import obs
 
@@ -550,7 +550,6 @@ def check_scope(
             if discharge is not None:
                 report.discharge_summary = discharge.summary_dict()
                 report.discharge_summary["checked"] = check_discharge
-                _record_discharge_metrics(discharge)
 
         cache = None
         if cache_dir is not None and not explain:
@@ -632,50 +631,6 @@ def _ledger_degraded_diagnostic(
         message=f"{detail}; {consequence}",
         severity=Severity.WARNING,
     )
-
-
-#: The counter each up-front settlement feeds instead of the prover
-#: stats: cached and replayed stats describe work a *previous* run did,
-#: and a discharged verdict had no prover run at all.
-_SETTLED_COUNTERS = {
-    "discharged": "checker.discharged",
-    "preresolved": "checker.resumed",
-    "cache_hit": "checker.cache_hits",
-}
-
-
-def _record_verdict_metrics(verdict: ImplVerdict, source: Optional[str]) -> None:
-    from repro import obs
-
-    registry = obs.metrics()
-    if registry is None:
-        return
-    if source is None:
-        registry.record_prover_stats(verdict.stats)
-    else:
-        registry.inc(_SETTLED_COUNTERS[source])
-    registry.inc("checker.impls")
-    registry.inc(f"checker.status.{verdict.status.name.lower()}")
-
-
-def _record_discharge_metrics(discharge) -> None:
-    from repro import obs
-
-    registry = obs.metrics()
-    if registry is None:
-        return
-    obligations = discharge.obligation_counts()
-    registry.inc(
-        "discharge.obligations_discharged", obligations["static-valid"]
-    )
-    registry.inc(
-        "discharge.obligations_refuted", obligations["static-violation"]
-    )
-    registry.inc("discharge.obligations_deferred", obligations["unknown"])
-    impls = discharge.impl_counts()
-    registry.inc("discharge.impls_discharged", impls["static-valid"])
-    registry.inc("discharge.impls_refuted", impls["static-violation"])
-    registry.inc("discharge.impls_deferred", impls["unknown"])
 
 
 def _discharged_verdict(impl: ImplDecl, index: int, entry) -> ImplVerdict:
@@ -790,7 +745,7 @@ def _check_impls(
     2. **Execute** — run only the still-open jobs on one executor: an
        inline loop (serial) or the ``-j`` supervisor.
     3. **Merge** — one declaration-order loop reports every verdict with
-       its discharge findings and metrics.
+       its discharge findings.
 
     The job book carries the result cache and the run ledger, so every
     decided verdict, whichever step decides it, takes the book's one
@@ -832,7 +787,6 @@ def _check_impls(
                 _emit_discharge_findings(report, discharge, entry)
             else:
                 _compare_discharge(report, discharge, entry, job.verdict)
-        _record_verdict_metrics(job.verdict, job.source)
         report.verdicts.append(job.verdict)
         if ledger is not None:
             ledger.merge_chaos_point()
@@ -853,7 +807,6 @@ def _decide(scope: Scope, limits, book, *, resumed, discharge) -> None:
     if cache is not None:
         from repro.parallel.cache import cache_key, payload_to_verdict
 
-    tracer = obs.current()
     for job in book:
         slot = (job.proc_name, job.impl_index)
         entry = _discharge_entry(discharge, job.impl, job.impl_index)
@@ -874,20 +827,11 @@ def _decide(scope: Scope, limits, book, *, resumed, discharge) -> None:
             continue
         if source != "discharged" and verdict.failed_obligation is not None:
             _reanchor_failure(scope, verdict)
-        book.settle(job, verdict, source=source)
-        if tracer is not None:
-            now = time.perf_counter()
-            tracer.record(
-                job.impl.name,
-                obs.CAT_IMPL,
-                now,
-                now,
-                parent=tracer.current_index(),
-                args={
-                    job.source: True,
-                    "status": job.verdict.status.name.lower(),
-                },
-            )
+        status = verdict.status.name.lower()
+        with obs.span(
+            job.impl.name, obs.CAT_IMPL, **{source: True, "status": status}
+        ):
+            book.settle(job, verdict, source=source)
 
 
 def _reanchor_failure(scope: Scope, verdict: ImplVerdict) -> None:

@@ -351,16 +351,10 @@ def _build_vc_timed(
     )
     if obs.active():
         # VC size telemetry — the node walk is not free, so it only runs
-        # under an installed tracer.
-        goal_nodes = formula_nodes(goal)
+        # under an installed journal.
         sp.set(
-            goal_nodes=goal_nodes,
+            goal_nodes=formula_nodes(goal),
             background_axioms=len(hypotheses),
             obligations=len(bundle.obligations),
         )
-        registry = obs.metrics()
-        registry.inc("vcgen.vcs")
-        registry.inc("vcgen.goal_nodes", goal_nodes)
-        registry.inc("vcgen.background_axioms", len(hypotheses))
-        registry.inc("vcgen.obligations", len(bundle.obligations))
     return fault_point("vcgen", bundle)

@@ -5,13 +5,14 @@
   path and per-worker utilization, its OL901–OL903 counts exactly match
   the run's ``CheckReport`` tallies, the timeout and quarantine rows
   appear in the text rendering, and the journal's Chrome trace export
-  validates. The worker spans the same traced run absorbs assemble into
-  a valid trace with no negative or pre-run-start timestamps.
+  validates, with the spans the workers shipped home on their lanes and
+  no negative timestamps.
 * **Fuzzed fault matrix** — ``report`` never crashes on any
   schema-valid journal a faulted run can produce, and its JSON always
   validates against ``report.schema.json``.
 * **CLI** — ``events report``/``events export`` round-trip through
-  files; error paths exit 2.
+  files; error paths exit 2. The report reads lifecycle records only:
+  span records change none of it.
 """
 
 import io
@@ -126,7 +127,19 @@ class TestAnalyzeUnit:
 
     def test_journal_trace_of_synthetic_run_validates(self):
         journal = _synthetic_journal()
-        payload = obs.journal_chrome_trace(journal.records)
+        # The job spans a supervisor records, one per filed job.
+        start = journal.records[0]["t_mono"]
+        for job, (impl, worker) in enumerate([("a", "0"), ("b", "1"), ("c", "0")]):
+            journal.emit(
+                "span",
+                name=impl,
+                cat="implementation",
+                start=start + job * 0.01,
+                dur=0.01,
+                span=job,
+                args={"worker": worker, "attempt": 0, "status": "verified"},
+            )
+        payload = obs.chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None
         spans = [
             e
@@ -151,19 +164,18 @@ class TestGoldenReport:
             )
         )
         journal = obs.EventJournal()
-        tracer = obs.Tracer()
-        with obs.journaling(journal), obs.tracing(tracer), inject(plan):
+        with obs.journaling(journal), inject(plan):
             report = check_scope(
                 scope, LIMITS, parallel=2, job_timeout=0.5, max_retries=0
             )
-        return scope, journal, tracer, report
+        return scope, journal, report
 
     def test_journal_validates(self, golden):
-        _, journal, _, _ = golden
+        _, journal, _ = golden
         assert obs.validate_event_journal(journal.records) == []
 
     def test_report_counts_match_checkreport(self, golden):
-        _, journal, _, report = golden
+        _, journal, report = golden
         analyzed = analyze_journal(journal.records)
         assert obs.validate_events_report(analyzed) == []
         ol901 = sum(
@@ -187,7 +199,7 @@ class TestGoldenReport:
         assert analyzed["impls"] == len(report.verdicts)
 
     def test_report_names_critical_path_and_utilization(self, golden):
-        _, journal, _, _ = golden
+        _, journal, _ = golden
         analyzed = analyze_journal(journal.records)
         chain = analyzed["critical_path"]["chain"]
         assert chain, "critical path must be non-empty for a -j run"
@@ -199,7 +211,7 @@ class TestGoldenReport:
         assert any(row["busy_seconds"] > 0 for row in workers)
 
     def test_text_rendering_shows_fault_rows(self, golden):
-        _, journal, _, _ = golden
+        _, journal, _ = golden
         text = obs.render_report_text(analyze_journal(journal.records))
         assert "[OL901] job-hard-timeout" in text
         assert "[OL902] job-quarantined" in text
@@ -207,8 +219,8 @@ class TestGoldenReport:
         assert "workers" in text
 
     def test_journal_trace_export_validates(self, golden):
-        _, journal, _, _ = golden
-        payload = obs.journal_chrome_trace(journal.records)
+        _, journal, _ = golden
+        payload = obs.chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None
         lanes = {
             e["args"]["name"]
@@ -220,17 +232,25 @@ class TestGoldenReport:
     def test_assembled_tracer_trace_validates(self, golden):
         """The worker spans shipped home with each result assemble into
         one coherent, valid trace."""
-        _, _, tracer, _ = golden
-        payload = obs.chrome_trace(tracer)
+        _, journal, _ = golden
+        payload = obs.chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None
         spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
         assert all(e["ts"] >= 0 for e in spans)
         assert all(e["dur"] >= 0 for e in spans)
         # The shipped worker spans really came home: job spans have
-        # children absorbed from the workers' tracers.
-        impl_spans = [s for s in tracer.spans if s.category == "implementation"]
-        assert impl_spans
-        assert all(s.start >= tracer.origin for s in tracer.spans)
+        # children grafted from the workers' journals, on their lanes.
+        records = obs.spans_of(journal.records)
+        jobs = {
+            s["span"]: s
+            for s in records
+            if s["cat"] == "implementation" and "worker" in s.get("args", {})
+        }
+        assert jobs
+        grafted = [s for s in records if s.get("parent") in jobs]
+        assert {s["name"] for s in grafted} == {"vcgen", "prove"}
+        lane = {e["name"]: e["tid"] for e in spans if e["cat"] == "stage"}
+        assert lane["prove"] >= 3 and lane["lint"] == 1
 
 
 class TestFuzzedReports:
@@ -247,7 +267,7 @@ class TestFuzzedReports:
         assert obs.validate_events_report(report) == [], detail
         text = obs.render_report_text(report)
         assert report["run_id"] in text, detail
-        payload = obs.journal_chrome_trace(journal.records)
+        payload = obs.chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None, detail
 
 

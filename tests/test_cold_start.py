@@ -2,9 +2,10 @@
 
 Every ``oolong-check`` starts a fresh interpreter, so each module a check
 imports is compiled (or at least loaded) again on every run. A plain
-check loads the null paths of telemetry (``repro.obs``: events, metrics,
-stages, tracer) and of fault injection (``repro.testing.faults``), and
-nothing of the optional layers: reporting and analytics, ``--explain``
+check loads the null paths of telemetry (``repro.obs``: the event
+journal and the stage names) and of fault injection
+(``repro.testing.faults``), and nothing of the optional layers: metrics,
+reporting and analytics, ``--explain``
 (the proof-replay kernel and countermodels), the chaos harness, the
 parallel executors, the cache and the ledger. Those load through the
 package facades (PEP 562) or inside the code that uses them.
@@ -41,7 +42,7 @@ FORBIDDEN = {
         "argparse",
     ),
     "telemetry": (
-        "repro.obs.recorder",
+        "repro.obs.metrics",
         "repro.obs.analyze",
         "repro.obs.export",
         "repro.obs.progress",
@@ -165,12 +166,6 @@ class TestFacades:
         import repro.obs
 
         assert set(repro.obs.__all__) <= set(namespace)
-
-    def test_obs_metrics_is_the_tracer_function(self):
-        import repro.obs
-        from repro.obs import tracer
-
-        assert repro.obs.metrics is tracer.metrics
 
     def test_unknown_name_raises_attribute_error(self):
         import repro.obs

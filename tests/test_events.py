@@ -9,9 +9,10 @@
   invariants; hand-built garbage is rejected.
 * **Correlation** — OL901/OL902/OL903 outcomes each appear as the
   matching journal event carrying the code, correlated to jobs.
-* **Prometheus** — ``MetricsRegistry.to_prometheus`` renders counters,
-  labelled counters, and timers in the text exposition format;
-  ``--metrics-format prom`` writes it from the CLI.
+* **Spans** — a run's journal carries its spans as ``span`` records,
+  grafted worker spans included, and still validates.
+* **CLI** — ``--metrics`` writes JSON only: ``--metrics-format`` is a
+  usage error.
 """
 
 import json
@@ -24,7 +25,6 @@ from repro.api import check_program
 from repro.cli import main
 from repro.corpus.generators import generate_impl_farm
 from repro.obs import events as events_module
-from repro.obs.metrics import MetricsRegistry, prometheus_name
 from repro.oolong.program import Scope
 from repro.oolong.wellformed import check_well_formed
 from repro.prover.core import Limits
@@ -220,7 +220,7 @@ class TestRunJournals:
         assert counts["check-start"] == 1
         assert counts["check-end"] == 1
         assert counts["impl-checked"] == 1
-        start = journal.records[0]
+        (start,) = [r for r in journal.records if r["event"] == "check-start"]
         assert start["backend"] == "serial"
         assert start["impls"] == 1
 
@@ -235,6 +235,14 @@ class TestRunJournals:
         assert counts["worker-spawn"] == 2
         assert counts["job-assigned"] >= len(report.verdicts)
         assert counts["impl-checked"] == len(report.verdicts)
+        # Each job's vcgen and prove spans came home under its span.
+        spans = {s["span"]: s for s in obs.spans_of(journal.records)}
+        grafted = [
+            s for s in spans.values()
+            if s["name"] in ("vcgen", "prove")
+            and spans[s["parent"]]["cat"] == obs.CAT_IMPL
+        ]
+        assert len(grafted) == 2 * len(report.verdicts)
 
     def test_quarantine_appears_as_ol902_events(self):
         scope = _farm_scope()
@@ -438,48 +446,6 @@ class TestProgressRenderer:
 
 
 # ----------------------------------------------------------------------
-# Prometheus exposition
-# ----------------------------------------------------------------------
-
-
-class TestPrometheus:
-    def test_names_are_mangled_and_prefixed(self):
-        assert prometheus_name("prover.checks") == "oolong_prover_checks"
-        assert (
-            prometheus_name("checker.status.verified")
-            == "oolong_checker_status_verified"
-        )
-        assert prometheus_name("9lives", prefix="") == "_9lives"
-
-    def test_counters_labels_and_timers_render(self):
-        registry = MetricsRegistry()
-        registry.inc("prover.checks", 2)
-        registry.inc_labelled(
-            "prover.instantiations.by_quantifier", 'q"1\n', 5
-        )
-        registry.observe("prover.check_seconds", 0.25)
-        registry.observe("prover.check_seconds", 0.75)
-        text = registry.to_prometheus()
-        assert "# TYPE oolong_prover_checks counter" in text
-        assert "oolong_prover_checks 2" in text
-        assert (
-            'oolong_prover_instantiations{quantifier="q\\"1\\n"} 5' in text
-        )
-        assert "oolong_prover_check_count 2" in text
-        assert "oolong_prover_check_seconds_total 1.0" in text
-        assert "oolong_prover_check_seconds_max 0.75" in text
-        assert "_seconds_seconds" not in text
-
-    def test_empty_registry_renders_empty(self):
-        assert MetricsRegistry().to_prometheus() == ""
-
-    def test_unlabelled_convention_falls_back(self):
-        registry = MetricsRegistry()
-        registry.inc_labelled("odd.bucket", "x", 1)
-        assert 'oolong_odd_bucket{label="x"} 1' in registry.to_prometheus()
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 
@@ -511,18 +477,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "checked 1/1 impls" in err
 
-    def test_metrics_format_prom_writes_exposition(
+    def test_metrics_format_is_a_usage_error(
         self, write_source, tmp_path, capsys
     ):
         source = write_source("good.oolong", RATIONAL)
-        out = str(tmp_path / "metrics.prom")
-        assert main(
-            [source, "--metrics", out, "--metrics-format", "prom"]
-        ) == 0
-        with open(out) as handle:
-            text = handle.read()
-        assert "# TYPE oolong_prover_checks counter" in text
-        assert "oolong_prover_checks 1" in text
+        out = tmp_path / "metrics.prom"
+        with pytest.raises(SystemExit) as exit_info:
+            main([source, "--metrics", str(out), "--metrics-format", "prom"])
+        assert exit_info.value.code == 2
+        assert "--metrics-format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_run_with_events_and_progress(
         self, write_source, tmp_path, capsys

@@ -348,18 +348,19 @@ class TestSurface:
         json.dumps(payload)  # fully serializable
 
     def test_explanations_attach_to_vc_spans(self):
-        tracer = obs.Tracer()
-        report = check_program(BAD_WRITE, tracer=tracer, explain=True)
+        journal = obs.EventJournal()
+        report = check_program(BAD_WRITE, events=journal, explain=True)
         assert not report.ok
         spans = [
-            s
-            for s in tracer.find("vc trim", obs.CAT_VC)
-            if "explanation" in s.args
+            s["args"]
+            for s in obs.spans_of(journal.records)
+            if (s["cat"], s["name"]) == (obs.CAT_VC, "vc trim")
+            and "explanation" in s["args"]
         ]
-        assert spans and spans[0].args["explanation"] == "blame"
-        assert "blame" in spans[0].args
+        assert spans and spans[0]["explanation"] == "blame"
+        assert "blame" in spans[0]
         # and the chrome export carries the args through
-        trace = obs.chrome_trace(tracer)
+        trace = obs.chrome_trace(journal.records)
         events = [
             e
             for e in trace["traceEvents"]

@@ -1,14 +1,18 @@
 """Tests for the telemetry subsystem (``repro.obs``).
 
-Covers the satellite checklist of the observability PR:
+Spans are ``span`` records of the event journal; everything else is
+computed from the records:
 
 * golden Chrome-trace skeleton for a small example;
 * schema/shape validation of exported trace JSON;
 * span nesting invariants (closure, parent containment, depth);
 * a fault-injection run asserting spans still close on injected crashes;
-* the shared ``STAGES`` constant between tracer and fault harness;
+* the shared ``STAGES`` constant between the journal's spans and the
+  fault harness;
+* metrics computed from the journal and the report;
 * ``ProverStats`` surfaced in ``CheckReport.to_dict`` / ``--format json``;
-* the CLI flags ``--trace`` / ``--metrics`` / ``--profile`` / ``--stats``.
+* the CLI flags ``--trace`` / ``--metrics`` / ``--profile`` / ``--stats``,
+  and ``--trace`` being the ``events export`` of the run's journal.
 """
 
 import json
@@ -38,13 +42,22 @@ impl normalize(r) {
 
 
 def traced_check(source=RATIONAL, **kwargs):
-    tracer = obs.Tracer()
-    report = check_program(source, tracer=tracer, **kwargs)
-    return tracer, report
+    """Check ``source`` under a fresh journal; return it and the report."""
+    journal = obs.EventJournal()
+    report = check_program(source, events=journal, **kwargs)
+    return journal, report
+
+
+def _spans(journal):
+    return obs.spans_of(journal.records)
+
+
+def _children(journal, span):
+    return [s for s in _spans(journal) if s.get("parent") == span["span"]]
 
 
 # ----------------------------------------------------------------------
-# Tracer core
+# Spans on the journal
 # ----------------------------------------------------------------------
 
 
@@ -52,12 +65,12 @@ class TestTracer:
     def test_null_path_records_nothing(self):
         with obs.span("prove") as handle:
             handle.set(ignored=1)
-        assert obs.current() is None and not obs.active()
+        assert obs.journal() is None and not obs.active()
 
     def test_spans_cover_every_pipeline_stage(self):
-        tracer, report = traced_check()
+        journal, report = traced_check()
         assert report.ok
-        recorded = {s.name for s in tracer.spans if s.category == obs.CAT_STAGE}
+        recorded = {s["name"] for s in _spans(journal) if s["cat"] == obs.CAT_STAGE}
         # lex/parse happen during parse_program; the rest inside check_scope
         assert set(FAULT_STAGES) <= recorded
 
@@ -65,54 +78,61 @@ class TestTracer:
         assert FAULT_STAGES is obs.STAGES
 
     def test_all_spans_closed_and_nested(self):
-        tracer, _ = traced_check()
-        assert tracer.open_spans == []
-        for index, span in enumerate(tracer.spans):
-            assert span.closed, f"span {span.name} never closed"
-            assert span.duration >= 0.0
-            if span.parent is not None:
-                parent = tracer.spans[span.parent]
-                assert span.parent < index
-                assert parent.depth == span.depth - 1
+        journal, _ = traced_check()
+        assert journal.open_spans == []
+        spans = {s["span"]: s for s in _spans(journal)}
+        depth = {}
+        for ident, span in spans.items():
+            assert span["dur"] >= 0.0
+            parent_id = span.get("parent")
+            depth[ident] = 0 if parent_id is None else depth[parent_id] + 1
+            if parent_id is not None:
+                parent = spans[parent_id]
+                assert parent_id < ident
                 # a child's interval lies within its parent's
-                assert parent.start <= span.start
-                assert span.end <= parent.end
+                assert parent["start"] <= span["start"]
+                end = span["start"] + span["dur"]
+                assert end <= parent["start"] + parent["dur"] + 1e-9
+        assert max(depth.values()) == 3  # stage -> implementation -> VC
 
     def test_stage_implementation_vc_chain(self):
-        tracer, _ = traced_check()
+        journal, _ = traced_check()
         (prove,) = [
-            i
-            for i, s in enumerate(tracer.spans)
-            if s.name == "prove" and s.category == obs.CAT_STAGE
+            s
+            for s in _spans(journal)
+            if s["name"] == "prove" and s["cat"] == obs.CAT_STAGE
         ]
-        (impl,) = tracer.children_of(prove)
-        assert tracer.spans[impl].category == obs.CAT_IMPL
-        assert tracer.spans[impl].name == "normalize"
-        (vc,) = tracer.children_of(impl)
-        vc_span = tracer.spans[vc]
-        assert vc_span.category == obs.CAT_VC
-        assert vc_span.args["verdict"] == "unsat"
-        assert vc_span.args["instantiations"] >= 1
+        (impl,) = _children(journal, prove)
+        assert impl["cat"] == obs.CAT_IMPL
+        assert impl["name"] == "normalize"
+        (vc_span,) = _children(journal, impl)
+        assert vc_span["cat"] == obs.CAT_VC
+        assert vc_span["args"]["verdict"] == "unsat"
+        assert vc_span["args"]["instantiations"] >= 1
 
     def test_vcgen_span_carries_sizes(self):
-        tracer, _ = traced_check()
+        journal, _ = traced_check()
         vc_spans = [
-            s
-            for s in tracer.spans
-            if s.category == obs.CAT_VC and "goal_nodes" in s.args
+            s["args"]
+            for s in _spans(journal)
+            if s["cat"] == obs.CAT_VC and "goal_nodes" in s.get("args", {})
         ]
         assert vc_spans and all(
-            s.args["goal_nodes"] > 0 and s.args["background_axioms"] > 0
-            for s in vc_spans
+            args["goal_nodes"] > 0 and args["background_axioms"] > 0
+            for args in vc_spans
         )
 
     def test_nested_tracing_restores_outer(self):
-        outer, inner = obs.Tracer(), obs.Tracer()
-        with obs.tracing(outer):
-            with obs.tracing(inner):
-                assert obs.current() is inner
-            assert obs.current() is outer
-        assert obs.current() is None
+        outer, inner = obs.EventJournal("outer"), obs.EventJournal("inner")
+        with obs.journaling(outer):
+            with obs.journaling(inner):
+                assert obs.journal() is inner
+                with obs.span("lex"):
+                    pass
+            assert obs.journal() is outer
+        assert obs.journal() is None
+        assert [r["event"] for r in inner.records] == ["span"]
+        assert outer.records == []
 
 
 # ----------------------------------------------------------------------
@@ -120,10 +140,15 @@ class TestTracer:
 # ----------------------------------------------------------------------
 
 
+def traced_metrics(**kwargs):
+    journal, report = traced_check(**kwargs)
+    return obs.collect_metrics(journal.records, report)
+
+
 class TestMetrics:
     def test_prover_stats_feed_registry(self):
-        tracer, _ = traced_check()
-        counters = tracer.metrics.counters
+        metrics = traced_metrics()
+        counters = metrics["counters"]
         assert counters["prover.checks"] == 1
         assert counters["prover.instantiations"] >= 1
         assert counters["prover.inclusion_lookups"] >= 1
@@ -132,22 +157,24 @@ class TestMetrics:
         assert counters["vcgen.vcs"] == 1
         assert counters["vcgen.background_axioms"] > 0
         assert counters["checker.status.verified"] == 1
-        by_quant = tracer.metrics.labelled[
-            "prover.instantiations.by_quantifier"
-        ]
+        by_quant = metrics["labelled"]["prover.instantiations.by_quantifier"]
         assert by_quant and all(count > 0 for count in by_quant.values())
 
     def test_timers_and_top(self):
-        tracer, _ = traced_check()
-        timer = tracer.metrics.timers["prover.check_seconds"]
-        assert timer.count == 1 and timer.total >= 0.0
-        top = tracer.metrics.top("prover.instantiations.by_quantifier", 3)
-        assert len(top) <= 3
+        metrics = traced_metrics()
+        timer = metrics["timers"]["prover.check_seconds"]
+        assert timer["count"] == 1 and timer["total_seconds"] >= 0.0
+        assert timer["mean_seconds"] == timer["total_seconds"]
+        journal, report = traced_check()
+        text = obs.text_report(journal.records, report, top=3)
+        hottest = text.split("hottest quantifiers")[1].splitlines()[1:]
+        rows = [line.split(": ") for line in hottest if line.startswith("  ")]
+        top = [(name.strip(), int(count.split()[0])) for name, count in rows]
+        assert 1 <= len(top) <= 3
         assert top == sorted(top, key=lambda kv: (-kv[1], kv[0]))
 
     def test_registry_to_dict_shape(self):
-        tracer, _ = traced_check()
-        payload = tracer.metrics.to_dict()
+        payload = traced_metrics()
         assert set(payload) == {"counters", "labelled", "timers"}
         json.dumps(payload)  # must be JSON-serializable as-is
 
@@ -179,27 +206,32 @@ class TestStatsSurfaced:
 
 class TestChromeTrace:
     def test_schema_validates(self):
-        tracer, _ = traced_check()
-        payload = obs.chrome_trace(tracer)
+        journal, _ = traced_check()
+        payload = obs.chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None
         json.loads(json.dumps(payload))  # round-trips as JSON
 
     def test_event_shape(self):
-        tracer, _ = traced_check()
-        events = obs.chrome_trace(tracer)["traceEvents"]
+        journal, _ = traced_check()
+        events = obs.chrome_trace(journal.records)["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         complete = [e for e in events if e["ph"] == "X"]
-        assert meta and meta[0]["args"]["name"] == "oolong-check"
-        assert len(complete) == len(tracer.spans)
+        assert meta
+        assert meta[0]["args"]["name"] == f"oolong-check {journal.run_id}"
+        spans = [e for e in complete if e["cat"] != "event"]
+        markers = [e for e in complete if e["cat"] == "event"]
+        assert len(spans) == len(_spans(journal))
+        assert [e["name"] for e in markers] == ["check-start", "check-end"]
         for event in complete:
-            assert event["pid"] == 1 and event["tid"] == 1
+            assert event["pid"] == 1
+            assert event["tid"] == (1 if event in spans else 2)
             assert event["ts"] >= 0 and event["dur"] >= 0
             assert isinstance(event["args"], dict)
 
     def test_golden_skeleton_small_example(self):
         """The (category, name) sequence for RATIONAL, in span-open order."""
-        tracer, _ = traced_check()
-        skeleton = [(s.category, s.name) for s in tracer.spans]
+        journal, _ = traced_check()
+        skeleton = [(s["cat"], s["name"]) for s in _spans(journal)]
         assert skeleton == [
             ("stage", "lex"),
             ("stage", "parse"),
@@ -229,8 +261,8 @@ class TestChromeTrace:
 
 class TestTextReport:
     def test_sections_present(self):
-        tracer, _ = traced_check()
-        text = obs.text_report(tracer)
+        journal, report = traced_check()
+        text = obs.text_report(journal.records, report)
         assert "stage breakdown" in text
         assert "slowest VCs" in text
         assert "hottest quantifiers" in text
@@ -239,9 +271,9 @@ class TestTextReport:
     def test_deadline_pressure_reported_with_budget(self):
         from repro.prover.core import Limits
 
-        tracer = obs.Tracer()
-        check_program(RATIONAL, Limits(time_budget=30.0), tracer=tracer)
-        text = obs.text_report(tracer)
+        journal = obs.EventJournal()
+        report = check_program(RATIONAL, Limits(time_budget=30.0), events=journal)
+        text = obs.text_report(journal.records, report)
         assert "deadline pressure: worst" in text
 
 
@@ -253,34 +285,36 @@ class TestTextReport:
 class TestFaultInjectionTracing:
     @pytest.mark.parametrize("stage", ["vcgen", "prove"])
     def test_spans_close_on_injected_crash(self, stage):
-        tracer = obs.Tracer()
+        journal = obs.EventJournal()
         with inject(FaultPlan((Fault(stage, "raise"),))) as injector:
-            report = check_program_resilient(RATIONAL, tracer=tracer)
+            report = check_program_resilient(RATIONAL, events=journal)
         assert injector.fired  # the fault actually triggered
         verdict = report.verdicts[0]
         assert verdict.status is ImplStatus.INTERNAL_ERROR
-        assert tracer.open_spans == []
-        assert all(span.closed for span in tracer.spans)
-        errored = [s for s in tracer.spans if s.error is not None]
+        assert journal.open_spans == []
+        opened = journal.span_ids
+        assert sorted(s["span"] for s in _spans(journal)) == list(range(opened))
+        errored = [s for s in _spans(journal) if "error" in s]
         assert errored, "the crashing span should record its exception"
-        assert any("injected crash" in s.error for s in errored)
+        assert any("injected crash" in s["error"] for s in errored)
 
     def test_trace_of_crashed_run_still_validates(self):
-        tracer = obs.Tracer()
+        journal = obs.EventJournal()
         with inject(FaultPlan((Fault("parse", "raise"),))):
-            report = check_program_resilient(RATIONAL, tracer=tracer)
+            report = check_program_resilient(RATIONAL, events=journal)
         assert report.fatal
-        payload = obs.chrome_trace(tracer)
+        payload = obs.chrome_trace(journal.records)
         assert obs.validate_chrome_trace(payload) is None
         names = [e["name"] for e in payload["traceEvents"] if e["ph"] == "X"]
         assert "lex" in names and "parse" in names
 
     def test_corrupt_fault_closes_spans(self):
-        tracer = obs.Tracer()
+        journal = obs.EventJournal()
         with inject(FaultPlan((Fault("prove", "corrupt"),))):
-            report = check_program_resilient(RATIONAL, tracer=tracer)
+            report = check_program_resilient(RATIONAL, events=journal)
         assert report.verdicts[0].status is ImplStatus.INTERNAL_ERROR
-        assert all(span.closed for span in tracer.spans)
+        assert journal.open_spans == []
+        assert len(_spans(journal)) == journal.span_ids
 
 
 # ----------------------------------------------------------------------
@@ -353,4 +387,19 @@ class TestCli:
     def test_no_flags_means_no_tracer(self, write_source, capsys):
         source = write_source("good.oolong", RATIONAL)
         assert main([source]) == 0
-        assert obs.current() is None
+        assert obs.journal() is None
+
+    @pytest.mark.parametrize("jobs", [[], ["-j", "2"]])
+    def test_trace_is_the_export_of_the_events_journal(
+        self, write_source, tmp_path, capsys, jobs
+    ):
+        source = write_source("good.oolong", RATIONAL)
+        trace, events = tmp_path / "t.json", tmp_path / "e.jsonl"
+        assert main([source, "--trace", str(trace), "--events", str(events)] + jobs) == 0
+        exported = tmp_path / "t2.json"
+        assert main(["events", "export", str(events), "--trace", str(exported)]) == 0
+        assert trace.read_bytes() == exported.read_bytes()
+        assert obs.validate_chrome_trace(json.loads(trace.read_text())) is None
+        records = obs.read_journal(str(events))
+        assert obs.validate_event_journal(records) == []
+        assert {"span", "check-start", "impl-checked"} <= {r["event"] for r in records}

@@ -250,8 +250,7 @@ def _mixed_run(mixed_state, backend, tag=""):
     shutil.copytree(cache_dir, cache_copy)
     scope = Scope.from_source(MIXED)
     journal = obs.EventJournal()
-    tracer = obs.Tracer()
-    with obs.journaling(journal), obs.tracing(tracer):
+    with obs.journaling(journal):
         report = check_scope(
             scope,
             LIMITS,
@@ -261,12 +260,12 @@ def _mixed_run(mixed_state, backend, tag=""):
             cache_dir=cache_copy,
             **BACKENDS[backend],
         )
-    return report, journal, tracer
+    return report, journal, obs.collect_metrics(journal.records, report)
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_settled_verdicts_labelled_alike(mixed_state, backend):
-    report, journal, tracer = _mixed_run(mixed_state, backend)
+    report, journal, metrics = _mixed_run(mixed_state, backend)
     assert all(v.status is ImplStatus.VERIFIED for v in report.verdicts)
 
     checked = [r for r in journal.records if r["event"] == "impl-checked"]
@@ -278,10 +277,10 @@ def test_settled_verdicts_labelled_alike(mixed_state, backend):
         assert flags == ([expected] if expected else []), record
 
     settled_spans = {
-        span.name: [flag for flag in SETTLE_FLAGS if span.args.get(flag)]
-        for span in tracer.spans
-        if span.category == obs.CAT_IMPL
-        and any(span.args.get(flag) for flag in SETTLE_FLAGS)
+        span["name"]: [flag for flag in SETTLE_FLAGS if span["args"].get(flag)]
+        for span in obs.spans_of(journal.records)
+        if span["cat"] == obs.CAT_IMPL
+        and any(span.get("args", {}).get(flag) for flag in SETTLE_FLAGS)
     }
     assert settled_spans == {
         impl: [source]
@@ -289,7 +288,7 @@ def test_settled_verdicts_labelled_alike(mixed_state, backend):
         if source is not None
     }
 
-    counters = tracer.metrics.counters
+    counters = metrics["counters"]
     assert counters.get("checker.discharged") == 2
     assert counters.get("checker.resumed") == 1
     assert counters.get("checker.cache_hits") == 1
@@ -301,7 +300,7 @@ def test_settled_verdicts_labelled_alike(mixed_state, backend):
 
 def test_settled_labelling_identical_across_backends(mixed_state):
     def labelling(backend):
-        report, journal, tracer = _mixed_run(mixed_state, backend, "-cmp")
+        report, journal, metrics = _mixed_run(mixed_state, backend, "-cmp")
         flags = sorted(
             (r["impl"], tuple(f for f in SETTLE_FLAGS if r.get(f)))
             for r in journal.records
@@ -309,7 +308,7 @@ def test_settled_labelling_identical_across_backends(mixed_state):
         )
         counters = {
             name: value
-            for name, value in tracer.metrics.counters.items()
+            for name, value in metrics["counters"].items()
             if name.startswith("checker.")
         }
         return _canonical(report), flags, counters

@@ -35,7 +35,6 @@ import os
 import re
 import sys
 import tempfile
-from unittest import mock
 
 import pytest
 
@@ -134,26 +133,16 @@ def _skeleton(spans):
     return rows
 
 
-@contextlib.contextmanager
-def _recorded_spans():
-    """Collect the spans of the CLI run inside the block."""
-    from repro.obs import recorder
+def _recorded_spans(events):
+    """The spans of the journal at ``events``, for :func:`_skeleton`."""
+    from repro.obs import read_journal, spans_of
 
-    tracers = []
-
-    class Capturing(recorder.Tracer):
-        def __init__(self):
-            super().__init__()
-            tracers.append(self)
-
-    spans = []
-    with mock.patch.object(recorder, "Tracer", Capturing):
-        yield spans
-    (tracer,) = tracers
-    spans.extend(
-        (span.category, span.name, span.parent, span.args)
-        for span in tracer.spans
-    )
+    spans = spans_of(read_journal(events))
+    index = {span["span"]: at for at, span in enumerate(spans)}
+    return [
+        (span["cat"], span["name"], index.get(span.get("parent")), span.get("args", {}))
+        for span in spans
+    ]
 
 
 def _report(payload, mode):
@@ -181,7 +170,7 @@ def observe(source, mode):
         events = os.path.join(work, "events.jsonl")
         trace = os.path.join(work, "trace.json")
         out = io.StringIO()
-        with _recorded_spans() as spans, contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out):
             main(
                 [path, "--profile", "--metrics", metrics, "--trace", trace]
                 + ["--events", events]
@@ -192,6 +181,7 @@ def observe(source, mode):
             assert main(["events", "report", events, "--format", "json"]) == 0
         with open(metrics) as handle:
             metrics_payload = json.load(handle)
+        spans = _recorded_spans(events)
     return {
         "metrics": _metrics(metrics_payload),
         "profile": _profile(out.getvalue()),

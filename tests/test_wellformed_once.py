@@ -136,7 +136,13 @@ class TestNoCheckStartForIllFormedScope:
         with obs.journaling(journal):
             with pytest.raises(WellFormednessError):
                 check_scope(Scope.from_source(ILL_FORMED))
-        assert [r["event"] for r in journal.records] == []
+        # Spans only (parsing, and the two the error unwound through):
+        # no lifecycle record.
+        spans = obs.spans_of(journal.records)
+        assert len(spans) == len(journal.records)
+        errors = {s["name"]: s["error"] for s in spans if "error" in s}
+        assert sorted(errors) == ["check_scope", "wellformed"]
+        assert errors["check_scope"].startswith("WellFormednessError")
 
     def test_cli_events_journal_has_no_check_start(
         self, write_source, tmp_path, capsys
@@ -163,11 +169,12 @@ class TestWellformedCrash:
 
 class TestSpan:
     def test_one_wellformed_span_inside_check_scope(self):
-        tracer = obs.Tracer()
-        check_program(RATIONAL, LIMITS, tracer=tracer)
-        wellformed = [s for s in tracer.spans if s.name == "wellformed"]
+        journal = obs.EventJournal()
+        check_program(RATIONAL, LIMITS, events=journal)
+        spans = {s["span"]: s for s in obs.spans_of(journal.records)}
+        wellformed = [s for s in spans.values() if s["name"] == "wellformed"]
         assert len(wellformed) == 1
-        assert tracer.spans[wellformed[0].parent].name == "check_scope"
+        assert spans[wellformed[0]["parent"]]["name"] == "check_scope"
 
 
 def test_api_lint_program_is_the_engine_one():

@@ -1,10 +1,10 @@
 """What a ``-j`` worker sends back for a job.
 
-* **Tracing follows the parent.** A worker traces a job, and ships its
-  spans and metrics, only when the parent check has a tracer. Untraced,
-  every filed result has empty ``spans`` and ``metrics``; traced, the
-  check grafts the span skeleton and merges the metric names it did
-  when every job was traced.
+* **Journaling follows the parent.** A worker journals a job, and ships
+  its records, only when the parent check has an event journal.
+  Unjournaled, every filed result has empty ``records``; journaled, the
+  check grafts the span skeleton, and its metrics carry the names they
+  did when every job was traced by a separate tracer.
 * **Verdicts ship without their AST.** The parent re-anchors each
   verdict on its own ``ImplDecl``.
 * **A result that does not pickle costs only its job.** An unpicklable
@@ -31,8 +31,8 @@ SOURCE = generate_impl_farm(2, 3).replace(
     "t.f2 := 2\n}", "t.f2 := 2 ;\n  assert t.f0 = 0\n}"
 ).replace("t.f2 := 3\n}", "t.f2 := 3 ;\n  assert t.f0 = 1\n}")
 
-#: The span paths a traced check of :data:`SOURCE` records, as recorded
-#: when every worker job was traced.
+#: The span paths a journaled check of :data:`SOURCE` records, as
+#: recorded when every worker job was traced.
 SKELETON = sorted(
     [
         "pipeline:check_scope",
@@ -58,7 +58,7 @@ SKELETON = sorted(
     ]
 )
 
-#: The metric names the same traced check merges.
+#: The metric names of the same check.
 METRICS = {
     "counters": [
         "checker.impls",
@@ -90,27 +90,24 @@ def filed(monkeypatch):
     original = WorkerSupervisor._file_result
 
     def spy(self, job, result, worker):
-        results.append(
-            (result.spans, result.metrics, result.verdict.impl)
-        )
+        results.append((result.records, result.verdict.impl))
         return original(self, job, result, worker)
 
     monkeypatch.setattr(WorkerSupervisor, "_file_result", spy)
     return results
 
 
-def _skeleton(tracer):
-    spans = tracer.spans
+def _skeleton(records):
+    spans = {span["span"]: span for span in obs.spans_of(records)}
 
-    def path(index):
+    def path(span):
         parts = []
-        while index is not None:
-            span = spans[index]
-            parts.append(f"{span.category}:{span.name}")
-            index = span.parent
+        while span is not None:
+            parts.append(f"{span['cat']}:{span['name']}")
+            span = spans.get(span.get("parent"))
         return "/".join(reversed(parts))
 
-    return sorted(path(index) for index in range(len(spans)))
+    return sorted(path(span) for span in spans.values())
 
 
 class TestTracingFollowsTheParent:
@@ -118,20 +115,20 @@ class TestTracingFollowsTheParent:
         report = check_program(SOURCE, LIMITS, parallel=2)
         assert report.ok
         assert len(filed) == 2
-        for spans, metrics, impl in filed:
-            assert spans == [] and metrics == {}
+        for records, impl in filed:
+            assert records == []
             assert impl is None  # the AST stayed in the worker
 
     def test_traced_check_grafts_and_merges_as_before(self, filed):
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
-            report = check_program(SOURCE, LIMITS, parallel=2)
+        journal = obs.EventJournal()
+        report = check_program(SOURCE, LIMITS, parallel=2, events=journal)
         assert report.ok
         assert len(filed) == 2
-        assert all(spans and metrics for spans, metrics, _ in filed)
-        assert _skeleton(tracer) == SKELETON
-        merged = tracer.metrics.to_dict()
-        names = {kind: sorted(values) for kind, values in merged.items()}
+        assert all(records for records, _ in filed)
+        assert obs.validate_event_journal(journal.records) == []
+        assert _skeleton(journal.records) == SKELETON
+        metrics = obs.collect_metrics(journal.records, report)
+        names = {kind: sorted(values) for kind, values in metrics.items()}
         assert names == METRICS
 
 
