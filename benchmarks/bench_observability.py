@@ -1,21 +1,22 @@
 """OBS-OVERHEAD: telemetry hooks must be free when nothing is installed.
 
-Every instrumentation site of the pipeline (the seven stage boundaries
-of ``repro.obs.stages.STAGES``, plus per-implementation and per-VC child
-spans) crosses :func:`repro.obs.span`. With no tracer installed a
-crossing is one module-global ``None`` check returning a shared no-op
-context manager. The claim measured here: total hook cost on an
-ordinary ``check_scope`` run over the examples corpus — crossings x
-per-crossing cost — is under 1% of the run's wall-clock.
-
-The event journal gets the same discipline: lifecycle emission sites
-call :func:`repro.obs.events.emit` unconditionally, and with no journal
-installed an emission is one module-global ``None`` check (the keyword
-arguments are built by the caller either way, so the measured per-emit
-cost includes them). The journal guard is emissions x per-emit cost
-< 1% of wall-clock, and an armed journal with a live
-:class:`~repro.obs.progress.ProgressRenderer` attached must stay within
-a small constant factor of the bare run.
+The event journal is the one recorder, and it has two hooks. Every
+instrumentation site of the pipeline (the seven stage boundaries of
+``repro.obs.stages.STAGES``, plus per-implementation and per-VC child
+spans) crosses :func:`repro.obs.span`; every lifecycle site calls
+:func:`repro.obs.emit`. With no journal installed each is one
+module-global ``None`` check (a span returns a shared no-op context
+manager; an emission's keyword arguments are built by the caller either
+way, so the measured per-emit cost includes them). The claims measured
+here: on an ordinary ``check_scope`` run over the examples corpus,
+crossings x per-crossing cost and emissions x per-emit cost are each
+under 1% of the run's wall-clock, where crossings and emissions are the
+``span`` and lifecycle records an armed journal takes on the same run.
+An armed journal — recording every span, with or without a live
+:class:`~repro.obs.progress.ProgressRenderer` attached — must stay
+within a small constant factor of the bare run. ``armed_span_ns`` is
+the recorded cost of one armed span (enter, one ``set``, exit: the
+``span`` record it emits).
 
 The pipeline imports only those null paths: every other layer of
 ``repro.obs`` (and of ``repro.testing``) loads on first use. The cold
@@ -86,13 +87,15 @@ def measure_overhead(limits):
         for _, scope in scopes:
             check_scope(scope, limits)
 
-    # Count how many spans the corpus run would record: crossings of the
-    # null path equal spans recorded by an installed tracer.
-    tracer = obs.Tracer()
-    with obs.tracing(tracer):
+    # Count what an armed journal records on the corpus run: its span
+    # records are the crossings of the null span path, the rest the
+    # emissions of the null emit path.
+    journal = obs.EventJournal()
+    with obs.journaling(journal):
         run_checks()
-    crossings = len(tracer.spans)
-    assert crossings > 0
+    crossings = journal.counts()["span"]
+    emissions = len(journal) - crossings
+    assert crossings > 0 and emissions > 0
 
     check_seconds = _median_seconds(run_checks, repeats=3)
 
@@ -107,13 +110,14 @@ def measure_overhead(limits):
 
     hook_seconds = crossings * per_crossing
 
-    # Same discipline for the event journal: count what an armed journal
-    # would record on the corpus run, then price the disabled emission.
-    journal = obs.EventJournal()
-    with obs.journaling(journal):
-        run_checks()
-    emissions = len(journal)
-    assert emissions > 0
+    # The price of one armed span (enter, set, exit: one span record).
+    armed = 20_000
+    with obs.journaling(obs.EventJournal()):
+        start = time.perf_counter()
+        for _ in range(armed):
+            with obs.span("prove") as span:
+                span.set(verdict="unsat")
+        armed_span = (time.perf_counter() - start) / armed
 
     from repro.obs import events as events_module
 
@@ -134,6 +138,7 @@ def measure_overhead(limits):
         "overhead_percent": round(100 * hook_seconds / check_seconds, 4),
         "emissions": emissions,
         "per_emit_ns": round(per_emit * 1e9, 1),
+        "armed_span_ns": round(armed_span * 1e9, 1),
         "events_overhead_percent": round(
             100 * events_seconds / check_seconds, 4
         ),
@@ -257,7 +262,7 @@ def measure_for_regression():
     return measure_overhead(Limits(time_budget=120.0))
 
 
-def test_null_tracer_overhead(limits):
+def test_null_span_overhead(limits):
     """Crossings per examples-corpus run x null span cost < 1%."""
     row = measure_overhead(limits)
     print_row("OBS-OVERHEAD", **row)
@@ -279,8 +284,8 @@ def test_report_analytics_scale_to_big_journals(limits):
     assert ms < 1000.0
 
 
-def test_armed_tracer_is_bounded(limits):
-    """An installed tracer records every span and stays within a small
+def test_armed_journal_is_bounded(limits):
+    """An installed journal records every span and stays within a small
     constant factor of the bare run — profiling must be usable on the
     corpus itself, not only on toy inputs."""
     scopes = _example_scopes()
@@ -290,10 +295,10 @@ def test_armed_tracer_is_bounded(limits):
             check_scope(scope, limits)
 
     def run_traced():
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
+        journal = obs.EventJournal()
+        with obs.journaling(journal):
             run_checks()
-        return tracer
+        return journal
 
     baseline = _median_seconds(run_checks, repeats=3)
     armed = _median_seconds(run_traced, repeats=3)
@@ -310,8 +315,9 @@ def test_armed_tracer_is_bounded(limits):
 
 def test_armed_journal_with_progress_is_bounded(limits):
     """An armed journal feeding a live progress renderer records every
-    lifecycle event and stays within a small constant factor of the bare
-    run — ``--events``/``--progress`` must be usable on real runs."""
+    span and lifecycle event and stays within a small constant factor of
+    the bare run — ``--events``/``--progress`` must be usable on real
+    runs."""
     import io
 
     scopes = _example_scopes()
