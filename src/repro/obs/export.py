@@ -58,17 +58,15 @@ def chrome_trace(records: Sequence[dict], run_id: Optional[str] = None) -> dict:
     """One run of a journal as a Chrome trace-event JSON object.
 
     ``run_id`` picks the run of a multi-run journal (default: the
-    first). Times are rebased on the run's earliest span or record, so
-    none is negative.
+    first); an empty journal or an unknown run raises
+    :class:`~repro.obs.analyze.AnalysisError`. Times are rebased on the
+    run's earliest span or record, so none is negative.
     """
     from repro.obs.analyze import INCIDENT_KINDS, select_run
 
-    run = "-"
-    if records:
-        run, records = select_run(records, run_id)
+    run, records = select_run(records, run_id)
     spans = spans_of(records)
-    times = [r["start"] for r in spans] + [r["t_mono"] for r in records]
-    origin = min(times, default=0.0)
+    origin = min([r["start"] for r in spans] + [r["t_mono"] for r in records])
 
     def complete(name, cat, start, dur, tid, args) -> dict:
         return {

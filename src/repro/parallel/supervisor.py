@@ -630,7 +630,6 @@ class WorkerSupervisor:
                     ),
                     "job-hard-timeout",
                     worker=str(worker.worker_id),
-                    attempt=job.attempts,
                     code="OL901",
                 )
 
@@ -642,25 +641,24 @@ class WorkerSupervisor:
         event: str,
         *,
         worker: Optional[str] = None,
-        attempt: Optional[int] = None,
-        code: str,
+        **fields,
     ) -> None:
         """Decide ``job`` without a prover: its lifecycle record, then
         the settle step for the ``ImplStatus`` named ``status`` with
-        diagnostic ``error``. Both records name the ``worker`` the
-        attempt was running on, if any, and the ``attempt``."""
+        diagnostic ``error``. When an attempt of the job was running on
+        ``worker``, both records name the worker and the attempt."""
+        ran = {}
+        if worker is not None:
+            ran = {"worker": worker, "attempt": job.attempts}
         obs_events.emit(
             event,
             job=job.job_id,
             impl=job.impl.name,
             index=job.impl_index,
-            worker=worker,
-            attempt=attempt,
-            code=code,
+            **ran,
+            **fields,
         )
-        self.jobs.settle(
-            job, _verdict(job, status, error), worker=worker, attempt=attempt
-        )
+        self.jobs.settle(job, _verdict(job, status, error), **ran)
 
     # ------------------------------------------------------------------
     # Scope-budget cancellation and shutdown
@@ -691,7 +689,6 @@ class WorkerSupervisor:
                         _deadline_diagnostic(job.impl, before=before),
                         "job-deadline",
                         worker=worker,
-                        attempt=job.attempts if worker is not None else None,
                         code="OL901",
                     )
         self.queue.clear()
@@ -740,13 +737,14 @@ def run_parallel_checks(
     return supervisor.run()
 
 
-def _graft(journal, records: List[dict], parent: int) -> None:
+def _graft(journal, records: Sequence[dict], parent: int) -> None:
     """Emit the ``records`` a worker journaled for a job into ``journal``.
 
     Each record is stamped anew (run id, ``seq``, ``t_mono``), so the
     journal's order invariants hold; a span keeps the worker's
-    ``start`` (``time.monotonic`` is one clock across processes here),
-    gets a fresh id, and hangs under ``parent`` if it was a root.
+    ``start`` (on the platforms workers run on, ``time.monotonic`` is
+    the system-wide monotonic clock), gets a fresh id, and hangs under
+    ``parent`` if it was a root.
     """
     base = journal.span_ids
     for record in records:

@@ -140,7 +140,12 @@ def _recorded_spans(events):
     spans = spans_of(read_journal(events))
     index = {span["span"]: at for at, span in enumerate(spans)}
     return [
-        (span["cat"], span["name"], index.get(span.get("parent")), span.get("args", {}))
+        (
+            span["cat"],
+            span["name"],
+            index.get(span.get("parent")),
+            span.get("args", {}),
+        )
         for span in spans
     ]
 
