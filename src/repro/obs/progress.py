@@ -56,6 +56,8 @@ class ProgressRenderer:
 
     def __call__(self, record: Dict[str, object]) -> None:
         event = record.get("event")
+        if event == "span":
+            return  # where the time went, not how far the check has got
         if self._started is None:
             self._started = float(record.get("t_mono", time.monotonic()))
         if event == "check-start":

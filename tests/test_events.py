@@ -394,6 +394,17 @@ class TestProgressRenderer:
         assert "checked 2/2 impls" in line
         assert "1 cache hits" in line
 
+    def test_span_records_neither_render_nor_start_the_clock(self):
+        stream = _FakeStream()
+        renderer = obs.ProgressRenderer(stream, line_interval=0.0)
+        journal = obs.EventJournal()
+        journal.add_listener(renderer)
+        with obs.journaling(journal), obs.span("lex"):
+            pass
+        assert stream.text == "" and renderer.renders == 0
+        journal.emit("check-start", impls=1, backend="serial")
+        assert stream.text == "checked 0/1 impls\n"
+
     def test_quarantine_accounting(self):
         renderer = obs.ProgressRenderer(_FakeStream(), line_interval=0.0)
         renderer({"event": "check-start", "impls": 3, "t_mono": 0.0})
